@@ -52,6 +52,24 @@ func BenchmarkHostCompress(b *testing.B) {
 	}
 }
 
+// BenchmarkHostCompressSparse is BenchmarkHostCompress on NYX field 2
+// (baryon density): most blocks fall inside the bound and leave as bare
+// headers, so it times the zero-block prescan where BenchmarkHostCompress
+// times the kernel behind it.
+func BenchmarkHostCompressSparse(b *testing.B) {
+	data := benchField(b, "NYX", 2)
+	var comp []byte
+	b.SetBytes(int64(4 * len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		comp, _, err = Compress(comp[:0], data, REL(1e-3), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHostCompressTelemetry is BenchmarkHostCompress with the
 // host-path registry recording — pairs with it to verify the <5% enabled
 // overhead contract (the disabled case is the plain benchmark, since the
@@ -218,6 +236,20 @@ func BenchmarkHostDecompress(b *testing.B) {
 		out, err = Decompress(out[:0], comp)
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRange measures the REL bound's min/max scan, which every REL
+// compress pays before the first block.
+func BenchmarkRange(b *testing.B) {
+	data := benchField(b, "NYX", 3)
+	b.SetBytes(int64(4 * len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo, hi := quant.Range(data)
+		if !(lo < hi) {
+			b.Fatalf("range [%g, %g]", lo, hi)
 		}
 	}
 }
@@ -525,6 +557,28 @@ func BenchmarkHostCompress64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		comp, _, err = Compress64(comp[:0], data, REL(1e-6), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHostDecompress64 is the decode side of BenchmarkHostCompress64.
+func BenchmarkHostDecompress64(b *testing.B) {
+	f32 := benchField(b, "NYX", 3)
+	data := make([]float64, len(f32))
+	for i, v := range f32 {
+		data[i] = float64(v)
+	}
+	comp, _, err := Compress64(nil, data, REL(1e-6), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var out []float64
+	b.SetBytes(int64(8 * len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err = Decompress64(out[:0], comp)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -59,7 +59,8 @@ type Options struct {
 	// Workers caps host parallelism. 0 and 1 run sequentially — the
 	// zero-allocation steady-state path; values > 1 shard the call's
 	// blocks across a shared worker pool (output bytes are identical at
-	// any count); negative uses all CPU cores.
+	// any count); negative uses all CPU cores. With GOMAXPROCS == 1 every
+	// value runs sequentially: shards could only queue behind one another.
 	Workers int
 }
 

@@ -5,11 +5,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchdiff -old baseline.txt -new current.txt
+//	go run ./cmd/benchdiff -old baseline.txt -new current.txt [-max-regress 40]
 //	go run ./cmd/benchdiff -oldjson base.jsonl -newjson cur.jsonl [-filter sim]
 //
 // Either flag may be omitted to summarise a single file (speedups are then
-// omitted). Exit status is 2 on I/O or parse failure.
+// omitted). Exit status is 2 on I/O or parse failure. With -max-regress PCT
+// the -old/-new mode also exits 1, after printing the report, when any
+// benchmark present in both files has a new median ns/op more than PCT
+// percent above the old one.
 //
 // The -oldjson/-newjson mode diffs two `cereszbench -json` capture files
 // instead: each line's result object is flattened to dotted numeric paths
@@ -253,12 +256,28 @@ func diffJSONMode(oldPath, newPath, filter string) error {
 	return enc.Encode(map[string]any{"fields": diffs})
 }
 
+// regressions lists the paired benchmarks whose new median ns/op exceeds
+// the old one by more than pct percent.
+func regressions(diffs []diff, pct float64) []string {
+	var out []string
+	for _, d := range diffs {
+		if d.Old == nil || d.New == nil || d.Old.MedianNsOp <= 0 {
+			continue
+		}
+		if slower := 100 * (d.New.MedianNsOp - d.Old.MedianNsOp) / d.Old.MedianNsOp; slower > pct {
+			out = append(out, fmt.Sprintf("%s: %.0f → %.0f ns/op (%+.1f%%)", d.Name, d.Old.MedianNsOp, d.New.MedianNsOp, slower))
+		}
+	}
+	return out
+}
+
 func main() {
 	oldPath := flag.String("old", "", "baseline `go test -bench` output file")
 	newPath := flag.String("new", "", "current `go test -bench` output file")
 	oldJSON := flag.String("oldjson", "", "baseline `cereszbench -json` capture file")
 	newJSON := flag.String("newjson", "", "current `cereszbench -json` capture file")
 	filter := flag.String("filter", "", "with -oldjson/-newjson, keep only paths containing this substring")
+	maxRegress := flag.Float64("max-regress", 0, "with -old and -new, exit 1 when any paired benchmark's median ns/op is more than `PCT` percent slower (0 = report only)")
 	flag.Parse()
 	if *oldJSON != "" || *newJSON != "" {
 		if err := diffJSONMode(*oldJSON, *newJSON, *filter); err != nil {
@@ -320,5 +339,11 @@ func main() {
 	if err := enc.Encode(map[string]any{"benchmarks": diffs}); err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
+	}
+	if *maxRegress > 0 {
+		if bad := regressions(diffs, *maxRegress); len(bad) > 0 {
+			fmt.Fprintf(os.Stderr, "benchdiff: slower by more than %g%%:\n  %s\n", *maxRegress, strings.Join(bad, "\n  "))
+			os.Exit(1)
+		}
 	}
 }

@@ -541,10 +541,56 @@ func (p *Proxy) serveProxy(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	m.requests.Add(1)
 
-	status := p.forward(w, r, ep)
+	// A body longer than the replay buffer is read by the transport while
+	// the response is relayed. Unless full duplex is on, net/http consumes
+	// the unread request body itself before the first response byte goes
+	// out: it takes bytes the transport was about to forward (the backend
+	// then sees unexpected EOF) or answers Connection: close. Best
+	// effort — recorders and HTTP/2 decline.
+	rw := &relayWriter{ResponseWriter: w}
+	_ = http.NewResponseController(rw).EnableFullDuplex()
+	status := p.forward(rw, r, ep)
 	m.observeStatus(status)
 	m.latencyUS.Observe(time.Since(t0).Microseconds())
+	// Full duplex also turns off net/http's drain after the handler, and
+	// a body left short of EOF breaks the next request on the connection
+	// (see internal/server admit). A buffered body was read to EOF; of a
+	// streamed one consume a bounded remainder here. What lies beyond it
+	// must not be parsed as a request, and the headers that could have
+	// said Connection: close are gone.
+	if !rw.streaming || rw.closing {
+		return
+	}
+	if n, _ := io.Copy(io.Discard, io.LimitReader(r.Body, maxPostDrainBytes+1)); n > maxPostDrainBytes {
+		panic(http.ErrAbortHandler)
+	}
 }
+
+// maxPostDrainBytes bounds how much unread request body serveProxy
+// consumes to keep a connection reusable (internal/server and net/http
+// use the same figure).
+const maxPostDrainBytes = 256 << 10
+
+// relayWriter is the client side of one proxied request. An error status
+// on a request whose body is still streaming means nobody will read the
+// rest of it, so it goes out with Connection: close — what net/http did
+// for such replies by itself before full duplex. Unwrap keeps
+// http.NewResponseController working.
+type relayWriter struct {
+	http.ResponseWriter
+	streaming bool // the body did not fit the replay buffer
+	closing   bool // Connection: close was sent
+}
+
+func (rw *relayWriter) WriteHeader(status int) {
+	if rw.streaming && status >= 300 {
+		rw.Header().Set("Connection", "close")
+		rw.closing = true
+	}
+	rw.ResponseWriter.WriteHeader(status)
+}
+
+func (rw *relayWriter) Unwrap() http.ResponseWriter { return rw.ResponseWriter }
 
 // prefixReader tracks whether any bytes beyond the buffered prefix were
 // consumed — the replayability test for failover.
@@ -595,7 +641,7 @@ func copyHeaders(dst, src http.Header) {
 // forward buffers the routing prefix, resolves the ring owner(s) and
 // relays the request, failing over once when the body is replayable.
 // It returns the status relayed (or originated) for RED accounting.
-func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, ep int) int {
+func (p *Proxy) forward(w *relayWriter, r *http.Request, ep int) int {
 	bufp := p.bufs.Get().(*[]byte)
 	defer p.bufs.Put(bufp)
 	prefix, fullyBuffered, err := readPrefix(r.Body, (*bufp)[:cap(*bufp)])
@@ -603,6 +649,7 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, ep int) int {
 		http.Error(w, "proxy: reading request body: "+err.Error(), http.StatusBadRequest)
 		return http.StatusBadRequest
 	}
+	w.streaming = !fullyBuffered
 
 	key := p.routeKey(ep, r.URL.Query(), prefix)
 	ring := p.ring.Load()

@@ -10,8 +10,10 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ceresz/internal/server"
 	"ceresz/internal/telemetry"
@@ -277,6 +279,9 @@ func TestProxyPartialForwardRefusesRetry(t *testing.T) {
 	if !strings.Contains(string(msg), "partially forwarded") {
 		t.Fatalf("502 body %q does not name the partial-forward refusal", msg)
 	}
+	if !resp.Close {
+		t.Fatal("502 on a streamed body did not announce Connection: close — the unread 3.9 MiB would be parsed as the next request")
+	}
 	if got := reg.Counter("proxy.failover_denied").Value(); got != 1 {
 		t.Fatalf("proxy.failover_denied = %d, want 1", got)
 	}
@@ -515,5 +520,101 @@ func TestFirstFramePayload(t *testing.T) {
 	}
 	if _, ok := firstFramePayload(frame[:8+len(payload)-1]); ok {
 		t.Fatal("truncated payload accepted")
+	}
+}
+
+// gatedBody yields head at once and tail only after gate closes. Opening
+// the gate when the response headers arrive pins the interleaving the
+// streamed relay must survive: the first response bytes go out while most
+// of the request body is still unsent. Should the headers never come, the
+// tail goes out after a few seconds so the exchange fails instead of
+// hanging.
+type gatedBody struct {
+	head, tail []byte
+	gate       <-chan struct{}
+}
+
+func (g *gatedBody) Read(p []byte) (int, error) {
+	if len(g.head) == 0 {
+		if len(g.tail) == 0 {
+			return 0, io.EOF
+		}
+		select {
+		case <-g.gate:
+		case <-time.After(5 * time.Second):
+		}
+		g.head, g.tail = g.tail, nil
+	}
+	n := copy(p, g.head)
+	g.head = g.head[n:]
+	return n, nil
+}
+
+// A body longer than the replay buffer streams: the transport reads the
+// rest of it while the backend's first response frames are already being
+// relayed. Without full duplex net/http consumes the unread request body
+// itself before the first response byte goes out — racing the transport
+// for the same bytes (unexpected EOF upstream) or giving up with
+// Connection: close. Every streamed request must succeed, match a direct
+// request byte for byte, and leave its connection reusable.
+func TestProxyStreamedBodiesKeepAlive(t *testing.T) {
+	tsA, _ := newRealBackend(t)
+	tsB, _ := newRealBackend(t)
+	_, pts, reg := newTestProxy(t, Config{
+		Backends:    []string{tsA.URL, tsB.URL},
+		ReplayBytes: 32 << 10,
+	})
+
+	// 512 KiB bodies, 16× the buffer; the 384 KiB held back is more than
+	// net/http's own 256 KiB drain would ever swallow.
+	const clients, perClient, elems, headBytes = 2, 100, 128 << 10, 128 << 10
+	direct := postCompress(t, tsA.URL, rawF32Body(elems, 0), nil)
+	want, _ := io.ReadAll(direct.Body)
+	direct.Body.Close()
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			hc := &http.Client{Transport: &http.Transport{}}
+			defer hc.CloseIdleConnections()
+			for i := 0; i < perClient; i++ {
+				// Request 0 of client 0 repeats the direct body; the rest
+				// are fresh, so the backends' caches stay cold.
+				body := rawF32Body(elems, float32(c*perClient+i))
+				gate := make(chan struct{})
+				req, err := http.NewRequest(http.MethodPost, pts.URL+compressQuery,
+					&gatedBody{head: body[:headBytes], tail: body[headBytes:], gate: gate})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				req.ContentLength = int64(len(body))
+				resp, err := hc.Do(req)
+				close(gate)
+				if err != nil {
+					t.Errorf("client %d request %d: %v", c, i, err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d request %d: status %d, read error %v", c, i, resp.StatusCode, err)
+					return
+				}
+				if resp.Close {
+					t.Errorf("client %d request %d: answered Connection: close", c, i)
+					return
+				}
+				if c == 0 && i == 0 && !bytes.Equal(got, want) {
+					t.Errorf("streamed response differs from the direct one (%d vs %d bytes)", len(got), len(want))
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := reg.Counter("proxy.midstream_aborts").Value(); n != 0 {
+		t.Errorf("proxy.midstream_aborts = %d, want 0", n)
 	}
 }

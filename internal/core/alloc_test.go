@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"ceresz/internal/quant"
@@ -167,5 +169,68 @@ func TestCompress64ZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Decompress64 allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestWorkersSelfLimitOnOneProcessor pins the single-processor rule: with
+// GOMAXPROCS == 1 a Workers request above 1 takes the sequential path —
+// same bytes, and no shard tables or stitch buffers allocated — for both
+// element types and both directions.
+func TestWorkersSelfLimitOnOneProcessor(t *testing.T) {
+	skipUnderRace(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := resolveWorkers(8); got != 1 {
+		t.Fatalf("resolveWorkers(8) = %d at GOMAXPROCS 1, want 1", got)
+	}
+
+	data := allocTestData(4100)
+	var stats Stats
+	seq, err := CompressInto(nil, data, Options{Workers: 1, Bound: quant.REL(1e-3)}, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Workers: 8, Bound: quant.REL(1e-3)}
+	dst, err := CompressInto(nil, data, opts, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, seq) {
+		t.Fatal("Workers: 8 stream differs from Workers: 1")
+	}
+	out, _, err := Decompress(nil, dst, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		dst, _ = CompressInto(dst[:0], data, opts, &stats)
+		out, _, _ = Decompress(out[:0], dst, 8)
+	}); allocs != 0 {
+		t.Fatalf("float32 round trip with Workers: 8 allocates %.1f times per run, want 0", allocs)
+	}
+
+	data64 := make([]float64, len(data))
+	for i, v := range data {
+		data64[i] = float64(v)
+	}
+	seq, err = Compress64Into(nil, data64, Options{Workers: 1, Bound: quant.REL(1e-3)}, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err = Compress64Into(dst[:0], data64, opts, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, seq) {
+		t.Fatal("Workers: 8 float64 stream differs from Workers: 1")
+	}
+	out64, _, err := Decompress64(nil, dst, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		dst, _ = Compress64Into(dst[:0], data64, opts, &stats)
+		out64, _, _ = Decompress64(out64[:0], dst, 8)
+	}); allocs != 0 {
+		t.Fatalf("float64 round trip with Workers: 8 allocates %.1f times per run, want 0", allocs)
 	}
 }

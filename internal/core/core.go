@@ -9,7 +9,9 @@
 // (fusedForward: quantize, strictness check, Lorenzo delta, sign split and
 // width in a single loop, then a word-parallel bit shuffle straight into
 // the output), with pooled per-worker scratch so steady-state compression
-// and decompression perform zero allocations. The unfused stage-by-stage
+// and decompression perform zero allocations. A block whose magnitudes all
+// lie within the pass's zero threshold is emitted as a bare header without
+// running the kernel (fastpath.go). The unfused stage-by-stage
 // pipeline is retained (encodeRef) both as the differential-testing
 // reference and as the body run for telemetry-sampled blocks, because the
 // per-stage timing split it produces models the WSE sub-stage pipeline.
@@ -100,9 +102,24 @@ type Options struct {
 	// Workers bounds host-side parallelism. 0 and 1 select the sequential
 	// path (which is also the zero-allocation path); values > 1 shard the
 	// block range over the shared host worker pool (internal/hostpool)
-	// with pooled per-shard buffers; negative uses GOMAXPROCS. Output
+	// with pooled per-shard buffers; negative uses GOMAXPROCS. With
+	// GOMAXPROCS == 1 every value selects the sequential path. Output
 	// bytes are identical regardless.
 	Workers int
+}
+
+// resolveWorkers maps a Workers knob to a shard count. On a single
+// processor shards can only queue behind one another and then pay the
+// stitch copy, so any request for more runs sequentially there.
+func resolveWorkers(w int) int {
+	if w == 0 || w == 1 {
+		return 1
+	}
+	procs := runtime.GOMAXPROCS(0)
+	if w < 0 || procs == 1 {
+		return procs
+	}
+	return w
 }
 
 func (o Options) withDefaults() Options {
@@ -112,11 +129,7 @@ func (o Options) withDefaults() Options {
 	if o.HeaderBytes == 0 {
 		o.HeaderBytes = flenc.HeaderU32
 	}
-	if o.Workers < 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	} else if o.Workers == 0 {
-		o.Workers = 1
-	}
+	o.Workers = resolveWorkers(o.Workers)
 	return o
 }
 
@@ -394,6 +407,7 @@ type blockEncoder struct {
 	L       int
 	hdr     int
 	q       quant.Quantizer
+	zeroT   float32 // zeroThreshold of q: blocks within it skip the kernel
 	padded  []float32
 	scaled  []float64
 	codes   []int32
@@ -410,6 +424,7 @@ func newBlockEncoder(L, headerBytes int, q quant.Quantizer) *blockEncoder {
 		L:       L,
 		hdr:     headerBytes,
 		q:       q,
+		zeroT:   zeroThreshold(&q, math.Nextafter32),
 		padded:  make([]float32, L),
 		scaled:  make([]float64, L),
 		codes:   make([]int32, L),
@@ -427,6 +442,7 @@ func getEncoder(L, headerBytes int, q quant.Quantizer) *blockEncoder {
 	}
 	e.hdr = headerBytes
 	e.q = q
+	e.zeroT = zeroThreshold(&q, math.Nextafter32)
 	e.sample = telemetry.Enabled()
 	e.n = 0
 	e.quantNs, e.lorenzoNs, e.encodeNs, e.sampled = 0, 0, 0, 0
@@ -461,10 +477,15 @@ func (e *blockEncoder) encode(dst []byte, block []float32, stats *Stats) []byte 
 		return e.encodeRef(dst, src, stats)
 	}
 	e.n++
-	w, ok := e.fusedForward(src)
-	if !ok {
-		stats.VerbatimBlocks++
-		return appendVerbatim(dst, src, e.hdr)
+	// Zero-block prescan: a block inside the zero threshold has width 0
+	// whatever the kernel would compute, so the kernel is skipped.
+	var w uint
+	if !allWithin(src, e.zeroT) {
+		var ok bool
+		if w, ok = e.fusedForward(src); !ok {
+			stats.VerbatimBlocks++
+			return appendVerbatim(dst, src, e.hdr)
+		}
 	}
 	stats.WidthHistogram[w]++
 	if w == 0 {
@@ -574,18 +595,12 @@ func (e *blockEncoder) encodeRef(dst []byte, src []float32, stats *Stats) []byte
 
 // quantizeStrict32 quantizes one block into codes and verifies every
 // reconstruction honors ε, reporting false (verbatim) on the first
-// failure. Same fused check as fusedForward, shared with the tiled
-// (2D-Lorenzo) variant whose prediction cannot fuse into the scan order.
+// failure. It serves the tiled (2D-Lorenzo) variant, whose prediction
+// cannot fuse into the scan order.
 func quantizeStrict32(q *quant.Quantizer, codes []int32, src []float32) bool {
-	recip, twoE, eps := q.Recip(), q.TwoEps(), q.Eps()
 	for i, x := range src {
-		f := math.Floor(float64(x)*recip + 0.5)
-		if !(f >= math.MinInt32 && f <= math.MaxInt32) {
-			return false
-		}
-		p := int32(f)
-		rec := float32(float64(p) * twoE)
-		if !(math.Abs(float64(rec)-float64(x)) <= eps) {
+		p, ok := quantizeStrict(q, x)
+		if !ok {
 			return false
 		}
 		codes[i] = p
@@ -771,9 +786,7 @@ func Decompress(dst []float32, comp []byte, workers int) ([]float32, Meta, error
 	dst = slices.Grow(dst, m.Elements)[:start+m.Elements]
 	out := dst[start:]
 
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = resolveWorkers(workers)
 	if workers > nBlocks {
 		workers = nBlocks
 	}
@@ -919,11 +932,7 @@ func (d *blockDecoder) decode(out []float32, src []byte) error {
 	twoE := d.q.TwoEps()
 	var acc int32
 	for i, u := range abs {
-		dlt := int32(u)
-		if signs[i>>3]&(1<<(i&7)) != 0 {
-			dlt = int32(-int64(u))
-		}
-		acc += dlt
+		acc += mergeSign(u, uint32(signs[i>>3]>>(i&7))&1)
 		full[i] = float32(float64(acc) * twoE)
 	}
 	if len(out) < d.L {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -183,6 +182,7 @@ type blockEncoder64 struct {
 	L       int
 	hdr     int
 	q       quant.Quantizer
+	zeroT   float64 // zeroThreshold of q: blocks within it skip the kernel
 	padded  []float64
 	scaled  []float64
 	codes   []int32
@@ -194,6 +194,7 @@ func newBlockEncoder64(L, headerBytes int, q quant.Quantizer) *blockEncoder64 {
 		L:       L,
 		hdr:     headerBytes,
 		q:       q,
+		zeroT:   zeroThreshold(&q, math.Nextafter),
 		padded:  make([]float64, L),
 		scaled:  make([]float64, L),
 		codes:   make([]int32, L),
@@ -210,6 +211,7 @@ func getEncoder64(L, headerBytes int, q quant.Quantizer) *blockEncoder64 {
 	}
 	e.hdr = headerBytes
 	e.q = q
+	e.zeroT = zeroThreshold(&q, math.Nextafter)
 	return e
 }
 
@@ -222,10 +224,13 @@ func (e *blockEncoder64) encode(dst []byte, block []float64, stats *Stats) []byt
 		clear(e.padded[len(block):])
 		src = e.padded
 	}
-	w, ok := e.fusedForward(src)
-	if !ok {
-		stats.VerbatimBlocks++
-		return appendVerbatim64(dst, src, e.hdr)
+	var w uint
+	if !allWithin(src, e.zeroT) {
+		var ok bool
+		if w, ok = e.fusedForward(src); !ok {
+			stats.VerbatimBlocks++
+			return appendVerbatim64(dst, src, e.hdr)
+		}
 	}
 	stats.WidthHistogram[w]++
 	if w == 0 {
@@ -348,9 +353,7 @@ func Decompress64(dst []float64, comp []byte, workers int) ([]float64, Meta, err
 	dst = slices.Grow(dst, m.Elements)[:start+m.Elements]
 	out := dst[start:]
 
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = resolveWorkers(workers)
 	if workers > nBlocks {
 		workers = nBlocks
 	}
@@ -485,11 +488,7 @@ func (d *blockDecoder64) decode(out []float64, src []byte) error {
 	twoE := d.q.TwoEps()
 	var acc int32
 	for i, u := range abs {
-		dlt := int32(u)
-		if signs[i>>3]&(1<<(i&7)) != 0 {
-			dlt = int32(-int64(u))
-		}
-		acc += dlt
+		acc += mergeSign(u, uint32(signs[i>>3]>>(i&7))&1)
 		full[i] = float64(acc) * twoE
 	}
 	if len(out) < d.L {

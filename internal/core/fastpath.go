@@ -1,0 +1,85 @@
+package core
+
+import (
+	"math"
+
+	"ceresz/internal/quant"
+)
+
+// Data-adaptive fast paths shared by the float32 and float64 codecs: the
+// encoders' zero-block prescan and the decoders' branch-free sign merge.
+// Both leave every output byte as the fused kernels alone would make it,
+// are chosen from the data alone, and add nothing configurable and no
+// stream-format byte (DESIGN.md §5b2).
+
+// quantizeStrict is the per-element arithmetic of both fusedForward
+// kernels written once: quantize (multiply by 1/(2ε), add 0.5, floor),
+// the int32 range check that also fails NaN and ±Inf, and the strictness
+// check through the reconstruction rounded to the element type.
+func quantizeStrict[F float32 | float64](q *quant.Quantizer, x F) (p int32, ok bool) {
+	f := math.Floor(float64(x)*q.Recip() + 0.5)
+	if !(f >= math.MinInt32 && f <= math.MaxInt32) {
+		return 0, false
+	}
+	p = int32(f)
+	rec := F(float64(p) * q.TwoEps())
+	if !(math.Abs(float64(rec)-float64(x)) <= q.Eps()) {
+		return 0, false
+	}
+	return p, true
+}
+
+// noZeroThreshold is the zeroThreshold no magnitude satisfies: allWithin
+// asks for x ≤ −1 and x ≥ 1 at once.
+const noZeroThreshold = -1
+
+// zeroThreshold returns the largest t such that every x with |x| ≤ t
+// quantizes to code 0 and passes the strictness check, so that a block
+// whose magnitudes are all ≤ t is a zero block whatever else is true of
+// it. nextafter is math.Nextafter32 or math.Nextafter, matching F.
+//
+// Every step of quantizeStrict's code — multiply by a positive constant,
+// add 0.5, round, floor — is monotone non-decreasing in x, so the set
+// {x ≥ 0 : code(x) = 0} is an interval [0, a], its mirror image holds for
+// x ≤ 0, and with code 0 the strictness check is |x| ≤ ε, another
+// interval around 0. t is therefore found by walking down from ε until
+// +t and −t both pass: ε·fl(1/(2ε)) is within a few ulps of the rounding
+// boundary ½, so the walk is a handful of steps. F(ε) may have rounded up
+// past ε or to +Inf; both fail the test and are stepped over. When 2ε or
+// its reciprocal overflows, x = 0 itself goes verbatim (0·Inf is NaN) and
+// no block may take the shortcut.
+func zeroThreshold[F float32 | float64](q *quant.Quantizer, nextafter func(x, y F) F) F {
+	isZero := func(x F) bool {
+		p, ok := quantizeStrict(q, x)
+		return ok && p == 0
+	}
+	if !isZero(0) {
+		return noZeroThreshold
+	}
+	t := F(q.Eps())
+	for t > 0 && !(isZero(t) && isZero(-t)) {
+		t = nextafter(t, 0)
+	}
+	return t
+}
+
+// allWithin reports whether every element of src has magnitude ≤ t. NaN
+// fails both comparisons and ±Inf exceeds any finite t. It exits at the
+// first element outside, which on data without zero blocks is nearly
+// always the first element of the block.
+func allWithin[F float32 | float64](src []F, t F) bool {
+	for _, x := range src {
+		if !(x <= t && x >= -t) {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeSign returns the signed code for magnitude u and sign bit neg (0 or
+// 1): u for 0, the two's-complement negation for 1, without a branch. It
+// inverts fusedForward's sign split and equals flenc.MergeSigns element
+// for element, u = 2³¹ (|MinInt32|) included.
+func mergeSign(u, neg uint32) int32 {
+	return int32((u ^ -neg) + neg)
+}

@@ -157,6 +157,10 @@ func FuzzHostKernels(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 1, 2, 3, 4}, uint8(0), false, uint8(3))
 	f.Add(make([]byte, 400), uint8(3), true, uint8(2))
 	f.Add([]byte{0xff, 0xff, 0x7f, 0x7f, 0, 0, 0x80, 0xff}, uint8(11), false, uint8(0))
+	// Zero-prescan boundary shapes for ε = 1e-3 and ε = 1: L = 32 with a
+	// padded trailing block, and L = 8 so every lane position occurs.
+	f.Add(prescanSeed32(1e-3, 150), uint8(3), false, uint8(3))
+	f.Add(prescanSeed32(1, 61), uint8(0), true, uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, blockSel uint8, szpHeader bool, epsExp uint8) {
 		n := len(raw) / 4
 		data := make([]float32, n)
@@ -208,6 +212,8 @@ func FuzzHostKernels(f *testing.F) {
 func FuzzHostKernels64(f *testing.F) {
 	f.Add(make([]byte, 256), uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(5))
+	f.Add(prescanSeed64(1e-6, 150), uint8(3))
+	f.Add(prescanSeed64(1e-6, 61), uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, blockSel uint8) {
 		n := len(raw) / 8
 		data := make([]float64, n)
@@ -261,6 +267,8 @@ func FuzzParallelHostCodec(f *testing.F) {
 	f.Add(make([]byte, 600), uint8(0), false, uint8(3), uint8(4))
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 1, 2, 3, 4}, uint8(2), true, uint8(1), uint8(2))
 	f.Add([]byte{0xff, 0xff, 0x7f, 0x7f, 0, 0, 0x80, 0xff}, uint8(11), false, uint8(0), uint8(9))
+	f.Add(prescanSeed32(1e-3, 150), uint8(3), false, uint8(3), uint8(1))
+	f.Add(prescanSeed32(1, 61), uint8(0), true, uint8(0), uint8(5))
 	f.Fuzz(func(t *testing.T, raw []byte, blockSel uint8, szpHeader bool, epsExp uint8, workerSel uint8) {
 		n := len(raw) / 4
 		data := make([]float32, n)

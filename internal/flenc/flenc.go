@@ -20,8 +20,12 @@
 // slices of Bit-shuffle) as separate pipeline sub-stages (Table 3). The
 // host hot path does not use them: it runs the fused word-parallel kernels
 // in swar.go (SplitSignsWidth, Shuffle/Unshuffle via 8×8 bit-matrix
-// transposes), with the scalar composites retained as the reference
-// implementation for differential testing (EncodeBlockRef/DecodeBlockRef).
+// transposes), internal/core splits and merges signs branch-free inside
+// its own fused loops, and a block the core can tell is all zero reaches
+// this package only as AppendEncoded with width 0. The scalar composites
+// are retained as the reference implementation for differential testing
+// (EncodeBlockRef/DecodeBlockRef; MergeSigns is what the core's merge is
+// checked against).
 package flenc
 
 import (

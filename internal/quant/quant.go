@@ -91,47 +91,37 @@ func (b Bound) Resolve(minVal, maxVal float64) (float64, error) {
 // Range returns the min and max of data. NaNs are ignored; if all values are
 // NaN (or data is empty) it returns (0, 0).
 func Range(data []float32) (minVal, maxVal float64) {
-	first := true
-	for _, v := range data {
-		f := float64(v)
-		if math.IsNaN(f) {
-			continue
-		}
-		if first {
-			minVal, maxVal = f, f
-			first = false
-			continue
-		}
-		if f < minVal {
-			minVal = f
-		}
-		if f > maxVal {
-			maxVal = f
-		}
-	}
-	return minVal, maxVal
+	mn, mx := rangeOf(data)
+	return float64(mn), float64(mx)
 }
 
 // Range64 is Range for float64 data.
 func Range64(data []float64) (minVal, maxVal float64) {
-	first := true
-	for _, v := range data {
-		if math.IsNaN(v) {
-			continue
+	return rangeOf(data)
+}
+
+// rangeOf compares in the element type: float32 → float64 is exact and
+// order-preserving, so converting the two results gives what converting
+// every element would. Once the leading NaNs are skipped the loop needs no
+// NaN test, because v < mn and v > mx are both false for NaN.
+func rangeOf[F float32 | float64](data []F) (mn, mx F) {
+	i := 0
+	for i < len(data) && data[i] != data[i] {
+		i++
+	}
+	if i == len(data) {
+		return 0, 0
+	}
+	mn, mx = data[i], data[i]
+	for _, v := range data[i+1:] {
+		if v < mn {
+			mn = v
 		}
-		if first {
-			minVal, maxVal = v, v
-			first = false
-			continue
-		}
-		if v < minVal {
-			minVal = v
-		}
-		if v > maxVal {
-			maxVal = v
+		if v > mx {
+			mx = v
 		}
 	}
-	return minVal, maxVal
+	return mn, mx
 }
 
 // Quantizer holds the resolved parameters of a quantization pass.

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -87,6 +88,100 @@ func TestRange64(t *testing.T) {
 	minV, maxV := Range64([]float64{math.NaN(), 1.5, -2.5})
 	if minV != -2.5 || maxV != 1.5 {
 		t.Fatalf("Range64 = (%g,%g)", minV, maxV)
+	}
+}
+
+// rangeRef is the loop Range and Range64 ran before they compared in the
+// element type: convert every element to float64, test it for NaN, then
+// compare. It is kept as the reference the compare-only scan must match.
+func rangeRef[F float32 | float64](data []F) (minVal, maxVal float64) {
+	first := true
+	for _, v := range data {
+		f := float64(v)
+		if math.IsNaN(f) {
+			continue
+		}
+		if first {
+			minVal, maxVal = f, f
+			first = false
+			continue
+		}
+		if f < minVal {
+			minVal = f
+		}
+		if f > maxVal {
+			maxVal = f
+		}
+	}
+	return minVal, maxVal
+}
+
+// TestRangeMatchesReferenceLoop compares the scan with rangeRef on the
+// shapes that could tell them apart — NaNs leading, trailing, interleaved
+// and alone, empty input, zeros of both signs, infinities — and on random
+// data salted with them. Min and max must agree to the bit (sign of zero
+// included), and so must the ε a REL bound resolves to.
+func TestRangeMatchesReferenceLoop(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	cases := [][]float64{
+		nil,
+		{},
+		{nan},
+		{nan, nan, nan},
+		{nan, nan, 3, 1, 2},
+		{3, 1, 2, nan, nan},
+		{nan, 5, nan, -5, nan},
+		{7},
+		{nan, 7},
+		{0, negZero},
+		{negZero, 0},
+		{nan, negZero, 0, negZero},
+		{0, negZero, 1},
+		{negZero, 0, -1},
+		{inf, 1, -inf},
+		{-inf, nan, inf},
+		{inf, inf},
+		{1, 2, 3, 4, 5, 6, 7},
+		{7, 6, 5, 4, 3, 2, 1},
+		{1e-45, -1e-45, 5e-324},
+	}
+	rng := rand.New(rand.NewSource(3))
+	salt := []float64{nan, inf, -inf, 0, negZero}
+	for i := 0; i < 300; i++ {
+		data := make([]float64, rng.Intn(70))
+		for j := range data {
+			switch {
+			case rng.Intn(6) == 0:
+				data[j] = salt[rng.Intn(len(salt))]
+			default:
+				data[j] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(60)-30)
+			}
+		}
+		cases = append(cases, data)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, d64 := range cases {
+		d32 := make([]float32, len(d64))
+		for i, v := range d64 {
+			d32[i] = float32(v)
+		}
+		check := func(elem string, gotMin, gotMax, wantMin, wantMax float64) {
+			t.Helper()
+			if !same(gotMin, wantMin) || !same(gotMax, wantMax) {
+				t.Fatalf("%s %v: range (%g, %g), reference loop (%g, %g)", elem, d64, gotMin, gotMax, wantMin, wantMax)
+			}
+			got, gotErr := REL(1e-3).Resolve(gotMin, gotMax)
+			want, wantErr := REL(1e-3).Resolve(wantMin, wantMax)
+			if !same(got, want) || gotErr != wantErr {
+				t.Fatalf("%s %v: REL resolves to %g (%v), reference %g (%v)", elem, d64, got, gotErr, want, wantErr)
+			}
+		}
+		gotMin, gotMax := Range(d32)
+		wantMin, wantMax := rangeRef(d32)
+		check("float32", gotMin, gotMax, wantMin, wantMax)
+		gotMin, gotMax = Range64(d64)
+		wantMin, wantMax = rangeRef(d64)
+		check("float64", gotMin, gotMax, wantMin, wantMax)
 	}
 }
 
