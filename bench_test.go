@@ -254,6 +254,23 @@ func BenchmarkRange(b *testing.B) {
 	}
 }
 
+// BenchmarkRange64 is BenchmarkRange for float64 elements.
+func BenchmarkRange64(b *testing.B) {
+	f32 := benchField(b, "NYX", 3)
+	data := make([]float64, len(f32))
+	for i, v := range f32 {
+		data[i] = float64(v)
+	}
+	b.SetBytes(int64(8 * len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo, hi := quant.Range64(data)
+		if !(lo < hi) {
+			b.Fatalf("range [%g, %g]", lo, hi)
+		}
+	}
+}
+
 func BenchmarkQuantize(b *testing.B) {
 	data := benchField(b, "CESM-ATM", 1)
 	q, err := quant.NewQuantizer(1e-3)

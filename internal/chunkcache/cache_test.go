@@ -3,6 +3,7 @@ package chunkcache
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,16 +134,17 @@ func TestAbortWakesWaiters(t *testing.T) {
 	owner, _ := c.Get(k)
 	const waiters = 4
 	errs := make(chan error, waiters)
-	var started sync.WaitGroup
-	started.Add(waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			started.Done()
 			_, err := c.Get(k)
 			errs <- err
 		}()
 	}
-	started.Wait()
+	// A Get that arrives after Abort would own a fresh computation and
+	// never finish, so abort only once all four are registered.
+	for owner.waiters() < waiters {
+		runtime.Gosched()
+	}
 	owner.Abort()
 
 	for i := 0; i < waiters; i++ {
@@ -323,8 +325,11 @@ func TestConcurrentStorm(t *testing.T) {
 						t.Errorf("key %d: %d concurrent owners", id, n)
 					}
 					computations[id].Add(1)
-					h.Complete(want, Meta{SavedBytes: valSize})
+					// Complete publishes and unlocks before it returns; from
+					// then on the key may be evicted and legitimately re-owned,
+					// so ownership as this test counts it ends here.
 					inflight[id].Add(-1)
+					h.Complete(want, Meta{SavedBytes: valSize})
 				case Hit, Coalesced:
 					if !bytes.Equal(h.Bytes(), want) {
 						t.Errorf("key %d: cached bytes differ", id)

@@ -11,7 +11,11 @@
 // the output), with pooled per-worker scratch so steady-state compression
 // and decompression perform zero allocations. A block whose magnitudes all
 // lie within the pass's zero threshold is emitted as a bare header without
-// running the kernel (fastpath.go). The unfused stage-by-stage
+// running the kernel (fastpath.go). On amd64 CPUs with AVX2 the prescan,
+// the fused pass with its plane emission and the fused decode run as
+// assembly kernels (kernels_amd64.s, chosen once from CPUID); the Go
+// kernels are the path everywhere else and the oracle the assembly is
+// tested against, and the bytes are the same. The unfused stage-by-stage
 // pipeline is retained (encodeRef) both as the differential-testing
 // reference and as the body run for telemetry-sampled blocks, because the
 // per-stage timing split it produces models the WSE sub-stage pipeline.
@@ -477,6 +481,9 @@ func (e *blockEncoder) encode(dst []byte, block []float32, stats *Stats) []byte 
 		return e.encodeRef(dst, src, stats)
 	}
 	e.n++
+	if useAVX2 {
+		return e.encodeVector(dst, src, stats)
+	}
 	// Zero-block prescan: a block inside the zero threshold has width 0
 	// whatever the kernel would compute, so the kernel is skipped.
 	var w uint
@@ -926,14 +933,18 @@ func (d *blockDecoder) decode(out []float32, src []byte) error {
 	if len(out) < d.L {
 		full = d.full
 	}
-	abs := d.scratch.Abs[:d.L]
-	flenc.Unshuffle(abs, planes, w)
-	// Reverse stages ③ (sign merge), ② (prefix sum) and ① (dequantize).
-	twoE := d.q.TwoEps()
-	var acc int32
-	for i, u := range abs {
-		acc += mergeSign(u, uint32(signs[i>>3]>>(i&7))&1)
-		full[i] = float32(float64(acc) * twoE)
+	if useAVX2 {
+		d.decodeVector(full, signs, planes, w)
+	} else {
+		abs := d.scratch.Abs[:d.L]
+		flenc.Unshuffle(abs, planes, w)
+		// Reverse stages ③ (sign merge), ② (prefix sum) and ① (dequantize).
+		twoE := d.q.TwoEps()
+		var acc int32
+		for i, u := range abs {
+			acc += mergeSign(u, uint32(signs[i>>3]>>(i&7))&1)
+			full[i] = float32(float64(acc) * twoE)
+		}
 	}
 	if len(out) < d.L {
 		copy(out, full[:len(out)])

@@ -224,6 +224,9 @@ func (e *blockEncoder64) encode(dst []byte, block []float64, stats *Stats) []byt
 		clear(e.padded[len(block):])
 		src = e.padded
 	}
+	if useAVX2 {
+		return e.encodeVector(dst, src, stats)
+	}
 	var w uint
 	if !allWithin(src, e.zeroT) {
 		var ok bool
@@ -397,22 +400,6 @@ func Decompress64(dst []float64, comp []byte, workers int) ([]float64, Meta, err
 	return dst, m, nil
 }
 
-// blockOffsets64 scans a float64 stream's block boundaries.
-func blockOffsets64(comp []byte) (Meta, []int, error) {
-	m, err := ParseHeader(comp)
-	if err != nil {
-		return m, nil, err
-	}
-	if m.Elem != Float64 {
-		return m, nil, fmt.Errorf("%w: stream holds %s elements, expected float64", ErrBadStream, m.Elem)
-	}
-	offsets := make([]int, m.Blocks()+1)
-	if err := scanOffsets(comp[StreamHeaderSize:], m, offsets, 8); err != nil {
-		return m, nil, err
-	}
-	return m, offsets, nil
-}
-
 // ElemOf returns the element type of a stream without fully parsing it.
 func ElemOf(comp []byte) (Elem, error) {
 	if len(comp) < StreamHeaderSize {
@@ -483,13 +470,17 @@ func (d *blockDecoder64) decode(out []float64, src []byte) error {
 	if len(out) < d.L {
 		full = d.full
 	}
-	abs := d.scratch.Abs[:d.L]
-	flenc.Unshuffle(abs, planes, w)
-	twoE := d.q.TwoEps()
-	var acc int32
-	for i, u := range abs {
-		acc += mergeSign(u, uint32(signs[i>>3]>>(i&7))&1)
-		full[i] = float64(acc) * twoE
+	if useAVX2 {
+		d.decodeVector(full, signs, planes, w)
+	} else {
+		abs := d.scratch.Abs[:d.L]
+		flenc.Unshuffle(abs, planes, w)
+		twoE := d.q.TwoEps()
+		var acc int32
+		for i, u := range abs {
+			acc += mergeSign(u, uint32(signs[i>>3]>>(i&7))&1)
+			full[i] = float64(acc) * twoE
+		}
 	}
 	if len(out) < d.L {
 		copy(out, full[:len(out)])

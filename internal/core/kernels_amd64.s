@@ -1,0 +1,579 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// AVX2 block kernels of the host codec. Each mirrors, operation for
+// operation, the Go loop it replaces (fusedForward, allWithin, the fused
+// loop of decode) so that every stream byte and every decoded bit is the
+// same; DESIGN.md §5b3 gives the argument. The arithmetic is the Go
+// kernels' own: separate multiply and add (never FMA), floor by VROUNDPD,
+// conversions under the default round-to-nearest MXCSR.
+
+DATA half<>+0(SB)/8, $0x3FE0000000000000 // 0.5
+GLOBL half<>(SB), RODATA|NOPTR, $8
+DATA minI32<>+0(SB)/8, $0xC1E0000000000000 // -2147483648.0
+GLOBL minI32<>(SB), RODATA|NOPTR, $8
+DATA maxI32<>+0(SB)/8, $0x41DFFFFFFFC00000 // 2147483647.0
+GLOBL maxI32<>(SB), RODATA|NOPTR, $8
+DATA absMask64<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF
+GLOBL absMask64<>(SB), RODATA|NOPTR, $8
+DATA absMask32<>+0(SB)/4, $0x7FFFFFFF
+GLOBL absMask32<>(SB), RODATA|NOPTR, $4
+
+// laneBit holds 1<<i in dword lane i: bit i of a packed sign or plane byte
+// belongs to lane i.
+DATA laneBit<>+0(SB)/4, $1
+DATA laneBit<>+4(SB)/4, $2
+DATA laneBit<>+8(SB)/4, $4
+DATA laneBit<>+12(SB)/4, $8
+DATA laneBit<>+16(SB)/4, $16
+DATA laneBit<>+20(SB)/4, $32
+DATA laneBit<>+24(SB)/4, $64
+DATA laneBit<>+28(SB)/4, $128
+GLOBL laneBit<>(SB), RODATA|NOPTR, $32
+
+DATA seven<>+0(SB)/4, $7
+GLOBL seven<>(SB), RODATA|NOPTR, $4
+
+DATA lowByte<>+0(SB)/4, $0xFF
+GLOBL lowByte<>(SB), RODATA|NOPTR, $4
+
+// eight advances a shift count held in the low dword of an X register.
+DATA eight<>+0(SB)/8, $8
+DATA eight<>+8(SB)/8, $0
+GLOBL eight<>(SB), RODATA|NOPTR, $16
+
+// spread is the VPSHUFB control that copies byte j of a broadcast dword
+// into the eight bytes 8j..8j+7 (j = 0, 1 in the low lane, 2, 3 in the
+// high); byteBit holds 1<<(i%8) in byte i.
+DATA spread<>+0(SB)/8, $0x0000000000000000
+DATA spread<>+8(SB)/8, $0x0101010101010101
+DATA spread<>+16(SB)/8, $0x0202020202020202
+DATA spread<>+24(SB)/8, $0x0303030303030303
+GLOBL spread<>(SB), RODATA|NOPTR, $32
+DATA byteBit<>+0(SB)/8, $0x8040201008040201
+DATA byteBit<>+8(SB)/8, $0x8040201008040201
+DATA byteBit<>+16(SB)/8, $0x8040201008040201
+DATA byteBit<>+24(SB)/8, $0x8040201008040201
+GLOBL byteBit<>(SB), RODATA|NOPTR, $32
+
+// unpack undoes the lane interleave of VPACKUSDW/VPACKUSWB: packing groups
+// A, B, C, D leaves the dwords (four elements each) in the order A0 B0 C0
+// D0 A1 B1 C1 D1; element order is A0 A1 B0 B1 C0 C1 D0 D1.
+DATA unpack<>+0(SB)/4, $0
+DATA unpack<>+4(SB)/4, $4
+DATA unpack<>+8(SB)/4, $1
+DATA unpack<>+12(SB)/4, $5
+DATA unpack<>+16(SB)/4, $2
+DATA unpack<>+20(SB)/4, $6
+DATA unpack<>+24(SB)/4, $3
+DATA unpack<>+28(SB)/4, $7
+GLOBL unpack<>(SB), RODATA|NOPTR, $32
+
+// Constant registers of the forward kernels.
+#define RECIP Y15
+#define HALF  Y14
+#define MINI  Y13
+#define MAXI  Y12
+#define TWOE  Y11
+#define EPS   Y10
+#define ABSM  Y9
+#define PREV  Y8
+#define ACC   Y7
+
+// FWD_CONSTANTS sets the registers above that do not come from arguments.
+#define FWD_CONSTANTS \
+	VBROADCASTSD half<>(SB), HALF; \
+	VBROADCASTSD minI32<>(SB), MINI; \
+	VBROADCASTSD maxI32<>(SB), MAXI; \
+	VBROADCASTSD absMask64<>(SB), ABSM; \
+	VPXOR PREV, PREV, PREV; \
+	VPXOR ACC, ACC, ACC
+
+// QUANT quantizes the four doubles in YX: f = floor(x·recip + 0.5), the
+// int32 range mask (false for NaN and ±Inf), the code p = int32(f) in XP.
+// YF is left holding f·2ε, YOK the range mask. YP aliases XP. Wherever the
+// range mask holds, f is an integer that int32 represents, so float64(p)
+// is f and f·2ε is the Go kernel's float64(p)·2ε; elsewhere the block goes
+// verbatim whatever the lane computes.
+#define QUANT(YX, YF, XP, YP, YOK) \
+	VMULPD RECIP, YX, YF; \
+	VADDPD HALF, YF, YF; \
+	VROUNDPD $9, YF, YF; \
+	VCMPPD $2, YF, MINI, YOK; \
+	VCMPPD $2, MAXI, YF, YP; \
+	VANDPD YP, YOK, YOK; \
+	VCVTTPD2DQY YF, XP; \
+	VMULPD TWOE, YF, YF
+
+// STRICT ANDs into YOK the strictness mask |rec − x| ≤ ε, rec in YF.
+#define STRICT(YX, YF, YOK) \
+	VSUBPD YX, YF, YF; \
+	VANDPD ABSM, YF, YF; \
+	VCMPPD $2, EPS, YF, YF; \
+	VANDPD YF, YOK, YOK
+
+// HALF32 runs four float32 at off(R12) through QUANT and STRICT, the
+// reconstruction rounded to float32 as the decoder will round it.
+#define HALF32(off, YX, YF, XF, XP, YP, YOK) \
+	VCVTPS2PD off(R12), YX; \
+	QUANT(YX, YF, XP, YP, YOK); \
+	VCVTPD2PSY YF, XF; \
+	VCVTPS2PD XF, YF; \
+	STRICT(YX, YF, YOK)
+
+// HALF64 is HALF32 for four float64 at off(R12).
+#define HALF64(off, YX, YF, XP, YP, YOK) \
+	VMOVUPD off(R12), YX; \
+	QUANT(YX, YF, XP, YP, YOK); \
+	STRICT(YX, YF, YOK)
+
+// DELTA takes the eight codes p0..p7 (low four in Y3, high four in X5) and
+// the previous group's codes in PREV: Lorenzo delta against the lane-rotated
+// codes [prev7, p0..p6], sign byte to (R8), magnitudes to (R13) and into
+// ACC. VPABSD maps MinInt32 to 2³¹ as the Go kernel's branch-free |d| does.
+#define DELTA \
+	VINSERTI128 $1, X5, Y3, Y3; \
+	VPERM2I128 $0x21, Y3, PREV, Y4; \
+	VPALIGNR $12, Y4, Y3, Y4; \
+	VMOVDQA Y3, PREV; \
+	VPSUBD Y4, Y3, Y3; \
+	VMOVMSKPS Y3, AX; \
+	MOVB AX, (R8); \
+	VPABSD Y3, Y3; \
+	VPOR Y3, ACC, ACC; \
+	VMOVDQU Y3, (R13)
+
+// EMIT finishes a block after the forward loop: width from ACC into R11,
+// header at (DI), then the planes; it falls through with the block written.
+// The loop left R8 just past the sign bytes, where plane 0 begins.
+// CX = groups = bytes per plane, R9 = hdr, DX = magnitudes. DI and SI are
+// free once the header is written.
+//
+// Plane k, byte j is bit k of the eight magnitudes of group j, lane i at
+// bit i. Four groups at a time (a quad, 32 magnitudes) go through the byte
+// domain: byte b of every magnitude is packed into one register in element
+// order, and VPMOVMSKB of that register is four consecutive bytes of plane
+// 8b+7; doubling the bytes brings plane 8b+6 to the top, and so on down.
+// All eight planes of a layer are always written. Those at or above w hold
+// zeros and land past the block's last byte, inside the room for a width-32
+// block the caller reserved, where the next block overwrites them; writing
+// them costs less than the mispredicted exit of a loop that runs w times.
+// Groups left over when groups is not a multiple of four take the dword
+// route: shift so that plane w−1 is every lane's top bit, VMOVMSKPS, double.
+#define EMIT \
+	VEXTRACTI128 $1, ACC, X0; \
+	VPOR X0, X7, X0; \
+	VPSHUFD $0x4E, X0, X1; \
+	VPOR X1, X0, X0; \
+	VPSHUFD $0xB1, X0, X1; \
+	VPOR X1, X0, X0; \
+	VMOVD X0, AX; \
+	XORQ R11, R11; \
+	TESTL AX, AX; \
+	JZ header; \
+	BSRL AX, R11; \
+	INCQ R11; \
+header: \
+	CMPQ R9, $4; \
+	JNE header8; \
+	MOVL R11, (DI); \
+	JMP planes; \
+header8: \
+	MOVB R11, (DI); \
+planes: \
+	TESTQ R11, R11; \
+	JZ done; \
+	MOVQ CX, R10; \
+	SHRQ $2, R10; \
+	JZ leftover; \
+	LEAQ 7(R11), R14; \
+	SHRQ $3, R14; \
+	VPBROADCASTD lowByte<>(SB), Y1; \
+	VMOVDQU unpack<>(SB), Y2; \
+	VPXOR X6, X6, X6; \
+	MOVQ R8, SI; \
+layer: \
+	MOVQ DX, R12; \
+	LEAQ (CX)(CX*2), R13; \
+	LEAQ (R13)(CX*4), R13; \
+	ADDQ SI, R13; \
+	MOVQ R10, BX; \
+quad: \
+	VMOVDQU (R12), Y0; \
+	VMOVDQU 32(R12), Y3; \
+	VMOVDQU 64(R12), Y4; \
+	VMOVDQU 96(R12), Y5; \
+	VPSRLD X6, Y0, Y0; \
+	VPSRLD X6, Y3, Y3; \
+	VPSRLD X6, Y4, Y4; \
+	VPSRLD X6, Y5, Y5; \
+	VPAND Y1, Y0, Y0; \
+	VPAND Y1, Y3, Y3; \
+	VPAND Y1, Y4, Y4; \
+	VPAND Y1, Y5, Y5; \
+	VPACKUSDW Y3, Y0, Y0; \
+	VPACKUSDW Y5, Y4, Y4; \
+	VPACKUSWB Y4, Y0, Y0; \
+	VPERMD Y0, Y2, Y0; \
+	MOVQ R13, DI; \
+	PLANE8; PLANE8; PLANE8; PLANE8; PLANE8; PLANE8; PLANE8; \
+	VPMOVMSKB Y0, AX; \
+	MOVL AX, (DI); \
+	ADDQ $128, R12; \
+	ADDQ $4, R13; \
+	DECQ BX; \
+	JNZ quad; \
+	LEAQ (SI)(CX*8), SI; \
+	VPADDD eight<>(SB), X6, X6; \
+	DECQ R14; \
+	JNZ layer; \
+leftover: \
+	MOVQ CX, BX; \
+	ANDQ $-4, BX; \
+	CMPQ BX, CX; \
+	JGE done; \
+	MOVQ BX, AX; \
+	SHLQ $5, AX; \
+	ADDQ AX, DX; \
+	MOVQ $32, AX; \
+	SUBQ R11, AX; \
+	VMOVQ AX, X6; \
+	MOVQ R11, R10; \
+	DECQ R10; \
+	IMULQ CX, R10; \
+	ADDQ R8, R10; \
+leftgroup: \
+	VMOVDQU (DX), Y0; \
+	VPSLLD X6, Y0, Y0; \
+	LEAQ (R10)(BX*1), R12; \
+	MOVQ R11, R13; \
+leftplane: \
+	VMOVMSKPS Y0, AX; \
+	MOVB AX, (R12); \
+	VPADDD Y0, Y0, Y0; \
+	SUBQ CX, R12; \
+	DECQ R13; \
+	JNZ leftplane; \
+	ADDQ $32, DX; \
+	INCQ BX; \
+	CMPQ BX, CX; \
+	JLT leftgroup; \
+done:
+
+// PLANE8 stores the quad's four bytes of the plane now in the top bit of
+// every byte of Y0 and moves on to the plane below.
+#define PLANE8 \
+	VPMOVMSKB Y0, AX; \
+	MOVL AX, (DI); \
+	VPADDB Y0, Y0, Y0; \
+	SUBQ CX, DI
+
+// func encodeBlockF32AVX2(dst *byte, src *float32, abs *uint32, groups, hdr int, recip, twoE, eps float64, zeroT float32) int
+//
+// Encodes one block of 8·groups float32 at src into dst, which must have
+// room for hdr + 33·groups bytes, using abs (8·groups uint32) as scratch.
+// Returns the block's width (0: a bare zero header was written), or −1 when
+// the block must be stored verbatim (dst contents then undefined).
+TEXT ·encodeBlockF32AVX2(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ abs+16(FP), DX
+	MOVQ groups+24(FP), CX
+	MOVQ hdr+32(FP), R9
+
+	// Zero-block prescan: |x| ≤ zeroT in every lane. NaN compares false;
+	// zeroT = −1 (prescan off) fails every lane.
+	VBROADCASTSS zeroT+64(FP), Y1
+	VPBROADCASTD absMask32<>(SB), Y2
+	MOVQ SI, R12
+	MOVQ CX, R14
+prescan:
+	VANDPS (R12), Y2, Y0
+	VCMPPS $2, Y1, Y0, Y0
+	VMOVMSKPS Y0, AX
+	CMPL AX, $0xFF
+	JNE forward
+	ADDQ $32, R12
+	DECQ R14
+	JNZ prescan
+	VPXOR ACC, ACC, ACC
+	JMP finish
+
+forward:
+	VBROADCASTSD recip+40(FP), RECIP
+	VBROADCASTSD twoE+48(FP), TWOE
+	VBROADCASTSD eps+56(FP), EPS
+	FWD_CONSTANTS
+	MOVQ SI, R12
+	MOVQ DX, R13
+	MOVQ CX, R14
+	LEAQ (DI)(R9*1), R8
+group:
+	HALF32(0, Y0, Y1, X1, X3, Y3, Y2)
+	HALF32(16, Y0, Y1, X1, X5, Y5, Y6)
+	VANDPD Y6, Y2, Y2
+	VMOVMSKPD Y2, AX
+	CMPL AX, $0xF
+	JNE verbatim
+	DELTA
+	ADDQ $32, R12
+	ADDQ $32, R13
+	INCQ R8
+	DECQ R14
+	JNZ group
+finish:
+	EMIT
+	VZEROUPPER
+	MOVQ R11, ret+72(FP)
+	RET
+verbatim:
+	VZEROUPPER
+	MOVQ $-1, ret+72(FP)
+	RET
+
+// func encodeBlockF64AVX2(dst *byte, src *float64, abs *uint32, groups, hdr int, recip, twoE, eps, zeroT float64) int
+//
+// encodeBlockF32AVX2 for float64 elements.
+TEXT ·encodeBlockF64AVX2(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ abs+16(FP), DX
+	MOVQ groups+24(FP), CX
+	MOVQ hdr+32(FP), R9
+
+	VBROADCASTSD zeroT+64(FP), Y1
+	VBROADCASTSD absMask64<>(SB), Y2
+	MOVQ SI, R12
+	MOVQ CX, R14
+prescan:
+	VANDPD (R12), Y2, Y0
+	VANDPD 32(R12), Y2, Y3
+	VCMPPD $2, Y1, Y0, Y0
+	VCMPPD $2, Y1, Y3, Y3
+	VANDPD Y3, Y0, Y0
+	VMOVMSKPD Y0, AX
+	CMPL AX, $0xF
+	JNE forward
+	ADDQ $64, R12
+	DECQ R14
+	JNZ prescan
+	VPXOR ACC, ACC, ACC
+	JMP finish
+
+forward:
+	VBROADCASTSD recip+40(FP), RECIP
+	VBROADCASTSD twoE+48(FP), TWOE
+	VBROADCASTSD eps+56(FP), EPS
+	FWD_CONSTANTS
+	MOVQ SI, R12
+	MOVQ DX, R13
+	MOVQ CX, R14
+	LEAQ (DI)(R9*1), R8
+group:
+	HALF64(0, Y0, Y1, X3, Y3, Y2)
+	HALF64(32, Y0, Y1, X5, Y5, Y6)
+	VANDPD Y6, Y2, Y2
+	VMOVMSKPD Y2, AX
+	CMPL AX, $0xF
+	JNE verbatim
+	DELTA
+	ADDQ $64, R12
+	ADDQ $32, R13
+	INCQ R8
+	DECQ R14
+	JNZ group
+finish:
+	EMIT
+	VZEROUPPER
+	MOVQ R11, ret+72(FP)
+	RET
+verbatim:
+	VZEROUPPER
+	MOVQ $-1, ret+72(FP)
+	RET
+
+// The inverse kernels. Register plan: DI = out, SI = signs, R10 = plane 0,
+// CX = groups = bytes per plane, R11 = w, BX = index of the group (or of a
+// quad's first group) being decoded; Y15 = 2ε, Y14 = laneBit, Y13 = seven,
+// Y12 = the running code, the previous group's lane 7 in every lane.
+
+// QUADPLANES rebuilds the magnitudes of the four groups BX..BX+3 in Y4..Y7,
+// the reverse of EMIT's byte route. Layer by layer (eight planes, one byte
+// of every magnitude), from the layer's top plane down: the quad's four
+// bytes of a plane are broadcast, VPSHUFB spreads byte j over the eight
+// byte lanes of group j, the bit mask and compare turn lane i's bit into 0
+// or −1, and u = 2u − mask shifts it in. The finished bytes are widened to
+// dwords and ORed in at the layer's shift. Only planes below w are read.
+#define QUADPLANES \
+	VPXOR Y4, Y4, Y4; \
+	VPXOR Y5, Y5, Y5; \
+	VPXOR Y6, Y6, Y6; \
+	VPXOR Y7, Y7, Y7; \
+	VPXOR X9, X9, X9; \
+	LEAQ (R10)(BX*1), R8; \
+	MOVQ R11, R14; \
+qlayer: \
+	MOVQ R14, R9; \
+	CMPQ R9, $8; \
+	JLE qshort; \
+	MOVQ $8, R9; \
+qshort: \
+	SUBQ R9, R14; \
+	LEAQ -1(R9), R12; \
+	IMULQ CX, R12; \
+	ADDQ R8, R12; \
+	VPXOR Y0, Y0, Y0; \
+qplane: \
+	VPBROADCASTD (R12), Y1; \
+	VPSHUFB Y11, Y1, Y1; \
+	VPAND Y10, Y1, Y1; \
+	VPCMPEQB Y10, Y1, Y1; \
+	VPADDB Y0, Y0, Y0; \
+	VPSUBB Y1, Y0, Y0; \
+	SUBQ CX, R12; \
+	DECQ R9; \
+	JNZ qplane; \
+	VEXTRACTI128 $1, Y0, X1; \
+	VPSRLDQ $8, X0, X2; \
+	VPSRLDQ $8, X1, X3; \
+	VPMOVZXBD X0, Y0; \
+	VPMOVZXBD X2, Y2; \
+	VPMOVZXBD X1, Y1; \
+	VPMOVZXBD X3, Y3; \
+	VPSLLD X9, Y0, Y0; \
+	VPSLLD X9, Y2, Y2; \
+	VPSLLD X9, Y1, Y1; \
+	VPSLLD X9, Y3, Y3; \
+	VPOR Y0, Y4, Y4; \
+	VPOR Y2, Y5, Y5; \
+	VPOR Y1, Y6, Y6; \
+	VPOR Y3, Y7, Y7; \
+	LEAQ (R8)(CX*8), R8; \
+	VPADDD eight<>(SB), X9, X9; \
+	TESTQ R14, R14; \
+	JNZ qlayer
+
+// GROUPPLANES rebuilds the magnitudes of group BX alone in Y0, for the
+// groups a quad does not cover: each plane byte is broadcast to every dword
+// lane and lane i keeps bit i, from plane w−1 down.
+#define GROUPPLANES \
+	VPXOR Y0, Y0, Y0; \
+	LEAQ -1(R11), R12; \
+	IMULQ CX, R12; \
+	ADDQ R10, R12; \
+	ADDQ BX, R12; \
+	MOVQ R11, R13; \
+gplane: \
+	VPBROADCASTB (R12), Y1; \
+	VPAND Y14, Y1, Y1; \
+	VPCMPEQD Y14, Y1, Y1; \
+	VPADDD Y0, Y0, Y0; \
+	VPSUBD Y1, Y0, Y0; \
+	SUBQ CX, R12; \
+	DECQ R13; \
+	JNZ gplane
+
+// CODES turns the magnitudes in YU and the sign byte at off(SI)(BX) into
+// values: the sign byte becomes a 0/−1 mask m per lane and (u ^ m) − m is
+// mergeSign; an in-register prefix sum plus the running code undoes the
+// Lorenzo delta with int32 wraparound; the codes, as float64, times 2ε are
+// left in Y2 (lanes 0–3) and Y3 (lanes 4–7).
+#define CODES(YU, off) \
+	VPBROADCASTB off(SI)(BX*1), Y1; \
+	VPAND Y14, Y1, Y1; \
+	VPCMPEQD Y14, Y1, Y1; \
+	VPXOR Y1, YU, Y0; \
+	VPSUBD Y1, Y0, Y0; \
+	VPSLLDQ $4, Y0, Y1; \
+	VPADDD Y1, Y0, Y0; \
+	VPSLLDQ $8, Y0, Y1; \
+	VPADDD Y1, Y0, Y0; \
+	VPERM2I128 $0x08, Y0, Y0, Y1; \
+	VPSHUFD $0xFF, Y1, Y1; \
+	VPADDD Y1, Y0, Y0; \
+	VPADDD Y12, Y0, Y0; \
+	VPERMD Y0, Y13, Y12; \
+	VEXTRACTI128 $1, Y0, X3; \
+	VCVTDQ2PD X0, Y2; \
+	VCVTDQ2PD X3, Y3; \
+	VMULPD Y15, Y2, Y2; \
+	VMULPD Y15, Y3, Y3
+
+// PUT32 and PUT64 round Y2, Y3 to the element type and store the group.
+#define PUT32(off) \
+	VCVTPD2PSY Y2, X2; \
+	VCVTPD2PSY Y3, X3; \
+	VMOVUPS X2, off(DI); \
+	VMOVUPS X3, off+16(DI)
+
+#define PUT64(off) \
+	VMOVUPD Y2, off(DI); \
+	VMOVUPD Y3, off+32(DI)
+
+// INVERSE_BODY is either decoder but for the element type: PUT stores one
+// group, size is a group's bytes. Quads first, then the groups left over.
+#define INVERSE_BODY(PUT, size) \
+	VMOVDQU laneBit<>(SB), Y14; \
+	VPBROADCASTD seven<>(SB), Y13; \
+	VPXOR Y12, Y12, Y12; \
+	VMOVDQU spread<>(SB), Y11; \
+	VMOVDQU byteBit<>(SB), Y10; \
+	XORQ BX, BX; \
+	MOVQ CX, DX; \
+	ANDQ $-4, DX; \
+	JZ leftover; \
+quad: \
+	QUADPLANES; \
+	CODES(Y4, 0); \
+	PUT(0); \
+	CODES(Y5, 1); \
+	PUT(size); \
+	CODES(Y6, 2); \
+	PUT(2*size); \
+	CODES(Y7, 3); \
+	PUT(3*size); \
+	ADDQ $(4*size), DI; \
+	ADDQ $4, BX; \
+	CMPQ BX, DX; \
+	JLT quad; \
+leftover: \
+	CMPQ BX, CX; \
+	JGE done; \
+group: \
+	GROUPPLANES; \
+	CODES(Y0, 0); \
+	PUT(0); \
+	ADDQ $size, DI; \
+	INCQ BX; \
+	CMPQ BX, CX; \
+	JLT group; \
+done: \
+	VZEROUPPER
+
+// func decodeBlockF32AVX2(out *float32, signs, planes *byte, groups, w int, twoE float64)
+//
+// Decodes one block of width w ∈ [1, 32]: groups sign bytes at signs,
+// w·groups plane bytes at planes, 8·groups float32 written to out.
+TEXT ·decodeBlockF32AVX2(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), DI
+	MOVQ signs+8(FP), SI
+	MOVQ planes+16(FP), R10
+	MOVQ groups+24(FP), CX
+	MOVQ w+32(FP), R11
+	VBROADCASTSD twoE+40(FP), Y15
+	INVERSE_BODY(PUT32, 32)
+	RET
+
+// func decodeBlockF64AVX2(out *float64, signs, planes *byte, groups, w int, twoE float64)
+//
+// decodeBlockF32AVX2 for float64 elements.
+TEXT ·decodeBlockF64AVX2(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), DI
+	MOVQ signs+8(FP), SI
+	MOVQ planes+16(FP), R10
+	MOVQ groups+24(FP), CX
+	MOVQ w+32(FP), R11
+	VBROADCASTSD twoE+40(FP), Y15
+	INVERSE_BODY(PUT64, 64)
+	RET

@@ -1,0 +1,547 @@
+//go:build amd64 && !purego
+
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"ceresz/internal/cpufeat"
+	"ceresz/internal/flenc"
+	"ceresz/internal/quant"
+)
+
+// The assembly kernels are tested differentially: the same input goes
+// through the codec with the dispatch variable off (the Go kernels, the
+// oracle) and on, and stream bytes, Stats and decoded bits must be equal.
+// Equal bytes mean equal decisions — which blocks are zero, which verbatim,
+// every code, width and sign.
+
+func needAVX2(t testing.TB) {
+	t.Helper()
+	if !cpufeat.AVX2 {
+		t.Skip("CPU has no AVX2: the Go kernels are the only path")
+	}
+}
+
+// onKernels runs f with the vector kernels switched on or off.
+func onKernels(vector bool, f func()) {
+	was := useAVX2
+	useAVX2 = vector
+	defer func() { useAVX2 = was }()
+	f()
+}
+
+// vecCodec is what the differential tests need of either element type.
+type vecCodec[F float32 | float64] struct {
+	name       string
+	compress   func(dst []byte, data []F, eps float64, opts Options) ([]byte, *Stats, error)
+	decompress func(dst []F, comp []byte, workers int) ([]F, Meta, error)
+	bits       func(F) uint64
+	smallest   F // smallest subnormal
+	maxSub     F // largest subnormal
+}
+
+var (
+	vec32 = vecCodec[float32]{
+		name: "float32", compress: CompressWithEps, decompress: Decompress,
+		bits:     func(x float32) uint64 { return uint64(math.Float32bits(x)) },
+		smallest: math.SmallestNonzeroFloat32, maxSub: math.Float32frombits(0x007FFFFF),
+	}
+	vec64 = vecCodec[float64]{
+		name: "float64", compress: Compress64WithEps, decompress: Decompress64,
+		bits:     math.Float64bits,
+		smallest: math.SmallestNonzeroFloat64, maxSub: math.Float64frombits(0x000FFFFFFFFFFFFF),
+	}
+)
+
+// check compresses data on both kernel sets and decodes the stream on
+// both, requiring equal bytes, Stats and output bits. dst is the empty
+// (possibly unaligned, possibly nil) slice the decoders append to. describe
+// names block b of the input for the failure message. It returns the Stats
+// both agreed on.
+func (c vecCodec[F]) check(t *testing.T, data []F, eps float64, opts Options, dst []F, describe func(b int) string) Stats {
+	t.Helper()
+	var goComp, asmComp []byte
+	var goStats, asmStats *Stats
+	var goErr, asmErr error
+	onKernels(false, func() { goComp, goStats, goErr = c.compress(nil, data, eps, opts) })
+	onKernels(true, func() { asmComp, asmStats, asmErr = c.compress(nil, data, eps, opts) })
+	if goErr != nil || asmErr != nil {
+		t.Fatalf("%s eps=%g: compress errors: go %v, asm %v", c.name, eps, goErr, asmErr)
+	}
+	if !bytes.Equal(goComp, asmComp) || *goStats != *asmStats {
+		t.Fatalf("%s eps=%g L=%d hdr=%d n=%d: vector and Go kernels disagree%s\n go  %+v\n asm %+v",
+			c.name, eps, opts.BlockLen, opts.HeaderBytes, len(data),
+			c.firstDiff(data, eps, opts, describe), *goStats, *asmStats)
+	}
+	var goOut, asmOut []F
+	onKernels(false, func() { goOut, _, goErr = c.decompress(dst, goComp, 1) })
+	goOut = append([]F(nil), goOut...) // both decodes may share dst
+	onKernels(true, func() { asmOut, _, asmErr = c.decompress(dst, goComp, 1) })
+	if goErr != nil || asmErr != nil {
+		t.Fatalf("%s eps=%g: decompress errors: go %v, asm %v", c.name, eps, goErr, asmErr)
+	}
+	if len(goOut) != len(data) || len(asmOut) != len(data) {
+		t.Fatalf("%s: decoded %d and %d elements of %d", c.name, len(goOut), len(asmOut), len(data))
+	}
+	for i := range goOut {
+		if c.bits(goOut[i]) != c.bits(asmOut[i]) {
+			t.Fatalf("%s eps=%g L=%d: element %d (%s) decodes to %x on the Go kernel, %x on the vector kernel",
+				c.name, eps, opts.BlockLen, i, describe(i/opts.BlockLen), c.bits(goOut[i]), c.bits(asmOut[i]))
+		}
+	}
+	return *goStats
+}
+
+// firstDiff re-encodes block by block to name the first block the two
+// kernel sets encode differently.
+func (c vecCodec[F]) firstDiff(data []F, eps float64, opts Options, describe func(b int) string) string {
+	L := opts.BlockLen
+	for b := 0; b*L < len(data); b++ {
+		block := data[b*L : min(b*L+L, len(data))]
+		var g, a []byte
+		onKernels(false, func() { g, _, _ = c.compress(nil, block, eps, opts) })
+		onKernels(true, func() { a, _, _ = c.compress(nil, block, eps, opts) })
+		if !bytes.Equal(g, a) {
+			return fmt.Sprintf("\n block %d (%s) = %v\n go  %x\n asm %x", b, describe(b), block, g[StreamHeaderSize:], a[StreamHeaderSize:])
+		}
+	}
+	return " (no single block differs)"
+}
+
+// vecSpecial is one or two adjacent lane values and what they exercise.
+type vecSpecial[F float32 | float64] struct {
+	name string
+	vals []F
+}
+
+// specials are the lane values the kernels' masks exist for, scaled to ε.
+// The two pairs make a Lorenzo delta of −2³¹ and of +2³¹ (which wraps to
+// MinInt32): with ε a power of two both operands are exact and pass the
+// strictness check, so the block reaches width 32.
+func (c vecCodec[F]) specials(eps float64) []vecSpecial[F] {
+	two := 2 * eps
+	inf := F(math.Inf(1))
+	return []vecSpecial[F]{
+		{"NaN", []F{F(math.NaN())}},
+		{"+Inf", []F{inf}},
+		{"-Inf", []F{-inf}},
+		{"+0", []F{0}},
+		{"-0", []F{F(math.Copysign(0, -1))}},
+		{"smallest subnormal", []F{c.smallest}},
+		{"-smallest subnormal", []F{-c.smallest}},
+		{"largest subnormal", []F{c.maxSub}},
+		{"-largest subnormal", []F{-c.maxSub}},
+		{"code 2^31 (overflow)", []F{F(math.Ldexp(two, 31))}},
+		{"code 2^31-1", []F{F((math.MaxInt32) * two)}},
+		{"code -2^31 (MinInt32)", []F{F(-math.Ldexp(two, 31))}},
+		{"code -2^31-1 (overflow)", []F{F((math.MinInt32 - 1) * two)}},
+		{"strictness: eps*2^24*1.3", []F{F(math.Ldexp(eps*1.3, 24))}},
+		{"strictness: -eps*2^25*1.7", []F{F(-math.Ldexp(eps*1.7, 25))}},
+		{"strictness: eps*(2^26+1)", []F{F(eps * (1<<26 + 1))}},
+		{"half-way code boundary", []F{F(eps * 3)}},
+		{"delta -2^31", []F{F(math.Ldexp(two, 30)), F(-math.Ldexp(two, 30))}},
+		{"delta +2^31", []F{F(-math.Ldexp(two, 30)), F(math.Ldexp(two, 30))}},
+	}
+}
+
+// laneCase is one block of a laneBlocks input.
+type laneCase struct {
+	special string
+	pos     int
+	ramp    bool
+}
+
+// laneBlocks builds one block of length L per (special, position,
+// background): every special in each of the eight lanes of the first group
+// and of the last group, over a zero background (the prescan's side of the
+// decision) and over a ramp of small codes (the kernel's).
+func laneBlocks[F float32 | float64](L int, eps float64, specials []vecSpecial[F]) ([]F, []laneCase) {
+	var data []F
+	var cases []laneCase
+	positions := make([]int, 0, 16)
+	for lane := 0; lane < 8; lane++ {
+		positions = append(positions, lane)
+	}
+	for lane := 0; lane < 8 && L > 8; lane++ {
+		positions = append(positions, L-8+lane)
+	}
+	for _, ramp := range []bool{false, true} {
+		for _, sp := range specials {
+			for _, pos := range positions {
+				block := make([]F, L)
+				if ramp {
+					for i := range block {
+						block[i] = F(eps * 2.2 * float64((i*7)%11-5))
+					}
+				}
+				at := min(pos, L-len(sp.vals))
+				copy(block[at:], sp.vals)
+				data = append(data, block...)
+				cases = append(cases, laneCase{sp.name, pos, ramp})
+			}
+		}
+	}
+	return data, cases
+}
+
+func testVectorLanes[F float32 | float64](t *testing.T, c vecCodec[F]) {
+	needAVX2(t)
+	ladder := boundaryEps()
+	// Every block length against a few bounds, every bound against a few
+	// block lengths: the cross product is hundreds of millions of elements.
+	allLengths := map[float64]bool{math.Ldexp(1, -40): true, 1: true, math.Ldexp(1, 40): true, ladder[41]: true}
+	if testing.Short() || raceEnabled { // the kernels share no state to race on
+		allLengths = map[float64]bool{1: true}
+		thinned := ladder[:0:0]
+		for i, eps := range ladder {
+			if i%4 == 0 || eps == 1 {
+				thinned = append(thinned, eps)
+			}
+		}
+		ladder = thinned
+	}
+	for i, eps := range ladder {
+		lengths := []int{8, 32, 40}
+		if allLengths[eps] {
+			lengths = lengths[:0]
+			for L := 8; L <= 256; L += 8 {
+				lengths = append(lengths, L)
+			}
+		}
+		specials := c.specials(eps)
+		for _, L := range lengths {
+			data, cases := laneBlocks(L, eps, specials)
+			opts := Options{BlockLen: L, HeaderBytes: flenc.HeaderU32, Workers: 1}
+			if (i+L/8)%2 == 1 {
+				opts.HeaderBytes = flenc.HeaderU8
+			}
+			stats := c.check(t, data, eps, opts, nil, func(b int) string {
+				return fmt.Sprintf("%s at element %d, ramp=%v", cases[b].special, cases[b].pos, cases[b].ramp)
+			})
+			// At ε = 1 the specials must do what their names say, or the
+			// agreement above is agreement on the easy cases only.
+			if eps == 1 && (stats.ZeroBlocks == 0 || stats.VerbatimBlocks == 0 || stats.WidthHistogram[32] == 0 || stats.WidthHistogram[31] == 0) {
+				t.Fatalf("%s L=%d: specials reach no zero, verbatim, width-31 or width-32 block: %+v", c.name, L, stats)
+			}
+		}
+	}
+}
+
+func TestVectorKernelsLanes32(t *testing.T) { testVectorLanes(t, vec32) }
+func TestVectorKernelsLanes64(t *testing.T) { testVectorLanes(t, vec64) }
+
+// TestVectorKernelsShapes covers what a single aligned block cannot:
+// trailing partial blocks, inputs and outputs that start at every offset
+// within a 32-byte vector, and streams mixing zero, coded and verbatim
+// blocks.
+func testVectorShapes[F float32 | float64](t *testing.T, c vecCodec[F]) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(21))
+	const eps = 1e-3
+	specials := c.specials(eps)
+	pool := make([]F, 1200)
+	for i := range pool {
+		switch r := rng.Intn(40); {
+		case r == 0:
+			sp := specials[rng.Intn(len(specials))]
+			pool[i] = sp.vals[0]
+		case r < 12:
+			pool[i] = F(eps * 0.4 * rng.NormFloat64()) // mostly inside the zero threshold
+		default:
+			pool[i] = F(math.Sin(float64(i)/17) + 0.01*rng.NormFloat64())
+		}
+	}
+	out := make([]F, len(pool)+16)
+	none := func(int) string { return "mixed" }
+	for _, L := range []int{8, 32, 64, 136} {
+		for off := 0; off < 10; off++ {
+			for _, n := range []int{0, 1, 7, 8, 9, 31, 33, 100, 257, 1000} {
+				opts := Options{BlockLen: L, Workers: 1}
+				c.check(t, pool[off:off+n], eps, opts, out[off:off:off+n], none)
+			}
+		}
+	}
+	// The same through the sharded path: shards hand the kernels
+	// sub-slices at block granularity.
+	c.check(t, pool, eps, Options{BlockLen: 32, Workers: 3}, nil, none)
+}
+
+func TestVectorKernelsShapes32(t *testing.T) { testVectorShapes(t, vec32) }
+func TestVectorKernelsShapes64(t *testing.T) { testVectorShapes(t, vec64) }
+
+// enumEps are the bounds of the float32 enumeration: tight, loose, exact
+// powers of two and not, and a REL 1e-3 bound as the benchmark resolves
+// them.
+var enumEps = []float64{math.Ldexp(1, -40), math.Ldexp(1.37, -20), math.Ldexp(1, -10), 1.0352e-3, 0.37, 1, math.Ldexp(1.1, 10), math.Ldexp(1, 40)}
+
+// TestVectorKernelsEnumerate32 walks the float32 line: every 2¹²-th bit
+// pattern (so every binade of both signs, the subnormals, the infinities
+// and the NaN space are sampled 2¹¹ times over), and 64 ulps either side
+// of every point where a code can change — k·2ε and (k+½)·2ε for small k
+// and for k at every power of two up to the int32 edge. Each value sits
+// alone in a block of zeros, its lane rotating, so the block's fate is the
+// element's: same code, or verbatim, on both kernel sets.
+func TestVectorKernelsEnumerate32(t *testing.T) {
+	needAVX2(t)
+	stride := uint64(1) << 12
+	if testing.Short() || raceEnabled {
+		stride <<= 4
+	}
+	const L, chunk = 8, 1 << 13
+	for _, eps := range enumEps {
+		var vals []float32
+		flush := func() {
+			data := make([]float32, L*len(vals))
+			for i, v := range vals {
+				data[L*i+i%L] = v
+			}
+			kept := vals
+			vec32.check(t, data, eps, Options{BlockLen: L, Workers: 1}, nil, func(b int) string {
+				return fmt.Sprintf("bits %08x in lane %d", math.Float32bits(kept[b]), b%L)
+			})
+			vals = vals[:0]
+		}
+		add := func(v float32) {
+			if vals = append(vals, v); len(vals) == chunk {
+				flush()
+			}
+		}
+		for bits := uint64(0); bits < 1<<32; bits += stride {
+			add(math.Float32frombits(uint32(bits)))
+		}
+		around := func(x float64) {
+			c := math.Float32bits(float32(x))
+			for d := -64; d <= 64; d++ {
+				add(math.Float32frombits(c + uint32(d)))
+			}
+		}
+		var ks []float64
+		for k := -64; k <= 64; k++ {
+			ks = append(ks, float64(k))
+		}
+		for j := 7; j <= 31; j++ {
+			for _, d := range []float64{-1, 0, 1} {
+				ks = append(ks, math.Ldexp(1, j)+d, -math.Ldexp(1, j)+d)
+			}
+		}
+		for _, k := range ks {
+			around(k * 2 * eps)
+			around((k + 0.5) * 2 * eps)
+		}
+		flush()
+	}
+}
+
+// TestVectorKernelsEnumerate64 is the float64 counterpart. The space
+// cannot be strided usefully, so it visits only where a decision can flip:
+// the same code boundaries, 64 ulps either side, and the edges of every
+// binade.
+func TestVectorKernelsEnumerate64(t *testing.T) {
+	needAVX2(t)
+	const L = 8
+	for _, eps := range enumEps {
+		var vals []float64
+		around := func(x float64) {
+			c := math.Float64bits(x)
+			for d := -64; d <= 64; d++ {
+				vals = append(vals, math.Float64frombits(c+uint64(d)))
+			}
+		}
+		for k := -64; k <= 64; k++ {
+			around(float64(k) * 2 * eps)
+			around((float64(k) + 0.5) * 2 * eps)
+		}
+		for j := 7; j <= 31; j++ {
+			for _, d := range []float64{-1, 0, 1} {
+				for _, k := range []float64{math.Ldexp(1, j) + d, -math.Ldexp(1, j) + d} {
+					around(k * 2 * eps)
+					around((k + 0.5) * 2 * eps)
+				}
+			}
+		}
+		for e := uint64(0); e < 0x7FF; e += 3 {
+			for _, sign := range []uint64{0, 1 << 63} {
+				for d := uint64(0); d < 4; d++ {
+					vals = append(vals, math.Float64frombits(sign|e<<52+d), math.Float64frombits(sign|(e+1)<<52-1-d))
+				}
+			}
+		}
+		data := make([]float64, L*len(vals))
+		for i, v := range vals {
+			data[L*i+i%L] = v
+		}
+		vec64.check(t, data, eps, Options{BlockLen: L, Workers: 1}, nil, func(b int) string {
+			return fmt.Sprintf("bits %016x in lane %d", math.Float64bits(vals[b]), b%L)
+		})
+	}
+}
+
+// TestVectorDecodeHostile feeds both decoders block bodies no encoder
+// would write — every width with random planes and signs, so the prefix
+// sum wraps — and requires the same bits out. The Go wrappers have already
+// sized everything the kernel touches; this checks the kernel's arithmetic
+// on the values hostile input can reach.
+func TestVectorDecodeHostile(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(5))
+	for _, L := range []int{8, 32, 72} {
+		for w := 1; w <= flenc.MaxWidth; w++ {
+			for _, hdr := range []int{flenc.HeaderU32, flenc.HeaderU8} {
+				n := 3*L - 5 // the last block is partial
+				m := Meta{HeaderBytes: hdr, BlockLen: L, Elements: n, Eps: 0.25}
+				body := make([]byte, 0, 3*flenc.EncodedSize(uint(w), L, hdr))
+				for b := 0; b < 3; b++ {
+					if hdr == flenc.HeaderU32 {
+						body = append(body, byte(w), 0, 0, 0)
+					} else {
+						body = append(body, byte(w))
+					}
+					for i := 0; i < (w+1)*L/8; i++ {
+						body = append(body, byte(rng.Intn(256)))
+					}
+				}
+				for _, elem := range []Elem{Float32, Float64} {
+					m.Elem = elem
+					comp := append(AppendStreamHeader(nil, m), body...)
+					if elem == Float32 {
+						compareDecode(t, vec32, comp)
+					} else {
+						compareDecode(t, vec64, comp)
+					}
+				}
+			}
+		}
+	}
+}
+
+// compareDecode decodes comp on both kernel sets: same error or same bits.
+func compareDecode[F float32 | float64](t *testing.T, c vecCodec[F], comp []byte) {
+	t.Helper()
+	var goOut, asmOut []F
+	var goErr, asmErr error
+	onKernels(false, func() { goOut, _, goErr = c.decompress(nil, comp, 1) })
+	onKernels(true, func() { asmOut, _, asmErr = c.decompress(nil, comp, 1) })
+	if (goErr == nil) != (asmErr == nil) {
+		t.Fatalf("%s: Go decoder: %v, vector decoder: %v", c.name, goErr, asmErr)
+	}
+	if goErr != nil {
+		return
+	}
+	if len(goOut) != len(asmOut) {
+		t.Fatalf("%s: decoded %d and %d elements", c.name, len(goOut), len(asmOut))
+	}
+	for i := range goOut {
+		if c.bits(goOut[i]) != c.bits(asmOut[i]) {
+			t.Fatalf("%s: element %d decodes to %x on the Go kernel, %x on the vector kernel", c.name, i, c.bits(goOut[i]), c.bits(asmOut[i]))
+		}
+	}
+}
+
+// FuzzVectorKernels runs arbitrary element bits, bounds across the whole
+// ε ladder, block lengths and header widths through both kernel sets, then
+// treats the same bytes as a hostile stream body for both decoders.
+func FuzzVectorKernels(f *testing.F) {
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 1, 2, 3, 4}, uint8(3), false, int8(-10), uint16(0))
+	f.Add(make([]byte, 400), uint8(0), true, int8(0), uint16(0x8000))
+	f.Add([]byte{0xff, 0xff, 0x7f, 0x7f, 0, 0, 0x80, 0xff, 0, 0, 0xc0, 0x7f, 1, 0, 0, 0}, uint8(11), false, int8(40), uint16(0xffff))
+	f.Add(prescanSeed32(1e-3, 150), uint8(3), false, int8(-10), uint16(0x624d))
+	f.Add(prescanSeed64(1e-6, 61), uint8(0), true, int8(-20), uint16(0x0c6f))
+	f.Fuzz(func(t *testing.T, raw []byte, blockSel uint8, szpHeader bool, epsExp int8, epsMant uint16) {
+		needAVX2(t)
+		// ε = (1 + mant/2¹⁶)·2^exp, exp ∈ [−40, 40].
+		eps := math.Ldexp(1+float64(epsMant)/65536, int(epsExp)%41)
+		opts := Options{BlockLen: 8 * (1 + int(blockSel)%32), HeaderBytes: flenc.HeaderU32, Workers: 1}
+		if szpHeader {
+			opts.HeaderBytes = flenc.HeaderU8
+		}
+		none := func(int) string { return "fuzz" }
+		d32 := make([]float32, len(raw)/4)
+		for i := range d32 {
+			d32[i] = math.Float32frombits(uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 | uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24)
+		}
+		vec32.check(t, d32, eps, opts, nil, none)
+		d64 := make([]float64, len(raw)/8)
+		for i := range d64 {
+			d64[i] = math.Float64frombits(uint64(math.Float32bits(d32[2*i])) | uint64(math.Float32bits(d32[2*i+1]))<<32)
+		}
+		vec64.check(t, d64, eps, opts, nil, none)
+
+		m := Meta{HeaderBytes: opts.HeaderBytes, BlockLen: opts.BlockLen, Elements: 2*opts.BlockLen - 3, Eps: eps}
+		compareDecode(t, vec32, append(AppendStreamHeader(nil, m), raw...))
+		m.Elem = Float64
+		compareDecode(t, vec64, append(AppendStreamHeader(nil, m), raw...))
+	})
+}
+
+// TestVectorKernelsStayInBounds pins the extents the wrappers promise the
+// kernels. The encoder kernel may scribble over all the room a width-32
+// block would need (it always writes whole layers of eight planes) but not
+// a byte more; the decoder kernel writes exactly L elements. Both are run
+// inside canary-filled arrays at every width.
+func TestVectorKernelsStayInBounds(t *testing.T) {
+	needAVX2(t)
+	const canary = 0xA5
+	q, err := quant.MakeQuantizer(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, L := range []int{8, 24, 32, 40, 64} {
+		for _, hdr := range []int{flenc.HeaderU32, flenc.HeaderU8} {
+			enc := newBlockEncoder(L, hdr, q)
+			dec := getDecoder(L, hdr, q)
+			reserve := flenc.EncodedSize(flenc.MaxWidth, L, hdr)
+			for w := 0; w <= flenc.MaxWidth; w++ {
+				block := make([]float32, L)
+				switch {
+				case w == flenc.MaxWidth:
+					// Only a delta of −2³¹ is that wide: 2³⁰ down to −2³⁰.
+					block[0], block[1] = 1<<30, -(1 << 30)
+				case w > 0:
+					// A first delta of 2^(w−1) makes the width exactly w.
+					block[0] = float32(math.Ldexp(1, w-1))
+					block[1] = block[0]
+				}
+				const at = 13
+				buf := bytes.Repeat([]byte{canary}, at+reserve+64)
+				var stats Stats
+				out := enc.encode(buf[:at:at+reserve], block, &stats)
+				if &out[0] != &buf[0] {
+					t.Fatalf("L=%d hdr=%d w=%d: encode reallocated a dst with room for the widest block", L, hdr, w)
+				}
+				if stats.WidthHistogram[w] != 1 {
+					t.Fatalf("L=%d hdr=%d: built a block of width %d, encoder saw %+v", L, hdr, w, stats)
+				}
+				for i, b := range buf[at+reserve:] {
+					if b != canary {
+						t.Fatalf("L=%d hdr=%d w=%d: encoder wrote %d bytes past its reserve", L, hdr, w, i+1)
+					}
+				}
+				for i, b := range buf[:at] {
+					if b != canary {
+						t.Fatalf("L=%d hdr=%d w=%d: encoder wrote before dst's end (byte %d)", L, hdr, w, i)
+					}
+				}
+				vals := make([]float32, L+16)
+				for i := range vals {
+					vals[i] = -7
+				}
+				if err := dec.decode(vals[8:8+L], out[at:]); err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range vals {
+					if in := i >= 8 && i < 8+L; !in && v != -7 {
+						t.Fatalf("L=%d hdr=%d w=%d: decoder wrote outside its block (element %d)", L, hdr, w, i-8)
+					} else if in && v != block[i-8] {
+						t.Fatalf("L=%d hdr=%d w=%d: element %d decodes to %g, want %g", L, hdr, w, i-8, v, block[i-8])
+					}
+				}
+			}
+			putDecoder(dec)
+		}
+	}
+}

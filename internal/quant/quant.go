@@ -91,19 +91,21 @@ func (b Bound) Resolve(minVal, maxVal float64) (float64, error) {
 // Range returns the min and max of data. NaNs are ignored; if all values are
 // NaN (or data is empty) it returns (0, 0).
 func Range(data []float32) (minVal, maxVal float64) {
-	mn, mx := rangeOf(data)
+	mn, mx := range32(data)
 	return float64(mn), float64(mx)
 }
 
 // Range64 is Range for float64 data.
 func Range64(data []float64) (minVal, maxVal float64) {
-	return rangeOf(data)
+	return range64(data)
 }
 
-// rangeOf compares in the element type: float32 → float64 is exact and
-// order-preserving, so converting the two results gives what converting
-// every element would. Once the leading NaNs are skipped the loop needs no
-// NaN test, because v < mn and v > mx are both false for NaN.
+// rangeOf is the portable loop behind Range and Range64 and the reference
+// the vector kernels (range_amd64.s) are tested against. It compares in
+// the element type: float32 → float64 is exact and order-preserving, so
+// converting the two results gives what converting every element would.
+// Once the leading NaNs are skipped the loop needs no NaN test, because
+// v < mn and v > mx are both false for NaN.
 func rangeOf[F float32 | float64](data []F) (mn, mx F) {
 	i := 0
 	for i < len(data) && data[i] != data[i] {

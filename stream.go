@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 
 	"ceresz/internal/core"
 	"ceresz/internal/telemetry"
@@ -118,10 +119,19 @@ type StreamWriter struct {
 	RawBytes, CompressedBytes int64
 }
 
+// streamBufPool hands a closed writer's compression buffer to the next one,
+// so a caller that opens a StreamWriter per message does not regrow a chunk-
+// sized buffer from nil (some twenty reallocations) on every first chunk.
+var streamBufPool sync.Pool // of *[]byte
+
 // NewStreamWriter returns a StreamWriter compressing each chunk under
 // bound with opts.
 func NewStreamWriter(w io.Writer, bound Bound, opts Options) *StreamWriter {
-	return &StreamWriter{w: w, bound: bound, opts: opts}
+	sw := &StreamWriter{w: w, bound: bound, opts: opts}
+	if b, _ := streamBufPool.Get().(*[]byte); b != nil {
+		sw.buf = *b
+	}
+	return sw
 }
 
 // WriteChunk compresses one float32 chunk and writes its frame. After the
@@ -204,8 +214,14 @@ func (sw *StreamWriter) Ratio() float64 {
 	return float64(sw.RawBytes) / float64(sw.CompressedBytes)
 }
 
-// Close marks the writer closed. It does not close the underlying writer.
+// Close marks the writer closed and hands its compression buffer to the
+// next writer. It does not close the underlying writer.
 func (sw *StreamWriter) Close() error {
+	if cap(sw.buf) > 0 {
+		b := sw.buf[:0]
+		streamBufPool.Put(&b)
+		sw.buf = nil
+	}
 	sw.closed = true
 	return nil
 }

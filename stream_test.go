@@ -313,3 +313,28 @@ func TestDecompressImplausibleElementCount(t *testing.T) {
 		t.Fatal("accepted element count the body cannot hold")
 	}
 }
+
+// A writer per message must not grow a fresh compression buffer each time
+// (some twenty allocations for a chunk of this size): Close hands the buffer
+// to the next NewStreamWriter. sync.Pool may drop a Put (the race detector
+// drops one in four), so the test asks for one reuse in twenty messages.
+func TestStreamWriterPerMessageReusesBuffer(t *testing.T) {
+	chunk := testField(1<<16, 3)
+	for i := 0; i < 20; i++ {
+		sw := NewStreamWriter(io.Discard, REL(1e-3), Options{})
+		warm := cap(sw.buf) > 0
+		if _, err := sw.WriteChunk(chunk); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if sw.buf != nil {
+			t.Fatal("Close kept the buffer it gave away")
+		}
+		if warm {
+			return
+		}
+	}
+	t.Fatal("no writer in twenty started with a predecessor's buffer")
+}
