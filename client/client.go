@@ -4,6 +4,11 @@
 // backpressure hints. A Client is safe for concurrent use; its requests
 // are rebuilt from in-memory payloads, so every retry sends a complete
 // body.
+//
+// Float slices are sent and received in place (package rawfloat): on a
+// little-endian host Compress posts the caller's slice as the request body
+// and Decompress reads the response into the slice it returns, without an
+// intermediate byte buffer on either side.
 package client
 
 import (
@@ -11,15 +16,18 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"ceresz/internal/core"
+	"ceresz/internal/rawfloat"
 )
 
 // Bound mirrors the server's error-bound query parameters.
@@ -179,21 +187,67 @@ func (c *Client) backoff(attempt int, retryAfter string) time.Duration {
 	return d
 }
 
-// do POSTs body to path with retry. The returned response body is fully
-// read and the connection released. Every attempt carries a traceparent
-// header — one trace-id for the whole call, a fresh span-id per attempt
-// — and when tr is non-nil the attempt/rejection counts, the server's
-// request ID and the Server-Timing trailer are recorded into it.
-func (c *Client) do(ctx context.Context, path string, body []byte, tr *Trace) ([]byte, http.Header, error) {
+// payload lends one call's request body — the caller's memory; for
+// Compress, the caller's floats — to net/http. The transport can still be
+// reading a request body after Do has returned (the server answered 429
+// or 400 without reading it; Do failed), so its readers copy under mu and
+// do takes the memory away under mu before it returns. After that no
+// goroutine of the transport touches it and the caller may overwrite it.
+type payload struct {
+	mu sync.Mutex
+	b  []byte // nil once do has returned
+}
+
+// newBody returns a reader over the whole payload: one per attempt, and
+// the request's GetBody for net/http's own replays.
+func (p *payload) newBody() (io.ReadCloser, error) { return &payloadReader{p: p}, nil }
+
+type payloadReader struct {
+	p   *payload
+	off int
+}
+
+func (r *payloadReader) Read(dst []byte) (int, error) {
+	r.p.mu.Lock()
+	defer r.p.mu.Unlock()
+	if r.p.b == nil {
+		return 0, errors.New("client: request body read after the call returned")
+	}
+	if r.off >= len(r.p.b) {
+		return 0, io.EOF
+	}
+	n := copy(dst, r.p.b[r.off:])
+	r.off += n
+	return n, nil
+}
+
+func (r *payloadReader) Close() error { return nil }
+
+// do POSTs body to path with retry, handing each 2xx response body to recv
+// (which must read it to EOF — that is also what makes the trailers
+// arrive). The connection is released before do returns and body is not
+// touched after. Every attempt carries a traceparent header — one
+// trace-id for the whole call, a fresh span-id per attempt — and when tr
+// is non-nil the attempt/rejection counts, the server's request ID and
+// the Server-Timing trailer are recorded into it.
+func (c *Client) do(ctx context.Context, path string, body []byte, recv func(io.Reader) error, tr *Trace) error {
 	traceID := c.newTraceID()
 	if tr != nil {
 		tr.TraceID = traceID
 	}
+	pl := &payload{b: body}
+	defer func() { pl.mu.Lock(); pl.b = nil; pl.mu.Unlock() }()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+path, bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+path, nil)
 		if err != nil {
-			return nil, nil, err
+			return err
+		}
+		if len(body) > 0 {
+			// What NewRequest sets up for a *bytes.Reader: Content-Length
+			// rather than chunked encoding, and a way to replay the body.
+			req.Body, _ = pl.newBody()
+			req.ContentLength, req.GetBody = int64(len(body)), pl.newBody
 		}
 		req.Header.Set("Content-Type", "application/octet-stream")
 		req.Header.Set("Traceparent", traceparent(traceID, c.newSpanID()))
@@ -211,7 +265,14 @@ func (c *Client) do(ctx context.Context, path string, body []byte, tr *Trace) ([
 			}
 		} else {
 			reqID := resp.Header.Get("X-Ceresz-Request-Id")
-			out, rerr := io.ReadAll(resp.Body)
+			ok := resp.StatusCode/100 == 2
+			var errText bytes.Buffer
+			var rerr error
+			if ok {
+				rerr = recv(resp.Body)
+			} else {
+				_, rerr = errText.ReadFrom(io.LimitReader(resp.Body, 64<<10))
+			}
 			resp.Body.Close()
 			if tr != nil {
 				tr.Status = resp.StatusCode
@@ -223,32 +284,52 @@ func (c *Client) do(ctx context.Context, path string, body []byte, tr *Trace) ([
 				if resp.StatusCode == http.StatusTooManyRequests {
 					tr.Rejected429++
 				}
-				if rerr != nil || resp.StatusCode/100 != 2 {
+				if rerr != nil || !ok {
 					tr.Errors++
 				}
 			}
 			if rerr != nil {
 				lastErr = rerr
-			} else if resp.StatusCode/100 == 2 {
-				return out, resp.Header, nil
+			} else if ok {
+				return nil
 			} else {
-				lastErr = &StatusError{Code: resp.StatusCode, Body: string(out), RequestID: reqID}
+				lastErr = &StatusError{Code: resp.StatusCode, Body: errText.String(), RequestID: reqID}
 				if !retryable(resp.StatusCode) {
-					return nil, resp.Header, lastErr
+					return lastErr
 				}
 				retryAfter = resp.Header.Get("Retry-After")
 			}
 		}
 		if attempt >= c.cfg.MaxRetries {
-			return nil, nil, lastErr
+			return lastErr
 		}
 		select {
 		case <-time.After(c.backoff(attempt, retryAfter)):
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 }
+
+// post is do for the calls that answer with an opaque byte stream. It is
+// collected in a buffer that starts at a quarter of the request — room for
+// anything that compresses 4× or better — and doubles from there;
+// io.ReadAll would regrow it thirty-odd times from 512 bytes.
+func (c *Client) post(ctx context.Context, path string, body []byte, tr *Trace) ([]byte, error) {
+	var out *bytes.Buffer
+	err := c.do(ctx, path, body, func(r io.Reader) error {
+		out = bytes.NewBuffer(make([]byte, 0, len(body)/4+bytes.MinRead))
+		_, err := out.ReadFrom(r)
+		return err
+	}, tr)
+	if err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+// elemNames maps an element size to its ?elem= value.
+var elemNames = map[int]string{4: "f32", 8: "f64"}
 
 // compressQuery renders the /v1/compress query string.
 func (c *Client) compressQuery(bound Bound, elem string) string {
@@ -262,69 +343,105 @@ func (c *Client) compressQuery(bound Bound, elem string) string {
 
 // Compress sends data and returns the server's CSZF framed stream — the
 // same bytes StreamWriter would produce locally with matching chunking.
+// data is read until Compress returns and not after.
 func (c *Client) Compress(ctx context.Context, data []float32, bound Bound) ([]byte, error) {
-	return c.compress(ctx, data, bound, nil)
-}
-
-func (c *Client) compress(ctx context.Context, data []float32, bound Bound, tr *Trace) ([]byte, error) {
-	body := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(v))
-	}
-	out, _, err := c.do(ctx, "/v1/compress"+c.compressQuery(bound, "f32"), body, tr)
-	return out, err
+	return compress(c, ctx, data, bound, nil)
 }
 
 // Compress64 is Compress for double precision.
 func (c *Client) Compress64(ctx context.Context, data []float64, bound Bound) ([]byte, error) {
-	return c.compress64(ctx, data, bound, nil)
+	return compress(c, ctx, data, bound, nil)
 }
 
-func (c *Client) compress64(ctx context.Context, data []float64, bound Bound, tr *Trace) ([]byte, error) {
-	body := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(v))
-	}
-	out, _, err := c.do(ctx, "/v1/compress"+c.compressQuery(bound, "f64"), body, tr)
-	return out, err
+func compress[F rawfloat.Float](c *Client, ctx context.Context, data []F, bound Bound, tr *Trace) ([]byte, error) {
+	return c.post(ctx, "/v1/compress"+c.compressQuery(bound, elemNames[rawfloat.Size[F]()]), rawfloat.Bytes(nil, data), tr)
 }
 
 // Decompress sends a CSZF framed stream and returns the float32 values.
 func (c *Client) Decompress(ctx context.Context, framed []byte) ([]float32, error) {
-	return c.decompress(ctx, framed, nil)
-}
-
-func (c *Client) decompress(ctx context.Context, framed []byte, tr *Trace) ([]float32, error) {
-	raw, _, err := c.do(ctx, "/v1/decompress?elem=f32", framed, tr)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw)%4 != 0 {
-		return nil, fmt.Errorf("client: response length %d is not a multiple of 4", len(raw))
-	}
-	out := make([]float32, len(raw)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out, nil
+	return decompress[float32](c, ctx, framed, nil)
 }
 
 // Decompress64 sends a CSZF framed stream of float64 chunks.
 func (c *Client) Decompress64(ctx context.Context, framed []byte) ([]float64, error) {
-	return c.decompress64(ctx, framed, nil)
+	return decompress[float64](c, ctx, framed, nil)
 }
 
-func (c *Client) decompress64(ctx context.Context, framed []byte, tr *Trace) ([]float64, error) {
-	raw, _, err := c.do(ctx, "/v1/decompress?elem=f64", framed, tr)
+// maxDeclaredElems caps what declaredElements reports, and so the
+// allocation a request's own frame headers can ask Decompress for.
+const maxDeclaredElems = 1 << 30
+
+// declaredElements sums the element counts the CSZF frames of framed
+// declare — the size of the response a server that accepts framed will
+// send — by walking frame and container headers without decoding. ok is
+// false when it cannot vouch for a count: a malformed or truncated frame,
+// the other element type, more blocks than the frame's bytes could hold,
+// a total past the cap. The server refuses all of those itself.
+func declaredElements(framed []byte, elemSize int) (n int, ok bool) {
+	want := core.Float32
+	if elemSize == 8 {
+		want = core.Float64
+	}
+	for len(framed) > 0 {
+		if len(framed) < 8 || string(framed[:4]) != "CSZF" {
+			return 0, false
+		}
+		size := uint64(binary.LittleEndian.Uint32(framed[4:8]))
+		if size > uint64(len(framed)-8) {
+			return 0, false
+		}
+		payload := framed[8 : 8+size]
+		m, err := core.ParseHeader(payload)
+		if err != nil || m.Elem != want || len(payload) < m.MinStreamBytes() || m.Elements > maxDeclaredElems-n {
+			return 0, false
+		}
+		n += m.Elements
+		framed = framed[8+size:]
+	}
+	return n, true
+}
+
+// decompress posts framed and reads the floats that come back into a
+// result allocated once, at the size framed's own headers declare. A 200
+// that is shorter or longer than that is an error, never a result. For a
+// request declaredElements cannot size — the server will say what is
+// wrong with it — a 200 is taken as it comes: whole elements, same cap.
+func decompress[F rawfloat.Float](c *Client, ctx context.Context, framed []byte, tr *Trace) ([]F, error) {
+	es := rawfloat.Size[F]()
+	want, sized := declaredElements(framed, es)
+	var out []F
+	err := c.do(ctx, "/v1/decompress?elem="+elemNames[es], framed, func(r io.Reader) error {
+		if !sized {
+			var raw bytes.Buffer
+			if _, err := raw.ReadFrom(io.LimitReader(r, int64(maxDeclaredElems)*int64(es)+1)); err != nil {
+				return err
+			}
+			if raw.Len()%es != 0 || raw.Len()/es > maxDeclaredElems {
+				return fmt.Errorf("client: response length %d is not a multiple of %d within %d elements", raw.Len(), es, maxDeclaredElems)
+			}
+			out = make([]F, raw.Len()/es)
+			rawfloat.Decode(out, raw.Bytes())
+			return nil
+		}
+		if out == nil {
+			out = make([]F, want) // a retry reads over it
+		}
+		got, err := rawfloat.ReadFull(r, out, nil)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return fmt.Errorf("client: response ends after %d bytes, the request's frames declare %d", len(got), want*es)
+		}
+		if err == nil {
+			if _, err = io.ReadFull(r, make([]byte, 1)); err == nil {
+				return fmt.Errorf("client: response continues past the %d bytes the request's frames declare", want*es)
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		return err
+	}, tr)
 	if err != nil {
 		return nil, err
-	}
-	if len(raw)%8 != 0 {
-		return nil, fmt.Errorf("client: response length %d is not a multiple of 8", len(raw))
-	}
-	out := make([]float64, len(raw)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	return out, nil
 }
@@ -355,24 +472,16 @@ func (c *Client) bundle(ctx context.Context, fields []BundleField, tr *Trace) ([
 		Eps  float64 `json:"eps"`
 	}
 	specs := make([]spec, len(fields))
-	var data bytes.Buffer
+	size := 0
 	for i, f := range fields {
 		specs[i] = spec{Name: f.Name, Dims: f.Dims, Mode: f.Bound.mode(), Eps: f.Bound.Eps}
 		switch {
 		case f.F32 != nil && f.F64 == nil:
 			specs[i].Elem = "f32"
-			for _, v := range f.F32 {
-				var b [4]byte
-				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-				data.Write(b[:])
-			}
+			size += 4 * len(f.F32)
 		case f.F64 != nil && f.F32 == nil:
 			specs[i].Elem = "f64"
-			for _, v := range f.F64 {
-				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				data.Write(b[:])
-			}
+			size += 8 * len(f.F64)
 		default:
 			return nil, fmt.Errorf("client: field %q must set exactly one of F32/F64", f.Name)
 		}
@@ -381,12 +490,17 @@ func (c *Client) bundle(ctx context.Context, fields []BundleField, tr *Trace) ([
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, 0, 4+len(manifest)+data.Len())
+	body := make([]byte, 0, 4+len(manifest)+size)
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(manifest)))
 	body = append(body, manifest...)
-	body = append(body, data.Bytes()...)
-	out, _, err := c.do(ctx, "/v1/bundle", body, tr)
-	return out, err
+	for _, f := range fields {
+		if f.F32 != nil {
+			body = rawfloat.Append(body, f.F32)
+		} else {
+			body = rawfloat.Append(body, f.F64)
+		}
+	}
+	return c.post(ctx, "/v1/bundle", body, tr)
 }
 
 // setTenant stamps the configured tenant identity onto req. Every

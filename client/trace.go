@@ -160,28 +160,28 @@ func traceparent(traceID, spanID string) string {
 // CompressTraced is Compress returning wire-level trace detail.
 func (c *Client) CompressTraced(ctx context.Context, data []float32, bound Bound) ([]byte, *Trace, error) {
 	tr := &Trace{}
-	out, err := c.compress(ctx, data, bound, tr)
+	out, err := compress(c, ctx, data, bound, tr)
 	return out, tr, err
 }
 
 // Compress64Traced is Compress64 returning wire-level trace detail.
 func (c *Client) Compress64Traced(ctx context.Context, data []float64, bound Bound) ([]byte, *Trace, error) {
 	tr := &Trace{}
-	out, err := c.compress64(ctx, data, bound, tr)
+	out, err := compress(c, ctx, data, bound, tr)
 	return out, tr, err
 }
 
 // DecompressTraced is Decompress returning wire-level trace detail.
 func (c *Client) DecompressTraced(ctx context.Context, framed []byte) ([]float32, *Trace, error) {
 	tr := &Trace{}
-	out, err := c.decompress(ctx, framed, tr)
+	out, err := decompress[float32](c, ctx, framed, tr)
 	return out, tr, err
 }
 
 // Decompress64Traced is Decompress64 returning wire-level trace detail.
 func (c *Client) Decompress64Traced(ctx context.Context, framed []byte) ([]float64, *Trace, error) {
 	tr := &Trace{}
-	out, err := c.decompress64(ctx, framed, tr)
+	out, err := decompress[float64](c, ctx, framed, tr)
 	return out, tr, err
 }
 

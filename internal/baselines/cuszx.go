@@ -8,6 +8,7 @@ import (
 	"ceresz/internal/flenc"
 	"ceresz/internal/lorenzo"
 	"ceresz/internal/quant"
+	"ceresz/internal/rawfloat"
 )
 
 // CuSZx models cuSZx (Yu et al., HPDC'22), which the paper's related work
@@ -154,9 +155,7 @@ func (CuSZx) Decompress(c *Compressed) ([]float32, error) {
 			if len(src)-pos < 4*cuszxBlock {
 				return nil, fmt.Errorf("baselines: truncated verbatim block")
 			}
-			for i := lo; i < hi; i++ {
-				out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[pos+4*(i-lo):]))
-			}
+			rawfloat.Decode(out[lo:hi], src[pos:])
 			pos += 4 * cuszxBlock
 		case 0:
 			if len(src)-pos < 4 {
@@ -200,11 +199,7 @@ func blockRange(blk []float32) (minV, maxV float64, finite bool) {
 
 // appendRawF32 appends the block's raw bytes, zero-padded to blockLen.
 func appendRawF32(dst []byte, blk []float32, blockLen int) []byte {
-	var b [4]byte
-	for _, v := range blk {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-		dst = append(dst, b[:]...)
-	}
+	dst = rawfloat.Append(dst, blk)
 	for i := len(blk); i < blockLen; i++ {
 		dst = append(dst, 0, 0, 0, 0)
 	}

@@ -51,6 +51,7 @@ import (
 	"ceresz/internal/hostpool"
 	"ceresz/internal/lorenzo"
 	"ceresz/internal/quant"
+	"ceresz/internal/rawfloat"
 	"ceresz/internal/telemetry"
 )
 
@@ -525,8 +526,9 @@ func (e *blockEncoder) fusedForward(src []float32) (w uint, ok bool) {
 		for i, x := range v {
 			// ① quantize: p = floor(x/(2ε) + 0.5). The negated range
 			// check also fails NaN (all comparisons false), matching
-			// quant.Round's explicit IsNaN test.
-			f := math.Floor(float64(x)*recip + 0.5)
+			// quant.Round's explicit IsNaN test. The conversion around the
+			// product rounds it before the add on every host (quant.Quantize).
+			f := math.Floor(float64(float64(x)*recip) + 0.5)
 			if !(f >= math.MinInt32 && f <= math.MaxInt32) {
 				return 0, false
 			}
@@ -626,11 +628,7 @@ func appendVerbatim(dst []byte, block []float32, headerBytes int) []byte {
 	default:
 		panic(fmt.Sprintf("core: unsupported header size %d", headerBytes))
 	}
-	dst = slices.Grow(dst, 4*len(block))
-	for _, v := range block {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-	}
-	return dst
+	return rawfloat.Append(dst, block)
 }
 
 // AppendStreamHeader appends the 24-byte container header described by m.
@@ -912,10 +910,7 @@ func (d *blockDecoder) decode(out []float32, src []byte) error {
 		if len(src) < n+4*d.L {
 			return fmt.Errorf("truncated verbatim block")
 		}
-		for i := range out {
-			bits := binary.LittleEndian.Uint32(src[n+4*i:])
-			out[i] = math.Float32frombits(bits)
-		}
+		rawfloat.Decode(out, src[n:])
 		return nil
 	}
 	// Reverse stage ③: validate and split the body, then unshuffle all

@@ -11,6 +11,7 @@ import (
 	"ceresz/internal/hostpool"
 	"ceresz/internal/lorenzo"
 	"ceresz/internal/quant"
+	"ceresz/internal/rawfloat"
 )
 
 // Float64 element support. The container's flags byte distinguishes the
@@ -258,12 +259,14 @@ func (e *blockEncoder64) fusedForward(src []float64) (w uint, ok bool) {
 		a := abs[8*j : 8*j+8 : 8*j+8]
 		var sb uint32
 		for i, x := range v {
-			f := math.Floor(x*recip + 0.5)
+			// Product and sum round separately on every host, as in
+			// quant.Quantize; so do the reconstruction and its difference.
+			f := math.Floor(float64(x*recip) + 0.5)
 			if !(f >= math.MinInt32 && f <= math.MaxInt32) {
 				return 0, false
 			}
 			p := int32(f)
-			rec := float64(p) * twoE
+			rec := float64(float64(p) * twoE)
 			if !(math.Abs(rec-x) <= eps) {
 				return 0, false
 			}
@@ -290,7 +293,7 @@ func (e *blockEncoder64) encodeRef(dst []byte, src []float64, stats *Stats) []by
 		return appendVerbatim64(dst, src, e.hdr)
 	}
 	for i, p := range e.codes {
-		rec := float64(p) * e.q.TwoEps()
+		rec := float64(float64(p) * e.q.TwoEps()) // rounded before the subtraction, as in fusedForward
 		if !(math.Abs(rec-src[i]) <= e.q.Eps()) {
 			stats.VerbatimBlocks++
 			return appendVerbatim64(dst, src, e.hdr)
@@ -315,11 +318,7 @@ func appendVerbatim64(dst []byte, block []float64, headerBytes int) []byte {
 	default:
 		panic(fmt.Sprintf("core: unsupported header size %d", headerBytes))
 	}
-	dst = slices.Grow(dst, 8*len(block))
-	for _, v := range block {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
+	return rawfloat.Append(dst, block)
 }
 
 // Decompress64 reconstructs float64 data from a CereSZ stream produced by
@@ -452,10 +451,7 @@ func (d *blockDecoder64) decode(out []float64, src []byte) error {
 		if len(src) < n+8*d.L {
 			return fmt.Errorf("truncated verbatim block")
 		}
-		for i := range out {
-			bits := binary.LittleEndian.Uint64(src[n+8*i:])
-			out[i] = math.Float64frombits(bits)
-		}
+		rawfloat.Decode(out, src[n:])
 		return nil
 	}
 	signs, planes, w, _, err := flenc.DecodeBody(src, d.L, d.hdr)

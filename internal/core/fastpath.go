@@ -17,7 +17,8 @@ import (
 // the int32 range check that also fails NaN and ±Inf, and the strictness
 // check through the reconstruction rounded to the element type.
 func quantizeStrict[F float32 | float64](q *quant.Quantizer, x F) (p int32, ok bool) {
-	f := math.Floor(float64(x)*q.Recip() + 0.5)
+	// The product is rounded before the add on every host (quant.Quantize).
+	f := math.Floor(float64(float64(x)*q.Recip()) + 0.5)
 	if !(f >= math.MinInt32 && f <= math.MaxInt32) {
 		return 0, false
 	}

@@ -8,6 +8,7 @@ import (
 	"ceresz/internal/flenc"
 	"ceresz/internal/lorenzo"
 	"ceresz/internal/quant"
+	"ceresz/internal/rawfloat"
 )
 
 // Tiled 2D-Lorenzo variant. The paper keeps CereSZ's predictor 1D for
@@ -168,9 +169,7 @@ func DecompressTiled(dst []float32, comp []byte, d lorenzo.Dims) ([]float32, err
 			if len(body)-pos < hn+4*tileW*tileH {
 				return dst, fmt.Errorf("%w: tile %d: truncated verbatim tile", ErrBadStream, t)
 			}
-			for i := range tile {
-				tile[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[pos+hn+4*i:]))
-			}
+			rawfloat.Decode(tile[:], body[pos+hn:])
 			pos += hn + 4*tileW*tileH
 		} else {
 			consumed, err := flenc.DecodeBlock(resid[:], body[pos:], headerBytes, scratch)

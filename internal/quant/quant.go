@@ -210,7 +210,13 @@ func (q *Quantizer) Quantize(dst []int32, src []float32) (ok bool) {
 	}
 	ok = true
 	for i, v := range src {
-		f := math.Floor(float64(v)*q.recip + 0.5)
+		// The explicit conversion rounds the product before the add. Without
+		// it Go may fuse x*y + z into one FMA — it does on arm64, ppc64le,
+		// s390x and riscv64, never on amd64 — and a value on a code boundary
+		// would quantize differently there than under the AVX2 kernels, which
+		// multiply and add separately. Every v*recip + 0.5 in the codec is
+		// written this way.
+		f := math.Floor(float64(float64(v)*q.recip) + 0.5)
 		if math.IsNaN(f) || f > math.MaxInt32 || f < math.MinInt32 {
 			dst[i] = 0
 			ok = false
@@ -228,7 +234,7 @@ func (q *Quantizer) Quantize64(dst []int32, src []float64) (ok bool) {
 	}
 	ok = true
 	for i, v := range src {
-		f := math.Floor(v*q.recip + 0.5)
+		f := math.Floor(float64(v*q.recip) + 0.5)
 		if math.IsNaN(f) || f > math.MaxInt32 || f < math.MinInt32 {
 			dst[i] = 0
 			ok = false

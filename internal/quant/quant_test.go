@@ -303,3 +303,43 @@ func TestNewQuantizerRejectsBadEps(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantizeRoundsTwice pins the arithmetic every host must agree on:
+// the product v·(1/2ε) is rounded to float64 before 0.5 is added, as the
+// AVX2 kernels do with a separate multiply and add. A fused multiply-add
+// keeps the exact product, and the two disagree where the sum is coarser
+// than the product: just under the boundary between codes 0 and 1 (v a
+// hair below ε), a product that rounds up to 0.5 − 2⁻⁵⁴ sums to a tie and
+// becomes code 1, while the exact product sums to just under 1 and stays
+// code 0. This test finds such values (math.FMA computes what a fusing
+// compiler would) and holds Quantize64 to the twice-rounded code. On
+// amd64 Go never fuses and it cannot fail; on arm64, ppc64le, s390x and
+// riscv64 it fails if the explicit conversion in Quantize is dropped.
+func TestQuantizeRoundsTwice(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	found := 0
+	for i := 0; i < 100_000 && found < 8; i++ {
+		q, err := NewQuantizer(math.Ldexp(1+rng.Float64(), rng.Intn(40)-30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := q.Eps()
+		for j := 0; j < 4; j++ {
+			v = math.Nextafter(v, 0)
+			twice := math.Floor(float64(v*q.Recip()) + 0.5)
+			fused := math.Floor(math.FMA(v, q.Recip(), 0.5))
+			if twice == fused {
+				continue
+			}
+			found++
+			var code [1]int32
+			if !q.Quantize64(code[:], []float64{v}) || float64(code[0]) != twice {
+				t.Fatalf("ε = %x, v = %x: Quantize64 = %d, want the twice-rounded %v (fused gives %v)",
+					q.Eps(), v, code[0], twice, fused)
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("search found no value where fused and twice-rounded codes differ; the test checks nothing")
+	}
+}

@@ -7,9 +7,7 @@
 package sdrbench
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,6 +15,7 @@ import (
 	"strings"
 
 	"ceresz/internal/lorenzo"
+	"ceresz/internal/rawfloat"
 )
 
 // Field is one on-disk field.
@@ -82,95 +81,55 @@ func ParseName(path string) (name string, d lorenzo.Dims, isF64 bool, err error)
 	return m[1], d, isF64, nil
 }
 
-// ReadF32 loads a raw little-endian float32 file.
-func ReadF32(path string) ([]float32, error) {
+// readFile loads a raw little-endian file of F.
+func readFile[F rawfloat.Float](path, kind string) ([]F, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw)%4 != 0 {
-		return nil, fmt.Errorf("sdrbench: %s: %d bytes is not a float32 array", path, len(raw))
+	if len(raw)%rawfloat.Size[F]() != 0 {
+		return nil, fmt.Errorf("sdrbench: %s: %d bytes is not a %s array", path, len(raw), kind)
 	}
-	out := make([]float32, len(raw)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
+	out := make([]F, len(raw)/rawfloat.Size[F]())
+	rawfloat.Decode(out, raw)
 	return out, nil
 }
 
+// ReadF32 loads a raw little-endian float32 file.
+func ReadF32(path string) ([]float32, error) { return readFile[float32](path, "float32") }
+
 // ReadF64 loads a raw little-endian float64 file.
-func ReadF64(path string) ([]float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw)%8 != 0 {
-		return nil, fmt.Errorf("sdrbench: %s: %d bytes is not a float64 array", path, len(raw))
-	}
-	out := make([]float64, len(raw)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out, nil
-}
+func ReadF64(path string) ([]float64, error) { return readFile[float64](path, "float64") }
 
 // WriteF32 writes a raw little-endian float32 file.
 func WriteF32(path string, data []float32) error {
-	raw := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
-	}
-	return os.WriteFile(path, raw, 0o644)
+	return os.WriteFile(path, rawfloat.Bytes(nil, data), 0o644)
 }
 
 // WriteF64 writes a raw little-endian float64 file.
 func WriteF64(path string, data []float64) error {
-	raw := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
-	}
-	return os.WriteFile(path, raw, 0o644)
+	return os.WriteFile(path, rawfloat.Bytes(nil, data), 0o644)
 }
 
-// Load reads a field file and validates its size against the dims encoded
-// in its name (when present). The returned Field's Dims falls back to 1D
-// of the element count when the name carries no dims.
-func Load(path string) (Field, []float32, error) {
+// load reads a field file of F and validates its size against the dims
+// encoded in its name (when present). The returned Field's Dims falls back
+// to 1D of the element count when the name carries no dims.
+func load[F rawfloat.Float](path, kind string) (Field, []F, error) {
 	name, d, isF64, err := ParseName(path)
 	if err != nil {
 		return Field{}, nil, err
 	}
-	if isF64 {
+	switch wantF64 := rawfloat.Size[F]() == 8; {
+	case isF64 && !wantF64:
 		return Field{}, nil, fmt.Errorf("sdrbench: %s is float64; use Load64", path)
-	}
-	data, err := ReadF32(path)
-	if err != nil {
-		return Field{}, nil, err
-	}
-	f := Field{Path: path, Name: name, Dims: d}
-	if f.Dims.Len() == 0 || f.Dims == (lorenzo.Dims{}) {
-		f.Dims = lorenzo.Dims1(len(data))
-	} else if f.Dims.Len() != len(data) {
-		return Field{}, nil, fmt.Errorf("sdrbench: %s: name says %d elements, file has %d",
-			path, f.Dims.Len(), len(data))
-	}
-	return f, data, nil
-}
-
-// Load64 reads a float64 field file.
-func Load64(path string) (Field, []float64, error) {
-	name, d, isF64, err := ParseName(path)
-	if err != nil {
-		return Field{}, nil, err
-	}
-	if !isF64 {
+	case wantF64 && !isF64:
 		return Field{}, nil, fmt.Errorf("sdrbench: %s is float32; use Load", path)
 	}
-	data, err := ReadF64(path)
+	data, err := readFile[F](path, kind)
 	if err != nil {
 		return Field{}, nil, err
 	}
-	f := Field{Path: path, Name: name, Dims: d, Float64: true}
+	f := Field{Path: path, Name: name, Dims: d, Float64: isF64}
 	if f.Dims.Len() == 0 || f.Dims == (lorenzo.Dims{}) {
 		f.Dims = lorenzo.Dims1(len(data))
 	} else if f.Dims.Len() != len(data) {
@@ -179,6 +138,12 @@ func Load64(path string) (Field, []float64, error) {
 	}
 	return f, data, nil
 }
+
+// Load reads a float32 field file; see load.
+func Load(path string) (Field, []float32, error) { return load[float32](path, "float32") }
+
+// Load64 reads a float64 field file.
+func Load64(path string) (Field, []float64, error) { return load[float64](path, "float64") }
 
 // Scan lists the field files under dir (non-recursive), sorted by name.
 func Scan(dir string) ([]Field, error) {

@@ -3,27 +3,32 @@ package server
 import (
 	"encoding/binary"
 	"io"
-	"math"
 	"slices"
+	"time"
 
 	"ceresz"
 	"ceresz/internal/chunkcache"
+	"ceresz/internal/rawfloat"
 )
 
 // codec is one worker's pooled compression state. Every buffer is reused
 // across chunks and across requests, so once warm the per-chunk compress
 // path performs zero heap allocations (asserted by TestCompressHotPathZeroAlloc):
-// raw body bytes land in rawIn, decode into f32/f64, and the compressed
-// frame is assembled in frame — an 8-byte CSZF header followed by the
-// container written by the zero-alloc *Into entry points. A codec is owned
-// by exactly one request at a time (the pool hands it out), so no locking.
+// the request body is read into f32/f64 through their byte image (raw),
+// and the compressed frame is assembled in frame — an 8-byte CSZF header
+// followed by the container written by the zero-alloc *Into entry points.
+// A codec is owned by exactly one request at a time (the pool hands it
+// out), so no locking.
 type codec struct {
-	id    int    // worker index, used as the trace track id
-	rawIn []byte // raw little-endian chunk bytes from the request body
-	f32   []float32
-	f64   []float64
+	id  int // worker index, used as the trace track id
+	f32 []float32
+	f64 []float64
+	// raw is the wire image of the chunk in f32/f64 (package rawfloat): the
+	// bytes readChunk took off the request body and cacheKeyCompress
+	// hashes, or the bytes a decompress handler is about to write. On a
+	// little-endian host it is the floats' own memory, not a second copy.
+	raw   []byte
 	frame []byte // CSZF frame under construction: 8-byte header + payload
-	out   []byte // encoded raw-float response bytes (decompress path)
 	stats ceresz.Stats
 	sr    *ceresz.StreamReader
 	tr    *reqSpan // span of the request currently holding this codec; nil when untraced
@@ -63,27 +68,35 @@ func (p cparams) elemSize() int {
 	return 4
 }
 
-// readRaw fills rawIn with up to want bytes from r. A short final read is
-// returned as n with io.EOF; bytes that do not divide the element size are
-// the caller's error to raise.
-func (c *codec) readRaw(r io.Reader, want int) (int, error) {
-	c.rawIn = slices.Grow(c.rawIn[:0], want)[:want]
-	n, err := io.ReadFull(r, c.rawIn)
-	c.rawIn = c.rawIn[:n]
+// readFloats reads up to elems raw elements of type elem from r into
+// c.f32 or c.f64, leaving their wire image in c.raw, and returns the byte
+// count. A short final read is returned with io.EOF; bytes that do not
+// divide the element size are the caller's error to raise.
+func (c *codec) readFloats(r io.Reader, elem ceresz.Elem, elems int) (int, error) {
+	var err error
+	if elem == ceresz.Float64 {
+		c.f64 = slices.Grow(c.f64[:0], elems)[:elems]
+		c.raw, err = rawfloat.ReadFull(r, c.f64, c.raw)
+		c.f64 = c.f64[:len(c.raw)/8]
+	} else {
+		c.f32 = slices.Grow(c.f32[:0], elems)[:elems]
+		c.raw, err = rawfloat.ReadFull(r, c.f32, c.raw)
+		c.f32 = c.f32[:len(c.raw)/4]
+	}
 	if err == io.ErrUnexpectedEOF {
 		err = io.EOF
 	}
-	return n, err
+	return len(c.raw), err
 }
 
-// readChunk reads one raw chunk (up to chunkElems elements) into c.rawIn.
-// It returns the byte count and io.EOF once the body is drained; a byte
-// count that does not divide the element size is rejected here so the
+// readChunk reads one raw chunk (up to chunkElems elements) into c.f32 or
+// c.f64. It returns the byte count and io.EOF once the body is drained; a
+// byte count that does not divide the element size is rejected here so the
 // compress step always sees whole elements.
 func (c *codec) readChunk(r io.Reader, p cparams) (int, error) {
 	es := p.elemSize()
 	t0 := c.tr.now()
-	n, err := c.readRaw(r, es*p.chunkElems)
+	n, err := c.readFloats(r, p.elem, p.chunkElems)
 	c.tr.accum(stageRead, t0)
 	if n == 0 {
 		if err == io.EOF || err == nil {
@@ -100,15 +113,10 @@ func (c *codec) readChunk(r io.Reader, p cparams) (int, error) {
 	return n, nil
 }
 
-// compressF32 compresses the raw float32 chunk sitting in c.rawIn and
+// compressF32 compresses the float32 chunk readChunk left in c.f32 and
 // assembles the CSZF frame in c.frame. Steady-state zero-alloc: all
 // buffers are warm after the first chunk.
 func (c *codec) compressF32(p cparams) ([]byte, error) {
-	elems := len(c.rawIn) / 4
-	c.f32 = slices.Grow(c.f32[:0], elems)[:elems]
-	for i := range c.f32 {
-		c.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(c.rawIn[4*i:]))
-	}
 	c.frame = append(c.frame[:0], frameMagic[0], frameMagic[1], frameMagic[2], frameMagic[3], 0, 0, 0, 0)
 	tc := c.tr.now()
 	var err error
@@ -117,56 +125,27 @@ func (c *codec) compressF32(p cparams) ([]byte, error) {
 	} else {
 		c.frame, err = ceresz.CompressInto(c.frame, c.f32, p.bound, p.opts, &c.stats)
 	}
-	c.tr.observe(stageCodec, tc)
-	if err != nil {
-		return nil, err
-	}
-	binary.LittleEndian.PutUint32(c.frame[4:], uint32(len(c.frame)-frameHeaderSize))
-	return c.frame, nil
+	return c.finishFrame(tc, err)
 }
 
-// compressF64 is compressF32 for double-precision chunks.
+// compressF64 is compressF32 for the double-precision chunk in c.f64.
 func (c *codec) compressF64(p cparams) ([]byte, error) {
-	elems := len(c.rawIn) / 8
-	c.f64 = slices.Grow(c.f64[:0], elems)[:elems]
-	for i := range c.f64 {
-		c.f64[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.rawIn[8*i:]))
-	}
 	c.frame = append(c.frame[:0], frameMagic[0], frameMagic[1], frameMagic[2], frameMagic[3], 0, 0, 0, 0)
 	tc := c.tr.now()
 	var err error
 	c.frame, err = ceresz.Compress64Into(c.frame, c.f64, p.bound, p.opts, &c.stats)
+	return c.finishFrame(tc, err)
+}
+
+// finishFrame closes the codec stage opened at tc and stamps the payload
+// length into the frame header.
+func (c *codec) finishFrame(tc time.Time, err error) ([]byte, error) {
 	c.tr.observe(stageCodec, tc)
 	if err != nil {
 		return nil, err
 	}
 	binary.LittleEndian.PutUint32(c.frame[4:], uint32(len(c.frame)-frameHeaderSize))
 	return c.frame, nil
-}
-
-// nextFrameF32 reads one raw float32 chunk from r, compresses it and
-// assembles the CSZF frame in c.frame. It returns the frame, the raw byte
-// count consumed, and io.EOF (with a nil frame) once the body is drained.
-// This is the uncached compress path (and the zero-alloc contract's test
-// surface); handleCompress interposes the chunk cache between the read
-// and compress halves when one is configured.
-func (c *codec) nextFrameF32(r io.Reader, p cparams) ([]byte, int, error) {
-	n, err := c.readChunk(r, p)
-	if err != nil {
-		return nil, n, err
-	}
-	frame, err := c.compressF32(p)
-	return frame, n, err
-}
-
-// nextFrameF64 is nextFrameF32 for double-precision bodies.
-func (c *codec) nextFrameF64(r io.Reader, p cparams) ([]byte, int, error) {
-	n, err := c.readChunk(r, p)
-	if err != nil {
-		return nil, n, err
-	}
-	frame, err := c.compressF64(p)
-	return frame, n, err
 }
 
 // Chunk-cache keys use the canonical layout exported by chunkcache
@@ -175,7 +154,7 @@ func (c *codec) nextFrameF64(r io.Reader, p cparams) ([]byte, int, error) {
 // internal/cluster routes by the same digests, so a consistent-hash proxy
 // lands identical chunks on the node whose cache already holds them.
 
-// cacheKeyCompress addresses the raw chunk in c.rawIn under p: direction,
+// cacheKeyCompress addresses the raw chunk in c.raw under p: direction,
 // element type, bound mode, eps bits and block length all shape the frame
 // bytes. Workers is deliberately excluded — the host codec is
 // byte-identical at every worker count (the block-parallel differential
@@ -185,7 +164,7 @@ func (c *codec) nextFrameF64(r io.Reader, p cparams) ([]byte, int, error) {
 func (c *codec) cacheKeyCompress(p cparams) chunkcache.Key {
 	pre := chunkcache.AppendCompressPreamble(c.hasher.Preamble(),
 		byte(p.elem), p.abs, p.bound.Value, p.opts.BlockLen)
-	return c.hasher.Key(pre, c.rawIn)
+	return c.hasher.Key(pre, c.raw)
 }
 
 // cacheKeyDecompress addresses a CSZF frame payload: the payload encodes
@@ -196,20 +175,30 @@ func (c *codec) cacheKeyDecompress(payload []byte, wantF64 bool) chunkcache.Key 
 	return c.hasher.Key(pre, payload)
 }
 
-// encodeF32 serializes floats into c.out as raw little-endian bytes.
-func (c *codec) encodeF32(vals []float32) []byte {
-	c.out = slices.Grow(c.out[:0], 4*len(vals))[:4*len(vals)]
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(c.out[4*i:], math.Float32bits(v))
+// decode decompresses one frame payload into c.f32 or c.f64 and returns
+// the floats as wire bytes, valid until the codec's next read or decode.
+func (c *codec) decode(payload []byte, wantF64 bool) ([]byte, error) {
+	td := c.tr.now()
+	opts := ceresz.Options{Workers: c.workers}
+	var out []byte
+	var err error
+	if wantF64 {
+		c.f64, err = ceresz.Decompress64With(c.f64[:0], payload, opts)
+		out = wire(c, c.f64)
+	} else {
+		c.f32, err = ceresz.DecompressWith(c.f32[:0], payload, opts)
+		out = wire(c, c.f32)
 	}
-	return c.out
+	if err != nil {
+		return nil, err
+	}
+	c.tr.observe(stageCodec, td)
+	return out, nil
 }
 
-// encodeF64 serializes doubles into c.out as raw little-endian bytes.
-func (c *codec) encodeF64(vals []float64) []byte {
-	c.out = slices.Grow(c.out[:0], 8*len(vals))[:8*len(vals)]
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(c.out[8*i:], math.Float64bits(v))
-	}
-	return c.out
+// wire returns the raw little-endian bytes of vals (c.raw: on a
+// little-endian host, vals' own memory).
+func wire[F rawfloat.Float](c *codec, vals []F) []byte {
+	c.raw = rawfloat.Bytes(c.raw, vals)
+	return c.raw
 }

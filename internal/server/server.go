@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -838,11 +837,11 @@ func (s *Server) handleCompress(c *codec, w http.ResponseWriter, r *http.Request
 	return nil
 }
 
-// cachedCompress produces the CSZF frame for the raw chunk sitting in
-// c.rawIn: straight through the codec when the cache is disabled, else a
-// cache lookup first. The returned handle pins cached bytes — the caller
-// must Release it after writing the frame (it is inert on the codec
-// path). eps is the chunk's resolved error bound, from live stats on a
+// cachedCompress produces the CSZF frame for the chunk readChunk left in
+// the codec: straight through the codec when the cache is disabled, else
+// a cache lookup first. The returned handle pins cached bytes — the
+// caller must Release it after writing the frame (it is inert on the
+// codec path). eps is the chunk's resolved error bound, from live stats on a
 // computed frame and from the entry's metadata on a hit, so the
 // X-Ceresz-Eps header is right even when the first chunk never runs the
 // codec.
@@ -897,28 +896,7 @@ func (s *Server) handleDecompress(c *codec, w http.ResponseWriter, r *http.Reque
 	var rawBytes int64
 	started := false
 	for {
-		var out []byte
-		var err error
-		var h chunkcache.Handle
-		if s.cache == nil {
-			// The StreamReader pulls body bytes from inside Next*Into; the
-			// countingReader attributes those reads, so codec time is the
-			// remainder of the call.
-			readBefore := c.tr.stageTotal(stageRead)
-			tc := c.tr.now()
-			if wantF64 {
-				c.f64, err = c.sr.Next64Into(c.f64[:0])
-				out = c.encodeF64(c.f64)
-			} else {
-				c.f32, err = c.sr.NextInto(c.f32[:0])
-				out = c.encodeF32(c.f32)
-			}
-			if err == nil {
-				c.tr.observeSub(stageCodec, tc, c.tr.stageTotal(stageRead)-readBefore)
-			}
-		} else {
-			out, h, err = s.cachedDecompress(c, wantF64)
-		}
+		out, h, err := s.nextDecoded(c, wantF64)
 		if err == io.EOF {
 			break
 		}
@@ -953,16 +931,21 @@ func (s *Server) handleDecompress(c *codec, w http.ResponseWriter, r *http.Reque
 	return nil
 }
 
-// cachedDecompress serves one decompress chunk through the chunk cache:
-// the frame payload is read (and validated) without decoding via NextRaw,
-// hashed, and only on a miss decoded and published. The returned handle
-// pins cached bytes — the caller must Release it after the write. Frame
-// transport, validation and decode all reuse the exact entry points of
-// the uncached path, so error semantics and output bytes are identical.
-func (s *Server) cachedDecompress(c *codec, wantF64 bool) ([]byte, chunkcache.Handle, error) {
+// nextDecoded reads the next frame of a decompress body (validated, not
+// yet decoded: NextRaw) and returns its floats as wire bytes. With a
+// cache the payload is hashed first and only a miss is decoded and
+// published; the returned handle pins cached bytes — the caller must
+// Release it after the write. Both ways go through the same transport,
+// validation and decode entry points, so error semantics and output
+// bytes are identical.
+func (s *Server) nextDecoded(c *codec, wantF64 bool) ([]byte, chunkcache.Handle, error) {
 	payload, err := c.sr.NextRaw()
 	if err != nil {
 		return nil, chunkcache.Handle{}, err // io.EOF included
+	}
+	if s.cache == nil {
+		out, err := c.decode(payload, wantF64)
+		return out, chunkcache.Handle{}, err
 	}
 	tc := c.tr.now()
 	h, herr := s.cache.Get(c.cacheKeyDecompress(payload, wantF64))
@@ -973,23 +956,13 @@ func (s *Server) cachedDecompress(c *codec, wantF64 bool) ([]byte, chunkcache.Ha
 	}
 	// Miss (or coalesced onto an aborted computation — then herr != nil
 	// and this chunk decodes locally uncached).
-	var out []byte
-	td := c.tr.now()
-	opts := ceresz.Options{Workers: c.workers}
-	if wantF64 {
-		c.f64, err = ceresz.Decompress64With(c.f64[:0], payload, opts)
-		out = c.encodeF64(c.f64)
-	} else {
-		c.f32, err = ceresz.DecompressWith(c.f32[:0], payload, opts)
-		out = c.encodeF32(c.f32)
-	}
+	out, err := c.decode(payload, wantF64)
 	if err != nil {
 		if herr == nil {
 			h.Abort()
 		}
 		return nil, chunkcache.Handle{}, err
 	}
-	c.tr.observe(stageCodec, td)
 	if herr == nil {
 		c.tr.addCacheMiss()
 		h.Complete(out, chunkcache.Meta{SavedBytes: int64(len(payload))})
@@ -1084,42 +1057,31 @@ func (s *Server) handleBundle(c *codec, w http.ResponseWriter, r *http.Request) 
 			return badRequestf("field %d (%q): mode must be abs or rel, got %q", i, spec.Name, spec.Mode)
 		}
 		opts := ceresz.Options{Workers: c.workers, BlockLen: s.cfg.BlockLen}
+		elem := ceresz.Float32
 		switch spec.Elem {
 		case "", "f32":
-			tr := c.tr.now()
-			if _, err := c.readRaw(body, 4*elems); err != nil {
-				return badRequestf("field %d (%q): reading %d elements: %v", i, spec.Name, elems, err)
-			}
-			c.tr.observe(stageRead, tr)
-			c.tr.addBytes(int64(4*elems), 0)
-			tc := c.tr.now()
-			c.f32 = c.f32[:0]
-			for j := 0; j < elems; j++ {
-				c.f32 = append(c.f32, math.Float32frombits(binary.LittleEndian.Uint32(c.rawIn[4*j:])))
-			}
-			if _, err := bw.AddField(spec.Name, dims, c.f32, bound, opts); err != nil {
-				return badRequest{err}
-			}
-			c.tr.observe(stageCodec, tc)
 		case "f64":
-			tr := c.tr.now()
-			if _, err := c.readRaw(body, 8*elems); err != nil {
-				return badRequestf("field %d (%q): reading %d elements: %v", i, spec.Name, elems, err)
-			}
-			c.tr.observe(stageRead, tr)
-			c.tr.addBytes(int64(8*elems), 0)
-			tc := c.tr.now()
-			c.f64 = c.f64[:0]
-			for j := 0; j < elems; j++ {
-				c.f64 = append(c.f64, math.Float64frombits(binary.LittleEndian.Uint64(c.rawIn[8*j:])))
-			}
-			if _, err := bw.AddField64(spec.Name, dims, c.f64, bound, opts); err != nil {
-				return badRequest{err}
-			}
-			c.tr.observe(stageCodec, tc)
+			elem = ceresz.Float64
 		default:
 			return badRequestf("field %d (%q): elem must be f32 or f64, got %q", i, spec.Name, spec.Elem)
 		}
+		tr := c.tr.now()
+		n, err := c.readFloats(body, elem, elems)
+		if err != nil {
+			return badRequestf("field %d (%q): reading %d elements: %v", i, spec.Name, elems, err)
+		}
+		c.tr.observe(stageRead, tr)
+		c.tr.addBytes(int64(n), 0)
+		tc := c.tr.now()
+		if elem == ceresz.Float64 {
+			_, err = bw.AddField64(spec.Name, dims, c.f64, bound, opts)
+		} else {
+			_, err = bw.AddField(spec.Name, dims, c.f32, bound, opts)
+		}
+		if err != nil {
+			return badRequest{err}
+		}
+		c.tr.observe(stageCodec, tc)
 		c.tr.addChunk()
 	}
 	tc := c.tr.now()
@@ -1172,13 +1134,13 @@ func (s *Server) extractBundleField(c *codec, w http.ResponseWriter, body io.Rea
 		if err != nil {
 			return badRequest{err}
 		}
-		out, elem = c.encodeF64(vals), "f64"
+		out, elem = wire(c, vals), "f64"
 	} else {
 		vals, _, err := br.ReadField(field)
 		if err != nil {
 			return badRequest{err}
 		}
-		out, elem = c.encodeF32(vals), "f32"
+		out, elem = wire(c, vals), "f32"
 	}
 	c.tr.observe(stageCodec, tc)
 	c.tr.addChunk()

@@ -230,30 +230,6 @@ func (sp *reqSpan) observe(st stage, t0 time.Time) {
 	sp.nEvents++
 }
 
-// observeSub is observe minus subNs nanoseconds — the decompress path
-// derives codec time as the Next*Into call minus the body reads it
-// triggered (which the countingReader attributed to stageRead already).
-func (sp *reqSpan) observeSub(st stage, t0 time.Time, subNs int64) {
-	if sp == nil {
-		return
-	}
-	ns := time.Since(t0).Nanoseconds() - subNs
-	if ns < 0 {
-		ns = 0
-	}
-	sp.stageNs[st].Add(ns)
-	sp.curStage.Store(int32(st))
-	if !sp.sampled {
-		return
-	}
-	if sp.nEvents >= maxChunkEvents {
-		sp.dropped++
-		return
-	}
-	sp.events[sp.nEvents] = chunkEvent{stage: st, startNs: t0.Sub(sp.start).Nanoseconds(), durNs: ns}
-	sp.nEvents++
-}
-
 // accum adds to a stage without recording a chunk event (fine-grained
 // body reads would flood the event cap; their sum still lands in the
 // stage totals and the Server-Timing trailer).
@@ -262,14 +238,6 @@ func (sp *reqSpan) accum(st stage, t0 time.Time) {
 		return
 	}
 	sp.stageNs[st].Add(time.Since(t0).Nanoseconds())
-}
-
-// stageTotal reads a stage accumulator; nil-safe.
-func (sp *reqSpan) stageTotal(st stage) int64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.stageNs[st].Load()
 }
 
 // addBytes accumulates request/response volume for the live view.

@@ -24,6 +24,7 @@ import (
 	"ceresz/internal/flenc"
 	"ceresz/internal/lorenzo"
 	"ceresz/internal/quant"
+	"ceresz/internal/rawfloat"
 )
 
 // Direction distinguishes compression from decompression chains.
@@ -399,11 +400,7 @@ func NewCompressChain(cfg Config) (*Chain, error) {
 			st.Encoded = st.Encoded[:0]
 			if st.Verbatim {
 				st.Encoded = appendVerbatimHeader(st.Encoded, cfg.HeaderBytes)
-				var b [4]byte
-				for _, v := range st.Raw {
-					binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-					st.Encoded = append(st.Encoded, b[:]...)
-				}
+				st.Encoded = rawfloat.Append(st.Encoded, st.Raw)
 				st.phase = phaseEncoded
 				return
 			}
@@ -448,10 +445,7 @@ func NewDecompressChain(cfg Config) (*Chain, error) {
 			switch {
 			case v == flenc.VerbatimU32:
 				st.Verbatim = true
-				for i := range st.Raw {
-					bits := binary.LittleEndian.Uint32(st.Encoded[n+4*i:])
-					st.Raw[i] = math.Float32frombits(bits)
-				}
+				rawfloat.Decode(st.Raw, st.Encoded[n:])
 				st.phase = phaseRaw
 			case v == flenc.ZeroMarker:
 				st.Width = 0
