@@ -11,14 +11,21 @@
 // the output), with pooled per-worker scratch so steady-state compression
 // and decompression perform zero allocations. A block whose magnitudes all
 // lie within the pass's zero threshold is emitted as a bare header without
-// running the kernel (fastpath.go). On amd64 CPUs with AVX2 the prescan,
-// the fused pass with its plane emission and the fused decode run as
-// assembly kernels (kernels_amd64.s, chosen once from CPUID); the Go
-// kernels are the path everywhere else and the oracle the assembly is
-// tested against, and the bytes are the same. The unfused stage-by-stage
-// pipeline is retained (encodeRef) both as the differential-testing
-// reference and as the body run for telemetry-sampled blocks, because the
-// per-stage timing split it produces models the WSE sub-stage pipeline.
+// running the kernel (fastpath.go). Blocks are worked through in runs: a
+// whole sequential stream or one shard of a parallel pass is one
+// encodeRun or decodeRun call, which keeps a one-byte-per-block width
+// table and comes back only for a block it does not handle (verbatim, the
+// trailing partial block, a sample for stage timing). On amd64 CPUs with
+// AVX2 the two run functions are assembly (kernels_amd64.s, chosen once
+// from CPUID); everywhere else they are Go loops over the Go block
+// kernels, which are also the oracle the assembly is tested against, and
+// the bytes are the same. Decoding validates first: one Go scan
+// (scanWidths) reads every header and sizes every block before any output
+// exists, and the run decoders trust only its table. float32 and float64
+// share all of it but the kernels. The unfused stage-by-stage pipeline is
+// retained (encodeRef) both as the differential-testing reference and as
+// the body run for telemetry-sampled blocks, because the per-stage timing
+// split it produces models the WSE sub-stage pipeline.
 //
 // The compressed stream is self-describing:
 //
@@ -279,7 +286,7 @@ func CompressWithEpsInto(dst []byte, data []float32, eps float64, opts Options, 
 	return compressEps(dst, data, eps, opts, stats)
 }
 
-func compressEps(dst []byte, data []float32, eps float64, opts Options, stats *Stats) ([]byte, error) {
+func compressEps[F rawfloat.Float](dst []byte, data []F, eps float64, opts Options, stats *Stats) ([]byte, error) {
 	defer telCompress.Start().End()
 	q, err := quant.MakeQuantizer(eps)
 	if err != nil {
@@ -297,82 +304,88 @@ func compressEps(dst []byte, data []float32, eps float64, opts Options, stats *S
 		BlockLen:    L,
 		Elements:    len(data),
 		Eps:         eps,
+		Elem:        elemOf[F](),
 	})
 
-	if nBlocks == 0 {
-		stats.CompressedBytes = len(dst) - start
-		return dst, nil
-	}
-
-	workers := opts.Workers
-	if workers > nBlocks {
-		workers = nBlocks
-	}
-	if workers <= 1 {
-		enc := getEncoder(L, opts.HeaderBytes, q)
-		for b := 0; b < nBlocks; b++ {
-			dst = enc.encode(dst, blockSlice(data, b, L), stats)
-		}
+	// One byte per block, written by whichever shard encodes the block;
+	// the pass's statistics are read off it at the end.
+	wp := getWidths(nBlocks)
+	widths := *wp
+	if workers := min(opts.Workers, nBlocks); workers <= 1 {
+		enc := getEncoder[F](L, opts.HeaderBytes, q)
+		dst = enc.encodeBlocks(dst, data, widths)
 		putEncoder(enc)
-		stats.CompressedBytes = len(dst) - start
-		recordCompressTelemetry(stats)
-		return dst, nil
-	}
-
-	// Parallel path: shard the block range over the shared host pool
-	// (internal/hostpool), encode each shard into a pooled buffer, then
-	// stitch the shards back in order. The output is byte-identical to the
-	// sequential path at any worker count.
-	sp := getShards(workers)
-	shards := *sp
-	hostpool.Run(workers, nBlocks, func(k, lo, hi int) {
-		telWorkers.Add(1)
-		defer telWorkers.Add(-1)
-		enc := getEncoder(L, opts.HeaderBytes, q)
-		sb := &shards[k]
-		sb.stats = Stats{}
-		// Worst case: every block verbatim.
-		sb.buf = slices.Grow(sb.buf[:0], (hi-lo)*flenc.VerbatimSize(L, opts.HeaderBytes))
-		for b := lo; b < hi; b++ {
-			sb.buf = enc.encode(sb.buf, blockSlice(data, b, L), &sb.stats)
+	} else {
+		// Parallel path: shard the block range over the shared host pool
+		// (internal/hostpool), encode each shard into a pooled buffer, then
+		// stitch the shards back in order. The output is byte-identical to
+		// the sequential path at any worker count.
+		sp := getShards(workers)
+		shards := *sp
+		hostpool.Run(workers, nBlocks, func(k, lo, hi int) {
+			telWorkers.Add(1)
+			defer telWorkers.Add(-1)
+			enc := getEncoder[F](L, opts.HeaderBytes, q)
+			buf := slices.Grow(shards[k].buf[:0], (hi-lo)*enc.reserve)
+			shards[k].buf = enc.encodeBlocks(buf, data[lo*L:min(hi*L, len(data))], widths[lo:hi])
+			putEncoder(enc)
+		})
+		for i := range shards {
+			dst = append(dst, shards[i].buf...)
 		}
-		putEncoder(enc)
-	})
-	for i := range shards {
-		dst = append(dst, shards[i].buf...)
-		stats.ZeroBlocks += shards[i].stats.ZeroBlocks
-		stats.VerbatimBlocks += shards[i].stats.VerbatimBlocks
-		for w := range stats.WidthHistogram {
-			stats.WidthHistogram[w] += shards[i].stats.WidthHistogram[w]
-		}
+		putShards(sp)
 	}
-	putShards(sp)
+	stats.tally(widths)
+	widthsPool.Put(wp)
 	stats.CompressedBytes = len(dst) - start
-	recordCompressTelemetry(stats)
+	recordCompressTelemetry(stats, rawfloat.Size[F]())
 	return dst, nil
+}
+
+// widthVerbatim is a verbatim block's entry in a width table; every other
+// entry is the block's fixed length, 0 for a zero block.
+const widthVerbatim = flenc.VerbatimU8
+
+// tally fills in the per-block counts from a finished pass's width table.
+func (s *Stats) tally(widths []byte) {
+	for _, w := range widths {
+		if w == widthVerbatim {
+			s.VerbatimBlocks++
+		} else {
+			s.WidthHistogram[w]++
+		}
+	}
+	s.ZeroBlocks = s.WidthHistogram[0]
+}
+
+// blockReserve is the room one block can take on the wire: the widest
+// coded block or a verbatim one, whichever is larger (at L = 32 a width-32
+// float32 block is 136 bytes, its verbatim form 132). The run kernels
+// write into room reserved at this much per block and never grow it.
+func blockReserve(L, headerBytes, elemSize int) int {
+	return max(wireSize(flenc.MaxWidth, L, headerBytes, elemSize), wireSize(widthVerbatim, L, headerBytes, elemSize))
 }
 
 // recordCompressTelemetry publishes a finished pass's aggregates. One call
 // per pass, so its cost is independent of the data size.
-func recordCompressTelemetry(stats *Stats) {
+func recordCompressTelemetry(stats *Stats, elemSize int) {
 	if !telemetry.Enabled() {
 		return
 	}
 	telCompressBlocks.Add(int64(stats.Blocks))
-	telCompressBytesIn.Add(int64(4 * stats.Elements))
+	telCompressBytesIn.Add(int64(elemSize * stats.Elements))
 	telCompressBytesOut.Add(int64(stats.CompressedBytes))
 	telCompressZero.Add(int64(stats.ZeroBlocks))
 	telCompressVerbatim.Add(int64(stats.VerbatimBlocks))
 }
 
-// shardBuf is one shard's output in a parallel pass: a recycled byte
-// buffer (compress), per-shard stats to merge, and a per-shard error
-// (decompress). Recycling the buffers through shardSetPool is what lets
-// Workers > 1 amortize its per-call allocations across calls.
+// shardBuf is one shard's share of a parallel pass: a recycled output
+// buffer (compress) or the body offset of its first block (decompress).
+// Recycling the buffers through shardSetPool is what lets Workers > 1
+// amortize its per-call allocations across calls.
 type shardBuf struct {
 	buf   []byte
-	stats Stats
-	err   error
+	start int
 }
 
 // shardSetPool recycles the per-call shard tables (and their buffers)
@@ -394,26 +407,29 @@ func getShards(n int) *[]shardBuf {
 
 func putShards(p *[]shardBuf) { shardSetPool.Put(p) }
 
-// blockSlice returns block b of data (length ≤ L; the caller pads).
-func blockSlice(data []float32, b, L int) []float32 {
-	lo := b * L
-	hi := lo + L
-	if hi > len(data) {
-		hi = len(data)
+// widthsPool recycles width tables between passes.
+var widthsPool sync.Pool
+
+func getWidths(n int) *[]byte {
+	p, _ := widthsPool.Get().(*[]byte)
+	if p == nil {
+		p = new([]byte)
 	}
-	return data[lo:hi]
+	*p = slices.Grow((*p)[:0], n)[:n]
+	return p
 }
 
 // blockEncoder holds the per-worker scratch state for encoding blocks,
 // plus local (unsynchronized) telemetry accumulators flushed once per
-// worker. Encoders are recycled through encoderPool; getEncoder resets the
-// per-pass state and rebuilds the buffers only when L changes.
-type blockEncoder struct {
+// worker. Encoders are recycled through encoderPools; getEncoder resets
+// the per-pass state and rebuilds the buffers only when L changes.
+type blockEncoder[F rawfloat.Float] struct {
 	L       int
 	hdr     int
+	reserve int // blockReserve: the room every block is given
 	q       quant.Quantizer
-	zeroT   float32 // zeroThreshold of q: blocks within it skip the kernel
-	padded  []float32
+	zeroT   F // zeroThreshold of q: blocks within it skip the kernel
+	padded  []F
 	scaled  []float64
 	codes   []int32
 	scratch *flenc.Block
@@ -424,30 +440,25 @@ type blockEncoder struct {
 	sampled                      int64
 }
 
-func newBlockEncoder(L, headerBytes int, q quant.Quantizer) *blockEncoder {
-	return &blockEncoder{
-		L:       L,
-		hdr:     headerBytes,
-		q:       q,
-		zeroT:   zeroThreshold(&q, math.Nextafter32),
-		padded:  make([]float32, L),
-		scaled:  make([]float64, L),
-		codes:   make([]int32, L),
-		scratch: flenc.NewBlock(L),
-		sample:  telemetry.Enabled(),
-	}
-}
+// encoderPools and decoderPools hold one pool per element type, indexed
+// by Elem.
+var encoderPools, decoderPools [2]sync.Pool
 
-var encoderPool sync.Pool
-
-func getEncoder(L, headerBytes int, q quant.Quantizer) *blockEncoder {
-	e, _ := encoderPool.Get().(*blockEncoder)
+func getEncoder[F rawfloat.Float](L, headerBytes int, q quant.Quantizer) *blockEncoder[F] {
+	e, _ := encoderPools[elemOf[F]()].Get().(*blockEncoder[F])
 	if e == nil || e.L != L {
-		return newBlockEncoder(L, headerBytes, q)
+		e = &blockEncoder[F]{
+			L:       L,
+			padded:  make([]F, L),
+			scaled:  make([]float64, L),
+			codes:   make([]int32, L),
+			scratch: flenc.NewBlock(L),
+		}
 	}
 	e.hdr = headerBytes
+	e.reserve = blockReserve(L, headerBytes, rawfloat.Size[F]())
 	e.q = q
-	e.zeroT = zeroThreshold(&q, math.Nextafter32)
+	e.zeroT = zeroThreshold[F](&q)
 	e.sample = telemetry.Enabled()
 	e.n = 0
 	e.quantNs, e.lorenzoNs, e.encodeNs, e.sampled = 0, 0, 0, 0
@@ -456,55 +467,99 @@ func getEncoder(L, headerBytes int, q quant.Quantizer) *blockEncoder {
 
 // putEncoder flushes the encoder's sampled stage timings — one batch of
 // atomic adds per worker, not per block — and recycles it.
-func putEncoder(e *blockEncoder) {
+func putEncoder[F rawfloat.Float](e *blockEncoder[F]) {
 	if e.sampled != 0 {
 		telStageQuantNs.Add(e.quantNs)
 		telStageLorenzoNs.Add(e.lorenzoNs)
 		telStageEncodeNs.Add(e.encodeNs)
 		telStageSampled.Add(e.sampled)
 	}
-	encoderPool.Put(e)
+	encoderPools[elemOf[F]()].Put(e)
 }
 
-// encode appends one encoded block to dst, updating stats.
-func (e *blockEncoder) encode(dst []byte, block []float32, stats *Stats) []byte {
-	src := block
-	if len(block) < e.L {
-		copy(e.padded, block)
-		clear(e.padded[len(block):])
-		src = e.padded
+// encodeBlocks appends the encoding of src — whole blocks, then at most one
+// partial block, which is zero-padded to L — to dst, and records block b's
+// width in widths[b].
+func (e *blockEncoder[F]) encodeBlocks(dst []byte, src []F, widths []byte) []byte {
+	full := len(src) / e.L
+	dst = e.encodeFull(dst, src[:full*e.L], widths[:full])
+	if full < len(widths) {
+		clear(e.padded[copy(e.padded, src[full*e.L:]):])
+		dst = e.encodeFull(dst, e.padded, widths[full:])
 	}
-	// Sampled per-stage timing: one block in stageSampleEvery runs the
-	// stage-by-stage reference pipeline (byte-identical output) under four
-	// clock reads; the rest run the fused kernel behind one branch.
-	if e.sample && e.n&(stageSampleEvery-1) == 0 {
-		e.n++
-		return e.encodeRef(dst, src, stats)
-	}
-	e.n++
-	if useAVX2 {
-		return e.encodeVector(dst, src, stats)
-	}
-	// Zero-block prescan: a block inside the zero threshold has width 0
-	// whatever the kernel would compute, so the kernel is skipped.
-	var w uint
-	if !allWithin(src, e.zeroT) {
-		var ok bool
-		if w, ok = e.fusedForward(src); !ok {
-			stats.VerbatimBlocks++
-			return appendVerbatim(dst, src, e.hdr)
+	return dst
+}
+
+// encodeFull is encodeBlocks for len(widths) whole blocks. It hands
+// encodeRun as long a run as it can and the room dst has, and takes a block
+// itself only where the run stops: out of room (dst is grown and the run
+// resumed), at a block to store verbatim, or at a block sampled for
+// per-stage timing.
+func (e *blockEncoder[F]) encodeFull(dst []byte, src []F, widths []byte) []byte {
+	L := e.L
+	for b := 0; b < len(widths); {
+		if cap(dst)-len(dst) < e.reserve {
+			dst = slices.Grow(dst, e.reserve)
+		}
+		stop := len(widths)
+		if e.sample {
+			// One block in stageSampleEvery runs the stage-by-stage
+			// reference pipeline (byte-identical output) under four clock
+			// reads; the run is cut short of the next one.
+			untilSample := -e.n & (stageSampleEvery - 1)
+			if untilSample == 0 {
+				dst, widths[b] = e.encodeRef(dst, src[b*L:(b+1)*L])
+				b++
+				e.n++
+				continue
+			}
+			stop = min(stop, b+untilSample)
+		}
+		done, used := e.encodeRun(dst[len(dst):cap(dst)], src[b*L:stop*L], widths[b:stop])
+		dst = dst[:len(dst)+used]
+		b += done
+		e.n += done
+		if b < stop && cap(dst)-len(dst) >= e.reserve {
+			// Not for want of room: the block is one the kernels cannot code.
+			dst = appendVerbatim(dst, src[b*L:(b+1)*L], e.hdr)
+			widths[b] = widthVerbatim
+			b++
+			e.n++
 		}
 	}
-	stats.WidthHistogram[w]++
-	if w == 0 {
-		stats.ZeroBlocks++
+	return dst
+}
+
+// encodeRunGo is encodeRun on the Go kernels: it encodes the blocks of src
+// one after another into room, recording their widths, until all are done,
+// fewer than e.reserve bytes of room remain, or a block must be stored
+// verbatim. done is the number of blocks encoded, used the bytes written.
+func (e *blockEncoder[F]) encodeRunGo(room []byte, src []F, widths []byte) (done, used int) {
+	L := e.L
+	abs, signs := e.scratch.Abs[:L], e.scratch.Signs[:L/8]
+	for b := range widths {
+		if len(room)-used < e.reserve {
+			return b, used
+		}
+		block := src[b*L : (b+1)*L]
+		// Zero-block prescan: a block inside the zero threshold has width 0
+		// whatever the kernel would compute, so the kernel is skipped.
+		var w uint
+		if !allWithin(block, e.zeroT) {
+			var ok bool
+			if w, ok = e.fusedForward(block); !ok {
+				return b, used
+			}
+		}
+		widths[b] = byte(w)
+		used += len(flenc.AppendEncoded(room[used:used], abs, signs, w, e.hdr))
 	}
-	return flenc.AppendEncoded(dst, e.scratch.Abs[:e.L], e.scratch.Signs[:e.L/8], w, e.hdr)
+	return len(widths), used
 }
 
 // fusedForward runs stages ①+② and the Sign/Max/GetLength sub-stages of ③
-// in a single pass over one padded block: quantize (multiply + floor),
-// strictness check, Lorenzo delta, branchless sign split into
+// in a single pass over one block of L elements: quantize (multiply +
+// floor), strictness check, Lorenzo delta, branchless sign split into
 // scratch.Abs/Signs, and width via OR-accumulation
 // (bits.Len32(a|b) == max(bits.Len32(a), bits.Len32(b))).
 //
@@ -513,7 +568,7 @@ func (e *blockEncoder) encode(dst []byte, block []float32, stats *Stats) []byte 
 // element fails the int32-range check or the strictness check, so exiting
 // at the first failure — before the later checks run — selects the same
 // blocks, and verbatim payloads are the raw floats regardless.
-func (e *blockEncoder) fusedForward(src []float32) (w uint, ok bool) {
+func (e *blockEncoder[F]) fusedForward(src []F) (w uint, ok bool) {
 	abs := e.scratch.Abs[:e.L]
 	signs := e.scratch.Signs[:e.L/8]
 	recip, twoE, eps := e.q.Recip(), e.q.TwoEps(), e.q.Eps()
@@ -533,9 +588,10 @@ func (e *blockEncoder) fusedForward(src []float32) (w uint, ok bool) {
 				return 0, false
 			}
 			p := int32(f)
-			// Strictness: the float32 rounding of p·2ε can exceed ε when
-			// ε < ulp(x)/2; such blocks go verbatim (see encodeRef).
-			rec := float32(float64(p) * twoE)
+			// Strictness: the rounding of p·2ε to the element type can
+			// exceed ε when ε < ulp(x)/2; such blocks go verbatim (see
+			// encodeRef).
+			rec := F(float64(p) * twoE)
 			if !(math.Abs(float64(rec)-float64(x)) <= eps) {
 				return 0, false
 			}
@@ -555,32 +611,36 @@ func (e *blockEncoder) fusedForward(src []float32) (w uint, ok bool) {
 
 // encodeRef is the retained stage-by-stage pipeline: Mul, Round, the
 // strictness sweep, lorenzo.Forward and flenc.EncodeBlockRef as separate
-// loops, exactly the sub-stage decomposition the WSE mapping schedules.
+// loops, exactly the sub-stage decomposition the WSE mapping schedules. It
+// appends one block of L elements to dst and returns its width-table entry.
 // Its output is byte-identical to the fused path (differential fuzz
 // asserts this), which is why telemetry-sampled blocks can run it without
 // perturbing the stream: the per-stage timing split it records keeps
 // modeling the pipeline stages that the fused kernel collapses.
-func (e *blockEncoder) encodeRef(dst []byte, src []float32, stats *Stats) []byte {
+func (e *blockEncoder[F]) encodeRef(dst []byte, src []F) ([]byte, byte) {
 	t0 := time.Now()
 	// Stage ①: pre-quantization (Mul then Round, paper Table 2).
-	e.q.MulF32(e.scaled, src)
+	switch src := any(src).(type) {
+	case []float32:
+		e.q.MulF32(e.scaled, src)
+	case []float64:
+		e.q.Mul(e.scaled, src)
+	}
 	if !quant.Round(e.codes, e.scaled) {
 		// Quantization overflow (or NaN/Inf): store the block verbatim.
-		stats.VerbatimBlocks++
-		return appendVerbatim(dst, src, e.hdr)
+		return appendVerbatim(dst, src, e.hdr), widthVerbatim
 	}
 	// Strictness check: p·2ε is within ε of the input in float64, but the
-	// final float32 rounding of the reconstruction can add up to half a ulp
-	// of the value. When ε is below that (ε < ulp(v)/2 — e.g. very tight
-	// ABS bounds on large magnitudes) no quantized representation can honor
-	// the bound, so store the block verbatim. This is the fixed-length
+	// final rounding of the reconstruction to the element type can add up to
+	// half a ulp of the value. When ε is below that (ε < ulp(v)/2 — e.g. very
+	// tight ABS bounds on large magnitudes) no quantized representation can
+	// honor the bound, so store the block verbatim. This is the fixed-length
 	// analogue of SZ's "unpredictable data" path; on the paper's REL
 	// 1e-2…1e-4 regimes it never triggers.
 	for i, p := range e.codes {
-		rec := float32(float64(p) * e.q.TwoEps())
+		rec := F(float64(p) * e.q.TwoEps()) // rounded before the subtraction, as in fusedForward
 		if !(math.Abs(float64(rec)-float64(src[i])) <= e.q.Eps()) {
-			stats.VerbatimBlocks++
-			return appendVerbatim(dst, src, e.hdr)
+			return appendVerbatim(dst, src, e.hdr), widthVerbatim
 		}
 	}
 	t1 := time.Now()
@@ -588,18 +648,13 @@ func (e *blockEncoder) encodeRef(dst []byte, src []float32, stats *Stats) []byte
 	lorenzo.Forward(e.codes, e.codes)
 	t2 := time.Now()
 	// Stage ③: fixed-length encoding.
-	var w uint
-	dst, w = flenc.EncodeBlockRef(dst, e.codes, e.hdr, e.scratch)
+	dst, w := flenc.EncodeBlockRef(dst, e.codes, e.hdr, e.scratch)
 	t3 := time.Now()
-	stats.WidthHistogram[w]++
-	if w == 0 {
-		stats.ZeroBlocks++
-	}
 	e.quantNs += t1.Sub(t0).Nanoseconds()
 	e.lorenzoNs += t2.Sub(t1).Nanoseconds()
 	e.encodeNs += t3.Sub(t2).Nanoseconds()
 	e.sampled++
-	return dst
+	return dst, byte(w)
 }
 
 // quantizeStrict32 quantizes one block into codes and verifies every
@@ -617,12 +672,12 @@ func quantizeStrict32(q *quant.Quantizer, codes []int32, src []float32) bool {
 	return true
 }
 
-func appendVerbatim(dst []byte, block []float32, headerBytes int) []byte {
+// appendVerbatim appends one block stored raw: the verbatim marker, then
+// the elements as they are.
+func appendVerbatim[F rawfloat.Float](dst []byte, block []F, headerBytes int) []byte {
 	switch headerBytes {
 	case flenc.HeaderU32:
-		var h [4]byte
-		binary.LittleEndian.PutUint32(h[:], flenc.VerbatimU32)
-		dst = append(dst, h[:]...)
+		dst = binary.LittleEndian.AppendUint32(dst, flenc.VerbatimU32)
 	case flenc.HeaderU8:
 		dst = append(dst, flenc.VerbatimU8)
 	default:
@@ -645,57 +700,94 @@ func AppendStreamHeader(dst []byte, m Meta) []byte {
 	return append(dst, hdr[:]...)
 }
 
-// scanOffsets walks the stream body filling offsets (length blocks+1) with
-// the byte offset of every block plus a final end offset. elemSize is the
-// verbatim payload element width (4 for float32, 8 for float64).
-func scanOffsets(body []byte, m Meta, offsets []int, elemSize int) error {
-	nBlocks := m.Blocks()
-	pos := 0
-	for b := 0; b < nBlocks; b++ {
-		offsets[b] = pos
-		v, n, err := flenc.Header(body[pos:], m.HeaderBytes)
-		if err != nil {
-			return fmt.Errorf("%w: block %d: %v", ErrBadStream, b, err)
-		}
-		switch {
-		case v == flenc.ZeroMarker:
-			pos += n
-		case v == flenc.VerbatimU32:
-			pos += m.HeaderBytes + elemSize*m.BlockLen
-		case v <= flenc.MaxWidth:
-			pos += flenc.EncodedSize(uint(v), m.BlockLen, m.HeaderBytes)
-		default:
-			return fmt.Errorf("%w: block %d: invalid fixed length %d", ErrBadStream, b, v)
-		}
-		if pos > len(body) {
-			return fmt.Errorf("%w: block %d overruns stream", ErrBadStream, b)
-		}
+// scanWidths is the decoder's one validating pass over a stream body: it
+// reads every block header, fills widths (one entry per block: the fixed
+// length, 0 for a zero block, widthVerbatim) and gives each of the shards
+// (at least one) its start — the body offset of block k·n/len(shards),
+// shard k's first (hostpool.Run's cut). It is the only code that reads a
+// header and the only code that trusts no byte; on a nil error
+//
+//   - every header value is 0…flenc.MaxWidth or the verbatim marker,
+//   - every block, sized by its header, lies inside body,
+//
+// which is all the run decoders are told about the body: they take block
+// sizes from widths and never look at a header. Bytes past the last block
+// are ignored. elemSize is the verbatim payload's element width.
+func scanWidths(body []byte, m Meta, elemSize int, widths []byte, shards []shardBuf) error {
+	// size[w] is what a block takes on the wire, by the low byte of its
+	// header — which is also its width-table entry: the fixed length, or
+	// 0xFF in the verbatim marker of either header size. 0 marks the values
+	// no header may hold.
+	var size [256]int
+	for w := 0; w <= flenc.MaxWidth; w++ {
+		size[w] = wireSize(byte(w), m.BlockLen, m.HeaderBytes, elemSize)
 	}
-	offsets[nBlocks] = pos
+	size[widthVerbatim] = wireSize(widthVerbatim, m.BlockLen, m.HeaderBytes, elemSize)
+	pos := 0
+	for k := range shards {
+		shards[k].start = pos
+		lo, hi := k*len(widths)/len(shards), (k+1)*len(widths)/len(shards)
+		done, end := scanRun(body, pos, widths[lo:hi], m.HeaderBytes, &size)
+		if lo+done < hi {
+			return blockError(body[end:], lo+done, m.HeaderBytes)
+		}
+		pos = end
+	}
 	return nil
 }
 
-// offsetsPool recycles block-offset tables between Decompress calls.
-var offsetsPool sync.Pool
+// scanRun is scanWidths' loop over the blocks of one shard, the first at
+// body[pos]. It stops at the first block that is malformed or not wholly
+// inside body, and returns the number of blocks before it and where the
+// last of them ends.
+func scanRun(body []byte, pos int, widths []byte, hdr int, size *[256]int) (done, end int) {
+	for b := range widths {
+		if len(body)-pos < hdr {
+			return b, pos
+		}
+		// Only the low byte sits on the chain from one header to the next.
+		// The other three of a 4-byte header must extend it: zeros above a
+		// fixed length, ones above the verbatim marker's 0xFF — its sign
+		// extension, for the only low bytes size lets through.
+		w := body[pos]
+		if hdr == flenc.HeaderU32 && binary.LittleEndian.Uint32(body[pos:]) != uint32(int8(w)) {
+			return b, pos
+		}
+		next := pos + size[w]
+		if next == pos || next > len(body) {
+			return b, pos
+		}
+		widths[b] = w
+		pos = next
+	}
+	return len(widths), pos
+}
 
-func getOffsets(n int) *[]int {
-	p, _ := offsetsPool.Get().(*[]int)
-	if p == nil {
-		s := make([]int, n)
-		return &s
+// blockError says what is wrong with block b, which starts at rest[0] and
+// which scanRun stopped at.
+func blockError(rest []byte, b, headerBytes int) error {
+	v, _, err := flenc.Header(rest, headerBytes)
+	switch {
+	case err != nil:
+		return fmt.Errorf("%w: block %d: %v", ErrBadStream, b, err)
+	case v > flenc.MaxWidth && v != flenc.VerbatimU32:
+		return fmt.Errorf("%w: block %d: invalid fixed length %d", ErrBadStream, b, v)
 	}
-	if cap(*p) < n {
-		*p = make([]int, n)
+	return fmt.Errorf("%w: block %d overruns stream", ErrBadStream, b)
+}
+
+// wireSize returns the bytes a block with width-table entry w takes.
+func wireSize(w byte, blockLen, headerBytes, elemSize int) int {
+	if w == widthVerbatim {
+		return headerBytes + elemSize*blockLen
 	}
-	*p = (*p)[:n]
-	return p
+	return flenc.EncodedSize(uint(w), blockLen, headerBytes)
 }
 
 // BlockOffsets parses the container header and scans the stream body,
 // returning the parsed metadata and the byte offsets (relative to the body
 // start, StreamHeaderSize) of every block plus a final end offset —
-// offsets[b]..offsets[b+1] delimits block b. Float32 streams only; the
-// float64 path has its own scan (wider verbatim payloads).
+// offsets[b]..offsets[b+1] delimits block b. Float32 streams only.
 func BlockOffsets(comp []byte) (Meta, []int, error) {
 	m, err := ParseHeader(comp)
 	if err != nil {
@@ -707,9 +799,13 @@ func BlockOffsets(comp []byte) (Meta, []int, error) {
 	if err := checkPlausible(m, len(comp)); err != nil {
 		return m, nil, err
 	}
-	offsets := make([]int, m.Blocks()+1)
-	if err := scanOffsets(comp[StreamHeaderSize:], m, offsets, 4); err != nil {
+	widths := make([]byte, m.Blocks())
+	if err := scanWidths(comp[StreamHeaderSize:], m, 4, widths, make([]shardBuf, 1)); err != nil {
 		return m, nil, err
+	}
+	offsets := make([]int, len(widths)+1)
+	for b, w := range widths {
+		offsets[b+1] = offsets[b] + wireSize(w, m.BlockLen, m.HeaderBytes, 4)
 	}
 	return m, offsets, nil
 }
@@ -755,86 +851,63 @@ func ParseHeader(comp []byte) (Meta, error) {
 // to dst (which may be nil). workers bounds host parallelism with the same
 // semantics as Options.Workers: 0/1 sequential, > 1 sharded over the host
 // pool, negative = GOMAXPROCS. With workers 0/1 and a dst of sufficient
-// capacity it performs zero allocations in steady state.
+// capacity it performs zero allocations in steady state. On an error dst
+// is returned as it was passed.
 func Decompress(dst []float32, comp []byte, workers int) ([]float32, Meta, error) {
+	return decompress(dst, comp, workers)
+}
+
+func decompress[F rawfloat.Float](dst []F, comp []byte, workers int) ([]F, Meta, error) {
 	defer telDecompress.Start().End()
 	m, err := ParseHeader(comp)
 	if err != nil {
 		return dst, m, err
 	}
-	if m.Elem != Float32 {
-		return dst, m, fmt.Errorf("%w: stream holds %s elements, expected float32", ErrBadStream, m.Elem)
+	if want := elemOf[F](); m.Elem != want {
+		return dst, m, fmt.Errorf("%w: stream holds %s elements, expected %s", ErrBadStream, m.Elem, want)
 	}
 	if err := checkPlausible(m, len(comp)); err != nil {
 		return dst, m, err
 	}
-	body := comp[StreamHeaderSize:]
-	nBlocks := m.Blocks()
-	L := m.BlockLen
-
-	// Pass 1: locate block boundaries. Headers are self-describing, so this
-	// is a cheap sequential scan (the paper's "pre-known fixed-length"
-	// decompression advantage, §3).
-	op := getOffsets(nBlocks + 1)
-	defer offsetsPool.Put(op)
-	offsets := *op
-	if err := scanOffsets(body, m, offsets, 4); err != nil {
-		return dst, m, err
-	}
-
 	q, err := quant.MakeQuantizer(m.Eps)
 	if err != nil {
 		return dst, m, err
 	}
+	body := comp[StreamHeaderSize:]
+	nBlocks := m.Blocks()
+	L, hdr, twoE := m.BlockLen, m.HeaderBytes, q.TwoEps()
+	workers = max(1, min(resolveWorkers(workers), nBlocks))
 
+	// Pass 1: validate the body, size every block and find where each
+	// shard starts. Headers are self-describing, so this is a cheap
+	// sequential scan (the paper's "pre-known fixed-length" decompression
+	// advantage, §3), and every way a stream can be malformed is found
+	// here, before dst grows.
+	wp, sp := getWidths(nBlocks), getShards(workers)
+	defer widthsPool.Put(wp)
+	defer putShards(sp)
+	widths, shards := *wp, *sp
+	if err := scanWidths(body, m, rawfloat.Size[F](), widths, shards); err != nil {
+		return dst, m, err
+	}
+
+	// Pass 2: decode, one run per shard.
 	start := len(dst)
 	dst = slices.Grow(dst, m.Elements)[:start+m.Elements]
 	out := dst[start:]
-
-	workers = resolveWorkers(workers)
-	if workers > nBlocks {
-		workers = nBlocks
-	}
-	if workers <= 1 {
-		dec := getDecoder(L, m.HeaderBytes, q)
-		for b := 0; b < nBlocks; b++ {
-			if err := dec.decode(outBlock(out, b, L), body[offsets[b]:offsets[b+1]]); err != nil {
-				putDecoder(dec)
-				return dst, m, fmt.Errorf("%w: block %d: %v", ErrBadStream, b, err)
-			}
-		}
+	if workers == 1 {
+		dec := getDecoder[F](L)
+		dec.decodeBlocks(out, body, widths, hdr, twoE)
 		putDecoder(dec)
-		recordDecompressTelemetry(m, len(comp))
-		return dst, m, nil
-	}
-
-	// Parallel path: shards write disjoint regions of out, so no stitch is
-	// needed — only the first shard error is reported.
-	sp := getShards(workers)
-	shards := *sp
-	hostpool.Run(workers, nBlocks, func(k, lo, hi int) {
-		telWorkers.Add(1)
-		defer telWorkers.Add(-1)
-		shards[k].err = nil
-		dec := getDecoder(L, m.HeaderBytes, q)
-		defer putDecoder(dec)
-		for b := lo; b < hi; b++ {
-			if err := dec.decode(outBlock(out, b, L), body[offsets[b]:offsets[b+1]]); err != nil {
-				shards[k].err = fmt.Errorf("%w: block %d: %v", ErrBadStream, b, err)
-				return
-			}
-		}
-	})
-	var derr error
-	for i := range shards {
-		if shards[i].err != nil {
-			derr = shards[i].err
-			break
-		}
-	}
-	putShards(sp)
-	if derr != nil {
-		return dst, m, derr
+	} else {
+		// Shards write disjoint regions of out, so no stitch is needed.
+		hostpool.Run(workers, nBlocks, func(k, lo, hi int) {
+			telWorkers.Add(1)
+			defer telWorkers.Add(-1)
+			dec := getDecoder[F](L)
+			dec.decodeBlocks(out[lo*L:min(hi*L, len(out))], body[shards[k].start:], widths[lo:hi], hdr, twoE)
+			putDecoder(dec)
+		})
 	}
 	recordDecompressTelemetry(m, len(comp))
 	return dst, m, nil
@@ -847,102 +920,82 @@ func recordDecompressTelemetry(m Meta, compBytes int) {
 	}
 	telDecompressBlocks.Add(int64(m.Blocks()))
 	telDecompressBytesIn.Add(int64(compBytes))
-	telDecompressBytesOut.Add(int64(4 * m.Elements))
+	telDecompressBytesOut.Add(int64(m.Elem.Size() * m.Elements))
 }
 
-func outBlock(out []float32, b, L int) []float32 {
-	lo := b * L
-	hi := lo + L
-	if hi > len(out) {
-		hi = len(out)
-	}
-	return out[lo:hi]
+// blockDecoder holds per-worker decode scratch, recycled via decoderPools.
+type blockDecoder[F rawfloat.Float] struct {
+	L    int
+	full []F      // a trailing partial block is decoded whole here
+	abs  []uint32 // the Go kernel's unshuffled magnitudes
 }
 
-func outBlock64(out []float64, b, L int) []float64 {
-	lo := b * L
-	hi := lo + L
-	if hi > len(out) {
-		hi = len(out)
-	}
-	return out[lo:hi]
-}
-
-// blockDecoder holds per-worker decode scratch, recycled via decoderPool.
-type blockDecoder struct {
-	L       int
-	hdr     int
-	q       quant.Quantizer
-	full    []float32
-	scratch *flenc.Block
-}
-
-var decoderPool sync.Pool
-
-func getDecoder(L, headerBytes int, q quant.Quantizer) *blockDecoder {
-	d, _ := decoderPool.Get().(*blockDecoder)
+func getDecoder[F rawfloat.Float](L int) *blockDecoder[F] {
+	d, _ := decoderPools[elemOf[F]()].Get().(*blockDecoder[F])
 	if d == nil || d.L != L {
-		d = &blockDecoder{
-			L:       L,
-			full:    make([]float32, L),
-			scratch: flenc.NewBlock(L),
-		}
+		d = &blockDecoder[F]{L: L, full: make([]F, L), abs: make([]uint32, L)}
 	}
-	d.hdr = headerBytes
-	d.q = q
 	return d
 }
 
-func putDecoder(d *blockDecoder) { decoderPool.Put(d) }
+func putDecoder[F rawfloat.Float](d *blockDecoder[F]) { decoderPools[elemOf[F]()].Put(d) }
 
-// decode reconstructs one block (len(out) ≤ L for the trailing block),
-// fusing the reverse stages: after the word-parallel unshuffle, one loop
-// merges signs, runs the Lorenzo prefix sum and dequantizes — the same
-// int32 wraparound arithmetic and float64→float32 rounding as the unfused
-// MergeSigns → lorenzo.Inverse → Dequantize sequence, so output bits are
-// identical (DecodeBlockRef-based differential fuzz asserts it).
-func (d *blockDecoder) decode(out []float32, src []byte) error {
-	v, n, err := flenc.Header(src, d.hdr)
-	if err != nil {
-		return err
-	}
-	if v == flenc.VerbatimU32 {
-		if len(src) < n+4*d.L {
-			return fmt.Errorf("truncated verbatim block")
+// decodeBlocks reconstructs len(widths) consecutive blocks into out — whole
+// blocks, then at most one partial block — from a body that starts at the
+// first of them and a width table scanWidths has filled from that body. It
+// hands decodeRun as long a run as there is and takes a block itself only
+// where the run stops: at a verbatim block, or at the trailing partial one.
+func (d *blockDecoder[F]) decodeBlocks(out []F, body, widths []byte, hdr int, twoE float64) {
+	L := d.L
+	full := len(out) / L
+	pos := 0
+	for b := 0; b < full; {
+		done, used := d.decodeRun(out[b*L:full*L], body[pos:], widths[b:full], hdr, twoE)
+		b, pos = b+done, pos+used
+		if b < full {
+			rawfloat.Decode(out[b*L:(b+1)*L], body[pos+hdr:])
+			b, pos = b+1, pos+wireSize(widthVerbatim, L, hdr, rawfloat.Size[F]())
 		}
-		rawfloat.Decode(out, src[n:])
-		return nil
 	}
-	// Reverse stage ③: validate and split the body, then unshuffle all
-	// planes in one pass.
-	signs, planes, w, _, err := flenc.DecodeBody(src, d.L, d.hdr)
-	if err != nil {
-		return err
+	if full < len(widths) {
+		d.decodeBlocks(d.full, body[pos:], widths[full:], hdr, twoE)
+		copy(out[full*L:], d.full)
 	}
-	if w == 0 {
-		// Zero block: every code is 0 and 0·2ε is +0 exactly.
-		clear(out)
-		return nil
-	}
-	full := out
-	if len(out) < d.L {
-		full = d.full
-	}
-	if useAVX2 {
-		d.decodeVector(full, signs, planes, w)
-	} else {
-		abs := d.scratch.Abs[:d.L]
-		flenc.Unshuffle(abs, planes, w)
-		// Reverse stages ③ (sign merge), ② (prefix sum) and ① (dequantize).
-		twoE := d.q.TwoEps()
+}
+
+// decodeRunGo is decodeRun on the Go kernels: it decodes the blocks widths
+// describes one after another from body into out until all are done or one
+// is verbatim. done is the number of blocks decoded, used the body bytes
+// they took. A coded block fuses the reverse stages: after the
+// word-parallel unshuffle, one loop merges signs, runs the Lorenzo prefix
+// sum and dequantizes — the same int32 wraparound arithmetic and rounding
+// to the element type as the unfused MergeSigns → lorenzo.Inverse →
+// Dequantize sequence, so output bits are identical (DecodeBlockRef-based
+// differential fuzz asserts it).
+func (d *blockDecoder[F]) decodeRunGo(out []F, body, widths []byte, hdr int, twoE float64) (done, used int) {
+	L, pb := d.L, d.L/8
+	for b, w := range widths {
+		block := out[b*L : (b+1)*L]
+		if w == 0 {
+			// Zero block: every code is 0 and 0·2ε is +0 exactly.
+			clear(block)
+			used += hdr
+			continue
+		}
+		if w == widthVerbatim {
+			return b, used
+		}
+		signs := body[used+hdr : used+hdr+pb]
+		used += hdr + pb
+		// Reverse stages ③ (unshuffle, sign merge), ② (prefix sum) and ①
+		// (dequantize).
+		flenc.Unshuffle(d.abs, body[used:used+int(w)*pb], uint(w))
+		used += int(w) * pb
 		var acc int32
-		for i, u := range abs {
+		for i, u := range d.abs {
 			acc += mergeSign(u, uint32(signs[i>>3]>>(i&7))&1)
-			full[i] = float32(float64(acc) * twoE)
+			block[i] = F(float64(acc) * twoE)
 		}
 	}
-	if len(out) < d.L {
-		copy(out, full[:len(out)])
-	}
-	return nil
+	return len(widths), used
 }

@@ -12,8 +12,8 @@ import (
 // are chosen from the data alone, and add nothing configurable and no
 // stream-format byte (DESIGN.md §5b2).
 
-// quantizeStrict is the per-element arithmetic of both fusedForward
-// kernels written once: quantize (multiply by 1/(2ε), add 0.5, floor),
+// quantizeStrict is the per-element arithmetic of fusedForward on its
+// own: quantize (multiply by 1/(2ε), add 0.5, floor),
 // the int32 range check that also fails NaN and ±Inf, and the strictness
 // check through the reconstruction rounded to the element type.
 func quantizeStrict[F float32 | float64](q *quant.Quantizer, x F) (p int32, ok bool) {
@@ -37,7 +37,7 @@ const noZeroThreshold = -1
 // zeroThreshold returns the largest t such that every x with |x| ≤ t
 // quantizes to code 0 and passes the strictness check, so that a block
 // whose magnitudes are all ≤ t is a zero block whatever else is true of
-// it. nextafter is math.Nextafter32 or math.Nextafter, matching F.
+// it.
 //
 // Every step of quantizeStrict's code — multiply by a positive constant,
 // add 0.5, round, floor — is monotone non-decreasing in x, so the set
@@ -49,7 +49,7 @@ const noZeroThreshold = -1
 // past ε or to +Inf; both fail the test and are stepped over. When 2ε or
 // its reciprocal overflows, x = 0 itself goes verbatim (0·Inf is NaN) and
 // no block may take the shortcut.
-func zeroThreshold[F float32 | float64](q *quant.Quantizer, nextafter func(x, y F) F) F {
+func zeroThreshold[F float32 | float64](q *quant.Quantizer) F {
 	isZero := func(x F) bool {
 		p, ok := quantizeStrict(q, x)
 		return ok && p == 0
@@ -59,9 +59,17 @@ func zeroThreshold[F float32 | float64](q *quant.Quantizer, nextafter func(x, y 
 	}
 	t := F(q.Eps())
 	for t > 0 && !(isZero(t) && isZero(-t)) {
-		t = nextafter(t, 0)
+		t = nextTowardZero(t)
 	}
 	return t
+}
+
+// nextTowardZero returns the F next to x > 0 on the side of zero.
+func nextTowardZero[F float32 | float64](x F) F {
+	if x32, ok := any(x).(float32); ok {
+		return F(math.Nextafter32(x32, 0))
+	}
+	return F(math.Nextafter(float64(x), 0))
 }
 
 // allWithin reports whether every element of src has magnitude ≤ t. NaN

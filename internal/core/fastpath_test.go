@@ -11,11 +11,11 @@ import (
 	"ceresz/internal/quant"
 )
 
-// refEncoder is what the boundary tests need of either block encoder: the
-// production path and the retained stage-by-stage reference.
-type refEncoder[F float32 | float64] interface {
-	encode(dst []byte, block []F, stats *Stats) []byte
-	encodeRef(dst []byte, src []F, stats *Stats) []byte
+// encodeOne runs one block of at most L elements through the production
+// path, a run of one, and returns its bytes and its width-table entry.
+func encodeOne[F float32 | float64](e *blockEncoder[F], dst []byte, block []F) ([]byte, byte) {
+	var w [1]byte
+	return e.encodeBlocks(dst, block, w[:]), w[0]
 }
 
 // boundaryEps sweeps ε over 2⁻⁴⁰…2⁴⁰ with a random mantissa at every
@@ -54,8 +54,8 @@ func boundaryValues[F float32 | float64](t F, eps float64, nextUp func(F) F, sma
 // checkBoundaryBlocks builds blocks of length L from a background value
 // with one boundary value in every lane position in turn, and the same
 // shapes cut short so that encode pads them, and requires encode to agree
-// with encodeRef on bytes and on Stats.
-func checkBoundaryBlocks[F float32 | float64](t *testing.T, enc refEncoder[F], L int, eps float64, backgrounds, vals []F) {
+// with encodeRef on bytes and on the width entry.
+func checkBoundaryBlocks[F float32 | float64](t *testing.T, enc *blockEncoder[F], L int, eps float64, backgrounds, vals []F) {
 	t.Helper()
 	block := make([]F, L)
 	padded := make([]F, L)
@@ -73,12 +73,12 @@ func checkBoundaryBlocks[F float32 | float64](t *testing.T, enc refEncoder[F], L
 					block[lane] = v
 					clear(padded)
 					copy(padded, block[:n])
-					var gs, ws Stats
-					got = enc.encode(got[:0], block[:n], &gs)
-					want = enc.encodeRef(want[:0], padded, &ws)
-					if !bytes.Equal(got, want) || gs != ws {
-						t.Fatalf("eps=%g L=%d n=%d background=%g lane %d = %g:\n encode    %x %+v\n encodeRef %x %+v",
-							eps, L, n, bg, lane, v, got, gs, want, ws)
+					var gw, ww byte
+					got, gw = encodeOne(enc, got[:0], block[:n])
+					want, ww = enc.encodeRef(want[:0], padded)
+					if !bytes.Equal(got, want) || gw != ww {
+						t.Fatalf("eps=%g L=%d n=%d background=%g lane %d = %g:\n encode    %x width %d\n encodeRef %x width %d",
+							eps, L, n, bg, lane, v, got, gw, want, ww)
 					}
 				}
 			}
@@ -90,7 +90,7 @@ func checkBoundaryBlocks[F float32 | float64](t *testing.T, enc refEncoder[F], L
 // pipeline alone: a block of ±t is a zero block, a block holding the next
 // value beyond t on both sides is not, and when the threshold is switched
 // off not even an all-zero block is.
-func checkThreshold[F float32 | float64](t *testing.T, enc refEncoder[F], L int, eps float64, thr F, nextUp func(F) F) {
+func checkThreshold[F float32 | float64](t *testing.T, enc *blockEncoder[F], L int, eps float64, thr F, nextUp func(F) F) {
 	t.Helper()
 	refZero := func(a, b F) bool {
 		src := make([]F, L)
@@ -100,9 +100,8 @@ func checkThreshold[F float32 | float64](t *testing.T, enc refEncoder[F], L int,
 				src[i] = b
 			}
 		}
-		var s Stats
-		enc.encodeRef(nil, src, &s)
-		return s.ZeroBlocks == 1
+		_, w := enc.encodeRef(nil, src)
+		return w == 0
 	}
 	if thr < 0 {
 		if refZero(0, 0) {
@@ -127,14 +126,14 @@ func TestZeroPrescanBoundary32(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, L := range []int{8, 32} {
-			enc := newBlockEncoder(L, flenc.HeaderU32, q)
-			checkThreshold[float32](t, enc, L, eps, enc.zeroT, nextUp)
+			enc := getEncoder[float32](L, flenc.HeaderU32, q)
+			checkThreshold(t, enc, L, eps, enc.zeroT, nextUp)
 			vals := boundaryValues(enc.zeroT, eps, nextUp, math.SmallestNonzeroFloat32, math.Float32frombits(0x007fffff), rng)
 			bgs := []float32{0}
 			if enc.zeroT > 0 {
 				bgs = append(bgs, enc.zeroT, -enc.zeroT)
 			}
-			checkBoundaryBlocks[float32](t, enc, L, eps, bgs, vals)
+			checkBoundaryBlocks(t, enc, L, eps, bgs, vals)
 		}
 	}
 }
@@ -148,14 +147,14 @@ func TestZeroPrescanBoundary64(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, L := range []int{8, 32} {
-			enc := newBlockEncoder64(L, flenc.HeaderU32, q)
-			checkThreshold[float64](t, enc, L, eps, enc.zeroT, nextUp)
+			enc := getEncoder[float64](L, flenc.HeaderU32, q)
+			checkThreshold(t, enc, L, eps, enc.zeroT, nextUp)
 			vals := boundaryValues(enc.zeroT, eps, nextUp, math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff), rng)
 			bgs := []float64{0}
 			if enc.zeroT > 0 {
 				bgs = append(bgs, enc.zeroT, -enc.zeroT)
 			}
-			checkBoundaryBlocks[float64](t, enc, L, eps, bgs, vals)
+			checkBoundaryBlocks(t, enc, L, eps, bgs, vals)
 		}
 	}
 }
@@ -173,8 +172,8 @@ func TestZeroPrescanRandomBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc32 := newBlockEncoder(L, flenc.HeaderU32, q)
-		enc64 := newBlockEncoder64(L, flenc.HeaderU8, q)
+		enc32 := getEncoder[float32](L, flenc.HeaderU32, q)
+		enc64 := getEncoder[float64](L, flenc.HeaderU8, q)
 		scale := eps * []float64{0.5, 1, 1.02, 3}[iter%4]
 		b32 := make([]float32, L)
 		b64 := make([]float64, L)
@@ -182,19 +181,20 @@ func TestZeroPrescanRandomBlocks(t *testing.T) {
 			b64[i] = scale * (2*rng.Float64() - 1)
 			b32[i] = float32(b64[i])
 		}
-		var gs, ws Stats
-		got := enc32.encode(nil, b32, &gs)
-		want := enc32.encodeRef(nil, b32, &ws)
-		if !bytes.Equal(got, want) || gs != ws {
-			t.Fatalf("float32 eps=%g scale=%g: encode %x %+v, encodeRef %x %+v", eps, scale, got, gs, want, ws)
+		got, gw := encodeOne(enc32, nil, b32)
+		want, ww := enc32.encodeRef(nil, b32)
+		if !bytes.Equal(got, want) || gw != ww {
+			t.Fatalf("float32 eps=%g scale=%g: encode %x width %d, encodeRef %x width %d", eps, scale, got, gw, want, ww)
 		}
-		zero += gs.ZeroBlocks
-		other += 1 - gs.ZeroBlocks
-		gs, ws = Stats{}, Stats{}
-		got = enc64.encode(nil, b64, &gs)
-		want = enc64.encodeRef(nil, b64, &ws)
-		if !bytes.Equal(got, want) || gs != ws {
-			t.Fatalf("float64 eps=%g scale=%g: encode %x %+v, encodeRef %x %+v", eps, scale, got, gs, want, ws)
+		if gw == 0 {
+			zero++
+		} else {
+			other++
+		}
+		got, gw = encodeOne(enc64, nil, b64)
+		want, ww = enc64.encodeRef(nil, b64)
+		if !bytes.Equal(got, want) || gw != ww {
+			t.Fatalf("float64 eps=%g scale=%g: encode %x width %d, encodeRef %x width %d", eps, scale, got, gw, want, ww)
 		}
 	}
 	if zero < 500 || other < 500 {
@@ -226,7 +226,7 @@ func TestMergeSignMatchesFlenc(t *testing.T) {
 // outside, zeros, subnormals, ±ε, NaN and ±Inf.
 func prescanSeed32(eps float64, n int) []byte {
 	q, _ := quant.MakeQuantizer(eps)
-	t := zeroThreshold(&q, math.Nextafter32)
+	t := zeroThreshold[float32](&q)
 	up := math.Nextafter32(t, float32(math.Inf(1)))
 	vals := []float32{t, -t, 0, float32(math.Copysign(0, -1)), t, 1e-45, -t, -1e-45,
 		t, t, t, t, -t, -t, -t, up, -up, float32(eps), -float32(eps),
@@ -241,7 +241,7 @@ func prescanSeed32(eps float64, n int) []byte {
 // prescanSeed64 is prescanSeed32 for float64 streams.
 func prescanSeed64(eps float64, n int) []byte {
 	q, _ := quant.MakeQuantizer(eps)
-	t := zeroThreshold(&q, math.Nextafter)
+	t := zeroThreshold[float64](&q)
 	up := math.Nextafter(t, math.Inf(1))
 	vals := []float64{t, -t, 0, math.Copysign(0, -1), t, 5e-324, -t, -5e-324,
 		t, t, t, t, -t, -t, -t, up, -up, eps, -eps, math.NaN(), math.Inf(1), math.Inf(-1)}

@@ -9,6 +9,7 @@ import (
 	"ceresz/internal/flenc"
 	"ceresz/internal/lorenzo"
 	"ceresz/internal/quant"
+	"ceresz/internal/rawfloat"
 )
 
 // Fuzz targets: the decoders must never panic or read out of bounds on
@@ -75,7 +76,7 @@ func FuzzDecompress64(f *testing.F) {
 // block through the retained stage-by-stage pipeline (encodeRef →
 // flenc.EncodeBlockRef), giving FuzzHostKernels a scalar-reference stream
 // to compare the fused SWAR output against.
-func compressRef(data []float32, eps float64, opts Options) ([]byte, error) {
+func compressRef[F float32 | float64](data []F, eps float64, opts Options) ([]byte, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -85,65 +86,72 @@ func compressRef(data []float32, eps float64, opts Options) ([]byte, error) {
 		return nil, err
 	}
 	L := opts.BlockLen
-	nBlocks := (len(data) + L - 1) / L
 	dst := AppendStreamHeader(nil, Meta{
 		HeaderBytes: opts.HeaderBytes,
 		BlockLen:    L,
 		Elements:    len(data),
 		Eps:         eps,
+		Elem:        elemOf[F](),
 	})
-	var stats Stats
-	enc := newBlockEncoder(L, opts.HeaderBytes, q)
-	for b := 0; b < nBlocks; b++ {
-		block := blockSlice(data, b, L)
-		src := block
-		if len(block) < L {
-			copy(enc.padded, block)
-			clear(enc.padded[len(block):])
+	enc := getEncoder[F](L, opts.HeaderBytes, q)
+	for lo := 0; lo < len(data); lo += L {
+		src := data[lo:min(lo+L, len(data))]
+		if len(src) < L {
+			clear(enc.padded[copy(enc.padded, src):])
 			src = enc.padded
 		}
-		dst = enc.encodeRef(dst, src, &stats)
+		dst, _ = enc.encodeRef(dst, src)
 	}
 	return dst, nil
 }
 
 // decompressRef decodes a stream block by block through the scalar
-// reference kernels (flenc.DecodeBlockRef → lorenzo.Inverse → Dequantize).
-func decompressRef(comp []byte) ([]float32, error) {
-	m, offsets, err := BlockOffsets(comp)
+// reference kernels (flenc.DecodeBlockRef → lorenzo.Inverse → Dequantize),
+// finding each block where the one before it ended.
+func decompressRef[F float32 | float64](comp []byte) ([]F, error) {
+	m, err := ParseHeader(comp)
 	if err != nil {
 		return nil, err
+	}
+	if m.Elem != elemOf[F]() || checkPlausible(m, len(comp)) != nil {
+		return nil, ErrBadStream
 	}
 	q, err := quant.NewQuantizer(m.Eps)
 	if err != nil {
 		return nil, err
 	}
-	body := comp[StreamHeaderSize:]
+	src := comp[StreamHeaderSize:]
 	L := m.BlockLen
-	out := make([]float32, m.Elements)
+	out := make([]F, m.Elements)
 	codes := make([]int32, L)
-	full := make([]float32, L)
+	full := make([]F, L)
 	scratch := flenc.NewBlock(L)
 	for b := 0; b < m.Blocks(); b++ {
-		dst := outBlock(out, b, L)
-		src := body[offsets[b]:offsets[b+1]]
+		dst := out[b*L : min(b*L+L, len(out))]
 		v, n, err := flenc.Header(src, m.HeaderBytes)
 		if err != nil {
 			return nil, err
 		}
 		if v == flenc.VerbatimU32 {
-			for i := range dst {
-				bits := binary.LittleEndian.Uint32(src[n+4*i:])
-				dst[i] = math.Float32frombits(bits)
+			if n += L * rawfloat.Size[F](); len(src) < n {
+				return nil, ErrBadStream
 			}
+			rawfloat.Decode(dst, src[m.HeaderBytes:])
+			src = src[n:]
 			continue
 		}
-		if _, err := flenc.DecodeBlockRef(codes, src, m.HeaderBytes, scratch); err != nil {
+		if n, err = flenc.DecodeBlockRef(codes, src, m.HeaderBytes, scratch); err != nil {
 			return nil, err
 		}
+		src = src[n:]
 		lorenzo.Inverse(codes, codes)
-		q.Dequantize(full, codes)
-		copy(dst, full[:len(dst)])
+		switch full := any(full).(type) {
+		case []float32:
+			q.Dequantize(full, codes)
+		case []float64:
+			q.Dequantize64(full, codes)
+		}
+		copy(dst, full)
 	}
 	return out, nil
 }
@@ -194,7 +202,7 @@ func FuzzHostKernels(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decompress: %v", err)
 		}
-		refOut, err := decompressRef(comp)
+		refOut, err := decompressRef[float32](comp)
 		if err != nil {
 			t.Fatalf("decompressRef: %v", err)
 		}
@@ -226,23 +234,10 @@ func FuzzHostKernels64(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compress64: %v", err)
 		}
-		q, err := quant.MakeQuantizer(eps)
-		if err != nil {
-			t.Fatal(err)
-		}
 		L := opts.BlockLen
-		ref := appendStreamHeader64(nil, opts.HeaderBytes, L, n, eps)
-		var stats Stats
-		enc := newBlockEncoder64(L, opts.HeaderBytes, q)
-		for b := 0; b < (n+L-1)/L; b++ {
-			block := blockSlice64(data, b, L)
-			src := block
-			if len(block) < L {
-				copy(enc.padded, block)
-				clear(enc.padded[len(block):])
-				src = enc.padded
-			}
-			ref = enc.encodeRef(ref, src, &stats)
+		ref, err := compressRef(data, eps, opts)
+		if err != nil {
+			t.Fatalf("reference compress64: %v", err)
 		}
 		if !bytes.Equal(comp, ref) {
 			t.Fatalf("fused float64 stream differs from scalar reference (n=%d L=%d)", n, L)

@@ -2,81 +2,64 @@
 
 package core
 
-import (
-	"slices"
+import "ceresz/internal/cpufeat"
 
-	"ceresz/internal/cpufeat"
-	"ceresz/internal/flenc"
-)
-
-// useAVX2 selects the assembly block kernels (kernels_amd64.s) over the Go
+// useAVX2 selects the assembly run kernels (kernels_amd64.s) over the Go
 // ones. It is set once, from the CPU; tests flip it to run the two side by
 // side.
 var useAVX2 = cpufeat.AVX2
 
 //go:noescape
-func encodeBlockF32AVX2(dst *byte, src *float32, abs *uint32, groups, hdr int, recip, twoE, eps float64, zeroT float32) int
+func encodeRunF32AVX2(dst *byte, src *float32, abs *uint32, widths *byte, n, groups, hdr, limit int, recip, twoE, eps float64, zeroT float32) (done, used int)
 
 //go:noescape
-func encodeBlockF64AVX2(dst *byte, src *float64, abs *uint32, groups, hdr int, recip, twoE, eps, zeroT float64) int
+func encodeRunF64AVX2(dst *byte, src *float64, abs *uint32, widths *byte, n, groups, hdr, limit int, recip, twoE, eps, zeroT float64) (done, used int)
 
 //go:noescape
-func decodeBlockF32AVX2(out *float32, signs, planes *byte, groups, w int, twoE float64)
+func decodeRunF32AVX2(out *float32, body, widths *byte, n, groups, hdr int, twoE float64) (done, used int)
 
 //go:noescape
-func decodeBlockF64AVX2(out *float64, signs, planes *byte, groups, w int, twoE float64)
+func decodeRunF64AVX2(out *float64, body, widths *byte, n, groups, hdr int, twoE float64) (done, used int)
 
-// encodeVector is encode's body on the vector path: prescan, fused forward
-// pass and plane emission in one kernel call that writes the block straight
-// into dst's spare capacity. Every slice the kernel is handed is sized
-// here: src and the scratch to L, dst to the widest block there is.
-func (e *blockEncoder) encodeVector(dst []byte, src []float32, stats *Stats) []byte {
-	n := len(dst)
-	dst = slices.Grow(dst, flenc.EncodedSize(flenc.MaxWidth, e.L, e.hdr))
-	src, abs := src[:e.L], e.scratch.Abs[:e.L]
-	w := encodeBlockF32AVX2(&dst[:n+1][n], &src[0], &abs[0], e.L/8, e.hdr,
-		e.q.Recip(), e.q.TwoEps(), e.q.Eps(), e.zeroT)
-	if w < 0 {
-		stats.VerbatimBlocks++
-		return appendVerbatim(dst, src, e.hdr)
+// encodeRun encodes the blocks of src one after another into room,
+// recording their widths, until all are done, fewer than e.reserve bytes of
+// room remain, or a block must be stored verbatim: prescan, fused forward
+// pass and plane emission of the whole run in one kernel call. done is the
+// number of blocks encoded, used the bytes written. Every extent the kernel
+// is handed is sized here: src to the run, the scratch to one block, and
+// the limit past which no block may start to e.reserve short of room's end.
+func (e *blockEncoder[F]) encodeRun(room []byte, src []F, widths []byte) (done, used int) {
+	if !useAVX2 || len(widths) == 0 || len(room) < e.reserve {
+		return e.encodeRunGo(room, src, widths)
 	}
-	stats.WidthHistogram[w]++
-	if w == 0 {
-		stats.ZeroBlocks++
+	src, abs := src[:len(widths)*e.L], e.scratch.Abs[:e.L]
+	limit := len(room) - e.reserve
+	switch src := any(src).(type) {
+	case []float32:
+		return encodeRunF32AVX2(&room[0], &src[0], &abs[0], &widths[0], len(widths), e.L/8, e.hdr, limit,
+			e.q.Recip(), e.q.TwoEps(), e.q.Eps(), float32(e.zeroT))
+	case []float64:
+		return encodeRunF64AVX2(&room[0], &src[0], &abs[0], &widths[0], len(widths), e.L/8, e.hdr, limit,
+			e.q.Recip(), e.q.TwoEps(), e.q.Eps(), float64(e.zeroT))
 	}
-	return dst[:n+flenc.EncodedSize(uint(w), e.L, e.hdr)]
+	panic("unreachable")
 }
 
-func (e *blockEncoder64) encodeVector(dst []byte, src []float64, stats *Stats) []byte {
-	n := len(dst)
-	dst = slices.Grow(dst, flenc.EncodedSize(flenc.MaxWidth, e.L, e.hdr))
-	src, abs := src[:e.L], e.scratch.Abs[:e.L]
-	w := encodeBlockF64AVX2(&dst[:n+1][n], &src[0], &abs[0], e.L/8, e.hdr,
-		e.q.Recip(), e.q.TwoEps(), e.q.Eps(), e.zeroT)
-	if w < 0 {
-		stats.VerbatimBlocks++
-		return appendVerbatim64(dst, src, e.hdr)
+// decodeRun decodes the blocks widths describes one after another from
+// body into out until all are done or one is verbatim: the fused reverse
+// pass of the whole run, plane bytes to codes to values, in one kernel
+// call. done is the number of blocks decoded, used the body bytes they
+// took. scanWidths has checked that the blocks, at the sizes widths gives
+// them, lie inside body; out is sized to the run here.
+func (d *blockDecoder[F]) decodeRun(out []F, body, widths []byte, hdr int, twoE float64) (done, used int) {
+	if !useAVX2 || len(widths) == 0 {
+		return d.decodeRunGo(out, body, widths, hdr, twoE)
 	}
-	stats.WidthHistogram[w]++
-	if w == 0 {
-		stats.ZeroBlocks++
+	switch out := any(out[:len(widths)*d.L]).(type) {
+	case []float32:
+		return decodeRunF32AVX2(&out[0], &body[0], &widths[0], len(widths), d.L/8, hdr, twoE)
+	case []float64:
+		return decodeRunF64AVX2(&out[0], &body[0], &widths[0], len(widths), d.L/8, hdr, twoE)
 	}
-	return dst[:n+flenc.EncodedSize(uint(w), e.L, e.hdr)]
-}
-
-// decodeVector is the fused reverse pass of decode on the vector path:
-// plane bytes to codes to values without the unshuffle scratch. flenc
-// .DecodeBody has already sized signs to L/8 bytes and planes to w·L/8 with
-// 1 ≤ w ≤ 32; the reslices below make the kernel's three extents a checked
-// fact rather than a caller's promise.
-func (d *blockDecoder) decodeVector(full []float32, signs, planes []byte, w uint) {
-	pb := d.L / 8
-	full, signs, planes = full[:d.L], signs[:pb], planes[:int(w)*pb]
-	decodeBlockF32AVX2(&full[0], &signs[0], &planes[0], pb, int(w), d.q.TwoEps())
-}
-
-func (d *blockDecoder64) decodeVector(full []float64, signs, planes []byte, w uint) {
-	pb := d.L / 8
-	full, signs, planes = full[:d.L], signs[:pb], planes[:int(w)*pb]
-	decodeBlockF64AVX2(&full[0], &signs[0], &planes[0], pb, int(w), d.q.TwoEps())
+	panic("unreachable")
 }

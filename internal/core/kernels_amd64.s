@@ -2,12 +2,14 @@
 
 #include "textflag.h"
 
-// AVX2 block kernels of the host codec. Each mirrors, operation for
-// operation, the Go loop it replaces (fusedForward, allWithin, the fused
-// loop of decode) so that every stream byte and every decoded bit is the
-// same; DESIGN.md §5b3 gives the argument. The arithmetic is the Go
-// kernels' own: separate multiply and add (never FMA), floor by VROUNDPD,
-// conversions under the default round-to-nearest MXCSR.
+// AVX2 run kernels of the host codec: each call works through a run of
+// consecutive blocks and comes back to Go only for a block Go must handle.
+// Per block they mirror, operation for operation, the Go loop they replace
+// (fusedForward, allWithin, the fused loop of decodeRunGo) so that every
+// stream byte and every decoded bit is the same; DESIGN.md §5b3 gives the
+// argument. The arithmetic is the Go kernels' own: separate multiply and
+// add (never FMA), floor by VROUNDPD, conversions under the default
+// round-to-nearest MXCSR.
 
 DATA half<>+0(SB)/8, $0x3FE0000000000000 // 0.5
 GLOBL half<>(SB), RODATA|NOPTR, $8
@@ -81,14 +83,13 @@ GLOBL unpack<>(SB), RODATA|NOPTR, $32
 #define PREV  Y8
 #define ACC   Y7
 
-// FWD_CONSTANTS sets the registers above that do not come from arguments.
+// FWD_CONSTANTS sets, once per run, the registers above that hold the same
+// value for every block and do not come from arguments.
 #define FWD_CONSTANTS \
 	VBROADCASTSD half<>(SB), HALF; \
 	VBROADCASTSD minI32<>(SB), MINI; \
 	VBROADCASTSD maxI32<>(SB), MAXI; \
-	VBROADCASTSD absMask64<>(SB), ABSM; \
-	VPXOR PREV, PREV, PREV; \
-	VPXOR ACC, ACC, ACC
+	VBROADCASTSD absMask64<>(SB), ABSM
 
 // QUANT quantizes the four doubles in YX: f = floor(x·recip + 0.5), the
 // int32 range mask (false for NaN and ±Inf), the code p = int32(f) in XP.
@@ -269,25 +270,83 @@ done:
 	VPADDB Y0, Y0, Y0; \
 	SUBQ CX, DI
 
-// func encodeBlockF32AVX2(dst *byte, src *float32, abs *uint32, groups, hdr int, recip, twoE, eps float64, zeroT float32) int
+// The forward run kernels keep what must survive a block in the frame,
+// because EMIT needs every general register: dcur and scur are where the
+// next block is written and read, wcur its entry in the width table, wend
+// the table's end.
+
+// FWD_ENTER starts a run: the cursors go into the frame and the constants
+// into their registers. On entry DI = dst, SI = src, AX = widths, BX = n;
+// the function bodies load them, because vet reads an argument name inside
+// a macro as the previous function's.
+#define FWD_ENTER \
+	MOVQ DI, dcur-8(SP); \
+	MOVQ SI, scur-16(SP); \
+	MOVQ AX, wcur-24(SP); \
+	ADDQ BX, AX; \
+	MOVQ AX, wend-32(SP); \
+	FWD_CONSTANTS
+
+// FWD_NEXT follows EMIT: the width in R11 goes into the table and the
+// cursors move on, dcur by hdr bytes for a zero block and by
+// hdr + (w+1)·groups otherwise, scur by 8·groups elements of size bytes
+// (shift = log2(8·size)).
+#define FWD_NEXT(shift) \
+	MOVQ wcur-24(SP), AX; \
+	MOVB R11, (AX); \
+	INCQ AX; \
+	MOVQ AX, wcur-24(SP); \
+	LEAQ 1(R11), AX; \
+	IMULQ CX, AX; \
+	XORQ BX, BX; \
+	TESTQ R11, R11; \
+	CMOVQEQ BX, AX; \
+	ADDQ R9, AX; \
+	ADDQ AX, dcur-8(SP); \
+	MOVQ CX, AX; \
+	SHLQ $shift, AX; \
+	ADDQ AX, scur-16(SP)
+
+// func encodeRunF32AVX2(dst *byte, src *float32, abs *uint32, widths *byte, n, groups, hdr, limit int, recip, twoE, eps float64, zeroT float32) (done, used int)
 //
-// Encodes one block of 8·groups float32 at src into dst, which must have
-// room for hdr + 33·groups bytes, using abs (8·groups uint32) as scratch.
-// Returns the block's width (0: a bare zero header was written), or −1 when
-// the block must be stored verbatim (dst contents then undefined).
-TEXT ·encodeBlockF32AVX2(SB), NOSPLIT, $0-80
+// Encodes up to n consecutive blocks of 8·groups float32 from src, one
+// after another into dst, using abs (8·groups uint32) as scratch, and
+// records each block's width in widths (0: a bare zero header was written).
+// It stops before a block that must be stored verbatim, and before any
+// block that would start more than limit bytes into dst: the caller sets
+// limit so that hdr + 33·groups bytes, which a block may scribble over
+// whatever its width, remain past it. done is the number of blocks encoded,
+// used the bytes they take; dst past used is undefined.
+TEXT ·encodeRunF32AVX2(SB), NOSPLIT, $32-112
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
+	MOVQ widths+24(FP), AX
+	MOVQ n+32(FP), BX
+	MOVQ groups+40(FP), CX
+	MOVQ hdr+48(FP), R9
+	VBROADCASTSD recip+64(FP), RECIP
+	VBROADCASTSD twoE+72(FP), TWOE
+	VBROADCASTSD eps+80(FP), EPS
+	FWD_ENTER
+block:
+	MOVQ wcur-24(SP), AX
+	CMPQ AX, wend-32(SP)
+	JAE stop
+	MOVQ dcur-8(SP), DI
+	MOVQ DI, AX
+	SUBQ dst+0(FP), AX
+	CMPQ AX, limit+56(FP)
+	JGT stop
+	MOVQ scur-16(SP), SI
 	MOVQ abs+16(FP), DX
-	MOVQ groups+24(FP), CX
-	MOVQ hdr+32(FP), R9
 
 	// Zero-block prescan: |x| ≤ zeroT in every lane. NaN compares false;
 	// zeroT = −1 (prescan off) fails every lane.
-	VBROADCASTSS zeroT+64(FP), Y1
+	VBROADCASTSS zeroT+88(FP), Y1
 	VPBROADCASTD absMask32<>(SB), Y2
 	MOVQ SI, R12
 	MOVQ CX, R14
+	VPXOR ACC, ACC, ACC
 prescan:
 	VANDPS (R12), Y2, Y0
 	VCMPPS $2, Y1, Y0, Y0
@@ -297,14 +356,10 @@ prescan:
 	ADDQ $32, R12
 	DECQ R14
 	JNZ prescan
-	VPXOR ACC, ACC, ACC
 	JMP finish
 
 forward:
-	VBROADCASTSD recip+40(FP), RECIP
-	VBROADCASTSD twoE+48(FP), TWOE
-	VBROADCASTSD eps+56(FP), EPS
-	FWD_CONSTANTS
+	VPXOR PREV, PREV, PREV
 	MOVQ SI, R12
 	MOVQ DX, R13
 	MOVQ CX, R14
@@ -315,7 +370,7 @@ group:
 	VANDPD Y6, Y2, Y2
 	VMOVMSKPD Y2, AX
 	CMPL AX, $0xF
-	JNE verbatim
+	JNE stop // verbatim: the block is Go's
 	DELTA
 	ADDQ $32, R12
 	ADDQ $32, R13
@@ -324,31 +379,51 @@ group:
 	JNZ group
 finish:
 	EMIT
+	FWD_NEXT(5)
+	JMP block
+stop:
 	VZEROUPPER
-	MOVQ R11, ret+72(FP)
-	RET
-verbatim:
-	VZEROUPPER
-	MOVQ $-1, ret+72(FP)
+	MOVQ wcur-24(SP), AX
+	SUBQ widths+24(FP), AX
+	MOVQ AX, done+96(FP)
+	MOVQ dcur-8(SP), AX
+	SUBQ dst+0(FP), AX
+	MOVQ AX, used+104(FP)
 	RET
 
-// func encodeBlockF64AVX2(dst *byte, src *float64, abs *uint32, groups, hdr int, recip, twoE, eps, zeroT float64) int
+// func encodeRunF64AVX2(dst *byte, src *float64, abs *uint32, widths *byte, n, groups, hdr, limit int, recip, twoE, eps, zeroT float64) (done, used int)
 //
-// encodeBlockF32AVX2 for float64 elements.
-TEXT ·encodeBlockF64AVX2(SB), NOSPLIT, $0-80
+// encodeRunF32AVX2 for float64 elements.
+TEXT ·encodeRunF64AVX2(SB), NOSPLIT, $32-112
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
+	MOVQ widths+24(FP), AX
+	MOVQ n+32(FP), BX
+	MOVQ groups+40(FP), CX
+	MOVQ hdr+48(FP), R9
+	VBROADCASTSD recip+64(FP), RECIP
+	VBROADCASTSD twoE+72(FP), TWOE
+	VBROADCASTSD eps+80(FP), EPS
+	FWD_ENTER
+block:
+	MOVQ wcur-24(SP), AX
+	CMPQ AX, wend-32(SP)
+	JAE stop
+	MOVQ dcur-8(SP), DI
+	MOVQ DI, AX
+	SUBQ dst+0(FP), AX
+	CMPQ AX, limit+56(FP)
+	JGT stop
+	MOVQ scur-16(SP), SI
 	MOVQ abs+16(FP), DX
-	MOVQ groups+24(FP), CX
-	MOVQ hdr+32(FP), R9
 
-	VBROADCASTSD zeroT+64(FP), Y1
-	VBROADCASTSD absMask64<>(SB), Y2
+	VBROADCASTSD zeroT+88(FP), Y1
 	MOVQ SI, R12
 	MOVQ CX, R14
+	VPXOR ACC, ACC, ACC
 prescan:
-	VANDPD (R12), Y2, Y0
-	VANDPD 32(R12), Y2, Y3
+	VANDPD (R12), ABSM, Y0
+	VANDPD 32(R12), ABSM, Y3
 	VCMPPD $2, Y1, Y0, Y0
 	VCMPPD $2, Y1, Y3, Y3
 	VANDPD Y3, Y0, Y0
@@ -358,14 +433,10 @@ prescan:
 	ADDQ $64, R12
 	DECQ R14
 	JNZ prescan
-	VPXOR ACC, ACC, ACC
 	JMP finish
 
 forward:
-	VBROADCASTSD recip+40(FP), RECIP
-	VBROADCASTSD twoE+48(FP), TWOE
-	VBROADCASTSD eps+56(FP), EPS
-	FWD_CONSTANTS
+	VPXOR PREV, PREV, PREV
 	MOVQ SI, R12
 	MOVQ DX, R13
 	MOVQ CX, R14
@@ -376,7 +447,7 @@ group:
 	VANDPD Y6, Y2, Y2
 	VMOVMSKPD Y2, AX
 	CMPL AX, $0xF
-	JNE verbatim
+	JNE stop // verbatim: the block is Go's
 	DELTA
 	ADDQ $64, R12
 	ADDQ $32, R13
@@ -385,18 +456,26 @@ group:
 	JNZ group
 finish:
 	EMIT
+	FWD_NEXT(6)
+	JMP block
+stop:
 	VZEROUPPER
-	MOVQ R11, ret+72(FP)
-	RET
-verbatim:
-	VZEROUPPER
-	MOVQ $-1, ret+72(FP)
+	MOVQ wcur-24(SP), AX
+	SUBQ widths+24(FP), AX
+	MOVQ AX, done+96(FP)
+	MOVQ dcur-8(SP), AX
+	SUBQ dst+0(FP), AX
+	MOVQ AX, used+104(FP)
 	RET
 
-// The inverse kernels. Register plan: DI = out, SI = signs, R10 = plane 0,
-// CX = groups = bytes per plane, R11 = w, BX = index of the group (or of a
-// quad's first group) being decoded; Y15 = 2ε, Y14 = laneBit, Y13 = seven,
-// Y12 = the running code, the previous group's lane 7 in every lane.
+// The inverse kernels. Register plan, across the run: DI = where the next
+// group is written, AX = where the next block starts in the body, CX =
+// groups = bytes per plane, DX = groups rounded down to whole quads;
+// Y15 = 2ε, Y14 = laneBit, Y13 = seven, Y11 = spread, Y10 = byteBit, Y8 = 0;
+// in the frame, wcur and wend are the width table's cursor and end, hdrb the
+// header size. Within a block: SI = signs, R10 = plane 0, R11 = w, BX =
+// index of the group (or of a quad's first group) being decoded, Y12 = the
+// running code, the previous group's lane 7 in every lane.
 
 // QUADPLANES rebuilds the magnitudes of the four groups BX..BX+3 in Y4..Y7,
 // the reverse of EMIT's byte route. Layer by layer (eight planes, one byte
@@ -511,17 +590,49 @@ gplane: \
 	VMOVUPD Y2, off(DI); \
 	VMOVUPD Y3, off+32(DI)
 
-// INVERSE_BODY is either decoder but for the element type: PUT stores one
-// group, size is a group's bytes. Quads first, then the groups left over.
-#define INVERSE_BODY(PUT, size) \
+// ZERO32 and ZERO64 store one group of zeros.
+#define ZERO32 \
+	VMOVUPS Y8, (DI)
+
+#define ZERO64 \
+	VMOVUPD Y8, (DI); \
+	VMOVUPD Y8, 32(DI)
+
+// INVERSE_RUN is either decoder but for the element type: PUT stores one
+// group, ZERO one group of zeros, size is a group's bytes. Block by block
+// down the width table: a zero block is filled with vector stores, a coded
+// one decoded quads first, then the groups left over, and the first entry
+// above 32 (a verbatim block, which is Go's) ends the run. The table is the
+// Go scan's, which has checked that every block it sizes lies inside the
+// body; no header byte is read here.
+#define INVERSE_RUN(PUT, ZERO, size) \
 	VMOVDQU laneBit<>(SB), Y14; \
 	VPBROADCASTD seven<>(SB), Y13; \
-	VPXOR Y12, Y12, Y12; \
 	VMOVDQU spread<>(SB), Y11; \
 	VMOVDQU byteBit<>(SB), Y10; \
-	XORQ BX, BX; \
+	VPXOR Y8, Y8, Y8; \
 	MOVQ CX, DX; \
 	ANDQ $-4, DX; \
+block: \
+	MOVQ wcur-8(SP), R8; \
+	CMPQ R8, wend-16(SP); \
+	JAE stop; \
+	MOVBLZX (R8), R11; \
+	CMPQ R11, $32; \
+	JHI stop; \
+	INCQ R8; \
+	MOVQ R8, wcur-8(SP); \
+	MOVQ hdrb-24(SP), SI; \
+	ADDQ AX, SI; \
+	TESTQ R11, R11; \
+	JZ zero; \
+	LEAQ (SI)(CX*1), R10; \
+	MOVQ R11, AX; \
+	IMULQ CX, AX; \
+	ADDQ R10, AX; \
+	VPXOR Y12, Y12, Y12; \
+	XORQ BX, BX; \
+	TESTQ DX, DX; \
 	JZ leftover; \
 quad: \
 	QUADPLANES; \
@@ -539,7 +650,7 @@ quad: \
 	JLT quad; \
 leftover: \
 	CMPQ BX, CX; \
-	JGE done; \
+	JGE block; \
 group: \
 	GROUPPLANES; \
 	CODES(Y0, 0); \
@@ -548,32 +659,62 @@ group: \
 	INCQ BX; \
 	CMPQ BX, CX; \
 	JLT group; \
-done: \
+	JMP block; \
+zero: \
+	MOVQ SI, AX; \
+	MOVQ CX, BX; \
+zfill: \
+	ZERO; \
+	ADDQ $size, DI; \
+	DECQ BX; \
+	JNZ zfill; \
+	JMP block; \
+stop: \
 	VZEROUPPER
 
-// func decodeBlockF32AVX2(out *float32, signs, planes *byte, groups, w int, twoE float64)
+// func decodeRunF32AVX2(out *float32, body, widths *byte, n, groups, hdr int, twoE float64) (done, used int)
 //
-// Decodes one block of width w ∈ [1, 32]: groups sign bytes at signs,
-// w·groups plane bytes at planes, 8·groups float32 written to out.
-TEXT ·decodeBlockF32AVX2(SB), NOSPLIT, $0-48
+// Decodes up to n consecutive blocks of 8·groups float32 into out, the
+// first of them starting at body, block b's width (0 for a zero block)
+// taken from widths[b]. It stops before a block whose entry is above 32.
+// done is the number of blocks decoded, used the body bytes they took.
+TEXT ·decodeRunF32AVX2(SB), NOSPLIT, $24-72
 	MOVQ out+0(FP), DI
-	MOVQ signs+8(FP), SI
-	MOVQ planes+16(FP), R10
-	MOVQ groups+24(FP), CX
-	MOVQ w+32(FP), R11
-	VBROADCASTSD twoE+40(FP), Y15
-	INVERSE_BODY(PUT32, 32)
+	MOVQ body+8(FP), AX
+	MOVQ widths+16(FP), BX
+	MOVQ BX, wcur-8(SP)
+	ADDQ n+24(FP), BX
+	MOVQ BX, wend-16(SP)
+	MOVQ groups+32(FP), CX
+	MOVQ hdr+40(FP), BX
+	MOVQ BX, hdrb-24(SP)
+	VBROADCASTSD twoE+48(FP), Y15
+	INVERSE_RUN(PUT32, ZERO32, 32)
+	MOVQ wcur-8(SP), BX
+	SUBQ widths+16(FP), BX
+	MOVQ BX, done+56(FP)
+	SUBQ body+8(FP), AX
+	MOVQ AX, used+64(FP)
 	RET
 
-// func decodeBlockF64AVX2(out *float64, signs, planes *byte, groups, w int, twoE float64)
+// func decodeRunF64AVX2(out *float64, body, widths *byte, n, groups, hdr int, twoE float64) (done, used int)
 //
-// decodeBlockF32AVX2 for float64 elements.
-TEXT ·decodeBlockF64AVX2(SB), NOSPLIT, $0-48
+// decodeRunF32AVX2 for float64 elements.
+TEXT ·decodeRunF64AVX2(SB), NOSPLIT, $24-72
 	MOVQ out+0(FP), DI
-	MOVQ signs+8(FP), SI
-	MOVQ planes+16(FP), R10
-	MOVQ groups+24(FP), CX
-	MOVQ w+32(FP), R11
-	VBROADCASTSD twoE+40(FP), Y15
-	INVERSE_BODY(PUT64, 64)
+	MOVQ body+8(FP), AX
+	MOVQ widths+16(FP), BX
+	MOVQ BX, wcur-8(SP)
+	ADDQ n+24(FP), BX
+	MOVQ BX, wend-16(SP)
+	MOVQ groups+32(FP), CX
+	MOVQ hdr+40(FP), BX
+	MOVQ BX, hdrb-24(SP)
+	VBROADCASTSD twoE+48(FP), Y15
+	INVERSE_RUN(PUT64, ZERO64, 64)
+	MOVQ wcur-8(SP), BX
+	SUBQ widths+16(FP), BX
+	MOVQ BX, done+56(FP)
+	SUBQ body+8(FP), AX
+	MOVQ AX, used+64(FP)
 	RET

@@ -2,23 +2,12 @@
 
 package core
 
-// Without the assembly kernels the Go kernels are the only path; the
-// constant compiles the dispatch branches away and the methods below are
-// never reached.
-const useAVX2 = false
+// Without the assembly kernels the run functions are the Go loops.
 
-func (e *blockEncoder) encodeVector(dst []byte, src []float32, stats *Stats) []byte {
-	panic("core: no vector kernels in this build")
+func (e *blockEncoder[F]) encodeRun(room []byte, src []F, widths []byte) (done, used int) {
+	return e.encodeRunGo(room, src, widths)
 }
 
-func (e *blockEncoder64) encodeVector(dst []byte, src []float64, stats *Stats) []byte {
-	panic("core: no vector kernels in this build")
-}
-
-func (d *blockDecoder) decodeVector(full []float32, signs, planes []byte, w uint) {
-	panic("core: no vector kernels in this build")
-}
-
-func (d *blockDecoder64) decodeVector(full []float64, signs, planes []byte, w uint) {
-	panic("core: no vector kernels in this build")
+func (d *blockDecoder[F]) decodeRun(out []F, body, widths []byte, hdr int, twoE float64) (done, used int) {
+	return d.decodeRunGo(out, body, widths, hdr, twoE)
 }

@@ -11,7 +11,6 @@ import (
 
 	"ceresz/internal/cpufeat"
 	"ceresz/internal/flenc"
-	"ceresz/internal/quant"
 )
 
 // The assembly kernels are tested differentially: the same input goes
@@ -33,6 +32,15 @@ func onKernels(vector bool, f func()) {
 	useAVX2 = vector
 	defer func() { useAVX2 = was }()
 	f()
+}
+
+// eachKernelSet runs f as a subtest on the Go kernels and, where the CPU
+// has them, on the vector kernels.
+func eachKernelSet(t *testing.T, f func(t *testing.T)) {
+	t.Run("go", func(t *testing.T) { onKernels(false, func() { f(t) }) })
+	if cpufeat.AVX2 {
+		t.Run("avx2", func(t *testing.T) { onKernels(true, func() { f(t) }) })
+	}
 }
 
 // vecCodec is what the differential tests need of either element type.
@@ -381,46 +389,75 @@ func TestVectorKernelsEnumerate64(t *testing.T) {
 	}
 }
 
-// TestVectorDecodeHostile feeds both decoders block bodies no encoder
-// would write — every width with random planes and signs, so the prefix
-// sum wraps — and requires the same bits out. The Go wrappers have already
-// sized everything the kernel touches; this checks the kernel's arithmetic
-// on the values hostile input can reach.
+// hostileBody builds a well-formed body no encoder would write: n blocks of
+// L elements of elemSize bytes whose header picks, byte by byte from pick,
+// a zero block, a verbatim block or any fixed length, and whose payload —
+// signs, planes, raw elements — comes from fill. The scan passes it, so it
+// is the kernels that see it: the prefix sum wraps, widths change from
+// block to block, verbatim blocks send the run back to Go.
+func hostileBody(n, L, hdr, elemSize int, pick func() byte, fill func([]byte)) []byte {
+	var body []byte
+	for b := 0; b < n; b++ {
+		w := pick() % (flenc.MaxWidth + 3) // 33: verbatim; 34: another zero block
+		payload := (int(w) + 1) * L / 8
+		switch {
+		case w == flenc.MaxWidth+1:
+			w, payload = widthVerbatim, L*elemSize
+		case w == flenc.MaxWidth+2 || w == 0:
+			w, payload = 0, 0
+		}
+		body = append(body, w)
+		if hdr == flenc.HeaderU32 {
+			high := byte(0)
+			if w == widthVerbatim {
+				high = 0xFF
+			}
+			body = append(body, high, high, high)
+		}
+		at := len(body)
+		body = append(body, make([]byte, payload)...)
+		fill(body[at:])
+	}
+	return body
+}
+
+// compareHostile decodes the same picks and payload as a float32 and as a
+// float64 stream on both kernel sets, the last block cut short.
+func compareHostile(t *testing.T, n, L, hdr int, eps float64, pick func() byte, fill func([]byte)) {
+	t.Helper()
+	m := Meta{HeaderBytes: hdr, BlockLen: L, Elements: n*L - 5, Eps: eps}
+	ok32 := compareDecode(t, vec32, append(AppendStreamHeader(nil, m), hostileBody(n, L, hdr, 4, pick, fill)...))
+	m.Elem = Float64
+	ok64 := compareDecode(t, vec64, append(AppendStreamHeader(nil, m), hostileBody(n, L, hdr, 8, pick, fill)...))
+	if !ok32 || !ok64 {
+		t.Fatalf("L=%d hdr=%d n=%d: a hostile body was refused; it must reach the kernels", L, hdr, n)
+	}
+}
+
+// TestVectorDecodeHostile feeds both decoders runs of hostileBody blocks:
+// every width in turn with random planes and signs, then long runs of
+// random kinds. The scan has already sized everything the kernel touches;
+// this checks the kernel's arithmetic on the values hostile input can
+// reach and its bookkeeping from one block to the next.
 func TestVectorDecodeHostile(t *testing.T) {
 	needAVX2(t)
 	rng := rand.New(rand.NewSource(5))
+	fill := func(p []byte) { rng.Read(p) }
 	for _, L := range []int{8, 32, 72} {
-		for w := 1; w <= flenc.MaxWidth; w++ {
-			for _, hdr := range []int{flenc.HeaderU32, flenc.HeaderU8} {
-				n := 3*L - 5 // the last block is partial
-				m := Meta{HeaderBytes: hdr, BlockLen: L, Elements: n, Eps: 0.25}
-				body := make([]byte, 0, 3*flenc.EncodedSize(uint(w), L, hdr))
-				for b := 0; b < 3; b++ {
-					if hdr == flenc.HeaderU32 {
-						body = append(body, byte(w), 0, 0, 0)
-					} else {
-						body = append(body, byte(w))
-					}
-					for i := 0; i < (w+1)*L/8; i++ {
-						body = append(body, byte(rng.Intn(256)))
-					}
-				}
-				for _, elem := range []Elem{Float32, Float64} {
-					m.Elem = elem
-					comp := append(AppendStreamHeader(nil, m), body...)
-					if elem == Float32 {
-						compareDecode(t, vec32, comp)
-					} else {
-						compareDecode(t, vec64, comp)
-					}
-				}
+		for _, hdr := range []int{flenc.HeaderU32, flenc.HeaderU8} {
+			for w := 1; w <= flenc.MaxWidth; w++ {
+				compareHostile(t, 3, L, hdr, 0.25, func() byte { return byte(w) }, fill)
+			}
+			for iter := 0; iter < 30; iter++ {
+				compareHostile(t, 1+rng.Intn(60), L, hdr, 0.25, func() byte { return byte(rng.Intn(256)) }, fill)
 			}
 		}
 	}
 }
 
 // compareDecode decodes comp on both kernel sets: same error or same bits.
-func compareDecode[F float32 | float64](t *testing.T, c vecCodec[F], comp []byte) {
+// It reports whether comp decoded.
+func compareDecode[F float32 | float64](t *testing.T, c vecCodec[F], comp []byte) bool {
 	t.Helper()
 	var goOut, asmOut []F
 	var goErr, asmErr error
@@ -430,7 +467,7 @@ func compareDecode[F float32 | float64](t *testing.T, c vecCodec[F], comp []byte
 		t.Fatalf("%s: Go decoder: %v, vector decoder: %v", c.name, goErr, asmErr)
 	}
 	if goErr != nil {
-		return
+		return false
 	}
 	if len(goOut) != len(asmOut) {
 		t.Fatalf("%s: decoded %d and %d elements", c.name, len(goOut), len(asmOut))
@@ -440,6 +477,7 @@ func compareDecode[F float32 | float64](t *testing.T, c vecCodec[F], comp []byte
 			t.Fatalf("%s: element %d decodes to %x on the Go kernel, %x on the vector kernel", c.name, i, c.bits(goOut[i]), c.bits(asmOut[i]))
 		}
 	}
+	return true
 }
 
 // FuzzVectorKernels runs arbitrary element bits, bounds across the whole
@@ -471,77 +509,21 @@ func FuzzVectorKernels(f *testing.F) {
 		}
 		vec64.check(t, d64, eps, opts, nil, none)
 
+		// As a body, raw is refused by the scan at the first byte that is
+		// not a header; as the picks and payload of a hostile body it gets
+		// whole runs to the kernels.
 		m := Meta{HeaderBytes: opts.HeaderBytes, BlockLen: opts.BlockLen, Elements: 2*opts.BlockLen - 3, Eps: eps}
 		compareDecode(t, vec32, append(AppendStreamHeader(nil, m), raw...))
 		m.Elem = Float64
 		compareDecode(t, vec64, append(AppendStreamHeader(nil, m), raw...))
-	})
-}
-
-// TestVectorKernelsStayInBounds pins the extents the wrappers promise the
-// kernels. The encoder kernel may scribble over all the room a width-32
-// block would need (it always writes whole layers of eight planes) but not
-// a byte more; the decoder kernel writes exactly L elements. Both are run
-// inside canary-filled arrays at every width.
-func TestVectorKernelsStayInBounds(t *testing.T) {
-	needAVX2(t)
-	const canary = 0xA5
-	q, err := quant.MakeQuantizer(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, L := range []int{8, 24, 32, 40, 64} {
-		for _, hdr := range []int{flenc.HeaderU32, flenc.HeaderU8} {
-			enc := newBlockEncoder(L, hdr, q)
-			dec := getDecoder(L, hdr, q)
-			reserve := flenc.EncodedSize(flenc.MaxWidth, L, hdr)
-			for w := 0; w <= flenc.MaxWidth; w++ {
-				block := make([]float32, L)
-				switch {
-				case w == flenc.MaxWidth:
-					// Only a delta of −2³¹ is that wide: 2³⁰ down to −2³⁰.
-					block[0], block[1] = 1<<30, -(1 << 30)
-				case w > 0:
-					// A first delta of 2^(w−1) makes the width exactly w.
-					block[0] = float32(math.Ldexp(1, w-1))
-					block[1] = block[0]
+		if len(raw) > 0 {
+			at := 0
+			next := func() byte { at++; return raw[at%len(raw)] }
+			compareHostile(t, 2+len(raw)/8, opts.BlockLen, opts.HeaderBytes, eps, next, func(p []byte) {
+				for i := range p {
+					p[i] = next()
 				}
-				const at = 13
-				buf := bytes.Repeat([]byte{canary}, at+reserve+64)
-				var stats Stats
-				out := enc.encode(buf[:at:at+reserve], block, &stats)
-				if &out[0] != &buf[0] {
-					t.Fatalf("L=%d hdr=%d w=%d: encode reallocated a dst with room for the widest block", L, hdr, w)
-				}
-				if stats.WidthHistogram[w] != 1 {
-					t.Fatalf("L=%d hdr=%d: built a block of width %d, encoder saw %+v", L, hdr, w, stats)
-				}
-				for i, b := range buf[at+reserve:] {
-					if b != canary {
-						t.Fatalf("L=%d hdr=%d w=%d: encoder wrote %d bytes past its reserve", L, hdr, w, i+1)
-					}
-				}
-				for i, b := range buf[:at] {
-					if b != canary {
-						t.Fatalf("L=%d hdr=%d w=%d: encoder wrote before dst's end (byte %d)", L, hdr, w, i)
-					}
-				}
-				vals := make([]float32, L+16)
-				for i := range vals {
-					vals[i] = -7
-				}
-				if err := dec.decode(vals[8:8+L], out[at:]); err != nil {
-					t.Fatal(err)
-				}
-				for i, v := range vals {
-					if in := i >= 8 && i < 8+L; !in && v != -7 {
-						t.Fatalf("L=%d hdr=%d w=%d: decoder wrote outside its block (element %d)", L, hdr, w, i-8)
-					} else if in && v != block[i-8] {
-						t.Fatalf("L=%d hdr=%d w=%d: element %d decodes to %g, want %g", L, hdr, w, i-8, v, block[i-8])
-					}
-				}
-			}
-			putDecoder(dec)
+			})
 		}
-	}
+	})
 }
