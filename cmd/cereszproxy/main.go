@@ -2,8 +2,9 @@
 // compression service: a consistent-hash shard router with health-checked
 // failover and per-tenant QoS (internal/cluster).
 //
-// Routing is keyed on the same SHA-256 digest family the backends'
-// content-addressed chunk cache uses, so identical chunks always land on
+// Routing is keyed on the same digests the backends' content-addressed
+// chunk cache uses (internal/chunkcache's lane-parallel SHA-256 tree over
+// codec parameters and chunk bytes), so identical chunks always land on
 // the node whose cache already holds them — cluster-wide repeat traffic
 // stays warm instead of spreading cold copies across every backend.
 //

@@ -1,6 +1,7 @@
 // Package chunkcache is a sharded, bounded-memory, content-addressed
-// cache for codec results, keyed by SHA-256 of the codec input plus the
-// parameters that shape the output. It exists because CereSZ streams are
+// cache for codec results, keyed by a SHA-256 tree hash over the codec
+// input and the parameters that shape the output (hasher.go gives the
+// definition). It exists because CereSZ streams are
 // block-independent by construction (the paper's row-parallel premise):
 // one chunk's compressed frame depends only on that chunk's bytes and the
 // codec options, so identical chunks recompressed across timesteps — the
@@ -27,17 +28,15 @@
 package chunkcache
 
 import (
-	"crypto/sha256"
 	"errors"
-	"hash"
-
 	"sync"
 
 	"ceresz/internal/telemetry"
 )
 
-// Key is a content address: SHA-256 over a parameter preamble plus the
-// codec input bytes. Build one with a Hasher.
+// Key is a content address: the root of a sixteen-lane SHA-256 tree over a
+// parameter preamble and the codec input bytes. Build one with a Hasher,
+// whose Key method defines it.
 type Key [32]byte
 
 // Meta rides along with a cached value.
@@ -397,35 +396,4 @@ func (s *shard) touch(e *entry) {
 	}
 	s.unlink(e)
 	s.pushFront(e)
-}
-
-// Hasher derives Keys with a reusable SHA-256 state: zero allocations per
-// Key once constructed. Not safe for concurrent use; give each worker its
-// own.
-type Hasher struct {
-	h hash.Hash
-	// pre and sum are reusable scratch: passing stack arrays through the
-	// hash.Hash interface would force a heap escape per chunk, so both
-	// live on the (already heap-resident) Hasher instead.
-	pre []byte
-	sum [sha256.Size]byte
-}
-
-// NewHasher returns a ready Hasher.
-func NewHasher() *Hasher { return &Hasher{h: sha256.New(), pre: make([]byte, 0, 64)} }
-
-// Preamble returns the reusable parameter-prefix scratch, emptied. Append
-// the values that shape the codec output (direction, element type, mode,
-// eps bits, block length), then pass it to Key.
-func (h *Hasher) Preamble() []byte { return h.pre[:0] }
-
-// Key hashes preamble followed by data into a Key. preamble should come
-// from Preamble so the slice header does not escape per call.
-func (h *Hasher) Key(preamble, data []byte) Key {
-	h.pre = preamble // retain scratch growth for reuse
-	h.h.Reset()
-	h.h.Write(preamble)
-	h.h.Write(data)
-	h.h.Sum(h.sum[:0])
-	return Key(h.sum)
 }

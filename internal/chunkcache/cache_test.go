@@ -438,33 +438,6 @@ func TestDisabledIsCallerGated(t *testing.T) {
 	probe.Abort()
 }
 
-func TestHasherKeyStability(t *testing.T) {
-	h1, h2 := NewHasher(), NewHasher()
-	data := val(5, 1000)
-	pre := h1.Preamble()
-	pre = append(pre, 1, 0x20, 0, 0xAB)
-	k1 := h1.Key(pre, data)
-
-	pre2 := h2.Preamble()
-	pre2 = append(pre2, 1, 0x20, 0, 0xAB)
-	k2 := h2.Key(pre2, data)
-	if k1 != k2 {
-		t.Fatalf("same input hashed to different keys")
-	}
-
-	pre3 := h2.Preamble()
-	pre3 = append(pre3, 1, 0x20, 0, 0xAC) // one preamble byte differs
-	if k3 := h2.Key(pre3, data); k3 == k1 {
-		t.Fatalf("different preamble collided")
-	}
-	data[0]++
-	pre4 := h2.Preamble()
-	pre4 = append(pre4, 1, 0x20, 0, 0xAB)
-	if k4 := h2.Key(pre4, data); k4 == k1 {
-		t.Fatalf("different data collided")
-	}
-}
-
 func TestManyShardsDistribute(t *testing.T) {
 	c := New(1<<20, telemetry.NewRegistry())
 	h := NewHasher()

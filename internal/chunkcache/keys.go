@@ -15,12 +15,19 @@ import (
 // the code rather than a convention between two packages.
 const (
 	// KeyVersion guards against silently reusing entries (or routing
-	// affinity assumptions) across key-schema changes.
-	KeyVersion = 1
+	// affinity assumptions) across key-schema changes. Version 2 is the
+	// sixteen-lane tree of hasher.go with the block length canonicalised;
+	// version 1 was one SHA-256 over preamble ‖ data.
+	KeyVersion = 2
 	// NSCompress namespaces raw-chunk → CSZF-frame entries.
 	NSCompress = 1
 	// NSDecompress namespaces CSZF-frame-payload → raw-bytes entries.
 	NSDecompress = 2
+
+	// defaultBlockLen is the block length the codec uses when a request
+	// names none (core.DefaultBlockLen; internal/server's tests hold the two
+	// together).
+	defaultBlockLen = 32
 )
 
 // AppendCompressPreamble appends the compress-direction key preamble:
@@ -28,13 +35,18 @@ const (
 // tag (0 = f32, 1 = f64); abs selects the absolute-bound mode; eps is the
 // bound value (ε for ABS, λ for REL — a REL bound is keyed by λ, since
 // its resolution to an ε is a deterministic function of the chunk bytes
-// the digest already pins down); blockLen is the CereSZ block length
-// (0 = the codec default). Worker count is deliberately absent — the
-// host codec is byte-identical at every parallelism level.
+// the digest already pins down); blockLen is the CereSZ block length, 0
+// meaning the codec default and keyed as that default, so that the two
+// spellings of one frame share one entry and one ring position. Worker
+// count is deliberately absent — the host codec is byte-identical at every
+// parallelism level.
 func AppendCompressPreamble(pre []byte, elem byte, abs bool, eps float64, blockLen int) []byte {
 	mode := byte(0)
 	if abs {
 		mode = 1
+	}
+	if blockLen == 0 {
+		blockLen = defaultBlockLen
 	}
 	pre = append(pre, KeyVersion, NSCompress, elem, mode)
 	pre = binary.LittleEndian.AppendUint64(pre, math.Float64bits(eps))

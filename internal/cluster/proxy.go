@@ -798,11 +798,12 @@ func readPrefix(r io.Reader, buf []byte) (prefix []byte, fullyBuffered bool, err
 
 // routeKey derives the routing digest for one request. Compress and
 // decompress requests hash their first chunk under the exact
-// internal/chunkcache key layout the backends address entries with, so a
-// chunk's route and its cache key agree and repeats land on the node
-// already holding them. Unparsable requests (the backend will 400 them)
-// and bundles hash the raw prefix under a proxy-private namespace —
-// still deterministic, just without cache affinity.
+// internal/chunkcache key layout and key definition (Hasher.Key) the
+// backends address entries with, so a chunk's route and its cache key
+// agree and repeats land on the node already holding them. Unparsable
+// requests (the backend will 400 them) and bundles hash the raw prefix
+// under a proxy-private namespace — still deterministic, just without
+// cache affinity.
 func (p *Proxy) routeKey(ep int, q url.Values, prefix []byte) chunkcache.Key {
 	h := p.hashers.Get().(*chunkcache.Hasher)
 	defer p.hashers.Put(h)

@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"ceresz/internal/chunkcache"
+	"ceresz/internal/chunkcache/keytest"
 	"ceresz/internal/server"
 	"ceresz/internal/telemetry"
 )
@@ -498,6 +500,49 @@ func TestParseObjectivesBindsProxyInstruments(t *testing.T) {
 	}
 	if _, err := ParseObjectives("frobnicate:err:99"); err == nil {
 		t.Fatal("unknown endpoint accepted")
+	}
+}
+
+// TestRouteKeysAreTheCommittedKeys is the proxy's third of the cross-tier
+// pin (package keytest): routeKey, given each committed request's query and
+// body as serveProxy would hand them over, returns exactly the committed
+// Key — the 32 bytes internal/server's test finds the request's first chunk
+// cached under. It runs on the AVX-512 and the purego build alike (CI lists
+// this package under both), so the pin holds on both kernel sets.
+func TestRouteKeysAreTheCommittedKeys(t *testing.T) {
+	p, _, _ := newTestProxy(t, Config{Backends: []string{"http://a.invalid", "http://b.invalid"}})
+	for _, r := range keytest.Requests() {
+		q, err := url.ParseQuery(r.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.routeKey(endpointOf(r.Path), q, r.Body); got != chunkcache.Key(r.Key) {
+			t.Errorf("%s: routeKey %x, committed key %x", r.Name, got, r.Key)
+		}
+	}
+}
+
+// TestRouteKeyDefaultBlockLenHasOneSpelling: the default block length,
+// left out or written out, in the request or in the proxy's own -block
+// mirror, is one frame on the backends and must be one ring position.
+func TestRouteKeyDefaultBlockLenHasOneSpelling(t *testing.T) {
+	body := rawF32Body(64<<10, 3)
+	backends := []string{"http://a.invalid", "http://b.invalid", "http://c.invalid"}
+	var keys []chunkcache.Key
+	for _, cfgBlock := range []int{0, 32} {
+		p, _, _ := newTestProxy(t, Config{Backends: backends, BlockLen: cfgBlock})
+		for _, query := range []string{"eps=0.001", "eps=0.001&block=32"} {
+			q, _ := url.ParseQuery(query)
+			k := p.routeKey(epCompress, q, body)
+			if len(keys) > 0 && (k != keys[0] || p.Ring().Owner(k) != p.Ring().Owner(keys[0])) {
+				t.Errorf("proxy BlockLen %d, %q: key %x, want the first spelling's %x and its owner", cfgBlock, query, k, keys[0])
+			}
+			keys = append(keys, k)
+		}
+		q, _ := url.ParseQuery("eps=0.001&block=64")
+		if p.routeKey(epCompress, q, body) == keys[0] {
+			t.Error("block=64 routes as the default block length")
+		}
 	}
 }
 

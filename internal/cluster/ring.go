@@ -5,8 +5,11 @@
 // The paper scales error-bounded compression by fanning independent
 // blocks across hundreds of thousands of PEs; this package mirrors that
 // one level up, fanning independent requests across backend processes.
-// Routing is keyed on the same SHA-256 digest family internal/chunkcache
-// addresses entries with, so a chunk's route and its cache key agree: the
+// Routing is keyed on the same digest family internal/chunkcache addresses
+// entries with — chunkcache.Hasher.Key, a sixteen-lane SHA-256 tree over
+// the key preamble and the chunk — so a chunk's route and its cache key
+// agree (a proxy and a backend built at different chunkcache.KeyVersions
+// lose that affinity, never correctness: the route only picks a node): the
 // proxy concentrates identical chunks on the node whose content-addressed
 // cache already holds them, turning cluster-wide repeat traffic into warm
 // single-node hits instead of N cold copies.

@@ -2,5 +2,8 @@
 
 package cpufeat
 
-// AVX2 is false in builds without the assembly kernels.
-const AVX2 = false
+// AVX2 and AVX512 are false in builds without the assembly kernels.
+const (
+	AVX2   = false
+	AVX512 = false
+)

@@ -9,3 +9,9 @@ func TestAVX2OffWithoutKernels(t *testing.T) {
 		t.Fatal("AVX2 set in a build without the assembly kernels")
 	}
 }
+
+func TestAVX512OffWithoutKernels(t *testing.T) {
+	if AVX512 {
+		t.Fatal("AVX512 set in a build without the assembly kernels")
+	}
+}

@@ -11,6 +11,9 @@ import (
 	"testing"
 
 	"ceresz"
+	"ceresz/internal/chunkcache"
+	"ceresz/internal/chunkcache/keytest"
+	"ceresz/internal/core"
 	"ceresz/internal/telemetry"
 )
 
@@ -82,6 +85,68 @@ func TestCacheHitByteIdentity(t *testing.T) {
 	}
 	if saved := reg.Counter("cache.bytes_saved").Value(); saved <= 0 {
 		t.Errorf("cache.bytes_saved = %d, want > 0", saved)
+	}
+}
+
+// TestCacheKeysAreTheCommittedKeys is the backend's third of the cross-tier
+// pin (package keytest): each committed request is served through the full
+// handler chain, query parsing and chunking included, and its first chunk
+// must then be resident under exactly the committed Key — the 32 bytes
+// internal/cluster's test holds the proxy's routing digest to.
+func TestCacheKeysAreTheCommittedKeys(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, CacheBytes: 8 << 20})
+	h := s.Handler()
+	for _, r := range keytest.Requests() {
+		if r.Preamble[1] != chunkcache.NSCompress && r.Preamble[1] != chunkcache.NSDecompress {
+			continue // the proxy's private namespace: no backend keys under it
+		}
+		if rr := postRec(t, h, r.Path+"?"+r.Query, r.Body); rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", r.Name, rr.Code, rr.Body.String())
+		}
+		hd, err := s.cache.Get(chunkcache.Key(r.Key))
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		if hd.Outcome() == chunkcache.Miss {
+			hd.Abort()
+			t.Errorf("%s: served, but nothing is cached under the committed key %x", r.Name, r.Key)
+			continue
+		}
+		hd.Release()
+	}
+}
+
+// TestDefaultBlockLenHasOneSpelling: no block parameter, block=32 and a
+// server configured with BlockLen 32 all produce the same frames, so they
+// must share cache entries; and the default the key layout canonicalises 0
+// to must be the codec's, or a hit would return another block length's
+// frame.
+func TestDefaultBlockLenHasOneSpelling(t *testing.T) {
+	if got, want := chunkcache.AppendCompressPreamble(nil, 0, true, 1e-3, 0),
+		chunkcache.AppendCompressPreamble(nil, 0, true, 1e-3, core.DefaultBlockLen); !bytes.Equal(got, want) {
+		t.Fatalf("block length 0 is keyed as % x, the codec's default %d as % x", got, core.DefaultBlockLen, want)
+	}
+	const chunkElems, chunks = 512, 3
+	raw := rawBytes(testData(chunks*chunkElems, 31))
+	for _, cfgBlock := range []int{0, core.DefaultBlockLen} {
+		reg := telemetry.NewRegistry()
+		s, _ := newTestServer(t, Config{Workers: 1, ChunkElems: chunkElems, BlockLen: cfgBlock, CacheBytes: 8 << 20, Registry: reg})
+		h := s.Handler()
+		first := postRec(t, h, "/v1/compress?eps=1e-3", raw)
+		second := postRec(t, h, fmt.Sprintf("/v1/compress?eps=1e-3&block=%d", core.DefaultBlockLen), raw)
+		if first.Code != http.StatusOK || second.Code != http.StatusOK {
+			t.Fatalf("status %d, %d", first.Code, second.Code)
+		}
+		if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+			t.Fatal("the two spellings of the default block length produced different frames")
+		}
+		if misses, hits := reg.Counter("cache.misses").Value(), reg.Counter("cache.hits").Value(); misses != chunks || hits != chunks {
+			t.Errorf("server BlockLen %d: %d misses and %d hits, want %d and %d: the second spelling should hit the first's entries",
+				cfgBlock, misses, hits, chunks, chunks)
+		}
+		if postRec(t, h, "/v1/compress?eps=1e-3&block=64", raw); reg.Counter("cache.misses").Value() != 2*chunks {
+			t.Error("a different block length hit the default's entries")
+		}
 	}
 }
 

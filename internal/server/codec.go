@@ -37,7 +37,7 @@ type codec struct {
 	// 1 keeps the sequential zero-alloc path.
 	workers int
 	// hasher derives chunk-cache keys; per-codec so key derivation needs
-	// no locking and reuses one SHA-256 state (zero allocations per key).
+	// no locking and reuses one Hasher's state (zero allocations per key).
 	hasher *chunkcache.Hasher
 }
 
@@ -150,9 +150,10 @@ func (c *codec) finishFrame(tc time.Time, err error) ([]byte, error) {
 
 // Chunk-cache keys use the canonical layout exported by chunkcache
 // (AppendCompressPreamble / AppendDecompressPreamble): a fixed preamble of
-// every parameter that shapes the codec's output, then the chunk bytes.
-// internal/cluster routes by the same digests, so a consistent-hash proxy
-// lands identical chunks on the node whose cache already holds them.
+// every parameter that shapes the codec's output, and the chunk bytes,
+// under Hasher.Key's sixteen-lane SHA-256 tree. internal/cluster routes by
+// the same digests, so a consistent-hash proxy lands identical chunks on
+// the node whose cache already holds them.
 
 // cacheKeyCompress addresses the raw chunk in c.raw under p: direction,
 // element type, bound mode, eps bits and block length all shape the frame
