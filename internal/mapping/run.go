@@ -31,7 +31,19 @@ type flowBlock struct {
 	row int                // target row (single-ingress distribution)
 	raw []float32          // compression input (nil for decompression)
 	enc []byte             // decompression input (nil for compression)
-	st  *stages.BlockState // created when a head PE captures the block
+	st  *stages.BlockState // loaded when a head PE captures the block
+}
+
+// newFlowBlocks returns a run's n blocks, each with its block state from
+// one per-run arena (stages.NewBlockStates), so that capturing a block
+// allocates nothing.
+func newFlowBlocks(n, L int) []flowBlock {
+	blocks := make([]flowBlock, n)
+	states := stages.NewBlockStates(L, n)
+	for b := range blocks {
+		blocks[b] = flowBlock{id: b, st: &states[b]}
+	}
+	return blocks
 }
 
 // peProgram is the per-PE code: relay raw blocks for pipelines to the
@@ -93,7 +105,6 @@ func (pp *peProgram) OnMessage(ctx *wse.Context, msg wse.Message) {
 		}
 		pp.relayLeft = pp.relayInit
 		fb := msg.Payload.(*flowBlock)
-		fb.st = stages.NewBlockState(pp.plan.Chain.Cfg.BlockLen)
 		if pp.plan.Chain.Dir == stages.Compress {
 			fb.st.ResetForCompress(fb.raw)
 		} else {
@@ -180,6 +191,7 @@ type Result struct {
 // processor.
 func (p *Plan) install(m *wse.Mesh, rows int) {
 	pl := p.Cfg.PipelineLen
+	progs := make([]peProgram, 0, rows*p.Pipelines*pl) // never regrows: SetProgram keeps pointers
 	for r := 0; r < rows; r++ {
 		for pipe := 0; pipe < p.Pipelines; pipe++ {
 			for pos := 0; pos < pl; pos++ {
@@ -188,41 +200,40 @@ func (p *Plan) install(m *wse.Mesh, rows int) {
 				if interiorWithTraffic && !p.Cfg.ProcessorRelay {
 					m.SetRoute(r, col, colorRaw, wse.East)
 				}
-				m.SetProgram(r, col, &peProgram{
+				progs = append(progs, peProgram{
 					plan:      p,
 					isHead:    pos == 0,
 					isTail:    pos == pl-1,
 					group:     p.Groups[pos],
 					relayInit: p.Pipelines - pipe - 1,
 				})
+				m.SetProgram(r, col, &progs[len(progs)-1])
 			}
 		}
 	}
 }
 
-// injectColumn streams every block into PE(0,0) on the column color; row
-// heads peel off their rows' blocks (single-ingress mode).
-func (p *Plan) injectColumn(m *wse.Mesh, blocks []*flowBlock, wavelets func(*flowBlock) int) {
-	t := int64(0)
-	for _, fb := range blocks {
-		w := wavelets(fb)
-		m.Inject(0, 0, wse.Message{Color: colorColumn, Payload: fb, Wavelets: w,
-			Span: int64(fb.id) + 1}, t)
-		if p.Cfg.InjectInterval > 0 {
-			t += p.Cfg.InjectInterval
-		} else {
-			t += int64(w) + m.Config().LinkLatency
-		}
+// feed streams every block onto the wafer at link rate (or the
+// configured interval). Single-ingress mode injects them all into PE(0,0)
+// on the column color for the row heads to peel off; otherwise row r's
+// west-edge PE gets blocks r, r+rows, r+2·rows, ….
+func (p *Plan) feed(m *wse.Mesh, blocks []flowBlock, rows int, wavelets func(*flowBlock) int) {
+	if p.Cfg.SingleIngress {
+		p.inject(m, 0, colorColumn, blocks, 0, 1, wavelets)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		p.inject(m, r, colorRaw, blocks, r, rows, wavelets)
 	}
 }
 
-// inject streams the row's blocks into its west-edge PE at link rate (or
-// the configured interval).
-func (p *Plan) inject(m *wse.Mesh, row int, blocks []*flowBlock, wavelets func(*flowBlock) int) {
+// inject streams blocks first, first+stride, … into row's west-edge PE.
+func (p *Plan) inject(m *wse.Mesh, row int, color wse.Color, blocks []flowBlock, first, stride int, wavelets func(*flowBlock) int) {
 	t := int64(0)
-	for _, fb := range blocks {
+	for b := first; b < len(blocks); b += stride {
+		fb := &blocks[b]
 		w := wavelets(fb)
-		m.Inject(row, 0, wse.Message{Color: colorRaw, Payload: fb, Wavelets: w,
+		m.Inject(row, 0, wse.Message{Color: color, Payload: fb, Wavelets: w,
 			Span: int64(fb.id) + 1}, t)
 		if p.Cfg.InjectInterval > 0 {
 			t += p.Cfg.InjectInterval
@@ -278,29 +289,12 @@ func (p *Plan) compress(data []float32, traceCap int) (*Result, *wse.Tracer, err
 	p.install(m, rows)
 
 	// Stripe blocks over rows: row r gets blocks r, r+rows, r+2·rows, …
-	if p.Cfg.SingleIngress {
-		var all []*flowBlock
-		for b := 0; b < nBlocks; b++ {
-			lo, hi := b*L, (b+1)*L
-			if hi > len(data) {
-				hi = len(data)
-			}
-			all = append(all, &flowBlock{id: b, row: b % rows, raw: data[lo:hi]})
-		}
-		p.injectColumn(m, all, func(*flowBlock) int { return L })
-	} else {
-		for r := 0; r < rows; r++ {
-			var rowBlocks []*flowBlock
-			for b := r; b < nBlocks; b += rows {
-				lo, hi := b*L, (b+1)*L
-				if hi > len(data) {
-					hi = len(data)
-				}
-				rowBlocks = append(rowBlocks, &flowBlock{id: b, row: r, raw: data[lo:hi]})
-			}
-			p.inject(m, r, rowBlocks, func(*flowBlock) int { return L })
-		}
+	blocks := newFlowBlocks(nBlocks, L)
+	for b := range blocks {
+		lo, hi := b*L, min((b+1)*L, len(data))
+		blocks[b].row, blocks[b].raw = b%rows, data[lo:hi]
 	}
+	p.feed(m, blocks, rows, func(*flowBlock) int { return L })
 
 	runStart := time.Now()
 	cycles, err := m.Run()
@@ -319,7 +313,11 @@ func (p *Plan) compress(data []float32, traceCap int) (*Result, *wse.Tracer, err
 	if err != nil {
 		return nil, nil, err
 	}
-	out := core.AppendStreamHeader(nil, meta)
+	size := core.StreamHeaderSize
+	for _, fb := range encoded {
+		size += len(fb.st.Encoded)
+	}
+	out := core.AppendStreamHeader(make([]byte, 0, size), meta)
 	for _, fb := range encoded {
 		out = append(out, fb.st.Encoded...)
 	}
@@ -373,22 +371,11 @@ func (p *Plan) decompress(comp []byte, traceCap int) (*Result, *wse.Tracer, erro
 	}
 	p.install(m, rows)
 
-	encW := func(fb *flowBlock) int { return (len(fb.enc) + 3) / 4 }
-	if p.Cfg.SingleIngress {
-		var all []*flowBlock
-		for b := 0; b < nBlocks; b++ {
-			all = append(all, &flowBlock{id: b, row: b % rows, enc: body[offsets[b]:offsets[b+1]]})
-		}
-		p.injectColumn(m, all, encW)
-	} else {
-		for r := 0; r < rows; r++ {
-			var rowBlocks []*flowBlock
-			for b := r; b < nBlocks; b += rows {
-				rowBlocks = append(rowBlocks, &flowBlock{id: b, row: r, enc: body[offsets[b]:offsets[b+1]]})
-			}
-			p.inject(m, r, rowBlocks, encW)
-		}
+	blocks := newFlowBlocks(nBlocks, meta.BlockLen)
+	for b := range blocks {
+		blocks[b].row, blocks[b].enc = b%rows, body[offsets[b]:offsets[b+1]]
 	}
+	p.feed(m, blocks, rows, func(fb *flowBlock) int { return (len(fb.enc) + 3) / 4 })
 
 	runStart := time.Now()
 	cycles, err := m.Run()
@@ -489,11 +476,11 @@ func (p *Plan) runTelemetry(m *wse.Mesh, cycles int64, wall time.Duration, att w
 	}
 	// Per-stage-group load: Algorithm 1's estimate next to what the mesh
 	// actually measured. Column c holds pipeline position c mod PipelineLen,
-	// so summing RowProfile compute per position recovers the group split.
+	// so summing per-PE compute per position recovers the group split.
 	perPos := make([]int64, p.Cfg.PipelineLen)
 	for r := 0; r < m.Config().Rows; r++ {
-		for c, st := range m.RowProfile(r) {
-			perPos[c%p.Cfg.PipelineLen] += st.ComputeCycles
+		for c := 0; c < m.Config().Cols; c++ {
+			perPos[c%p.Cfg.PipelineLen] += m.PE(r, c).Stats().ComputeCycles
 		}
 	}
 	for pos, g := range p.Groups {

@@ -189,15 +189,37 @@ const (
 )
 
 // NewBlockState allocates the scratch for a block of length L.
-func NewBlockState(L int) *BlockState {
-	return &BlockState{
-		Raw:      make([]float32, L),
-		Scaled:   make([]float64, L),
-		Codes:    make([]int32, L),
-		Abs:      make([]uint32, L),
-		SignBits: make([]byte, L/8),
-		Planes:   make([]byte, flenc.MaxWidth*L/8),
+func NewBlockState(L int) *BlockState { return &NewBlockStates(L, 1)[0] }
+
+// NewBlockStates allocates n block states of length L from one backing
+// array per field — eight allocations for the lot instead of seven per
+// state. Each state's slices are capped at its own share, so appending
+// past it reallocates rather than overwriting the next state, and
+// Encoded has room for the largest block either direction can hold.
+func NewBlockStates(L, n int) []BlockState {
+	pb := flenc.PlaneBytes(L)
+	planes := flenc.MaxWidth * pb
+	enc := max(flenc.EncodedSize(flenc.MaxWidth, L, flenc.HeaderU32), flenc.VerbatimSize(L, flenc.HeaderU32))
+	raw := make([]float32, n*L)
+	scaled := make([]float64, n*L)
+	codes := make([]int32, n*L)
+	abs := make([]uint32, n*L)
+	signs := make([]byte, n*pb)
+	planeBuf := make([]byte, n*planes)
+	encBuf := make([]byte, n*enc)
+	sts := make([]BlockState, n)
+	for i := range sts {
+		sts[i] = BlockState{
+			Raw:      raw[i*L : (i+1)*L : (i+1)*L],
+			Scaled:   scaled[i*L : (i+1)*L : (i+1)*L],
+			Codes:    codes[i*L : (i+1)*L : (i+1)*L],
+			Abs:      abs[i*L : (i+1)*L : (i+1)*L],
+			SignBits: signs[i*pb : (i+1)*pb : (i+1)*pb],
+			Planes:   planeBuf[i*planes : (i+1)*planes : (i+1)*planes],
+			Encoded:  encBuf[i*enc : i*enc : (i+1)*enc],
+		}
 	}
+	return sts
 }
 
 // ResetForCompress loads a raw block (≤ L elements; zero-padded) into the

@@ -65,10 +65,16 @@ type Attribution struct {
 func (m *Mesh) Attribution() Attribution {
 	elapsed := m.Elapsed()
 	att := Attribution{Elapsed: elapsed, MeshPEs: len(m.pes)}
+	active := 0
+	for i := range m.pes {
+		if m.pes[i].stats.active() {
+			active++
+		}
+	}
+	att.PEs = make([]PEAttribution, 0, active)
 	for i := range m.pes {
 		s := &m.pes[i].stats
-		if s.BusyCycles() == 0 && s.Handled == 0 && s.Routed == 0 &&
-			s.QueueWaitCycles == 0 && s.FabricStallCycles == 0 {
+		if !s.active() {
 			continue
 		}
 		pa := PEAttribution{
@@ -96,4 +102,11 @@ func (m *Mesh) Attribution() Attribution {
 	}
 	att.ActivePEs = len(att.PEs)
 	return att
+}
+
+// active reports whether a PE did any work or accumulated any wait — the
+// PEs an Attribution lists.
+func (s *Stats) active() bool {
+	return s.BusyCycles() != 0 || s.Handled != 0 || s.Routed != 0 ||
+		s.QueueWaitCycles != 0 || s.FabricStallCycles != 0
 }

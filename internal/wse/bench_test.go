@@ -6,28 +6,35 @@ import (
 	"testing"
 )
 
-// benchMeshRun builds a rows×cols mesh of relay pipelines (every PE
-// forwards east at a fixed per-message cost, the edge emits), streams
-// blocksPerRow messages into each row head, and runs it to completion —
-// the simulator's hot loop with mapping-shaped traffic.
+// buildBenchMesh builds a mesh of relay pipelines (every PE forwards east
+// at a fixed per-message cost, the edge emits) and streams blocksPerRow
+// messages into each row head — the simulator's hot loop with
+// mapping-shaped traffic, ready to Run.
+func buildBenchMesh(tb testing.TB, cfg Config, blocksPerRow int) *Mesh {
+	tb.Helper()
+	m, err := NewMesh(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for r := 0; r < cfg.Rows; r++ {
+		for c := 0; c < cfg.Cols; c++ {
+			m.SetProgram(r, c, benchProgram(200))
+		}
+	}
+	for r := 0; r < cfg.Rows; r++ {
+		for blk := 0; blk < blocksPerRow; blk++ {
+			m.Inject(r, 0, Message{Color: 0, Payload: blk, Wavelets: 8}, int64(9*blk))
+		}
+	}
+	return m
+}
+
+// benchMeshRun builds and runs a rows×cols bench mesh per iteration.
 func benchMeshRun(b *testing.B, rows, cols, blocksPerRow int) {
 	b.ReportAllocs()
 	var events int64
 	for i := 0; i < b.N; i++ {
-		m, err := NewMesh(benchConfig(rows, cols))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				m.SetProgram(r, c, benchProgram(200))
-			}
-		}
-		for r := 0; r < rows; r++ {
-			for blk := 0; blk < blocksPerRow; blk++ {
-				m.Inject(r, 0, Message{Color: 0, Payload: blk, Wavelets: 8}, int64(9*blk))
-			}
-		}
+		m := buildBenchMesh(b, benchConfig(rows, cols), blocksPerRow)
 		if _, err := m.Run(); err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package wse
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Config describes a simulated wafer.
@@ -77,9 +78,11 @@ type Mesh struct {
 	glue []bool
 
 	// pending collects work scheduled before the event loops start: host
-	// injections, then everything the Init phase sends. Run bins it into
-	// shards by destination row.
-	pending   []event
+	// injections, then everything the Init phase sends, as keys into the
+	// pre-run slab pre. Run hands them to the engines that simulate their
+	// destination rows.
+	pending   []evKey
+	pre       msgSlab
 	injectSeq int64
 
 	processed int64
@@ -211,9 +214,7 @@ func (m *Mesh) Inject(row, col int, msg Message, at int64) {
 	msg.Src = OffWafer
 	msg.sentAt = at // the host "let go" at the scheduled delivery time
 	pe := m.PE(row, col)
-	m.pending = append(m.pending, event{
-		at: at, src: hostSrc, seq: m.injectSeq, kind: evDeliver, pe: pe.idx, msg: msg,
-	})
+	m.pending = append(m.pending, evKey{at: at, seq: m.injectSeq, src: hostSrc, slot: m.pre.put(&msg, pe.idx)})
 	m.injectSeq++
 }
 
@@ -257,27 +258,31 @@ func (m *Mesh) Run() (int64, error) {
 
 	// Init programs at cycle 0, before any partitioning — Init sends may
 	// legitimately cross rows and are simply binned to the destination
-	// shard along with the host injections.
-	ieng := engine{m: m}
+	// shard along with the host injections, whose slab they share.
+	ieng := &engine{m: m, slab: m.pre}
 	for i := range m.pes {
 		pe := &m.pes[i]
 		if pe.program == nil {
 			continue
 		}
-		ieng.ctx.reset(pe, 0)
+		ieng.ctx.reset(pe, 0, &ieng.slab)
 		pe.program.Init(&ieng.ctx)
 		ieng.finishHandler(pe, 0)
 	}
-	pending := append(m.pending, ieng.q.ev...)
-	m.pending = nil
+	pending := append(m.pending, ieng.q.keys...)
+	slab := &ieng.slab
+	m.pending, m.pre = nil, msgSlab{}
 
 	plan := m.partition()
 	if !plan.sequential {
-		return m.runSharded(plan, pending)
+		return m.runSharded(plan, pending, slab)
 	}
 	m.shards, m.workers, m.poolPeak = 1, 1, 1
-	seq := engine{m: m, exactLimit: m.cfg.MaxEvents}
-	seq.q.ev = pending
+	seq := &engine{m: m, exactLimit: m.cfg.MaxEvents}
+	seq.reserve(len(pending), len(m.pes))
+	for _, k := range pending {
+		seq.preload(k, slab)
+	}
 	seq.q.heapify()
 	err := seq.run()
 	m.processed = seq.processed
@@ -313,9 +318,10 @@ func (m *Mesh) Seconds(cycles int64) float64 {
 // one row shard on a worker goroutine. Engines share the mesh's PE and
 // link state but only ever touch disjoint parts of it (see shard.go).
 type engine struct {
-	m   *Mesh
-	q   eventHeap
-	ctx Context // pooled; reset per handler instead of allocated per dispatch
+	m    *Mesh
+	q    eventHeap
+	slab msgSlab
+	ctx  Context // pooled; reset per handler instead of allocated per dispatch
 
 	processed int64
 	// exactLimit is the sequential MaxEvents guard (checked per event);
@@ -327,7 +333,7 @@ type engine struct {
 	// feedPhase diverts non-feed deliveries into deferred instead of
 	// simulating them — the column-distribution pre-pass.
 	feedPhase bool
-	deferred  []event
+	deferred  []evKey
 
 	// restricted enforces a worker shard's PE-index bounds and seals.
 	restricted   bool
@@ -336,28 +342,45 @@ type engine struct {
 	// collect tags emissions and span events with their cause event's
 	// key for the deterministic post-run merge, instead of appending
 	// them to the mesh logs as they happen.
-	collect  bool
-	emis     []taggedEmission
-	spanEvs  []taggedSpanEvent
-	causeAt  int64
-	causeSrc int32
-	causeSeq int64
+	collect bool
+	emis    []tagged[Emission]
+	spanEvs []tagged[SpanEvent]
+	cause   evKey
 }
 
-// taggedEmission is an emission annotated with the ordering key of the
-// event whose dispatch produced it.
-type taggedEmission struct {
-	at  int64
-	src int32
-	seq int64
-	em  Emission
+// reserve sizes the engine's heap, slab and emission log once, for n
+// preloaded deliveries to a range of pes PEs, so the event loop does not
+// regrow them. Beyond the preloaded set a run keeps about one event per
+// PE in flight — a ready event, or a message on its way to the next
+// stage — and never more than the preloaded work feeds. The preloaded
+// deliveries are typically the blocks, and a block typically leaves the
+// wafer once. A program that keeps more in flight or emits more still
+// runs; its arrays regrow.
+func (e *engine) reserve(n, pes int) {
+	room := n + min(n, pes) + 16
+	e.q.keys = make([]evKey, 0, room)
+	e.slab.msgs = make([]slabMsg, 0, room)
+	e.slab.free = make([]int32, 0, room)
+	if e.collect {
+		e.emis = make([]tagged[Emission], 0, n)
+	} else {
+		e.m.emissions = slices.Grow(e.m.emissions, n)
+	}
+}
+
+// preload copies a pending delivery from slab src into the engine's own
+// slab and queues its key; heapify once every preload is in.
+func (e *engine) preload(k evKey, src *msgSlab) {
+	e.slab.msgs = append(e.slab.msgs, src.msgs[k.slot])
+	k.slot = int32(len(e.slab.msgs) - 1)
+	e.q.keys = append(e.q.keys, k)
 }
 
 // run drains the engine's event queue.
 func (e *engine) run() error {
 	m := e.m
 	for e.q.len() > 0 {
-		ev := e.q.pop()
+		k := e.q.pop()
 		e.processed++
 		if e.shared == nil {
 			if e.processed > e.exactLimit {
@@ -366,87 +389,111 @@ func (e *engine) run() error {
 		} else if err := e.drawQuota(); err != nil {
 			return err
 		}
-		pe := &m.pes[ev.pe]
 		// Every by-product of processing this event (emissions, span
 		// records) is attributed to its ordering key, so sharded runs can
 		// merge them back into the sequential processing order.
-		e.causeAt, e.causeSrc, e.causeSeq = ev.at, ev.src, ev.seq
-		switch ev.kind {
-		case evDeliver:
-			if d := m.routeOf(ev.pe, ev.msg.Color); d != routeNone {
-				// Router pass-through: re-emit on the configured link with
-				// no processor involvement (only link serialization).
-				m.tracer.record(TraceEntry{At: ev.at, PE: pe.coord, Kind: TraceRoute,
-					Color: ev.msg.Color, Wavelets: ev.msg.Wavelets})
-				e.routeForward(pe, ev.msg, Dir(d), ev.at)
-				continue
-			}
-			if e.restricted && pe.sealed {
-				panic(fmt.Sprintf("wse: delivery on color %d to column-feed PE %v after its pre-pass; its ShardProfile.FeedColors does not cover all of its ingress", ev.msg.Color, pe.coord))
-			}
-			ev.msg.arrivedAt = ev.at
-			if m.spans != nil && ev.msg.Span != 0 && ev.src == hostSrc {
-				e.recordSpan(SpanEvent{Span: ev.msg.Span, Kind: SpanInject, PE: pe.coord,
-					At: ev.at, End: ev.at, Sent: ev.msg.sentAt, Wavelets: ev.msg.Wavelets})
-			}
-			pe.qpush(ev.msg)
-			if !pe.running {
-				e.dispatch(pe, ev.at)
-			}
-		case evReady:
+		e.cause = k
+		if k.slot < 0 {
+			// Ready: the PE's processor came free.
+			pe := &m.pes[^k.slot]
 			pe.running = false
 			if pe.qcount > 0 {
-				e.dispatch(pe, ev.at)
+				e.dispatch(pe, k.at)
 			}
+			continue
+		}
+		sm := &e.slab.msgs[k.slot]
+		pe := &m.pes[sm.pe]
+		if d := m.routeOf(sm.pe, sm.msg.Color); d != routeNone {
+			// Router pass-through: re-emit on the configured link with
+			// no processor involvement (only link serialization).
+			if m.tracer != nil {
+				m.tracer.record(TraceEntry{At: k.at, PE: pe.coord, Kind: TraceRoute,
+					Color: sm.msg.Color, Wavelets: sm.msg.Wavelets})
+			}
+			e.routeForward(pe, k.slot, Dir(d), k.at)
+			continue
+		}
+		if e.restricted && pe.sealed {
+			panic(fmt.Sprintf("wse: delivery on color %d to column-feed PE %v after its pre-pass; its ShardProfile.FeedColors does not cover all of its ingress", sm.msg.Color, pe.coord))
+		}
+		sm.msg.arrivedAt = k.at
+		if m.spans != nil && sm.msg.Span != 0 && k.src == hostSrc {
+			e.recordSpan(SpanEvent{Span: sm.msg.Span, Kind: SpanInject, PE: pe.coord,
+				At: k.at, End: k.at, Sent: sm.msg.sentAt, Wavelets: sm.msg.Wavelets})
+		}
+		e.enqueue(pe, k.slot)
+		if !pe.running {
+			e.dispatch(pe, k.at)
 		}
 	}
 	return nil
+}
+
+// enqueue appends a delivered message's slot to pe's mailbox FIFO, which
+// is a list threaded through the slab.
+func (e *engine) enqueue(pe *PE, slot int32) {
+	if pe.qcount == 0 {
+		pe.qhead = slot
+	} else {
+		e.slab.msgs[pe.qtail].next = slot
+	}
+	pe.qtail = slot
+	pe.qcount++
+}
+
+// dequeue removes and returns the slot of pe's oldest queued message.
+func (e *engine) dequeue(pe *PE) int32 {
+	slot := pe.qhead
+	pe.qhead = e.slab.msgs[slot].next
+	pe.qcount--
+	return slot
 }
 
 // push schedules an event, diverting it when the engine's phase demands:
 // the feed pre-pass defers non-feed deliveries to the shards, and worker
 // shards refuse deliveries that leave their rows (a broken RowLocal
 // promise).
-func (e *engine) push(ev event) {
-	if ev.kind == evDeliver {
-		if e.restricted && (ev.pe < e.idxLo || ev.pe >= e.idxHi) {
-			dst := &e.m.pes[ev.pe]
+func (e *engine) push(k evKey) {
+	if k.slot >= 0 && (e.restricted || e.feedPhase) {
+		sm := &e.slab.msgs[k.slot]
+		if e.restricted && (sm.pe < e.idxLo || sm.pe >= e.idxHi) {
+			dst := &e.m.pes[sm.pe]
 			panic(fmt.Sprintf("wse: shard-profile violation: send into row %d from a shard covering rows [%d,%d); the sender's ShardProfile claims RowLocal",
 				dst.coord.Row, int(e.idxLo)/e.m.cfg.Cols, int(e.idxHi)/e.m.cfg.Cols))
 		}
-		if e.feedPhase && !e.m.isFeed(ev.pe, ev.msg.Color) {
-			e.deferred = append(e.deferred, ev)
+		if e.feedPhase && !e.m.isFeed(sm.pe, sm.msg.Color) {
+			e.deferred = append(e.deferred, k)
 			return
 		}
 	}
-	e.q.push(ev)
+	e.q.push(k)
 }
 
-// routeForward re-emits a routed message toward out at time t, paying only
-// link occupancy (the router moves wavelets in hardware).
-func (e *engine) routeForward(pe *PE, msg Message, out Dir, t int64) {
+// routeForward re-emits the routed message in slot toward out at time t,
+// paying only link occupancy (the router moves wavelets in hardware). The
+// message keeps its slot: only its arrival side and destination change.
+func (e *engine) routeForward(pe *PE, slot int32, out Dir, t int64) {
 	m := e.m
 	dst, ok := m.neighbor(pe.coord, out)
 	if !ok {
 		panic(fmt.Sprintf("wse: route off mesh at %v", pe.coord))
 	}
+	sm := &e.slab.msgs[slot]
 	free := &m.linkFree[pe.idx][out]
-	depart := t
-	if *free > depart {
-		depart = *free
-	}
-	arrive := depart + m.cfg.LinkLatency + int64(msg.Wavelets)
+	depart := max(t, *free)
+	arrive := depart + m.cfg.LinkLatency + int64(sm.msg.Wavelets)
 	*free = arrive
-	fwd := msg // keeps sentAt: the router never takes ownership of the data
-	fwd.From = out.Opposite()
-	fwd.Src = pe.coord
+	// sentAt stays: the router never takes ownership of the data.
+	sm.msg.From = out.Opposite()
+	sm.msg.Src = pe.coord
+	sm.pe = int32(dst.Row*m.cfg.Cols + dst.Col)
 	pe.stats.Routed++
-	if m.spans != nil && msg.Span != 0 {
-		e.recordSpan(SpanEvent{Span: msg.Span, Kind: SpanRoute, PE: pe.coord,
-			At: t, End: arrive, Sent: msg.sentAt, Wavelets: msg.Wavelets})
+	if m.spans != nil && sm.msg.Span != 0 {
+		e.recordSpan(SpanEvent{Span: sm.msg.Span, Kind: SpanRoute, PE: pe.coord,
+			At: t, End: arrive, Sent: sm.msg.sentAt, Wavelets: sm.msg.Wavelets})
 	}
-	e.push(event{at: arrive, src: pe.idx, seq: pe.pushSeq, kind: evDeliver,
-		pe: int32(dst.Row*m.cfg.Cols + dst.Col), msg: fwd})
+	e.push(evKey{at: arrive, seq: pe.pushSeq, src: pe.idx, slot: slot})
 	pe.pushSeq++
 }
 
@@ -454,7 +501,7 @@ func (e *engine) routeForward(pe *PE, msg Message, out Dir, t int64) {
 // — tags it with the cause event's ordering key for the post-run merge.
 func (e *engine) recordSpan(ev SpanEvent) {
 	if e.collect {
-		e.spanEvs = append(e.spanEvs, taggedSpanEvent{at: e.causeAt, src: e.causeSrc, seq: e.causeSeq, ev: ev})
+		e.spanEvs = append(e.spanEvs, tagged[SpanEvent]{cause: e.cause, v: ev})
 		return
 	}
 	e.m.spans.events = append(e.m.spans.events, ev)
@@ -473,7 +520,8 @@ func (e *engine) dispatch(pe *PE, t int64) {
 		// worker-phase delivery to it is a profile violation.
 		pe.sealed = true
 	}
-	msg := pe.qpop()
+	slot := e.dequeue(pe)
+	sm := &e.slab.msgs[slot]
 	// Attribute the processor-idle gap before this dispatch: up to the
 	// producer's hand-off the PE was starved by upstream (queue-wait);
 	// from hand-off to delivery the data was on the fabric (fabric-stall).
@@ -482,7 +530,7 @@ func (e *engine) dispatch(pe *PE, t int64) {
 	// delivery can precede LastActive).
 	if gap := t - pe.stats.LastActive; gap > 0 {
 		idleStart := t - gap
-		sent := msg.sentAt
+		sent := sm.msg.sentAt
 		if sent < idleStart {
 			sent = idleStart
 		}
@@ -492,26 +540,33 @@ func (e *engine) dispatch(pe *PE, t int64) {
 		pe.stats.QueueWaitCycles += sent - idleStart
 		pe.stats.FabricStallCycles += t - sent
 	}
-	pe.stats.MailboxWaitCycles += t - msg.arrivedAt
+	pe.stats.MailboxWaitCycles += t - sm.msg.arrivedAt
 	pe.running = true
-	e.ctx.reset(pe, t)
-	e.ctx.span = msg.Span
-	pe.program.OnMessage(&e.ctx, msg)
+	e.ctx.reset(pe, t, &e.slab)
+	e.ctx.span = sm.msg.Span
+	pe.program.OnMessage(&e.ctx, sm.msg)
 	pe.stats.Handled++
 	end := e.finishHandler(pe, t)
-	e.m.tracer.record(TraceEntry{At: t, PE: pe.coord, Kind: TraceDispatch,
-		Color: msg.Color, Wavelets: msg.Wavelets, Cycles: end - t})
+	// The slot is still the handler's message (it is released below), but
+	// the handler's sends may have grown the slab under sm.
+	msg := &e.slab.msgs[slot].msg
+	if e.m.tracer != nil {
+		e.m.tracer.record(TraceEntry{At: t, PE: pe.coord, Kind: TraceDispatch,
+			Color: msg.Color, Wavelets: msg.Wavelets, Cycles: end - t})
+	}
 	if e.m.spans != nil && msg.Span != 0 {
 		e.recordSpan(SpanEvent{Span: msg.Span, Kind: SpanDispatch, PE: pe.coord,
 			At: t, End: end, Sent: msg.sentAt, Arrived: msg.arrivedAt,
 			Label: e.ctx.spanLabel, Wavelets: msg.Wavelets})
 	}
-	e.push(event{at: end, src: pe.idx, seq: pe.pushSeq, kind: evReady, pe: pe.idx})
+	e.slab.release(slot)
+	e.push(readyKey(end, pe.idx, pe.pushSeq))
 	pe.pushSeq++
 }
 
-// finishHandler applies a completed handler's effects: schedules its sends
-// and updates the PE's busy window. Returns the handler's end time.
+// finishHandler applies a completed handler's effects: schedules its
+// sends, which Context already stored in the slab, and records its
+// emissions. Returns the handler's end time.
 func (e *engine) finishHandler(pe *PE, t int64) int64 {
 	m := e.m
 	ctx := &e.ctx
@@ -519,27 +574,16 @@ func (e *engine) finishHandler(pe *PE, t int64) int64 {
 	if end > pe.stats.LastActive {
 		pe.stats.LastActive = end
 	}
-	pe.busyUntil = end
-	for i := range ctx.sends {
-		s := &ctx.sends[i]
-		dst, ok := m.neighbor(pe.coord, s.dir)
-		if !ok {
-			panic(fmt.Sprintf("wse: queued send off mesh from %v", pe.coord))
-		}
+	for _, s := range ctx.sends {
 		// The message occupies the outgoing link for its wavelet count;
 		// back-to-back messages on one link serialize.
+		sm := &e.slab.msgs[s.slot]
 		free := &m.linkFree[pe.idx][s.dir]
-		depart := end
-		if *free > depart {
-			depart = *free
-		}
-		arrive := depart + m.cfg.LinkLatency + int64(s.msg.Wavelets)
+		depart := max(end, *free)
+		arrive := depart + m.cfg.LinkLatency + int64(sm.msg.Wavelets)
 		*free = arrive
-		msg := s.msg
-		msg.From = s.dir.Opposite()
-		msg.sentAt = end // the producer lets go when its handler completes
-		e.push(event{at: arrive, src: pe.idx, seq: pe.pushSeq, kind: evDeliver,
-			pe: int32(dst.Row*m.cfg.Cols + dst.Col), msg: msg})
+		sm.msg.sentAt = end // the producer lets go when its handler completes
+		e.push(evKey{at: arrive, seq: pe.pushSeq, src: pe.idx, slot: s.slot})
 		pe.pushSeq++
 	}
 	for _, p := range ctx.emits {
@@ -548,11 +592,13 @@ func (e *engine) finishHandler(pe *PE, t int64) int64 {
 			e.recordSpan(SpanEvent{Span: ctx.span, Kind: SpanEject, PE: pe.coord, At: end, End: end})
 		}
 		if e.collect {
-			e.emis = append(e.emis, taggedEmission{at: e.causeAt, src: e.causeSrc, seq: e.causeSeq, em: em})
+			e.emis = append(e.emis, tagged[Emission]{cause: e.cause, v: em})
 			continue
 		}
 		m.emissions = append(m.emissions, em)
-		m.tracer.record(TraceEntry{At: end, PE: pe.coord, Kind: TraceEmit})
+		if m.tracer != nil {
+			m.tracer.record(TraceEntry{At: end, PE: pe.coord, Kind: TraceEmit})
+		}
 		if m.emitTo != nil {
 			m.emitTo(em)
 		}

@@ -29,16 +29,13 @@ type PE struct {
 	mesh    *Mesh
 	program Program
 
-	// qbuf is a power-of-two ring of pending deliveries (FIFO): qhead is
-	// the read position, qcount the fill. (A plain `queue = queue[1:]`
-	// slice retains its consumed prefix until reallocation; the ring
-	// reuses it.)
-	qbuf   []Message
-	qhead  int
-	qcount int
-
-	busyUntil int64
-	running   bool
+	// The mailbox is a FIFO of slab slots threaded through the engine's
+	// msgSlab (slabMsg.next): qhead is the oldest queued message, qtail
+	// the newest, qcount the fill. Only the engine simulating the PE
+	// touches it, and it is empty whenever that engine finishes.
+	qhead, qtail int32
+	qcount       int32
+	running      bool
 
 	// pushSeq stamps this PE's outgoing events with a strictly
 	// increasing per-origin sequence — one third of the (at, src, seq)
@@ -53,37 +50,6 @@ type PE struct {
 
 	memUsed int
 	stats   Stats
-}
-
-// qpush appends a delivered message to the PE's FIFO.
-func (p *PE) qpush(m Message) {
-	if p.qcount == len(p.qbuf) {
-		p.qgrow()
-	}
-	p.qbuf[(p.qhead+p.qcount)&(len(p.qbuf)-1)] = m
-	p.qcount++
-}
-
-// qpop removes and returns the oldest queued message.
-func (p *PE) qpop() Message {
-	m := p.qbuf[p.qhead]
-	p.qbuf[p.qhead] = Message{} // drop the payload reference
-	p.qhead = (p.qhead + 1) & (len(p.qbuf) - 1)
-	p.qcount--
-	return m
-}
-
-func (p *PE) qgrow() {
-	n := len(p.qbuf) * 2
-	if n == 0 {
-		n = 8
-	}
-	buf := make([]Message, n)
-	for i := 0; i < p.qcount; i++ {
-		buf[i] = p.qbuf[(p.qhead+i)&(len(p.qbuf)-1)]
-	}
-	p.qbuf = buf
-	p.qhead = 0
 }
 
 // Coord returns the PE's mesh coordinate.
@@ -102,6 +68,7 @@ func (p *PE) MemUsed() int { return p.memUsed }
 // finishes.
 type Context struct {
 	pe    *PE
+	slab  *msgSlab // the running engine's; sends are stored straight into it
 	start int64
 	cost  int64
 
@@ -115,16 +82,18 @@ type Context struct {
 	emits []any
 }
 
+// pendingSend is a send the handler queued: its outgoing link and the
+// slab slot already holding the message.
 type pendingSend struct {
-	dir     Dir
-	msg     Message
-	forward bool
+	dir  Dir
+	slot int32
 }
 
 // reset prepares a pooled Context for the next handler invocation,
 // reusing the sends/emits backing arrays.
-func (c *Context) reset(pe *PE, start int64) {
+func (c *Context) reset(pe *PE, start int64, slab *msgSlab) {
 	c.pe = pe
+	c.slab = slab
 	c.start = start
 	c.cost = 0
 	c.span = 0
@@ -167,17 +136,20 @@ func (c *Context) Spend(cycles int64) {
 // from memory through the RAMP onto the fabric — the C₂ cost of §4.3).
 // Sending off the mesh edge is an error; use Emit for wafer egress.
 func (c *Context) Send(d Dir, msg Message) {
-	c.queueSend(d, msg, false)
+	c.queueSend(d, &msg, false)
 }
 
 // Forward relays a message that just arrived on the fabric to the neighbor
 // in direction d without a round trip through local memory. It charges
 // Wavelets cycles (the C₁ cost of §4.3 — the relay term of Formula (2)).
 func (c *Context) Forward(d Dir, msg Message) {
-	c.queueSend(d, msg, true)
+	c.queueSend(d, &msg, true)
 }
 
-func (c *Context) queueSend(d Dir, msg Message, forward bool) {
+// queueSend charges the send to the PE and stores msg in the engine's
+// slab, addressed to the neighbor; the engine schedules it when the
+// handler finishes.
+func (c *Context) queueSend(d Dir, msg *Message, forward bool) {
 	if d == Ramp {
 		panic("wse: cannot send toward Ramp; that is the local processor")
 	}
@@ -187,7 +159,8 @@ func (c *Context) queueSend(d Dir, msg Message, forward bool) {
 	if msg.Wavelets < 1 {
 		panic(fmt.Sprintf("wse: message with %d wavelets", msg.Wavelets))
 	}
-	if _, ok := c.pe.mesh.neighbor(c.pe.coord, d); !ok {
+	dst, ok := c.pe.mesh.neighbor(c.pe.coord, d)
+	if !ok {
 		panic(fmt.Sprintf("wse: send from %v toward %v leaves the mesh; use Emit", c.pe.coord, d))
 	}
 	w := int64(msg.Wavelets)
@@ -200,11 +173,13 @@ func (c *Context) queueSend(d Dir, msg Message, forward bool) {
 		c.pe.stats.SendCycles += w
 	}
 	c.cost += w
+	msg.From = d.Opposite()
 	msg.Src = c.pe.coord
 	if msg.Span == 0 {
 		msg.Span = c.span // the block's id follows it across hand-offs
 	}
-	c.sends = append(c.sends, pendingSend{dir: d, msg: msg, forward: forward})
+	slot := c.slab.put(msg, int32(dst.Row*c.pe.mesh.cfg.Cols+dst.Col))
+	c.sends = append(c.sends, pendingSend{dir: d, slot: slot})
 }
 
 // Emit hands a payload off the wafer (the simulator's stand-in for the

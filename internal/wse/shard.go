@@ -3,7 +3,7 @@ package wse
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -137,10 +137,10 @@ const budgetChunk = 4096
 
 // runSharded executes the worker-pool path: optional column-feed
 // pre-pass, then one engine per shard, then a deterministic merge of the
-// shards' emissions by event key.
-func (m *Mesh) runSharded(plan runPlan, pending []event) (int64, error) {
-	var tagged []taggedEmission
-	var taggedSpans []taggedSpanEvent
+// shards' emissions by event key. pending indexes slab.
+func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, error) {
+	var preEmis []tagged[Emission]
+	var preSpans []tagged[SpanEvent]
 	var used int64
 
 	if plan.feed {
@@ -149,46 +149,55 @@ func (m *Mesh) runSharded(plan runPlan, pending []event) (int64, error) {
 		// deferring every other delivery it generates to the shards. The
 		// pre-pass runs before any worker starts, so the link and PE
 		// state it writes is visible to — and never raced by — the
-		// shards; feeder PEs are sealed when it finishes.
-		var seeds, rest []event
-		for _, ev := range pending {
-			if ev.kind == evDeliver && m.isFeed(ev.pe, ev.msg.Color) {
-				seeds = append(seeds, ev)
+		// shards; feeder PEs are sealed when it finishes. It adopts the
+		// pre-run slab, so the deliveries it defers and those it never
+		// touches still index one slab.
+		pre := &engine{m: m, exactLimit: m.cfg.MaxEvents, feedPhase: true, collect: true, slab: *slab}
+		var rest []evKey
+		for _, k := range pending {
+			if sm := &slab.msgs[k.slot]; m.isFeed(sm.pe, sm.msg.Color) {
+				pre.q.keys = append(pre.q.keys, k)
 			} else {
-				rest = append(rest, ev)
+				rest = append(rest, k)
 			}
 		}
-		pre := engine{m: m, exactLimit: m.cfg.MaxEvents, feedPhase: true, collect: true}
-		pre.q.ev = seeds
 		pre.q.heapify()
 		if err := pre.run(); err != nil {
 			return 0, err
 		}
 		used = pre.processed
-		tagged = pre.emis
-		taggedSpans = pre.spanEvs
+		preEmis, preSpans = pre.emis, pre.spanEvs
 		pending = append(rest, pre.deferred...)
+		slab = &pre.slab
 	}
 	m.feedEvents = used
 
-	// Bin the pending events (host injections, Init-phase sends, feed
-	// deferrals) to the shard owning their destination row.
+	// Bin the pending deliveries (host injections, Init-phase sends, feed
+	// deferrals) to the shard owning their destination row: count them
+	// first, so each engine's heap and slab are sized once.
+	cols := m.cfg.Cols
 	shardOf := make([]int32, m.cfg.Rows)
 	for i, sp := range plan.spans {
 		for r := sp.lo; r < sp.hi; r++ {
 			shardOf[r] = int32(i)
 		}
 	}
+	bin := func(k evKey) int32 { return shardOf[int(slab.msgs[k.slot].pe)/cols] }
+	counts := make([]int, len(plan.spans))
+	for _, k := range pending {
+		counts[bin(k)]++
+	}
 	budget := &eventBudget{}
 	budget.remaining.Store(m.cfg.MaxEvents - used)
 	engines := make([]engine, len(plan.spans))
 	for i, sp := range plan.spans {
-		engines[i] = engine{m: m, shared: budget, restricted: true, collect: true,
-			idxLo: int32(sp.lo * m.cfg.Cols), idxHi: int32(sp.hi * m.cfg.Cols)}
+		e := &engines[i]
+		*e = engine{m: m, shared: budget, restricted: true, collect: true,
+			idxLo: int32(sp.lo * cols), idxHi: int32(sp.hi * cols)}
+		e.reserve(counts[i], (sp.hi-sp.lo)*cols)
 	}
-	for _, ev := range pending {
-		s := shardOf[int(ev.pe)/m.cfg.Cols]
-		engines[s].q.ev = append(engines[s].q.ev, ev)
+	for _, k := range pending {
+		engines[bin(k)].preload(k, slab)
 	}
 
 	workers := plan.workers
@@ -252,52 +261,37 @@ func (m *Mesh) runSharded(plan runPlan, pending []event) (int64, error) {
 
 	m.processed = used
 	m.shardEvents = make([]int64, len(engines))
+	emis := append(make([][]tagged[Emission], 0, len(engines)+1), preEmis)
+	spans := append(make([][]tagged[SpanEvent], 0, len(engines)+1), preSpans)
+	nEmis, nSpans := len(preEmis), len(preSpans)
 	for i := range engines {
-		m.processed += engines[i].processed
-		m.shardEvents[i] = engines[i].processed
-		tagged = append(tagged, engines[i].emis...)
-		taggedSpans = append(taggedSpans, engines[i].spanEvs...)
+		e := &engines[i]
+		m.processed += e.processed
+		m.shardEvents[i] = e.processed
+		emis, spans = append(emis, e.emis), append(spans, e.spanEvs)
+		nEmis, nSpans = nEmis+len(e.emis), nSpans+len(e.spanEvs)
 	}
 	// Merge emissions into the order the sequential engine would have
 	// produced: its emission log order is the processing order of the
 	// dispatches that emitted, i.e. the (at, src, seq) order of their
-	// cause events. The sort is stable so multiple emissions from one
-	// handler keep their in-handler order.
-	sort.SliceStable(tagged, func(i, j int) bool {
-		a, b := &tagged[i], &tagged[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
-	for _, te := range tagged {
-		m.emissions = append(m.emissions, te.em)
+	// cause events. Each engine's log is already in that order, so a
+	// k-way merge rebuilds it, and multiple emissions from one handler
+	// keep their in-handler order.
+	m.emissions = slices.Grow(m.emissions, nEmis)
+	mergeTagged(emis, func(em *Emission) {
+		m.emissions = append(m.emissions, *em)
 		if m.emitTo != nil {
-			m.emitTo(te.em)
+			m.emitTo(*em)
 		}
-	}
+	})
 	// The span log merges by the same key, for the same reason: the
 	// sequential engine appends span records while processing events in
 	// global (at, src, seq) order, one cause event runs entirely inside
-	// one engine, and the stable sort keeps per-cause append order — so
-	// the merged log is bit-identical to the sequential one.
+	// one engine, and the merge keeps per-cause append order — so the
+	// merged log is bit-identical to the sequential one.
 	if m.spans != nil {
-		sort.SliceStable(taggedSpans, func(i, j int) bool {
-			a, b := &taggedSpans[i], &taggedSpans[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.seq < b.seq
-		})
-		for _, ts := range taggedSpans {
-			m.spans.events = append(m.spans.events, ts.ev)
-		}
+		m.spans.events = slices.Grow(m.spans.events, nSpans)
+		mergeTagged(spans, func(ev *SpanEvent) { m.spans.events = append(m.spans.events, *ev) })
 	}
 	return m.Elapsed(), nil
 }

@@ -225,24 +225,3 @@ func TestInjectCarriesOffWaferSrc(t *testing.T) {
 		t.Fatalf("fabric message Src = %v, want sender %v", srcs[1], want)
 	}
 }
-
-func TestEventHeapSteadyStateAllocs(t *testing.T) {
-	var h eventHeap
-	h.ev = make([]event, 0, 256)
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 256; i++ {
-			h.push(event{at: int64((i * 37) % 97), src: int32(i), seq: int64(i)})
-		}
-		prev := event{at: -1, src: -1}
-		for h.len() > 0 {
-			e := h.pop()
-			if e.before(&prev) {
-				t.Fatal("heap popped events out of order")
-			}
-			prev = e
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("event heap allocated %v times per run at steady state, want 0", allocs)
-	}
-}

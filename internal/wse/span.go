@@ -100,16 +100,6 @@ func (m *Mesh) AttachSpans() *SpanLog {
 // processing order.
 func (sl *SpanLog) Events() []SpanEvent { return sl.events }
 
-// taggedSpanEvent annotates a span event with the ordering key of the
-// event whose processing produced it, for the deterministic post-run
-// merge (exactly the taggedEmission mechanism).
-type taggedSpanEvent struct {
-	at  int64
-	src int32
-	seq int64
-	ev  SpanEvent
-}
-
 // BlockSpan is one block's assembled lifecycle: its events in timeline
 // order plus the derived cycle decomposition.
 type BlockSpan struct {

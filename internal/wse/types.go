@@ -100,7 +100,8 @@ type Message struct {
 	// Wavelets is the message size in 32-bit words (≥ 1).
 	Wavelets int
 	// From is the direction the message arrived from, filled in on
-	// delivery (Ramp for externally injected messages).
+	// delivery. Host-injected messages (Mesh.Inject) arrive from West,
+	// the wafer edge the host feeds.
 	From Dir
 	// Src is the coordinate of the sending PE; host-injected messages
 	// carry the OffWafer sentinel instead.
@@ -119,7 +120,7 @@ type Message struct {
 	// the boundary between queue-wait and fabric-stall attribution.
 	sentAt int64
 	// arrivedAt is the delivery cycle at the destination PE, stamped when
-	// the message enters the mailbox ring; dispatch − arrivedAt is the
+	// the message enters the mailbox; dispatch − arrivedAt is the
 	// message's mailbox residency (Stats.MailboxWaitCycles).
 	arrivedAt int64
 }
@@ -158,7 +159,7 @@ type Stats struct {
 	// terms seen from the receiver).
 	FabricStallCycles int64
 	// MailboxWaitCycles sums, over dispatched messages, the cycles each
-	// spent queued in this PE's mailbox ring between delivery and
+	// spent queued in this PE's mailbox between delivery and
 	// dispatch. It overlaps the PE's busy window (messages queue only
 	// while the processor is running), so it is reported alongside — not
 	// inside — the timeline buckets.
