@@ -53,8 +53,9 @@
 //	-access-log PATH       structured JSON access log ("-" = stderr,
 //	                       "" = off)
 //	-access-log-sample N   log 1-in-N finished requests
-//	-rollup-interval DUR   windowed time-series interval (default 5s,
-//	                       negative = rollups off)
+//	-rollup-interval DUR   windowed time-series interval (default 5s; zero
+//	                       or negative = rollups off, unless -slo or
+//	                       -flight-dir needs them: then 5s)
 //	-rollup-windows N      rollup ring capacity (0 = 720)
 //	-slo SPECS             comma-separated objectives, each
 //	                       <endpoint>:p<q><<dur>:<target%> (latency) or
@@ -72,27 +73,24 @@
 // trailer carries per-stage server timings. /debug/requests snapshots
 // in-flight requests plus the slowest-N ring; /debug/trace exports
 // sampled request spans as Chrome trace-events for Perfetto.
+//
+// The probes, drain sequence, fleet-health views and the flags shared with
+// cereszproxy come from internal/spine.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"ceresz/internal/server"
+	"ceresz/internal/spine"
 	"ceresz/internal/telemetry"
 )
 
 func main() {
-	addr := flag.String("addr", ":8775", "listen address")
+	d := spine.NewDaemon("cereszd", "server", ":8775")
 	workers := flag.Int("workers", 0, "codec pool size (0 = GOMAXPROCS)")
 	hostWorkers := flag.Int("hostworkers", 0, "intra-request host-codec shard budget split across executing requests (0/1 = sequential per request, negative = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth beyond workers (0 = 2x workers, negative = none)")
@@ -101,27 +99,15 @@ func main() {
 	maxBody := flag.Int64("max-body", 0, "request body byte cap (0 = 1GiB)")
 	maxChunkElems := flag.Int("max-chunk-elems", 0, "chunk/frame/field element cap (0 = 4Mi)")
 	maxFrameBytes := flag.Int("max-frame-bytes", 0, "compressed frame byte cap (0 = 64MiB)")
-	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint for 429/503 (0 = 1s)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "content-addressed chunk-cache memory budget in bytes (0 = caching off)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown grace for in-flight requests")
 	traceSample := flag.Int("trace-sample", 0, "trace 1-in-N requests into the span rings (0 = off)")
 	traceRing := flag.Int("trace-ring", 0, "recent-request ring capacity (0 = 256)")
 	slowRing := flag.Int("slow-ring", 0, "slowest-request ring capacity (0 = 32)")
 	accessLog := flag.String("access-log", "", "structured JSON access log path (\"-\" = stderr, \"\" = off)")
 	accessLogSample := flag.Int("access-log-sample", 1, "log 1-in-N finished requests")
-	rollupInterval := flag.Duration("rollup-interval", 5*time.Second, "windowed time-series interval (negative = rollups off)")
-	rollupWindows := flag.Int("rollup-windows", 0, "rollup ring capacity (0 = 720, one hour at 5s)")
-	sloSpecs := flag.String("slo", "", "comma-separated SLOs, e.g. \"compress:p99<25ms:99.9,decompress:err:99.99\"")
-	sloDegradedBurn := flag.Float64("slo-degraded-burn", 0, "5m burn rate at which /healthz/ready reports degraded (0 = 2)")
 	flightDir := flag.String("flight-dir", "", "directory for anomaly-triggered incident dumps (\"\" = flight recorder off)")
 	flightMinInterval := flag.Duration("flight-min-interval", 0, "min interval between trigger-initiated incident dumps (0 = 30s)")
-	flag.Parse()
-
-	objectives, err := server.ParseObjectives(*sloSpecs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cereszd:", err)
-		os.Exit(1)
-	}
+	d.Parse()
 
 	var logW io.Writer
 	switch *accessLog {
@@ -131,14 +117,13 @@ func main() {
 	default:
 		f, err := os.OpenFile(*accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cereszd: access log:", err)
-			os.Exit(1)
+			d.Fatal(fmt.Errorf("access log: %w", err))
 		}
 		defer f.Close()
 		logW = f
 	}
 
-	reg := telemetry.NewRegistry()
+	d.Registry = telemetry.NewRegistry()
 	srv := server.New(server.Config{
 		Workers:        *workers,
 		HostWorkers:    *hostWorkers,
@@ -147,72 +132,27 @@ func main() {
 		MaxChunkElems:  *maxChunkElems,
 		MaxFrameBytes:  *maxFrameBytes,
 		ChunkElems:     *chunk,
-		RetryAfter:     *retryAfter,
+		RetryAfter:     d.RetryAfter,
 		CacheBytes:     *cacheBytes,
 		BlockLen:       *block,
-		Registry:       reg,
+		Registry:       d.Registry,
 		TraceEvery:     *traceSample,
 		TraceRing:      *traceRing,
 		SlowRing:       *slowRing,
 		AccessLog:      logW,
 		AccessLogEvery: *accessLogSample,
 
-		RollupInterval:    *rollupInterval,
-		RollupWindows:     *rollupWindows,
-		Objectives:        objectives,
-		SLODegradedBurn:   *sloDegradedBurn,
+		RollupInterval:    d.RollupInterval,
+		RollupWindows:     d.RollupWindows,
+		Objectives:        d.Objectives,
+		SLODegradedBurn:   d.SLODegradedBurn,
 		FlightDir:         *flightDir,
 		FlightMinInterval: *flightMinInterval,
 	})
 	defer srv.Close()
 
-	mux := http.NewServeMux()
-	mux.Handle("/", srv.Handler())
-	mux.Handle("/debug/", telemetry.DebugMux(reg, "cereszd"))
-	// Exact paths outrank the /debug/ prefix above, so the request-span
-	// and fleet-health views stay reachable alongside the shared
-	// telemetry pages.
-	mux.Handle("/debug/requests", srv.RequestsHandler())
-	mux.Handle("/debug/trace", srv.TraceHandler())
-	mux.Handle("/debug/timeseries", srv.TimeseriesHandler())
-	mux.Handle("/debug/slo", srv.SLOHandler())
-	mux.Handle("/debug/flight", srv.FlightHandler())
-	mux.Handle("/debug/flight/dump", srv.FlightDumpHandler())
-
-	hs := &http.Server{Addr: *addr, Handler: mux}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	// Listen before flipping readiness: /healthz/ready answers 503 until
-	// the socket actually accepts, so a poller that sees 200 can send
-	// traffic immediately instead of sleeping an arbitrary grace period.
-	srv.SetReady(false)
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cereszd:", err)
-		os.Exit(1)
+	d.Tier, d.DebugPaths = srv, []string{"/debug/requests", "/debug/trace"}
+	if err := d.Run(); err != nil {
+		d.Fatal(err)
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	srv.SetReady(true)
-	fmt.Fprintf(os.Stderr, "cereszd listening on %s\n", ln.Addr())
-
-	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "cereszd:", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-
-	// Drain: stop being routable, refuse new work with Retry-After, let
-	// in-flight requests finish under the grace period.
-	fmt.Fprintln(os.Stderr, "cereszd: draining")
-	srv.SetDraining(true)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "cereszd: shutdown:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "cereszd: drained")
 }

@@ -62,32 +62,29 @@
 //	-random-route         route uniformly at random instead of by digest
 //	                      (affinity-off baseline for benchmarks)
 //	-drain-timeout DUR    shutdown grace for in-flight relays
-//	-rollup-interval DUR  windowed time-series interval (default 5s,
-//	                      negative = rollups off)
+//	-rollup-interval DUR  windowed time-series interval (default 5s; zero
+//	                      or negative = rollups off, unless -slo needs
+//	                      them: then 5s)
 //	-rollup-windows N     rollup ring capacity (0 = 720)
 //	-slo SPECS            proxy-tier objectives, same grammar as cereszd
 //	-slo-degraded-burn F  5m burn rate at which readiness reports degraded
+//
+// The probes, drain sequence, fleet-health views and the flags shared with
+// cereszd come from internal/spine.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
-	"fmt"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"ceresz/internal/cluster"
+	"ceresz/internal/spine"
 	"ceresz/internal/telemetry"
 )
 
 func main() {
-	addr := flag.String("addr", ":8770", "listen address")
+	d := spine.NewDaemon("cereszproxy", "proxy", ":8770")
 	backends := flag.String("backends", "", "comma-separated backend base URLs (required)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per healthy backend (0 = 64)")
 	degradedVnodes := flag.Int("degraded-vnodes", 0, "ring weight of a degraded backend (0 = vnodes/4)")
@@ -102,14 +99,8 @@ func main() {
 	replayBytes := flag.Int("replay-bytes", 0, "request-body failover buffer in bytes (0 = 4MiB)")
 	chunk := flag.Int("chunk", 0, "backends' -chunk, for routing-digest agreement (0 = 64Ki)")
 	block := flag.Int("block", 0, "backends' -block, for routing-digest agreement")
-	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint for proxy-origin 429/503 (0 = 1s)")
 	randomRoute := flag.Bool("random-route", false, "route uniformly at random instead of by digest (baseline)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown grace for in-flight relays")
-	rollupInterval := flag.Duration("rollup-interval", 5*time.Second, "windowed time-series interval (negative = rollups off)")
-	rollupWindows := flag.Int("rollup-windows", 0, "rollup ring capacity (0 = 720)")
-	sloSpecs := flag.String("slo", "", "comma-separated proxy-tier SLOs, e.g. \"compress:p99<50ms:99.9\"")
-	sloDegradedBurn := flag.Float64("slo-degraded-burn", 0, "5m burn rate at which readiness reports degraded (0 = 2)")
-	flag.Parse()
+	d.Parse()
 
 	var urls []string
 	for _, u := range strings.Split(*backends, ",") {
@@ -118,20 +109,10 @@ func main() {
 		}
 	}
 	if len(urls) == 0 {
-		fmt.Fprintln(os.Stderr, "cereszproxy: -backends is required")
-		os.Exit(1)
-	}
-	objectives, err := cluster.ParseObjectives(*sloSpecs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cereszproxy:", err)
-		os.Exit(1)
-	}
-	ri := *rollupInterval
-	if ri < 0 {
-		ri = 0
+		d.Fatal(errors.New("-backends is required"))
 	}
 
-	reg := telemetry.NewRegistry()
+	d.Registry = telemetry.NewRegistry()
 	p, err := cluster.New(cluster.Config{
 		Backends:       urls,
 		Vnodes:         *vnodes,
@@ -149,62 +130,24 @@ func main() {
 		ReplayBytes: *replayBytes,
 		ChunkElems:  *chunk,
 		BlockLen:    *block,
-		RetryAfter:  *retryAfter,
+		RetryAfter:  d.RetryAfter,
 		RandomRoute: *randomRoute,
-		Registry:    reg,
+		Registry:    d.Registry,
 
-		RollupInterval:  ri,
-		RollupWindows:   *rollupWindows,
-		Objectives:      objectives,
-		SLODegradedBurn: *sloDegradedBurn,
+		RollupInterval:  d.RollupInterval,
+		RollupWindows:   d.RollupWindows,
+		Objectives:      d.Objectives,
+		SLODegradedBurn: d.SLODegradedBurn,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cereszproxy:", err)
-		os.Exit(1)
+		d.Fatal(err)
 	}
 	defer p.Close()
 
-	ph := p.Handler()
-	mux := http.NewServeMux()
-	mux.Handle("/", ph)
-	mux.Handle("/debug/", telemetry.DebugMux(reg, "cereszproxy"))
-	// Exact paths outrank the /debug/ prefix above, so the ring and
-	// fleet-health views stay reachable alongside the shared pages.
-	mux.Handle("/debug/ring", ph)
-	mux.Handle("/debug/timeseries", ph)
-	mux.Handle("/debug/slo", ph)
-
-	hs := &http.Server{Addr: *addr, Handler: mux}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	// Listen before flipping readiness, mirroring cereszd: a poller that
-	// sees 200 can route immediately.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cereszproxy:", err)
-		os.Exit(1)
-	}
 	p.Start()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	p.SetReady(true)
-	fmt.Fprintf(os.Stderr, "cereszproxy listening on %s, backends: %s\n", ln.Addr(), strings.Join(urls, " "))
-
-	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "cereszproxy:", err)
-		os.Exit(1)
-	case <-ctx.Done():
+	d.Tier, d.DebugPaths = p, []string{"/debug/ring"}
+	d.Banner = ", backends: " + strings.Join(urls, " ")
+	if err := d.Run(); err != nil {
+		d.Fatal(err)
 	}
-
-	fmt.Fprintln(os.Stderr, "cereszproxy: draining")
-	p.SetDraining(true)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "cereszproxy: shutdown:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "cereszproxy: drained")
 }

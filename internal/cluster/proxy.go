@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"ceresz/internal/chunkcache"
+	"ceresz/internal/spine"
 	"ceresz/internal/telemetry"
 )
 
@@ -84,9 +86,11 @@ type Config struct {
 	// Registry receives the proxy's instruments (nil = telemetry.Default).
 	Registry *telemetry.Registry
 	// RollupInterval / RollupWindows / Objectives / SLODegradedBurn are
-	// the PR-10 fleet-health layer, unchanged on this tier: windowed
-	// rollups over the proxy's registry, SLOs (ParseObjectives) over the
-	// proxy's own RED instruments, degraded detail on readiness.
+	// the spine's fleet-health layer, as on the backend: windowed rollups
+	// over the proxy's registry (a zero or negative interval leaves them off
+	// unless Objectives need them, then 5s), SLOs bound with
+	// spine.ParseObjectives("proxy", …) to the proxy's own RED
+	// instruments, degraded detail on readiness.
 	RollupInterval  time.Duration
 	RollupWindows   int
 	Objectives      []telemetry.Objective
@@ -115,9 +119,6 @@ func (c Config) withDefaults() Config {
 	if c.ChunkElems <= 0 {
 		c.ChunkElems = 64 << 10
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.Registry == nil {
 		c.Registry = telemetry.Default
 	}
@@ -130,77 +131,16 @@ func (c Config) withDefaults() Config {
 		t.IdleConnTimeout = 90 * time.Second
 		c.Transport = t
 	}
-	if c.RollupInterval == 0 && len(c.Objectives) > 0 {
-		c.RollupInterval = 5 * time.Second
-	}
 	return c
 }
 
-// Proxy endpoints mirror the backend's, so the SLO subject names and the
-// client package work unchanged against either tier.
-const (
-	epCompress = iota
-	epDecompress
-	epBundle
-	numEndpoints
-)
-
-var epNames = [numEndpoints]string{"compress", "decompress", "bundle"}
-
-// epMetrics is one endpoint's proxy-tier RED set, named proxy.<ep>.* so
-// rollups, SLO binding and dashboards distinguish tiers at a glance.
+// epMetrics is one endpoint's proxy-tier instruments, proxy.<ep>.*: the
+// spine's RED set plus the tenant-throttle counter. The endpoints mirror
+// the backend's, so SLO subjects and the client package work unchanged
+// against either tier.
 type epMetrics struct {
-	requests  *telemetry.Counter
-	failures  *telemetry.Counter
-	rejected  *telemetry.Counter
+	*spine.RED
 	throttled *telemetry.Counter
-	status2xx *telemetry.Counter
-	status4xx *telemetry.Counter
-	status5xx *telemetry.Counter
-	bytesIn   *telemetry.Counter
-	bytesOut  *telemetry.Counter
-	latencyUS *telemetry.Histogram
-}
-
-func newEpMetrics(reg *telemetry.Registry, name string) *epMetrics {
-	m := &epMetrics{
-		requests:  reg.Counter("proxy." + name + ".requests"),
-		failures:  reg.Counter("proxy." + name + ".failures"),
-		rejected:  reg.Counter("proxy." + name + ".rejected"),
-		throttled: reg.Counter("proxy." + name + ".throttled"),
-		status2xx: reg.Counter("proxy." + name + ".status_2xx"),
-		status4xx: reg.Counter("proxy." + name + ".status_4xx"),
-		status5xx: reg.Counter("proxy." + name + ".status_5xx"),
-		bytesIn:   reg.Counter("proxy." + name + ".bytes_in"),
-		bytesOut:  reg.Counter("proxy." + name + ".bytes_out"),
-		latencyUS: reg.Histogram("proxy." + name + ".latency_us"),
-	}
-	for suffix, help := range map[string]string{
-		"requests":   "Requests admitted by the proxy.",
-		"failures":   "Requests that exhausted every ring owner or hit a non-replayable upstream failure.",
-		"rejected":   "Requests refused 429 by proxy admission (worker pool or low-priority cap).",
-		"throttled":  "Requests refused 429 by per-tenant rate limiting.",
-		"status_2xx": "Responses relayed with a 2xx status.",
-		"status_4xx": "Responses with a 4xx status (throttles and rejections included).",
-		"status_5xx": "Responses with a 5xx status.",
-		"bytes_in":   "Request body bytes forwarded upstream.",
-		"bytes_out":  "Response body bytes relayed downstream.",
-		"latency_us": "End-to-end proxy latency in microseconds.",
-	} {
-		reg.Describe("proxy."+name+"."+suffix, "/v1/"+name+" via cereszproxy: "+help)
-	}
-	return m
-}
-
-func (m *epMetrics) observeStatus(code int) {
-	switch {
-	case code >= 200 && code < 300:
-		m.status2xx.Add(1)
-	case code >= 400 && code < 500:
-		m.status4xx.Add(1)
-	case code >= 500:
-		m.status5xx.Add(1)
-	}
 }
 
 // backend is one upstream in the proxy's fixed table.
@@ -217,8 +157,10 @@ type backend struct {
 }
 
 // Proxy is the shard router. Create with New, Start the health pollers,
-// mount with Handler, Close on shutdown.
+// mount with Handler, Close on shutdown. The embedded spine owns readiness
+// (not ready until SetReady(true)), drain mode and the fleet-health layer.
 type Proxy struct {
+	*spine.Tier
 	cfg      Config
 	backends []*backend
 	checker  *Checker
@@ -228,23 +170,18 @@ type Proxy struct {
 	generation atomic.Int64
 	limiter    *TenantLimiter
 	admit      *admitter
-	ready      atomic.Bool
-	draining   atomic.Bool
 
 	hashers sync.Pool // *chunkcache.Hasher
 	bufs    sync.Pool // *[]byte, ReplayBytes+1 capacity
 	copyBuf sync.Pool // *[]byte, 32 KiB response relay buffers
 
-	mEp          [numEndpoints]*epMetrics
+	mEp          [spine.NumEndpoints]epMetrics
 	ringRebuilds *telemetry.Counter
 	failover     *telemetry.Counter
 	failoverDeny *telemetry.Counter
 	midstream    *telemetry.Counter
 	routableG    *telemetry.Gauge
 	tenantsG     *telemetry.Gauge
-
-	rollup *telemetry.Rollup
-	slo    *telemetry.SLOEngine
 }
 
 // New builds a Proxy over cfg.Backends (at least one required; URLs are
@@ -273,8 +210,11 @@ func New(cfg Config) (*Proxy, error) {
 	reg.Describe("proxy.midstream_aborts", "Client connections cut after an upstream died mid-response.")
 	reg.Describe("proxy.backends_routable", "Backends currently on the ring (healthy + degraded).")
 	reg.Describe("proxy.tenants", "Live per-tenant rate-limit buckets.")
-	for ep := 0; ep < numEndpoints; ep++ {
-		p.mEp[ep] = newEpMetrics(reg, epNames[ep])
+	for ep := range spine.NumEndpoints {
+		p.mEp[ep] = epMetrics{
+			RED:       spine.NewRED(reg, "proxy", ep),
+			throttled: spine.Counter(reg, "proxy", ep, "throttled", "Requests refused with 429 by per-tenant rate limiting."),
+		}
 	}
 	seen := make(map[string]bool, len(cfg.Backends))
 	for i, raw := range cfg.Backends {
@@ -323,16 +263,14 @@ func New(cfg Config) (*Proxy, error) {
 		return &b
 	}
 	p.rebuild()
-	if cfg.RollupInterval > 0 {
-		p.rollup = telemetry.NewRollup(reg, telemetry.RollupConfig{
-			Interval: cfg.RollupInterval,
-			Windows:  cfg.RollupWindows,
-		})
-		if len(cfg.Objectives) > 0 {
-			p.slo = telemetry.NewSLOEngine(p.rollup, cfg.Objectives, cfg.SLODegradedBurn)
-		}
-		p.rollup.Start()
-	}
+	p.Tier = spine.NewTier(spine.Config{
+		Registry:        reg,
+		RollupInterval:  cfg.RollupInterval,
+		RollupWindows:   cfg.RollupWindows,
+		Objectives:      cfg.Objectives,
+		SLODegradedBurn: cfg.SLODegradedBurn,
+		Ready:           p.readyDetail,
+	})
 	return p, nil
 }
 
@@ -342,24 +280,8 @@ func (p *Proxy) Start() { p.checker.Start() }
 // Close stops the health pollers and the rollup ticker.
 func (p *Proxy) Close() {
 	p.checker.Stop()
-	if p.rollup != nil {
-		p.rollup.Stop()
-	}
+	p.Tier.Close()
 }
-
-// SetReady flips start-up readiness: until true, /healthz/ready answers
-// 503 {"status":"starting"} so pollers wait for the listener.
-func (p *Proxy) SetReady(on bool) { p.ready.Store(on) }
-
-// SetDraining flips drain mode: readiness answers 503 and new /v1/* work
-// is refused with Retry-After while in-flight requests finish.
-func (p *Proxy) SetDraining(on bool) { p.draining.Store(on) }
-
-// Rollup returns the windowed time-series layer, nil when rollups are off.
-func (p *Proxy) Rollup() *telemetry.Rollup { return p.rollup }
-
-// SLO returns the objective engine, nil when no objectives are configured.
-func (p *Proxy) SLO() *telemetry.SLOEngine { return p.slo }
 
 // Checker exposes the health checker (tests and embedders).
 func (p *Proxy) Checker() *Checker { return p.checker }
@@ -393,103 +315,44 @@ func (p *Proxy) rebuild() {
 	p.routableG.Set(int64(routable))
 }
 
-// Handler returns the proxy's mux: the /v1/* shard router, its own
-// health probes and the debug views (/debug/ring, /debug/metrics, plus
-// the PR-10 timeseries/SLO pages when configured).
+// Handler returns the proxy's mux: the /v1/* shard router, the spine's
+// probes and fleet-health views, and /debug/ring.
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/", p.serveProxy)
-	mux.HandleFunc("/healthz", p.handleReady)
-	mux.HandleFunc("/healthz/live", p.handleLive)
-	mux.HandleFunc("/healthz/ready", p.handleReady)
+	p.Mount(mux)
 	mux.HandleFunc("/debug/ring", p.handleRing)
-	mux.Handle("/debug/metrics", p.cfg.Registry.MetricsHandler())
-	mux.Handle("/debug/timeseries", p.timeseriesHandler())
-	mux.Handle("/debug/slo", p.sloHandler())
 	return mux
 }
 
-func notConfigured(what string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, what+" not configured", http.StatusNotFound)
-	})
-}
-
-func (p *Proxy) timeseriesHandler() http.Handler {
-	if p.rollup == nil {
-		return notConfigured("rollup time series")
-	}
-	return p.rollup.Handler()
-}
-
-func (p *Proxy) sloHandler() http.Handler {
-	if p.slo == nil {
-		return notConfigured("slo objectives")
-	}
-	return p.slo.Handler()
-}
-
-func (p *Proxy) handleLive(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, `{"status":"alive"}`)
-}
-
-// handleReady is the proxy's own readiness: 503 while draining or with an
-// empty ring (nothing to route to), degraded detail when some backends
-// are off the ring or a proxy-tier SLO is burning, ok otherwise.
-func (p *Proxy) handleReady(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	ring := p.ring.Load()
-	routable := len(ring.Members())
-	switch {
-	case p.draining.Load():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"status":"draining"}`)
-	case !p.ready.Load():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"status":"starting"}`)
-	case routable == 0:
+// readyDetail is the readiness body of a proxy that is up: 503 with an
+// empty ring (nothing to route to), degraded when some backends are off
+// the ring or a proxy-tier SLO is burning, ok otherwise.
+func (p *Proxy) readyDetail(w http.ResponseWriter) {
+	routable := len(p.ring.Load().Members())
+	if routable == 0 {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, `{"status":"no-backends"}`)
-	default:
-		degraded := routable < len(p.backends)
-		if p.slo != nil {
-			if _, burning := p.slo.Degraded(); burning {
-				degraded = true
-			}
-		}
-		status := "ok"
-		if degraded {
-			status = "degraded"
-		}
-		_ = json.NewEncoder(w).Encode(struct {
-			Status   string `json:"status"`
-			Routable int    `json:"routable"`
-			Total    int    `json:"total"`
-		}{status, routable, len(p.backends)})
+		return
 	}
-}
-
-// retryAfterSeconds renders d as a Retry-After value (ceiling, >= 1).
-func retryAfterSeconds(d time.Duration) string {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+	status := "ok"
+	if _, burning := p.Burning(); burning || routable < len(p.backends) {
+		status = "degraded"
 	}
-	return strconv.Itoa(secs)
+	_ = json.NewEncoder(w).Encode(struct {
+		Status   string `json:"status"`
+		Routable int    `json:"routable"`
+		Total    int    `json:"total"`
+	}{status, routable, len(p.backends)})
 }
 
 // endpointOf maps a /v1/* path to its endpoint index (-1 = unknown).
 func endpointOf(path string) int {
-	switch path {
-	case "/v1/compress":
-		return epCompress
-	case "/v1/decompress":
-		return epDecompress
-	case "/v1/bundle":
-		return epBundle
+	name, ok := strings.CutPrefix(path, "/v1/")
+	if !ok {
+		return -1
 	}
-	return -1
+	return slices.Index(spine.Endpoints[:], name)
 }
 
 // serveProxy is the shard router: QoS (tenant bucket, priority
@@ -505,13 +368,12 @@ func (p *Proxy) serveProxy(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "proxy: POST only", http.StatusMethodNotAllowed)
-		m.observeStatus(http.StatusMethodNotAllowed)
+		m.ObserveStatus(http.StatusMethodNotAllowed)
 		return
 	}
-	if p.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(p.cfg.RetryAfter))
-		http.Error(w, "proxy: draining", http.StatusServiceUnavailable)
-		m.observeStatus(http.StatusServiceUnavailable)
+	if p.Draining() {
+		spine.Refuse(w, http.StatusServiceUnavailable, p.cfg.RetryAfter, "proxy: draining")
+		m.ObserveStatus(http.StatusServiceUnavailable)
 		return
 	}
 	// Tenant QoS first: a throttled tenant must not consume a worker
@@ -520,9 +382,8 @@ func (p *Proxy) serveProxy(w http.ResponseWriter, r *http.Request) {
 	tenant := r.Header.Get("X-Ceresz-Tenant")
 	if ok, wait := p.limiter.Allow(tenant, t0); !ok {
 		m.throttled.Add(1)
-		m.observeStatus(http.StatusTooManyRequests)
-		w.Header().Set("Retry-After", retryAfterSeconds(wait))
-		http.Error(w, "proxy: tenant "+tenant+" rate limited, retry later", http.StatusTooManyRequests)
+		m.ObserveStatus(http.StatusTooManyRequests)
+		spine.Refuse(w, http.StatusTooManyRequests, wait, "proxy: tenant "+tenant+" rate limited, retry later")
 		return
 	}
 	p.tenantsG.Set(int64(p.limiter.Tenants()))
@@ -532,65 +393,23 @@ func (p *Proxy) serveProxy(w http.ResponseWriter, r *http.Request) {
 	low := strings.EqualFold(r.Header.Get("X-Ceresz-Priority"), "low")
 	release := p.admit.tryAdmit(low)
 	if release == nil {
-		m.rejected.Add(1)
-		m.observeStatus(http.StatusTooManyRequests)
-		w.Header().Set("Retry-After", retryAfterSeconds(p.cfg.RetryAfter))
-		http.Error(w, "proxy: saturated, retry later", http.StatusTooManyRequests)
+		m.Rejected.Add(1)
+		m.ObserveStatus(http.StatusTooManyRequests)
+		spine.Refuse(w, http.StatusTooManyRequests, p.cfg.RetryAfter, "proxy: saturated, retry later")
 		return
 	}
 	defer release()
-	m.requests.Add(1)
+	m.Requests.Add(1)
 
 	// A body longer than the replay buffer is read by the transport while
-	// the response is relayed. Unless full duplex is on, net/http consumes
-	// the unread request body itself before the first response byte goes
-	// out: it takes bytes the transport was about to forward (the backend
-	// then sees unexpected EOF) or answers Connection: close. Best
-	// effort — recorders and HTTP/2 decline.
-	rw := &relayWriter{ResponseWriter: w}
-	_ = http.NewResponseController(rw).EnableFullDuplex()
-	status := p.forward(rw, r, ep)
-	m.observeStatus(status)
-	m.latencyUS.Observe(time.Since(t0).Microseconds())
-	// Full duplex also turns off net/http's drain after the handler, and
-	// a body left short of EOF breaks the next request on the connection
-	// (see internal/server admit). A buffered body was read to EOF; of a
-	// streamed one consume a bounded remainder here. What lies beyond it
-	// must not be parsed as a request, and the headers that could have
-	// said Connection: close are gone.
-	if !rw.streaming || rw.closing {
-		return
-	}
-	if n, _ := io.Copy(io.Discard, io.LimitReader(r.Body, maxPostDrainBytes+1)); n > maxPostDrainBytes {
-		panic(http.ErrAbortHandler)
-	}
+	// the response is relayed, which needs full duplex.
+	rw := spine.NewWriter(w)
+	p.forward(rw, r, ep)
+	m.ObserveStatus(rw.Status)
+	m.LatencyUS.Observe(time.Since(t0).Microseconds())
+	rw.Drain(r.Body)
+	rw.Finish()
 }
-
-// maxPostDrainBytes bounds how much unread request body serveProxy
-// consumes to keep a connection reusable (internal/server and net/http
-// use the same figure).
-const maxPostDrainBytes = 256 << 10
-
-// relayWriter is the client side of one proxied request. An error status
-// on a request whose body is still streaming means nobody will read the
-// rest of it, so it goes out with Connection: close — what net/http did
-// for such replies by itself before full duplex. Unwrap keeps
-// http.NewResponseController working.
-type relayWriter struct {
-	http.ResponseWriter
-	streaming bool // the body did not fit the replay buffer
-	closing   bool // Connection: close was sent
-}
-
-func (rw *relayWriter) WriteHeader(status int) {
-	if rw.streaming && status >= 300 {
-		rw.Header().Set("Connection", "close")
-		rw.closing = true
-	}
-	rw.ResponseWriter.WriteHeader(status)
-}
-
-func (rw *relayWriter) Unwrap() http.ResponseWriter { return rw.ResponseWriter }
 
 // prefixReader tracks whether any bytes beyond the buffered prefix were
 // consumed — the replayability test for failover.
@@ -640,16 +459,16 @@ func copyHeaders(dst, src http.Header) {
 
 // forward buffers the routing prefix, resolves the ring owner(s) and
 // relays the request, failing over once when the body is replayable.
-// It returns the status relayed (or originated) for RED accounting.
-func (p *Proxy) forward(w *relayWriter, r *http.Request, ep int) int {
+// The status relayed (or originated) is left in w.Status.
+func (p *Proxy) forward(w *spine.Writer, r *http.Request, ep int) {
 	bufp := p.bufs.Get().(*[]byte)
 	defer p.bufs.Put(bufp)
 	prefix, fullyBuffered, err := readPrefix(r.Body, (*bufp)[:cap(*bufp)])
 	if err != nil {
 		http.Error(w, "proxy: reading request body: "+err.Error(), http.StatusBadRequest)
-		return http.StatusBadRequest
+		return
 	}
-	w.streaming = !fullyBuffered
+	w.Streaming = !fullyBuffered
 
 	key := p.routeKey(ep, r.URL.Query(), prefix)
 	ring := p.ring.Load()
@@ -660,9 +479,8 @@ func (p *Proxy) forward(w *relayWriter, r *http.Request, ep int) int {
 		owners = ring.Owners(key, 1+failoverRetries)
 	}
 	if len(owners) == 0 {
-		w.Header().Set("Retry-After", retryAfterSeconds(p.cfg.RetryAfter))
-		http.Error(w, "proxy: no routable backends", http.StatusServiceUnavailable)
-		return http.StatusServiceUnavailable
+		spine.Refuse(w, http.StatusServiceUnavailable, p.cfg.RetryAfter, "proxy: no routable backends")
+		return
 	}
 
 	rest := &prefixReader{r: r.Body}
@@ -673,29 +491,27 @@ func (p *Proxy) forward(w *relayWriter, r *http.Request, ep int) int {
 				// Part of the one-shot body is gone: a retry would resend
 				// a different (truncated-prefix) request. Refuse loudly.
 				p.failoverDeny.Add(1)
-				p.mEp[ep].failures.Add(1)
+				p.mEp[ep].Failures.Add(1)
 				http.Error(w, "proxy: "+ErrPartialForward.Error()+": "+lastErr.Error(), http.StatusBadGateway)
-				return http.StatusBadGateway
+				return
 			}
 			p.failover.Add(1)
 		}
-		status, done := p.attempt(w, r, ep, bi, prefix, rest, fullyBuffered, &lastErr)
-		if done {
-			return status
+		if p.attempt(w, r, ep, bi, prefix, rest, fullyBuffered, &lastErr) {
+			return
 		}
 	}
-	p.mEp[ep].failures.Add(1)
+	p.mEp[ep].Failures.Add(1)
 	msg := "proxy: all ring owners failed"
 	if lastErr != nil {
 		msg += ": " + lastErr.Error()
 	}
 	http.Error(w, msg, http.StatusBadGateway)
-	return http.StatusBadGateway
 }
 
 // attempt relays the request to backend bi. done=false means the caller
 // may fail over (no response bytes have reached the client).
-func (p *Proxy) attempt(w http.ResponseWriter, r *http.Request, ep, bi int, prefix []byte, rest *prefixReader, fullyBuffered bool, lastErr *error) (status int, done bool) {
+func (p *Proxy) attempt(w http.ResponseWriter, r *http.Request, ep, bi int, prefix []byte, rest *prefixReader, fullyBuffered bool, lastErr *error) (done bool) {
 	b := p.backends[bi]
 	t0 := time.Now()
 	b.requests.Add(1)
@@ -711,7 +527,7 @@ func (p *Proxy) attempt(w http.ResponseWriter, r *http.Request, ep, bi int, pref
 	if err != nil {
 		*lastErr = err
 		b.failures.Add(1)
-		return 0, false
+		return false
 	}
 	copyHeaders(req.Header, r.Header)
 	if fullyBuffered {
@@ -725,7 +541,7 @@ func (p *Proxy) attempt(w http.ResponseWriter, r *http.Request, ep, bi int, pref
 		*lastErr = err
 		b.failures.Add(1)
 		p.checker.ReportFailure(bi, err)
-		return 0, false
+		return false
 	}
 	if resp.StatusCode >= 500 {
 		// Upstream errored before streaming anything to the client; a
@@ -735,7 +551,7 @@ func (p *Proxy) attempt(w http.ResponseWriter, r *http.Request, ep, bi int, pref
 		b.status5xx.Add(1)
 		b.latencyUS.Observe(time.Since(t0).Microseconds())
 		*lastErr = fmt.Errorf("backend %s answered %d: %s", b.name, resp.StatusCode, bytes.TrimSpace(msg))
-		return 0, false
+		return false
 	}
 
 	// 2xx/3xx/4xx relay as-is — 429s carry the backend's own Retry-After
@@ -757,8 +573,8 @@ func (p *Proxy) attempt(w http.ResponseWriter, r *http.Request, ep, bi int, pref
 	cbp := p.copyBuf.Get().(*[]byte)
 	_, cerr := io.CopyBuffer(fw, resp.Body, *cbp)
 	p.copyBuf.Put(cbp)
-	p.mEp[ep].bytesIn.Add(int64(len(prefix)) + rest.consumed.Load())
-	p.mEp[ep].bytesOut.Add(fw.n)
+	p.mEp[ep].BytesIn.Add(int64(len(prefix)) + rest.consumed.Load())
+	p.mEp[ep].BytesOut.Add(fw.n)
 	switch {
 	case resp.StatusCode < 300:
 		b.status2xx.Add(1)
@@ -778,7 +594,7 @@ func (p *Proxy) attempt(w http.ResponseWriter, r *http.Request, ep, bi int, pref
 			w.Header().Set(k, v)
 		}
 	}
-	return resp.StatusCode, true
+	return true
 }
 
 // readPrefix fills buf from r. fullyBuffered reports that the body ended
@@ -808,14 +624,14 @@ func (p *Proxy) routeKey(ep int, q url.Values, prefix []byte) chunkcache.Key {
 	h := p.hashers.Get().(*chunkcache.Hasher)
 	defer p.hashers.Put(h)
 	switch ep {
-	case epCompress:
+	case spine.Compress:
 		if pre, chunkBytes, ok := p.compressPreamble(h, q); ok {
 			if chunkBytes > len(prefix) {
 				chunkBytes = len(prefix)
 			}
 			return h.Key(pre, prefix[:chunkBytes])
 		}
-	case epDecompress:
+	case spine.Decompress:
 		wantF64 := q.Get("elem") == "f64"
 		if payload, ok := firstFramePayload(prefix); ok {
 			return h.Key(chunkcache.AppendDecompressPreamble(h.Preamble(), wantF64), payload)

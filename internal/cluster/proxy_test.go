@@ -18,6 +18,7 @@ import (
 	"ceresz/internal/chunkcache"
 	"ceresz/internal/chunkcache/keytest"
 	"ceresz/internal/server"
+	"ceresz/internal/spine"
 	"ceresz/internal/telemetry"
 )
 
@@ -263,7 +264,7 @@ func TestProxyPartialForwardRefusesRetry(t *testing.T) {
 	var body []byte
 	for seed := float32(0); ; seed++ {
 		body = rawF32Body(1<<20, seed) // 4 MiB
-		key := p.routeKey(epCompress, q, body[:64<<10])
+		key := p.routeKey(spine.Compress, q, body[:64<<10])
 		if p.Ring().Owner(key) == 0 {
 			break
 		}
@@ -484,8 +485,12 @@ func TestProxyMethodAndPathErrors(t *testing.T) {
 	}
 }
 
+// TestParseObjectivesBindsProxyInstruments: specs bound with the proxy's
+// prefix name instruments a live proxy registers, so an objective never
+// evaluates against a series that cannot fire.
 func TestParseObjectivesBindsProxyInstruments(t *testing.T) {
-	objs, err := ParseObjectives("compress:p99<25ms:99.9,decompress:err:99.99")
+	_, _, reg := newTestProxy(t, Config{Backends: []string{"http://a.invalid"}})
+	objs, err := spine.ParseObjectives("proxy", "compress:p99<25ms:99.9,decompress:err:99.99")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +503,16 @@ func TestParseObjectivesBindsProxyInstruments(t *testing.T) {
 	if objs[1].TotalCounter != "proxy.decompress.requests" || objs[1].BadCounter != "proxy.decompress.status_5xx" {
 		t.Fatalf("err SLI bound to %q/%q", objs[1].TotalCounter, objs[1].BadCounter)
 	}
-	if _, err := ParseObjectives("frobnicate:err:99"); err == nil {
+	snap := reg.Snapshot()
+	if _, ok := snap.Hists[objs[0].HistName]; !ok {
+		t.Errorf("%s is not a registered proxy histogram", objs[0].HistName)
+	}
+	for _, name := range []string{objs[1].TotalCounter, objs[1].BadCounter} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("%s is not a registered proxy counter", name)
+		}
+	}
+	if _, err := spine.ParseObjectives("proxy", "frobnicate:err:99"); err == nil {
 		t.Fatal("unknown endpoint accepted")
 	}
 }
@@ -533,14 +547,14 @@ func TestRouteKeyDefaultBlockLenHasOneSpelling(t *testing.T) {
 		p, _, _ := newTestProxy(t, Config{Backends: backends, BlockLen: cfgBlock})
 		for _, query := range []string{"eps=0.001", "eps=0.001&block=32"} {
 			q, _ := url.ParseQuery(query)
-			k := p.routeKey(epCompress, q, body)
+			k := p.routeKey(spine.Compress, q, body)
 			if len(keys) > 0 && (k != keys[0] || p.Ring().Owner(k) != p.Ring().Owner(keys[0])) {
 				t.Errorf("proxy BlockLen %d, %q: key %x, want the first spelling's %x and its owner", cfgBlock, query, k, keys[0])
 			}
 			keys = append(keys, k)
 		}
 		q, _ := url.ParseQuery("eps=0.001&block=64")
-		if p.routeKey(epCompress, q, body) == keys[0] {
+		if p.routeKey(spine.Compress, q, body) == keys[0] {
 			t.Error("block=64 routes as the default block length")
 		}
 	}

@@ -16,6 +16,11 @@
 //     through internal/telemetry, so /debug/metrics exposes p50/p95/p99
 //     per endpoint in the Prometheus text format.
 //
+// The probes, drain state, RED set, fleet-health layer and full-duplex
+// drain are internal/spine's, shared with the cereszproxy tier; this
+// package owns admission, the codec pool, the chunk cache and the request
+// tracer.
+//
 // Wire format: /v1/compress turns a raw little-endian float body into the
 // package's CSZF framed stream (one independently-decodable container per
 // chunk — the on-disk streaming format, so a StreamReader consumes
@@ -41,6 +46,7 @@ import (
 	"ceresz/internal/chunkcache"
 	"ceresz/internal/core"
 	"ceresz/internal/hostpool"
+	"ceresz/internal/spine"
 	"ceresz/internal/telemetry"
 )
 
@@ -99,15 +105,15 @@ type Config struct {
 	// RollupInterval is the windowed time-series interval: the server
 	// aggregates its instruments into per-interval rate/quantile windows
 	// (/debug/timeseries, the _rate and _window Prometheus series) off the
-	// hot path. 0 leaves rollups off unless Objectives or FlightDir need
-	// them (then 5s); negative forces them off.
+	// hot path. Zero or negative leaves rollups off unless Objectives or
+	// FlightDir need them (then 5s).
 	RollupInterval time.Duration
 	// RollupWindows is the rollup ring capacity (0 = 720 — one hour of 5s
 	// windows).
 	RollupWindows int
 	// Objectives are the server's SLOs, evaluated over the rollup ring
 	// into /debug/slo, ceresz_slo_* gauges and the readiness probe's
-	// degraded detail. Build them with ParseObjectives.
+	// degraded detail. Build them with spine.ParseObjectives("server", …).
 	Objectives []telemetry.Objective
 	// SLODegradedBurn is the 5m burn rate at which an objective reports
 	// degraded (0 = telemetry.DefaultDegradedBurn).
@@ -152,9 +158,6 @@ func (c Config) withDefaults() Config {
 	if c.ChunkElems > c.MaxChunkElems {
 		c.ChunkElems = c.MaxChunkElems
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.Registry == nil {
 		c.Registry = telemetry.Default
 	}
@@ -167,87 +170,36 @@ func (c Config) withDefaults() Config {
 	if c.AccessLogEvery <= 0 {
 		c.AccessLogEvery = 1
 	}
-	// SLOs and the flight recorder evaluate over rollup windows, so either
-	// one pulls the rollup layer in at its default cadence.
-	if c.RollupInterval == 0 && (len(c.Objectives) > 0 || c.FlightDir != "") {
-		c.RollupInterval = 5 * time.Second
-	}
 	return c
 }
 
-// epMetrics is one endpoint's instrument set — the RED triple (request
-// rate, errors by class plus explicit 429 rejections, latency quantiles)
-// plus volume counters and per-stage latency histograms.
-type epMetrics struct {
-	ep        uint8
-	requests  *telemetry.Counter
-	failures  *telemetry.Counter
-	rejected  *telemetry.Counter
-	status2xx *telemetry.Counter
-	status4xx *telemetry.Counter
-	status5xx *telemetry.Counter
-	bytesIn   *telemetry.Counter
-	bytesOut  *telemetry.Counter
-	chunks    *telemetry.Counter
-	latencyUS *telemetry.Histogram
-	stageUS   [numStages]*telemetry.Histogram
+// endpoint is one /v1/* endpoint's instruments: the spine's RED set plus
+// the server's chunk counter and per-stage latency histograms.
+type endpoint struct {
+	*spine.RED
+	ep      uint8
+	chunks  *telemetry.Counter
+	stageUS [numStages]*telemetry.Histogram
 }
 
-// epMetricHelp documents each endpoint instrument's suffix; the text rides
-// registration into the Prometheus exposition as # HELP lines.
-var epMetricHelp = [...]struct{ suffix, help string }{
-	{"requests", "Requests admitted past admission control."},
-	{"failures", "Requests whose handler returned an error."},
-	{"rejected", "Requests refused with 429 by admission control."},
-	{"status_2xx", "Responses with a 2xx status."},
-	{"status_4xx", "Responses with a 4xx status (429 rejections included)."},
-	{"status_5xx", "Responses with a 5xx status."},
-	{"bytes_in", "Request payload bytes consumed."},
-	{"bytes_out", "Response payload bytes written."},
-	{"chunks", "Chunks (frames / bundle fields) processed."},
-	{"latency_us", "End-to-end request latency in microseconds."},
-}
-
-func newEpMetrics(reg *telemetry.Registry, ep uint8) *epMetrics {
-	name := epNames[ep]
-	m := &epMetrics{
-		ep:        ep,
-		requests:  reg.Counter("server." + name + ".requests"),
-		failures:  reg.Counter("server." + name + ".failures"),
-		rejected:  reg.Counter("server." + name + ".rejected"),
-		status2xx: reg.Counter("server." + name + ".status_2xx"),
-		status4xx: reg.Counter("server." + name + ".status_4xx"),
-		status5xx: reg.Counter("server." + name + ".status_5xx"),
-		bytesIn:   reg.Counter("server." + name + ".bytes_in"),
-		bytesOut:  reg.Counter("server." + name + ".bytes_out"),
-		chunks:    reg.Counter("server." + name + ".chunks"),
-		latencyUS: reg.Histogram("server." + name + ".latency_us"),
-	}
-	for _, h := range epMetricHelp {
-		reg.Describe("server."+name+"."+h.suffix, "/v1/"+name+": "+h.help)
+func newEndpoint(reg *telemetry.Registry, ep uint8) *endpoint {
+	m := &endpoint{
+		RED:    spine.NewRED(reg, "server", int(ep)),
+		ep:     ep,
+		chunks: spine.Counter(reg, "server", int(ep), "chunks", "Chunks (frames / bundle fields) processed."),
 	}
 	for st := stage(0); st < numStages; st++ {
-		m.stageUS[st] = reg.Histogram("server." + name + "." + stageNames[st] + "_us")
-		reg.Describe("server."+name+"."+stageNames[st]+"_us",
-			"/v1/"+name+": time spent in the "+stageNames[st]+" stage, microseconds.")
+		m.stageUS[st] = spine.Histogram(reg, "server", int(ep), stageNames[st]+"_us",
+			"time spent in the "+stageNames[st]+" stage, microseconds.")
 	}
 	return m
 }
 
-// observeStatus bumps the endpoint's status-class counter.
-func (m *epMetrics) observeStatus(code int) {
-	switch {
-	case code >= 200 && code < 300:
-		m.status2xx.Add(1)
-	case code >= 400 && code < 500:
-		m.status4xx.Add(1)
-	case code >= 500:
-		m.status5xx.Add(1)
-	}
-}
-
 // Server is the serving subsystem. Create with New, mount with Handler.
+// The embedded spine owns readiness, drain mode and the fleet-health
+// layer (Rollup, Close).
 type Server struct {
+	*spine.Tier
 	cfg    Config
 	codecs chan *codec   // worker pool: free codec state
 	sem    chan struct{} // admission: executing + queued requests
@@ -255,26 +207,11 @@ type Server struct {
 	// cache memoizes per-chunk codec results (nil when Config.CacheBytes
 	// is 0 — the handlers then run the exact pre-cache code path).
 	cache *chunkcache.Cache
-	// rollup / slo / flight are the fleet-health layer: windowed time
-	// series over the registry, objectives evaluated over those windows,
-	// and the anomaly-triggered incident dumper. All nil when their
-	// Config knobs are off — the serving path never consults them.
-	rollup *telemetry.Rollup
-	slo    *telemetry.SLOEngine
-	flight *telemetry.FlightRecorder
-
-	draining atomic.Bool
-	// ready gates the readiness probes: false before the daemon's listener
-	// is accepting (cereszd flips it after net.Listen) and irrelevant once
-	// draining (draining wins). New starts ready so embedded/test servers
-	// need no extra call.
-	ready atomic.Bool
 	// executing counts requests currently holding a codec; the intra-
 	// request worker budget (Config.HostWorkers) is divided by it.
 	executing atomic.Int64
 	// gauges mirror state for /debug/metrics; functional state never
 	// lives in telemetry (a disabled registry makes gauges no-ops).
-	drainGauge *telemetry.Gauge
 	inflight   *telemetry.Gauge
 	queueDepth *telemetry.Gauge
 	// hostPeak / hostImbalance mirror the shared host pool's occupancy
@@ -283,12 +220,13 @@ type Server struct {
 	hostPeak      *telemetry.Gauge
 	hostImbalance *telemetry.Gauge
 
-	mCompress   *epMetrics
-	mDecompress *epMetrics
-	mBundle     *epMetrics
+	mCompress   *endpoint
+	mDecompress *endpoint
+	mBundle     *endpoint
 }
 
-// New returns a Server with its worker pool warm.
+// New returns a Server with its worker pool warm. It starts ready, so
+// embedded and test servers need no SetReady call.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -296,163 +234,55 @@ func New(cfg Config) *Server {
 		codecs:        make(chan *codec, cfg.Workers),
 		sem:           make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		tr:            newTracer(cfg.Workers+cfg.QueueDepth, cfg),
-		drainGauge:    cfg.Registry.Gauge("server.draining"),
 		inflight:      cfg.Registry.Gauge("server.inflight"),
 		queueDepth:    cfg.Registry.Gauge("server.queue_depth"),
 		hostPeak:      cfg.Registry.Gauge("server.host_pool_peak_workers"),
 		hostImbalance: cfg.Registry.Gauge("server.host_shard_imbalance_pct"),
-		mCompress:     newEpMetrics(cfg.Registry, epCompress),
-		mDecompress:   newEpMetrics(cfg.Registry, epDecompress),
-		mBundle:       newEpMetrics(cfg.Registry, epBundle),
+		mCompress:     newEndpoint(cfg.Registry, spine.Compress),
+		mDecompress:   newEndpoint(cfg.Registry, spine.Decompress),
+		mBundle:       newEndpoint(cfg.Registry, spine.Bundle),
 	}
 	cfg.Registry.Describe("server.draining", "1 while the server refuses new work to drain.")
 	cfg.Registry.Describe("server.inflight", "Requests currently holding a codec worker.")
 	cfg.Registry.Describe("server.queue_depth", "Admitted requests waiting for a codec worker.")
 	cfg.Registry.Describe("server.host_pool_peak_workers", "Peak shared host-pool occupancy observed.")
 	cfg.Registry.Describe("server.host_shard_imbalance_pct", "Last host-codec shard imbalance, percent.")
-	s.ready.Store(true)
 	if cfg.CacheBytes > 0 {
 		s.cache = chunkcache.New(cfg.CacheBytes, cfg.Registry)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.codecs <- newCodec(i)
 	}
-	if cfg.RollupInterval > 0 {
-		s.rollup = telemetry.NewRollup(cfg.Registry, telemetry.RollupConfig{
-			Interval: cfg.RollupInterval,
-			Windows:  cfg.RollupWindows,
-		})
-		if len(cfg.Objectives) > 0 {
-			s.slo = telemetry.NewSLOEngine(s.rollup, cfg.Objectives, cfg.SLODegradedBurn)
-		}
-		if cfg.FlightDir != "" {
-			s.flight = telemetry.NewFlightRecorder(telemetry.FlightConfig{
-				Dir:         cfg.FlightDir,
-				MinInterval: cfg.FlightMinInterval,
-			}, s.rollup, s.slo, func(buf *bytes.Buffer) error {
-				return s.tr.writeChromeTrace(buf, cfg.Workers)
-			})
-		}
-		s.rollup.Start()
-	}
+	s.Tier = spine.NewTier(spine.Config{
+		Registry:          cfg.Registry,
+		RollupInterval:    cfg.RollupInterval,
+		RollupWindows:     cfg.RollupWindows,
+		Objectives:        cfg.Objectives,
+		SLODegradedBurn:   cfg.SLODegradedBurn,
+		FlightDir:         cfg.FlightDir,
+		FlightMinInterval: cfg.FlightMinInterval,
+		FlightTrace: func(buf *bytes.Buffer) error {
+			return s.tr.writeChromeTrace(buf, cfg.Workers)
+		},
+		DrainGauge: cfg.Registry.Gauge("server.draining"),
+		Ready:      s.readyDetail,
+	})
+	s.SetReady(true)
 	return s
 }
 
-// Close stops the server's background work (the rollup ticker). The HTTP
-// handlers stay functional — Close is about goroutine hygiene, not drain
-// (SetDraining owns that).
-func (s *Server) Close() {
-	if s.rollup != nil {
-		s.rollup.Stop()
-	}
-}
-
-// Rollup returns the windowed time-series layer, nil when rollups are off.
-func (s *Server) Rollup() *telemetry.Rollup { return s.rollup }
-
-// SLO returns the objective engine, nil when no objectives are configured.
-func (s *Server) SLO() *telemetry.SLOEngine { return s.slo }
-
-// Flight returns the flight recorder, nil when no FlightDir is configured.
-func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
-
 // Handler returns the server's mux: POST /v1/compress, /v1/decompress,
-// /v1/bundle, GET /healthz, plus the request-observability views
-// /debug/requests and /debug/trace (cereszd also mounts those two on its
-// shared telemetry debug mux, which owns the /debug/ prefix there).
+// /v1/bundle, the spine's probes and fleet-health views, plus the
+// request-observability views /debug/requests and /debug/trace.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/compress", s.admit(s.mCompress, s.handleCompress))
 	mux.Handle("/v1/decompress", s.admit(s.mDecompress, s.handleDecompress))
 	mux.Handle("/v1/bundle", s.admit(s.mBundle, s.handleBundle))
-	mux.HandleFunc("/healthz", s.handleReady) // back-compat alias for readiness
-	mux.HandleFunc("/healthz/live", s.handleLive)
-	mux.HandleFunc("/healthz/ready", s.handleReady)
-	mux.Handle("/debug/metrics", s.cfg.Registry.MetricsHandler())
+	s.Mount(mux)
 	mux.Handle("/debug/requests", s.RequestsHandler())
 	mux.Handle("/debug/trace", s.TraceHandler())
-	mux.Handle("/debug/timeseries", s.TimeseriesHandler())
-	mux.Handle("/debug/slo", s.SLOHandler())
-	mux.Handle("/debug/flight", s.FlightHandler())
-	mux.Handle("/debug/flight/dump", s.FlightDumpHandler())
 	return mux
-}
-
-// notConfigured is the debug response for a fleet-health view whose layer
-// is switched off, so a probe distinguishes "off" from "wrong path".
-func notConfigured(what string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, what+" not configured", http.StatusNotFound)
-	})
-}
-
-// TimeseriesHandler serves the rollup ring (/debug/timeseries); 404 when
-// rollups are off.
-func (s *Server) TimeseriesHandler() http.Handler {
-	if s.rollup == nil {
-		return notConfigured("rollup time series")
-	}
-	return s.rollup.Handler()
-}
-
-// SLOHandler serves the objective evaluation (/debug/slo); 404 when no
-// objectives are configured.
-func (s *Server) SLOHandler() http.Handler {
-	if s.slo == nil {
-		return notConfigured("slo objectives")
-	}
-	return s.slo.Handler()
-}
-
-// FlightHandler serves the flight recorder's status (/debug/flight); 404
-// when no flight dir is configured.
-func (s *Server) FlightHandler() http.Handler {
-	if s.flight == nil {
-		return notConfigured("flight recorder")
-	}
-	return s.flight.StatusHandler()
-}
-
-// FlightDumpHandler forces an incident dump (POST /debug/flight/dump);
-// 404 when no flight dir is configured.
-func (s *Server) FlightDumpHandler() http.Handler {
-	if s.flight == nil {
-		return notConfigured("flight recorder")
-	}
-	return s.flight.DumpHandler()
-}
-
-// SetDraining flips drain mode: /healthz answers 503 so load balancers
-// stop routing here, and new /v1/* work is refused with Retry-After while
-// in-flight requests finish (http.Server.Shutdown waits for those).
-func (s *Server) SetDraining(on bool) {
-	s.draining.Store(on)
-	v := int64(0)
-	if on {
-		v = 1
-	}
-	s.drainGauge.Set(v)
-}
-
-// Draining reports drain mode.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// SetReady flips the readiness probes. A daemon that wants load balancers
-// to wait for its listener calls SetReady(false) before serving and
-// SetReady(true) once the socket accepts; embedded servers never need to
-// (New starts ready).
-func (s *Server) SetReady(on bool) { s.ready.Store(on) }
-
-// Ready reports whether the server is accepting work: ready and not
-// draining.
-func (s *Server) Ready() bool { return s.ready.Load() && !s.draining.Load() }
-
-// handleLive is the liveness probe: 200 whenever the process responds at
-// all — restarting a draining-but-alive daemon would lose its in-flight
-// requests, so drain state must not look dead.
-func (s *Server) handleLive(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, `{"status":"alive"}`)
 }
 
 // readySLODetail is one burning objective in a degraded readiness body.
@@ -462,59 +292,37 @@ type readySLODetail struct {
 	BudgetRemaining float64 `json:"budget_remaining"`
 }
 
-// handleReady is the readiness probe (also served at /healthz for
-// back-compat): 503 before the daemon's listener is up and while
-// draining, so load balancers route traffic only to servers that will
-// accept it. An SLO burning fast degrades the body detail but stays 200 —
-// a degraded server still serves, and yanking it from rotation would turn
-// a latency incident into an availability one.
-func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	switch {
-	case s.Draining():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"status":"draining"}`)
-	case !s.ready.Load():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, `{"status":"starting"}`)
-	default:
-		if s.slo != nil {
-			if statuses, degraded := s.slo.Degraded(); degraded {
-				details := make([]readySLODetail, 0, len(statuses))
-				for _, st := range statuses {
-					if st.Degraded {
-						details = append(details, readySLODetail{
-							Spec:            st.Spec.Raw,
-							BurnRate5m:      st.BurnRate5m,
-							BudgetRemaining: st.BudgetRemaining,
-						})
-					}
-				}
-				_ = json.NewEncoder(w).Encode(struct {
-					Status string           `json:"status"`
-					SLO    []readySLODetail `json:"slo"`
-				}{Status: "degraded", SLO: details})
-				return
-			}
-		}
+// readyDetail is the readiness body of a server that is up: "ok", or
+// "degraded" with the burning objectives listed. A degraded server stays
+// 200 — it still serves, and yanking it from rotation would turn a latency
+// incident into an availability one.
+func (s *Server) readyDetail(w http.ResponseWriter) {
+	statuses, degraded := s.Burning()
+	if !degraded {
 		fmt.Fprintln(w, `{"status":"ok"}`)
+		return
 	}
-}
-
-// retryAfterSeconds renders the Retry-After hint (ceiling, ≥ 1).
-func (s *Server) retryAfterSeconds() string {
-	secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+	details := make([]readySLODetail, 0, len(statuses))
+	for _, st := range statuses {
+		if st.Degraded {
+			details = append(details, readySLODetail{
+				Spec:            st.Spec.Raw,
+				BurnRate5m:      st.BurnRate5m,
+				BudgetRemaining: st.BudgetRemaining,
+			})
+		}
 	}
-	return strconv.Itoa(secs)
+	_ = json.NewEncoder(w).Encode(struct {
+		Status string           `json:"status"`
+		SLO    []readySLODetail `json:"slo"`
+	}{Status: "degraded", SLO: details})
 }
 
 // admit wraps an endpoint with method filtering, drain refusal, admission
 // control, worker acquisition, request attribution and metrics. The
 // handler runs with exclusive use of one codec, and every response —
 // including refusals — carries the request's trace id.
-func (s *Server) admit(m *epMetrics, h func(*codec, http.ResponseWriter, *http.Request) error) http.Handler {
+func (s *Server) admit(m *endpoint, h func(*codec, http.ResponseWriter, *http.Request) error) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		tid, parent, self := s.tr.ids(r)
@@ -528,8 +336,7 @@ func (s *Server) admit(m *epMetrics, h func(*codec, http.ResponseWriter, *http.R
 			return
 		}
 		if s.Draining() {
-			hdr.Set("Retry-After", s.retryAfterSeconds())
-			http.Error(w, "request "+reqID+": draining", http.StatusServiceUnavailable)
+			spine.Refuse(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, "request "+reqID+": draining")
 			return
 		}
 		if r.ContentLength > s.cfg.MaxBodyBytes {
@@ -543,10 +350,9 @@ func (s *Server) admit(m *epMetrics, h func(*codec, http.ResponseWriter, *http.R
 		select {
 		case s.sem <- struct{}{}:
 		default:
-			m.rejected.Add(1)
-			m.status4xx.Add(1)
-			hdr.Set("Retry-After", s.retryAfterSeconds())
-			http.Error(w, "request "+reqID+": server saturated, retry later", http.StatusTooManyRequests)
+			m.Rejected.Add(1)
+			m.ObserveStatus(http.StatusTooManyRequests)
+			spine.Refuse(w, http.StatusTooManyRequests, s.cfg.RetryAfter, "request "+reqID+": server saturated, retry later")
 			return
 		}
 		defer func() { <-s.sem }()
@@ -554,7 +360,7 @@ func (s *Server) admit(m *epMetrics, h func(*codec, http.ResponseWriter, *http.R
 		// Admitted: claim a span slot (bounded by the semaphore, so this
 		// never blocks) and declare the Server-Timing trailer before any
 		// body byte makes the header section immutable.
-		m.requests.Add(1)
+		m.Requests.Add(1)
 		sp := s.tr.acquire(tid, parent, self, m.ep, t0, r.Header.Get("X-Ceresz-Tenant"))
 		sp.observe(stageAdmit, t0)
 		hdr.Set("Trailer", "Server-Timing")
@@ -592,31 +398,18 @@ func (s *Server) admit(m *epMetrics, h func(*codec, http.ResponseWriter, *http.R
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
 		// The handlers stream: they read the next body chunk after writing
-		// the previous response chunk. HTTP/1.x servers close the body for
-		// reads once the response starts flushing unless full duplex is
-		// explicitly enabled; best effort — recorders and HTTP/2 decline.
-		rw := &trackingWriter{ResponseWriter: w, status: http.StatusOK}
-		_ = http.NewResponseController(rw).EnableFullDuplex()
+		// the previous response chunk, which needs full duplex.
+		rw := spine.NewWriter(w)
 		err := h(c, rw, r)
-		m.latencyUS.Observe(time.Since(t0).Microseconds())
-		// Full duplex also disables the server's post-handler body drain,
-		// and a body left short of EOF breaks connection reuse (the
-		// deferred background read only starts once a read hits EOF, which
-		// reqBody.Close triggers *after* finishRequest already aborted
-		// pending reads — the next request's Peek then panics net/http).
-		// Consume a bounded remainder here; past the cap, close the
-		// connection instead of reading unbounded garbage.
-		drained, _ := io.Copy(io.Discard, io.LimitReader(r.Body, maxPostDrainBytes+1))
-		if drained > maxPostDrainBytes && !rw.started {
-			hdr.Set("Connection", "close")
-		}
+		m.LatencyUS.Observe(time.Since(t0).Microseconds())
+		rw.Drain(r.Body)
 		if err != nil {
-			m.failures.Add(1)
+			m.Failures.Add(1)
 			sp.errMsg = err.Error()
 			writeError(rw, err, reqID)
 		}
-		sp.status.Store(int32(rw.status))
-		m.observeStatus(rw.status)
+		sp.status.Store(int32(rw.Status))
+		m.ObserveStatus(rw.Status)
 		// Mirror the shared host pool's occupancy into this server's
 		// registry so /debug/metrics shows it even when telemetry.Default
 		// (which internal/hostpool instruments) is disabled.
@@ -632,50 +425,13 @@ func (s *Server) admit(m *epMetrics, h func(*codec, http.ResponseWriter, *http.R
 			m.stageUS[st].Observe(sp.stageNs[st].Load() / 1e3)
 		}
 		s.tr.finish(sp)
-		if drained > maxPostDrainBytes && rw.started {
-			// Headers are gone, so the close hint is no longer expressible;
-			// ErrAbortHandler is the sanctioned way to cut the connection.
-			panic(http.ErrAbortHandler)
-		}
+		rw.Finish()
 	})
 }
 
 // statusClientGone marks a request whose client disconnected while queued
 // for a worker (nginx's 499 convention; no response was written).
 const statusClientGone = 499
-
-// maxPostDrainBytes bounds how much of a request body left unread by a
-// handler admit will consume to keep the connection reusable (mirrors
-// net/http's own maxPostHandlerReadBytes). Past it, the connection is
-// closed instead.
-const maxPostDrainBytes = 256 << 10
-
-// trackingWriter records whether the response has started (which decides
-// how admit handles a body the handler left unread: before the first
-// write a Connection: close header still works, after it only aborting
-// the connection does) and the status code that went out, for the span
-// record and the RED status-class counters. Unwrap keeps
-// http.NewResponseController working.
-type trackingWriter struct {
-	http.ResponseWriter
-	started bool
-	status  int
-}
-
-func (tw *trackingWriter) WriteHeader(code int) {
-	if !tw.started {
-		tw.status = code
-	}
-	tw.started = true
-	tw.ResponseWriter.WriteHeader(code)
-}
-
-func (tw *trackingWriter) Write(b []byte) (int, error) {
-	tw.started = true
-	return tw.ResponseWriter.Write(b)
-}
-
-func (tw *trackingWriter) Unwrap() http.ResponseWriter { return tw.ResponseWriter }
 
 // badRequest marks parameter/body validation failures for status mapping.
 type badRequest struct{ err error }
@@ -988,10 +744,10 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 }
 
 // recordVolume publishes one request's chunk/byte accounting.
-func (s *Server) recordVolume(m *epMetrics, chunks int, in, out int64) {
+func (s *Server) recordVolume(m *endpoint, chunks int, in, out int64) {
 	m.chunks.Add(int64(chunks))
-	m.bytesIn.Add(in)
-	m.bytesOut.Add(out)
+	m.BytesIn.Add(in)
+	m.BytesOut.Add(out)
 }
 
 // bundleFieldSpec is one manifest entry of a /v1/bundle request.

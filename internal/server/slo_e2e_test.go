@@ -233,8 +233,11 @@ func TestFleetHealthEndpointsDisabled(t *testing.T) {
 }
 
 // TestParseObjectives pins the endpoint binding and the unknown-subject
-// rejection.
+// rejection, and that the bound names are instruments a live server
+// registers.
 func TestParseObjectives(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	New(Config{Workers: 1, Registry: reg}).Close()
 	objs, err := ParseObjectives("compress:p99<25ms:99.9,decompress:err:99.99")
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +250,15 @@ func TestParseObjectives(t *testing.T) {
 	}
 	if objs[1].TotalCounter != "server.decompress.requests" || objs[1].BadCounter != "server.decompress.status_5xx" {
 		t.Fatalf("err binding %+v", objs[1])
+	}
+	snap := reg.Snapshot()
+	if _, ok := snap.Hists[objs[0].HistName]; !ok {
+		t.Errorf("%s is not a registered server histogram", objs[0].HistName)
+	}
+	for _, name := range []string{objs[1].TotalCounter, objs[1].BadCounter} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("%s is not a registered server counter", name)
+		}
 	}
 	if _, err := ParseObjectives("uploads:err:99"); err == nil {
 		t.Fatal("unknown endpoint accepted")

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ceresz/internal/spine"
 	"ceresz/internal/telemetry"
 )
 
@@ -61,16 +62,6 @@ const (
 )
 
 var stageNames = [numStages]string{"admit", "worker", "read", "cache", "codec", "write"}
-
-// Endpoint indexes for span records.
-const (
-	epCompress = iota
-	epDecompress
-	epBundle
-	numEndpoints
-)
-
-var epNames = [numEndpoints]string{"compress", "decompress", "bundle"}
 
 // traceID is a W3C trace-context trace id (16 bytes, hex 32 on the wire).
 type traceID [16]byte
@@ -505,7 +496,7 @@ func (t *tracer) logAccess(rec *reqRecord) {
 	e := accessEntry{
 		Time:        rec.start.UTC().Format(time.RFC3339Nano),
 		ID:          rec.id.String(),
-		Endpoint:    epNames[rec.endpoint],
+		Endpoint:    spine.Endpoints[rec.endpoint],
 		Status:      rec.status,
 		Worker:      rec.worker,
 		Tenant:      rec.tenant,
@@ -583,7 +574,7 @@ type recordJSON struct {
 func recordToJSON(rec *reqRecord) recordJSON {
 	return recordJSON{
 		ID:          rec.id.String(),
-		Endpoint:    epNames[rec.endpoint],
+		Endpoint:    spine.Endpoints[rec.endpoint],
 		Status:      rec.status,
 		Worker:      rec.worker,
 		Tenant:      rec.tenant,
@@ -646,7 +637,7 @@ func (s *Server) RequestsHandler() http.Handler {
 			if sp.busy {
 				view.InFlight = append(view.InFlight, inflightJSON{
 					ID:       sp.id.String(),
-					Endpoint: epNames[sp.endpoint],
+					Endpoint: spine.Endpoints[sp.endpoint],
 					Worker:   sp.worker,
 					Tenant:   sp.tenant,
 					AgeUS:    now.Sub(sp.start).Microseconds(),
@@ -732,7 +723,7 @@ func (t *tracer) writeChromeTrace(w io.Writer, workers int) error {
 			tid = 0
 		}
 		flowID := strconv.FormatUint(rec.seq, 10)
-		ep := epNames[rec.endpoint]
+		ep := spine.Endpoints[rec.endpoint]
 
 		waitLane := lane(startUS, startUS+waitUS)
 		tw.Emit(telemetry.ChromeEvent{

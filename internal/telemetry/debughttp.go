@@ -10,9 +10,9 @@ import (
 )
 
 // Shared debug/observability mux: every binary that exposes runtime
-// introspection (cereszbench -debug-addr, cereszd) serves the same four
-// endpoint families, so dashboards and smoke tests work unchanged across
-// them:
+// introspection (cereszbench -debug-addr, cereszd, cereszproxy) serves the
+// same four endpoint families, so dashboards and smoke tests work
+// unchanged across them:
 //
 //	/debug/pprof/*    net/http/pprof profiles
 //	/debug/vars       expvar JSON (includes the registry snapshot)
