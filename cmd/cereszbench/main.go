@@ -7,9 +7,8 @@
 //
 // Experiments: table1 (covers Tables 1–3), fig7, fig10, fig11, fig12,
 // fig13, fig14, table5, fig15, alg1, ablations (design-choice ablations
-// beyond the paper's figures), ratedist (§5.4 rate-distortion sweep), host
-// (wall-clock host-codec throughput: ns/op, ns/element and GB/s per field,
-// also in -json output), or "all".
+// beyond the paper's figures), ratedist (§5.4 rate-distortion sweep), or
+// "all".
 //
 // Flags:
 //
@@ -19,10 +18,6 @@
 //	-simworkers N              simulator worker pool: 0 = one per CPU,
 //	                           1 = sequential reference engine (results
 //	                           are identical; only wall time changes)
-//	-hostworkers N             host-codec worker shards for the host
-//	                           experiment: 0/1 = sequential, N > 1 =
-//	                           pooled block-parallel, negative = all
-//	                           cores (bytes are identical either way)
 //	-json                      emit one JSON object per experiment instead
 //	                           of formatted tables
 //	-debug-addr host:port      serve net/http/pprof, expvar, the live
@@ -48,12 +43,11 @@ func main() {
 	seed := flag.Int64("seed", 7, "dataset generator seed")
 	maxFields := flag.Int("maxfields", 0, "limit fields per dataset (0 = all)")
 	simWorkers := flag.Int("simworkers", 0, "simulator workers: 0 = one per CPU, 1 = sequential reference engine")
-	hostWorkers := flag.Int("hostworkers", 1, "host-codec workers for the host experiment: 0/1 = sequential, N > 1 = pooled shards, negative = all cores")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON results (one object per experiment)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof/expvar/telemetry on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	cfg := experiments.Config{Seed: *seed, MaxFieldsPerDataset: *maxFields, SimWorkers: *simWorkers, HostWorkers: *hostWorkers}
+	cfg := experiments.Config{Seed: *seed, MaxFieldsPerDataset: *maxFields, SimWorkers: *simWorkers}
 	switch *scale {
 	case "small":
 		cfg.Scale = datasets.Small
@@ -74,7 +68,7 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"all"}
 	}
-	known := []string{"table1", "fig7", "fig10", "fig11", "fig12", "fig13", "fig14", "table5", "fig15", "alg1", "ablations", "ratedist", "util", "quality", "extras", "host", "check"}
+	known := []string{"table1", "fig7", "fig10", "fig11", "fig12", "fig13", "fig14", "table5", "fig15", "alg1", "ablations", "ratedist", "util", "quality", "extras", "check"}
 	var todo []string
 	for _, a := range args {
 		if a == "all" {
@@ -212,13 +206,6 @@ func run(out io.Writer, exp string, cfg experiments.Config, asJSON bool) error {
 		}
 		result = r
 		print = func(w io.Writer) { experiments.PrintUtilization(w, r) }
-	case "host":
-		r, err := experiments.HostBench(cfg)
-		if err != nil {
-			return err
-		}
-		result = r
-		print = func(w io.Writer) { experiments.PrintHostBench(w, r) }
 	case "ratedist":
 		r, err := experiments.RateDistortion(cfg)
 		if err != nil {

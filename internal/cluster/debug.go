@@ -53,18 +53,11 @@ func (p *Proxy) handleRing(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, b := range p.backends {
 		hs := p.checker.snapshot(i)
-		weight := 0
-		switch hs.State {
-		case StateHealthy:
-			weight = p.cfg.Vnodes
-		case StateDegraded:
-			weight = p.cfg.DegradedVnodes
-		}
 		row := ringBackendView{
 			Index:   i,
 			URL:     b.name,
 			State:   hs.State.String(),
-			Weight:  weight,
+			Weight:  p.weight(hs.State),
 			Share:   shares[i],
 			Fails:   hs.Fails,
 			LastErr: hs.LastErr,

@@ -297,13 +297,7 @@ func (p *Proxy) rebuild() {
 	nodes := make([]Node, 0, len(p.backends))
 	routable := 0
 	for i, b := range p.backends {
-		w := 0
-		switch p.checker.State(i) {
-		case StateHealthy:
-			w = p.cfg.Vnodes
-		case StateDegraded:
-			w = p.cfg.DegradedVnodes
-		}
+		w := p.weight(p.checker.State(i))
 		if w > 0 {
 			routable++
 		}
@@ -313,6 +307,18 @@ func (p *Proxy) rebuild() {
 	p.generation.Add(1)
 	p.ringRebuilds.Add(1)
 	p.routableG.Set(int64(routable))
+}
+
+// weight is the ring weight of a backend in state st: full when healthy,
+// DegradedVnodes when degraded, off the ring otherwise.
+func (p *Proxy) weight(st BackendState) int {
+	switch st {
+	case StateHealthy:
+		return p.cfg.Vnodes
+	case StateDegraded:
+		return p.cfg.DegradedVnodes
+	}
+	return 0
 }
 
 // Handler returns the proxy's mux: the /v1/* shard router, the spine's
@@ -625,67 +631,26 @@ func (p *Proxy) routeKey(ep int, q url.Values, prefix []byte) chunkcache.Key {
 	defer p.hashers.Put(h)
 	switch ep {
 	case spine.Compress:
-		if pre, chunkBytes, ok := p.compressPreamble(h, q); ok {
-			if chunkBytes > len(prefix) {
-				chunkBytes = len(prefix)
+		if cp, err := spine.ParseCompress(q, p.cfg.ChunkElems, p.cfg.BlockLen); err == nil {
+			// The first chunk, or all of a shorter prefix; compared in
+			// elements, since a chunk's byte count can overflow.
+			chunk := prefix
+			if size := cp.Elem.Size(); cp.ChunkElems <= len(prefix)/size {
+				chunk = prefix[:cp.ChunkElems*size]
 			}
-			return h.Key(pre, prefix[:chunkBytes])
+			return h.Key(cp.AppendPreamble(h.Preamble()), chunk)
 		}
 	case spine.Decompress:
-		wantF64 := q.Get("elem") == "f64"
-		if payload, ok := firstFramePayload(prefix); ok {
-			return h.Key(chunkcache.AppendDecompressPreamble(h.Preamble(), wantF64), payload)
+		if elem, err := spine.ParseElem(q.Get("elem")); err == nil {
+			if payload, ok := firstFramePayload(prefix); ok {
+				return h.Key(chunkcache.AppendDecompressPreamble(h.Preamble(), elem == spine.F64), payload)
+			}
 		}
 	}
 	// Fallback namespace 0: never used by the cache, so a fallback digest
 	// can't collide with an affinity digest for different bytes.
 	pre := append(h.Preamble(), chunkcache.KeyVersion, 0, byte(ep))
 	return h.Key(pre, prefix)
-}
-
-// compressPreamble mirrors the backend's compress-side cache-key
-// preamble from the request's query parameters. ok=false when the
-// parameters would fail the backend's own validation.
-func (p *Proxy) compressPreamble(h *chunkcache.Hasher, q url.Values) (pre []byte, chunkBytes int, ok bool) {
-	eps, err := strconv.ParseFloat(q.Get("eps"), 64)
-	if err != nil || !(eps > 0) {
-		return nil, 0, false
-	}
-	abs := true
-	switch q.Get("mode") {
-	case "", "abs":
-	case "rel":
-		abs = false
-	default:
-		return nil, 0, false
-	}
-	elem := byte(0)
-	elemSize := 4
-	switch q.Get("elem") {
-	case "", "f32":
-	case "f64":
-		elem, elemSize = 1, 8
-	default:
-		return nil, 0, false
-	}
-	chunkElems := p.cfg.ChunkElems
-	if cs := q.Get("chunk"); cs != "" {
-		n, err := strconv.Atoi(cs)
-		if err != nil || n < 1 {
-			return nil, 0, false
-		}
-		chunkElems = n
-	}
-	blockLen := p.cfg.BlockLen
-	if bs := q.Get("block"); bs != "" {
-		n, err := strconv.Atoi(bs)
-		if err != nil || n < 8 || n%8 != 0 {
-			return nil, 0, false
-		}
-		blockLen = n
-	}
-	pre = chunkcache.AppendCompressPreamble(h.Preamble(), elem, abs, eps, blockLen)
-	return pre, chunkElems * elemSize, true
 }
 
 // firstFramePayload extracts the first CSZF frame's payload from a

@@ -322,6 +322,39 @@ func TestProxy429Passthrough(t *testing.T) {
 	}
 }
 
+// A bound no codec can use is the client's error on either tier: the one
+// backend asked answers 400 and the proxy relays it, with no failover and
+// no 5xx counted anywhere — a 500 here would fail over and come back as a
+// 502 that clients retry.
+func TestProxyRelaysUnusableBound(t *testing.T) {
+	tsA, cbA := newRealBackend(t)
+	tsB, cbB := newRealBackend(t)
+	_, pts, reg := newTestProxy(t, Config{Backends: []string{tsA.URL, tsB.URL}})
+	body := rawF32Body(1024, 0) // range ≈ 2, so λ = 1e308 resolves to +Inf
+	for i, query := range []string{"eps=Inf", "mode=rel&eps=1e308"} {
+		resp, err := http.Post(pts.URL+"/v1/compress?"+query, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", query, resp.StatusCode, msg)
+		}
+		if hits := cbA.hits.Load() + cbB.hits.Load(); hits != int64(i+1) {
+			t.Errorf("%s: backends saw %d requests in all, want %d", query, hits, i+1)
+		}
+	}
+	if got := reg.Counter("proxy.failover").Value(); got != 0 {
+		t.Errorf("proxy.failover = %d, want 0", got)
+	}
+	for _, name := range []string{"proxy.compress.status_5xx", "proxy.backend.b0.status_5xx", "proxy.backend.b1.status_5xx"} {
+		if got := reg.Counter(name).Value(); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
+	}
+}
+
 // Per-tenant token buckets: an exhausted tenant gets 429 + Retry-After
 // without consuming backend capacity; other tenants are unaffected.
 func TestProxyTenantThrottle(t *testing.T) {

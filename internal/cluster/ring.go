@@ -165,7 +165,7 @@ func (r *Ring) Shares() map[int]float64 {
 		out[r.entries[0].backend] = 1
 		return out
 	}
-	const span = float64(1 << 63) * 2 // 2^64 without overflow
+	const span = float64(1<<63) * 2 // 2^64 without overflow
 	prev := r.entries[len(r.entries)-1].hash
 	for _, e := range r.entries {
 		arc := e.hash - prev // wraps correctly in uint64 arithmetic

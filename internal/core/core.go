@@ -250,11 +250,25 @@ func Compress(dst []byte, data []float32, opts Options) ([]byte, *Stats, error) 
 // Stats (overwritten, not accumulated). With Workers ≤ 1 and a dst of
 // sufficient capacity it performs zero allocations in steady state.
 func CompressInto(dst []byte, data []float32, opts Options, stats *Stats) ([]byte, error) {
+	return compressBound(dst, data, opts, stats)
+}
+
+// compressBound resolves opts.Bound to ε and compresses. Only a REL bound
+// needs data's value range; an ABS bound skips that pass, which leaves the
+// stream and the errors as CompressWithEps has them.
+func compressBound[F rawfloat.Float](dst []byte, data []F, opts Options, stats *Stats) ([]byte, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return dst, err
 	}
-	minV, maxV := quant.Range(data)
+	var minV, maxV float64
+	if opts.Bound.Mode != quant.Abs {
+		if d, ok := any(data).([]float64); ok {
+			minV, maxV = quant.Range64(d)
+		} else {
+			minV, maxV = quant.Range(any(data).([]float32))
+		}
+	}
 	eps, err := opts.Bound.Resolve(minV, maxV)
 	if err != nil {
 		return dst, err

@@ -71,16 +71,7 @@ func Compress64(dst []byte, data []float64, opts Options) ([]byte, *Stats, error
 // caller-provided Stats; with Workers ≤ 1 and sufficient dst capacity it
 // performs zero allocations in steady state.
 func Compress64Into(dst []byte, data []float64, opts Options, stats *Stats) ([]byte, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return dst, err
-	}
-	minV, maxV := quant.Range64(data)
-	eps, err := opts.Bound.Resolve(minV, maxV)
-	if err != nil {
-		return dst, err
-	}
-	return compressEps(dst, data, eps, opts, stats)
+	return compressBound(dst, data, opts, stats)
 }
 
 // Compress64WithEps is Compress64 with a pre-resolved absolute bound.

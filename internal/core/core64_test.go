@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,8 +34,22 @@ func maxAbsErr64(a, b []float64) float64 {
 
 func TestRoundTrip64(t *testing.T) {
 	data := smoothField64(10_000, 1)
-	for _, bound := range []quant.Bound{quant.REL(1e-3), quant.REL(1e-6), quant.ABS(1e-4)} {
+	for _, bound := range []quant.Bound{quant.REL(1e-3), quant.REL(1e-6), quant.ABS(1e-4), quant.ABS(math.Inf(1))} {
 		comp, stats, err := Compress64(nil, data, Options{Bound: bound})
+		if bound.Mode == quant.Abs {
+			// ABS skips the range pass: the stream, or the error, is
+			// Compress64WithEps's.
+			want, _, wantErr := Compress64WithEps(nil, data, bound.Value, Options{})
+			if !bytes.Equal(comp, want) || !errors.Is(err, wantErr) {
+				t.Fatalf("%v: Compress64 (err %v) differs from Compress64WithEps (err %v)", bound, err, wantErr)
+			}
+		}
+		if math.IsInf(bound.Value, 0) {
+			if err == nil {
+				t.Fatalf("%v: accepted", bound)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%v: %v", bound, err)
 		}

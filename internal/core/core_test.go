@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -34,8 +35,22 @@ func maxAbsErr(a, b []float32) float64 {
 
 func TestRoundTripSmooth(t *testing.T) {
 	data := smoothField(10000, 1)
-	for _, bound := range []quant.Bound{quant.REL(1e-2), quant.REL(1e-3), quant.REL(1e-4), quant.ABS(1e-3)} {
+	for _, bound := range []quant.Bound{quant.REL(1e-2), quant.REL(1e-3), quant.REL(1e-4), quant.ABS(1e-3), quant.ABS(math.Inf(1))} {
 		comp, stats, err := Compress(nil, data, Options{Bound: bound})
+		if bound.Mode == quant.Abs {
+			// ABS skips the range pass: the stream, or the error, is
+			// CompressWithEps's.
+			want, _, wantErr := CompressWithEps(nil, data, bound.Value, Options{})
+			if !bytes.Equal(comp, want) || !errors.Is(err, wantErr) {
+				t.Fatalf("%v: Compress (err %v) differs from CompressWithEps (err %v)", bound, err, wantErr)
+			}
+		}
+		if math.IsInf(bound.Value, 0) {
+			if err == nil {
+				t.Fatalf("%v: accepted", bound)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%v: %v", bound, err)
 		}

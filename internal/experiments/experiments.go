@@ -40,13 +40,6 @@ type Config struct {
 	// engine, N > 1 = at most N workers. Results are identical either
 	// way; only host wall time changes.
 	SimWorkers int
-	// HostWorkers is the host-codec worker budget used by the wall-clock
-	// host benchmark (the "host" experiment): 0 or 1 = the sequential
-	// zero-allocation path, N > 1 = shard each compress/decompress call
-	// across a pooled N-worker runtime, negative = one worker per core.
-	// The emitted bytes are identical at every setting; only throughput
-	// changes.
-	HostWorkers int
 }
 
 // mesh applies the configured simulator worker count to a mesh config.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ceresz"
+	"ceresz/internal/spine"
 	"ceresz/internal/telemetry"
 )
 
@@ -23,7 +24,7 @@ func (c *codec) nextFrameF32(r io.Reader, p cparams) ([]byte, int, error) {
 	if err != nil {
 		return nil, n, err
 	}
-	frame, err := c.compressF32(p)
+	frame, err := c.compress(p)
 	return frame, n, err
 }
 
@@ -43,11 +44,9 @@ func TestCompressHotPathZeroAlloc(t *testing.T) {
 		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
 	}
 	p := cparams{
-		bound:      ceresz.ABS(1e-3),
-		abs:        true,
-		elem:       ceresz.Float32,
-		chunkElems: 1024,
-		opts:       ceresz.Options{Workers: 1},
+		Abs:        true,
+		Eps:        1e-3,
+		ChunkElems: 1024,
 	}
 	c := newCodec(0)
 	r := bytes.NewReader(raw)
@@ -155,7 +154,7 @@ func TestCacheDecompressZeroAlloc(t *testing.T) {
 				r.Reset(frames[n%tc.cycle])
 				n++
 				c.sr.Reset(r)
-				out, h, err := s.nextDecoded(c, false)
+				out, h, err := s.nextDecoded(c, spine.F32)
 				if err != nil {
 					t.Fatal(err)
 				}

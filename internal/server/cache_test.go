@@ -386,11 +386,9 @@ func TestCacheCompressMissZeroAlloc(t *testing.T) {
 	s := New(Config{Workers: 1, ChunkElems: chunkElems, CacheBytes: 48 << 10, Registry: telemetry.NewRegistry()})
 	c := newCodec(0)
 	p := cparams{
-		bound:      ceresz.ABS(1e-3),
-		abs:        true,
-		elem:       ceresz.Float32,
-		chunkElems: chunkElems,
-		opts:       ceresz.Options{Workers: 1},
+		Abs:        true,
+		Eps:        1e-3,
+		ChunkElems: chunkElems,
 	}
 
 	// A cycle of distinct chunks larger than the cache can hold.
@@ -408,7 +406,7 @@ func TestCacheCompressMissZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, _, h, err := s.cachedCompress(c, p, got, c.compressF32)
+		frame, _, h, err := s.cachedCompress(c, p, got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,11 +433,9 @@ func TestCacheCompressHitZeroAlloc(t *testing.T) {
 	s := New(Config{Workers: 1, ChunkElems: chunkElems, CacheBytes: 8 << 20, Registry: telemetry.NewRegistry()})
 	c := newCodec(0)
 	p := cparams{
-		bound:      ceresz.ABS(1e-3),
-		abs:        true,
-		elem:       ceresz.Float32,
-		chunkElems: chunkElems,
-		opts:       ceresz.Options{Workers: 1},
+		Abs:        true,
+		Eps:        1e-3,
+		ChunkElems: chunkElems,
 	}
 	raw := rawBytes(testData(chunkElems, 99))
 	r := bytes.NewReader(nil)
@@ -449,7 +445,7 @@ func TestCacheCompressHitZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, _, h, err := s.cachedCompress(c, p, got, c.compressF32)
+		frame, _, h, err := s.cachedCompress(c, p, got)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"ceresz"
 	"ceresz/internal/chunkcache"
 	"ceresz/internal/rawfloat"
+	"ceresz/internal/spine"
 )
 
 // codec is one worker's pooled compression state. Every buffer is reused
@@ -24,14 +25,18 @@ type codec struct {
 	f32 []float32
 	f64 []float64
 	// raw is the wire image of the chunk in f32/f64 (package rawfloat): the
-	// bytes readChunk took off the request body and cacheKeyCompress
-	// hashes, or the bytes a decompress handler is about to write. On a
+	// bytes readChunk took off the request body and the compress-side cache
+	// key hashes, or the bytes a decompress handler is about to write. On a
 	// little-endian host it is the floats' own memory, not a second copy.
 	raw   []byte
 	frame []byte // CSZF frame under construction: 8-byte header + payload
 	stats ceresz.Stats
 	sr    *ceresz.StreamReader
-	tr    *reqSpan // span of the request currently holding this codec; nil when untraced
+	// body is a streaming endpoint's request body, armed by stream.
+	body countingReader
+	// tr is the span of the request holding this codec, never nil: newCodec
+	// gives it an idle span of its own until admit hands it a request's.
+	tr *reqSpan
 	// workers is this request's share of the server's intra-request
 	// parallelism budget (Config.HostWorkers), set by admit on checkout.
 	// 1 keeps the sequential zero-alloc path.
@@ -42,7 +47,7 @@ type codec struct {
 }
 
 func newCodec(id int) *codec {
-	return &codec{id: id, sr: ceresz.NewStreamReader(nil), hasher: chunkcache.NewHasher()}
+	return &codec{id: id, sr: ceresz.NewStreamReader(nil), tr: new(reqSpan), hasher: chunkcache.NewHasher()}
 }
 
 // frameMagic mirrors the package-level CSZF framing (stream.go); the codec
@@ -51,95 +56,123 @@ var frameMagic = [4]byte{'C', 'S', 'Z', 'F'}
 
 const frameHeaderSize = 8
 
-// cparams is a compress request's resolved configuration.
-type cparams struct {
-	bound      ceresz.Bound // REL resolves per chunk, like StreamWriter
-	abs        bool         // true: bound.Value is a pre-resolved absolute ε
-	elem       ceresz.Elem
-	chunkElems int
-	opts       ceresz.Options // Workers: the request's budget share (1 = zero-alloc path)
+// elemCodec is a codec's element-typed half: the float buffer of one
+// element type and the library's entry points over it. elemCodecs holds
+// one per wire element type, so the request path picks its element type by
+// table lookup rather than by branching, and the library's float32/float64
+// function pairs meet the server here only.
+type elemCodec interface {
+	// read reads up to n elements from r into the buffer, leaving their
+	// wire image in c.raw, and returns the byte count. A short final read
+	// returns io.EOF.
+	read(c *codec, r io.Reader, n int) (int, error)
+	// compress appends the buffer's stream to c.frame.
+	compress(c *codec, b ceresz.Bound, o ceresz.Options) error
+	// decode decompresses a stream into the buffer and returns its wire
+	// image.
+	decode(c *codec, comp []byte, o ceresz.Options) ([]byte, error)
+	// addField adds the buffer to a bundle.
+	addField(c *codec, bw *ceresz.BundleWriter, name string, dims ceresz.Dims, b ceresz.Bound, o ceresz.Options) error
+	// readField decodes a bundle member and returns its wire image.
+	readField(c *codec, br *ceresz.BundleReader, name string) ([]byte, error)
 }
 
-// elemSize returns the element byte width.
-func (p cparams) elemSize() int {
-	if p.elem == ceresz.Float64 {
-		return 8
-	}
-	return 4
+// floats is the elemCodec of F: where a codec keeps its F buffer, and the
+// library functions for F.
+type floats[F rawfloat.Float] struct {
+	buf        func(*codec) *[]F
+	compressTo func([]byte, []F, ceresz.Bound, ceresz.Options, *ceresz.Stats) ([]byte, error)
+	decompress func([]F, []byte, ceresz.Options) ([]F, error)
+	add        func(*ceresz.BundleWriter, string, ceresz.Dims, []F, ceresz.Bound, ceresz.Options) (*ceresz.Stats, error)
+	member     func(*ceresz.BundleReader, string) ([]F, ceresz.BundleField, error)
 }
 
-// readFloats reads up to elems raw elements of type elem from r into
-// c.f32 or c.f64, leaving their wire image in c.raw, and returns the byte
-// count. A short final read is returned with io.EOF; bytes that do not
-// divide the element size are the caller's error to raise.
-func (c *codec) readFloats(r io.Reader, elem ceresz.Elem, elems int) (int, error) {
+var elemCodecs = [...]elemCodec{
+	spine.F32: floats[float32]{
+		buf:        func(c *codec) *[]float32 { return &c.f32 },
+		compressTo: ceresz.CompressInto,
+		decompress: ceresz.DecompressWith,
+		add:        (*ceresz.BundleWriter).AddField,
+		member:     (*ceresz.BundleReader).ReadField,
+	},
+	spine.F64: floats[float64]{
+		buf:        func(c *codec) *[]float64 { return &c.f64 },
+		compressTo: ceresz.Compress64Into,
+		decompress: ceresz.Decompress64With,
+		add:        (*ceresz.BundleWriter).AddField64,
+		member:     (*ceresz.BundleReader).ReadField64,
+	},
+}
+
+func (e floats[F]) read(c *codec, r io.Reader, n int) (int, error) {
+	vals := e.buf(c)
+	*vals = slices.Grow((*vals)[:0], n)[:n]
 	var err error
-	if elem == ceresz.Float64 {
-		c.f64 = slices.Grow(c.f64[:0], elems)[:elems]
-		c.raw, err = rawfloat.ReadFull(r, c.f64, c.raw)
-		c.f64 = c.f64[:len(c.raw)/8]
-	} else {
-		c.f32 = slices.Grow(c.f32[:0], elems)[:elems]
-		c.raw, err = rawfloat.ReadFull(r, c.f32, c.raw)
-		c.f32 = c.f32[:len(c.raw)/4]
-	}
+	c.raw, err = rawfloat.ReadFull(r, *vals, c.raw)
+	*vals = (*vals)[:len(c.raw)/rawfloat.Size[F]()]
 	if err == io.ErrUnexpectedEOF {
 		err = io.EOF
 	}
 	return len(c.raw), err
 }
 
-// readChunk reads one raw chunk (up to chunkElems elements) into c.f32 or
-// c.f64. It returns the byte count and io.EOF once the body is drained; a
-// byte count that does not divide the element size is rejected here so the
-// compress step always sees whole elements.
-func (c *codec) readChunk(r io.Reader, p cparams) (int, error) {
-	es := p.elemSize()
-	t0 := c.tr.now()
-	n, err := c.readFloats(r, p.elem, p.chunkElems)
-	c.tr.accum(stageRead, t0)
-	if n == 0 {
-		if err == io.EOF || err == nil {
-			return 0, io.EOF
-		}
-		return 0, err
+func (e floats[F]) compress(c *codec, b ceresz.Bound, o ceresz.Options) (err error) {
+	c.frame, err = e.compressTo(c.frame, *e.buf(c), b, o, &c.stats)
+	return err
+}
+
+func (e floats[F]) decode(c *codec, comp []byte, o ceresz.Options) ([]byte, error) {
+	vals := e.buf(c)
+	var err error
+	if *vals, err = e.decompress((*vals)[:0], comp, o); err != nil {
+		return nil, err
 	}
-	if err != nil && err != io.EOF {
-		return n, err
+	return wire(c, *vals), nil
+}
+
+func (e floats[F]) addField(c *codec, bw *ceresz.BundleWriter, name string, dims ceresz.Dims, b ceresz.Bound, o ceresz.Options) error {
+	_, err := e.add(bw, name, dims, *e.buf(c), b, o)
+	return err
+}
+
+func (e floats[F]) readField(c *codec, br *ceresz.BundleReader, name string) ([]byte, error) {
+	vals, _, err := e.member(br, name)
+	if err != nil {
+		return nil, err
 	}
-	if n%es != 0 {
-		return n, errOddBody(n, es)
+	return wire(c, vals), nil
+}
+
+// bound is the codec bound a mode and eps name.
+func bound(abs bool, eps float64) ceresz.Bound {
+	if abs {
+		return ceresz.ABS(eps)
+	}
+	return ceresz.REL(eps)
+}
+
+// readChunk reads one raw chunk (up to p.ChunkElems elements) into the
+// codec's buffer for p.Elem. It returns the byte count and io.EOF once the
+// body is drained; a byte count that does not divide the element size is
+// rejected here so the compress step always sees whole elements.
+func (c *codec) readChunk(r io.Reader, p spine.CompressParams) (int, error) {
+	n, err := elemCodecs[p.Elem].read(c, r, p.ChunkElems)
+	if err != nil && (n == 0 || err != io.EOF) {
+		return n, err // io.EOF once the body is drained
+	}
+	if es := p.Elem.Size(); n%es != 0 {
+		return n, badRequestf("body length %d is not a multiple of the %d-byte element size", n, es)
 	}
 	return n, nil
 }
 
-// compressF32 compresses the float32 chunk readChunk left in c.f32 and
-// assembles the CSZF frame in c.frame. Steady-state zero-alloc: all
-// buffers are warm after the first chunk.
-func (c *codec) compressF32(p cparams) ([]byte, error) {
+// compress compresses the chunk readChunk left in the codec and assembles
+// its CSZF frame in c.frame. Steady-state zero-alloc: all buffers are warm
+// after the first chunk.
+func (c *codec) compress(p spine.CompressParams) ([]byte, error) {
 	c.frame = append(c.frame[:0], frameMagic[0], frameMagic[1], frameMagic[2], frameMagic[3], 0, 0, 0, 0)
-	tc := c.tr.now()
-	var err error
-	if p.abs {
-		c.frame, err = ceresz.CompressWithEpsInto(c.frame, c.f32, p.bound.Value, p.opts, &c.stats)
-	} else {
-		c.frame, err = ceresz.CompressInto(c.frame, c.f32, p.bound, p.opts, &c.stats)
-	}
-	return c.finishFrame(tc, err)
-}
-
-// compressF64 is compressF32 for the double-precision chunk in c.f64.
-func (c *codec) compressF64(p cparams) ([]byte, error) {
-	c.frame = append(c.frame[:0], frameMagic[0], frameMagic[1], frameMagic[2], frameMagic[3], 0, 0, 0, 0)
-	tc := c.tr.now()
-	var err error
-	c.frame, err = ceresz.Compress64Into(c.frame, c.f64, p.bound, p.opts, &c.stats)
-	return c.finishFrame(tc, err)
-}
-
-// finishFrame closes the codec stage opened at tc and stamps the payload
-// length into the frame header.
-func (c *codec) finishFrame(tc time.Time, err error) ([]byte, error) {
+	tc := time.Now()
+	err := elemCodecs[p.Elem].compress(c, bound(p.Abs, p.Eps), ceresz.Options{Workers: c.workers, BlockLen: p.BlockLen})
 	c.tr.observe(stageCodec, tc)
 	if err != nil {
 		return nil, err
@@ -148,53 +181,14 @@ func (c *codec) finishFrame(tc time.Time, err error) ([]byte, error) {
 	return c.frame, nil
 }
 
-// Chunk-cache keys use the canonical layout exported by chunkcache
-// (AppendCompressPreamble / AppendDecompressPreamble): a fixed preamble of
-// every parameter that shapes the codec's output, and the chunk bytes,
-// under Hasher.Key's sixteen-lane SHA-256 tree. internal/cluster routes by
-// the same digests, so a consistent-hash proxy lands identical chunks on
-// the node whose cache already holds them.
-
-// cacheKeyCompress addresses the raw chunk in c.raw under p: direction,
-// element type, bound mode, eps bits and block length all shape the frame
-// bytes. Workers is deliberately excluded — the host codec is
-// byte-identical at every worker count (the block-parallel differential
-// guarantee), so one entry serves all parallelism levels. A REL bound is
-// keyed by λ, not the resolved ε: the resolution is a deterministic
-// function of the chunk's value range, which the hashed bytes pin down.
-func (c *codec) cacheKeyCompress(p cparams) chunkcache.Key {
-	pre := chunkcache.AppendCompressPreamble(c.hasher.Preamble(),
-		byte(p.elem), p.abs, p.bound.Value, p.opts.BlockLen)
-	return c.hasher.Key(pre, c.raw)
-}
-
-// cacheKeyDecompress addresses a CSZF frame payload: the payload encodes
-// every codec parameter itself, so only the requested output element type
-// joins it in the preamble.
-func (c *codec) cacheKeyDecompress(payload []byte, wantF64 bool) chunkcache.Key {
-	pre := chunkcache.AppendDecompressPreamble(c.hasher.Preamble(), wantF64)
-	return c.hasher.Key(pre, payload)
-}
-
-// decode decompresses one frame payload into c.f32 or c.f64 and returns
-// the floats as wire bytes, valid until the codec's next read or decode.
-func (c *codec) decode(payload []byte, wantF64 bool) ([]byte, error) {
-	td := c.tr.now()
-	opts := ceresz.Options{Workers: c.workers}
-	var out []byte
-	var err error
-	if wantF64 {
-		c.f64, err = ceresz.Decompress64With(c.f64[:0], payload, opts)
-		out = wire(c, c.f64)
-	} else {
-		c.f32, err = ceresz.DecompressWith(c.f32[:0], payload, opts)
-		out = wire(c, c.f32)
-	}
-	if err != nil {
-		return nil, err
-	}
+// decode decompresses one frame payload into the codec's buffer for elem
+// and returns the floats as wire bytes, valid until the codec's next read
+// or decode.
+func (c *codec) decode(payload []byte, elem spine.Elem) ([]byte, error) {
+	td := time.Now()
+	out, err := elemCodecs[elem].decode(c, payload, ceresz.Options{Workers: c.workers})
 	c.tr.observe(stageCodec, td)
-	return out, nil
+	return out, err
 }
 
 // wire returns the raw little-endian bytes of vals (c.raw: on a

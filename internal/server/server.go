@@ -46,6 +46,7 @@ import (
 	"ceresz/internal/chunkcache"
 	"ceresz/internal/core"
 	"ceresz/internal/hostpool"
+	"ceresz/internal/quant"
 	"ceresz/internal/spine"
 	"ceresz/internal/telemetry"
 )
@@ -393,7 +394,7 @@ func (s *Server) admit(m *endpoint, h func(*codec, http.ResponseWriter, *http.Re
 		if c.workers < 1 {
 			c.workers = 1
 		}
-		defer func() { c.tr = nil; s.executing.Add(-1); s.codecs <- c }()
+		defer func() { s.executing.Add(-1); s.codecs <- c }()
 
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
@@ -443,18 +444,16 @@ func badRequestf(format string, args ...any) error {
 	return badRequest{fmt.Errorf(format, args...)}
 }
 
-func errOddBody(n, elemSize int) error {
-	return badRequestf("body length %d is not a multiple of the %d-byte element size", n, elemSize)
-}
-
 // errResponseStarted marks failures after the response body began: the
 // status line is gone, so admit only counts the failure.
 var errResponseStarted = errors.New("server: response already started")
 
 // writeError maps a handler failure onto an HTTP status. Decode-limit and
-// malformed-input failures are the client's fault (400/413); everything
-// else is a 500. The request id prefixes the error text so a client's
-// retry log lines correlate with the server's access log and span rings.
+// malformed-input failures are the client's fault (400/413), and so is a
+// bound that resolves to no usable ε (a REL bound whose λ·range
+// overflows); everything else is a 500. The request id prefixes the error
+// text so a client's retry log lines correlate with the server's access
+// log and span rings.
 func writeError(w http.ResponseWriter, err error, reqID string) {
 	if errors.Is(err, errResponseStarted) {
 		return // too late for a status line; the connection is cut short
@@ -468,267 +467,181 @@ func writeError(w http.ResponseWriter, err error, reqID string) {
 	case errors.As(err, &br),
 		errors.Is(err, ceresz.ErrTruncated),
 		errors.Is(err, ceresz.ErrFrameTooLarge),
-		errors.Is(err, core.ErrBadStream):
+		errors.Is(err, core.ErrBadStream),
+		errors.Is(err, quant.ErrNonPositiveBound):
 		status = http.StatusBadRequest
 	}
 	http.Error(w, "request "+reqID+": "+err.Error(), status)
 }
 
-// parseCompressParams resolves a compress request's query parameters
-// before any body byte is read.
-func (s *Server) parseCompressParams(r *http.Request) (cparams, error) {
-	q := r.URL.Query()
-	p := cparams{
-		elem:       ceresz.Float32,
-		chunkElems: s.cfg.ChunkElems,
-		opts:       ceresz.Options{Workers: 1, BlockLen: s.cfg.BlockLen},
+// parseCompressParams reads a compress request's query before any body
+// byte is read, and holds its chunk to this server's limit.
+func (s *Server) parseCompressParams(r *http.Request) (spine.CompressParams, error) {
+	p, err := spine.ParseCompress(r.URL.Query(), s.cfg.ChunkElems, s.cfg.BlockLen)
+	if err != nil {
+		return p, badRequest{err}
 	}
-	epsStr := q.Get("eps")
-	if epsStr == "" {
-		return p, badRequestf("missing required parameter eps")
-	}
-	eps, err := strconv.ParseFloat(epsStr, 64)
-	if err != nil || !(eps > 0) {
-		return p, badRequestf("eps must be a positive float, got %q", epsStr)
-	}
-	switch mode := q.Get("mode"); mode {
-	case "", "abs":
-		p.abs = true
-		p.bound = ceresz.ABS(eps)
-	case "rel":
-		p.bound = ceresz.REL(eps)
-	default:
-		return p, badRequestf("mode must be abs or rel, got %q", mode)
-	}
-	switch elem := q.Get("elem"); elem {
-	case "", "f32":
-		p.elem = ceresz.Float32
-	case "f64":
-		p.elem = ceresz.Float64
-	default:
-		return p, badRequestf("elem must be f32 or f64, got %q", elem)
-	}
-	if chunkStr := q.Get("chunk"); chunkStr != "" {
-		n, err := strconv.Atoi(chunkStr)
-		if err != nil || n < 1 {
-			return p, badRequestf("chunk must be a positive integer, got %q", chunkStr)
-		}
-		if n > s.cfg.MaxChunkElems {
-			return p, badRequestf("chunk %d exceeds limit %d", n, s.cfg.MaxChunkElems)
-		}
-		p.chunkElems = n
-	}
-	if blockStr := q.Get("block"); blockStr != "" {
-		n, err := strconv.Atoi(blockStr)
-		if err != nil || n < 8 || n%8 != 0 {
-			return p, badRequestf("block must be a positive multiple of 8, got %q", blockStr)
-		}
-		p.opts.BlockLen = n
+	if p.ChunkElems > s.cfg.MaxChunkElems {
+		return p, badRequestf("chunk %d exceeds limit %d", p.ChunkElems, s.cfg.MaxChunkElems)
 	}
 	return p, nil
 }
 
-// handleCompress streams CSZF frames for a raw little-endian float body.
-// The response is chunked: each ?chunk= elements become one independently
-// decodable frame, so the client can pipe the response straight into a
-// StreamReader (or to disk next to StreamWriter output).
+// handleCompress streams CSZF frames for a raw little-endian float body:
+// each ?chunk= elements become one independently decodable frame, so the
+// client can pipe the response straight into a StreamReader (or to disk
+// next to StreamWriter output).
 func (s *Server) handleCompress(c *codec, w http.ResponseWriter, r *http.Request) error {
 	p, err := s.parseCompressParams(r)
 	if err != nil {
 		return err
 	}
-	p.opts.Workers = c.workers
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	compress := c.compressF32
-	if p.elem == ceresz.Float64 {
-		compress = c.compressF64
-	}
-
-	var chunks int
-	var rawBytes, compBytes int64
-	started := false
-	for {
-		n, err := c.readChunk(body, p)
-		if err == io.EOF {
-			break
+	return s.stream(c, w, r, s.mCompress, "application/x-ceresz-frames", func(first bool) ([]byte, chunkcache.Handle, error) {
+		n, err := c.readChunk(&c.body, p)
+		if err != nil {
+			return nil, chunkcache.Handle{}, err
 		}
-		if err == nil {
-			var frame []byte
-			var eps float64
-			var h chunkcache.Handle
-			frame, eps, h, err = s.cachedCompress(c, p, n, compress)
-			if err == nil {
-				if !started {
-					w.Header().Set("Content-Type", "application/x-ceresz-frames")
-					w.Header().Set("X-Ceresz-Eps", strconv.FormatFloat(eps, 'g', -1, 64))
-					started = true
-				}
-				tw := c.tr.now()
-				_, werr := w.Write(frame)
-				frameLen := len(frame)
-				// The frame may point into pinned cache memory; release
-				// only after the write copied it to the wire.
-				h.Release()
-				if werr != nil {
-					return fmt.Errorf("%w: writing chunk %d: %v", errResponseStarted, chunks, werr)
-				}
-				c.tr.observe(stageWrite, tw)
-				c.tr.addChunk()
-				c.tr.addBytes(int64(n), int64(frameLen))
-				chunks++
-				rawBytes += int64(n)
-				compBytes += int64(frameLen)
-				continue
-			}
+		frame, eps, h, err := s.cachedCompress(c, p, n)
+		if err == nil && first {
+			w.Header().Set("X-Ceresz-Eps", strconv.FormatFloat(eps, 'g', -1, 64))
 		}
-		if started {
-			return fmt.Errorf("%w: chunk %d: %v", errResponseStarted, chunks, err)
-		}
-		return err
-	}
-	if !started {
-		w.Header().Set("Content-Type", "application/x-ceresz-frames")
-	}
-	s.recordVolume(s.mCompress, chunks, rawBytes, compBytes)
-	return nil
+		return frame, h, err
+	})
 }
 
-// cachedCompress produces the CSZF frame for the chunk readChunk left in
-// the codec: straight through the codec when the cache is disabled, else
-// a cache lookup first. The returned handle pins cached bytes — the
-// caller must Release it after writing the frame (it is inert on the
-// codec path). eps is the chunk's resolved error bound, from live stats on a
-// computed frame and from the entry's metadata on a hit, so the
-// X-Ceresz-Eps header is right even when the first chunk never runs the
-// codec.
-func (s *Server) cachedCompress(c *codec, p cparams, n int, compress func(cparams) ([]byte, error)) ([]byte, float64, chunkcache.Handle, error) {
-	if s.cache == nil {
-		frame, err := compress(p)
-		return frame, c.stats.Eps, chunkcache.Handle{}, err
-	}
-	tc := c.tr.now()
-	h, err := s.cache.Get(c.cacheKeyCompress(p))
-	c.tr.observe(stageCache, tc)
-	if err != nil {
-		// The computation this chunk coalesced onto was aborted; its
-		// failure was input-dependent, so compute locally uncached and let
-		// this request's own error (if any) surface.
-		frame, cerr := compress(p)
-		return frame, c.stats.Eps, chunkcache.Handle{}, cerr
-	}
-	if h.Outcome() != chunkcache.Miss {
-		c.tr.addCacheHit()
-		return h.Bytes(), h.Meta().Eps, h, nil
-	}
-	c.tr.addCacheMiss()
-	frame, cerr := compress(p)
-	if cerr != nil {
-		h.Abort()
-		return nil, 0, chunkcache.Handle{}, cerr
-	}
-	h.Complete(frame, chunkcache.Meta{Eps: c.stats.Eps, SavedBytes: int64(n)})
-	return frame, c.stats.Eps, h, nil
+// cachedCompress produces the CSZF frame of the n-byte chunk readChunk
+// left in the codec, through the cache. eps is the chunk's resolved error
+// bound, from live stats on a computed frame and from the entry's metadata
+// on a hit, so the X-Ceresz-Eps header is right even when the first chunk
+// never runs the codec. The key's preamble holds every parameter that
+// shapes the frame bytes; Workers is not one of them, because the host
+// codec is byte-identical at every worker count, so one entry serves all
+// parallelism levels.
+func (s *Server) cachedCompress(c *codec, p spine.CompressParams, n int) ([]byte, float64, chunkcache.Handle, error) {
+	frame, meta, h, err := s.cacheThrough(c, p.AppendPreamble(c.hasher.Preamble()), c.raw, func() ([]byte, chunkcache.Meta, error) {
+		frame, err := c.compress(p)
+		return frame, chunkcache.Meta{Eps: c.stats.Eps, SavedBytes: int64(n)}, err
+	})
+	return frame, meta.Eps, h, err
 }
 
 // handleDecompress inverts handleCompress: a CSZF framed body becomes raw
 // little-endian floats. ?elem= must match the stream's element type
 // (default f32).
 func (s *Server) handleDecompress(c *codec, w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	wantF64 := false
-	switch elem := q.Get("elem"); elem {
-	case "", "f32":
-	case "f64":
-		wantF64 = true
-	default:
-		return badRequestf("elem must be f32 or f64, got %q", elem)
+	elem, err := spine.ParseElem(r.URL.Query().Get("elem"))
+	if err != nil {
+		return badRequest{err}
 	}
-	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), sp: c.tr}
-	c.sr.Reset(body)
+	c.sr.Reset(&c.body)
 	c.sr.SetLimits(s.cfg.MaxFrameBytes, s.cfg.MaxChunkElems)
 	c.sr.SetWorkers(c.workers)
-
-	var chunks int
-	var rawBytes int64
-	started := false
-	for {
-		out, h, err := s.nextDecoded(c, wantF64)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if started {
-				return fmt.Errorf("%w: chunk %d: %v", errResponseStarted, chunks, err)
-			}
-			return err
-		}
-		if !started {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			started = true
-		}
-		tw := c.tr.now()
-		_, werr := w.Write(out)
-		outLen := len(out)
-		h.Release() // out may point into pinned cache memory
-		if werr != nil {
-			return fmt.Errorf("%w: writing chunk %d: %v", errResponseStarted, chunks, werr)
-		}
-		c.tr.observe(stageWrite, tw)
-		c.tr.addChunk()
-		c.tr.addBytes(0, int64(outLen))
-		chunks++
-		rawBytes += int64(outLen)
-	}
-	c.tr.addBytes(body.n, 0)
-	if !started {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	}
-	s.recordVolume(s.mDecompress, chunks, body.n, rawBytes)
-	return nil
+	return s.stream(c, w, r, s.mDecompress, "application/octet-stream", func(bool) ([]byte, chunkcache.Handle, error) {
+		return s.nextDecoded(c, elem)
+	})
 }
 
 // nextDecoded reads the next frame of a decompress body (validated, not
-// yet decoded: NextRaw) and returns its floats as wire bytes. With a
-// cache the payload is hashed first and only a miss is decoded and
-// published; the returned handle pins cached bytes — the caller must
-// Release it after the write. Both ways go through the same transport,
-// validation and decode entry points, so error semantics and output
-// bytes are identical.
-func (s *Server) nextDecoded(c *codec, wantF64 bool) ([]byte, chunkcache.Handle, error) {
+// yet decoded: NextRaw) and returns its floats as wire bytes, through the
+// cache. The payload encodes every codec parameter itself, so only the
+// requested element type joins it in the key.
+func (s *Server) nextDecoded(c *codec, elem spine.Elem) ([]byte, chunkcache.Handle, error) {
 	payload, err := c.sr.NextRaw()
 	if err != nil {
 		return nil, chunkcache.Handle{}, err // io.EOF included
 	}
-	if s.cache == nil {
-		out, err := c.decode(payload, wantF64)
-		return out, chunkcache.Handle{}, err
-	}
-	tc := c.tr.now()
-	h, herr := s.cache.Get(c.cacheKeyDecompress(payload, wantF64))
-	c.tr.observe(stageCache, tc)
-	if herr == nil && h.Outcome() != chunkcache.Miss {
-		c.tr.addCacheHit()
-		return h.Bytes(), h, nil
-	}
-	// Miss (or coalesced onto an aborted computation — then herr != nil
-	// and this chunk decodes locally uncached).
-	out, err := c.decode(payload, wantF64)
-	if err != nil {
-		if herr == nil {
-			h.Abort()
-		}
-		return nil, chunkcache.Handle{}, err
-	}
-	if herr == nil {
-		c.tr.addCacheMiss()
-		h.Complete(out, chunkcache.Meta{SavedBytes: int64(len(payload))})
-	}
-	return out, chunkcache.Handle{}, nil
+	pre := chunkcache.AppendDecompressPreamble(c.hasher.Preamble(), elem == spine.F64)
+	out, _, h, err := s.cacheThrough(c, pre, payload, func() ([]byte, chunkcache.Meta, error) {
+		out, err := c.decode(payload, elem)
+		return out, chunkcache.Meta{SavedBytes: int64(len(payload))}, err
+	})
+	return out, h, err
 }
 
-// countingReader counts the bytes a decode path actually consumed and
+// stream runs a streaming endpoint: next produces the response chunk by
+// chunk from the request body, which it reads through c.body, and first
+// tells it the chunk is the response's first, while headers can still be
+// set. stream writes each chunk, releases its cache pin, and keeps the
+// books: the span's write stage, chunk count and bytes in and out (in as
+// each chunk consumed them, so a failed request reports what it read), and
+// the endpoint's volume counters. An error after the first write cannot
+// change the status line: it is wrapped in errResponseStarted and cuts the
+// response short.
+func (s *Server) stream(c *codec, w http.ResponseWriter, r *http.Request, m *endpoint, contentType string,
+	next func(first bool) ([]byte, chunkcache.Handle, error)) error {
+	c.body = countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), sp: c.tr}
+	// An error reply sets its own Content-Type.
+	w.Header().Set("Content-Type", contentType)
+	var chunks int
+	var out int64
+	for {
+		read := c.body.n
+		b, h, err := next(chunks == 0)
+		c.tr.bytesIn.Add(c.body.n - read)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			if chunks > 0 {
+				return fmt.Errorf("%w: chunk %d: %v", errResponseStarted, chunks, err)
+			}
+			return err
+		}
+		tw := time.Now()
+		_, werr := w.Write(b)
+		n := int64(len(b))
+		h.Release() // b may be pinned cache memory: only now is it copied out
+		if werr != nil {
+			return fmt.Errorf("%w: writing chunk %d: %v", errResponseStarted, chunks, werr)
+		}
+		c.tr.observe(stageWrite, tw)
+		c.tr.chunks.Add(1)
+		c.tr.bytesOut.Add(n)
+		chunks++
+		out += n
+	}
+	s.recordVolume(m, chunks, c.body.n, out)
+	return nil
+}
+
+// cacheThrough produces one chunk's response bytes through the cache: the
+// value under the key of pre and data when one is resident (or being
+// computed by another request, whose result it waits for), else what
+// compute returns, published under that key. The handle pins cached bytes
+// until the caller Releases it, after writing them. Without a cache — or
+// when the computation this chunk waited for was aborted, a failure of
+// that request's input — it computes uncached. An error is never cached.
+func (s *Server) cacheThrough(c *codec, pre, data []byte, compute func() ([]byte, chunkcache.Meta, error)) ([]byte, chunkcache.Meta, chunkcache.Handle, error) {
+	if s.cache == nil {
+		out, meta, err := compute()
+		return out, meta, chunkcache.Handle{}, err
+	}
+	tc := time.Now()
+	h, err := s.cache.Get(c.hasher.Key(pre, data))
+	c.tr.observe(stageCache, tc)
+	if err != nil {
+		out, meta, err := compute()
+		return out, meta, chunkcache.Handle{}, err
+	}
+	if h.Outcome() != chunkcache.Miss {
+		c.tr.cacheHits.Add(1)
+		return h.Bytes(), h.Meta(), h, nil
+	}
+	c.tr.cacheMisses.Add(1)
+	out, meta, err := compute()
+	if err != nil {
+		h.Abort()
+		return nil, meta, chunkcache.Handle{}, err
+	}
+	h.Complete(out, meta)
+	return out, meta, h, nil
+}
+
+// countingReader counts the bytes a streaming endpoint consumed and
 // attributes the read time (which includes the client's upload pacing)
-// to the request's read stage.
+// to the request's read stage, without recording chunk events: reads are
+// too fine-grained for the event cap, and their sum is what the stage
+// totals and the Server-Timing trailer need.
 type countingReader struct {
 	r  io.Reader
 	n  int64
@@ -736,9 +649,9 @@ type countingReader struct {
 }
 
 func (cr *countingReader) Read(p []byte) (int, error) {
-	t0 := cr.sp.now()
+	t0 := time.Now()
 	n, err := cr.r.Read(p)
-	cr.sp.accum(stageRead, t0)
+	cr.sp.stageNs[stageRead].Add(time.Since(t0).Nanoseconds())
 	cr.n += int64(n)
 	return n, err
 }
@@ -775,7 +688,7 @@ func (s *Server) handleBundle(c *codec, w http.ResponseWriter, r *http.Request) 
 	}
 
 	var lenBuf [4]byte
-	tr := c.tr.now()
+	tr := time.Now()
 	if _, err := io.ReadFull(body, lenBuf[:]); err != nil {
 		return badRequestf("reading manifest length: %v", err)
 	}
@@ -803,44 +716,31 @@ func (s *Server) handleBundle(c *codec, w http.ResponseWriter, r *http.Request) 
 		if elems <= 0 || elems > s.cfg.MaxChunkElems {
 			return badRequestf("field %d (%q): %d elements outside (0, %d]", i, spec.Name, elems, s.cfg.MaxChunkElems)
 		}
-		var bound ceresz.Bound
-		switch spec.Mode {
-		case "", "abs":
-			bound = ceresz.ABS(spec.Eps)
-		case "rel":
-			bound = ceresz.REL(spec.Eps)
-		default:
-			return badRequestf("field %d (%q): mode must be abs or rel, got %q", i, spec.Name, spec.Mode)
+		abs, err := spine.ParseMode(spec.Mode)
+		if err != nil {
+			return badRequestf("field %d (%q): %v", i, spec.Name, err)
 		}
-		opts := ceresz.Options{Workers: c.workers, BlockLen: s.cfg.BlockLen}
-		elem := ceresz.Float32
-		switch spec.Elem {
-		case "", "f32":
-		case "f64":
-			elem = ceresz.Float64
-		default:
-			return badRequestf("field %d (%q): elem must be f32 or f64, got %q", i, spec.Name, spec.Elem)
+		elem, err := spine.ParseElem(spec.Elem)
+		if err != nil {
+			return badRequestf("field %d (%q): %v", i, spec.Name, err)
 		}
-		tr := c.tr.now()
-		n, err := c.readFloats(body, elem, elems)
+		ec := elemCodecs[elem]
+		tr := time.Now()
+		n, err := ec.read(c, body, elems)
 		if err != nil {
 			return badRequestf("field %d (%q): reading %d elements: %v", i, spec.Name, elems, err)
 		}
 		c.tr.observe(stageRead, tr)
-		c.tr.addBytes(int64(n), 0)
-		tc := c.tr.now()
-		if elem == ceresz.Float64 {
-			_, err = bw.AddField64(spec.Name, dims, c.f64, bound, opts)
-		} else {
-			_, err = bw.AddField(spec.Name, dims, c.f32, bound, opts)
-		}
-		if err != nil {
+		c.tr.bytesIn.Add(int64(n))
+		tc := time.Now()
+		opts := ceresz.Options{Workers: c.workers, BlockLen: s.cfg.BlockLen}
+		if err := ec.addField(c, bw, spec.Name, dims, bound(abs, spec.Eps), opts); err != nil {
 			return badRequest{err}
 		}
 		c.tr.observe(stageCodec, tc)
-		c.tr.addChunk()
+		c.tr.chunks.Add(1)
 	}
-	tc := c.tr.now()
+	tc := time.Now()
 	out, err := bw.Bytes()
 	if err != nil {
 		return badRequest{err}
@@ -848,26 +748,19 @@ func (s *Server) handleBundle(c *codec, w http.ResponseWriter, r *http.Request) 
 	c.tr.observe(stageCodec, tc)
 	w.Header().Set("Content-Type", "application/x-ceresz-bundle")
 	w.Header().Set("X-Ceresz-Fields", strconv.Itoa(len(specs)))
-	tw := c.tr.now()
-	if _, err := w.Write(out); err != nil {
-		return fmt.Errorf("%w: writing bundle: %v", errResponseStarted, err)
-	}
-	c.tr.observe(stageWrite, tw)
-	c.tr.addBytes(0, int64(len(out)))
-	s.recordVolume(s.mBundle, len(specs), 0, int64(len(out)))
-	return nil
+	return s.writeBundle(c, w, out, len(specs), 0)
 }
 
 // extractBundleField decompresses one member of a posted bundle.
 func (s *Server) extractBundleField(c *codec, w http.ResponseWriter, body io.Reader, field string) error {
-	tr := c.tr.now()
+	tr := time.Now()
 	raw, err := io.ReadAll(body)
 	if err != nil {
 		return err
 	}
 	c.tr.observe(stageRead, tr)
-	c.tr.addBytes(int64(len(raw)), 0)
-	tc := c.tr.now()
+	c.tr.bytesIn.Add(int64(len(raw)))
+	tc := time.Now()
 	br, err := ceresz.OpenBundleLimited(raw, s.cfg.MaxFrameBytes, s.cfg.MaxChunkElems)
 	if err != nil {
 		return badRequest{err}
@@ -883,32 +776,28 @@ func (s *Server) extractBundleField(c *codec, w http.ResponseWriter, body io.Rea
 	if bf.Name == "" {
 		return badRequestf("bundle has no field %q (have %v)", field, names)
 	}
-	var out []byte
-	var elem string
-	if bf.Elem == ceresz.Float64 {
-		vals, _, err := br.ReadField64(field)
-		if err != nil {
-			return badRequest{err}
-		}
-		out, elem = wire(c, vals), "f64"
-	} else {
-		vals, _, err := br.ReadField(field)
-		if err != nil {
-			return badRequest{err}
-		}
-		out, elem = wire(c, vals), "f32"
+	elem := spine.Elem(bf.Elem) // the wire element types are ceresz.Elem's values
+	out, err := elemCodecs[elem].readField(c, br, field)
+	if err != nil {
+		return badRequest{err}
 	}
 	c.tr.observe(stageCodec, tc)
-	c.tr.addChunk()
+	c.tr.chunks.Add(1)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Ceresz-Elem", elem)
-	tw := c.tr.now()
+	w.Header().Set("X-Ceresz-Elem", elem.String())
+	return s.writeBundle(c, w, out, 1, int64(len(raw)))
+}
+
+// writeBundle writes a /v1/bundle response and books it: the write stage,
+// the bytes out, and the endpoint's volume (fields processed, bytes in).
+func (s *Server) writeBundle(c *codec, w http.ResponseWriter, out []byte, fields int, in int64) error {
+	tw := time.Now()
 	if _, err := w.Write(out); err != nil {
-		return fmt.Errorf("%w: writing field: %v", errResponseStarted, err)
+		return fmt.Errorf("%w: writing bundle response: %v", errResponseStarted, err)
 	}
 	c.tr.observe(stageWrite, tw)
-	c.tr.addBytes(0, int64(len(out)))
-	s.recordVolume(s.mBundle, 1, int64(len(raw)), int64(len(out)))
+	c.tr.bytesOut.Add(int64(len(out)))
+	s.recordVolume(s.mBundle, fields, in, int64(len(out)))
 	return nil
 }
 

@@ -306,6 +306,10 @@ func TestRequestValidation(t *testing.T) {
 		{"bad elem", "/v1/compress?eps=0.1&elem=f16", nil, 400},
 		{"chunk too big", "/v1/compress?eps=0.1&chunk=999999999", nil, 400},
 		{"bad block", "/v1/compress?eps=0.1&block=7", nil, 400},
+		{"block too big", "/v1/compress?eps=0.1&block=65536", rawBytes([]float32{0, 10}), 400},
+		{"NaN eps", "/v1/compress?eps=NaN", nil, 400},
+		{"infinite eps", "/v1/compress?eps=Inf", rawBytes([]float32{0, 10}), 400},
+		{"rel bound overflows", "/v1/compress?mode=rel&eps=1e308", rawBytes([]float32{0, 10}), 400},
 		{"odd body", "/v1/compress?eps=0.1", []byte{1, 2, 3}, 400},
 		{"oversized declared body", "/v1/compress?eps=0.1", make([]byte, 1<<17), 413},
 		{"garbage frames", "/v1/decompress", []byte("not a stream at all"), 400},

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"ceresz"
 	"ceresz/internal/telemetry"
 )
 
@@ -291,11 +290,9 @@ func TestCompressHotPathZeroAllocWithRollups(t *testing.T) {
 	const elems = 4100
 	raw := rawF32Body(testData(elems, 42))
 	p := cparams{
-		bound:      ceresz.ABS(1e-3),
-		abs:        true,
-		elem:       ceresz.Float32,
-		chunkElems: 1024,
-		opts:       ceresz.Options{Workers: 1},
+		Abs:        true,
+		Eps:        1e-3,
+		ChunkElems: 1024,
 	}
 	c := newCodec(0)
 	r := bytes.NewReader(raw)

@@ -12,6 +12,13 @@ const (
 	maxPostDrainBytes = spine.MaxPostDrainBytes
 )
 
+// cparams is a compress request's parameters, as spine.ParseCompress
+// resolves them.
+type cparams = spine.CompressParams
+
+// accessEntry is one access-log line.
+type accessEntry = recordJSON
+
 // ParseObjectives binds SLO specs to the server's instruments.
 func ParseObjectives(raw string) ([]telemetry.Objective, error) {
 	return spine.ParseObjectives("server", raw)

@@ -25,7 +25,8 @@ import (
 // admission semaphore bounds concurrency, so slots never run out and never
 // allocate), its stage accumulators are atomics so /debug/requests can
 // read in-flight requests without stalling the handler, and the per-chunk
-// hooks are nil-guarded so the untraced codec path stays zero-alloc.
+// hooks only touch atomics and the slot's fixed arrays, so the codec path
+// stays zero-alloc.
 //
 // Completed spans feed:
 //
@@ -147,29 +148,43 @@ type chunkEvent struct {
 	durNs   int64
 }
 
-// reqSpan is one request's lifecycle record, living in a preallocated
-// tracer slot. Identity fields (id, endpoint, start, busy) are written
-// under mu at acquire/release so /debug/requests can read them; the live
-// counters are atomics updated lock-free by the handler; the chunk-event
-// array is touched only by the owning handler goroutine.
-type reqSpan struct {
-	mu   sync.Mutex
-	busy bool
-	seq  uint64
-	id   traceID
-	// parent is the client's span id from traceparent (zero if none).
-	parent spanID
-	// self is the server's span id for this request, echoed in the
-	// response traceparent.
-	self     spanID
+// spanInfo is what a request's span knows of it besides the live
+// counters, and what its finished record keeps: the identity acquire
+// writes under the span's mu, so /debug/requests can read it, and the
+// finalize-only fields the owning handler goroutine writes.
+type spanInfo struct {
+	seq      uint64
+	id       traceID
 	endpoint uint8
 	start    time.Time
 	worker   int32
-	sampled  bool
 	// tenant is the request's X-Ceresz-Tenant identity ("" = untagged) —
 	// recorded so multi-tenant QoS decisions upstream (cereszproxy) can be
 	// correlated with the work each tenant actually caused here.
 	tenant string
+
+	totalNs int64
+	errMsg  string
+	nEvents int
+	dropped int
+	events  [maxChunkEvents]chunkEvent
+}
+
+// reqSpan is one request's lifecycle record, living in a preallocated
+// tracer slot. busy and the identity are written under mu at
+// acquire/release so /debug/requests can read them; the live counters are
+// atomics updated lock-free by the handler; the chunk-event array is
+// touched only by the owning handler goroutine.
+type reqSpan struct {
+	mu   sync.Mutex
+	busy bool
+	// parent is the client's span id from traceparent (zero if none).
+	parent spanID
+	// self is the server's span id for this request, echoed in the
+	// response traceparent.
+	self    spanID
+	sampled bool
+	spanInfo
 
 	status   atomic.Int32
 	curStage atomic.Int32
@@ -182,31 +197,12 @@ type reqSpan struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 	stageNs     [numStages]atomic.Int64
-
-	// Finalize-only fields (owner goroutine, then copied under ring lock).
-	totalNs int64
-	errMsg  string
-	nEvents int
-	dropped int
-	events  [maxChunkEvents]chunkEvent
 }
 
-// now stamps the start of a stage segment; nil-safe so the codec's direct
-// entry points (alloc tests, library reuse) pay nothing.
-func (sp *reqSpan) now() time.Time {
-	if sp == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observe closes a stage segment opened with now, accumulating its
+// observe closes a stage segment opened at t0, accumulating its
 // duration and — when the request is sampled — recording a chunk event.
 // Zero-alloc: atomics plus a write into the slot's fixed array.
 func (sp *reqSpan) observe(st stage, t0 time.Time) {
-	if sp == nil {
-		return
-	}
 	d := time.Since(t0).Nanoseconds()
 	sp.stageNs[st].Add(d)
 	sp.curStage.Store(int32(st))
@@ -219,49 +215,6 @@ func (sp *reqSpan) observe(st stage, t0 time.Time) {
 	}
 	sp.events[sp.nEvents] = chunkEvent{stage: st, startNs: t0.Sub(sp.start).Nanoseconds(), durNs: d}
 	sp.nEvents++
-}
-
-// accum adds to a stage without recording a chunk event (fine-grained
-// body reads would flood the event cap; their sum still lands in the
-// stage totals and the Server-Timing trailer).
-func (sp *reqSpan) accum(st stage, t0 time.Time) {
-	if sp == nil {
-		return
-	}
-	sp.stageNs[st].Add(time.Since(t0).Nanoseconds())
-}
-
-// addBytes accumulates request/response volume for the live view.
-func (sp *reqSpan) addBytes(in, out int64) {
-	if sp == nil {
-		return
-	}
-	sp.bytesIn.Add(in)
-	sp.bytesOut.Add(out)
-}
-
-// addChunk counts one processed chunk.
-func (sp *reqSpan) addChunk() {
-	if sp == nil {
-		return
-	}
-	sp.chunks.Add(1)
-}
-
-// addCacheHit tags one chunk served from the cache (resident or coalesced).
-func (sp *reqSpan) addCacheHit() {
-	if sp == nil {
-		return
-	}
-	sp.cacheHits.Add(1)
-}
-
-// addCacheMiss tags one chunk the codec had to compute.
-func (sp *reqSpan) addCacheMiss() {
-	if sp == nil {
-		return
-	}
-	sp.cacheMisses.Add(1)
 }
 
 // serverTiming renders the span as a Server-Timing header value
@@ -283,24 +236,14 @@ func (sp *reqSpan) serverTiming(totalNs int64) string {
 
 // reqRecord is a finished span, copied by value into the rings.
 type reqRecord struct {
-	seq      uint64
-	id       traceID
-	endpoint uint8
-	status   int
-	worker   int32
-	tenant   string
-	start    time.Time
-	totalNs  int64
-	stageNs  [numStages]int64
+	spanInfo
+	status      int
+	stageNs     [numStages]int64
 	bytesIn     int64
 	bytesOut    int64
 	chunks      int64
 	cacheHits   int64
 	cacheMisses int64
-	errMsg      string
-	nEvents     int
-	dropped     int
-	events      [maxChunkEvents]chunkEvent
 }
 
 func (rec *reqRecord) waitNs() int64 { return rec.stageNs[stageAdmit] + rec.stageNs[stageWorker] }
@@ -369,15 +312,10 @@ func (t *tracer) acquire(tid traceID, parent, self spanID, endpoint uint8, start
 	seq := t.seq.Add(1)
 	sp.mu.Lock()
 	sp.busy = true
-	sp.seq = seq
-	sp.id = tid
 	sp.parent = parent
 	sp.self = self
-	sp.endpoint = endpoint
-	sp.start = start
-	sp.worker = -1
-	sp.tenant = tenant
 	sp.sampled = t.every > 0 && seq%uint64(t.every) == 0
+	sp.spanInfo = spanInfo{seq: seq, id: tid, endpoint: endpoint, start: start, worker: -1, tenant: tenant}
 	sp.mu.Unlock()
 	sp.status.Store(0)
 	sp.curStage.Store(int32(stageAdmit))
@@ -389,10 +327,6 @@ func (t *tracer) acquire(tid traceID, parent, self spanID, endpoint uint8, start
 	for i := range sp.stageNs {
 		sp.stageNs[i].Store(0)
 	}
-	sp.totalNs = 0
-	sp.errMsg = ""
-	sp.nEvents = 0
-	sp.dropped = 0
 	return sp
 }
 
@@ -405,27 +339,18 @@ func (t *tracer) finish(sp *reqSpan) {
 		t.dropped.Add(uint64(sp.dropped))
 	}
 
-	var rec reqRecord
-	rec.seq = sp.seq
-	rec.id = sp.id
-	rec.endpoint = sp.endpoint
-	rec.status = int(sp.status.Load())
-	rec.worker = sp.worker
-	rec.tenant = sp.tenant
-	rec.start = sp.start
-	rec.totalNs = sp.totalNs
+	rec := reqRecord{
+		spanInfo:    sp.spanInfo,
+		status:      int(sp.status.Load()),
+		bytesIn:     sp.bytesIn.Load(),
+		bytesOut:    sp.bytesOut.Load(),
+		chunks:      sp.chunks.Load(),
+		cacheHits:   sp.cacheHits.Load(),
+		cacheMisses: sp.cacheMisses.Load(),
+	}
 	for i := range rec.stageNs {
 		rec.stageNs[i] = sp.stageNs[i].Load()
 	}
-	rec.bytesIn = sp.bytesIn.Load()
-	rec.bytesOut = sp.bytesOut.Load()
-	rec.chunks = sp.chunks.Load()
-	rec.cacheHits = sp.cacheHits.Load()
-	rec.cacheMisses = sp.cacheMisses.Load()
-	rec.errMsg = sp.errMsg
-	rec.nEvents = sp.nEvents
-	rec.dropped = sp.dropped
-	copy(rec.events[:sp.nEvents], sp.events[:sp.nEvents])
 
 	if sp.sampled {
 		t.sampled.Add(1)
@@ -469,52 +394,8 @@ func (t *tracer) finish(sp *reqSpan) {
 	t.free <- sp
 }
 
-// accessEntry is one structured access-log line.
-type accessEntry struct {
-	Time        string `json:"ts"`
-	ID          string `json:"id"`
-	Endpoint    string `json:"endpoint"`
-	Status      int    `json:"status"`
-	Worker      int32  `json:"worker"`
-	BytesIn     int64  `json:"bytes_in"`
-	BytesOut    int64  `json:"bytes_out"`
-	Chunks      int64  `json:"chunks"`
-	CacheHits   int64  `json:"cache_hits,omitempty"`
-	CacheMisses int64  `json:"cache_misses,omitempty"`
-	Tenant      string `json:"tenant,omitempty"`
-	AdmitUS     int64  `json:"admit_us"`
-	WorkerUS    int64  `json:"worker_us"`
-	ReadUS      int64  `json:"read_us"`
-	CacheUS     int64  `json:"cache_us,omitempty"`
-	CodecUS     int64  `json:"codec_us"`
-	WriteUS     int64  `json:"write_us"`
-	TotalUS     int64  `json:"total_us"`
-	Err         string `json:"err,omitempty"`
-}
-
 func (t *tracer) logAccess(rec *reqRecord) {
-	e := accessEntry{
-		Time:        rec.start.UTC().Format(time.RFC3339Nano),
-		ID:          rec.id.String(),
-		Endpoint:    spine.Endpoints[rec.endpoint],
-		Status:      rec.status,
-		Worker:      rec.worker,
-		Tenant:      rec.tenant,
-		BytesIn:     rec.bytesIn,
-		BytesOut:    rec.bytesOut,
-		Chunks:      rec.chunks,
-		CacheHits:   rec.cacheHits,
-		CacheMisses: rec.cacheMisses,
-		AdmitUS:     rec.stageNs[stageAdmit] / 1e3,
-		WorkerUS:    rec.stageNs[stageWorker] / 1e3,
-		ReadUS:      rec.stageNs[stageRead] / 1e3,
-		CacheUS:     rec.stageNs[stageCache] / 1e3,
-		CodecUS:     rec.stageNs[stageCodec] / 1e3,
-		WriteUS:     rec.stageNs[stageWrite] / 1e3,
-		TotalUS:     rec.totalNs / 1e3,
-		Err:         rec.errMsg,
-	}
-	b, err := json.Marshal(e)
+	b, err := json.Marshal(recordToJSON(rec, true))
 	if err != nil {
 		return
 	}
@@ -548,14 +429,17 @@ func (t *tracer) snapshotRecords() []reqRecord {
 	return out
 }
 
-// recordJSON is one finished request in the /debug/requests view.
+// recordJSON is one finished request as an access-log line and as an
+// entry of the /debug/requests view. Both carry its start time, the log
+// line as ts and the view as start.
 type recordJSON struct {
+	Time        string `json:"ts,omitempty"`
 	ID          string `json:"id"`
 	Endpoint    string `json:"endpoint"`
 	Status      int    `json:"status"`
 	Worker      int32  `json:"worker"`
 	Tenant      string `json:"tenant,omitempty"`
-	Start       string `json:"start"`
+	Start       string `json:"start,omitempty"`
 	TotalUS     int64  `json:"total_us"`
 	AdmitUS     int64  `json:"admit_us"`
 	WorkerUS    int64  `json:"worker_us"`
@@ -571,14 +455,22 @@ type recordJSON struct {
 	Err         string `json:"err,omitempty"`
 }
 
-func recordToJSON(rec *reqRecord) recordJSON {
+// recordToJSON renders rec as an access-log line (logLine) or a
+// /debug/requests entry.
+func recordToJSON(rec *reqRecord, logLine bool) recordJSON {
+	start := rec.start.UTC().Format(time.RFC3339Nano)
+	var ts string
+	if logLine {
+		ts, start = start, ""
+	}
 	return recordJSON{
+		Time:        ts,
 		ID:          rec.id.String(),
 		Endpoint:    spine.Endpoints[rec.endpoint],
 		Status:      rec.status,
 		Worker:      rec.worker,
 		Tenant:      rec.tenant,
-		Start:       rec.start.UTC().Format(time.RFC3339Nano),
+		Start:       start,
 		TotalUS:     rec.totalNs / 1e3,
 		AdmitUS:     rec.stageNs[stageAdmit] / 1e3,
 		WorkerUS:    rec.stageNs[stageWorker] / 1e3,
@@ -655,7 +547,7 @@ func (s *Server) RequestsHandler() http.Handler {
 		t.ringMu.Unlock()
 		sort.Slice(slow, func(i, j int) bool { return slow[i].totalNs > slow[j].totalNs })
 		for i := range slow {
-			view.Slowest = append(view.Slowest, recordToJSON(&slow[i]))
+			view.Slowest = append(view.Slowest, recordToJSON(&slow[i], false))
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -710,25 +602,16 @@ func (t *tracer) writeChromeTrace(w io.Writer, workers int) error {
 		rec := &recs[i]
 		startUS := rec.start.Sub(t.epoch).Microseconds()
 		waitUS := rec.waitNs() / 1e3
-		totalUS := rec.totalNs / 1e3
-		if totalUS < 1 {
-			totalUS = 1
-		}
-		handleUS := totalUS - waitUS
-		if handleUS < 1 {
-			handleUS = 1
-		}
-		tid := int(rec.worker)
-		if tid < 0 {
-			tid = 0
-		}
+		totalUS := max(rec.totalNs/1e3, 1)
+		handleUS := max(totalUS-waitUS, 1)
+		tid := max(int(rec.worker), 0)
 		flowID := strconv.FormatUint(rec.seq, 10)
 		ep := spine.Endpoints[rec.endpoint]
 
 		waitLane := lane(startUS, startUS+waitUS)
 		tw.Emit(telemetry.ChromeEvent{
 			Name: "wait", Cat: ep, Ph: "X",
-			Ts: startUS, Dur: maxI64(waitUS, 1), Pid: 0, Tid: pendingLaneBase + waitLane,
+			Ts: startUS, Dur: max(waitUS, 1), Pid: 0, Tid: pendingLaneBase + waitLane,
 			Cname: "yellow",
 			Args: map[string]any{
 				"id": rec.id.String(), "admit_us": rec.stageNs[stageAdmit] / 1e3,
@@ -770,17 +653,10 @@ func (t *tracer) writeChromeTrace(w io.Writer, workers int) error {
 		for _, ev := range rec.events[:rec.nEvents] {
 			tw.Emit(telemetry.ChromeEvent{
 				Name: stageNames[ev.stage], Cat: "chunk", Ph: "X",
-				Ts: startUS + ev.startNs/1e3, Dur: maxI64(ev.durNs/1e3, 1),
+				Ts: startUS + ev.startNs/1e3, Dur: max(ev.durNs/1e3, 1),
 				Pid: 0, Tid: tid,
 			})
 		}
 	}
 	return tw.Close()
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -41,7 +41,7 @@ func TestTraceparentParse(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"",
-		"00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7", // missing flags
+		"00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7",    // missing flags
 		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace-id
 		"00-0123456789abcdef0123456789abcdef-0000000000000000-01", // zero span-id
 		"zz-0123456789abcdef0123456789abcdef-00f067aa0ba902b7-01",
@@ -51,6 +51,40 @@ func TestTraceparentParse(t *testing.T) {
 			t.Errorf("accepted invalid traceparent %q", bad)
 		}
 	}
+}
+
+// FuzzParseTraceparent: whatever a client sends as traceparent, the parser
+// does not panic, accepts only the W3C shape with nonzero ids in hex (any
+// case) and a version other than ff, and reads back the header the server
+// answers with.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, h := range []string{
+		"00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7-01",
+		"",
+		"00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"00-0123456789abcdef0123456789abcdef-0000000000000000-01",
+		"zz-0123456789abcdef0123456789abcdef-00f067aa0ba902b7-01",
+		"00-0123456789abcdef0123456789abcdeg-00f067aa0ba902b7-01",
+		"ff-0123456789abcdef0123456789abcdef-00f067aa0ba902b7-01",
+		"00-0123456789ABCDEF0123456789abcdef-00f067aa0ba902b7-zz",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, ok := parseTraceparent(h)
+		if !ok {
+			return
+		}
+		if len(h) != 55 || strings.EqualFold(h[:2], "ff") || tid.isZero() || sid.isZero() ||
+			!strings.EqualFold(h[3:35], tid.String()) || !strings.EqualFold(h[36:52], sid.String()) {
+			t.Fatalf("parseTraceparent(%q) = %s, %s, true", h, tid, sid)
+		}
+		echo := "00-" + tid.String() + "-" + sid.String() + "-01"
+		if tid2, sid2, ok := parseTraceparent(echo); !ok || tid2 != tid || sid2 != sid {
+			t.Fatalf("the server's own header %q does not parse back", echo)
+		}
+	})
 }
 
 // TestRequestIDEcho asserts every response carries the request's identity:
@@ -177,8 +211,8 @@ func TestDebugRequestsEndpoint(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var view struct {
-		Finished uint64 `json:"finished"`
-		Sampled  uint64 `json:"sampled"`
+		Finished uint64            `json:"finished"`
+		Sampled  uint64            `json:"sampled"`
 		InFlight []json.RawMessage `json:"in_flight"`
 		Slowest  []struct {
 			ID       string `json:"id"`
@@ -318,6 +352,44 @@ func TestAccessLogTenant(t *testing.T) {
 	}
 }
 
+// TestFailedDecompressReportsBytesIn: a decompress request that fails
+// mid-stream reports the bytes it consumed — the good frame and the header
+// of the bad one — in its access-log line and its /debug/requests record,
+// as a failed compress request reports what it read.
+func TestFailedDecompressReportsBytesIn(t *testing.T) {
+	var buf bytes.Buffer
+	s, _ := newTestServer(t, Config{Workers: 1, AccessLog: &buf})
+	h := s.Handler()
+	good := localFrames(t, testData(600, 3), ceresz.ABS(1e-3), 1024)
+	body := append(bytes.Clone(good), "XSZF\x04\x00\x00\x00junk"...)
+	if rr := postRec(t, h, "/v1/decompress", body); rr.Code != http.StatusOK {
+		t.Fatalf("status %d: the failure should come after the first frame committed the 200", rr.Code)
+	}
+	want := int64(len(good) + 8)
+
+	var e accessEntry
+	if err := json.Unmarshal(buf.Bytes(), &e); err != nil {
+		t.Fatalf("access log line: %v\n%s", err, buf.String())
+	}
+	if e.Err == "" || e.BytesIn != want {
+		t.Errorf("access log: bytes_in %d, err %q; want %d and the decode error", e.BytesIn, e.Err, want)
+	}
+
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/requests", nil))
+	var view struct {
+		Slowest []struct {
+			BytesIn int64 `json:"bytes_in"`
+		} `json:"slowest"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &view); err != nil || len(view.Slowest) != 1 {
+		t.Fatalf("/debug/requests: %v, %d records", err, len(view.Slowest))
+	}
+	if got := view.Slowest[0].BytesIn; got != want {
+		t.Errorf("/debug/requests: bytes_in %d, want %d", got, want)
+	}
+}
+
 // TestConcurrentMetricsExposition is the satellite race check: scraping
 // /debug/metrics while requests are in flight must stay well-formed and
 // the per-endpoint request counters monotone.
@@ -418,11 +490,9 @@ func TestTracedUnsampledHotPathZeroAlloc(t *testing.T) {
 	const elems = 4100
 	raw := rawF32(testData(elems, 42))
 	p := cparams{
-		bound:      ceresz.ABS(1e-3),
-		abs:        true,
-		elem:       ceresz.Float32,
-		chunkElems: 1024,
-		opts:       ceresz.Options{Workers: 1},
+		Abs:        true,
+		Eps:        1e-3,
+		ChunkElems: 1024,
 	}
 	// TraceEvery 3 with a single request acquired: seq 1 is not sampled,
 	// so the span records stage atomics but no chunk events.

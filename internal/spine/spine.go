@@ -11,6 +11,8 @@
 //   - the Retry-After refusal (Refuse);
 //   - the full-duplex response writer and its bounded post-handler drain
 //     (Writer);
+//   - the /v1 query grammar and the cache-key preamble it resolves to
+//     (ParseCompress, ParseElem, ParseMode);
 //   - the daemon lifecycle both commands run (Daemon).
 //
 // Policy stays with the tiers: admission (the server's semaphore and codec
