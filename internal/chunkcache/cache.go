@@ -10,19 +10,29 @@
 //
 // Design constraints, in the order they shaped the code:
 //
-//   - Coalescing: N concurrent requests for the same missing key must
+//   - Admission on second sighting: a chunk is keyed and cached only once
+//     it has been seen before (Admit, admit.go). A first sighting costs a
+//     cheap sampled fingerprint instead of the tree key and is computed
+//     uncached, so traffic that never repeats neither pays for the key nor
+//     churns the cache. The fingerprint only decides admission; it is
+//     never a correctness input.
+//   - Coalescing: N concurrent requests for the same admitted chunk must
 //     trigger exactly one computation. A pending entry carries a condition
 //     variable (sharing the shard mutex); late arrivals wait on it instead
 //     of recomputing.
 //   - Zero-copy hits: a hit returns the cache's own buffer. Readers pin
 //     the entry (a refcount under the shard mutex) while streaming it to
 //     the wire, so eviction can never recycle bytes someone is writing.
-//   - Zero-alloc steady state: entries and their buffers recycle through a
-//     per-shard free list when evicted unpinned, so a cache churning at
-//     its byte cap performs no steady-state heap allocations on the miss
-//     path — the same contract the serving hot path already keeps.
+//   - Zero-alloc steady state: entries recycle through a per-shard free
+//     list and their value buffers through a per-shard spare, so a cache
+//     churning at its byte cap on values of one size performs no
+//     steady-state heap allocations on the miss path — the same contract
+//     the serving hot path already keeps.
 //   - Bounded memory: the byte budget is split evenly across shards and
-//     enforced by LRU eviction at publish time. Entries pinned at eviction
+//     enforced by LRU eviction at publish time. An entry is charged for
+//     the capacity of the buffer it holds, not the length of its value,
+//     and a shard keeps at most one spare buffer, so what the cache holds
+//     is its budget plus one buffer per shard. Entries pinned at eviction
 //     time become zombies: gone from the index immediately, recycled when
 //     the last reader releases them.
 package chunkcache
@@ -30,6 +40,7 @@ package chunkcache
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"ceresz/internal/telemetry"
 )
@@ -76,7 +87,7 @@ const (
 )
 
 // entryOverhead approximates the fixed per-entry cost charged against the
-// byte budget on top of the value bytes: struct, map slot, key.
+// byte budget on top of the value buffer: struct, map slot, key.
 const entryOverhead = 192
 
 // nShards splits the index and its locks. Power of two; modest so small
@@ -103,43 +114,57 @@ type shard struct {
 	mu       sync.Mutex
 	m        map[Key]*entry
 	capBytes int64
-	bytes    int64
+	// bytes is what the resident entries are charged: each its buffer's
+	// capacity plus entryOverhead.
+	bytes int64
 	// LRU of ready resident entries: head = most recent.
 	head, tail *entry
-	free       *entry // recycled entries, linked through next
+	free       *entry // recycled entries, linked through next, holding no buffer
+	// spare is one recycled value buffer, handed to the next miss. Keeping
+	// one and no more is what bounds the memory a shard holds beyond its
+	// budget to a single buffer.
+	spare []byte
 }
 
 // Cache is the content-addressed store. A nil *Cache is not usable; the
 // caller gates on construction (a zero byte budget means no cache).
 type Cache struct {
 	shards [nShards]shard
+	door   doorkeeper
+	// bytes and entries total the shards' resident charges and entries.
+	// Each shard applies its own deltas under its own lock.
+	bytes, entries atomic.Int64
 
-	hits       *telemetry.Counter
-	misses     *telemetry.Counter
-	coalesced  *telemetry.Counter
-	evictions  *telemetry.Counter
-	savedBytes *telemetry.Counter
-	bytesG     *telemetry.Gauge
-	entriesG   *telemetry.Gauge
+	hits           *telemetry.Counter
+	misses         *telemetry.Counter
+	firstSightings *telemetry.Counter
+	coalesced      *telemetry.Counter
+	evictions      *telemetry.Counter
+	savedBytes     *telemetry.Counter
+	bytesG         *telemetry.Gauge
+	entriesG       *telemetry.Gauge
 }
 
 // New returns a Cache with capBytes of total budget, registering its
-// instruments (cache.hits, cache.misses, cache.coalesced,
-// cache.evictions, cache.bytes_saved counters; cache.bytes, cache.entries
-// gauges) in reg. capBytes must be positive; reg may be nil for
-// telemetry.Default.
+// instruments (cache.hits, cache.misses, cache.first_sightings,
+// cache.coalesced, cache.evictions, cache.bytes_saved counters;
+// cache.bytes, cache.entries gauges) in reg. capBytes must be positive;
+// reg may be nil for telemetry.Default.
 func New(capBytes int64, reg *telemetry.Registry) *Cache {
 	if reg == nil {
 		reg = telemetry.Default
 	}
+	reg.Describe("cache.first_sightings", "Chunks seen for the first time: computed uncached, not keyed (also counted in misses).")
 	c := &Cache{
-		hits:       reg.Counter("cache.hits"),
-		misses:     reg.Counter("cache.misses"),
-		coalesced:  reg.Counter("cache.coalesced"),
-		evictions:  reg.Counter("cache.evictions"),
-		savedBytes: reg.Counter("cache.bytes_saved"),
-		bytesG:     reg.Gauge("cache.bytes"),
-		entriesG:   reg.Gauge("cache.entries"),
+		door:           newDoorkeeper(capBytes),
+		hits:           reg.Counter("cache.hits"),
+		misses:         reg.Counter("cache.misses"),
+		firstSightings: reg.Counter("cache.first_sightings"),
+		coalesced:      reg.Counter("cache.coalesced"),
+		evictions:      reg.Counter("cache.evictions"),
+		savedBytes:     reg.Counter("cache.bytes_saved"),
+		bytesG:         reg.Gauge("cache.bytes"),
+		entriesG:       reg.Gauge("cache.entries"),
 	}
 	per := capBytes / nShards
 	if per < 1 {
@@ -216,6 +241,7 @@ func (c *Cache) Get(key Key) (Handle, error) {
 	e := s.takeEntry()
 	e.key = key
 	e.state = statePending
+	e.val, s.spare = s.spare, nil
 	s.m[key] = e
 	s.mu.Unlock()
 	c.misses.Add(1)
@@ -223,26 +249,34 @@ func (c *Cache) Get(key Key) (Handle, error) {
 }
 
 // Complete publishes a Miss handle's value: val is copied into the
-// entry's recycled buffer, waiters wake, and the shard evicts from its
-// LRU tail until back under budget. The handle is spent afterwards.
+// entry's buffer, waiters wake, and the shard evicts from its LRU tail
+// until back under budget. The handle is spent afterwards.
 func (h Handle) Complete(val []byte, meta Meta) {
 	e, s := h.e, h.s
 	// The owner is the only goroutine touching a pending entry's buffer,
-	// so the copy happens outside the lock.
-	e.val = append(e.val[:0], val...)
+	// so the copy happens outside the lock. The entry is charged for the
+	// buffer's capacity, so a recycled buffer is kept only if val fills at
+	// least half of it; otherwise the value gets a buffer of its own size.
+	if cap(e.val) < len(val) || cap(e.val) > 2*len(val) {
+		e.val = make([]byte, len(val))
+	}
+	e.val = e.val[:len(val)]
+	copy(e.val, val)
 	e.meta = meta
-	size := int64(len(e.val)) + entryOverhead
+	delta := charge(e) // the change in the shard's resident bytes
 	s.mu.Lock()
 	e.state = stateReady
-	s.bytes += size
+	s.bytes += delta
 	s.pushFront(e)
 	e.cond.Broadcast()
-	evicted := 0
+	evicted := int64(0)
 	for s.bytes > s.capBytes && s.tail != nil {
 		ev := s.tail
 		s.unlink(ev)
 		delete(s.m, ev.key)
-		s.bytes -= int64(len(ev.val)) + entryOverhead
+		size := charge(ev)
+		s.bytes -= size
+		delta -= size
 		evicted++
 		if ev.refs == 0 && ev.waiters == 0 {
 			s.recycle(ev)
@@ -250,13 +284,17 @@ func (h Handle) Complete(val []byte, meta Meta) {
 			ev.zombie = true
 		}
 	}
-	bytes, entries := s.bytes, int64(len(s.m))
+	h.c.account(delta, 1-evicted)
 	s.mu.Unlock()
 	if evicted > 0 {
-		h.c.evictions.Add(int64(evicted))
+		h.c.evictions.Add(evicted)
 	}
-	h.c.noteShard(s, bytes, entries)
 }
+
+// charge is what a resident entry costs its shard's budget: the capacity
+// of the buffer it holds, whatever the length of its value, plus the
+// fixed overhead.
+func charge(e *entry) int64 { return int64(cap(e.val)) + entryOverhead }
 
 // Abort withdraws a Miss handle whose computation failed: the key leaves
 // the index and waiters receive ErrAborted. The handle is spent.
@@ -288,46 +326,22 @@ func (h Handle) Release() {
 	s.mu.Unlock()
 }
 
-// noteShard refreshes the aggregate gauges after a shard changed. Sums
-// under each shard's own lock would serialize the shards; an approximate
-// sum of per-shard snapshots is accurate enough for monitoring.
-func (c *Cache) noteShard(_ *shard, _, _ int64) {
-	var bytes, entries int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		bytes += s.bytes
-		entries += int64(len(s.m))
-		s.mu.Unlock()
-	}
-	c.bytesG.Set(bytes)
-	c.entriesG.Set(entries)
+// account applies one shard's change in resident bytes and entries to the
+// cache-wide totals and their gauges. Called under that shard's lock, so
+// no other shard's lock is taken and no delta is lost.
+func (c *Cache) account(bytes, entries int64) {
+	c.bytes.Add(bytes)
+	c.entries.Add(entries)
+	c.bytesG.Add(bytes)
+	c.entriesG.Add(entries)
 }
 
-// Bytes reports the resident value bytes plus per-entry overhead across
-// all shards.
-func (c *Cache) Bytes() int64 {
-	var total int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += s.bytes
-		s.mu.Unlock()
-	}
-	return total
-}
+// Bytes reports what the resident entries are charged across all shards:
+// their buffers' capacities plus per-entry overhead.
+func (c *Cache) Bytes() int64 { return c.bytes.Load() }
 
 // Len reports the resident entry count across all shards.
-func (c *Cache) Len() int {
-	var total int
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += len(s.m)
-		s.mu.Unlock()
-	}
-	return total
-}
+func (c *Cache) Len() int { return int(c.entries.Load()) }
 
 // CapBytes reports the configured total byte budget.
 func (c *Cache) CapBytes() int64 {
@@ -353,9 +367,14 @@ func (s *shard) takeEntry() *entry {
 	return e
 }
 
-// recycle pushes an unlinked, unpinned entry onto the free list, keeping
-// its value buffer for the next tenant. Called under s.mu.
+// recycle pushes an unlinked, unpinned entry onto the free list. Its value
+// buffer becomes the shard's spare if the shard has none, and is left to
+// the collector otherwise. Called under s.mu.
 func (s *shard) recycle(e *entry) {
+	if cap(s.spare) == 0 {
+		s.spare = e.val[:0]
+	}
+	e.val = nil
 	e.prev = nil
 	e.next = s.free
 	s.free = e

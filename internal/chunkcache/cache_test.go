@@ -288,9 +288,10 @@ func TestPinnedEvictionKeepsBytes(t *testing.T) {
 }
 
 // TestConcurrentStorm drives identical and distinct keys from many
-// goroutines under churn: every unique key must be computed exactly once
-// per residency, hit bytes must match the computed value, and the byte
-// budget must hold. Run with -race.
+// goroutines under churn, each through Admit first as the server does:
+// every unique key must be computed exactly once per residency, hit bytes
+// must match the computed value, and the byte budget must hold. Run with
+// -race.
 func TestConcurrentStorm(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	const valSize = 256
@@ -314,6 +315,9 @@ func TestConcurrentStorm(t *testing.T) {
 				id := int(rng>>33) % uniqueKeys
 				k := key(byte(id), id)
 				want := val(id, valSize)
+				if !c.Admit(k[:], want) {
+					continue // a first sighting: computed uncached
+				}
 				h, err := c.Get(k)
 				if err != nil {
 					t.Errorf("Get(%d): %v", id, err)
@@ -349,8 +353,12 @@ func TestConcurrentStorm(t *testing.T) {
 		total += computations[i].Load()
 	}
 	served := reg.Counter("cache.hits").Value() + reg.Counter("cache.coalesced").Value()
-	if total+served != goroutines*opsPer {
-		t.Errorf("computations(%d)+served(%d) != ops(%d)", total, served, goroutines*opsPer)
+	firsts := reg.Counter("cache.first_sightings").Value()
+	if total+served+firsts != goroutines*opsPer {
+		t.Errorf("computations(%d)+served(%d)+first sightings(%d) != ops(%d)", total, served, firsts, goroutines*opsPer)
+	}
+	if firsts < uniqueKeys {
+		t.Errorf("%d first sightings of %d keys", firsts, uniqueKeys)
 	}
 	// With churn, recomputation after eviction is legal — but the storm
 	// must still have meaningfully coalesced/hit.

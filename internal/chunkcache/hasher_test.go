@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ceresz/internal/chunkcache/keytest"
+	"ceresz/internal/telemetry"
 )
 
 // refKey is the key definition written out with nothing shared with the
@@ -249,3 +250,18 @@ func benchmarkKey(b *testing.B, n int) {
 // roughly 32 KiB frame payload it compresses to.
 func BenchmarkHasherKey256K(b *testing.B) { benchmarkKey(b, 256<<10) }
 func BenchmarkHasherKey32K(b *testing.B)  { benchmarkKey(b, 32<<10) }
+
+// BenchmarkAdmit256K is what admission costs the 256 KiB chunk of
+// BenchmarkHasherKey256K, and all a first sighting pays instead of the Key:
+// the sampled fingerprint and one bucket of the table. SetBytes counts the
+// whole chunk, so the two rows' MB/s compare directly.
+func BenchmarkAdmit256K(b *testing.B) {
+	c := New(256<<20, telemetry.NewRegistry())
+	data := randomBytes(8, 256<<10)
+	pre := AppendCompressPreamble(nil, 0, true, 1e-3, 0)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Admit(pre, data)
+	}
+}

@@ -119,8 +119,8 @@ func TestDecompressHotPathZeroAlloc(t *testing.T) {
 }
 
 // TestCacheDecompressZeroAlloc extends the per-chunk contract to the
-// cached decompress path, miss and hit: frame in, hash, decode or pinned
-// lookup, wire bytes out — nothing on the heap once warm.
+// cached decompress path, admitted miss and hit: frame in, admission, hash,
+// decode or pinned lookup, wire bytes out — nothing on the heap once warm.
 func TestCacheDecompressZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc contract checked without -race")
@@ -140,11 +140,12 @@ func TestCacheDecompressZeroAlloc(t *testing.T) {
 		cacheBytes int64
 		cycle      int
 	}{
-		{"miss", 4 * (4*chunkElems + 512), len(frames)}, // holds ~4 of the 12: every lookup misses and evicts
+		{"miss", 4 * (4*chunkElems + 512), len(frames)}, // below one value per shard: every lookup misses and evicts
 		{"hit", 8 << 20, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{Workers: 1, CacheBytes: tc.cacheBytes, Registry: telemetry.NewRegistry()})
+			reg := telemetry.NewRegistry()
+			s := New(Config{Workers: 1, CacheBytes: tc.cacheBytes, Registry: reg})
 			c := newCodec(0)
 			c.workers = 1
 			c.sr.SetLimits(64<<20, 4<<20)
@@ -169,8 +170,16 @@ func TestCacheDecompressZeroAlloc(t *testing.T) {
 			for i := 0; i < 4*len(frames); i++ {
 				runOnce()
 			}
+			before := countsOf(reg)
 			if allocs := testing.AllocsPerRun(3*len(frames), runOnce); allocs != 0 {
 				t.Fatalf("cached decompress %s path allocates %.1f times per chunk, want 0", tc.name, allocs)
+			}
+			want := cacheCounts{hits: 3*int64(len(frames)) + 1}
+			if tc.name == "miss" {
+				want = cacheCounts{misses: want.hits, evictions: want.hits}
+			}
+			if d := countsOf(reg).minus(before); d != want {
+				t.Fatalf("measured chunks moved the counters by %+v, want %+v", d, want)
 			}
 		})
 	}

@@ -27,11 +27,30 @@ func postRec(t *testing.T, h http.Handler, url string, body []byte) *httptest.Re
 	return rr
 }
 
-// TestCacheHitByteIdentity is the tentpole's core guarantee: a warm-cache
+// cacheCounts reads the counters that tell which cache path chunks took.
+type cacheCounts struct{ first, misses, hits, coalesced, evictions int64 }
+
+func countsOf(reg *telemetry.Registry) cacheCounts {
+	return cacheCounts{
+		first:     reg.Counter("cache.first_sightings").Value(),
+		misses:    reg.Counter("cache.misses").Value(),
+		hits:      reg.Counter("cache.hits").Value(),
+		coalesced: reg.Counter("cache.coalesced").Value(),
+		evictions: reg.Counter("cache.evictions").Value(),
+	}
+}
+
+func (a cacheCounts) minus(b cacheCounts) cacheCounts {
+	return cacheCounts{a.first - b.first, a.misses - b.misses, a.hits - b.hits, a.coalesced - b.coalesced, a.evictions - b.evictions}
+}
+
+// TestCacheHitByteIdentity is the cache's core guarantee: a warm-cache
 // response must be byte-identical to the cold one — which is itself
 // byte-identical to the library — for both directions, in both bound
 // modes, and the X-Ceresz-Eps header must survive being served from
-// entry metadata instead of live codec stats.
+// entry metadata instead of live codec stats. The first sighting of a
+// chunk is computed uncached, so the cold (computed and cached) response
+// is the second request and the warm (hit) one the third.
 func TestCacheHitByteIdentity(t *testing.T) {
 	const chunkElems = 512
 	reg := telemetry.NewRegistry()
@@ -49,12 +68,13 @@ func TestCacheHitByteIdentity(t *testing.T) {
 		}
 		want := localFrames(t, data, libBound, chunkElems)
 
+		seen := postRec(t, h, url, raw)
 		cold := postRec(t, h, url, raw)
-		if cold.Code != http.StatusOK {
-			t.Fatalf("[%s] cold status %d: %s", mode, cold.Code, cold.Body.String())
+		if seen.Code != http.StatusOK || cold.Code != http.StatusOK {
+			t.Fatalf("[%s] first/cold status %d/%d: %s", mode, seen.Code, cold.Code, cold.Body.String())
 		}
-		if !bytes.Equal(cold.Body.Bytes(), want) {
-			t.Fatalf("[%s] cold response differs from library stream", mode)
+		if !bytes.Equal(seen.Body.Bytes(), want) || !bytes.Equal(cold.Body.Bytes(), want) {
+			t.Fatalf("[%s] first or cold response differs from library stream", mode)
 		}
 		warm := postRec(t, h, url, raw)
 		if warm.Code != http.StatusOK {
@@ -65,17 +85,18 @@ func TestCacheHitByteIdentity(t *testing.T) {
 		}
 		coldEps := cold.Header().Get("X-Ceresz-Eps")
 		warmEps := warm.Header().Get("X-Ceresz-Eps")
-		if coldEps == "" || coldEps != warmEps {
+		if coldEps == "" || coldEps != warmEps || seen.Header().Get("X-Ceresz-Eps") != coldEps {
 			t.Fatalf("[%s] X-Ceresz-Eps drifted on hit: cold %q, warm %q", mode, coldEps, warmEps)
 		}
 
-		// Decompress both ways: warm must byte-match cold.
+		// Decompress all three ways: warm must byte-match cold and first.
+		dseen := postRec(t, h, "/v1/decompress", cold.Body.Bytes())
 		dcold := postRec(t, h, "/v1/decompress", cold.Body.Bytes())
 		dwarm := postRec(t, h, "/v1/decompress", cold.Body.Bytes())
-		if dcold.Code != http.StatusOK || dwarm.Code != http.StatusOK {
-			t.Fatalf("[%s] decompress status %d/%d", mode, dcold.Code, dwarm.Code)
+		if dseen.Code != http.StatusOK || dcold.Code != http.StatusOK || dwarm.Code != http.StatusOK {
+			t.Fatalf("[%s] decompress status %d/%d/%d", mode, dseen.Code, dcold.Code, dwarm.Code)
 		}
-		if !bytes.Equal(dcold.Body.Bytes(), dwarm.Body.Bytes()) {
+		if !bytes.Equal(dcold.Body.Bytes(), dwarm.Body.Bytes()) || !bytes.Equal(dseen.Body.Bytes(), dcold.Body.Bytes()) {
 			t.Fatalf("[%s] warm decompress differs from cold", mode)
 		}
 	}
@@ -90,8 +111,9 @@ func TestCacheHitByteIdentity(t *testing.T) {
 
 // TestCacheKeysAreTheCommittedKeys is the backend's third of the cross-tier
 // pin (package keytest): each committed request is served through the full
-// handler chain, query parsing and chunking included, and its first chunk
-// must then be resident under exactly the committed Key — the 32 bytes
+// handler chain, query parsing and chunking included — twice, since a
+// chunk is cached on its second sighting — and its first chunk must then
+// be resident under exactly the committed Key, the 32 bytes
 // internal/cluster's test holds the proxy's routing digest to.
 func TestCacheKeysAreTheCommittedKeys(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1, CacheBytes: 8 << 20})
@@ -100,8 +122,10 @@ func TestCacheKeysAreTheCommittedKeys(t *testing.T) {
 		if r.Preamble[1] != chunkcache.NSCompress && r.Preamble[1] != chunkcache.NSDecompress {
 			continue // the proxy's private namespace: no backend keys under it
 		}
-		if rr := postRec(t, h, r.Path+"?"+r.Query, r.Body); rr.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", r.Name, rr.Code, rr.Body.String())
+		for range 2 {
+			if rr := postRec(t, h, r.Path+"?"+r.Query, r.Body); rr.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", r.Name, rr.Code, rr.Body.String())
+			}
 		}
 		hd, err := s.cache.Get(chunkcache.Key(r.Key))
 		if err != nil {
@@ -118,9 +142,9 @@ func TestCacheKeysAreTheCommittedKeys(t *testing.T) {
 
 // TestDefaultBlockLenHasOneSpelling: no block parameter, block=32 and a
 // server configured with BlockLen 32 all produce the same frames, so they
-// must share cache entries; and the default the key layout canonicalises 0
-// to must be the codec's, or a hit would return another block length's
-// frame.
+// must share sightings and cache entries; and the default the key layout
+// canonicalises 0 to must be the codec's, or a hit would return another
+// block length's frame.
 func TestDefaultBlockLenHasOneSpelling(t *testing.T) {
 	if got, want := chunkcache.AppendCompressPreamble(nil, 0, true, 1e-3, 0),
 		chunkcache.AppendCompressPreamble(nil, 0, true, 1e-3, core.DefaultBlockLen); !bytes.Equal(got, want) {
@@ -132,20 +156,26 @@ func TestDefaultBlockLenHasOneSpelling(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		s, _ := newTestServer(t, Config{Workers: 1, ChunkElems: chunkElems, BlockLen: cfgBlock, CacheBytes: 8 << 20, Registry: reg})
 		h := s.Handler()
+		// Sighted unspelled, cached spelled out, hit unspelled.
+		spelled := fmt.Sprintf("/v1/compress?eps=1e-3&block=%d", core.DefaultBlockLen)
 		first := postRec(t, h, "/v1/compress?eps=1e-3", raw)
-		second := postRec(t, h, fmt.Sprintf("/v1/compress?eps=1e-3&block=%d", core.DefaultBlockLen), raw)
-		if first.Code != http.StatusOK || second.Code != http.StatusOK {
-			t.Fatalf("status %d, %d", first.Code, second.Code)
+		second := postRec(t, h, spelled, raw)
+		third := postRec(t, h, "/v1/compress?eps=1e-3", raw)
+		if first.Code != http.StatusOK || second.Code != http.StatusOK || third.Code != http.StatusOK {
+			t.Fatalf("status %d, %d, %d", first.Code, second.Code, third.Code)
 		}
-		if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+		if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) || !bytes.Equal(second.Body.Bytes(), third.Body.Bytes()) {
 			t.Fatal("the two spellings of the default block length produced different frames")
 		}
-		if misses, hits := reg.Counter("cache.misses").Value(), reg.Counter("cache.hits").Value(); misses != chunks || hits != chunks {
-			t.Errorf("server BlockLen %d: %d misses and %d hits, want %d and %d: the second spelling should hit the first's entries",
-				cfgBlock, misses, hits, chunks, chunks)
+		if got, want := countsOf(reg), (cacheCounts{first: chunks, misses: 2 * chunks, hits: chunks}); got != want {
+			t.Errorf("server BlockLen %d: counts %+v, want %+v: the spellings should share sightings and entries",
+				cfgBlock, got, want)
 		}
-		if postRec(t, h, "/v1/compress?eps=1e-3&block=64", raw); reg.Counter("cache.misses").Value() != 2*chunks {
-			t.Error("a different block length hit the default's entries")
+		before := countsOf(reg)
+		postRec(t, h, "/v1/compress?eps=1e-3&block=64", raw)
+		postRec(t, h, "/v1/compress?eps=1e-3&block=64", raw)
+		if d := countsOf(reg).minus(before); d.first != chunks || d.hits != 0 {
+			t.Errorf("block=64 twice: counts moved by %+v: a different block length was sighted or hit under the default's", d)
 		}
 	}
 }
@@ -177,10 +207,12 @@ func TestCacheWorkerCountIdentity(t *testing.T) {
 	}
 }
 
-// TestCacheCoalescingStorm: concurrent identical requests must trigger
-// exactly one compression per unique chunk — cache.misses counts codec
-// runs, so with no eviction pressure it must equal the unique chunk count
-// while every response stays byte-identical.
+// TestCacheCoalescingStorm: concurrent identical requests for admitted
+// chunks must trigger exactly one compression per unique chunk —
+// cache.misses counts codec runs, so with no eviction pressure the storm
+// must add exactly the unique chunk count to it while every response stays
+// byte-identical. One request first makes the chunks seen: first
+// sightings are computed uncached, so the storm's chunks are admitted.
 func TestCacheCoalescingStorm(t *testing.T) {
 	const chunkElems = 256
 	const clients = 8
@@ -193,6 +225,10 @@ func TestCacheCoalescingStorm(t *testing.T) {
 	data := testData(4*chunkElems, 23) // 4 unique chunks per request
 	raw := rawBytes(data)
 	want := localFrames(t, data, ceresz.ABS(1e-3), chunkElems)
+	if got := postBody(t, ts.URL+"/v1/compress?eps=1e-3", raw); !bytes.Equal(got, want) {
+		t.Fatal("first-sighting response differs from library stream")
+	}
+	before := countsOf(reg)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -227,19 +263,22 @@ func TestCacheCoalescingStorm(t *testing.T) {
 	}
 
 	const uniqueChunks = 4
-	misses := reg.Counter("cache.misses").Value()
-	if misses != uniqueChunks {
-		t.Errorf("cache.misses = %d, want %d (one compression per unique chunk)", misses, uniqueChunks)
+	if first := before.first; first != uniqueChunks {
+		t.Errorf("first request: %d first sightings, want %d", first, uniqueChunks)
 	}
-	served := reg.Counter("cache.hits").Value() + reg.Counter("cache.coalesced").Value()
-	if got, want := served, int64(clients*uniqueChunks-uniqueChunks); got != want {
+	d := countsOf(reg).minus(before)
+	if d.misses != uniqueChunks || d.first != 0 {
+		t.Errorf("storm: cache.misses moved by %d (%d first sightings), want %d and 0 (one compression per unique chunk)",
+			d.misses, d.first, uniqueChunks)
+	}
+	if got, want := d.hits+d.coalesced, int64(clients*uniqueChunks-uniqueChunks); got != want {
 		t.Errorf("hits+coalesced = %d, want %d", got, want)
 	}
 }
 
 // TestCacheEvictionUnderServing: a cache far smaller than the working set
 // must keep serving correct bytes while evicting, and its gauge must
-// respect the budget.
+// respect the budget. Each chunk is sent twice, so that it is admitted.
 func TestCacheEvictionUnderServing(t *testing.T) {
 	const chunkElems = 512
 	// Small enough that only a couple of compressed frames fit per shard:
@@ -252,12 +291,14 @@ func TestCacheEvictionUnderServing(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		data := testData(chunkElems, int64(100+i))
 		want := localFrames(t, data, ceresz.ABS(1e-3), chunkElems)
-		rr := postRec(t, h, "/v1/compress?eps=1e-3", rawBytes(data))
-		if rr.Code != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, rr.Code)
-		}
-		if !bytes.Equal(rr.Body.Bytes(), want) {
-			t.Fatalf("request %d: response differs from library stream during eviction churn", i)
+		for range 2 {
+			rr := postRec(t, h, "/v1/compress?eps=1e-3", rawBytes(data))
+			if rr.Code != http.StatusOK {
+				t.Fatalf("request %d: status %d", i, rr.Code)
+			}
+			if !bytes.Equal(rr.Body.Bytes(), want) {
+				t.Fatalf("request %d: response differs from library stream during eviction churn", i)
+			}
 		}
 	}
 	if ev := reg.Counter("cache.evictions").Value(); ev == 0 {
@@ -324,6 +365,42 @@ func TestCacheErrorParity(t *testing.T) {
 	}
 }
 
+// TestFingerprintCollisionServesOwnBytes: the admission fingerprint samples
+// a chunk, so two chunks that differ only between the sampled words share
+// it. For a 4096-byte chunk the words start every (4096−8)/64 = 63 bytes,
+// which leaves bytes 8…62 unsampled. The second chunk is then admitted on
+// its first request, and each must still be served its own frames: the
+// fingerprint decides admission, the Key decides what is served.
+func TestFingerprintCollisionServesOwnBytes(t *testing.T) {
+	const chunkElems = 1024
+	reg := telemetry.NewRegistry()
+	s, _ := newTestServer(t, Config{Workers: 1, ChunkElems: chunkElems, CacheBytes: 8 << 20, Registry: reg})
+	h := s.Handler()
+
+	a := testData(chunkElems, 41)
+	b := append([]float32(nil), a...)
+	b[3] += 100 // bytes 12…15: between the first two sampled words
+	want := [][]byte{localFrames(t, a, ceresz.ABS(1e-3), chunkElems), localFrames(t, b, ceresz.ABS(1e-3), chunkElems)}
+	if bytes.Equal(want[0], want[1]) {
+		t.Fatal("the two chunks compress alike; the test needs different frames")
+	}
+	bodies := [][]byte{rawBytes(a), rawBytes(b)}
+	for i, which := range []int{0, 1, 0, 1, 0} {
+		rr := postRec(t, h, "/v1/compress?eps=1e-3", bodies[which])
+		if rr.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, rr.Code, rr.Body.String())
+		}
+		if !bytes.Equal(rr.Body.Bytes(), want[which]) {
+			t.Fatalf("request %d (chunk %c): served another chunk's frames", i, "ab"[which])
+		}
+	}
+	// a: first sighting, b: admitted on its first request (the collision),
+	// a and b computed and cached, then one hit each.
+	if got, want := countsOf(reg), (cacheCounts{first: 1, misses: 3, hits: 2}); got != want {
+		t.Fatalf("counts %+v, want %+v: the chunks did not share a fingerprint", got, want)
+	}
+}
+
 // TestHealthzSplit covers the liveness/readiness probes: liveness stays
 // 200 through not-ready and draining; readiness (and its /healthz alias)
 // gates on both.
@@ -373,17 +450,19 @@ func TestHealthzSplit(t *testing.T) {
 }
 
 // TestCacheCompressMissZeroAlloc extends the zero-alloc contract to the
-// cache-enabled miss path: hashing, lookup, compression, publication and
-// eviction churn together must not allocate once warm. The cache holds
-// fewer entries than the cycling working set, so every iteration is a
-// genuine miss plus an eviction — the steady state of a cache under
-// pressure.
+// cache-enabled miss path: admission, hashing, lookup, compression,
+// publication and eviction churn together must not allocate once warm.
+// Each shard's budget is below one frame (these compress to ~1.5 KiB), so
+// every iteration is an admitted miss whose insert evicts — the steady
+// state of a cache under pressure. The counters check that this is the
+// path measured: with room for all twelve it would measure hits.
 func TestCacheCompressMissZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc contract checked without -race")
 	}
 	const chunkElems = 1024
-	s := New(Config{Workers: 1, ChunkElems: chunkElems, CacheBytes: 48 << 10, Registry: telemetry.NewRegistry()})
+	reg := telemetry.NewRegistry()
+	s := New(Config{Workers: 1, ChunkElems: chunkElems, CacheBytes: 8 << 10, Registry: reg})
 	c := newCodec(0)
 	p := cparams{
 		Abs:        true,
@@ -418,8 +497,13 @@ func TestCacheCompressMissZeroAlloc(t *testing.T) {
 	for i := 0; i < 4*cycle; i++ {
 		runOnce()
 	}
+	before := countsOf(reg)
 	if allocs := testing.AllocsPerRun(3*cycle, runOnce); allocs != 0 {
 		t.Fatalf("cache-enabled miss path allocates %.1f times per chunk, want 0", allocs)
+	}
+	// AllocsPerRun calls runOnce once more than it measures.
+	if d := countsOf(reg).minus(before); d.first != 0 || d.misses != 3*cycle+1 || d.evictions == 0 {
+		t.Fatalf("measured chunks moved the counters by %+v: want only admitted misses, and evictions", d)
 	}
 }
 
@@ -430,7 +514,8 @@ func TestCacheCompressHitZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates; zero-alloc contract checked without -race")
 	}
 	const chunkElems = 1024
-	s := New(Config{Workers: 1, ChunkElems: chunkElems, CacheBytes: 8 << 20, Registry: telemetry.NewRegistry()})
+	reg := telemetry.NewRegistry()
+	s := New(Config{Workers: 1, ChunkElems: chunkElems, CacheBytes: 8 << 20, Registry: reg})
 	c := newCodec(0)
 	p := cparams{
 		Abs:        true,
@@ -454,17 +539,22 @@ func TestCacheCompressHitZeroAlloc(t *testing.T) {
 		}
 		h.Release()
 	}
-	runOnce() // cold miss populates the entry
+	runOnce() // first sighting
+	runOnce() // admitted miss populates the entry
+	before := countsOf(reg)
 	if allocs := testing.AllocsPerRun(50, runOnce); allocs != 0 {
 		t.Fatalf("cache hit path allocates %.1f times per chunk, want 0", allocs)
+	}
+	if d := countsOf(reg).minus(before); d != (cacheCounts{hits: 51}) {
+		t.Fatalf("measured chunks moved the counters by %+v: want only hits", d)
 	}
 }
 
 // FuzzCachedServe fuzzes the differential guarantee end to end: whatever
-// float body arrives, the cache-enabled server's cold response, its warm
-// response, and the cache-disabled server's response must be bitwise
-// equal — and likewise for decompressing the produced stream. Runs under
-// -race in CI via the seed corpus.
+// float body arrives, the cache-enabled server's first-sighting response,
+// its cold response, its warm response, and the cache-disabled server's
+// response must be bitwise equal — and likewise for decompressing the
+// produced stream. Runs under -race in CI via the seed corpus.
 func FuzzCachedServe(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 64, 64, 205, 204, 76, 62}, uint8(0))
 	f.Add(rawBytes(testData(700, 5)), uint8(1))
@@ -493,25 +583,28 @@ func FuzzCachedServe(f *testing.F) {
 		}
 
 		refCode, refBody := post(plain, url, raw)
+		seenCode, seenBody := post(cached, url, raw)
 		coldCode, coldBody := post(cached, url, raw)
 		warmCode, warmBody := post(cached, url, raw)
-		if refCode != coldCode || coldCode != warmCode {
-			t.Fatalf("status diverged: plain %d, cold %d, warm %d", refCode, coldCode, warmCode)
+		if refCode != seenCode || seenCode != coldCode || coldCode != warmCode {
+			t.Fatalf("status diverged: plain %d, first %d, cold %d, warm %d", refCode, seenCode, coldCode, warmCode)
 		}
-		if !bytes.Equal(refBody, coldBody) || !bytes.Equal(coldBody, warmBody) {
-			t.Fatalf("compress bytes diverged: plain %d, cold %d, warm %d bytes", len(refBody), len(coldBody), len(warmBody))
+		if !bytes.Equal(refBody, seenBody) || !bytes.Equal(refBody, coldBody) || !bytes.Equal(coldBody, warmBody) {
+			t.Fatalf("compress bytes diverged: plain %d, first %d, cold %d, warm %d bytes",
+				len(refBody), len(seenBody), len(coldBody), len(warmBody))
 		}
 		if refCode != http.StatusOK || len(refBody) == 0 {
 			return
 		}
 
 		dRefCode, dRefBody := post(plain, "/v1/decompress", refBody)
+		dSeenCode, dSeenBody := post(cached, "/v1/decompress", refBody)
 		dColdCode, dColdBody := post(cached, "/v1/decompress", refBody)
 		dWarmCode, dWarmBody := post(cached, "/v1/decompress", refBody)
-		if dRefCode != dColdCode || dColdCode != dWarmCode {
-			t.Fatalf("decompress status diverged: plain %d, cold %d, warm %d", dRefCode, dColdCode, dWarmCode)
+		if dRefCode != dSeenCode || dSeenCode != dColdCode || dColdCode != dWarmCode {
+			t.Fatalf("decompress status diverged: plain %d, first %d, cold %d, warm %d", dRefCode, dSeenCode, dColdCode, dWarmCode)
 		}
-		if !bytes.Equal(dRefBody, dColdBody) || !bytes.Equal(dColdBody, dWarmBody) {
+		if !bytes.Equal(dRefBody, dSeenBody) || !bytes.Equal(dRefBody, dColdBody) || !bytes.Equal(dColdBody, dWarmBody) {
 			t.Fatalf("decompress bytes diverged")
 		}
 	})

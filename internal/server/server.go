@@ -82,7 +82,9 @@ type Config struct {
 	// RetryAfter is the hint returned with 429/503 responses (0 = 1s).
 	RetryAfter time.Duration
 	// CacheBytes is the content-addressed chunk cache's memory budget
-	// (values plus per-entry overhead). 0 disables caching entirely —
+	// (value buffers plus per-entry overhead, and one spare buffer per
+	// shard beyond it). It also sizes the admission table, one slot per
+	// 4 KiB. 0 disables caching entirely —
 	// every chunk runs the codec, exactly the pre-cache behavior.
 	CacheBytes int64
 	// BlockLen overrides the CereSZ block length (0 = 32, the paper's).
@@ -604,8 +606,10 @@ func (s *Server) stream(c *codec, w http.ResponseWriter, r *http.Request, m *end
 	return nil
 }
 
-// cacheThrough produces one chunk's response bytes through the cache: the
-// value under the key of pre and data when one is resident (or being
+// cacheThrough produces one chunk's response bytes through the cache. A
+// chunk the cache has not seen before is only recorded (Admit) and
+// computed uncached, without paying for its key. A chunk seen before gets
+// the value under the key of pre and data when one is resident (or being
 // computed by another request, whose result it waits for), else what
 // compute returns, published under that key. The handle pins cached bytes
 // until the caller Releases it, after writing them. Without a cache — or
@@ -613,15 +617,18 @@ func (s *Server) stream(c *codec, w http.ResponseWriter, r *http.Request, m *end
 // that request's input — it computes uncached. An error is never cached.
 func (s *Server) cacheThrough(c *codec, pre, data []byte, compute func() ([]byte, chunkcache.Meta, error)) ([]byte, chunkcache.Meta, chunkcache.Handle, error) {
 	if s.cache == nil {
-		out, meta, err := compute()
-		return out, meta, chunkcache.Handle{}, err
+		return uncached(compute)
 	}
 	tc := time.Now()
+	if !s.cache.Admit(pre, data) {
+		c.tr.observe(stageCache, tc)
+		c.tr.cacheMisses.Add(1)
+		return uncached(compute)
+	}
 	h, err := s.cache.Get(c.hasher.Key(pre, data))
 	c.tr.observe(stageCache, tc)
 	if err != nil {
-		out, meta, err := compute()
-		return out, meta, chunkcache.Handle{}, err
+		return uncached(compute)
 	}
 	if h.Outcome() != chunkcache.Miss {
 		c.tr.cacheHits.Add(1)
@@ -635,6 +642,12 @@ func (s *Server) cacheThrough(c *codec, pre, data []byte, compute func() ([]byte
 	}
 	h.Complete(out, meta)
 	return out, meta, h, nil
+}
+
+// uncached runs compute with no cache entry behind its result.
+func uncached(compute func() ([]byte, chunkcache.Meta, error)) ([]byte, chunkcache.Meta, chunkcache.Handle, error) {
+	out, meta, err := compute()
+	return out, meta, chunkcache.Handle{}, err
 }
 
 // countingReader counts the bytes a streaming endpoint consumed and
