@@ -6,19 +6,11 @@
 // Usage:
 //
 //	go run ./cmd/benchdiff -old baseline.txt -new current.txt [-max-regress 40]
-//	go run ./cmd/benchdiff -oldjson base.jsonl -newjson cur.jsonl [-filter sim]
 //
 // Either flag may be omitted to summarise a single file (speedups are then
 // omitted). Exit status is 2 on I/O or parse failure. With -max-regress PCT
-// the -old/-new mode also exits 1, after printing the report, when any
-// benchmark present in both files has a new median ns/op more than PCT
-// percent above the old one.
-//
-// The -oldjson/-newjson mode diffs two `cereszbench -json` capture files
-// instead: each line's result object is flattened to dotted numeric paths
-// (e.g. util.Rows[2].sim.queue_wait_cycles) and matching paths are compared
-// old vs new. -filter keeps only paths containing the given substring —
-// "-filter sim." isolates the simulator occupancy/stall fields.
+// it also exits 1, after printing the report, when any benchmark present in
+// both files has a new median ns/op more than PCT percent above the old one.
 package main
 
 import (
@@ -143,119 +135,6 @@ func summarise(samples []sample) *summary {
 	}
 }
 
-// flattenJSON walks a decoded JSON value and records every numeric leaf
-// under its dotted path ("util.Rows[2].sim.queue_wait_cycles"). Booleans
-// and strings are skipped: only quantities can be meaningfully diffed.
-func flattenJSON(prefix string, v any, out map[string]float64) {
-	switch x := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			p := k
-			if prefix != "" {
-				p = prefix + "." + k
-			}
-			flattenJSON(p, x[k], out)
-		}
-	case []any:
-		for i, e := range x {
-			flattenJSON(fmt.Sprintf("%s[%d]", prefix, i), e, out)
-		}
-	case float64:
-		out[prefix] = x
-	}
-}
-
-// parseBenchJSON reads a `cereszbench -json` capture (one
-// {"experiment": ..., "result": ...} object per line) into a flat
-// path → value map, with each path rooted at its experiment name.
-func parseBenchJSON(path string) (map[string]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	out := make(map[string]float64)
-	dec := json.NewDecoder(f)
-	for dec.More() {
-		var line struct {
-			Experiment string `json:"experiment"`
-			Result     any    `json:"result"`
-		}
-		if err := dec.Decode(&line); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		flattenJSON(line.Experiment, line.Result, out)
-	}
-	return out, nil
-}
-
-// fieldDiff is one flattened metric's old/new comparison.
-type fieldDiff struct {
-	Path  string   `json:"path"`
-	Old   *float64 `json:"old,omitempty"`
-	New   *float64 `json:"new,omitempty"`
-	Delta string   `json:"delta,omitempty"` // e.g. "+4.2%", only when both sides exist
-}
-
-// diffJSONMode implements -oldjson/-newjson: flatten both captures and
-// emit every path (passing the filter) with its old/new values.
-func diffJSONMode(oldPath, newPath, filter string) error {
-	load := func(path string) (map[string]float64, error) {
-		if path == "" {
-			return nil, nil
-		}
-		return parseBenchJSON(path)
-	}
-	oldVals, err := load(oldPath)
-	if err != nil {
-		return err
-	}
-	newVals, err := load(newPath)
-	if err != nil {
-		return err
-	}
-
-	paths := make(map[string]bool)
-	for p := range oldVals {
-		paths[p] = true
-	}
-	for p := range newVals {
-		paths[p] = true
-	}
-	sorted := make([]string, 0, len(paths))
-	for p := range paths {
-		if filter == "" || strings.Contains(p, filter) {
-			sorted = append(sorted, p)
-		}
-	}
-	sort.Strings(sorted)
-
-	diffs := make([]fieldDiff, 0, len(sorted))
-	for _, p := range sorted {
-		d := fieldDiff{Path: p}
-		if v, ok := oldVals[p]; ok {
-			v := v
-			d.Old = &v
-		}
-		if v, ok := newVals[p]; ok {
-			v := v
-			d.New = &v
-		}
-		if d.Old != nil && d.New != nil && *d.Old != 0 {
-			d.Delta = fmt.Sprintf("%+.1f%%", 100*(*d.New-*d.Old)/(*d.Old))
-		}
-		diffs = append(diffs, d)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(map[string]any{"fields": diffs})
-}
-
 // regressions lists the paired benchmarks whose new median ns/op exceeds
 // the old one by more than pct percent.
 func regressions(diffs []diff, pct float64) []string {
@@ -274,20 +153,10 @@ func regressions(diffs []diff, pct float64) []string {
 func main() {
 	oldPath := flag.String("old", "", "baseline `go test -bench` output file")
 	newPath := flag.String("new", "", "current `go test -bench` output file")
-	oldJSON := flag.String("oldjson", "", "baseline `cereszbench -json` capture file")
-	newJSON := flag.String("newjson", "", "current `cereszbench -json` capture file")
-	filter := flag.String("filter", "", "with -oldjson/-newjson, keep only paths containing this substring")
 	maxRegress := flag.Float64("max-regress", 0, "with -old and -new, exit 1 when any paired benchmark's median ns/op is more than `PCT` percent slower (0 = report only)")
 	flag.Parse()
-	if *oldJSON != "" || *newJSON != "" {
-		if err := diffJSONMode(*oldJSON, *newJSON, *filter); err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-			os.Exit(2)
-		}
-		return
-	}
 	if *oldPath == "" && *newPath == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: need -old/-new or -oldjson/-newjson")
+		fmt.Fprintln(os.Stderr, "benchdiff: need -old and/or -new")
 		os.Exit(2)
 	}
 

@@ -1,59 +1,48 @@
-// Command cereszload drives a running cereszd and measures serving
-// throughput and latency. It sweeps client concurrency from 1 to NumCPU
-// (powers of two plus NumCPU itself), fires -requests compress round-trips
-// per client, and writes BENCH_serve.json with throughput (GB/s of raw
-// input), rank-interpolated p50/p95/p99 latency percentiles (points with
-// under 100 samples are flagged small_sample), attempt/error/429 counts
-// and a client-vs-server latency attribution per client count: the
-// server's per-stage timings (admission wait, worker wait, body read,
-// chunk-cache lookup, codec, response write) arrive in each response's
-// Server-Timing trailer, so the report splits measured latency into
-// server stages versus network-plus-client overhead.
+// Command cereszload checks a running cereszd or cereszproxy. It does not
+// measure serving speed: throughput and latency come from the bench/
+// ledger (serve-cold, serve-warm, proxy-mixed).
 //
-// -repeat-ratio shapes the traffic for chunk-cache benchmarking: that
-// fraction of requests resends a payload shared across all clients
-// (warm traffic a caching server can answer from memory), the rest
-// carry never-seen chunks. With -repeat-ratio 0 every request is unique.
+// With -smoke it performs the correctness round-trip for float32 and
+// float64 and exits non-zero on any mismatch: the server's compressed
+// stream must be byte-identical to the library's StreamWriter with the
+// same chunking, every element the server decodes must satisfy
+// |v − v′| ≤ eps exactly, and a bundle round-trip must decode under the
+// same bound.
 //
-// With -smoke it instead performs one quick correctness round-trip and
-// exits non-zero on any mismatch: the server's compressed stream must be
-// byte-identical to the library's StreamWriter with the same chunking,
-// the server's decompression must match the library's decode exactly, and
-// a bundle round-trip must decode under the bound.
+// Without -smoke it sends traffic: runtime.NumCPU() concurrent clients
+// each fire -requests compress requests, and the run prints one JSON
+// document to stdout with the request, attempt, error and 429 totals. Any
+// failed request makes the exit status non-zero. -repeat-ratio shapes the
+// traffic for the chunk cache: that fraction of requests resends a payload
+// shared by all clients (warm traffic a caching server can answer from
+// memory), the rest carry never-seen chunks.
 //
 // Flags:
 //
-//	-addr URL      server base URL (default http://localhost:8775)
-//	-elems N       float32 elements per request (default 1Mi)
-//	-requests N    requests per client per sweep point (default 8)
-//	-chunk N       elements per compressed frame (default 64Ki)
-//	-eps F         absolute error bound (default 1e-3)
-//	-out FILE      result path (default BENCH_serve.json)
-//	-hostworkers N annotate each sweep point with the driven server's
-//	               -hostworkers setting (the intra-request budget lives
-//	               server-side; this flag only labels the results)
-//	-append        merge this sweep's points into an existing -out file
-//	               instead of overwriting it, so sequential and parallel
-//	               server points land in one report
-//	-trace FILE    fetch /debug/trace after the sweep and write the Chrome
-//	               trace-event JSON there (open in ui.perfetto.dev)
-//	-repeat-ratio F  fraction of requests resending an already-seen
-//	               payload (0..1, default 0); label lands in each point
-//	-wait DUR      poll the server's readiness up to DUR before starting
-//	               instead of failing on the first probe
-//	-smoke         run the correctness round-trip instead of the sweep
-//	-tenant ID     tag every request with X-Ceresz-Tenant (the identity
-//	               cereszproxy's per-tenant QoS buckets key on)
-//	-targets URLS  cluster mode: comma-separated backend base URLs to
-//	               scrape around each sweep point; -addr then points at a
-//	               cereszproxy and each point records the per-backend
-//	               request/cache-hit distribution the router produced
+//	-addr URL        server base URL (default http://localhost:8775)
+//	-elems N         float32 elements per traffic request (default 1Mi)
+//	-requests N      traffic requests per client (default 8)
+//	-chunk N         elements per compressed frame (default 64Ki; must be > 0)
+//	-eps F           absolute error bound (default 1e-3)
+//	-repeat-ratio F  fraction of traffic requests resending an already-seen
+//	                 payload (0..1, default 0)
+//	-wait DUR        poll the server's readiness up to DUR before starting
+//	                 instead of failing on the first probe
+//	-smoke           run the correctness round-trip instead of traffic
+//	-tenant ID       tag every request with X-Ceresz-Tenant (the identity
+//	                 cereszproxy's per-tenant QoS buckets key on)
+//	-targets URLS    cluster mode: comma-separated backend base URLs to
+//	                 scrape around the traffic run; -addr then points at a
+//	                 cereszproxy and the document lists the per-backend
+//	                 request/cache-hit distribution the router produced
 package main
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +50,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,68 +58,42 @@ import (
 
 	"ceresz"
 	"ceresz/client"
-	"ceresz/internal/telemetry"
 )
 
-// synthData is the bench field: a smooth multi-scale wave, the shape the
+// synthData is the test field: a smooth multi-scale wave, the shape the
 // codec is built for (block-local smoothness for the Lorenzo predictor).
-func synthData(n int, seed int64) []float32 {
-	out := make([]float32, n)
+func synthData[F float32 | float64](n int, seed int64) []F {
+	out := make([]F, n)
 	phase := float64(seed)
 	for i := range out {
 		x := float64(i)
-		out[i] = float32(3*math.Sin(0.01*x+phase) + 0.5*math.Sin(0.17*x) + 0.02*math.Sin(2.1*x))
+		out[i] = F(3*math.Sin(0.01*x+phase) + 0.5*math.Sin(0.17*x) + 0.02*math.Sin(2.1*x))
 	}
 	return out
 }
 
-type sweepPoint struct {
+// report is the traffic run's stdout document.
+type report struct {
 	Clients int `json:"clients"`
-	// HostWorkers labels the point with the server's -hostworkers
-	// setting (0 = unknown/sequential); the budget itself is server-side.
-	HostWorkers    int     `json:"host_workers,omitempty"`
-	Requests       int     `json:"requests"`
-	RawBytes       int64   `json:"raw_bytes"`
-	CompBytes      int64   `json:"compressed_bytes"`
-	Seconds        float64 `json:"seconds"`
-	ThroughputGBps float64 `json:"throughput_gbps"`
-	P50us          int64   `json:"p50_us"`
-	P95us          int64   `json:"p95_us"`
-	P99us          int64   `json:"p99_us"`
-	// Samples is the number of measured requests behind the percentiles;
-	// SmallSample flags points whose tail percentiles were interpolated
-	// from fewer than 100 samples (p99 is then an estimate between
-	// observed requests, not an observed request).
-	Samples     int  `json:"samples"`
-	SmallSample bool `json:"small_sample,omitempty"`
-	// RepeatRatio is the fraction of requests that resent an
-	// already-seen payload (cache-warm traffic); 0 = every request
-	// carried chunks the server had never seen.
-	RepeatRatio float64 `json:"repeat_ratio,omitempty"`
-	// Attempts counts HTTP requests sent including retries; Errors and
-	// Rejected429 count failed and backpressured attempts among them.
+	// Requests counts completed compress calls; Attempts counts HTTP
+	// requests sent including retries; Errors and Rejected429 count failed
+	// and backpressured attempts among them.
+	Requests    int `json:"requests"`
 	Attempts    int `json:"attempts"`
 	Errors      int `json:"errors"`
 	Rejected429 int `json:"rejected_429"`
-	// Stages splits mean request latency into the server's stage
-	// timings (from Server-Timing trailers) and what is left — network
-	// plus client overhead.
-	Stages *stageAttr `json:"server_stages_us,omitempty"`
-	// SLO holds the -slo objectives checked against this point's own
-	// measurements (client-observed latencies and attempt/error counts).
-	SLO []sloResult `json:"slo,omitempty"`
-	// Backends records each -targets backend's share of this point's
-	// traffic (scraped /debug/metrics deltas): how the proxy's
-	// digest-affinity routing actually distributed the requests, and the
-	// chunk-cache economics it produced per node.
+	// Backends records each -targets backend's share of the run (scraped
+	// /debug/metrics deltas): how the proxy's digest-affinity routing
+	// distributed the requests, and the chunk-cache economics it produced
+	// per node.
 	Backends []backendPoint `json:"backends,omitempty"`
 }
 
-// backendPoint is one backend's scraped delta over a sweep point.
+// backendPoint is one backend's scraped delta over the traffic run.
 type backendPoint struct {
 	URL      string `json:"url"`
 	Requests int64  `json:"requests"`
-	// Share is this backend's fraction of the point's compress requests —
+	// Share is this backend's fraction of the run's compress requests —
 	// digest routing concentrates repeat traffic (high skew), random
 	// routing spreads it (~1/N each).
 	Share       float64 `json:"share"`
@@ -142,146 +104,69 @@ type backendPoint struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// sloResult is one -slo objective evaluated against a sweep point. The
-// spec syntax matches cereszd's -slo flag; the subject token is carried
-// for labeling only — cereszload drives /v1/compress, so every objective
-// is checked against the point's own request stream.
-type sloResult struct {
-	Spec       string  `json:"spec"`
-	Good       int     `json:"good"`
-	Total      int     `json:"total"`
-	Attainment float64 `json:"attainment"`
-	Target     float64 `json:"target"`
-	Pass       bool    `json:"pass"`
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// evalPointSLOs checks each parsed objective against one sweep point:
-// latency SLIs count client-observed request latencies at or under the
-// threshold, err SLIs count non-failed attempts.
-func evalPointSLOs(specs []telemetry.SLOSpec, lats []time.Duration, attempts, errors int) []sloResult {
-	out := make([]sloResult, 0, len(specs))
-	for _, spec := range specs {
-		var good, total int
-		if spec.SLI == "err" {
-			total = attempts
-			good = attempts - errors
-		} else {
-			total = len(lats)
-			for _, l := range lats {
-				if l <= spec.Threshold {
-					good++
-				}
-			}
+// run is the command: it parses args, writes results to stdout and
+// diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cereszload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "http://localhost:8775", "server base URL")
+	elems := fs.Int("elems", 1<<20, "float32 elements per traffic request")
+	requests := fs.Int("requests", 8, "traffic requests per client")
+	chunk := fs.Int("chunk", 64<<10, "elements per compressed frame (> 0)")
+	eps := fs.Float64("eps", 1e-3, "absolute error bound")
+	smoke := fs.Bool("smoke", false, "run the correctness round-trip instead of traffic")
+	repeatRatio := fs.Float64("repeat-ratio", 0, "fraction of traffic requests resending an already-seen payload (cache-warm traffic, 0..1)")
+	wait := fs.Duration("wait", 0, "poll the server's readiness up to this long before starting (0 = single probe)")
+	tenant := fs.String("tenant", "", "X-Ceresz-Tenant identity on every request (\"\" = untagged)")
+	targets := fs.String("targets", "", "cluster mode: comma-separated backend base URLs to scrape for per-backend distribution")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		r := sloResult{Spec: spec.Raw, Good: good, Total: total, Target: spec.Target, Attainment: 1}
-		if total > 0 {
-			r.Attainment = float64(good) / float64(total)
-		}
-		r.Pass = r.Attainment >= spec.Target
-		out = append(out, r)
+		return 2
 	}
-	return out
-}
-
-// stageAttr is the client-vs-server latency attribution of one sweep
-// point: mean microseconds per timed request for each server stage, the
-// server's own total, the client-measured mean, and the residual
-// overhead (client mean minus server total — wire transfer, kernel and
-// client-side encode time).
-type stageAttr struct {
-	Samples    int   `json:"samples"`
-	AdmitUS    int64 `json:"admit_us"`
-	WorkerUS   int64 `json:"worker_us"`
-	ReadUS     int64 `json:"read_us"`
-	CacheUS    int64 `json:"cache_us"`
-	CodecUS    int64 `json:"codec_us"`
-	WriteUS    int64 `json:"write_us"`
-	ServerUS   int64 `json:"server_total_us"`
-	ClientUS   int64 `json:"client_mean_us"`
-	OverheadUS int64 `json:"overhead_us"`
-}
-
-type benchReport struct {
-	Addr       string       `json:"addr"`
-	Elems      int          `json:"elems_per_request"`
-	ChunkElems int          `json:"chunk_elems"`
-	Eps        float64      `json:"eps"`
-	NumCPU     int          `json:"num_cpu"`
-	Points     []sweepPoint `json:"points"`
-}
-
-// percentile returns the p-th percentile of sorted samples by linear
-// rank interpolation (the R-7 definition: rank p/100*(n-1), fractional
-// part split between the two neighboring samples). Nearest-rank made
-// every tail percentile collapse onto the max at small n — with the
-// default 8 requests per client, p99 == p95 == the single slowest
-// request. Interpolation keeps p50/p95/p99 distinct and monotone;
-// points with under 100 samples are flagged in the report, since their
-// p99 is an interpolation rather than an observed request.
-func percentile(sorted []time.Duration, p float64) int64 {
-	n := len(sorted)
-	if n == 0 {
+	if *repeatRatio < 0 || *repeatRatio > 1 {
+		fmt.Fprintln(stderr, "cereszload: -repeat-ratio must be in [0,1]")
+		return 1
+	}
+	if *chunk <= 0 {
+		fmt.Fprintln(stderr, "cereszload: -chunk must be positive")
+		return 1
+	}
+	ctx := context.Background()
+	if *smoke {
+		if err := runSmoke(ctx, stdout, *addr, *chunk, *eps, *wait, *tenant); err != nil {
+			fmt.Fprintln(stderr, "cereszload: smoke FAILED:", err)
+			return 1
+		}
+		fmt.Fprintln(stdout, "cereszload: smoke OK")
 		return 0
 	}
-	if n == 1 {
-		return sorted[0].Microseconds()
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(rank)
-	if lo >= n-1 {
-		return sorted[n-1].Microseconds()
-	}
-	frac := rank - float64(lo)
-	v := float64(sorted[lo]) + frac*float64(sorted[lo+1]-sorted[lo])
-	return time.Duration(v).Microseconds()
-}
 
-func main() {
-	addr := flag.String("addr", "http://localhost:8775", "server base URL")
-	elems := flag.Int("elems", 1<<20, "float32 elements per request")
-	requests := flag.Int("requests", 8, "requests per client per sweep point")
-	chunk := flag.Int("chunk", 64<<10, "elements per compressed frame")
-	eps := flag.Float64("eps", 1e-3, "absolute error bound")
-	out := flag.String("out", "BENCH_serve.json", "result file")
-	traceOut := flag.String("trace", "", "fetch /debug/trace after the sweep into this file")
-	smoke := flag.Bool("smoke", false, "run the correctness round-trip instead of the sweep")
-	hostWorkers := flag.Int("hostworkers", 0, "label sweep points with the driven server's -hostworkers setting")
-	appendOut := flag.Bool("append", false, "merge points into an existing -out file instead of overwriting")
-	repeatRatio := flag.Float64("repeat-ratio", 0, "fraction of requests resending an already-seen payload (cache-warm traffic, 0..1)")
-	wait := flag.Duration("wait", 0, "poll the server's readiness up to this long before starting (0 = single probe)")
-	slo := flag.String("slo", "", "comma-separated SLOs checked per sweep point against client-observed latencies/errors (cereszd -slo syntax)")
-	tenant := flag.String("tenant", "", "X-Ceresz-Tenant identity on every request (\"\" = untagged)")
-	targets := flag.String("targets", "", "cluster mode: comma-separated backend base URLs to scrape for per-backend distribution")
-	flag.Parse()
-
-	if *repeatRatio < 0 || *repeatRatio > 1 {
-		fmt.Fprintln(os.Stderr, "cereszload: -repeat-ratio must be in [0,1]")
-		os.Exit(1)
-	}
-	sloSpecs, err := telemetry.ParseSLOSpecs(*slo)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cereszload:", err)
-		os.Exit(1)
-	}
 	var targetURLs []string
 	for _, t := range strings.Split(*targets, ",") {
 		if t = strings.TrimSpace(strings.TrimRight(t, "/")); t != "" {
 			targetURLs = append(targetURLs, t)
 		}
 	}
-	ctx := context.Background()
-	if *smoke {
-		if err := runSmoke(ctx, *addr, *chunk, *eps, *wait, *tenant); err != nil {
-			fmt.Fprintln(os.Stderr, "cereszload: smoke FAILED:", err)
-			os.Exit(1)
-		}
-		fmt.Println("cereszload: smoke OK")
-		return
+	clients := runtime.NumCPU()
+	c := client.New(client.Config{BaseURL: *addr, ChunkElems: *chunk, MaxIdleConnsPerHost: clients, Tenant: *tenant})
+	rep, err := runTraffic(ctx, c, *wait, clients, *elems, *requests, *chunk, *eps, *repeatRatio, targetURLs)
+	if err != nil {
+		fmt.Fprintln(stderr, "cereszload:", err)
+		return 1
 	}
-	if err := runSweep(ctx, *addr, *elems, *requests, *chunk, *eps, *out, *traceOut, *hostWorkers, *appendOut, *repeatRatio, *wait, sloSpecs, *tenant, targetURLs); err != nil {
-		fmt.Fprintln(os.Stderr, "cereszload:", err)
-		os.Exit(1)
+	enc := json.NewEncoder(stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		fmt.Fprintln(stderr, "cereszload:", err)
+		return 1
 	}
+	return 0
 }
 
 // scrapeCounters fetches a backend's /debug/metrics Prometheus text and
@@ -321,29 +206,29 @@ func scrapeCounters(ctx context.Context, base string) (map[string]float64, error
 	return out, nil
 }
 
-// backendDeltas scrapes every target and diffs against base, producing
-// the per-backend distribution of one sweep point. Metric names follow
-// the registry's exposition: server.compress.requests becomes
-// ceresz_server_compress_requests, cache.hits ceresz_cache_hits.
-func backendDeltas(ctx context.Context, targets []string, base []map[string]float64) ([]backendPoint, []map[string]float64, error) {
-	cur := make([]map[string]float64, len(targets))
+// scrapeAll scrapes every target's counters; an unreachable target is an
+// error.
+func scrapeAll(ctx context.Context, targets []string) ([]map[string]float64, error) {
+	out := make([]map[string]float64, len(targets))
 	for i, t := range targets {
 		m, err := scrapeCounters(ctx, t)
 		if err != nil {
-			return nil, nil, fmt.Errorf("scrape %s: %w", t, err)
+			return nil, fmt.Errorf("scrape %s: %w", t, err)
 		}
-		cur[i] = m
+		out[i] = m
 	}
-	var pts []backendPoint
+	return out, nil
+}
+
+// backendDeltas diffs two scrapes of the targets into the per-backend
+// distribution of the run between them. Metric names follow the
+// registry's exposition: server.compress.requests becomes
+// ceresz_server_compress_requests, cache.hits ceresz_cache_hits.
+func backendDeltas(targets []string, before, after []map[string]float64) []backendPoint {
+	pts := make([]backendPoint, len(targets))
 	var total int64
 	for i, t := range targets {
-		d := func(name string) int64 {
-			v := cur[i][name]
-			if base != nil {
-				v -= base[i][name]
-			}
-			return int64(v + 0.5)
-		}
+		d := func(name string) int64 { return int64(after[i][name] - before[i][name] + 0.5) }
 		bp := backendPoint{
 			URL:         t,
 			Requests:    d("ceresz_server_compress_requests"),
@@ -354,14 +239,14 @@ func backendDeltas(ctx context.Context, targets []string, base []map[string]floa
 			bp.HitRate = float64(bp.CacheHits) / float64(lookups)
 		}
 		total += bp.Requests
-		pts = append(pts, bp)
+		pts[i] = bp
 	}
 	for i := range pts {
 		if total > 0 {
 			pts[i].Share = float64(pts[i].Requests) / float64(total)
 		}
 	}
-	return pts, cur, nil
+	return pts
 }
 
 // waitReady polls the server's readiness endpoint (/healthz, the
@@ -390,82 +275,26 @@ func waitReady(ctx context.Context, c *client.Client, window time.Duration) erro
 	}
 }
 
-// fetchTrace downloads the server's Chrome trace-event export.
-func fetchTrace(ctx context.Context, addr, path string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/debug/trace", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/debug/trace returned %d", resp.StatusCode)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(f, resp.Body); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runSmoke is the CI gate: one compress + one decompress against a live
-// server, checked for exactness against the library.
-func runSmoke(ctx context.Context, addr string, chunk int, eps float64, wait time.Duration, tenant string) error {
+// runSmoke is the CI gate: a compress + decompress round trip per element
+// type and one bundle against a live server, checked against the library.
+func runSmoke(ctx context.Context, w io.Writer, addr string, chunk int, eps float64, wait time.Duration, tenant string) error {
 	c := client.New(client.Config{BaseURL: addr, ChunkElems: chunk, Tenant: tenant})
 	if err := waitReady(ctx, c, wait); err != nil {
 		return fmt.Errorf("health: %w", err)
 	}
 	const n = 200_000 // several frames plus a partial trailing chunk
-	data := synthData(n, 7)
-
-	comp, tr, err := c.CompressTraced(ctx, data, client.ABS(eps))
-	if err != nil {
-		return fmt.Errorf("compress: %w", err)
+	if err := roundTrip(ctx, w, "f32", synthData[float32](n, 7), chunk, eps,
+		c.CompressTraced, (*ceresz.StreamWriter).WriteChunk, c.Decompress); err != nil {
+		return err
 	}
-	if tr.RequestID == "" {
-		return fmt.Errorf("compress response carried no X-Ceresz-Request-Id")
-	}
-	if !tr.Server.Valid {
-		return fmt.Errorf("compress response carried no Server-Timing trailer")
-	}
-	if tr.Server.Total < tr.Server.Stages() {
-		return fmt.Errorf("server total %v below stage sum %v", tr.Server.Total, tr.Server.Stages())
-	}
-	var local bytes.Buffer
-	sw := ceresz.NewStreamWriter(&local, ceresz.ABS(eps), ceresz.Options{Workers: 1})
-	for start := 0; start < n; start += chunk {
-		end := min(start+chunk, n)
-		if _, err := sw.WriteChunk(data[start:end]); err != nil {
-			return fmt.Errorf("local stream: %w", err)
-		}
-	}
-	if !bytes.Equal(comp, local.Bytes()) {
-		return fmt.Errorf("server stream (%d bytes) differs from library StreamWriter (%d bytes)", len(comp), local.Len())
-	}
-
-	vals, err := c.Decompress(ctx, comp)
-	if err != nil {
-		return fmt.Errorf("decompress: %w", err)
-	}
-	if len(vals) != n {
-		return fmt.Errorf("decompressed %d elements, want %d", len(vals), n)
-	}
-	for i, v := range vals {
-		if math.Abs(float64(v)-float64(data[i])) > eps*(1+1e-6) {
-			return fmt.Errorf("element %d: |%g - %g| exceeds eps %g", i, v, data[i], eps)
-		}
+	if err := roundTrip(ctx, w, "f64", synthData[float64](n, 7), chunk, eps,
+		c.Compress64Traced, (*ceresz.StreamWriter).WriteChunk64, c.Decompress64); err != nil {
+		return err
 	}
 
 	// Bundle round-trip: pack one field server-side, decode it locally.
 	const bn = 10_000
-	bdata := synthData(bn, 11)
+	bdata := synthData[float32](bn, 11)
 	bundle, err := c.Bundle(ctx, []client.BundleField{
 		{Name: "field", Dims: [3]int{bn, 1, 1}, Bound: client.ABS(eps), F32: bdata},
 	})
@@ -480,154 +309,72 @@ func runSmoke(ctx context.Context, addr string, chunk int, eps float64, wait tim
 	if err != nil {
 		return fmt.Errorf("bundle read: %w", err)
 	}
-	if len(bvals) != bn {
-		return fmt.Errorf("bundle field has %d elements, want %d", len(bvals), bn)
-	}
-	for i, v := range bvals {
-		if math.Abs(float64(v)-float64(bdata[i])) > eps*(1+1e-6) {
-			return fmt.Errorf("bundle element %d: |%g - %g| exceeds eps %g", i, v, bdata[i], eps)
-		}
-	}
-
-	fmt.Printf("round-trip: %d elements, %d compressed bytes (ratio %.2fx), bound %g held\n",
-		n, len(comp), float64(4*n)/float64(len(comp)), eps)
-	fmt.Printf("request %s server stages: admit=%v worker=%v read=%v cache=%v codec=%v write=%v total=%v\n",
-		tr.RequestID, tr.Server.Admit, tr.Server.Worker, tr.Server.Read,
-		tr.Server.Cache, tr.Server.Codec, tr.Server.Write, tr.Server.Total)
-	return nil
+	return checkBound("bundle", bvals, bdata, eps)
 }
 
-// sweepCounts is 1, 2, 4, ... capped at NumCPU, always ending on NumCPU.
-func sweepCounts() []int {
-	ncpu := runtime.NumCPU()
-	var counts []int
-	for k := 1; k < ncpu; k *= 2 {
-		counts = append(counts, k)
-	}
-	return append(counts, ncpu)
-}
-
-func runSweep(ctx context.Context, addr string, elems, requests, chunk int, eps float64, out, traceOut string, hostWorkers int, appendOut bool, repeatRatio float64, wait time.Duration, sloSpecs []telemetry.SLOSpec, tenant string, targets []string) error {
-	// Size the connection pool to the widest sweep point so every client
-	// goroutine keeps a warm connection.
-	maxClients := sweepCounts()[len(sweepCounts())-1]
-	c := client.New(client.Config{BaseURL: addr, ChunkElems: chunk, MaxIdleConnsPerHost: maxClients, Tenant: tenant})
-	if err := waitReady(ctx, c, wait); err != nil {
-		return fmt.Errorf("health: %w", err)
-	}
-	report := benchReport{Addr: addr, Elems: elems, ChunkElems: chunk, Eps: eps, NumCPU: runtime.NumCPU()}
-
-	// Cluster mode: baseline each target's counters so every sweep point
-	// reports only its own per-backend deltas.
-	var targetBase []map[string]float64
-	if len(targets) > 0 {
-		var err error
-		if _, targetBase, err = backendDeltas(ctx, targets, nil); err != nil {
-			return err
-		}
-	}
-
-	fmt.Printf("%8s %9s %12s %10s %10s %10s %9s %7s %5s\n",
-		"clients", "requests", "GB/s", "p50", "p95", "p99", "attempts", "errors", "429s")
-	for _, k := range sweepCounts() {
-		pt, err := runPoint(ctx, c, k, elems, requests, chunk, eps, repeatRatio, sloSpecs)
-		if err != nil {
-			return fmt.Errorf("%d clients: %w", k, err)
-		}
-		pt.HostWorkers = hostWorkers
-		if len(targets) > 0 {
-			pt.Backends, targetBase, err = backendDeltas(ctx, targets, targetBase)
-			if err != nil {
-				return err
-			}
-		}
-		report.Points = append(report.Points, pt)
-		fmt.Printf("%8d %9d %12.3f %9dus %9dus %9dus %9d %7d %5d\n",
-			pt.Clients, pt.Requests, pt.ThroughputGBps, pt.P50us, pt.P95us, pt.P99us,
-			pt.Attempts, pt.Errors, pt.Rejected429)
-	}
-
-	if len(targets) > 0 {
-		fmt.Printf("\nper-backend distribution (compress requests, cache hit rate):\n")
-		for _, pt := range report.Points {
-			fmt.Printf("%8d clients:", pt.Clients)
-			for _, bp := range pt.Backends {
-				fmt.Printf("  %s %d (%.0f%%, hit %.0f%%)", bp.URL, bp.Requests, bp.Share*100, bp.HitRate*100)
-			}
-			fmt.Println()
-		}
-	}
-
-	// Client-vs-server attribution: where did the measured latency go?
-	// Server stages come from Server-Timing trailers; "net+client" is the
-	// measured mean minus the server's own total.
-	fmt.Printf("\nlatency attribution (mean per request):\n")
-	fmt.Printf("%8s %10s %10s %9s %9s %9s %9s %9s %9s %11s\n",
-		"clients", "measured", "server", "admit", "worker", "read", "cache", "codec", "write", "net+client")
-	for _, pt := range report.Points {
-		a := pt.Stages
-		if a == nil || a.Samples == 0 {
-			fmt.Printf("%8d %10s (no Server-Timing trailers observed)\n", pt.Clients, "-")
-			continue
-		}
-		fmt.Printf("%8d %8dus %8dus %7dus %7dus %7dus %7dus %7dus %7dus %9dus\n",
-			pt.Clients, a.ClientUS, a.ServerUS, a.AdmitUS, a.WorkerUS,
-			a.ReadUS, a.CacheUS, a.CodecUS, a.WriteUS, a.OverheadUS)
-	}
-
-	if len(sloSpecs) > 0 {
-		fmt.Printf("\nslo check (client-observed, per sweep point):\n")
-		for _, pt := range report.Points {
-			for _, r := range pt.SLO {
-				verdict := "PASS"
-				if !r.Pass {
-					verdict = "FAIL"
-				}
-				fmt.Printf("%8d clients  %-32s %7.3f%% >= %.3f%%  %d/%d  %s\n",
-					pt.Clients, r.Spec, r.Attainment*100, r.Target*100, r.Good, r.Total, verdict)
-			}
-		}
-	}
-
-	if traceOut != "" {
-		if err := fetchTrace(ctx, addr, traceOut); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		fmt.Println("wrote", traceOut)
-	}
-
-	if appendOut {
-		// Merge with a previous run (e.g. a sequential-server sweep) so one
-		// report carries both server configurations, distinguished by each
-		// point's host_workers label.
-		if prev, err := os.ReadFile(out); err == nil {
-			var old benchReport
-			if err := json.Unmarshal(prev, &old); err != nil {
-				return fmt.Errorf("-append: existing %s is not a sweep report: %w", out, err)
-			}
-			report.Points = append(old.Points, report.Points...)
-		}
-	}
-	f, err := os.Create(out)
+// roundTrip sends data through the server's compress and decompress
+// endpoints. The stream must be byte-identical to the library's
+// StreamWriter with the same chunking, the response must carry its
+// request id and a consistent Server-Timing trailer, and the decode must
+// hold the bound.
+func roundTrip[F float32 | float64](ctx context.Context, w io.Writer, name string, data []F, chunk int, eps float64,
+	compress func(context.Context, []F, client.Bound) ([]byte, *client.Trace, error),
+	writeChunk func(*ceresz.StreamWriter, []F) (*ceresz.Stats, error),
+	decompress func(context.Context, []byte) ([]F, error)) error {
+	comp, tr, err := compress(ctx, data, client.ABS(eps))
 	if err != nil {
+		return fmt.Errorf("%s compress: %w", name, err)
+	}
+	st := tr.Server
+	switch {
+	case tr.RequestID == "":
+		return fmt.Errorf("%s compress response carried no X-Ceresz-Request-Id", name)
+	case !st.Valid:
+		return fmt.Errorf("%s compress response carried no Server-Timing trailer", name)
+	case st.Total < st.Stages():
+		return fmt.Errorf("%s: server total %v below stage sum %v", name, st.Total, st.Stages())
+	}
+	var local bytes.Buffer
+	sw := ceresz.NewStreamWriter(&local, ceresz.ABS(eps), ceresz.Options{Workers: 1})
+	for start := 0; start < len(data); start += chunk {
+		if _, err := writeChunk(sw, data[start:min(start+chunk, len(data))]); err != nil {
+			return fmt.Errorf("%s local stream: %w", name, err)
+		}
+	}
+	if !bytes.Equal(comp, local.Bytes()) {
+		return fmt.Errorf("%s server stream (%d bytes) differs from library StreamWriter (%d bytes)", name, len(comp), local.Len())
+	}
+	vals, err := decompress(ctx, comp)
+	if err != nil {
+		return fmt.Errorf("%s decompress: %w", name, err)
+	}
+	if err := checkBound(name, vals, data, eps); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Println("wrote", out)
+	fmt.Fprintf(w, "%s round-trip: %d elements, %d compressed bytes (ratio %.2fx), bound %g held\n",
+		name, len(data), len(comp), float64(binary.Size(data))/float64(len(comp)), eps)
+	fmt.Fprintf(w, "request %s server stages: admit=%v worker=%v read=%v cache=%v codec=%v write=%v total=%v\n",
+		tr.RequestID, st.Admit, st.Worker, st.Read, st.Cache, st.Codec, st.Write, st.Total)
 	return nil
 }
 
-// uniqueStamp hands out distinct chunk markers across all workers of a
-// sweep so "unique" requests never collide with each other or with the
-// shared repeat payload.
+// checkBound holds a decode to the error-bound contract exactly:
+// |v − v′| ≤ eps for every element, with no tolerance.
+func checkBound[F float32 | float64](name string, got, want []F, eps float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s: decoded %d elements, want %d", name, len(got), len(want))
+	}
+	for i, v := range got {
+		if math.Abs(float64(v)-float64(want[i])) > eps {
+			return fmt.Errorf("%s element %d: |%g - %g| exceeds eps %g", name, i, v, want[i], eps)
+		}
+	}
+	return nil
+}
+
+// uniqueStamp hands out distinct chunk markers across all clients so
+// "unique" requests never collide with each other or with the shared
+// repeat payload.
 var uniqueStamp atomic.Int64
 
 // stampUnique overwrites the first element of every chunk-sized window
@@ -642,134 +389,71 @@ func stampUnique(data []float32, chunk int) {
 	}
 }
 
-// runPoint fires requests from k concurrent clients and aggregates wall
-// time, volume, per-request latencies, attempt/error/429 counts and the
-// server-side stage timings carried back in Server-Timing trailers.
-// repeatRatio ∈ [0,1] sets the fraction of requests that resend a
-// payload shared by all workers (evenly interleaved with unique-chunk
-// requests), so a chunk-caching server sees that fraction as warm
-// traffic; 0 keeps every request's chunks unseen.
-func runPoint(ctx context.Context, c *client.Client, k, elems, requests, chunk int, eps, repeatRatio float64, sloSpecs []telemetry.SLOSpec) (sweepPoint, error) {
-	type result struct {
-		lat      []time.Duration
-		comp     int64
-		attempts int
-		errors   int
-		rej429   int
-		// server stage sums over timed requests: admit, worker, read,
-		// cache, codec, write, total.
-		stages [7]time.Duration
-		timed  int
-		err    error
+// runTraffic fires requests compress calls from each of clients
+// concurrent clients and totals their attempt/error/429 counts; the first
+// failed request stops its client and fails the run. repeatRatio ∈ [0,1]
+// sets the fraction of requests that resend a payload shared by all
+// clients (evenly interleaved with unique-chunk requests), so a
+// chunk-caching server sees that fraction as warm traffic. With targets,
+// each backend's counters are scraped before and after the run.
+func runTraffic(ctx context.Context, c *client.Client, wait time.Duration, clients, elems, requests, chunk int, eps, repeatRatio float64, targets []string) (report, error) {
+	rep := report{Clients: clients}
+	if err := waitReady(ctx, c, wait); err != nil {
+		return rep, fmt.Errorf("health: %w", err)
 	}
-	results := make([]result, k)
-	// The repeat payload is shared (read-only) by every worker: repeats
+	before, err := scrapeAll(ctx, targets)
+	if err != nil {
+		return rep, err
+	}
+	// The repeat payload is shared (read-only) by every client: repeats
 	// should hit the server's cache no matter which client sent the
 	// chunks first.
-	shared := synthData(elems, 1)
+	shared := synthData[float32](elems, 1)
+	counts := make([]report, clients)
+	errs := make([]error, clients)
 	var wg sync.WaitGroup
-	t0 := time.Now()
-	for w := 0; w < k; w++ {
+	for w := range clients {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			mine := synthData(elems, int64(w))
-			r := &results[w]
-			for i := 0; i < requests; i++ {
+			mine := synthData[float32](elems, int64(w))
+			r := &counts[w]
+			for i := range requests {
 				// Evenly interleave repeats among uniques: request i is a
 				// repeat when the running integral of the ratio steps.
-				repeat := int(float64(i+1)*repeatRatio) > int(float64(i)*repeatRatio)
 				data := shared
-				if !repeat {
+				if int(float64(i+1)*repeatRatio) == int(float64(i)*repeatRatio) {
 					stampUnique(mine, chunk)
 					data = mine
 				}
-				rt0 := time.Now()
-				comp, tr, err := c.CompressTraced(ctx, data, client.ABS(eps))
-				r.attempts += tr.Attempts
-				r.errors += tr.Errors
-				r.rej429 += tr.Rejected429
+				_, tr, err := c.CompressTraced(ctx, data, client.ABS(eps))
+				r.Attempts += tr.Attempts
+				r.Errors += tr.Errors
+				r.Rejected429 += tr.Rejected429
 				if err != nil {
-					r.err = err
+					errs[w] = fmt.Errorf("client %d request %d: %w", w, i, err)
 					return
 				}
-				r.lat = append(r.lat, time.Since(rt0))
-				r.comp += int64(len(comp))
-				if st := tr.Server; st.Valid {
-					r.stages[0] += st.Admit
-					r.stages[1] += st.Worker
-					r.stages[2] += st.Read
-					r.stages[3] += st.Cache
-					r.stages[4] += st.Codec
-					r.stages[5] += st.Write
-					r.stages[6] += st.Total
-					r.timed++
-				}
+				r.Requests++
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	wall := time.Since(t0)
-
-	var lats []time.Duration
-	var comp int64
-	var attempts, errors, rej429, timed int
-	var stages [7]time.Duration
-	var latSum time.Duration
-	for _, r := range results {
-		if r.err != nil {
-			return sweepPoint{}, r.err
-		}
-		lats = append(lats, r.lat...)
-		for _, l := range r.lat {
-			latSum += l
-		}
-		comp += r.comp
-		attempts += r.attempts
-		errors += r.errors
-		rej429 += r.rej429
-		timed += r.timed
-		for i, d := range r.stages {
-			stages[i] += d
-		}
+	for _, r := range counts {
+		rep.Requests += r.Requests
+		rep.Attempts += r.Attempts
+		rep.Errors += r.Errors
+		rep.Rejected429 += r.Rejected429
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	raw := int64(k) * int64(requests) * int64(4*elems)
-	pt := sweepPoint{
-		Clients:        k,
-		Requests:       k * requests,
-		RawBytes:       raw,
-		CompBytes:      comp,
-		Seconds:        wall.Seconds(),
-		ThroughputGBps: float64(raw) / wall.Seconds() / 1e9,
-		P50us:          percentile(lats, 50),
-		P95us:          percentile(lats, 95),
-		P99us:          percentile(lats, 99),
-		Samples:        len(lats),
-		SmallSample:    len(lats) < 100,
-		RepeatRatio:    repeatRatio,
-		Attempts:       attempts,
-		Errors:         errors,
-		Rejected429:    rej429,
+	if err := errors.Join(errs...); err != nil {
+		return rep, err
 	}
-	if timed > 0 {
-		mean := func(d time.Duration) int64 { return d.Microseconds() / int64(timed) }
-		a := &stageAttr{
-			Samples:  timed,
-			AdmitUS:  mean(stages[0]),
-			WorkerUS: mean(stages[1]),
-			ReadUS:   mean(stages[2]),
-			CacheUS:  mean(stages[3]),
-			CodecUS:  mean(stages[4]),
-			WriteUS:  mean(stages[5]),
-			ServerUS: mean(stages[6]),
+	if len(targets) > 0 {
+		after, err := scrapeAll(ctx, targets)
+		if err != nil {
+			return rep, err
 		}
-		if len(lats) > 0 {
-			a.ClientUS = latSum.Microseconds() / int64(len(lats))
-			a.OverheadUS = a.ClientUS - a.ServerUS
-		}
-		pt.Stages = a
+		rep.Backends = backendDeltas(targets, before, after)
 	}
-	pt.SLO = evalPointSLOs(sloSpecs, lats, attempts, errors)
-	return pt, nil
+	return rep, nil
 }

@@ -12,8 +12,7 @@ import (
 )
 
 // SimOccupancy is the simulator's aggregate cycle attribution for one
-// run, shaped for machine diffing (cereszbench -json → benchdiff -oldjson).
-// Cycle buckets are summed over active PEs; their per-PE sums partition
+// run, emitted by cereszbench -json for scripting. Cycle buckets are summed over active PEs; their per-PE sums partition
 // [0, elapsed] exactly, so queue-wait/fabric-stall shifts between two
 // builds are directly comparable.
 type SimOccupancy struct {
