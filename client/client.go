@@ -14,19 +14,20 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"ceresz/internal/core"
+	"ceresz/internal/cszf"
 	"ceresz/internal/rawfloat"
 )
 
@@ -371,34 +372,19 @@ func (c *Client) Decompress64(ctx context.Context, framed []byte) ([]float64, er
 // allocation a request's own frame headers can ask Decompress for.
 const maxDeclaredElems = 1 << 30
 
-// declaredElements sums the element counts the CSZF frames of framed
-// declare — the size of the response a server that accepts framed will
-// send — by walking frame and container headers without decoding. ok is
-// false when it cannot vouch for a count: a malformed or truncated frame,
-// the other element type, more blocks than the frame's bytes could hold,
-// a total past the cap. The server refuses all of those itself.
+// declaredElements is the size of the response a server that accepts
+// framed will send: the elements framed's frames declare
+// (cszf.DeclaredElements), all of the element type elemSize bytes wide, at
+// most maxDeclaredElems. ok is false when the walk cannot vouch for a count
+// — a malformed or truncated frame, the other element type, more blocks
+// than a frame's bytes could hold, a total past the cap. The server refuses
+// all of those itself.
 func declaredElements(framed []byte, elemSize int) (n int, ok bool) {
-	want := core.Float32
+	elem := core.Float32
 	if elemSize == 8 {
-		want = core.Float64
+		elem = core.Float64
 	}
-	for len(framed) > 0 {
-		if len(framed) < 8 || string(framed[:4]) != "CSZF" {
-			return 0, false
-		}
-		size := uint64(binary.LittleEndian.Uint32(framed[4:8]))
-		if size > uint64(len(framed)-8) {
-			return 0, false
-		}
-		payload := framed[8 : 8+size]
-		m, err := core.ParseHeader(payload)
-		if err != nil || m.Elem != want || len(payload) < m.MinStreamBytes() || m.Elements > maxDeclaredElems-n {
-			return 0, false
-		}
-		n += m.Elements
-		framed = framed[8+size:]
-	}
-	return n, true
+	return cszf.DeclaredElements(framed, elem, maxDeclaredElems)
 }
 
 // decompress posts framed and reads the floats that come back into a
@@ -464,17 +450,10 @@ func (c *Client) Bundle(ctx context.Context, fields []BundleField) ([]byte, erro
 }
 
 func (c *Client) bundle(ctx context.Context, fields []BundleField, tr *Trace) ([]byte, error) {
-	type spec struct {
-		Name string  `json:"name"`
-		Dims [3]int  `json:"dims"`
-		Elem string  `json:"elem"`
-		Mode string  `json:"mode"`
-		Eps  float64 `json:"eps"`
-	}
-	specs := make([]spec, len(fields))
+	specs := make([]cszf.FieldSpec, len(fields))
 	size := 0
 	for i, f := range fields {
-		specs[i] = spec{Name: f.Name, Dims: f.Dims, Mode: f.Bound.mode(), Eps: f.Bound.Eps}
+		specs[i] = cszf.FieldSpec{Name: f.Name, Dims: f.Dims, Mode: f.Bound.mode(), Eps: f.Bound.Eps}
 		switch {
 		case f.F32 != nil && f.F64 == nil:
 			specs[i].Elem = "f32"
@@ -486,13 +465,11 @@ func (c *Client) bundle(ctx context.Context, fields []BundleField, tr *Trace) ([
 			return nil, fmt.Errorf("client: field %q must set exactly one of F32/F64", f.Name)
 		}
 	}
-	manifest, err := json.Marshal(specs)
+	body, err := cszf.AppendManifest(nil, specs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	body := make([]byte, 0, 4+len(manifest)+size)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(manifest)))
-	body = append(body, manifest...)
+	body = slices.Grow(body, size)
 	for _, f := range fields {
 		if f.F32 != nil {
 			body = rawfloat.Append(body, f.F32)

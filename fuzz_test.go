@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ceresz/internal/core"
+	"ceresz/internal/cszf/cszftest"
 )
 
 // Fuzz targets for the container-adjacent formats: bundles and framed
@@ -55,7 +56,8 @@ func FuzzOpenBundle(f *testing.F) {
 // FuzzStreamFrames drives the hardened frame-decode path the server uses:
 // arbitrary bytes through NextInto with decode limits set must never panic
 // and never allocate proportionally to a hostile length field. Valid
-// round-trip streams must keep decoding.
+// round-trip streams must keep decoding, and the frame walk must agree with
+// every other reader of the layout (cszftest.Check).
 func FuzzStreamFrames(f *testing.F) {
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf, ABS(1e-2), Options{Workers: 1})
@@ -80,6 +82,7 @@ func FuzzStreamFrames(f *testing.F) {
 	f.Add([]byte("CSZF\x10\x00\x00\x00CSZ1tooshort"))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
+		cszftest.Check(t, b)
 		sr := NewStreamReader(bytes.NewReader(b))
 		sr.SetLimits(1<<20, 1<<18)
 		var out []float32

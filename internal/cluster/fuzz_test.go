@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 
 	"ceresz/internal/chunkcache"
 	"ceresz/internal/chunkcache/keytest"
+	"ceresz/internal/cszf/cszftest"
 	"ceresz/internal/server"
 	"ceresz/internal/spine"
 	"ceresz/internal/telemetry"
@@ -92,11 +92,12 @@ func FuzzParseCompress(f *testing.F) {
 	})
 }
 
-// FuzzFirstFramePayload holds the decompress side of routing to the CSZF
-// frame layout, and readPrefix, which reads the routing prefix, to its
-// contract: the prefix is the body's first len(buf) bytes, fullyBuffered
-// says the body ended inside the buffer, and a read error surfaces only
-// when it cut the prefix short.
+// FuzzFirstFramePayload holds the decompress side of routing, the first
+// frame's payload (cszf.FirstPayload), to every other reader of the frame
+// layout (cszftest.Check), and readPrefix, which reads the routing prefix,
+// to its contract: the prefix is the body's first len(buf) bytes,
+// fullyBuffered says the body ended inside the buffer, and a read error
+// surfaces only when it cut the prefix short.
 func FuzzFirstFramePayload(f *testing.F) {
 	for _, r := range keytest.Requests() {
 		if r.Path == "/v1/decompress" {
@@ -111,16 +112,7 @@ func FuzzFirstFramePayload(f *testing.F) {
 
 	errCut := errors.New("connection reset")
 	f.Fuzz(func(t *testing.T, body []byte, bufLen uint16, cut bool) {
-		payload, ok := firstFramePayload(body)
-		wantOK := len(body) >= 8 && string(body[:4]) == "CSZF"
-		if wantOK {
-			n := int(binary.LittleEndian.Uint32(body[4:8]))
-			wantOK = n > 0 && n <= len(body)-8
-		}
-		if ok != wantOK || ok && !bytes.Equal(payload, body[8:8+len(payload)]) ||
-			ok && len(payload) != int(binary.LittleEndian.Uint32(body[4:8])) {
-			t.Fatalf("firstFramePayload(% x) = % x, %v", body, payload, ok)
-		}
+		cszftest.Check(t, body)
 
 		var r io.Reader = bytes.NewReader(body)
 		if cut {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +18,7 @@ import (
 	"time"
 
 	"ceresz/internal/chunkcache"
+	"ceresz/internal/cszf"
 	"ceresz/internal/spine"
 	"ceresz/internal/telemetry"
 )
@@ -642,7 +642,7 @@ func (p *Proxy) routeKey(ep int, q url.Values, prefix []byte) chunkcache.Key {
 		}
 	case spine.Decompress:
 		if elem, err := spine.ParseElem(q.Get("elem")); err == nil {
-			if payload, ok := firstFramePayload(prefix); ok {
+			if payload, ok := cszf.FirstPayload(prefix); ok {
 				return h.Key(chunkcache.AppendDecompressPreamble(h.Preamble(), elem == spine.F64), payload)
 			}
 		}
@@ -651,21 +651,6 @@ func (p *Proxy) routeKey(ep int, q url.Values, prefix []byte) chunkcache.Key {
 	// can't collide with an affinity digest for different bytes.
 	pre := append(h.Preamble(), chunkcache.KeyVersion, 0, byte(ep))
 	return h.Key(pre, prefix)
-}
-
-// firstFramePayload extracts the first CSZF frame's payload from a
-// framed-body prefix: 4-byte magic, u32 little-endian payload length,
-// payload. ok=false when the prefix holds no complete frame.
-func firstFramePayload(prefix []byte) ([]byte, bool) {
-	const header = 8
-	if len(prefix) < header || string(prefix[:4]) != "CSZF" {
-		return nil, false
-	}
-	n := int(binary.LittleEndian.Uint32(prefix[4:8]))
-	if n <= 0 || header+n > len(prefix) {
-		return nil, false
-	}
-	return prefix[header : header+n], true
 }
 
 // randomOwners picks up to n distinct ring members uniformly — the

@@ -17,6 +17,7 @@ import (
 
 	"ceresz/internal/chunkcache"
 	"ceresz/internal/chunkcache/keytest"
+	"ceresz/internal/cszf"
 	"ceresz/internal/server"
 	"ceresz/internal/spine"
 	"ceresz/internal/telemetry"
@@ -595,22 +596,20 @@ func TestRouteKeyDefaultBlockLenHasOneSpelling(t *testing.T) {
 
 func TestFirstFramePayload(t *testing.T) {
 	payload := []byte("hello frame")
-	frame := append([]byte("CSZF"), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(frame[4:], uint32(len(payload)))
-	frame = append(frame, payload...)
+	frame := append(cszf.AppendHeader(nil, len(payload)), payload...)
 	frame = append(frame, "trailing junk"...)
 
-	got, ok := firstFramePayload(frame)
+	got, ok := cszf.FirstPayload(frame)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("payload = %q ok=%v", got, ok)
 	}
-	if _, ok := firstFramePayload([]byte("CSZ")); ok {
+	if _, ok := cszf.FirstPayload([]byte("CSZ")); ok {
 		t.Fatal("short prefix accepted")
 	}
-	if _, ok := firstFramePayload([]byte("XXXX\x04\x00\x00\x00data")); ok {
+	if _, ok := cszf.FirstPayload([]byte("XXXX\x04\x00\x00\x00data")); ok {
 		t.Fatal("wrong magic accepted")
 	}
-	if _, ok := firstFramePayload(frame[:8+len(payload)-1]); ok {
+	if _, ok := cszf.FirstPayload(frame[:8+len(payload)-1]); ok {
 		t.Fatal("truncated payload accepted")
 	}
 }

@@ -1,13 +1,13 @@
 package server
 
 import (
-	"encoding/binary"
 	"io"
 	"slices"
 	"time"
 
 	"ceresz"
 	"ceresz/internal/chunkcache"
+	"ceresz/internal/cszf"
 	"ceresz/internal/rawfloat"
 	"ceresz/internal/spine"
 )
@@ -16,8 +16,9 @@ import (
 // across chunks and across requests, so once warm the per-chunk compress
 // path performs zero heap allocations (asserted by TestCompressHotPathZeroAlloc):
 // the request body is read into f32/f64 through their byte image (raw),
-// and the compressed frame is assembled in frame — an 8-byte CSZF header
-// followed by the container written by the zero-alloc *Into entry points.
+// and the compressed frame is assembled in frame — a CSZF header (package
+// cszf) followed by the container written by the zero-alloc *Into entry
+// points, so header and payload go out in one Write.
 // A codec is owned by exactly one request at a time (the pool hands it
 // out), so no locking.
 type codec struct {
@@ -49,12 +50,6 @@ type codec struct {
 func newCodec(id int) *codec {
 	return &codec{id: id, sr: ceresz.NewStreamReader(nil), tr: new(reqSpan), hasher: chunkcache.NewHasher()}
 }
-
-// frameMagic mirrors the package-level CSZF framing (stream.go); the codec
-// writes headers itself so header and payload go out in one Write.
-var frameMagic = [4]byte{'C', 'S', 'Z', 'F'}
-
-const frameHeaderSize = 8
 
 // elemCodec is a codec's element-typed half: the float buffer of one
 // element type and the library's entry points over it. elemCodecs holds
@@ -170,15 +165,14 @@ func (c *codec) readChunk(r io.Reader, p spine.CompressParams) (int, error) {
 // its CSZF frame in c.frame. Steady-state zero-alloc: all buffers are warm
 // after the first chunk.
 func (c *codec) compress(p spine.CompressParams) ([]byte, error) {
-	c.frame = append(c.frame[:0], frameMagic[0], frameMagic[1], frameMagic[2], frameMagic[3], 0, 0, 0, 0)
+	c.frame = cszf.AppendHeader(c.frame[:0], 0)
 	tc := time.Now()
 	err := elemCodecs[p.Elem].compress(c, bound(p.Abs, p.Eps), ceresz.Options{Workers: c.workers, BlockLen: p.BlockLen})
 	c.tr.observe(stageCodec, tc)
 	if err != nil {
 		return nil, err
 	}
-	binary.LittleEndian.PutUint32(c.frame[4:], uint32(len(c.frame)-frameHeaderSize))
-	return c.frame, nil
+	return c.frame, cszf.Seal(c.frame)
 }
 
 // decode decompresses one frame payload into the codec's buffer for elem

@@ -31,7 +31,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,6 +44,7 @@ import (
 	"ceresz"
 	"ceresz/internal/chunkcache"
 	"ceresz/internal/core"
+	"ceresz/internal/cszf"
 	"ceresz/internal/hostpool"
 	"ceresz/internal/quant"
 	"ceresz/internal/spine"
@@ -676,55 +676,27 @@ func (s *Server) recordVolume(m *endpoint, chunks int, in, out int64) {
 	m.BytesOut.Add(out)
 }
 
-// bundleFieldSpec is one manifest entry of a /v1/bundle request.
-type bundleFieldSpec struct {
-	Name string  `json:"name"`
-	Dims [3]int  `json:"dims"` // zeroes normalize to 1; Nx fastest
-	Elem string  `json:"elem"` // "f32" (default) or "f64"
-	Mode string  `json:"mode"` // "abs" (default) or "rel"
-	Eps  float64 `json:"eps"`
-}
-
-// maxBundleManifest caps the JSON manifest of a bundle request.
-const maxBundleManifest = 1 << 20
-
 // handleBundle assembles a CSZB bundle from a multi-field payload, or with
 // ?field= extracts one member of a posted bundle as raw floats.
 //
-// Assemble request body: u32 little-endian manifest length, JSON manifest
-// ([]bundleFieldSpec), then each field's raw little-endian data
-// back-to-back in manifest order.
+// The assemble request body is cszf's: a manifest section, then each
+// field's raw little-endian data back-to-back in manifest order.
 func (s *Server) handleBundle(c *codec, w http.ResponseWriter, r *http.Request) error {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if field := r.URL.Query().Get("field"); field != "" {
 		return s.extractBundleField(c, w, body, field)
 	}
 
-	var lenBuf [4]byte
 	tr := time.Now()
-	if _, err := io.ReadFull(body, lenBuf[:]); err != nil {
-		return badRequestf("reading manifest length: %v", err)
+	specs, err := cszf.ReadManifest(body)
+	if err != nil {
+		return badRequest{err}
 	}
 	c.tr.observe(stageRead, tr)
-	manifestLen := int(binary.LittleEndian.Uint32(lenBuf[:]))
-	if manifestLen == 0 || manifestLen > maxBundleManifest {
-		return badRequestf("manifest length %d outside (0, %d]", manifestLen, maxBundleManifest)
-	}
-	manifest := make([]byte, manifestLen)
-	if _, err := io.ReadFull(body, manifest); err != nil {
-		return badRequestf("reading %d-byte manifest: %v", manifestLen, err)
-	}
-	var specs []bundleFieldSpec
-	if err := json.Unmarshal(manifest, &specs); err != nil {
-		return badRequestf("decoding manifest: %v", err)
-	}
-	if len(specs) == 0 {
-		return badRequestf("manifest has no fields")
-	}
 
 	bw := ceresz.NewBundleWriter()
 	for i, spec := range specs {
-		dims := normalizeDims(spec.Dims)
+		dims := spec.Grid()
 		elems := dims.Len()
 		if elems <= 0 || elems > s.cfg.MaxChunkElems {
 			return badRequestf("field %d (%q): %d elements outside (0, %d]", i, spec.Name, elems, s.cfg.MaxChunkElems)
@@ -812,14 +784,4 @@ func (s *Server) writeBundle(c *codec, w http.ResponseWriter, out []byte, fields
 	c.tr.bytesOut.Add(int64(len(out)))
 	s.recordVolume(s.mBundle, fields, in, int64(len(out)))
 	return nil
-}
-
-// normalizeDims maps zero dims to 1 so [n,0,0] means 1-D.
-func normalizeDims(d [3]int) ceresz.Dims {
-	for i := range d {
-		if d[i] == 0 {
-			d[i] = 1
-		}
-	}
-	return ceresz.Dims{Nx: d[0], Ny: d[1], Nz: d[2]}
 }

@@ -1,14 +1,13 @@
 package ceresz
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"ceresz/internal/core"
+	"ceresz/internal/cszf"
+	"ceresz/internal/rawfloat"
 	"ceresz/internal/telemetry"
 )
 
@@ -74,22 +73,10 @@ func ElemOf(comp []byte) (Elem, error) { return core.ElemOf(comp) }
 // compression scenario of the paper's introduction (LCLS produces raw
 // snapshots at 250 GB/s; RTM emits terabytes per timestamp).
 //
-// Frame layout: 4-byte magic "CSZF", uint32 little-endian payload length,
-// payload (one CereSZ container). A REL bound resolves per chunk — each
-// chunk's ε follows its own value range; use ABS for a uniform guarantee.
-
-var frameMagic = [4]byte{'C', 'S', 'Z', 'F'}
-
-// frameHeaderSize is the per-chunk framing overhead in bytes.
-const frameHeaderSize = 8
-
-// maxFramePayload bounds a single chunk's compressed size.
-const maxFramePayload = 1 << 31
-
-// frameReadStep caps how much of a frame body is allocated ahead of the
-// bytes actually arriving, so a hostile length field cannot drive a huge
-// make before the reader discovers the body is absent.
-const frameReadStep = 1 << 20
+// Frame layout (defined in internal/cszf): 4-byte magic "CSZF", uint32
+// little-endian payload length, payload (one CereSZ container). A REL bound
+// resolves per chunk — each chunk's ε follows its own value range; use ABS
+// for a uniform guarantee.
 
 // ErrStreamClosed is returned by operations on a closed StreamWriter.
 var ErrStreamClosed = errors.New("ceresz: stream writer closed")
@@ -97,12 +84,12 @@ var ErrStreamClosed = errors.New("ceresz: stream writer closed")
 // ErrTruncated reports input that ends mid-frame or mid-index: the length
 // fields promise more bytes than the source delivers. Typed so servers can
 // map it to a 4xx instead of a generic decode failure.
-var ErrTruncated = errors.New("ceresz: truncated input")
+var ErrTruncated = cszf.ErrTruncated
 
 // ErrFrameTooLarge reports a frame, element count or bundle member that
 // exceeds the configured decode limits (StreamReader.SetLimits,
 // OpenBundleLimited) or the format's hard cap.
-var ErrFrameTooLarge = errors.New("ceresz: frame exceeds limit")
+var ErrFrameTooLarge = cszf.ErrFrameTooLarge
 
 // StreamWriter frames independently-decodable compressed chunks onto an
 // io.Writer. Not safe for concurrent use.
@@ -138,71 +125,44 @@ func NewStreamWriter(w io.Writer, bound Bound, opts Options) *StreamWriter {
 // first chunk the writer's compression buffer is warm, so with Workers: 1
 // the only steady-state allocation is the returned Stats snapshot.
 func (sw *StreamWriter) WriteChunk(data []float32) (*Stats, error) {
-	if sw.closed {
-		return nil, ErrStreamClosed
-	}
-	defer telStreamWrite.Start().End()
-	var err error
-	sw.buf, err = CompressInto(sw.buf[:0], data, sw.bound, sw.opts, &sw.stats)
-	if err != nil {
-		return nil, err
-	}
-	if err := sw.writeFrame(sw.buf); err != nil {
-		return nil, err
-	}
-	sw.RawBytes += int64(4 * len(data))
-	sw.CompressedBytes += int64(frameHeaderSize + len(sw.buf))
-	sw.Chunks++
-	sw.recordChunk(int64(4 * len(data)))
-	out := sw.stats
-	return &out, nil
+	return writeChunk(sw, data, CompressInto)
 }
 
 // WriteChunk64 compresses one float64 chunk and writes its frame.
 func (sw *StreamWriter) WriteChunk64(data []float64) (*Stats, error) {
+	return writeChunk(sw, data, Compress64Into)
+}
+
+// writeChunk compresses data behind a frame header in the writer's buffer,
+// so header and payload leave in one Write, and keeps the books.
+func writeChunk[F rawfloat.Float](sw *StreamWriter, data []F,
+	compress func([]byte, []F, Bound, Options, *Stats) ([]byte, error)) (*Stats, error) {
 	if sw.closed {
 		return nil, ErrStreamClosed
 	}
 	defer telStreamWrite.Start().End()
 	var err error
-	sw.buf, err = Compress64Into(sw.buf[:0], data, sw.bound, sw.opts, &sw.stats)
-	if err != nil {
+	if sw.buf, err = compress(cszf.AppendHeader(sw.buf[:0], 0), data, sw.bound, sw.opts, &sw.stats); err != nil {
 		return nil, err
 	}
-	if err := sw.writeFrame(sw.buf); err != nil {
+	if err := cszf.Seal(sw.buf); err != nil {
 		return nil, err
 	}
-	sw.RawBytes += int64(8 * len(data))
-	sw.CompressedBytes += int64(frameHeaderSize + len(sw.buf))
+	if _, err := sw.w.Write(sw.buf); err != nil {
+		return nil, err
+	}
+	raw := int64(rawfloat.Size[F]() * len(data))
+	sw.RawBytes += raw
+	sw.CompressedBytes += int64(len(sw.buf))
 	sw.Chunks++
-	sw.recordChunk(int64(8 * len(data)))
+	if telemetry.Enabled() {
+		telStreamChunks.Add(1)
+		telStreamRawBytes.Add(raw)
+		telStreamCompBytes.Add(int64(len(sw.buf)))
+		telStreamChunkSize.Observe(int64(len(sw.buf) - cszf.HeaderSize))
+	}
 	out := sw.stats
 	return &out, nil
-}
-
-// recordChunk publishes one frame's accounting to the Default registry.
-func (sw *StreamWriter) recordChunk(rawBytes int64) {
-	if !telemetry.Enabled() {
-		return
-	}
-	telStreamChunks.Add(1)
-	telStreamRawBytes.Add(rawBytes)
-	telStreamCompBytes.Add(int64(frameHeaderSize + len(sw.buf)))
-	telStreamChunkSize.Observe(int64(len(sw.buf)))
-}
-
-func (sw *StreamWriter) writeFrame(payload []byte) error {
-	if len(payload) >= maxFramePayload {
-		return fmt.Errorf("ceresz: chunk payload %d exceeds frame limit", len(payload))
-	}
-	var hdr [frameHeaderSize]byte
-	copy(hdr[:4], frameMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	if _, err := sw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := sw.w.Write(payload)
-	return err
 }
 
 // Ratio returns the stream-wide compression ratio so far (framing
@@ -229,36 +189,34 @@ func (sw *StreamWriter) Close() error {
 // StreamReader iterates over the frames written by StreamWriter.
 // Not safe for concurrent use.
 type StreamReader struct {
-	r        io.Reader
-	buf      []byte
-	out      []float32
-	hdr      [frameHeaderSize]byte
-	maxFrame int
-	maxElems int
-	workers  int
+	fr      cszf.Reader
+	out     []float32
+	workers int
 }
 
 // NewStreamReader returns a StreamReader over r.
 func NewStreamReader(r io.Reader) *StreamReader {
-	return &StreamReader{r: r}
+	sr := new(StreamReader)
+	sr.fr.Reset(r)
+	return sr
 }
 
 // Reset points the reader at a new source while keeping its internal
 // buffers (and limits) warm — the steady-state form for servers decoding
 // one framed stream per request.
 func (sr *StreamReader) Reset(r io.Reader) {
-	sr.r = r
+	sr.fr.Reset(r)
 }
 
 // SetLimits caps what a single frame may cost to decode: maxFrameBytes
 // bounds the compressed payload length accepted from a frame header, and
-// maxElements bounds the decoded element count a payload may declare.
-// Zero leaves the respective limit at the format's hard cap. Violations
-// surface as ErrFrameTooLarge before any decode-sized allocation happens —
-// set both when reading untrusted input.
+// maxElements bounds the decoded element count a payload may declare (and
+// holds that count to what the payload's length can carry). Zero leaves
+// the respective limit at the format's hard cap. Violations surface as
+// ErrFrameTooLarge before any decode-sized allocation happens — set both
+// when reading untrusted input.
 func (sr *StreamReader) SetLimits(maxFrameBytes, maxElements int) {
-	sr.maxFrame = maxFrameBytes
-	sr.maxElems = maxElements
+	sr.fr.SetLimits(cszf.Limits{MaxFrameBytes: maxFrameBytes, MaxElements: maxElements})
 }
 
 // SetWorkers bounds the parallelism each frame is decoded with, following
@@ -271,57 +229,11 @@ func (sr *StreamReader) SetWorkers(n int) {
 	sr.workers = n
 }
 
-// next reads one frame payload into the internal buffer.
-func (sr *StreamReader) next() ([]byte, error) {
-	if _, err := io.ReadFull(sr.r, sr.hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: reading frame header: %v", ErrTruncated, err)
-	}
-	if [4]byte(sr.hdr[:4]) != frameMagic {
-		return nil, fmt.Errorf("%w: bad frame magic %q", core.ErrBadStream, sr.hdr[:4])
-	}
-	n := int(binary.LittleEndian.Uint32(sr.hdr[4:]))
-	if n >= maxFramePayload {
-		return nil, fmt.Errorf("%w: frame length %d exceeds format cap", ErrFrameTooLarge, n)
-	}
-	if sr.maxFrame > 0 && n > sr.maxFrame {
-		return nil, fmt.Errorf("%w: frame length %d exceeds configured cap %d", ErrFrameTooLarge, n, sr.maxFrame)
-	}
-	// Fill the buffer in bounded steps so the allocation tracks the bytes
-	// that actually arrive instead of trusting the header's length.
-	sr.buf = sr.buf[:0]
-	for len(sr.buf) < n {
-		step := n - len(sr.buf)
-		if step > frameReadStep {
-			step = frameReadStep
-		}
-		start := len(sr.buf)
-		sr.buf = slices.Grow(sr.buf, step)[:start+step]
-		if _, err := io.ReadFull(sr.r, sr.buf[start:]); err != nil {
-			return nil, fmt.Errorf("%w: frame promises %d bytes, source ends at %d (%v)", ErrTruncated, n, start, err)
-		}
-	}
-	// Validate the payload's element count before Decompress sizes any
-	// output: an untrusted header must not drive a decode-sized make.
-	if sr.maxElems > 0 {
-		meta, err := core.ParseHeader(sr.buf)
-		if err != nil {
-			return nil, err
-		}
-		if meta.Elements > sr.maxElems {
-			return nil, fmt.Errorf("%w: frame declares %d elements, cap is %d", ErrFrameTooLarge, meta.Elements, sr.maxElems)
-		}
-	}
-	return sr.buf, nil
-}
-
 // Next decodes the next float32 chunk. It returns io.EOF after the last
 // frame. The returned slice is owned by the caller.
 func (sr *StreamReader) Next() ([]float32, error) {
 	defer telStreamRead.Start().End()
-	payload, err := sr.next()
+	payload, err := sr.fr.Next()
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +252,7 @@ func (sr *StreamReader) Next() ([]float32, error) {
 // buffer across chunks (the steady-state counterpart of WriteChunk).
 func (sr *StreamReader) NextInto(dst []float32) ([]float32, error) {
 	defer telStreamRead.Start().End()
-	payload, err := sr.next()
+	payload, err := sr.fr.Next()
 	if err != nil {
 		return dst, err
 	}
@@ -351,7 +263,7 @@ func (sr *StreamReader) NextInto(dst []float32) ([]float32, error) {
 // Next64 decodes the next float64 chunk.
 func (sr *StreamReader) Next64() ([]float64, error) {
 	defer telStreamRead.Start().End()
-	payload, err := sr.next()
+	payload, err := sr.fr.Next()
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +276,7 @@ func (sr *StreamReader) Next64() ([]float64, error) {
 // streams.
 func (sr *StreamReader) Next64Into(dst []float64) ([]float64, error) {
 	defer telStreamRead.Start().End()
-	payload, err := sr.next()
+	payload, err := sr.fr.Next()
 	if err != nil {
 		return dst, err
 	}
@@ -382,13 +294,13 @@ func (sr *StreamReader) Next64Into(dst []float64) ([]float64, error) {
 // paying for the decode.
 func (sr *StreamReader) NextRaw() ([]byte, error) {
 	defer telStreamRead.Start().End()
-	return sr.next()
+	return sr.fr.Next()
 }
 
 // Skip advances past the next frame without decoding it, returning its
 // metadata — random access within a recorded stream.
 func (sr *StreamReader) Skip() (Meta, error) {
-	payload, err := sr.next()
+	payload, err := sr.fr.Next()
 	if err != nil {
 		return Meta{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -241,22 +242,23 @@ func TestStreamReaderTypedErrors(t *testing.T) {
 	hostile := []byte{'C', 'S', 'Z', 'F', 0xFF, 0xFF, 0xFF, 0x7F}
 	sr = NewStreamReader(bytes.NewReader(hostile))
 	sr.SetLimits(1<<16, 0)
-	if _, err := sr.Next(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("hostile length: got %v, want ErrFrameTooLarge", err)
+	var err error
+	if n := allocatedBy(func() { _, err = sr.Next() }); n > 16<<10 {
+		t.Fatalf("rejected frame still allocated %d bytes", n)
 	}
-	if cap(sr.buf) != 0 {
-		t.Fatalf("rejected frame still allocated %d bytes", cap(sr.buf))
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("hostile length: got %v, want ErrFrameTooLarge", err)
 	}
 
 	// A plausible length with no body behind it stops at ErrTruncated after
 	// at most one bounded read step, even unlimited.
 	hostileBody := []byte{'C', 'S', 'Z', 'F', 0xFF, 0xFF, 0xFF, 0x7F, 'x'}
 	sr = NewStreamReader(bytes.NewReader(hostileBody))
-	if _, err := sr.Next(); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("hostile length, tiny body: got %v, want ErrTruncated", err)
+	if n := allocatedBy(func() { _, err = sr.Next() }); n > 4<<20 {
+		t.Fatalf("truncated 2GB claim allocated %d bytes", n)
 	}
-	if cap(sr.buf) > 4<<20 {
-		t.Fatalf("truncated 2GB claim allocated %d bytes", cap(sr.buf))
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("hostile length, tiny body: got %v, want ErrTruncated", err)
 	}
 
 	// Element cap applies before the decode sizes its output.
@@ -272,6 +274,15 @@ func TestStreamReaderTypedErrors(t *testing.T) {
 	if _, err := sr.Next(); err != nil {
 		t.Fatalf("within limits: %v", err)
 	}
+}
+
+// allocatedBy is the heap bytes a call of f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestStreamReaderReset(t *testing.T) {
