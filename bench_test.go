@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"ceresz/internal/baselines"
-	"ceresz/internal/core"
 	"ceresz/internal/datasets"
 	"ceresz/internal/experiments"
 	"ceresz/internal/lorenzo"
@@ -596,31 +595,6 @@ func BenchmarkHostDecompress64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err = Decompress64(out[:0], comp)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTiledCompress measures the 2D-predictor variant (strided
-// gather is the §3-predicted cost).
-func BenchmarkTiledCompress(b *testing.B) {
-	ds, err := datasets.ByName("CESM-ATM", datasets.Small)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := &ds.Fields[1]
-	data := f.Data(7)
-	minV, maxV := quant.Range(data)
-	eps, err := quant.REL(1e-3).Resolve(minV, maxV)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var comp []byte
-	b.SetBytes(int64(4 * len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		comp, _, err = core.CompressTiled(comp[:0], data, f.Dims, eps, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

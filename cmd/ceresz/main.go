@@ -12,10 +12,10 @@
 // Input files for -c are raw little-endian float32 arrays (the SDRBench
 // convention); -bundle compresses every field file in a directory into one
 // indexed archive (dims parsed from SDRBench-style names). Compression
-// prints the achieved ratio and block statistics. -hostworkers N (alias
-// -workers) shards each compress/decompress call across a pooled worker
-// runtime; the emitted stream is byte-identical at every worker count, so
-// the flag only changes throughput.
+// prints the achieved ratio and block statistics. -hostworkers N shards
+// each compress/decompress call across a pooled worker runtime; the
+// emitted stream is byte-identical at every worker count, so the flag only
+// changes throughput.
 package main
 
 import (
@@ -38,9 +38,7 @@ func main() {
 	f64 := flag.Bool("f64", false, "treat input as float64 (compression only; decompression auto-detects)")
 	bundle := flag.Bool("bundle", false, "compress a directory of field files into one bundle")
 	unbundle := flag.Bool("unbundle", false, "extract a bundle into a directory of raw field files")
-	var workers int
-	flag.IntVar(&workers, "hostworkers", 0, "host-codec worker shards: 0 or 1 = sequential, N > 1 = pooled block-parallel, negative = all cores (output bytes identical either way)")
-	flag.IntVar(&workers, "workers", 0, "alias for -hostworkers")
+	workers := flag.Int("hostworkers", 0, "host-codec worker shards: 0 or 1 = sequential, N > 1 = pooled block-parallel, negative = all cores (output bytes identical either way)")
 	stats := flag.Bool("stats", false, "print internal telemetry (stage timings, worker occupancy) after the run")
 	flag.Parse()
 
@@ -49,9 +47,9 @@ func main() {
 	}
 	err := func() error {
 		if *bundle || *unbundle {
-			return runBundle(*bundle, *rel, *abs, *block, *szp, workers, flag.Args())
+			return runBundle(*bundle, *rel, *abs, *block, *szp, *workers, flag.Args())
 		}
-		return run(*compress, *decompress, *info, *rel, *abs, *block, *szp, *f64, workers, flag.Args())
+		return run(*compress, *decompress, *info, *rel, *abs, *block, *szp, *f64, *workers, flag.Args())
 	}()
 	if *stats {
 		fmt.Print("\ntelemetry:\n")

@@ -29,10 +29,6 @@
 //
 //	-addr host:port        listen address (default :8775)
 //	-workers N             codec pool size (0 = GOMAXPROCS)
-//	-hostworkers N         intra-request host-codec shard budget, split
-//	                       across executing requests so one big request
-//	                       can use many cores without oversubscription
-//	                       (0/1 = sequential per request)
 //	-queue N               admission queue beyond executing workers
 //	                       (0 = 2x workers, negative = none)
 //	-chunk N               default elements per compressed frame
@@ -92,7 +88,6 @@ import (
 func main() {
 	d := spine.NewDaemon("cereszd", "server", ":8775")
 	workers := flag.Int("workers", 0, "codec pool size (0 = GOMAXPROCS)")
-	hostWorkers := flag.Int("hostworkers", 0, "intra-request host-codec shard budget split across executing requests (0/1 = sequential per request, negative = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth beyond workers (0 = 2x workers, negative = none)")
 	chunk := flag.Int("chunk", 0, "default elements per compressed frame (0 = 64Ki)")
 	block := flag.Int("block", 0, "CereSZ block length (0 = 32)")
@@ -126,7 +121,6 @@ func main() {
 	d.Registry = telemetry.NewRegistry()
 	srv := server.New(server.Config{
 		Workers:        *workers,
-		HostWorkers:    *hostWorkers,
 		QueueDepth:     *queue,
 		MaxBodyBytes:   *maxBody,
 		MaxChunkElems:  *maxChunkElems,

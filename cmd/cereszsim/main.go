@@ -5,21 +5,19 @@
 // Usage:
 //
 //	cereszsim [-rows N] [-cols N] [-pl N] [-blocks N] [-rel λ] [-decompress]
-//	          [-trace out.json] [-heatmap out.csv] [-events N] [-simworkers N]
-//	          [-spans out.json] [-spantrace out.json] [-attrib] [-attribout out.json]
-//
-// -trace writes the run's full event schedule as Chrome trace-event JSON —
-// open it in Perfetto (ui.perfetto.dev) to see one track per PE with
-// dispatch/route/emit slices. -heatmap writes a rows×cols CSV of per-PE
-// processor utilization (and prints the ASCII shading to stdout).
+//	          [-trace out.json] [-heatmap out.csv] [-simworkers N]
+//	          [-spans out.json] [-attrib] [-attribout out.json]
 //
 // -spans writes every block's lifecycle (inject → relay hops → stage
-// dispatches → eject) as structured JSON; -spantrace renders the same
-// spans as a Perfetto trace with flow arrows chaining each block across
-// PEs. -attrib prints per-PE cycle attribution (compute / relay-forward /
-// queue-wait / fabric-stall / idle), the bottleneck stage group, and the
-// critical block's per-leg latency decomposition; -attribout writes that
-// report plus the raw attribution as JSON.
+// dispatches → eject) as structured JSON; -trace renders the same spans
+// as Chrome trace-event JSON — open it in Perfetto (ui.perfetto.dev) to
+// see one track per PE with flow arrows chaining each block across PEs.
+// -heatmap writes a rows×cols CSV of per-PE processor utilization (and
+// prints the ASCII shading to stdout). -attrib prints per-PE cycle
+// attribution (compute / relay-forward / queue-wait / fabric-stall /
+// idle), the bottleneck stage group, and the critical block's per-leg
+// latency decomposition; -attribout writes that report plus the raw
+// attribution as JSON.
 //
 // Example:
 //
@@ -30,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -47,18 +46,14 @@ type simOpts struct {
 	rel                    float64
 	decompress             bool
 	seed                   int64
-	// traceFile writes the run's schedule as Chrome trace-event JSON.
+	// traceFile writes block spans as Chrome trace-event JSON.
 	traceFile string
 	// heatmapFile writes per-PE utilization as a rows×cols CSV.
 	heatmapFile string
-	// events prints the first N simulator events as text.
-	events int
 	// simWorkers bounds the row-sharded simulator's worker pool.
 	simWorkers int
 	// spansFile writes per-block lifecycle spans as JSON.
 	spansFile string
-	// spanTraceFile writes block spans as a Perfetto flow trace.
-	spanTraceFile string
 	// attrib prints the stall-attribution and critical-path report.
 	attrib bool
 	// attribFile writes the attribution + critical-path report as JSON.
@@ -74,12 +69,10 @@ func main() {
 	flag.Float64Var(&o.rel, "rel", 1e-3, "REL error bound")
 	flag.BoolVar(&o.decompress, "decompress", false, "simulate the decompression direction")
 	flag.Int64Var(&o.seed, "seed", 7, "data seed")
-	flag.StringVar(&o.traceFile, "trace", "", "write the event schedule as Chrome trace-event JSON to this file")
+	flag.StringVar(&o.traceFile, "trace", "", "write block spans as Chrome trace-event JSON (Perfetto flow arrows) to this file")
 	flag.StringVar(&o.heatmapFile, "heatmap", "", "write per-PE utilization CSV to this file")
-	flag.IntVar(&o.events, "events", 0, "print the first N simulator events")
-	flag.IntVar(&o.simWorkers, "simworkers", 0, "simulator workers: 0 = one per CPU, 1 = sequential reference engine (traced runs are always sequential)")
+	flag.IntVar(&o.simWorkers, "simworkers", 0, "simulator workers: 0 = one per CPU, 1 = sequential reference engine")
 	flag.StringVar(&o.spansFile, "spans", "", "write per-block lifecycle spans as JSON to this file")
-	flag.StringVar(&o.spanTraceFile, "spantrace", "", "write block spans as Perfetto flow-event JSON to this file")
 	flag.BoolVar(&o.attrib, "attrib", false, "print per-PE stall attribution and the critical-path analysis")
 	flag.StringVar(&o.attribFile, "attribout", "", "write attribution + critical-path report as JSON to this file")
 	flag.Parse()
@@ -89,9 +82,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// traceRetain bounds the tracer when a full trace file was requested.
-const traceRetain = 1 << 20
 
 func run(o simOpts) error {
 	// Synthesize a smooth field with mild noise.
@@ -111,20 +101,10 @@ func run(o simOpts) error {
 		return err
 	}
 
-	// The tracer must be attached before Run, so the cap is decided here:
-	// the whole schedule for a trace file, just the head for -events.
-	traceCap := 0
-	if o.traceFile != "" {
-		traceCap = traceRetain
-	} else if o.events > 0 {
-		traceCap = o.events
-	}
-
 	mesh := wse.Config{Rows: o.rows, Cols: o.cols, Workers: o.simWorkers}
-	recordSpans := o.spansFile != "" || o.spanTraceFile != "" || o.attrib || o.attribFile != ""
+	recordSpans := o.spansFile != "" || o.traceFile != "" || o.attrib || o.attribFile != ""
 	var res *mapping.Result
 	var plan *mapping.Plan
-	var tr *wse.Tracer
 	if o.decompress {
 		comp, _, err := core.CompressWithEps(nil, data, eps, core.Options{})
 		if err != nil {
@@ -138,7 +118,7 @@ func run(o simOpts) error {
 		if err != nil {
 			return err
 		}
-		tr, res, err = plan.DecompressTraced(comp, traceCap)
+		res, err = plan.Decompress(comp)
 		if err != nil {
 			return err
 		}
@@ -151,7 +131,7 @@ func run(o simOpts) error {
 		if err != nil {
 			return err
 		}
-		tr, res, err = plan.CompressTraced(data, traceCap)
+		res, err = plan.Compress(data)
 		if err != nil {
 			return err
 		}
@@ -176,24 +156,13 @@ func run(o simOpts) error {
 	fmt.Print("\nrun telemetry:\n")
 	res.Telemetry.WriteTo(os.Stdout)
 
-	if o.traceFile != "" {
-		if err := writeTrace(tr, mesh, o.traceFile); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %d trace events to %s (open in ui.perfetto.dev)\n",
-			len(tr.Events()), o.traceFile)
-	}
 	if o.heatmapFile != "" {
-		if err := writeHeatmap(res.Mesh, o.heatmapFile); err != nil {
+		if err := writeFile(o.heatmapFile, res.Mesh.WriteHeatmapCSV); err != nil {
 			return err
 		}
 		fmt.Println()
 		res.Mesh.WriteHeatmapASCII(os.Stdout)
 		fmt.Printf("wrote utilization heatmap to %s\n", o.heatmapFile)
-	}
-	if o.events > 0 && o.traceFile == "" {
-		fmt.Printf("\nfirst %d simulator events:\n", o.events)
-		tr.Write(os.Stdout)
 	}
 
 	var rep critpath.Report
@@ -219,59 +188,34 @@ func run(o simOpts) error {
 		}
 		fmt.Printf("wrote %d block spans to %s\n", len(res.Spans), o.spansFile)
 	}
-	if o.spanTraceFile != "" {
-		if err := writeSpanTrace(res.SpanLog, mesh, o.spanTraceFile); err != nil {
+	if o.traceFile != "" {
+		if err := writeFile(o.traceFile, func(w io.Writer) error {
+			return res.SpanLog.WriteChromeTrace(w, mesh)
+		}); err != nil {
 			return err
 		}
-		fmt.Printf("wrote span flow trace to %s (open in ui.perfetto.dev)\n", o.spanTraceFile)
+		fmt.Printf("wrote %d span events to %s (open in ui.perfetto.dev)\n",
+			len(res.SpanLog.Events()), o.traceFile)
 	}
 	return nil
 }
 
 func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }
 
-func writeSpanTrace(log *wse.SpanLog, cfg wse.Config, path string) error {
+// writeFile creates path and fills it with write, reporting the first of
+// write's and Close's errors.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := log.WriteChromeTrace(f, cfg); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeTrace(tr *wse.Tracer, cfg wse.Config, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f, cfg); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeHeatmap(m *wse.Mesh, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteHeatmapCSV(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

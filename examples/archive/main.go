@@ -1,8 +1,7 @@
 // Archive: the file-based workflow — write a field to disk under the
 // SDRBench naming convention, scan the directory, load the field with its
-// dims recovered from the name, compress with the tiled 2D predictor, and
-// verify the bound. This is the path a user with the real SDRBench
-// archives follows.
+// dims recovered from the name, compress it, and verify the bound. This is
+// the path a user with the real SDRBench archives follows.
 package main
 
 import (
@@ -58,20 +57,13 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// The dims enable the tiled 2D-Lorenzo variant (§3's "CereSZ can
-		// support higher-dimensional prediction").
-		comp1d, s1d, err := core.CompressWithEps(nil, loaded, eps, core.Options{})
+		comp, st, err := core.CompressWithEps(nil, loaded, eps, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		comp2d, s2d, err := core.CompressTiled(nil, loaded, field.Dims, eps, core.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("1D predictor:       %7d bytes (ratio %.2f)\n", len(comp1d), s1d.Ratio())
-		fmt.Printf("tiled 2D predictor: %7d bytes (ratio %.2f)\n", len(comp2d), s2d.Ratio())
+		fmt.Printf("compressed: %d bytes (ratio %.2f)\n", len(comp), st.Ratio())
 
-		rec, err := core.DecompressTiled(nil, comp2d, field.Dims)
+		rec, _, err := core.Decompress(nil, comp, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -671,21 +671,6 @@ func (e *blockEncoder[F]) encodeRef(dst []byte, src []F) ([]byte, byte) {
 	return dst, byte(w)
 }
 
-// quantizeStrict32 quantizes one block into codes and verifies every
-// reconstruction honors ε, reporting false (verbatim) on the first
-// failure. It serves the tiled (2D-Lorenzo) variant, whose prediction
-// cannot fuse into the scan order.
-func quantizeStrict32(q *quant.Quantizer, codes []int32, src []float32) bool {
-	for i, x := range src {
-		p, ok := quantizeStrict(q, x)
-		if !ok {
-			return false
-		}
-		codes[i] = p
-	}
-	return true
-}
-
 // appendVerbatim appends one block stored raw: the verbatim marker, then
 // the elements as they are.
 func appendVerbatim[F rawfloat.Float](dst []byte, block []F, headerBytes int) []byte {

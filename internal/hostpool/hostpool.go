@@ -32,8 +32,7 @@ import (
 
 // Telemetry instruments (Default registry, disabled unless a CLI opts
 // in). The atomics below are always maintained, so Peak/LastImbalance
-// work even when the registry is off — cereszd mirrors them into its
-// private registry for /debug/metrics.
+// work even when the registry is off.
 var (
 	telPeak      = telemetry.G("host.pool_peak_workers")
 	telImbalance = telemetry.G("host.shard_imbalance_pct")

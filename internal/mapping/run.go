@@ -243,40 +243,17 @@ func (p *Plan) inject(m *wse.Mesh, row int, color wse.Color, blocks []flowBlock,
 	}
 }
 
-// CompressTraced is Compress with a wse.Tracer attached (capturing up to
-// capEntries events), for debugging the schedule.
-func (p *Plan) CompressTraced(data []float32, capEntries int) (*wse.Tracer, *Result, error) {
-	res, tr, err := p.compress(data, capEntries)
-	return tr, res, err
-}
-
-// DecompressTraced is Decompress with a wse.Tracer attached (capturing up
-// to capEntries events).
-func (p *Plan) DecompressTraced(comp []byte, capEntries int) (*wse.Tracer, *Result, error) {
-	res, tr, err := p.decompress(comp, capEntries)
-	return tr, res, err
-}
-
 // Compress runs the plan on data and returns the compressed stream, which
 // is byte-identical to internal/core's for the same parameters.
 func (p *Plan) Compress(data []float32) (*Result, error) {
-	res, _, err := p.compress(data, 0)
-	return res, err
-}
-
-func (p *Plan) compress(data []float32, traceCap int) (*Result, *wse.Tracer, error) {
 	if p.Chain.Dir != stages.Compress {
-		return nil, nil, fmt.Errorf("mapping: Compress on a %v chain", p.Chain.Dir)
+		return nil, fmt.Errorf("mapping: Compress on a %v chain", p.Chain.Dir)
 	}
 	L := p.Chain.Cfg.BlockLen
 	nBlocks := (len(data) + L - 1) / L
 	m, err := wse.NewMesh(p.Cfg.Mesh)
 	if err != nil {
-		return nil, nil, err
-	}
-	var tr *wse.Tracer
-	if traceCap > 0 {
-		tr = m.AttachTracer(traceCap)
+		return nil, err
 	}
 	var spanLog *wse.SpanLog
 	if p.Cfg.RecordSpans {
@@ -299,7 +276,7 @@ func (p *Plan) compress(data []float32, traceCap int) (*Result, *wse.Tracer, err
 	runStart := time.Now()
 	cycles, err := m.Run()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	wall := time.Since(runStart)
 
@@ -311,7 +288,7 @@ func (p *Plan) compress(data []float32, traceCap int) (*Result, *wse.Tracer, err
 	}
 	encoded, err := collectBlocks(m, nBlocks)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	size := core.StreamHeaderSize
 	for _, fb := range encoded {
@@ -323,43 +300,34 @@ func (p *Plan) compress(data []float32, traceCap int) (*Result, *wse.Tracer, err
 	}
 	res := p.newResult(m, cycles, int64(4*len(data)), meta, wall, spanLog)
 	res.Bytes = out
-	return res, tr, nil
+	return res, nil
 }
 
 // Decompress runs the plan on a compressed stream and reconstructs the
 // data, exactly as internal/core.Decompress would.
 func (p *Plan) Decompress(comp []byte) (*Result, error) {
-	res, _, err := p.decompress(comp, 0)
-	return res, err
-}
-
-func (p *Plan) decompress(comp []byte, traceCap int) (*Result, *wse.Tracer, error) {
 	if p.Chain.Dir != stages.Decompress {
-		return nil, nil, fmt.Errorf("mapping: Decompress on a %v chain", p.Chain.Dir)
+		return nil, fmt.Errorf("mapping: Decompress on a %v chain", p.Chain.Dir)
 	}
 	meta, offsets, err := core.BlockOffsets(comp)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if meta.BlockLen != p.Chain.Cfg.BlockLen {
-		return nil, nil, fmt.Errorf("mapping: stream block length %d does not match plan's %d", meta.BlockLen, p.Chain.Cfg.BlockLen)
+		return nil, fmt.Errorf("mapping: stream block length %d does not match plan's %d", meta.BlockLen, p.Chain.Cfg.BlockLen)
 	}
 	if meta.HeaderBytes != p.Chain.Cfg.HeaderBytes {
-		return nil, nil, fmt.Errorf("mapping: stream header size %d does not match plan's %d", meta.HeaderBytes, p.Chain.Cfg.HeaderBytes)
+		return nil, fmt.Errorf("mapping: stream header size %d does not match plan's %d", meta.HeaderBytes, p.Chain.Cfg.HeaderBytes)
 	}
 	if meta.Eps != p.Chain.Cfg.Eps {
-		return nil, nil, fmt.Errorf("mapping: stream ε %g does not match plan's %g", meta.Eps, p.Chain.Cfg.Eps)
+		return nil, fmt.Errorf("mapping: stream ε %g does not match plan's %g", meta.Eps, p.Chain.Cfg.Eps)
 	}
 	body := comp[core.StreamHeaderSize:]
 	nBlocks := meta.Blocks()
 
 	m, err := wse.NewMesh(p.Cfg.Mesh)
 	if err != nil {
-		return nil, nil, err
-	}
-	var tr *wse.Tracer
-	if traceCap > 0 {
-		tr = m.AttachTracer(traceCap)
+		return nil, err
 	}
 	var spanLog *wse.SpanLog
 	if p.Cfg.RecordSpans {
@@ -380,12 +348,12 @@ func (p *Plan) decompress(comp []byte, traceCap int) (*Result, *wse.Tracer, erro
 	runStart := time.Now()
 	cycles, err := m.Run()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	wall := time.Since(runStart)
 	decoded, err := collectBlocks(m, nBlocks)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	L := meta.BlockLen
 	out := make([]float32, meta.Elements)
@@ -399,7 +367,7 @@ func (p *Plan) decompress(comp []byte, traceCap int) (*Result, *wse.Tracer, erro
 	}
 	res := p.newResult(m, cycles, int64(4*meta.Elements), meta, wall, spanLog)
 	res.Data = out
-	return res, tr, nil
+	return res, nil
 }
 
 func (p *Plan) newResult(m *wse.Mesh, cycles, inputBytes int64, meta core.Meta, wall time.Duration, spanLog *wse.SpanLog) *Result {

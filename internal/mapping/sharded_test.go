@@ -121,9 +121,11 @@ func TestShardedRunsMatchSequential(t *testing.T) {
 }
 
 // TestAttributionAndSpansDeterministic extends the differential check to
-// the observability outputs: per-PE cycle attribution and per-block
-// lifecycle spans must be bit-identical across worker counts, and every
-// PE's buckets must partition [0, Elapsed] exactly on every run.
+// the observability outputs: per-PE cycle attribution, per-block
+// lifecycle spans and their Chrome trace export must be bit-identical
+// across worker counts, every PE's buckets must partition [0, Elapsed]
+// exactly on every run, and recording spans must not keep a multi-row
+// run off the sharded engine.
 func TestAttributionAndSpansDeterministic(t *testing.T) {
 	data := smoothField(32*96, 13)
 	configs := []struct {
@@ -137,6 +139,7 @@ func TestAttributionAndSpansDeterministic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var refAtt wse.Attribution
 			var refSpans []wse.BlockSpan
+			var refTrace []byte
 			for i, workers := range shardWorkerCounts() {
 				cfg := tc.cfg
 				cfg.Mesh.Workers = workers
@@ -165,10 +168,20 @@ func TestAttributionAndSpansDeterministic(t *testing.T) {
 				if len(res.Spans) == 0 {
 					t.Fatalf("workers=%d: no spans recorded", workers)
 				}
+				var trace bytes.Buffer
+				if err := res.SpanLog.WriteChromeTrace(&trace, res.Mesh.Config()); err != nil {
+					t.Fatal(err)
+				}
+				if tc.name == "multi-row" && workers > 1 && res.Mesh.Shards() < 2 {
+					t.Errorf("workers=%d: traced run used %d shards, expected row sharding", workers, res.Mesh.Shards())
+				}
 
 				if i == 0 {
-					refAtt, refSpans = att, res.Spans
+					refAtt, refSpans, refTrace = att, res.Spans, trace.Bytes()
 					continue
+				}
+				if !bytes.Equal(trace.Bytes(), refTrace) {
+					t.Errorf("workers=%d: Chrome trace differs from sequential", workers)
 				}
 				if !reflect.DeepEqual(att, refAtt) {
 					t.Errorf("workers=%d: attribution differs from sequential\n got %+v\nwant %+v", workers, att, refAtt)

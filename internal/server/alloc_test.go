@@ -147,7 +147,6 @@ func TestCacheDecompressZeroAlloc(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			s := New(Config{Workers: 1, CacheBytes: tc.cacheBytes, Registry: reg})
 			c := newCodec(0)
-			c.workers = 1
 			c.sr.SetLimits(64<<20, 4<<20)
 			r := bytes.NewReader(nil)
 			var n int

@@ -38,10 +38,6 @@ type codec struct {
 	// tr is the span of the request holding this codec, never nil: newCodec
 	// gives it an idle span of its own until admit hands it a request's.
 	tr *reqSpan
-	// workers is this request's share of the server's intra-request
-	// parallelism budget (Config.HostWorkers), set by admit on checkout.
-	// 1 keeps the sequential zero-alloc path.
-	workers int
 	// hasher derives chunk-cache keys; per-codec so key derivation needs
 	// no locking and reuses one Hasher's state (zero allocations per key).
 	hasher *chunkcache.Hasher
@@ -167,7 +163,7 @@ func (c *codec) readChunk(r io.Reader, p spine.CompressParams) (int, error) {
 func (c *codec) compress(p spine.CompressParams) ([]byte, error) {
 	c.frame = cszf.AppendHeader(c.frame[:0], 0)
 	tc := time.Now()
-	err := elemCodecs[p.Elem].compress(c, bound(p.Abs, p.Eps), ceresz.Options{Workers: c.workers, BlockLen: p.BlockLen})
+	err := elemCodecs[p.Elem].compress(c, bound(p.Abs, p.Eps), ceresz.Options{BlockLen: p.BlockLen})
 	c.tr.observe(stageCodec, tc)
 	if err != nil {
 		return nil, err
@@ -180,7 +176,7 @@ func (c *codec) compress(p spine.CompressParams) ([]byte, error) {
 // or decode.
 func (c *codec) decode(payload []byte, elem spine.Elem) ([]byte, error) {
 	td := time.Now()
-	out, err := elemCodecs[elem].decode(c, payload, ceresz.Options{Workers: c.workers})
+	out, err := elemCodecs[elem].decode(c, payload, ceresz.Options{})
 	c.tr.observe(stageCodec, td)
 	return out, err
 }

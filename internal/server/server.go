@@ -38,14 +38,12 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"ceresz"
 	"ceresz/internal/chunkcache"
 	"ceresz/internal/core"
 	"ceresz/internal/cszf"
-	"ceresz/internal/hostpool"
 	"ceresz/internal/quant"
 	"ceresz/internal/spine"
 	"ceresz/internal/telemetry"
@@ -61,13 +59,6 @@ type Config struct {
 	// QueueDepth is how many admitted requests may wait for a worker
 	// beyond the Workers executing (0 = 2×Workers, negative = 0).
 	QueueDepth int
-	// HostWorkers is the intra-request parallelism budget: how many host
-	// codec shards the executing requests may use in total (0 or 1 =
-	// sequential per request, the zero-alloc path; negative = GOMAXPROCS).
-	// The budget is split across the requests currently executing, so one
-	// big request alone uses every core while a saturated pool degrades
-	// each request to the sequential path — never oversubscribing.
-	HostWorkers int
 	// MaxBodyBytes caps a request body (0 = 1 GiB).
 	MaxBodyBytes int64
 	// MaxChunkElems caps the elements in one chunk, one decoded frame and
@@ -140,12 +131,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth < 0 {
 		c.QueueDepth = 0
 	}
-	if c.HostWorkers < 0 {
-		c.HostWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.HostWorkers == 0 {
-		c.HostWorkers = 1
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 30
 	}
@@ -210,18 +195,10 @@ type Server struct {
 	// cache memoizes per-chunk codec results (nil when Config.CacheBytes
 	// is 0 — the handlers then run the exact pre-cache code path).
 	cache *chunkcache.Cache
-	// executing counts requests currently holding a codec; the intra-
-	// request worker budget (Config.HostWorkers) is divided by it.
-	executing atomic.Int64
 	// gauges mirror state for /debug/metrics; functional state never
 	// lives in telemetry (a disabled registry makes gauges no-ops).
 	inflight   *telemetry.Gauge
 	queueDepth *telemetry.Gauge
-	// hostPeak / hostImbalance mirror the shared host pool's occupancy
-	// atomics (internal/hostpool) into this server's registry, so cereszd's
-	// private /debug/metrics sees them even with telemetry.Default off.
-	hostPeak      *telemetry.Gauge
-	hostImbalance *telemetry.Gauge
 
 	mCompress   *endpoint
 	mDecompress *endpoint
@@ -233,23 +210,19 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:           cfg,
-		codecs:        make(chan *codec, cfg.Workers),
-		sem:           make(chan struct{}, cfg.Workers+cfg.QueueDepth),
-		tr:            newTracer(cfg.Workers+cfg.QueueDepth, cfg),
-		inflight:      cfg.Registry.Gauge("server.inflight"),
-		queueDepth:    cfg.Registry.Gauge("server.queue_depth"),
-		hostPeak:      cfg.Registry.Gauge("server.host_pool_peak_workers"),
-		hostImbalance: cfg.Registry.Gauge("server.host_shard_imbalance_pct"),
-		mCompress:     newEndpoint(cfg.Registry, spine.Compress),
-		mDecompress:   newEndpoint(cfg.Registry, spine.Decompress),
-		mBundle:       newEndpoint(cfg.Registry, spine.Bundle),
+		cfg:         cfg,
+		codecs:      make(chan *codec, cfg.Workers),
+		sem:         make(chan struct{}, cfg.Workers+cfg.QueueDepth),
+		tr:          newTracer(cfg.Workers+cfg.QueueDepth, cfg),
+		inflight:    cfg.Registry.Gauge("server.inflight"),
+		queueDepth:  cfg.Registry.Gauge("server.queue_depth"),
+		mCompress:   newEndpoint(cfg.Registry, spine.Compress),
+		mDecompress: newEndpoint(cfg.Registry, spine.Decompress),
+		mBundle:     newEndpoint(cfg.Registry, spine.Bundle),
 	}
 	cfg.Registry.Describe("server.draining", "1 while the server refuses new work to drain.")
 	cfg.Registry.Describe("server.inflight", "Requests currently holding a codec worker.")
 	cfg.Registry.Describe("server.queue_depth", "Admitted requests waiting for a codec worker.")
-	cfg.Registry.Describe("server.host_pool_peak_workers", "Peak shared host-pool occupancy observed.")
-	cfg.Registry.Describe("server.host_shard_imbalance_pct", "Last host-codec shard imbalance, percent.")
 	if cfg.CacheBytes > 0 {
 		s.cache = chunkcache.New(cfg.CacheBytes, cfg.Registry)
 	}
@@ -388,15 +361,7 @@ func (s *Server) admit(m *endpoint, h func(*codec, http.ResponseWriter, *http.Re
 		sp.worker = int32(c.id)
 		sp.mu.Unlock()
 		c.tr = sp
-		// Split the intra-request worker budget across the requests
-		// executing right now (self included): one big request alone gets
-		// the whole budget, a saturated pool degrades each request to the
-		// sequential zero-alloc path.
-		c.workers = s.cfg.HostWorkers / int(s.executing.Add(1))
-		if c.workers < 1 {
-			c.workers = 1
-		}
-		defer func() { s.executing.Add(-1); s.codecs <- c }()
+		defer func() { s.codecs <- c }()
 
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
@@ -413,11 +378,6 @@ func (s *Server) admit(m *endpoint, h func(*codec, http.ResponseWriter, *http.Re
 		}
 		sp.status.Store(int32(rw.Status))
 		m.ObserveStatus(rw.Status)
-		// Mirror the shared host pool's occupancy into this server's
-		// registry so /debug/metrics shows it even when telemetry.Default
-		// (which internal/hostpool instruments) is disabled.
-		s.hostPeak.Set(int64(hostpool.Peak()))
-		s.hostImbalance.Set(int64(hostpool.LastImbalance()))
 		// Stage attribution back to the client: the Server-Timing trailer
 		// rides the chunked response epilogue (set after the body, as Go
 		// requires for declared trailers). Error responses written with a
@@ -537,7 +497,6 @@ func (s *Server) handleDecompress(c *codec, w http.ResponseWriter, r *http.Reque
 	}
 	c.sr.Reset(&c.body)
 	c.sr.SetLimits(s.cfg.MaxFrameBytes, s.cfg.MaxChunkElems)
-	c.sr.SetWorkers(c.workers)
 	return s.stream(c, w, r, s.mDecompress, "application/octet-stream", func(bool) ([]byte, chunkcache.Handle, error) {
 		return s.nextDecoded(c, elem)
 	})
@@ -718,7 +677,7 @@ func (s *Server) handleBundle(c *codec, w http.ResponseWriter, r *http.Request) 
 		c.tr.observe(stageRead, tr)
 		c.tr.bytesIn.Add(int64(n))
 		tc := time.Now()
-		opts := ceresz.Options{Workers: c.workers, BlockLen: s.cfg.BlockLen}
+		opts := ceresz.Options{BlockLen: s.cfg.BlockLen}
 		if err := ec.addField(c, bw, spec.Name, dims, bound(abs, spec.Eps), opts); err != nil {
 			return badRequest{err}
 		}

@@ -62,6 +62,34 @@ func localFrames(t *testing.T, data []float32, bound ceresz.Bound, chunkElems in
 	return buf.Bytes()
 }
 
+// rawBytes serializes floats as the wire's little-endian body format.
+func rawBytes(data []float32) []byte {
+	raw := make([]byte, 4*len(data))
+	for i, v := range data {
+		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
+	}
+	return raw
+}
+
+// postBody POSTs body to url and returns the response bytes, failing on a
+// non-200 status.
+func postBody(t *testing.T, url string, body []byte) []byte {
+	t.Helper()
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, out)
+	}
+	return out
+}
+
 // TestEndToEndConcurrentClients is the issue's acceptance test: K
 // concurrent clients compress and decompress through the server, and every
 // response must match the direct library call bit-for-bit.

@@ -6,8 +6,8 @@ import (
 )
 
 // Chrome trace-event export, shared by every span producer in the repo.
-// The simulator's Tracer/SpanLog (internal/wse) and the serving path's
-// request spans (internal/server) both render through this writer, so a
+// The simulator's SpanLog (internal/wse) and the serving path's request
+// spans (internal/server) both render through this writer, so a
 // simulator run and a cereszd capture open in the same viewer
 // (ui.perfetto.dev or chrome://tracing) with the same conventions:
 // complete slices use ph "X", per-track metadata ph "M", and flow arrows

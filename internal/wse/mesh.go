@@ -88,7 +88,6 @@ type Mesh struct {
 	processed int64
 	emissions []Emission
 	emitTo    func(Emission)
-	tracer    *Tracer
 	spans     *SpanLog
 
 	// linkFree[pe][dir] is the cycle at which PE pe's outgoing link
@@ -407,10 +406,6 @@ func (e *engine) run() error {
 		if d := m.routeOf(sm.pe, sm.msg.Color); d != routeNone {
 			// Router pass-through: re-emit on the configured link with
 			// no processor involvement (only link serialization).
-			if m.tracer != nil {
-				m.tracer.record(TraceEntry{At: k.at, PE: pe.coord, Kind: TraceRoute,
-					Color: sm.msg.Color, Wavelets: sm.msg.Wavelets})
-			}
 			e.routeForward(pe, k.slot, Dir(d), k.at)
 			continue
 		}
@@ -550,10 +545,6 @@ func (e *engine) dispatch(pe *PE, t int64) {
 	// The slot is still the handler's message (it is released below), but
 	// the handler's sends may have grown the slab under sm.
 	msg := &e.slab.msgs[slot].msg
-	if e.m.tracer != nil {
-		e.m.tracer.record(TraceEntry{At: t, PE: pe.coord, Kind: TraceDispatch,
-			Color: msg.Color, Wavelets: msg.Wavelets, Cycles: end - t})
-	}
 	if e.m.spans != nil && msg.Span != 0 {
 		e.recordSpan(SpanEvent{Span: msg.Span, Kind: SpanDispatch, PE: pe.coord,
 			At: t, End: end, Sent: msg.sentAt, Arrived: msg.arrivedAt,
@@ -596,9 +587,6 @@ func (e *engine) finishHandler(pe *PE, t int64) int64 {
 			continue
 		}
 		m.emissions = append(m.emissions, em)
-		if m.tracer != nil {
-			m.tracer.record(TraceEntry{At: end, PE: pe.coord, Kind: TraceEmit})
-		}
 		if m.emitTo != nil {
 			m.emitTo(em)
 		}

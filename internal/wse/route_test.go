@@ -1,9 +1,6 @@
 package wse
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRoutePassThrough(t *testing.T) {
 	// A 1×4 strip where PEs 1 and 2 route color 5 eastward in hardware;
@@ -147,68 +144,4 @@ func TestRoutedLinkSerializesWithSends(t *testing.T) {
 	if arrivals[0] != 101 || arrivals[1] != 112 {
 		t.Fatalf("arrivals %v, want [101 112]", arrivals)
 	}
-}
-
-func TestTracer(t *testing.T) {
-	m, _ := NewMesh(Config{Rows: 1, Cols: 2})
-	tr := m.AttachTracer(3)
-	m.SetProgram(0, 0, ProgramFunc(func(ctx *Context, msg Message) {
-		ctx.Spend(10)
-		ctx.Forward(East, msg)
-	}))
-	m.SetProgram(0, 1, ProgramFunc(func(ctx *Context, msg Message) {
-		ctx.Emit(msg.Payload, msg.Wavelets)
-	}))
-	for b := 0; b < 3; b++ {
-		m.Inject(0, 0, Message{Color: 0, Payload: b, Wavelets: 4}, 0)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Entries) != 3 {
-		t.Fatalf("retained %d entries, want cap 3", len(tr.Entries))
-	}
-	// 3 dispatches on PE0 + 3 (dispatch+emit) on PE1 = 9 events total.
-	if tr.Dropped != 6 {
-		t.Fatalf("dropped %d, want 6", tr.Dropped)
-	}
-	first := tr.Entries[0]
-	if first.Kind != TraceDispatch || first.Cycles != 14 { // 10 spend + 4 relay
-		t.Fatalf("first entry %+v", first)
-	}
-	var sb strings.Builder
-	tr.Write(&sb)
-	if !strings.Contains(sb.String(), "dispatch") || !strings.Contains(sb.String(), "dropped") {
-		t.Fatalf("trace output:\n%s", sb.String())
-	}
-}
-
-func TestTracerRoutesAndNil(t *testing.T) {
-	// Routed events are traced; a mesh without a tracer must not record.
-	m, _ := NewMesh(Config{Rows: 1, Cols: 3})
-	tr := m.AttachTracer(0) // default cap
-	m.SetRoute(0, 1, 4, East)
-	m.SetProgram(0, 0, ProgramFunc(func(ctx *Context, msg Message) {
-		ctx.Forward(East, msg)
-	}))
-	m.SetProgram(0, 2, ProgramFunc(func(*Context, Message) {}))
-	m.Inject(0, 0, Message{Color: 4, Wavelets: 2}, 0)
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var routes int
-	for _, e := range tr.Entries {
-		if e.Kind == TraceRoute {
-			routes++
-		}
-	}
-	if routes != 1 {
-		t.Fatalf("traced %d route events, want 1", routes)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AttachTracer after Run did not panic")
-		}
-	}()
-	m.AttachTracer(1)
 }

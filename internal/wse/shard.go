@@ -69,9 +69,7 @@ func (m *Mesh) partition() runPlan {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// The tracer records a single globally ordered schedule, so traced
-	// runs always use the sequential reference engine.
-	if workers <= 1 || m.tracer != nil || rows == 1 {
+	if workers <= 1 || rows == 1 {
 		return runPlan{sequential: true}
 	}
 

@@ -9,13 +9,11 @@ import (
 //
 // A span follows one unit of work (a CereSZ block) across the wafer:
 // host injection, every router hop, every handler that touched it, and
-// the final wafer egress. Unlike the Tracer — which records the global
-// schedule and therefore forces the sequential engine — span events are
-// keyed to their cause event's deterministic (at, src, seq) ordering key,
-// so sharded runs merge them into exactly the sequence the sequential
-// engine would have produced. Attaching a span log never changes how a
-// run is partitioned, and its output is bit-identical for any
-// Config.Workers.
+// the final wafer egress. Span events are keyed to their cause event's
+// deterministic (at, src, seq) ordering key, so sharded runs merge them
+// into exactly the sequence the sequential engine would have produced.
+// Attaching a span log never changes how a run is partitioned, and its
+// output is bit-identical for any Config.Workers.
 
 // SpanKind classifies one span event.
 type SpanKind uint8

@@ -7,63 +7,10 @@ import (
 	"ceresz/internal/telemetry"
 )
 
-// Chrome trace-event export for the simulator's Tracer and SpanLog. Both
-// render through the shared telemetry.ChromeTraceWriter — the same
-// machinery the serving path uses for request spans — so simulator and
-// server captures open in the same viewer with the same conventions.
-
-// WriteChromeTrace renders the trace as a Chrome trace-event JSON array:
-// one track (tid) per PE, one complete slice (ph "X") per dispatch, route
-// or emit, with the message color and wavelet count as slice args.
-// Timestamps are simulator cycles presented as microseconds, so one
-// Perfetto "µs" is one PE clock cycle. cfg must be the configuration of
-// the mesh that produced the trace (the column count assigns track ids).
-func (tr *Tracer) WriteChromeTrace(w io.Writer, cfg Config) error {
-	tw := telemetry.NewChromeTraceWriter(w)
-
-	// One named track per PE appearing in the trace, in first-seen order.
-	tid := func(c Coord) int { return c.Row*cfg.Cols + c.Col }
-	seen := map[int]bool{}
-	events := tr.Events()
-	for _, e := range events {
-		id := tid(e.PE)
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		tw.Emit(telemetry.ThreadName(0, id, fmt.Sprintf("PE(%d,%d)", e.PE.Row, e.PE.Col)))
-	}
-
-	for _, e := range events {
-		ev := telemetry.ChromeEvent{
-			Name: e.Kind.String(),
-			Cat:  e.Kind.String(),
-			Ph:   "X",
-			Ts:   e.At,
-			Dur:  1,
-			Pid:  0,
-			Tid:  tid(e.PE),
-		}
-		switch e.Kind {
-		case TraceDispatch:
-			if e.Cycles > 1 {
-				ev.Dur = e.Cycles
-			}
-			ev.Cname = "good"
-			ev.Args = map[string]any{"color": int(e.Color), "wavelets": e.Wavelets}
-		case TraceRoute:
-			if int64(e.Wavelets) > 1 {
-				ev.Dur = int64(e.Wavelets)
-			}
-			ev.Cname = "yellow"
-			ev.Args = map[string]any{"color": int(e.Color), "wavelets": e.Wavelets}
-		case TraceEmit:
-			ev.Cname = "grey"
-		}
-		tw.Emit(ev)
-	}
-	return tw.Close()
-}
+// Chrome trace-event export for the simulator's SpanLog. It renders
+// through the shared telemetry.ChromeTraceWriter — the same machinery the
+// serving path uses for request spans — so simulator and server captures
+// open in the same viewer with the same conventions.
 
 // WriteChromeTrace renders the span log as a Chrome trace-event JSON
 // array: one track per PE, one slice per lifecycle point of every traced

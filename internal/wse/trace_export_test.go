@@ -2,167 +2,12 @@ package wse
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// tracedMesh runs a 1×3 pipeline with a router pass-through on the middle
-// PE so the trace holds all three event kinds.
-func tracedMesh(t *testing.T, attach func(*Mesh) *Tracer, blocks int) (*Mesh, *Tracer) {
-	t.Helper()
-	m, err := NewMesh(Config{Rows: 1, Cols: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := attach(m)
-	m.SetRoute(0, 1, 4, East)
-	m.SetProgram(0, 0, ProgramFunc(func(ctx *Context, msg Message) {
-		ctx.Spend(10)
-		fwd := msg
-		fwd.Color = 4
-		ctx.Send(East, fwd)
-	}))
-	m.SetProgram(0, 2, ProgramFunc(func(ctx *Context, msg Message) {
-		ctx.Spend(5)
-		ctx.Emit(msg.Payload, msg.Wavelets)
-	}))
-	for b := 0; b < blocks; b++ {
-		m.Inject(0, 0, Message{Color: 0, Payload: b, Wavelets: 4}, int64(4*b))
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return m, tr
-}
-
-func TestChromeTraceRoundTrip(t *testing.T) {
-	m, tr := tracedMesh(t, func(m *Mesh) *Tracer { return m.AttachTracer(1 << 10) }, 4)
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf, m.Config()); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("trace is not a JSON array: %v\n%s", err, buf.String())
-	}
-	var slices, meta int
-	tids := map[float64]bool{}
-	names := map[string]bool{}
-	for _, ev := range events {
-		ph, _ := ev["ph"].(string)
-		switch ph {
-		case "X":
-			slices++
-			tids[ev["tid"].(float64)] = true
-			names[ev["name"].(string)] = true
-			if ev["dur"].(float64) < 1 {
-				t.Fatalf("slice with dur < 1: %v", ev)
-			}
-		case "M":
-			meta++
-		default:
-			t.Fatalf("unexpected ph %q in %v", ph, ev)
-		}
-	}
-	if slices == 0 || meta == 0 {
-		t.Fatalf("trace has %d slices, %d metadata events", slices, meta)
-	}
-	// All three PEs appear as distinct tracks, all three kinds as slices.
-	if len(tids) != 3 {
-		t.Fatalf("expected 3 PE tracks, got %v", tids)
-	}
-	for _, kind := range []string{"dispatch", "route", "emit"} {
-		if !names[kind] {
-			t.Fatalf("trace missing %q slices (have %v)", kind, names)
-		}
-	}
-	// Dispatch slices carry color and wavelet args.
-	for _, ev := range events {
-		if ev["ph"] == "X" && ev["name"] == "dispatch" {
-			args, ok := ev["args"].(map[string]any)
-			if !ok {
-				t.Fatalf("dispatch slice without args: %v", ev)
-			}
-			if _, ok := args["color"]; !ok {
-				t.Fatalf("dispatch args missing color: %v", args)
-			}
-			if _, ok := args["wavelets"]; !ok {
-				t.Fatalf("dispatch args missing wavelets: %v", args)
-			}
-		}
-	}
-}
-
-func TestRingTracerKeepsMostRecent(t *testing.T) {
-	// A cap of 4 over >4 events: KeepLast must hold the 4 newest, with
-	// Dropped counting the evicted ones.
-	_, tr := tracedMesh(t, func(m *Mesh) *Tracer { return m.AttachRingTracer(4) }, 6)
-	total := int64(len(tr.Events())) + tr.Dropped
-	if len(tr.Events()) != 4 {
-		t.Fatalf("ring retained %d events, want 4", len(tr.Events()))
-	}
-	if tr.Dropped <= 0 {
-		t.Fatal("ring eviction not counted in Dropped")
-	}
-	// Compare against an uncapped KeepFirst trace of the same schedule.
-	_, full := tracedMesh(t, func(m *Mesh) *Tracer { return m.AttachTracer(1 << 10) }, 6)
-	if full.Dropped != 0 {
-		t.Fatal("reference trace unexpectedly dropped events")
-	}
-	if int64(len(full.Events())) != total {
-		t.Fatalf("ring saw %d events total, reference saw %d", total, len(full.Events()))
-	}
-	// The retained entries are exactly the last 4, in occurrence order.
-	want := full.Events()[len(full.Events())-4:]
-	got := tr.Events()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ring event %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	var sb strings.Builder
-	tr.Write(&sb)
-	if !strings.Contains(sb.String(), "evicted") {
-		t.Fatalf("ring Write missing eviction note:\n%s", sb.String())
-	}
-}
-
-func TestKeepFirstTracerDroppedAccounting(t *testing.T) {
-	_, tr := tracedMesh(t, func(m *Mesh) *Tracer { return m.AttachTracer(4) }, 6)
-	if len(tr.Events()) != 4 {
-		t.Fatalf("retained %d events, want 4", len(tr.Events()))
-	}
-	if tr.Dropped <= 0 {
-		t.Fatal("overflow not counted in Dropped")
-	}
-	_, full := tracedMesh(t, func(m *Mesh) *Tracer { return m.AttachTracer(1 << 10) }, 6)
-	if int64(len(tr.Events()))+tr.Dropped != int64(len(full.Events())) {
-		t.Fatalf("KeepFirst accounting: %d retained + %d dropped != %d total",
-			len(tr.Events()), tr.Dropped, len(full.Events()))
-	}
-	// KeepFirst retains the earliest events.
-	want := full.Events()[:4]
-	for i, e := range tr.Events() {
-		if e != want[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, e, want[i])
-		}
-	}
-}
-
-func TestRingTracerUnderCap(t *testing.T) {
-	// Fewer events than the cap: identical to KeepFirst, nothing dropped.
-	_, tr := tracedMesh(t, func(m *Mesh) *Tracer { return m.AttachRingTracer(1 << 10) }, 2)
-	if tr.Dropped != 0 {
-		t.Fatalf("dropped %d with room to spare", tr.Dropped)
-	}
-	if len(tr.Events()) == 0 {
-		t.Fatal("no events retained")
-	}
-}
-
 func TestHeatmapCSV(t *testing.T) {
-	m, _ := tracedMesh(t, func(m *Mesh) *Tracer { return m.AttachTracer(16) }, 4)
+	m, _ := tracedMesh(t, 4)
 	var buf bytes.Buffer
 	if err := m.WriteHeatmapCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -214,7 +59,7 @@ func TestHeatmapIdleMesh(t *testing.T) {
 }
 
 func TestHeatmapASCIIShades(t *testing.T) {
-	m, _ := tracedMesh(t, func(m *Mesh) *Tracer { return m.AttachTracer(16) }, 8)
+	m, _ := tracedMesh(t, 8)
 	var buf bytes.Buffer
 	m.WriteHeatmapASCII(&buf)
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
