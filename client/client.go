@@ -73,11 +73,9 @@ type Config struct {
 	// in-flight request reuses a warm connection instead of re-dialing.
 	// Ignored when HTTPClient is set.
 	MaxIdleConnsPerHost int
-	// Tenant tags every request with an X-Ceresz-Tenant header — the
-	// identity cereszproxy's per-tenant QoS buckets key on ("" = untagged;
-	// the proxy pools untagged traffic into one shared bucket). A proxy
-	// throttle arrives as a 429 with Retry-After and is retried with the
-	// same backoff discipline as a direct server 429.
+	// Tenant tags every request with an X-Ceresz-Tenant header ("" =
+	// untagged). cereszproxy passes it through; cereszd only labels its
+	// access-log lines, /debug/requests and request spans with it.
 	Tenant string
 }
 
@@ -481,8 +479,8 @@ func (c *Client) bundle(ctx context.Context, fields []BundleField, tr *Trace) ([
 }
 
 // setTenant stamps the configured tenant identity onto req. Every
-// request carries it — data paths and probes alike — so multi-tenant
-// proxies attribute all of a client's traffic to one identity.
+// request carries it — data paths and probes alike — so all of a
+// client's traffic carries one label.
 func (c *Client) setTenant(req *http.Request) {
 	if c.cfg.Tenant != "" {
 		req.Header.Set("X-Ceresz-Tenant", c.cfg.Tenant)

@@ -83,16 +83,17 @@ func TestNoTenantHeaderByDefault(t *testing.T) {
 	}
 }
 
-// A proxy-origin tenant throttle (429 + Retry-After from cereszproxy)
-// must be retried exactly like a direct-server 429: honor the hint, keep
-// the tenant header on the retry, succeed on the next attempt.
+// A 429 + Retry-After from whichever tier answered (a saturated
+// cereszproxy or cereszd) is retried: honor the hint, keep the tenant
+// header on the retry, succeed on the next attempt.
 func TestProxyTenantThrottleRetried(t *testing.T) {
 	attempts := 0
 	var retryTenant string
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		attempts++
 		if attempts == 1 {
-			// The shape cereszproxy emits for an exhausted tenant bucket.
+			// A 429 with a Retry-After hint; the client never parses the
+			// body text.
 			w.Header().Set("Retry-After", "0")
 			http.Error(w, "proxy: tenant acme rate limited, retry later", http.StatusTooManyRequests)
 			return

@@ -44,11 +44,8 @@
 //	-trace-sample N        trace 1-in-N requests into the span rings and
 //	                       /debug/trace (0 = tracing off; IDs, RED metrics
 //	                       and Server-Timing trailers stay on regardless)
-//	-trace-ring N          recent-request ring capacity
-//	-slow-ring N           slowest-request ring capacity
 //	-access-log PATH       structured JSON access log ("-" = stderr,
 //	                       "" = off)
-//	-access-log-sample N   log 1-in-N finished requests
 //	-rollup-interval DUR   windowed time-series interval (default 5s; zero
 //	                       or negative = rollups off, unless -slo or
 //	                       -flight-dir needs them: then 5s)
@@ -67,8 +64,10 @@
 // Request observability rides on every response: X-Ceresz-Request-Id and
 // Traceparent headers echo the request's identity, and a Server-Timing
 // trailer carries per-stage server timings. /debug/requests snapshots
-// in-flight requests plus the slowest-N ring; /debug/trace exports
-// sampled request spans as Chrome trace-events for Perfetto.
+// in-flight requests plus the 32 slowest; /debug/trace exports the 256
+// most recent sampled request spans as Chrome trace-events for Perfetto.
+// The access log gets one line per finished request, tagged with its
+// X-Ceresz-Tenant id when the client sent one.
 //
 // The probes, drain sequence, fleet-health views and the flags shared with
 // cereszproxy come from internal/spine.
@@ -96,10 +95,7 @@ func main() {
 	maxFrameBytes := flag.Int("max-frame-bytes", 0, "compressed frame byte cap (0 = 64MiB)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "content-addressed chunk-cache memory budget in bytes (0 = caching off)")
 	traceSample := flag.Int("trace-sample", 0, "trace 1-in-N requests into the span rings (0 = off)")
-	traceRing := flag.Int("trace-ring", 0, "recent-request ring capacity (0 = 256)")
-	slowRing := flag.Int("slow-ring", 0, "slowest-request ring capacity (0 = 32)")
 	accessLog := flag.String("access-log", "", "structured JSON access log path (\"-\" = stderr, \"\" = off)")
-	accessLogSample := flag.Int("access-log-sample", 1, "log 1-in-N finished requests")
 	flightDir := flag.String("flight-dir", "", "directory for anomaly-triggered incident dumps (\"\" = flight recorder off)")
 	flightMinInterval := flag.Duration("flight-min-interval", 0, "min interval between trigger-initiated incident dumps (0 = 30s)")
 	d.Parse()
@@ -120,21 +116,18 @@ func main() {
 
 	d.Registry = telemetry.NewRegistry()
 	srv := server.New(server.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		MaxBodyBytes:   *maxBody,
-		MaxChunkElems:  *maxChunkElems,
-		MaxFrameBytes:  *maxFrameBytes,
-		ChunkElems:     *chunk,
-		RetryAfter:     d.RetryAfter,
-		CacheBytes:     *cacheBytes,
-		BlockLen:       *block,
-		Registry:       d.Registry,
-		TraceEvery:     *traceSample,
-		TraceRing:      *traceRing,
-		SlowRing:       *slowRing,
-		AccessLog:      logW,
-		AccessLogEvery: *accessLogSample,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		MaxBodyBytes:  *maxBody,
+		MaxChunkElems: *maxChunkElems,
+		MaxFrameBytes: *maxFrameBytes,
+		ChunkElems:    *chunk,
+		RetryAfter:    d.RetryAfter,
+		CacheBytes:    *cacheBytes,
+		BlockLen:      *block,
+		Registry:      d.Registry,
+		TraceEvery:    *traceSample,
+		AccessLog:     logW,
 
 		RollupInterval:    d.RollupInterval,
 		RollupWindows:     d.RollupWindows,

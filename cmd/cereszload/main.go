@@ -29,8 +29,8 @@
 //	-wait DUR        poll the server's readiness up to DUR before starting
 //	                 instead of failing on the first probe
 //	-smoke           run the correctness round-trip instead of traffic
-//	-tenant ID       tag every request with X-Ceresz-Tenant (the identity
-//	                 cereszproxy's per-tenant QoS buckets key on)
+//	-tenant ID       tag every request with X-Ceresz-Tenant (a label on the
+//	                 backends' access-log lines, /debug/requests and spans)
 //	-targets URLS    cluster mode: comma-separated backend base URLs to
 //	                 scrape around the traffic run; -addr then points at a
 //	                 cereszproxy and the document lists the per-backend

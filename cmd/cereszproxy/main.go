@@ -1,6 +1,6 @@
 // Command cereszproxy fronts N cereszd backends as one logical
 // compression service: a consistent-hash shard router with health-checked
-// failover and per-tenant QoS (internal/cluster).
+// failover (internal/cluster).
 //
 // Routing is keyed on the same digests the backends' content-addressed
 // chunk cache uses (internal/chunkcache's lane-parallel SHA-256 tree over
@@ -24,18 +24,18 @@
 //	GET  /debug/timeseries  windowed rollups over the proxy registry
 //	GET  /debug/slo         proxy-tier SLO burn rates (-slo)
 //
-// QoS: requests tagged X-Ceresz-Tenant draw from per-tenant token
-// buckets (-tenant-rate/-tenant-burst; exhausted buckets get 429 with an
-// exact Retry-After). X-Ceresz-Priority: low caps batch traffic at
-// -low-share of the worker pool. Backend 429s relay untouched.
+// Admission: at most -workers requests relay at once; the next one gets
+// 429 with Retry-After, as on cereszd. Backend 429s relay untouched, and
+// X-Ceresz-Tenant ids pass through to the backends' access logs.
 //
 // Failover: upstream connect errors and 5xx retry once on the next ring
 // owner when no response bytes have been sent and the request body is
 // replayable (buffered within -replay-bytes); a partially forwarded
 // streaming body refuses the retry with an explicit 502 instead of
 // silently resending. Backends failing -fail-after consecutive probes or
-// forwards leave the ring; degraded backends (the PR-10 readiness
-// detail) shed share at reduced weight.
+// forwards leave the ring; degraded backends (an SLO burning, per their
+// readiness detail) shed share at a quarter of the 64 virtual nodes a
+// healthy backend owns.
 //
 // On SIGINT/SIGTERM the proxy flips readiness, refuses new work with
 // Retry-After and waits up to -drain-timeout for in-flight relays.
@@ -44,16 +44,8 @@
 //
 //	-addr host:port       listen address (default :8770)
 //	-backends URLS        comma-separated backend base URLs (required)
-//	-vnodes N             virtual nodes per healthy backend (0 = 64)
-//	-degraded-vnodes N    weight of a degraded backend (0 = vnodes/4)
 //	-workers N            concurrent relay cap (0 = 8x GOMAXPROCS)
-//	-low-share F          worker-pool fraction the low priority class may
-//	                      hold (0 = 0.5)
-//	-tenant-rate F        per-tenant requests/second (0 = unlimited)
-//	-tenant-burst N       per-tenant burst capacity (0 = max(1, rate))
-//	-max-tenants N        tenant bucket table bound (0 = 16Ki)
 //	-health-interval DUR  readiness poll interval (0 = 1s)
-//	-health-timeout DUR   per-probe timeout (0 = interval/2)
 //	-fail-after N         consecutive failures before ejection (0 = 3)
 //	-replay-bytes BYTES   request-body failover buffer (0 = 4MiB)
 //	-chunk N              backends' -chunk, for routing-digest agreement
@@ -86,15 +78,8 @@ import (
 func main() {
 	d := spine.NewDaemon("cereszproxy", "proxy", ":8770")
 	backends := flag.String("backends", "", "comma-separated backend base URLs (required)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per healthy backend (0 = 64)")
-	degradedVnodes := flag.Int("degraded-vnodes", 0, "ring weight of a degraded backend (0 = vnodes/4)")
 	workers := flag.Int("workers", 0, "concurrent relay cap (0 = 8x GOMAXPROCS)")
-	lowShare := flag.Float64("low-share", 0, "worker-pool fraction the low priority class may hold (0 = 0.5)")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant requests/second (0 = unlimited)")
-	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant burst capacity (0 = max(1, rate))")
-	maxTenants := flag.Int("max-tenants", 0, "tenant bucket table bound (0 = 16Ki)")
 	healthInterval := flag.Duration("health-interval", 0, "readiness poll interval (0 = 1s)")
-	healthTimeout := flag.Duration("health-timeout", 0, "per-probe timeout (0 = interval/2)")
 	failAfter := flag.Int("fail-after", 0, "consecutive failures before a backend is ejected (0 = 3)")
 	replayBytes := flag.Int("replay-bytes", 0, "request-body failover buffer in bytes (0 = 4MiB)")
 	chunk := flag.Int("chunk", 0, "backends' -chunk, for routing-digest agreement (0 = 64Ki)")
@@ -114,17 +99,10 @@ func main() {
 
 	d.Registry = telemetry.NewRegistry()
 	p, err := cluster.New(cluster.Config{
-		Backends:       urls,
-		Vnodes:         *vnodes,
-		DegradedVnodes: *degradedVnodes,
-		Workers:        *workers,
-		LowShare:       *lowShare,
-		TenantRate:     *tenantRate,
-		TenantBurst:    *tenantBurst,
-		MaxTenants:     *maxTenants,
+		Backends: urls,
+		Workers:  *workers,
 		Health: cluster.HealthConfig{
 			Interval:  *healthInterval,
-			Timeout:   *healthTimeout,
 			FailAfter: *failAfter,
 		},
 		ReplayBytes: *replayBytes,

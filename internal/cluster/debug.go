@@ -30,7 +30,6 @@ type ringView struct {
 	Vnodes     int               `json:"vnodes"`
 	Routable   int               `json:"routable"`
 	Probes     int64             `json:"probes"`
-	Tenants    int               `json:"tenants"`
 	RandomMode bool              `json:"random_route,omitempty"`
 	Backends   []ringBackendView `json:"backends"`
 }
@@ -48,7 +47,6 @@ func (p *Proxy) handleRing(w http.ResponseWriter, r *http.Request) {
 		Vnodes:     ring.Len(),
 		Routable:   len(ring.Members()),
 		Probes:     p.checker.probes.Load(),
-		Tenants:    p.limiter.Tenants(),
 		RandomMode: p.cfg.RandomRoute,
 	}
 	for i, b := range p.backends {
@@ -57,7 +55,7 @@ func (p *Proxy) handleRing(w http.ResponseWriter, r *http.Request) {
 			Index:   i,
 			URL:     b.name,
 			State:   hs.State.String(),
-			Weight:  p.weight(hs.State),
+			Weight:  weight(hs.State),
 			Share:   shares[i],
 			Fails:   hs.Fails,
 			LastErr: hs.LastErr,

@@ -67,10 +67,9 @@ type readyBody struct {
 
 // HealthConfig tunes the checker.
 type HealthConfig struct {
-	// Interval between probe rounds (0 = 1s).
+	// Interval between probe rounds (0 = 1s). Each probe times out after
+	// half of it, but never in under 100ms.
 	Interval time.Duration
-	// Timeout per probe (0 = Interval/2, min 100ms).
-	Timeout time.Duration
 	// FailAfter is the consecutive-failure count that declares a backend
 	// dead (0 = 3).
 	FailAfter int
@@ -82,12 +81,6 @@ type HealthConfig struct {
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = c.Interval / 2
-		if c.Timeout < 100*time.Millisecond {
-			c.Timeout = 100 * time.Millisecond
-		}
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 3
@@ -242,7 +235,7 @@ func (c *Checker) probeAll() {
 func (c *Checker) probe(i int) {
 	b := c.backends[i]
 	c.probes.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), max(c.cfg.Interval/2, 100*time.Millisecond))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz/ready", nil)
 	if err != nil {

@@ -37,27 +37,20 @@ var ErrPartialForward = errors.New("cluster: upstream failed after request body 
 // incident; the client's own retry (with jittered backoff) covers it.
 const failoverRetries = 1
 
+// Ring weights: a healthy backend owns healthyVnodes virtual nodes; a
+// degraded one stays on the ring at a quarter of that, shedding share.
+const (
+	healthyVnodes  = 64
+	degradedVnodes = healthyVnodes / 4
+)
+
 // Config tunes a Proxy.
 type Config struct {
 	// Backends are the cereszd base URLs the proxy shards across.
 	Backends []string
-	// Vnodes is the virtual-node count per healthy backend (0 = 64).
-	Vnodes int
-	// DegradedVnodes is the weight of a degraded backend (0 = Vnodes/4,
-	// min 1): still on the ring, but shedding share.
-	DegradedVnodes int
 	// Workers bounds concurrently proxied requests (0 = 8×GOMAXPROCS —
 	// the proxy is I/O-bound, so it runs far wider than a codec pool).
 	Workers int
-	// LowShare is the fraction of Workers the low-priority class
-	// (X-Ceresz-Priority: low) may hold (0 = 0.5).
-	LowShare float64
-	// TenantRate is the per-tenant admission rate in requests/second
-	// (0 = tenant limiting off); TenantBurst is the bucket capacity
-	// (0 = max(1, TenantRate)); MaxTenants bounds the bucket table.
-	TenantRate  float64
-	TenantBurst int
-	MaxTenants  int
 	// Health tunes the readiness pollers.
 	Health HealthConfig
 	// ReplayBytes is how much request body the proxy buffers: bodies at
@@ -98,20 +91,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = 64
-	}
-	if c.DegradedVnodes <= 0 {
-		c.DegradedVnodes = c.Vnodes / 4
-		if c.DegradedVnodes < 1 {
-			c.DegradedVnodes = 1
-		}
-	}
 	if c.Workers <= 0 {
 		c.Workers = 8 * runtime.GOMAXPROCS(0)
-	}
-	if c.LowShare <= 0 || c.LowShare > 1 {
-		c.LowShare = 0.5
 	}
 	if c.ReplayBytes <= 0 {
 		c.ReplayBytes = 4 << 20
@@ -132,15 +113,6 @@ func (c Config) withDefaults() Config {
 		c.Transport = t
 	}
 	return c
-}
-
-// epMetrics is one endpoint's proxy-tier instruments, proxy.<ep>.*: the
-// spine's RED set plus the tenant-throttle counter. The endpoints mirror
-// the backend's, so SLO subjects and the client package work unchanged
-// against either tier.
-type epMetrics struct {
-	*spine.RED
-	throttled *telemetry.Counter
 }
 
 // backend is one upstream in the proxy's fixed table.
@@ -168,20 +140,22 @@ type Proxy struct {
 	// generation counts ring rebuilds; /debug/ring reports it so tests
 	// and operators see churn.
 	generation atomic.Int64
-	limiter    *TenantLimiter
-	admit      *admitter
+	// sem holds one slot per relayed request (Config.Workers of them).
+	sem chan struct{}
 
 	hashers sync.Pool // *chunkcache.Hasher
 	bufs    sync.Pool // *[]byte, ReplayBytes+1 capacity
 	copyBuf sync.Pool // *[]byte, 32 KiB response relay buffers
 
-	mEp          [spine.NumEndpoints]epMetrics
+	// mEp is each endpoint's RED set, proxy.<ep>.*. The endpoints mirror
+	// the backend's, so SLO subjects and the client package work
+	// unchanged against either tier.
+	mEp          [spine.NumEndpoints]*spine.RED
 	ringRebuilds *telemetry.Counter
 	failover     *telemetry.Counter
 	failoverDeny *telemetry.Counter
 	midstream    *telemetry.Counter
 	routableG    *telemetry.Gauge
-	tenantsG     *telemetry.Gauge
 }
 
 // New builds a Proxy over cfg.Backends (at least one required; URLs are
@@ -195,26 +169,20 @@ func New(cfg Config) (*Proxy, error) {
 	reg := cfg.Registry
 	p := &Proxy{
 		cfg:          cfg,
-		limiter:      NewTenantLimiter(cfg.TenantRate, cfg.TenantBurst, cfg.MaxTenants),
-		admit:        newAdmitter(cfg.Workers, int(float64(cfg.Workers)*cfg.LowShare)),
+		sem:          make(chan struct{}, cfg.Workers),
 		ringRebuilds: reg.Counter("proxy.ring_rebuilds"),
 		failover:     reg.Counter("proxy.failover"),
 		failoverDeny: reg.Counter("proxy.failover_denied"),
 		midstream:    reg.Counter("proxy.midstream_aborts"),
 		routableG:    reg.Gauge("proxy.backends_routable"),
-		tenantsG:     reg.Gauge("proxy.tenants"),
 	}
 	reg.Describe("proxy.ring_rebuilds", "Consistent-hash ring rebuilds (health-driven churn).")
 	reg.Describe("proxy.failover", "Requests retried on the next ring owner after an upstream failure.")
 	reg.Describe("proxy.failover_denied", "Upstream failures not retried because the request body was partially forwarded.")
 	reg.Describe("proxy.midstream_aborts", "Client connections cut after an upstream died mid-response.")
 	reg.Describe("proxy.backends_routable", "Backends currently on the ring (healthy + degraded).")
-	reg.Describe("proxy.tenants", "Live per-tenant rate-limit buckets.")
 	for ep := range spine.NumEndpoints {
-		p.mEp[ep] = epMetrics{
-			RED:       spine.NewRED(reg, "proxy", ep),
-			throttled: spine.Counter(reg, "proxy", ep, "throttled", "Requests refused with 429 by per-tenant rate limiting."),
-		}
+		p.mEp[ep] = spine.NewRED(reg, "proxy", ep)
 	}
 	seen := make(map[string]bool, len(cfg.Backends))
 	for i, raw := range cfg.Backends {
@@ -290,14 +258,14 @@ func (p *Proxy) Checker() *Checker { return p.checker }
 func (p *Proxy) Ring() *Ring { return p.ring.Load() }
 
 // rebuild recomputes the ring from current backend states. Healthy
-// backends carry full weight, degraded ones DegradedVnodes, everything
+// backends carry full weight, degraded ones a quarter of it, everything
 // else leaves the ring. The swap is atomic: requests that already
 // resolved an owner keep it, so churn never drops in-flight work.
 func (p *Proxy) rebuild() {
 	nodes := make([]Node, 0, len(p.backends))
 	routable := 0
 	for i, b := range p.backends {
-		w := p.weight(p.checker.State(i))
+		w := weight(p.checker.State(i))
 		if w > 0 {
 			routable++
 		}
@@ -310,13 +278,13 @@ func (p *Proxy) rebuild() {
 }
 
 // weight is the ring weight of a backend in state st: full when healthy,
-// DegradedVnodes when degraded, off the ring otherwise.
-func (p *Proxy) weight(st BackendState) int {
+// a quarter when degraded, off the ring otherwise.
+func weight(st BackendState) int {
 	switch st {
 	case StateHealthy:
-		return p.cfg.Vnodes
+		return healthyVnodes
 	case StateDegraded:
-		return p.cfg.DegradedVnodes
+		return degradedVnodes
 	}
 	return 0
 }
@@ -361,8 +329,8 @@ func endpointOf(path string) int {
 	return slices.Index(spine.Endpoints[:], name)
 }
 
-// serveProxy is the shard router: QoS (tenant bucket, priority
-// admission), digest routing, streaming forward with bounded failover.
+// serveProxy is the shard router: bounded admission, digest routing,
+// streaming forward with bounded failover.
 func (p *Proxy) serveProxy(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	ep := endpointOf(r.URL.Path)
@@ -382,29 +350,17 @@ func (p *Proxy) serveProxy(w http.ResponseWriter, r *http.Request) {
 		m.ObserveStatus(http.StatusServiceUnavailable)
 		return
 	}
-	// Tenant QoS first: a throttled tenant must not consume a worker
-	// slot. The Retry-After is exact — the time until the bucket accrues
-	// one token — so clients back off precisely as long as needed.
-	tenant := r.Header.Get("X-Ceresz-Tenant")
-	if ok, wait := p.limiter.Allow(tenant, t0); !ok {
-		m.throttled.Add(1)
-		m.ObserveStatus(http.StatusTooManyRequests)
-		spine.Refuse(w, http.StatusTooManyRequests, wait, "proxy: tenant "+tenant+" rate limited, retry later")
-		return
-	}
-	p.tenantsG.Set(int64(p.limiter.Tenants()))
-	// Priority admission over the bounded worker pool: low-priority
-	// (batch) traffic may fill at most its share; interactive traffic may
-	// use every slot.
-	low := strings.EqualFold(r.Header.Get("X-Ceresz-Priority"), "low")
-	release := p.admit.tryAdmit(low)
-	if release == nil {
+	// Admission, as on the backend: relays are bounded and overflow is
+	// refused immediately, so the client's backoff absorbs the burst.
+	select {
+	case p.sem <- struct{}{}:
+	default:
 		m.Rejected.Add(1)
 		m.ObserveStatus(http.StatusTooManyRequests)
 		spine.Refuse(w, http.StatusTooManyRequests, p.cfg.RetryAfter, "proxy: saturated, retry later")
 		return
 	}
-	defer release()
+	defer func() { <-p.sem }()
 	m.Requests.Add(1)
 
 	// A body longer than the replay buffer is read by the transport while
@@ -454,13 +410,30 @@ var hopHeaders = map[string]bool{
 	"Te": true, "Transfer-Encoding": true, "Upgrade": true, "Trailer": true,
 }
 
+// copyHeaders copies src's end-to-end fields into dst: everything but the
+// fixed hop-by-hop set, Content-Length, and the fields src's own
+// Connection header names, which RFC 9110 §7.6.1 makes hop-by-hop too.
 func copyHeaders(dst, src http.Header) {
+	conn := src["Connection"]
 	for k, vv := range src {
-		if hopHeaders[http.CanonicalHeaderKey(k)] || k == "Content-Length" {
+		if hopHeaders[http.CanonicalHeaderKey(k)] || k == "Content-Length" || namedByConnection(conn, k) {
 			continue
 		}
 		dst[k] = append([]string(nil), vv...)
 	}
+}
+
+// namedByConnection reports whether field k is listed in the Connection
+// header values conn.
+func namedByConnection(conn []string, k string) bool {
+	for _, v := range conn {
+		for _, f := range strings.Split(v, ",") {
+			if strings.EqualFold(strings.TrimSpace(f), k) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // forward buffers the routing prefix, resolves the ring owner(s) and

@@ -356,48 +356,123 @@ func TestProxyRelaysUnusableBound(t *testing.T) {
 	}
 }
 
-// Per-tenant token buckets: an exhausted tenant gets 429 + Retry-After
-// without consuming backend capacity; other tenants are unaffected.
-func TestProxyTenantThrottle(t *testing.T) {
-	ts, cb := newRealBackend(t)
-	_, pts, reg := newTestProxy(t, Config{
-		Backends:    []string{ts.URL},
-		TenantRate:  0.5, // one token per 2s: no refill within the test
-		TenantBurst: 2,
-	})
+// Admission is one bounded semaphore, as on the backend: with every relay
+// slot held, the next request is refused at the proxy with 429 and the
+// configured Retry-After, and never reaches a backend. Tenant and priority
+// headers change nothing about admission and reach the backend untouched.
+func TestProxyAdmission(t *testing.T) {
+	const priority = "X-Ceresz-Priority" // a header no tier reads any more
+	var (
+		hits          atomic.Int64
+		entered       = make(chan struct{})
+		release       = make(chan struct{})
+		mu            sync.Mutex
+		tenants, prio []string
+	)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		if hits.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		mu.Lock()
+		tenants = append(tenants, r.Header.Get("X-Ceresz-Tenant"))
+		prio = append(prio, r.Header.Get(priority))
+		mu.Unlock()
+		_, _ = w.Write([]byte("ok"))
+	}))
+	defer backend.Close()
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark() // before backend.Close, which waits for the parked handler
+	_, pts, reg := newTestProxy(t, Config{Backends: []string{backend.URL}, Workers: 1, RetryAfter: 3 * time.Second})
 
-	body := rawF32Body(1024, 4)
-	for i := 0; i < 2; i++ {
-		resp := postCompress(t, pts.URL, body, map[string]string{"X-Ceresz-Tenant": "acme"})
-		io.Copy(io.Discard, resp.Body)
+	status := func(hdr map[string]string) (int, string) {
+		resp := postCompress(t, pts.URL, rawF32Body(256, 6), hdr)
+		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("in-budget request %d: status %d", i, resp.StatusCode)
+		return resp.StatusCode, resp.Header.Get("Retry-After")
+	}
+
+	parked := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(pts.URL+compressQuery, "application/octet-stream", bytes.NewReader(rawF32Body(256, 6)))
+		if err != nil {
+			t.Error(err)
+			parked <- 0
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		parked <- resp.StatusCode
+	}()
+	select {
+	case <-entered:
+	case code := <-parked:
+		t.Fatalf("first request ended with status %d before reaching the backend", code)
+	}
+	if code, hint := status(nil); code != http.StatusTooManyRequests || hint != "3" {
+		t.Fatalf("request past the only slot: status %d, Retry-After %q; want 429, \"3\"", code, hint)
+	}
+	if got := reg.Counter("proxy.compress.rejected").Value(); got != 1 {
+		t.Fatalf("proxy.compress.rejected = %d, want 1", got)
+	}
+	if got := hits.Load(); got != 1 {
+		t.Fatalf("backend saw %d requests, want 1: the refused one reached it", got)
+	}
+	unpark()
+	if code := <-parked; code != http.StatusOK {
+		t.Fatalf("parked request: status %d, want 200", code)
+	}
+	if code, _ := status(nil); code != http.StatusOK {
+		t.Fatalf("request after release: status %d, want 200", code)
+	}
+
+	const burst = 20
+	for i := 0; i < burst; i++ {
+		if code, _ := status(map[string]string{"X-Ceresz-Tenant": "acme", priority: "low"}); code != http.StatusOK {
+			t.Fatalf("tagged request %d: status %d, want 200", i, code)
 		}
 	}
-	backendBefore := cb.hits.Load()
-	resp := postCompress(t, pts.URL, body, map[string]string{"X-Ceresz-Tenant": "acme"})
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-budget request: status %d, want 429", resp.StatusCode)
+	mu.Lock()
+	defer mu.Unlock()
+	for i := len(tenants) - burst; i < len(tenants); i++ {
+		if tenants[i] != "acme" || prio[i] != "low" {
+			t.Fatalf("backend got tenant %q, priority %q; want \"acme\", \"low\"", tenants[i], prio[i])
+		}
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("tenant throttle carried no Retry-After")
-	}
-	if cb.hits.Load() != backendBefore {
-		t.Fatal("throttled request reached the backend")
-	}
-	if got := reg.Counter("proxy.compress.throttled").Value(); got != 1 {
-		t.Fatalf("proxy.compress.throttled = %d, want 1", got)
-	}
+}
 
-	// A different tenant has its own budget.
-	resp = postCompress(t, pts.URL, body, map[string]string{"X-Ceresz-Tenant": "other"})
-	io.Copy(io.Discard, resp.Body)
+// Fields a message's Connection header names are hop-by-hop (RFC 9110
+// §7.6.1): the proxy drops them in both directions.
+func TestProxyDropsConnectionNamedFields(t *testing.T) {
+	var sawFoo atomic.Bool
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		sawFoo.Store(r.Header.Get("X-Foo") != "")
+		w.Header().Set("Connection", "X-Bar")
+		w.Header().Set("X-Bar", "backend-secret")
+		w.Header().Set("X-Baz", "end-to-end")
+	}))
+	defer backend.Close()
+	_, pts, _ := newTestProxy(t, Config{Backends: []string{backend.URL}})
+
+	resp := postCompress(t, pts.URL, rawF32Body(256, 7), map[string]string{
+		"Connection": "keep-alive, X-Foo",
+		"X-Foo":      "client-secret",
+	})
+	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("other tenant throttled by acme's spending: status %d", resp.StatusCode)
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	if sawFoo.Load() {
+		t.Error("backend received X-Foo, which the client's Connection header named")
+	}
+	if got := resp.Header.Get("X-Bar"); got != "" {
+		t.Errorf("client received X-Bar = %q, which the backend's Connection header named", got)
+	}
+	if got := resp.Header.Get("X-Baz"); got != "end-to-end" {
+		t.Errorf("client received X-Baz = %q, want the backend's end-to-end field", got)
 	}
 }
 

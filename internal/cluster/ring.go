@@ -1,6 +1,6 @@
 // Package cluster is the fleet tier over cereszd (internal/server): a
-// consistent-hash shard router with health-checked failover and
-// per-tenant QoS, fronting N backends as one logical compression service.
+// consistent-hash shard router with health-checked failover, fronting N
+// backends as one logical compression service.
 //
 // The paper scales error-bounded compression by fanning independent
 // blocks across hundreds of thousands of PEs; this package mirrors that
@@ -16,17 +16,16 @@
 //
 // The pieces, front to back:
 //
-//   - QoS (qos.go): per-tenant token buckets and two-level priority
-//     admission over a bounded proxy worker pool — 429+Retry-After before
-//     any backend sees the request;
 //   - Ring (this file): virtual-node consistent hashing, deterministic in
 //     the backend set (any insertion order builds the same ring), with
 //     per-backend weights so degraded nodes shed share without leaving;
 //   - Health (health.go): background readiness pollers that parse the
 //     server's degraded detail, eject dead backends, weight down degraded
 //     ones and rebuild the ring without touching in-flight requests;
-//   - Proxy (proxy.go): the streaming HTTP front end with bounded
-//     single-failover retry and per-backend RED telemetry.
+//   - Proxy (proxy.go): the streaming HTTP front end — one bounded
+//     admission semaphore (429+Retry-After before any backend sees the
+//     request), bounded single-failover retry and per-backend RED
+//     telemetry.
 package cluster
 
 import (

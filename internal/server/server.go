@@ -86,16 +86,9 @@ type Config struct {
 	// /debug/trace Chrome-trace export (0 = sampling off; request ids,
 	// stage timings, Server-Timing trailers and RED metrics stay on).
 	TraceEvery int
-	// TraceRing is the sampled-request ring size (0 = 256).
-	TraceRing int
-	// SlowRing is the slowest-request ring size, fed by every finished
-	// request regardless of sampling (0 = 32).
-	SlowRing int
-	// AccessLog receives structured JSON access-log lines (nil = off).
+	// AccessLog receives one structured JSON line per finished request
+	// (nil = off).
 	AccessLog io.Writer
-	// AccessLogEvery samples 1-in-N requests into AccessLog (0 or 1 =
-	// every request).
-	AccessLogEvery int
 	// RollupInterval is the windowed time-series interval: the server
 	// aggregates its instruments into per-interval rate/quantile windows
 	// (/debug/timeseries, the _rate and _window Prometheus series) off the
@@ -148,15 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.Default
-	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = 256
-	}
-	if c.SlowRing <= 0 {
-		c.SlowRing = 32
-	}
-	if c.AccessLogEvery <= 0 {
-		c.AccessLogEvery = 1
 	}
 	return c
 }

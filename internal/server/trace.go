@@ -36,7 +36,7 @@ import (
 //     through the shared telemetry.ChromeTraceWriter (/debug/trace) — the
 //     same machinery as the simulator's SpanLog, so server request spans
 //     and WSE block spans open in the same Perfetto viewer;
-//   - sampled structured JSON access logs;
+//   - a structured JSON access log, one line per finished request;
 //   - the /debug/requests JSON view (in-flight + slowest + totals).
 
 // stage indexes one segment of a request's lifecycle.
@@ -158,9 +158,9 @@ type spanInfo struct {
 	endpoint uint8
 	start    time.Time
 	worker   int32
-	// tenant is the request's X-Ceresz-Tenant identity ("" = untagged) —
-	// recorded so multi-tenant QoS decisions upstream (cereszproxy) can be
-	// correlated with the work each tenant actually caused here.
+	// tenant is the request's X-Ceresz-Tenant identity ("" = untagged):
+	// a label on the access-log line, /debug/requests and the span, so
+	// each tenant's traffic can be told apart.
 	tenant string
 
 	totalNs int64
@@ -248,12 +248,18 @@ type reqRecord struct {
 
 func (rec *reqRecord) waitNs() int64 { return rec.stageNs[stageAdmit] + rec.stageNs[stageWorker] }
 
+// Ring capacities: the most recent sampled requests, and the slowest
+// finished requests whether sampled or not.
+const (
+	recentRing = 256
+	slowRing   = 32
+)
+
 // tracer owns the request-span slots, the completed-request rings and the
 // access log. Slots are preallocated to the admission bound, so acquiring
 // one never blocks and never allocates.
 type tracer struct {
 	every    int // sample 1-in-every requests into the rings (0 = off)
-	logEvery int // sample 1-in-logEvery requests into the access log
 	epoch    time.Time
 	seq      atomic.Uint64
 	finished atomic.Uint64
@@ -277,12 +283,11 @@ type tracer struct {
 func newTracer(slots int, cfg Config) *tracer {
 	t := &tracer{
 		every:     cfg.TraceEvery,
-		logEvery:  cfg.AccessLogEvery,
 		epoch:     time.Now(),
 		slots:     make([]*reqSpan, slots),
 		free:      make(chan *reqSpan, slots),
-		recent:    make([]reqRecord, cfg.TraceRing),
-		slow:      make([]reqRecord, cfg.SlowRing),
+		recent:    make([]reqRecord, recentRing),
+		slow:      make([]reqRecord, slowRing),
 		accessLog: cfg.AccessLog,
 	}
 	for i := range t.slots {
@@ -356,7 +361,7 @@ func (t *tracer) finish(sp *reqSpan) {
 		t.sampled.Add(1)
 	}
 	t.ringMu.Lock()
-	if sp.sampled && len(t.recent) > 0 {
+	if sp.sampled {
 		t.recent[t.next] = rec
 		t.next++
 		if t.next == len(t.recent) {
@@ -366,25 +371,23 @@ func (t *tracer) finish(sp *reqSpan) {
 	}
 	// Slowest-N over every finished request: replace the current minimum
 	// when the new span is slower (linear scan; N is small).
-	if len(t.slow) > 0 {
-		if t.nSlow < len(t.slow) {
-			t.slow[t.nSlow] = rec
-			t.nSlow++
-		} else {
-			minIdx := 0
-			for i := 1; i < t.nSlow; i++ {
-				if t.slow[i].totalNs < t.slow[minIdx].totalNs {
-					minIdx = i
-				}
+	if t.nSlow < len(t.slow) {
+		t.slow[t.nSlow] = rec
+		t.nSlow++
+	} else {
+		minIdx := 0
+		for i := 1; i < t.nSlow; i++ {
+			if t.slow[i].totalNs < t.slow[minIdx].totalNs {
+				minIdx = i
 			}
-			if rec.totalNs > t.slow[minIdx].totalNs {
-				t.slow[minIdx] = rec
-			}
+		}
+		if rec.totalNs > t.slow[minIdx].totalNs {
+			t.slow[minIdx] = rec
 		}
 	}
 	t.ringMu.Unlock()
 
-	if t.accessLog != nil && (t.logEvery <= 1 || sp.seq%uint64(t.logEvery) == 0) {
+	if t.accessLog != nil {
 		t.logAccess(&rec)
 	}
 

@@ -16,8 +16,8 @@
 //   - the daemon lifecycle both commands run (Daemon).
 //
 // Policy stays with the tiers: admission (the server's semaphore and codec
-// pool, the proxy's tenant buckets and priority classes), which refusals
-// before admission count in the RED set, and the server's request tracer.
+// pool, the proxy's relay semaphore), which refusals before admission
+// count in the RED set, and the server's request tracer.
 package spine
 
 import (
