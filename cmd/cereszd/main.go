@@ -22,8 +22,8 @@
 //	                     forces an incident dump (-flight-dir)
 //
 // On SIGINT/SIGTERM the daemon flips /healthz to 503, refuses new /v1/*
-// work with Retry-After, and waits up to -drain-timeout for in-flight
-// requests before exiting.
+// work with Retry-After, and waits up to 30s for in-flight requests before
+// exiting.
 //
 // Flags:
 //
@@ -35,12 +35,10 @@
 //	-block N               CereSZ block length (0 = 32, the paper's)
 //	-max-body BYTES        request body cap
 //	-max-chunk-elems N     per-chunk / per-frame / per-field element cap
-//	-max-frame-bytes N     compressed frame cap on the decode path
 //	-retry-after DUR       hint sent with 429/503 responses
 //	-cache-bytes BYTES     content-addressed chunk-cache budget: repeated
 //	                       chunks are served from memory instead of
 //	                       re-running the codec (0 = caching off)
-//	-drain-timeout DUR     shutdown grace for in-flight requests
 //	-trace-sample N        trace 1-in-N requests into the span rings and
 //	                       /debug/trace (0 = tracing off; IDs, RED metrics
 //	                       and Server-Timing trailers stay on regardless)
@@ -49,13 +47,10 @@
 //	-rollup-interval DUR   windowed time-series interval (default 5s; zero
 //	                       or negative = rollups off, unless -slo or
 //	                       -flight-dir needs them: then 5s)
-//	-rollup-windows N      rollup ring capacity (0 = 720)
 //	-slo SPECS             comma-separated objectives, each
 //	                       <endpoint>:p<q><<dur>:<target%> (latency) or
 //	                       <endpoint>:err:<target%> (error rate), e.g.
 //	                       "compress:p99<25ms:99.9,decompress:err:99.99"
-//	-slo-degraded-burn F   5m burn rate at which readiness reports
-//	                       degraded (0 = 2; the probe stays 200)
 //	-flight-dir PATH       enable the anomaly-triggered flight recorder;
 //	                       incident dumps (rollup windows, SLO state,
 //	                       runtime health, Chrome trace) land here
@@ -92,7 +87,6 @@ func main() {
 	block := flag.Int("block", 0, "CereSZ block length (0 = 32)")
 	maxBody := flag.Int64("max-body", 0, "request body byte cap (0 = 1GiB)")
 	maxChunkElems := flag.Int("max-chunk-elems", 0, "chunk/frame/field element cap (0 = 4Mi)")
-	maxFrameBytes := flag.Int("max-frame-bytes", 0, "compressed frame byte cap (0 = 64MiB)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "content-addressed chunk-cache memory budget in bytes (0 = caching off)")
 	traceSample := flag.Int("trace-sample", 0, "trace 1-in-N requests into the span rings (0 = off)")
 	accessLog := flag.String("access-log", "", "structured JSON access log path (\"-\" = stderr, \"\" = off)")
@@ -120,7 +114,6 @@ func main() {
 		QueueDepth:    *queue,
 		MaxBodyBytes:  *maxBody,
 		MaxChunkElems: *maxChunkElems,
-		MaxFrameBytes: *maxFrameBytes,
 		ChunkElems:    *chunk,
 		RetryAfter:    d.RetryAfter,
 		CacheBytes:    *cacheBytes,
@@ -130,9 +123,7 @@ func main() {
 		AccessLog:     logW,
 
 		RollupInterval:    d.RollupInterval,
-		RollupWindows:     d.RollupWindows,
 		Objectives:        d.Objectives,
-		SLODegradedBurn:   d.SLODegradedBurn,
 		FlightDir:         *flightDir,
 		FlightMinInterval: *flightMinInterval,
 	})

@@ -38,7 +38,7 @@
 // healthy backend owns.
 //
 // On SIGINT/SIGTERM the proxy flips readiness, refuses new work with
-// Retry-After and waits up to -drain-timeout for in-flight relays.
+// Retry-After and waits up to 30s for in-flight relays.
 //
 // Flags:
 //
@@ -53,13 +53,10 @@
 //	-retry-after DUR      hint for proxy-origin 429/503 (0 = 1s)
 //	-random-route         route uniformly at random instead of by digest
 //	                      (affinity-off baseline for benchmarks)
-//	-drain-timeout DUR    shutdown grace for in-flight relays
 //	-rollup-interval DUR  windowed time-series interval (default 5s; zero
 //	                      or negative = rollups off, unless -slo needs
 //	                      them: then 5s)
-//	-rollup-windows N     rollup ring capacity (0 = 720)
 //	-slo SPECS            proxy-tier objectives, same grammar as cereszd
-//	-slo-degraded-burn F  5m burn rate at which readiness reports degraded
 //
 // The probes, drain sequence, fleet-health views and the flags shared with
 // cereszd come from internal/spine.
@@ -112,10 +109,8 @@ func main() {
 		RandomRoute: *randomRoute,
 		Registry:    d.Registry,
 
-		RollupInterval:  d.RollupInterval,
-		RollupWindows:   d.RollupWindows,
-		Objectives:      d.Objectives,
-		SLODegradedBurn: d.SLODegradedBurn,
+		RollupInterval: d.RollupInterval,
+		Objectives:     d.Objectives,
 	})
 	if err != nil {
 		d.Fatal(err)

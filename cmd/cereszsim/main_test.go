@@ -88,9 +88,9 @@ func TestSimRunTraceAndHeatmap(t *testing.T) {
 	}
 }
 
-// TestSimRunSpanArtifacts runs the span-smoke CI job's flags and checks
-// its three artifacts: block spans, per-PE attribution, and a trace whose
-// flow arrows start and finish.
+// TestSimRunSpanArtifacts runs -attrib -spans -trace -attribout on a 2×8
+// mesh and checks the three artifacts: block spans, per-PE attribution,
+// and a trace whose flow arrows start and finish.
 func TestSimRunSpanArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	spansPath := filepath.Join(dir, "spans.json")

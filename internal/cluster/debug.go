@@ -8,8 +8,8 @@ import (
 
 // /debug/ring: the proxy's routing table as one JSON document — per
 // backend its health state, current ring weight and owned share of the
-// hash space, plus ring generation and probe counts. The CI cluster-smoke
-// job uploads this as an artifact; operators read it to see why traffic
+// hash space, plus ring generation and probe counts. TestClusterSmoke
+// reads it after killing backends; operators read it to see why traffic
 // lands where it does.
 
 // ringBackendView is one backend's row in the /debug/ring document.

@@ -78,16 +78,13 @@ type Config struct {
 	Transport http.RoundTripper
 	// Registry receives the proxy's instruments (nil = telemetry.Default).
 	Registry *telemetry.Registry
-	// RollupInterval / RollupWindows / Objectives / SLODegradedBurn are
-	// the spine's fleet-health layer, as on the backend: windowed rollups
-	// over the proxy's registry (a zero or negative interval leaves them off
-	// unless Objectives need them, then 5s), SLOs bound with
-	// spine.ParseObjectives("proxy", …) to the proxy's own RED
-	// instruments, degraded detail on readiness.
-	RollupInterval  time.Duration
-	RollupWindows   int
-	Objectives      []telemetry.Objective
-	SLODegradedBurn float64
+	// RollupInterval / Objectives are the spine's fleet-health layer, as
+	// on the backend: windowed rollups over the proxy's registry (a zero
+	// or negative interval leaves them off unless Objectives need them,
+	// then 5s), SLOs bound with spine.ParseObjectives("proxy", …) to the
+	// proxy's own RED instruments, degraded detail on readiness.
+	RollupInterval time.Duration
+	Objectives     []telemetry.Objective
 }
 
 func (c Config) withDefaults() Config {
@@ -232,12 +229,10 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p.rebuild()
 	p.Tier = spine.NewTier(spine.Config{
-		Registry:        reg,
-		RollupInterval:  cfg.RollupInterval,
-		RollupWindows:   cfg.RollupWindows,
-		Objectives:      cfg.Objectives,
-		SLODegradedBurn: cfg.SLODegradedBurn,
-		Ready:           p.readyDetail,
+		Registry:       reg,
+		RollupInterval: cfg.RollupInterval,
+		Objectives:     cfg.Objectives,
+		Ready:          p.readyDetail,
 	})
 	return p, nil
 }
@@ -490,7 +485,7 @@ func (p *Proxy) forward(w *spine.Writer, r *http.Request, ep int) {
 
 // attempt relays the request to backend bi. done=false means the caller
 // may fail over (no response bytes have reached the client).
-func (p *Proxy) attempt(w http.ResponseWriter, r *http.Request, ep, bi int, prefix []byte, rest *prefixReader, fullyBuffered bool, lastErr *error) (done bool) {
+func (p *Proxy) attempt(w *spine.Writer, r *http.Request, ep, bi int, prefix []byte, rest *prefixReader, fullyBuffered bool, lastErr *error) (done bool) {
 	b := p.backends[bi]
 	t0 := time.Now()
 	b.requests.Add(1)
@@ -564,9 +559,13 @@ func (p *Proxy) attempt(w http.ResponseWriter, r *http.Request, ep, bi int, pref
 	if cerr != nil {
 		// The upstream died mid-response with bytes already relayed; the
 		// client must see a broken transfer, not a silently truncated 200.
+		// The request still counts: a failed relay, a 502 for the err SLI.
 		p.midstream.Add(1)
 		p.checker.ReportFailure(bi, cerr)
-		panic(http.ErrAbortHandler)
+		p.mEp[ep].Failures.Add(1)
+		w.Status = http.StatusBadGateway
+		w.Abort()
+		return true
 	}
 	for k, vv := range resp.Trailer {
 		for _, v := range vv {

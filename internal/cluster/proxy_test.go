@@ -297,6 +297,67 @@ func TestProxyPartialForwardRefusesRetry(t *testing.T) {
 	}
 }
 
+// A relay the upstream cuts mid-response is a failed request on every
+// proxy instrument: the client sees a broken transfer, and the RED set and
+// an err objective count it as a 502 rather than losing it to the
+// connection abort.
+func TestProxyMidstreamAbortIsRecorded(t *testing.T) {
+	// The backend starts a 200, sends part of the body, then dies.
+	cutter := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(make([]byte, 4<<10))
+		hj, ok := w.(http.Hijacker)
+		if !ok {
+			t.Error("test server does not support hijacking")
+			return
+		}
+		conn, _, err := hj.Hijack()
+		if err == nil {
+			conn.Close()
+		}
+	}))
+	defer cutter.Close()
+	objs, err := spine.ParseObjectives("proxy", "compress:err:99")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, pts, reg := newTestProxy(t, Config{
+		Backends:       []string{cutter.URL},
+		RollupInterval: time.Hour, // the test ticks
+		Objectives:     objs,
+	})
+
+	resp := postCompress(t, pts.URL, rawF32Body(1024, 5), nil)
+	_, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err == nil {
+		t.Fatal("the client read a complete body from a relay the upstream cut")
+	}
+
+	c := func(name string) int64 { return reg.Counter("proxy.compress." + name).Value() }
+	if n := reg.Counter("proxy.midstream_aborts").Value(); n != 1 {
+		t.Fatalf("proxy.midstream_aborts = %d, want 1", n)
+	}
+	if req, classes := c("requests"), c("status_2xx")+c("status_4xx")+c("status_5xx"); req != 1 || classes != req {
+		t.Errorf("requests %d, status classes sum to %d", req, classes)
+	}
+	if n := c("status_5xx"); n != 1 {
+		t.Errorf("status_5xx = %d, want 1", n)
+	}
+	if n := c("failures"); n != 1 {
+		t.Errorf("failures = %d, want 1", n)
+	}
+	if n := reg.Snapshot().Hists["proxy.compress.latency_us"].Count; n != c("requests") {
+		t.Errorf("latency count %d, requests %d", n, c("requests"))
+	}
+	p.Rollup().Tick()
+	st, _ := p.Burning()
+	if len(st) != 1 || st[0].Total != 1 || st[0].Good != 0 {
+		t.Fatalf("err objective: %+v, want one bad event of one", st)
+	}
+}
+
 // Backend backpressure passes through untouched: a 429 is not a failure
 // to fail over from, and the backend's own Retry-After reaches the
 // client.

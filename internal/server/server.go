@@ -49,6 +49,10 @@ import (
 	"ceresz/internal/telemetry"
 )
 
+// maxFrameBytes caps a compressed frame or bundle member accepted on the
+// decode path.
+const maxFrameBytes = 64 << 20
+
 // Config tunes a Server. The zero value serves with GOMAXPROCS workers, a
 // 2×workers admission queue, 1 GiB request bodies, 64 Ki-element chunks
 // and a 1-second Retry-After hint.
@@ -64,9 +68,6 @@ type Config struct {
 	// MaxChunkElems caps the elements in one chunk, one decoded frame and
 	// one bundle field (0 = 4 Mi elements).
 	MaxChunkElems int
-	// MaxFrameBytes caps a compressed frame or bundle member accepted on
-	// the decode path (0 = 64 MiB).
-	MaxFrameBytes int
 	// ChunkElems is the compress-side default elements per frame when the
 	// request does not pass ?chunk= (0 = 64 Ki).
 	ChunkElems int
@@ -95,16 +96,10 @@ type Config struct {
 	// hot path. Zero or negative leaves rollups off unless Objectives or
 	// FlightDir need them (then 5s).
 	RollupInterval time.Duration
-	// RollupWindows is the rollup ring capacity (0 = 720 — one hour of 5s
-	// windows).
-	RollupWindows int
 	// Objectives are the server's SLOs, evaluated over the rollup ring
 	// into /debug/slo, ceresz_slo_* gauges and the readiness probe's
 	// degraded detail. Build them with spine.ParseObjectives("server", …).
 	Objectives []telemetry.Objective
-	// SLODegradedBurn is the 5m burn rate at which an objective reports
-	// degraded (0 = telemetry.DefaultDegradedBurn).
-	SLODegradedBurn float64
 	// FlightDir enables the anomaly-triggered flight recorder: incident
 	// dumps (rollup windows + SLO state + runtime health + Chrome trace)
 	// land here ("" = off).
@@ -129,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxChunkElems <= 0 {
 		c.MaxChunkElems = 4 << 20
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = 64 << 20
 	}
 	if c.ChunkElems <= 0 {
 		c.ChunkElems = 64 << 10
@@ -216,9 +208,7 @@ func New(cfg Config) *Server {
 	s.Tier = spine.NewTier(spine.Config{
 		Registry:          cfg.Registry,
 		RollupInterval:    cfg.RollupInterval,
-		RollupWindows:     cfg.RollupWindows,
 		Objectives:        cfg.Objectives,
-		SLODegradedBurn:   cfg.SLODegradedBurn,
 		FlightDir:         cfg.FlightDir,
 		FlightMinInterval: cfg.FlightMinInterval,
 		FlightTrace: func(buf *bytes.Buffer) error {
@@ -480,7 +470,7 @@ func (s *Server) handleDecompress(c *codec, w http.ResponseWriter, r *http.Reque
 		return badRequest{err}
 	}
 	c.sr.Reset(&c.body)
-	c.sr.SetLimits(s.cfg.MaxFrameBytes, s.cfg.MaxChunkElems)
+	c.sr.SetLimits(maxFrameBytes, s.cfg.MaxChunkElems)
 	return s.stream(c, w, r, s.mDecompress, "application/octet-stream", func(bool) ([]byte, chunkcache.Handle, error) {
 		return s.nextDecoded(c, elem)
 	})
@@ -689,7 +679,7 @@ func (s *Server) extractBundleField(c *codec, w http.ResponseWriter, body io.Rea
 	c.tr.observe(stageRead, tr)
 	c.tr.bytesIn.Add(int64(len(raw)))
 	tc := time.Now()
-	br, err := ceresz.OpenBundleLimited(raw, s.cfg.MaxFrameBytes, s.cfg.MaxChunkElems)
+	br, err := ceresz.OpenBundleLimited(raw, maxFrameBytes, s.cfg.MaxChunkElems)
 	if err != nil {
 		return badRequest{err}
 	}

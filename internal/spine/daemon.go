@@ -25,13 +25,10 @@ type Daemon struct {
 	// Prefix is the tier's instrument prefix the -slo specs bind to.
 	Prefix string
 
-	Addr            string
-	RetryAfter      time.Duration
-	DrainTimeout    time.Duration
-	RollupInterval  time.Duration
-	RollupWindows   int
-	SLODegradedBurn float64
-	slo             string
+	Addr           string
+	RetryAfter     time.Duration
+	RollupInterval time.Duration
+	slo            string
 	// Objectives are the parsed -slo specs, set by Parse.
 	Objectives []telemetry.Objective
 
@@ -54,12 +51,9 @@ func NewDaemon(name, prefix, addr string) *Daemon {
 	d := &Daemon{Name: name, Prefix: prefix}
 	flag.StringVar(&d.Addr, "addr", addr, "listen address")
 	flag.DurationVar(&d.RetryAfter, "retry-after", 0, "Retry-After hint for refused requests (0 = 1s)")
-	flag.DurationVar(&d.DrainTimeout, "drain-timeout", 30*time.Second, "shutdown grace for in-flight requests")
 	flag.DurationVar(&d.RollupInterval, "rollup-interval", defaultRollupInterval,
 		"windowed time-series interval (<= 0 = off, unless SLOs or the flight recorder need rollups: then 5s)")
-	flag.IntVar(&d.RollupWindows, "rollup-windows", 0, "rollup ring capacity (0 = 720, one hour at 5s)")
 	flag.StringVar(&d.slo, "slo", "", "comma-separated SLOs on this tier's endpoints, e.g. \"compress:p99<25ms:99.9,decompress:err:99.99\"")
-	flag.Float64Var(&d.SLODegradedBurn, "slo-degraded-burn", 0, "5m burn rate at which /healthz/ready reports degraded (0 = 2)")
 	return d
 }
 
@@ -79,9 +73,13 @@ func (d *Daemon) Fatal(err error) {
 	os.Exit(1)
 }
 
+// drainTimeout is how long in-flight requests get to finish after SIGINT
+// or SIGTERM.
+const drainTimeout = 30 * time.Second
+
 // Run serves the tier until SIGINT or SIGTERM, then drains: readiness
 // turns 503 so load balancers stop routing here, new /v1/* work is
-// refused with Retry-After, and in-flight requests get DrainTimeout to
+// refused with Retry-After, and in-flight requests get drainTimeout to
 // finish. Readiness stays 503 until the listener accepts, so a poller that
 // sees 200 can send traffic at once.
 func (d *Daemon) Run() error {
@@ -115,7 +113,7 @@ func (d *Daemon) Run() error {
 	}
 	fmt.Fprintf(os.Stderr, "%s: draining\n", d.Name)
 	d.Tier.SetDraining(true)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), d.DrainTimeout)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return fmt.Errorf("shutdown: %w", err)

@@ -145,17 +145,16 @@ const defaultRollupInterval = 5 * time.Second
 type Config struct {
 	// Registry holds the tier's instruments; rollups window it.
 	Registry *telemetry.Registry
-	// RollupInterval and RollupWindows shape the windowed time series.
-	// Objectives or a FlightDir need windows, so either turns rollups on
-	// at defaultRollupInterval unless the interval is positive; without
-	// them a positive interval turns rollups on and anything else leaves
-	// them off.
+	// RollupInterval is the windowed time series' cadence; its ring keeps
+	// telemetry's default 720 windows. Objectives or a FlightDir need
+	// windows, so either turns rollups on at defaultRollupInterval unless
+	// the interval is positive; without them a positive interval turns
+	// rollups on and anything else leaves them off.
 	RollupInterval time.Duration
-	RollupWindows  int
 	// Objectives are evaluated over the rollup ring into /debug/slo, the
-	// ceresz_slo_* gauges and readiness (Burning).
-	Objectives      []telemetry.Objective
-	SLODegradedBurn float64
+	// ceresz_slo_* gauges and readiness (Burning), degrading at
+	// telemetry.DefaultDegradedBurn.
+	Objectives []telemetry.Objective
 	// FlightDir turns the incident flight recorder on ("" = off);
 	// FlightMinInterval rate-limits its dumps and FlightTrace renders the
 	// Chrome trace each incident carries.
@@ -197,9 +196,9 @@ func NewTier(cfg Config) *Tier {
 	if interval <= 0 {
 		return t
 	}
-	t.rollup = telemetry.NewRollup(cfg.Registry, telemetry.RollupConfig{Interval: interval, Windows: cfg.RollupWindows})
+	t.rollup = telemetry.NewRollup(cfg.Registry, telemetry.RollupConfig{Interval: interval})
 	if len(cfg.Objectives) > 0 {
-		t.slo = telemetry.NewSLOEngine(t.rollup, cfg.Objectives, cfg.SLODegradedBurn)
+		t.slo = telemetry.NewSLOEngine(t.rollup, cfg.Objectives, telemetry.DefaultDegradedBurn)
 	}
 	if cfg.FlightDir != "" {
 		t.flight = telemetry.NewFlightRecorder(telemetry.FlightConfig{
@@ -339,7 +338,7 @@ type Writer struct {
 	Streaming bool
 	started   bool
 	closing   bool // Connection: close went out with the reply
-	cut       bool // Drain left body unread
+	cut       bool // Drain left body unread, or Abort
 }
 
 // NewWriter wraps w with full duplex on. The tiers read the request body
@@ -382,9 +381,9 @@ func (w *Writer) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // request's Peek then panics net/http). Past the cap the connection must
 // not be reused: Drain marks it with Connection: close while the response
 // has not started, and Finish cuts it. A reply already sent with
-// Connection: close needs no drain.
+// Connection: close needs no drain, nor does an aborted one.
 func (w *Writer) Drain(body io.Reader) {
-	if w.closing {
+	if w.closing || w.cut {
 		return
 	}
 	if n, _ := io.Copy(io.Discard, io.LimitReader(body, MaxPostDrainBytes+1)); n > MaxPostDrainBytes {
@@ -395,8 +394,12 @@ func (w *Writer) Drain(body io.Reader) {
 	}
 }
 
-// Finish ends a request Drain found too much body on once the response has
-// started: the close hint is no longer expressible, and
+// Abort marks a started response as broken: Finish cuts the connection,
+// so the client sees a failed transfer rather than a short one.
+func (w *Writer) Abort() { w.cut = true }
+
+// Finish ends a request Drain found too much body on, or Abort marked, once
+// the response has started: the close hint is no longer expressible, and
 // http.ErrAbortHandler is the sanctioned way to cut the connection. Call
 // it last, after the request's bookkeeping.
 func (w *Writer) Finish() {
