@@ -358,12 +358,12 @@ func compress[F rawfloat.Float](c *Client, ctx context.Context, data []F, bound 
 
 // Decompress sends a CSZF framed stream and returns the float32 values.
 func (c *Client) Decompress(ctx context.Context, framed []byte) ([]float32, error) {
-	return decompress[float32](c, ctx, framed, nil)
+	return decompress[float32](c, ctx, framed)
 }
 
 // Decompress64 sends a CSZF framed stream of float64 chunks.
 func (c *Client) Decompress64(ctx context.Context, framed []byte) ([]float64, error) {
-	return decompress[float64](c, ctx, framed, nil)
+	return decompress[float64](c, ctx, framed)
 }
 
 // maxDeclaredElems caps what declaredElements reports, and so the
@@ -390,7 +390,7 @@ func declaredElements(framed []byte, elemSize int) (n int, ok bool) {
 // that is shorter or longer than that is an error, never a result. For a
 // request declaredElements cannot size — the server will say what is
 // wrong with it — a 200 is taken as it comes: whole elements, same cap.
-func decompress[F rawfloat.Float](c *Client, ctx context.Context, framed []byte, tr *Trace) ([]F, error) {
+func decompress[F rawfloat.Float](c *Client, ctx context.Context, framed []byte) ([]F, error) {
 	es := rawfloat.Size[F]()
 	want, sized := declaredElements(framed, es)
 	var out []F
@@ -423,7 +423,7 @@ func decompress[F rawfloat.Float](c *Client, ctx context.Context, framed []byte,
 			return nil
 		}
 		return err
-	}, tr)
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -444,10 +444,6 @@ type BundleField struct {
 
 // Bundle compresses the fields into one CSZB bundle server-side.
 func (c *Client) Bundle(ctx context.Context, fields []BundleField) ([]byte, error) {
-	return c.bundle(ctx, fields, nil)
-}
-
-func (c *Client) bundle(ctx context.Context, fields []BundleField, tr *Trace) ([]byte, error) {
 	specs := make([]cszf.FieldSpec, len(fields))
 	size := 0
 	for i, f := range fields {
@@ -475,7 +471,7 @@ func (c *Client) bundle(ctx context.Context, fields []BundleField, tr *Trace) ([
 			body = rawfloat.Append(body, f.F64)
 		}
 	}
-	return c.post(ctx, "/v1/bundle", body, tr)
+	return c.post(ctx, "/v1/bundle", body, nil)
 }
 
 // setTenant stamps the configured tenant identity onto req. Every

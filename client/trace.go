@@ -13,8 +13,9 @@ import (
 // of one Compress correlate in the server's access log) and a fresh
 // span-id per attempt. The server echoes its request ID in
 // X-Ceresz-Request-Id and returns per-stage timings in a Server-Timing
-// trailer; the Traced call variants surface both so callers can split
-// measured latency into server stages versus network/client overhead.
+// trailer; CompressTraced and Compress64Traced surface both so callers
+// can split measured latency into server stages versus network/client
+// overhead.
 
 // ServerTiming is the server's per-stage breakdown of one request,
 // parsed from the Server-Timing response trailer. Stages follow the
@@ -89,7 +90,7 @@ func parseServerTiming(h string) ServerTiming {
 }
 
 // Trace reports what one logical call (including retries) did on the
-// wire. Populated by the *Traced call variants.
+// wire. Populated by CompressTraced and Compress64Traced.
 type Trace struct {
 	// TraceID is the 32-hex-digit W3C trace-id shared by every attempt.
 	TraceID string
@@ -168,26 +169,5 @@ func (c *Client) CompressTraced(ctx context.Context, data []float32, bound Bound
 func (c *Client) Compress64Traced(ctx context.Context, data []float64, bound Bound) ([]byte, *Trace, error) {
 	tr := &Trace{}
 	out, err := compress(c, ctx, data, bound, tr)
-	return out, tr, err
-}
-
-// DecompressTraced is Decompress returning wire-level trace detail.
-func (c *Client) DecompressTraced(ctx context.Context, framed []byte) ([]float32, *Trace, error) {
-	tr := &Trace{}
-	out, err := decompress[float32](c, ctx, framed, tr)
-	return out, tr, err
-}
-
-// Decompress64Traced is Decompress64 returning wire-level trace detail.
-func (c *Client) Decompress64Traced(ctx context.Context, framed []byte) ([]float64, *Trace, error) {
-	tr := &Trace{}
-	out, err := decompress[float64](c, ctx, framed, tr)
-	return out, tr, err
-}
-
-// BundleTraced is Bundle returning wire-level trace detail.
-func (c *Client) BundleTraced(ctx context.Context, fields []BundleField) ([]byte, *Trace, error) {
-	tr := &Trace{}
-	out, err := c.bundle(ctx, fields, tr)
 	return out, tr, err
 }

@@ -155,6 +155,3 @@ func (r *Reader) ReadBits64(n uint) (uint64, error) {
 func (r *Reader) Align() {
 	r.pos = (r.pos + 7) &^ 7
 }
-
-// BitPos returns the current bit cursor.
-func (r *Reader) BitPos() uint64 { return r.pos }

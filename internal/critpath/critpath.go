@@ -231,11 +231,7 @@ func modelChecks(plan *mapping.Plan, res *mapping.Result, opts Options) (RelayCh
 	mc.MeasuredCycles = res.Cycles
 	blocks := res.Meta.Blocks()
 	if blocks > 0 {
-		width := plan.Cfg.PlanWidth
-		if width == 0 {
-			width = uint(plan.Chain.Cfg.EstWidth)
-		}
-		w := mapping.UniformWorkload(blocks, res.Meta.Elements, width, avgW)
+		w := mapping.UniformWorkload(blocks, res.Meta.Elements, uint(plan.Chain.Cfg.EstWidth), avgW)
 		if proj, err := plan.Project(w); err == nil && proj.TotalCycles > 0 {
 			mc.ModelCycles = proj.TotalCycles
 			mc.DeltaPct = 100 * (float64(res.Cycles) - proj.TotalCycles) / proj.TotalCycles

@@ -24,17 +24,16 @@ func smoothField(n int, seed int64) []float32 {
 
 // runPlan compresses a smooth field on the given geometry with span
 // recording on and returns plan + result.
-func runPlan(t *testing.T, rows, cols, pl int, singleIngress bool) (*mapping.Plan, *mapping.Result) {
+func runPlan(t *testing.T, rows, cols, pl int) (*mapping.Plan, *mapping.Result) {
 	t.Helper()
 	chain, err := stages.NewCompressChain(stages.Config{BlockLen: 32, Eps: 1e-3, EstWidth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan, err := mapping.NewPlan(chain, mapping.PlanConfig{
-		Mesh:          wse.Config{Rows: rows, Cols: cols},
-		PipelineLen:   pl,
-		SingleIngress: singleIngress,
-		RecordSpans:   true,
+		Mesh:        wse.Config{Rows: rows, Cols: cols},
+		PipelineLen: pl,
+		RecordSpans: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,14 +52,12 @@ func TestBottleneckAgreesWithMeshStats(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		rows, cols, pl int
-		single         bool
 	}{
-		{"fig10_1x12_pl12", 1, 12, 12, false},
-		{"multirow_4x8_pl4", 4, 8, 4, false},
-		{"single_ingress_4x4_pl4", 4, 4, 4, true},
+		{"fig10_1x12_pl12", 1, 12, 12},
+		{"multirow_4x8_pl4", 4, 8, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plan, res := runPlan(t, tc.rows, tc.cols, tc.pl, tc.single)
+			plan, res := runPlan(t, tc.rows, tc.cols, tc.pl)
 			rep := Analyze(plan, res, Options{})
 			if !rep.AgreesWithMeshStats {
 				t.Errorf("analyzer bottleneck %s (pos %d) disagrees with MeshStats busiest PE %v (pos %d)\n%s",
@@ -79,7 +76,7 @@ func TestBottleneckAgreesWithMeshStats(t *testing.T) {
 // TestBucketSumsEqualElapsed is the other acceptance check: every PE's
 // timeline buckets partition [0, Elapsed] exactly.
 func TestBucketSumsEqualElapsed(t *testing.T) {
-	_, res := runPlan(t, 4, 8, 4, false)
+	_, res := runPlan(t, 4, 8, 4)
 	att := res.Attribution
 	if att.Elapsed != res.Cycles {
 		t.Fatalf("attribution elapsed %d != run cycles %d", att.Elapsed, res.Cycles)
@@ -99,7 +96,7 @@ func TestBucketSumsEqualElapsed(t *testing.T) {
 // exact for compression: every processor relay moves one raw block of L
 // wavelets, so the measured per-hop cost is exactly MsgOverhead + L.
 func TestRelayCostMatchesFormula2(t *testing.T) {
-	plan, res := runPlan(t, 2, 8, 4, false)
+	plan, res := runPlan(t, 2, 8, 4)
 	rep := Analyze(plan, res, Options{})
 	if rep.Relay.Forwards == 0 {
 		t.Fatal("no relay forwards on a 2-pipeline row")
@@ -116,7 +113,7 @@ func TestRelayCostMatchesFormula2(t *testing.T) {
 // TestCriticalPathDecomposition checks the span walk: segments tile the
 // critical block's latency with no gaps or overlaps.
 func TestCriticalPathDecomposition(t *testing.T) {
-	plan, res := runPlan(t, 2, 8, 4, false)
+	plan, res := runPlan(t, 2, 8, 4)
 	rep := Analyze(plan, res, Options{})
 	if rep.SpanCount != len(res.Spans) || rep.SpanCount == 0 {
 		t.Fatalf("span count %d, result has %d", rep.SpanCount, len(res.Spans))

@@ -293,17 +293,6 @@ func EncodeBlockRef(dst []byte, codes []int32, headerBytes int, scratch *Block) 
 	return dst, w
 }
 
-// DecodeBody validates a block body and splits it into its packed sign
-// bytes and plane bytes (both aliasing src, not copied), returning the
-// width and total byte count consumed. Zero blocks return w == 0 with nil
-// slices; a verbatim header is an error (the caller must intercept it).
-// Callers that want fused decoding (e.g. the core decompressor's merged
-// sign/prefix-sum/dequantize loop) use this plus Unshuffle instead of
-// DecodeBlock.
-func DecodeBody(src []byte, blockLen, headerBytes int) (signs, planes []byte, w uint, n int, err error) {
-	return decodeBody(src, blockLen, headerBytes)
-}
-
 // decodeBody validates a non-zero, non-verbatim block body and returns its
 // signs, planes, width and total byte count consumed.
 func decodeBody(src []byte, blockLen, headerBytes int) (signs, planes []byte, w uint, n int, err error) {

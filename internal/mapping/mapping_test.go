@@ -574,79 +574,6 @@ func TestDecompressStreamMismatch(t *testing.T) {
 	}
 }
 
-func TestSingleIngressMatchesDistributed(t *testing.T) {
-	// Feeding everything through PE(0,0) must produce the identical stream
-	// — only timing changes (the single west link serializes the input).
-	data := smoothField(32*200, 12)
-	eps := 1e-3
-	run := func(single bool) *Result {
-		chain := compressChain(t, eps, 8)
-		plan, err := NewPlan(chain, PlanConfig{
-			Mesh:          wse.Config{Rows: 4, Cols: 4},
-			PipelineLen:   1,
-			SingleIngress: single,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := plan.Compress(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	dist := run(false)
-	single := run(true)
-	if !bytes.Equal(dist.Bytes, single.Bytes) {
-		t.Fatal("single-ingress stream differs")
-	}
-	// The single 32-bit ingress must cost measurable throughput even on a
-	// compute-bound 4×4 mesh; at wafer scale the one link caps the whole
-	// machine at ~3.4 GB/s, which is why the CS-2 dedicates edge PEs to
-	// distributed routing (§5.1.1).
-	if float64(single.Cycles) < 1.15*float64(dist.Cycles) {
-		t.Fatalf("single ingress only %d vs distributed %d cycles; expected a penalty",
-			single.Cycles, dist.Cycles)
-	}
-	// Row heads below row 0 must have received traffic via the column.
-	for r := 1; r < 4; r++ {
-		if single.Mesh.PE(r, 0).Stats().Handled == 0 {
-			t.Fatalf("row %d head idle in single-ingress mode", r)
-		}
-	}
-}
-
-func TestSingleIngressDecompress(t *testing.T) {
-	data := smoothField(32*120, 13)
-	eps := 1e-3
-	comp, _, err := core.CompressWithEps(nil, data, eps, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, _, err := core.Decompress(nil, comp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain := decompressChain(t, eps, 8)
-	plan, err := NewPlan(chain, PlanConfig{
-		Mesh:          wse.Config{Rows: 3, Cols: 4},
-		PipelineLen:   2,
-		SingleIngress: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := plan.Decompress(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if res.Data[i] != ref[i] {
-			t.Fatalf("differs at %d", i)
-		}
-	}
-}
-
 func TestBlockLen64PipelineMatchesCore(t *testing.T) {
 	// The simulated pipeline handles non-default block lengths too.
 	data := smoothField(64*80+5, 14)
@@ -669,38 +596,5 @@ func TestBlockLen64PipelineMatchesCore(t *testing.T) {
 	}
 	if !bytes.Equal(res.Bytes, ref) {
 		t.Fatal("L=64 simulated stream differs from host stream")
-	}
-}
-
-func TestSingleIngressModelCap(t *testing.T) {
-	// At wafer scale the single-ingress model must cap near the one-link
-	// bandwidth: 4 B/cycle at 850 MHz = 3.4 GB/s.
-	chain := compressChain(t, 1e-3, 8)
-	plan, err := NewPlan(chain, PlanConfig{
-		Mesh:          wse.Config{Rows: 512, Cols: 512},
-		PipelineLen:   1,
-		SingleIngress: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proj, err := plan.Project(UniformWorkload(1<<20, 32<<20, 8, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proj.SteadyThroughputGBps > 3.5 {
-		t.Fatalf("single-ingress projection %.2f GB/s above the one-link cap", proj.SteadyThroughputGBps)
-	}
-	// Distributed ingress on the same mesh must be orders of magnitude up.
-	plan2, err := NewPlan(chain, PlanConfig{Mesh: wse.Config{Rows: 512, Cols: 512}, PipelineLen: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proj2, err := plan2.Project(UniformWorkload(1<<20, 32<<20, 8, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proj2.SteadyThroughputGBps < 50*proj.SteadyThroughputGBps {
-		t.Fatalf("distributed %.1f vs single %.1f GB/s: expected ≥50x", proj2.SteadyThroughputGBps, proj.SteadyThroughputGBps)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"ceresz/internal/flenc"
 	"ceresz/internal/stages"
+	"ceresz/internal/wse"
 )
 
 // Workload summarizes a dataset for the analytic performance model.
@@ -72,7 +73,7 @@ func (p *Plan) Project(w Workload) (Projection, error) {
 	if hist+w.VerbatimBlocks != w.Blocks {
 		return Projection{}, fmt.Errorf("mapping: width histogram covers %d of %d blocks", hist+w.VerbatimBlocks, w.Blocks)
 	}
-	cfg := p.Cfg.Mesh.WithDefaults()
+	cfg := p.Cfg.Mesh
 	pl := p.Cfg.PipelineLen
 	P := p.Pipelines
 
@@ -113,7 +114,7 @@ func (p *Plan) Project(w Workload) (Projection, error) {
 	// through the RAMP; C₂ = ramp latency + state wavelets. With pipeline
 	// length 1 the only handoff is the emission.
 	stateW := float64(p.Chain.Cfg.BlockLen) // conservative: codes-sized
-	c2 := float64(cfg.RampLatency) + stateW
+	c2 := wse.RampLatency + stateW
 	transfer := c2
 	if pl == 1 {
 		transfer = stateW / 4 // emission of the (smaller) encoded block
@@ -121,16 +122,8 @@ func (p *Plan) Project(w Workload) (Projection, error) {
 
 	// Input feed: a row's west edge can absorb at most one block per
 	// (wavelets + link latency) cycles; with P pipelines per row a round
-	// needs P blocks. Single-ingress mode squeezes every row's feed through
-	// PE(0,0)'s one link (§5.1.1's routing PEs exist to avoid exactly this).
-	inputRound := float64(P) * (w.AvgInputWavelets + float64(cfg.LinkLatency))
-	if p.Cfg.SingleIngress {
-		rows := cfg.Rows
-		if rows > w.Blocks {
-			rows = w.Blocks
-		}
-		inputRound *= float64(rows)
-	}
+	// needs P blocks.
+	inputRound := float64(P) * (w.AvgInputWavelets + wse.LinkLatency)
 
 	round := relay + bottleneck + transfer
 	if inputRound > round {
@@ -146,10 +139,10 @@ func (p *Plan) Project(w Workload) (Projection, error) {
 
 	// One-time fill: stream a block across the row plus one full chain
 	// execution and its intra-pipeline transfers.
-	fill := float64(cfg.Cols)*(c1+float64(cfg.LinkLatency)) + chainTotal + float64(pl)*c2
+	fill := float64(cfg.Cols)*(c1+wse.LinkLatency) + chainTotal + float64(pl)*c2
 
 	total := fill + float64(rounds)*round
-	secs := total / cfg.ClockHz
+	secs := total / wse.ClockHz
 	proj := Projection{
 		RoundCycles:    round,
 		RelayCycles:    relay,
@@ -164,7 +157,7 @@ func (p *Plan) Project(w Workload) (Projection, error) {
 		proj.ThroughputGBps = float64(4*w.Elements) / secs / 1e9
 	}
 	blockBytes := 4 * float64(w.Elements) / float64(w.Blocks)
-	proj.SteadyThroughputGBps = float64(cfg.Rows) * float64(P) * blockBytes / (round / cfg.ClockHz) / 1e9
+	proj.SteadyThroughputGBps = float64(cfg.Rows) * float64(P) * blockBytes / (round / wse.ClockHz) / 1e9
 	return proj, nil
 }
 

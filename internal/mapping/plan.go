@@ -27,21 +27,6 @@ type PlanConfig struct {
 	// (the paper's pipeline_length; 1 runs the whole chain on a single PE,
 	// which §4.4 shows is optimal when memory and input rate allow).
 	PipelineLen int
-	// PlanWidth is the fixed length assumed when estimating sub-stage
-	// costs for Algorithm 1 (paper §4.2: approximated by sampling ~5% of
-	// the data). Zero uses the chain's configured EstWidth.
-	PlanWidth uint
-	// InjectInterval spaces successive block injections into each row head
-	// in cycles; zero derives it from the block's wavelet count (the link
-	// streaming rate — the "data generated fast enough" assumption of
-	// §4.4).
-	InjectInterval int64
-	// SingleIngress feeds every block through PE(0,0) and relays it down
-	// the west column, instead of the paper's assumption that data appears
-	// at each row head (§4.3, enabled by the CS-2's dedicated routing PEs,
-	// §5.1.1). Useful to quantify how much the distributed ingress is
-	// worth: one 32-bit link caps the whole wafer at ~3.4 GB/s.
-	SingleIngress bool
 	// ProcessorRelay forces the paper-literal Fig. 9 protocol on interior
 	// pipeline PEs: raw traffic crossing them occupies their processor.
 	// The default (false) lets the fabric router pass raw traffic through
@@ -96,11 +81,7 @@ func NewPlan(chain *stages.Chain, cfg PlanConfig) (*Plan, error) {
 	if cfg.PipelineLen > len(chain.Stages) {
 		return nil, fmt.Errorf("mapping: pipeline length %d exceeds %d sub-stages", cfg.PipelineLen, len(chain.Stages))
 	}
-	width := cfg.PlanWidth
-	if width == 0 {
-		width = uint(chain.Cfg.EstWidth)
-	}
-	costs := chain.EstimateCycles(width)
+	costs := chain.EstimateCycles(uint(chain.Cfg.EstWidth))
 	groups, err := Distribute(costs, cfg.PipelineLen)
 	if err != nil {
 		return nil, err
@@ -129,10 +110,7 @@ func NewPlan(chain *stages.Chain, cfg PlanConfig) (*Plan, error) {
 func (p *Plan) checkMemory() error {
 	L := p.Chain.Cfg.BlockLen
 	need := stateBytes(L)/p.Cfg.PipelineLen + relayBytes(L) // longer pipelines split the state
-	budget := p.Cfg.Mesh.MemPerPE
-	if budget == 0 {
-		budget = 48 * 1024
-	}
+	budget := p.Cfg.Mesh.WithDefaults().MemPerPE
 	if need > budget {
 		return fmt.Errorf("mapping: block length %d needs ≈%d bytes per PE, over the %d-byte budget; use a longer pipeline or smaller blocks",
 			L, need, budget)

@@ -19,16 +19,12 @@ const (
 	// colorStage carries intermediate block state between consecutive PEs
 	// of one pipeline.
 	colorStage wse.Color = 1
-	// colorColumn carries raw blocks down the west column in single-ingress
-	// mode (all data entering at PE(0,0)).
-	colorColumn wse.Color = 2
 )
 
 // flowBlock is the payload traveling the fabric: one block and its global
 // position, so the emitted stream can be reassembled in order.
 type flowBlock struct {
 	id  int
-	row int                // target row (single-ingress distribution)
 	raw []float32          // compression input (nil for decompression)
 	enc []byte             // decompression input (nil for compression)
 	st  *stages.BlockState // loaded when a head PE captures the block
@@ -78,18 +74,6 @@ func (pp *peProgram) Init(ctx *wse.Context) {
 // OnMessage implements wse.Program.
 func (pp *peProgram) OnMessage(ctx *wse.Context, msg wse.Message) {
 	switch msg.Color {
-	case colorColumn:
-		// Single-ingress distribution: raw blocks flow south down the west
-		// column; each row head peels off its own rows' blocks and turns
-		// them into ordinary row traffic.
-		fb := msg.Payload.(*flowBlock)
-		if fb.row != ctx.Coord().Row {
-			ctx.LabelSpan("feed")
-			ctx.Forward(wse.South, msg)
-			return
-		}
-		msg.Color = colorRaw
-		pp.OnMessage(ctx, msg)
 	case colorRaw:
 		if !pp.isHead {
 			// Interior PEs relay raw traffic toward farther pipelines.
@@ -118,18 +102,11 @@ func (pp *peProgram) OnMessage(ctx *wse.Context, msg wse.Message) {
 	}
 }
 
-// ShardProfile implements wse.ShardAware: all of the mapping's row
-// traffic is strictly east-bound (colorRaw relays, colorStage pipeline
-// hand-offs), so every row can simulate as its own shard. In
-// single-ingress mode the column-0 heads additionally receive the
-// colorColumn feed from the row above, which the engine resolves with
-// its deterministic pre-pass.
-func (pp *peProgram) ShardProfile() wse.ShardProfile {
-	prof := wse.ShardProfile{RowLocal: true}
-	if pp.plan.Cfg.SingleIngress {
-		prof.FeedColors = []wse.Color{colorColumn}
-	}
-	return prof
+// ShardProfile implements wse.ShardAware: all of the mapping's traffic
+// is strictly east-bound (colorRaw relays, colorStage pipeline
+// hand-offs), so every row can simulate as its own shard.
+func (*peProgram) ShardProfile() wse.ShardProfile {
+	return wse.ShardProfile{RowLocal: true}
 }
 
 func (pp *peProgram) process(ctx *wse.Context, fb *flowBlock) {
@@ -213,32 +190,18 @@ func (p *Plan) install(m *wse.Mesh, rows int) {
 	}
 }
 
-// feed streams every block onto the wafer at link rate (or the
-// configured interval). Single-ingress mode injects them all into PE(0,0)
-// on the column color for the row heads to peel off; otherwise row r's
-// west-edge PE gets blocks r, r+rows, r+2·rows, ….
-func (p *Plan) feed(m *wse.Mesh, blocks []flowBlock, rows int, wavelets func(*flowBlock) int) {
-	if p.Cfg.SingleIngress {
-		p.inject(m, 0, colorColumn, blocks, 0, 1, wavelets)
-		return
-	}
+// feed streams every block onto the wafer at link rate, the "data
+// generated fast enough" assumption of §4.4: row r's west-edge PE gets
+// blocks r, r+rows, r+2·rows, … (§4.3).
+func feed(m *wse.Mesh, blocks []flowBlock, rows int, wavelets func(*flowBlock) int) {
 	for r := 0; r < rows; r++ {
-		p.inject(m, r, colorRaw, blocks, r, rows, wavelets)
-	}
-}
-
-// inject streams blocks first, first+stride, … into row's west-edge PE.
-func (p *Plan) inject(m *wse.Mesh, row int, color wse.Color, blocks []flowBlock, first, stride int, wavelets func(*flowBlock) int) {
-	t := int64(0)
-	for b := first; b < len(blocks); b += stride {
-		fb := &blocks[b]
-		w := wavelets(fb)
-		m.Inject(row, 0, wse.Message{Color: color, Payload: fb, Wavelets: w,
-			Span: int64(fb.id) + 1}, t)
-		if p.Cfg.InjectInterval > 0 {
-			t += p.Cfg.InjectInterval
-		} else {
-			t += int64(w) + m.Config().LinkLatency
+		t := int64(0)
+		for b := r; b < len(blocks); b += rows {
+			fb := &blocks[b]
+			w := wavelets(fb)
+			m.Inject(r, 0, wse.Message{Color: colorRaw, Payload: fb, Wavelets: w,
+				Span: int64(fb.id) + 1}, t)
+			t += int64(w) + wse.LinkLatency
 		}
 	}
 }
@@ -265,13 +228,11 @@ func (p *Plan) Compress(data []float32) (*Result, error) {
 	}
 	p.install(m, rows)
 
-	// Stripe blocks over rows: row r gets blocks r, r+rows, r+2·rows, …
 	blocks := newFlowBlocks(nBlocks, L)
 	for b := range blocks {
-		lo, hi := b*L, min((b+1)*L, len(data))
-		blocks[b].row, blocks[b].raw = b%rows, data[lo:hi]
+		blocks[b].raw = data[b*L : min((b+1)*L, len(data))]
 	}
-	p.feed(m, blocks, rows, func(*flowBlock) int { return L })
+	feed(m, blocks, rows, func(*flowBlock) int { return L })
 
 	runStart := time.Now()
 	cycles, err := m.Run()
@@ -341,9 +302,9 @@ func (p *Plan) Decompress(comp []byte) (*Result, error) {
 
 	blocks := newFlowBlocks(nBlocks, meta.BlockLen)
 	for b := range blocks {
-		blocks[b].row, blocks[b].enc = b%rows, body[offsets[b]:offsets[b+1]]
+		blocks[b].enc = body[offsets[b]:offsets[b+1]]
 	}
-	p.feed(m, blocks, rows, func(fb *flowBlock) int { return (len(fb.enc) + 3) / 4 })
+	feed(m, blocks, rows, func(fb *flowBlock) int { return (len(fb.enc) + 3) / 4 })
 
 	runStart := time.Now()
 	cycles, err := m.Run()
@@ -425,7 +386,6 @@ func (p *Plan) runTelemetry(m *wse.Mesh, cycles int64, wall time.Duration, att w
 	// deterministic, and their spread measures how balanced the row shards
 	// were.
 	reg.Gauge("sim.pool_peak_workers").Set(int64(m.PoolPeak()))
-	reg.Counter("sim.feed_events").Add(m.FeedEvents())
 	if se := m.ShardEvents(); len(se) > 0 {
 		minE, maxE := se[0], se[0]
 		for _, n := range se[1:] {

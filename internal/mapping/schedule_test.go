@@ -63,9 +63,8 @@ func roundTripPlans(tb testing.TB, data []float32, rel float64, cfg PlanConfig) 
 }
 
 // scheduleCases are the plan shapes the known-answer digests cover: the
-// three row-sharded meshes of the wse-sim workload, the single-ingress
-// column-feed pre-pass, processor relay on interior PEs, and the
-// sequential reference engine.
+// three row-sharded meshes of the wse-sim workload, processor relay on
+// interior PEs, and the sequential reference engine.
 var scheduleCases = []struct {
 	name string
 	cfg  PlanConfig
@@ -73,7 +72,6 @@ var scheduleCases = []struct {
 	{"64x8", PlanConfig{Mesh: wse.Config{Rows: 64, Cols: 8, Workers: 2}, PipelineLen: 1}},
 	{"64x64", PlanConfig{Mesh: wse.Config{Rows: 64, Cols: 64, Workers: 2}, PipelineLen: 1}},
 	{"128x16", PlanConfig{Mesh: wse.Config{Rows: 128, Cols: 16, Workers: 2}, PipelineLen: 2}},
-	{"single-ingress", PlanConfig{Mesh: wse.Config{Rows: 8, Cols: 8, Workers: 2}, PipelineLen: 2, SingleIngress: true}},
 	{"processor-relay", PlanConfig{Mesh: wse.Config{Rows: 16, Cols: 16, Workers: 2}, PipelineLen: 2, ProcessorRelay: true}},
 	{"sequential", PlanConfig{Mesh: wse.Config{Rows: 32, Cols: 16, Workers: 1}, PipelineLen: 4}},
 }
@@ -87,8 +85,6 @@ var scheduleDigests = map[string]string{
 	"64x64/decompress":           "966ea0276d7462e2c1f0926b55700a35acb0638892a262c300df70627514944b",
 	"128x16/compress":            "96ff908fdb39aea396c55982ff58881875853e73cc2f50f149cd99668f418d0c",
 	"128x16/decompress":          "734f0686490b56c664e7b62972977779f0d22a90b78e3dd67ef8602642f2f8e2",
-	"single-ingress/compress":    "d0295a20ef2bdbb7cbf2c985b3e2012d1a30c98463fdcdc486885b57843e7ad9",
-	"single-ingress/decompress":  "c5dc810b653890f76e935614b17b97cc40e9e9a4bce02387c62e74d6b8d7c451",
 	"processor-relay/compress":   "2d8b3754e493c4c95536300dd9b31e44a1a31327245d987e713477c745bfa74f",
 	"processor-relay/decompress": "1895b3a3562106d8c77081e7a61e346d047ecf160e1a7afd5ff451c4575dfee1",
 	"sequential/compress":        "4547db1f9f8208faed2a848b56650da8bcefd0bc8eca61386e7c5b23aa11d4d2",
@@ -140,7 +136,9 @@ func scheduleDigest(t *testing.T, res *Result) string {
 			putInt(h, v)
 		}
 	}
-	put(res.Cycles, m.Processed(), m.FeedEvents(), int64(m.Shards()))
+	// The 0 stands where a retired column-feed event count was hashed; it
+	// read 0 for every shape here, so the committed digests still hold.
+	put(res.Cycles, m.Processed(), 0, int64(m.Shards()))
 	se := m.ShardEvents()
 	put(int64(len(se)))
 	put(se...)

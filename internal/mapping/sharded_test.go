@@ -51,7 +51,6 @@ func TestShardedRunsMatchSequential(t *testing.T) {
 		cfg  PlanConfig
 	}{
 		{"multi-row", PlanConfig{Mesh: wse.Config{Rows: 4, Cols: 6}, PipelineLen: 2}},
-		{"single-ingress", PlanConfig{Mesh: wse.Config{Rows: 4, Cols: 6}, PipelineLen: 2, SingleIngress: true}},
 		{"processor-relay", PlanConfig{Mesh: wse.Config{Rows: 3, Cols: 6}, PipelineLen: 2, ProcessorRelay: true}},
 	}
 	for _, tc := range configs {
@@ -133,7 +132,6 @@ func TestAttributionAndSpansDeterministic(t *testing.T) {
 		cfg  PlanConfig
 	}{
 		{"multi-row", PlanConfig{Mesh: wse.Config{Rows: 4, Cols: 6}, PipelineLen: 2, RecordSpans: true}},
-		{"single-ingress", PlanConfig{Mesh: wse.Config{Rows: 4, Cols: 6}, PipelineLen: 2, SingleIngress: true, RecordSpans: true}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {

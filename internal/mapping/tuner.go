@@ -72,8 +72,7 @@ func SelectPipelineLength(chain *stages.Chain, mesh wse.Config, w Workload, cons
 		// the feed is slower than the pipelines' demand, the row's rate is
 		// feed-bound and longer pipelines stop costing throughput.
 		if cons.InputWaveletsPerCycle > 0 {
-			cfg := mesh.WithDefaults()
-			feedGBps := cons.InputWaveletsPerCycle * 4 * cfg.ClockHz * float64(cfg.Rows) / 1e9
+			feedGBps := cons.InputWaveletsPerCycle * 4 * wse.ClockHz * float64(mesh.Rows) / 1e9
 			if feedGBps < rate {
 				rate = feedGBps
 			}

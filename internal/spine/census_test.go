@@ -17,6 +17,11 @@ var censusSources = map[string]string{
 	"spine":       "daemon.go",
 	"cereszd":     "../../cmd/cereszd/main.go",
 	"cereszproxy": "../../cmd/cereszproxy/main.go",
+	"ceresz":      "../../cmd/ceresz/main.go",
+	"cereszbench": "../../cmd/cereszbench/main.go",
+	"cereszsim":   "../../cmd/cereszsim/main.go",
+	"datagen":     "../../cmd/datagen/main.go",
+	"benchdiff":   "../../cmd/benchdiff/main.go",
 }
 
 // flagNameArg maps each package flag function that registers a flag to
@@ -65,7 +70,7 @@ func registeredFlags(t *testing.T, path string) []string {
 	return names
 }
 
-// TestDaemonFlagCensus holds SURFACE.md and the daemons' flag
+// TestDaemonFlagCensus holds SURFACE.md and every command's flag
 // registrations to each other: every registered flag has a row naming its
 // owner, and every row names a registered flag.
 func TestDaemonFlagCensus(t *testing.T) {
@@ -90,8 +95,12 @@ func TestDaemonFlagCensus(t *testing.T) {
 			continue
 		}
 		who := strings.TrimSpace(cells[0])
-		if _, ok := censusSources[who]; !ok {
+		if who == "registered by" || strings.HasPrefix(who, "---") {
 			continue // the header and separator rows
+		}
+		if _, ok := censusSources[who]; !ok {
+			t.Errorf("SURFACE.md row names %q, which is not a census source", who)
+			continue
 		}
 		key := who + " " + strings.Trim(strings.TrimSpace(cells[1]), "`")
 		if rows[key] {

@@ -38,69 +38,42 @@ type FlightConfig struct {
 	Dir string
 	// MinInterval rate-limits trigger-initiated dumps (0 = 30s).
 	MinInterval time.Duration
-	// BurnThreshold fires when any objective's 5m burn rate reaches it
-	// (0 = 2; negative disables the trigger).
-	BurnThreshold float64
-	// FiveXXBurst fires when the 5xx responses inside one window reach it
-	// (0 = 5; negative disables).
-	FiveXXBurst int64
-	// P99SpikeFactor fires when a latency histogram's windowed p99
-	// reaches factor × its trailing-baseline p99 (0 = 4; negative
-	// disables). Histograms whose name contains "latency" are watched.
-	P99SpikeFactor float64
-	// BaselineWindows is how many trailing windows form the spike
-	// baseline (0 = 12); at least 3 populated ones are required before
-	// the spike trigger can fire.
-	BaselineWindows int
-	// MinWindowCount is the observation floor below which a window's p99
-	// is too noisy to trigger on (0 = 8).
-	MinWindowCount int64
-	// MaxIncidents bounds the incident files kept in Dir; oldest pruned
-	// (0 = 16).
-	MaxIncidents int
-	// DumpWindows is how many recent windows an incident embeds (0 = 60).
-	DumpWindows int
 }
 
-func (c FlightConfig) withDefaults() FlightConfig {
-	if c.MinInterval <= 0 {
-		c.MinInterval = 30 * time.Second
-	}
-	if c.BurnThreshold == 0 {
-		c.BurnThreshold = 2
-	}
-	if c.FiveXXBurst == 0 {
-		c.FiveXXBurst = 5
-	}
-	if c.P99SpikeFactor == 0 {
-		c.P99SpikeFactor = 4
-	}
-	if c.BaselineWindows <= 0 {
-		c.BaselineWindows = 12
-	}
-	if c.MinWindowCount <= 0 {
-		c.MinWindowCount = 8
-	}
-	if c.MaxIncidents <= 0 {
-		c.MaxIncidents = 16
-	}
-	if c.DumpWindows <= 0 {
-		c.DumpWindows = 60
-	}
-	return c
-}
+// Trigger thresholds and dump bounds.
+const (
+	// burnThreshold fires when any objective's 5m burn rate reaches it.
+	burnThreshold = 2
+	// fiveXXBurst fires when the 5xx responses inside one window reach it.
+	fiveXXBurst = 5
+	// p99SpikeFactor fires when a latency histogram's windowed p99
+	// reaches factor × its trailing-baseline p99. Histograms whose name
+	// contains "latency" are watched.
+	p99SpikeFactor = 4
+	// baselineWindows is how many trailing windows form the spike
+	// baseline; at least 3 populated ones are required before the spike
+	// trigger can fire.
+	baselineWindows = 12
+	// minWindowCount is the observation floor below which a window's p99
+	// is too noisy to trigger on.
+	minWindowCount = 8
+	// maxIncidents bounds the incident files kept in Dir; oldest pruned.
+	maxIncidents = 16
+	// dumpWindows is how many recent windows an incident embeds.
+	dumpWindows = 60
+)
 
 // Incident is the on-disk dump document. TraceEvents holds a Chrome
 // trace-event array, so the whole file loads in Perfetto as-is.
 type Incident struct {
-	Schema  string      `json:"schema"`
-	Time    time.Time   `json:"time"`
-	Seq     uint64      `json:"seq"`
-	Reason  string      `json:"reason"`
-	SLO     []SLOStatus `json:"slo,omitempty"`
-	Windows []Window    `json:"windows"`
-	Runtime RuntimeStats `json:"runtime"`
-	Metrics Snapshot    `json:"metrics"`
+	Schema      string          `json:"schema"`
+	Time        time.Time       `json:"time"`
+	Seq         uint64          `json:"seq"`
+	Reason      string          `json:"reason"`
+	SLO         []SLOStatus     `json:"slo,omitempty"`
+	Windows     []Window        `json:"windows"`
+	Runtime     RuntimeStats    `json:"runtime"`
+	Metrics     Snapshot        `json:"metrics"`
 	TraceEvents json.RawMessage `json:"traceEvents,omitempty"`
 }
 
@@ -129,7 +102,9 @@ type FlightRecorder struct {
 // NewFlightRecorder builds a recorder over rp's windows and registers its
 // trigger check on the rollup tick. Dir is created lazily at first dump.
 func NewFlightRecorder(cfg FlightConfig, rp *Rollup, engine *SLOEngine, traceFn func(w *bytes.Buffer) error) *FlightRecorder {
-	cfg = cfg.withDefaults()
+	if cfg.MinInterval <= 0 {
+		cfg.MinInterval = 30 * time.Second
+	}
 	fr := &FlightRecorder{
 		cfg:        cfg,
 		rollup:     rp,
@@ -148,27 +123,23 @@ func NewFlightRecorder(cfg FlightConfig, rp *Rollup, engine *SLOEngine, traceFn 
 // once with all firing reasons joined.
 func (fr *FlightRecorder) check(w Window) {
 	var reasons []string
-	if fr.engine != nil && fr.cfg.BurnThreshold > 0 {
+	if fr.engine != nil {
 		for _, st := range fr.engine.Evaluate() {
-			if st.BurnRate5m >= fr.cfg.BurnThreshold {
+			if st.BurnRate5m >= burnThreshold {
 				reasons = append(reasons, "burn-rate:"+st.Spec.Raw)
 			}
 		}
 	}
-	if fr.cfg.FiveXXBurst > 0 {
-		var burst int64
-		for name, d := range w.Counters {
-			if strings.HasSuffix(name, ".status_5xx") {
-				burst += d
-			}
-		}
-		if burst >= fr.cfg.FiveXXBurst {
-			reasons = append(reasons, fmt.Sprintf("5xx-burst:%d", burst))
+	var burst int64
+	for name, d := range w.Counters {
+		if strings.HasSuffix(name, ".status_5xx") {
+			burst += d
 		}
 	}
-	if fr.cfg.P99SpikeFactor > 0 {
-		reasons = append(reasons, fr.p99Spikes(w)...)
+	if burst >= fiveXXBurst {
+		reasons = append(reasons, fmt.Sprintf("5xx-burst:%d", burst))
 	}
+	reasons = append(reasons, fr.p99Spikes(w)...)
 	if len(reasons) > 0 {
 		_, _ = fr.Dump(strings.Join(reasons, "+"), false)
 	}
@@ -180,7 +151,7 @@ func (fr *FlightRecorder) p99Spikes(w Window) []string {
 	var reasons []string
 	// Baseline excludes the window under test: take the ring's tail
 	// before it.
-	ring := fr.rollup.Windows(fr.cfg.BaselineWindows + 1)
+	ring := fr.rollup.Windows(baselineWindows + 1)
 	var baseline []Window
 	for _, bw := range ring {
 		if bw.Seq < w.Seq {
@@ -188,13 +159,13 @@ func (fr *FlightRecorder) p99Spikes(w Window) []string {
 		}
 	}
 	for name, hs := range w.Hists {
-		if !strings.Contains(name, "latency") || hs.Count < fr.cfg.MinWindowCount {
+		if !strings.Contains(name, "latency") || hs.Count < minWindowCount {
 			continue
 		}
 		var sum int64
 		var n int
 		for _, bw := range baseline {
-			if bh, ok := bw.Hists[name]; ok && bh.Count >= fr.cfg.MinWindowCount {
+			if bh, ok := bw.Hists[name]; ok && bh.Count >= minWindowCount {
 				sum += bh.P99
 				n++
 			}
@@ -203,7 +174,7 @@ func (fr *FlightRecorder) p99Spikes(w Window) []string {
 			continue
 		}
 		base := sum / int64(n)
-		if base > 0 && float64(hs.P99) >= fr.cfg.P99SpikeFactor*float64(base) {
+		if base > 0 && float64(hs.P99) >= p99SpikeFactor*float64(base) {
 			reasons = append(reasons, fmt.Sprintf("p99-spike:%s:%dus-vs-%dus", name, hs.P99, base))
 		}
 	}
@@ -232,7 +203,7 @@ func (fr *FlightRecorder) Dump(reason string, force bool) (string, error) {
 		Time:    now,
 		Seq:     seq,
 		Reason:  reason,
-		Windows: fr.rollup.Windows(fr.cfg.DumpWindows),
+		Windows: fr.rollup.Windows(dumpWindows),
 		Runtime: ReadRuntimeStats(),
 		Metrics: fr.rollup.reg.Snapshot(),
 	}
@@ -301,14 +272,14 @@ func reasonSlug(reason string) string {
 	return sb.String()
 }
 
-// prune removes the oldest incident files beyond MaxIncidents.
+// prune removes the oldest incident files beyond maxIncidents.
 func (fr *FlightRecorder) prune() {
 	matches, err := filepath.Glob(filepath.Join(fr.cfg.Dir, "incident-*.json"))
-	if err != nil || len(matches) <= fr.cfg.MaxIncidents {
+	if err != nil || len(matches) <= maxIncidents {
 		return
 	}
 	sort.Strings(matches) // names sort by unix time then sequence
-	for _, old := range matches[:len(matches)-fr.cfg.MaxIncidents] {
+	for _, old := range matches[:len(matches)-maxIncidents] {
 		_ = os.Remove(old)
 	}
 }

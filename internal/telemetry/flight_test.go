@@ -36,25 +36,22 @@ func readIncidents(t *testing.T, dir string) []Incident {
 
 func TestFlightBurnRateTrigger(t *testing.T) {
 	r := NewRegistry()
-	rp := NewRollup(r, RollupConfig{Interval: time.Hour, Windows: 16})
+	rp := NewRollup(r, RollupConfig{Interval: time.Hour})
 	e := NewSLOEngine(rp, []Objective{{
 		Spec:         mustSpec(t, "compress:err:99"),
 		TotalCounter: "ep.requests",
 		BadCounter:   "ep.status_5xx",
 	}}, 0)
 	dir := t.TempDir()
-	fr := NewFlightRecorder(FlightConfig{
-		Dir:         dir,
-		MinInterval: time.Millisecond,
-		FiveXXBurst: -1, // isolate the burn trigger
-	}, rp, e, func(buf *bytes.Buffer) error {
+	fr := NewFlightRecorder(FlightConfig{Dir: dir, MinInterval: time.Millisecond}, rp, e, func(buf *bytes.Buffer) error {
 		buf.WriteString(`[{"ph":"X","name":"req","ts":0,"dur":5}]`)
 		return nil
 	})
 
-	// 100% bad traffic: burn rate 100 >> the default threshold 2.
+	// 40% bad traffic: burn rate 40 >> the threshold 2, while the 4 errors
+	// stay under the 5xx-burst trigger's 5, which isolates the burn trigger.
 	r.Counter("ep.requests").Add(10)
-	r.Counter("ep.status_5xx").Add(10)
+	r.Counter("ep.status_5xx").Add(4)
 	rp.Tick()
 
 	incs := readIncidents(t, dir)
@@ -65,13 +62,13 @@ func TestFlightBurnRateTrigger(t *testing.T) {
 	if inc.Schema != incidentSchema {
 		t.Fatalf("schema %q", inc.Schema)
 	}
-	if !strings.Contains(inc.Reason, "burn-rate:compress:err:99") {
+	if inc.Reason != "burn-rate:compress:err:99" {
 		t.Fatalf("reason %q", inc.Reason)
 	}
 	if len(inc.Windows) == 0 {
 		t.Fatal("incident has no rollup windows")
 	}
-	if len(inc.SLO) != 1 || inc.SLO[0].BurnRate5m < 50 {
+	if len(inc.SLO) != 1 || inc.SLO[0].BurnRate5m < 20 {
 		t.Fatalf("incident slo %+v", inc.SLO)
 	}
 	if inc.Runtime.Goroutines <= 0 {
@@ -89,13 +86,9 @@ func TestFlightBurnRateTrigger(t *testing.T) {
 
 func TestFlight5xxBurstTrigger(t *testing.T) {
 	r := NewRegistry()
-	rp := NewRollup(r, RollupConfig{Interval: time.Hour, Windows: 16})
+	rp := NewRollup(r, RollupConfig{Interval: time.Hour})
 	dir := t.TempDir()
-	NewFlightRecorder(FlightConfig{
-		Dir:         dir,
-		MinInterval: time.Millisecond,
-		FiveXXBurst: 5,
-	}, rp, nil, nil)
+	NewFlightRecorder(FlightConfig{Dir: dir, MinInterval: time.Millisecond}, rp, nil, nil)
 
 	r.Counter("server.compress.status_5xx").Add(3)
 	rp.Tick()
@@ -113,14 +106,9 @@ func TestFlight5xxBurstTrigger(t *testing.T) {
 
 func TestFlightP99SpikeTrigger(t *testing.T) {
 	r := NewRegistry()
-	rp := NewRollup(r, RollupConfig{Interval: time.Hour, Windows: 32})
+	rp := NewRollup(r, RollupConfig{Interval: time.Hour})
 	dir := t.TempDir()
-	NewFlightRecorder(FlightConfig{
-		Dir:            dir,
-		MinInterval:    time.Millisecond,
-		FiveXXBurst:    -1,
-		P99SpikeFactor: 4,
-	}, rp, nil, nil)
+	NewFlightRecorder(FlightConfig{Dir: dir, MinInterval: time.Millisecond}, rp, nil, nil)
 
 	h := r.Histogram("ep.latency_us")
 	// Build a steady baseline: several windows of ~100µs p99.
@@ -146,7 +134,7 @@ func TestFlightP99SpikeTrigger(t *testing.T) {
 
 func TestFlightRateLimitAndForce(t *testing.T) {
 	r := NewRegistry()
-	rp := NewRollup(r, RollupConfig{Interval: time.Hour, Windows: 8})
+	rp := NewRollup(r, RollupConfig{Interval: time.Hour})
 	dir := t.TempDir()
 	fr := NewFlightRecorder(FlightConfig{Dir: dir, MinInterval: time.Hour}, rp, nil, nil)
 
@@ -171,23 +159,27 @@ func TestFlightRateLimitAndForce(t *testing.T) {
 
 func TestFlightPrune(t *testing.T) {
 	r := NewRegistry()
-	rp := NewRollup(r, RollupConfig{Interval: time.Hour, Windows: 8})
+	rp := NewRollup(r, RollupConfig{Interval: time.Hour})
 	dir := t.TempDir()
-	fr := NewFlightRecorder(FlightConfig{Dir: dir, MaxIncidents: 3}, rp, nil, nil)
-	for i := 0; i < 6; i++ {
+	fr := NewFlightRecorder(FlightConfig{Dir: dir}, rp, nil, nil)
+	for i := 0; i < maxIncidents+1; i++ {
 		if _, err := fr.Dump("n", true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	matches, _ := filepath.Glob(filepath.Join(dir, "incident-*.json"))
-	if len(matches) != 3 {
-		t.Fatalf("%d incident files after prune, want 3", len(matches))
+	if len(matches) != maxIncidents {
+		t.Fatalf("%d incident files after prune, want %d", len(matches), maxIncidents)
+	}
+	// The oldest dump is the one pruned.
+	if first := filepath.Base(matches[0]); !strings.Contains(first, "-002-") {
+		t.Fatalf("oldest kept incident %s, want dump 2", first)
 	}
 }
 
 func TestFlightHandlers(t *testing.T) {
 	r := NewRegistry()
-	rp := NewRollup(r, RollupConfig{Interval: time.Hour, Windows: 8})
+	rp := NewRollup(r, RollupConfig{Interval: time.Hour})
 	dir := t.TempDir()
 	fr := NewFlightRecorder(FlightConfig{Dir: dir}, rp, nil, nil)
 

@@ -188,7 +188,7 @@ func fullRegistry(t *testing.T) (*Registry, *Rollup) {
 	r.Gauge("server.queue_depth").Set(3)
 	r.Timer("core.compress").Observe(1500 * time.Microsecond)
 	r.Histogram("server.compress.latency_us").Observe(250)
-	rp := NewRollup(r, RollupConfig{Interval: time.Hour, Windows: 8})
+	rp := NewRollup(r, RollupConfig{Interval: time.Hour})
 	NewSLOEngine(rp, []Objective{{
 		Spec:     mustSpec(t, "compress:p99<1ms:99"),
 		HistName: "server.compress.latency_us",

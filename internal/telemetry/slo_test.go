@@ -89,7 +89,7 @@ func TestHistCountAtOrBelow(t *testing.T) {
 func sloFixture(t *testing.T) (*Registry, *Rollup, *SLOEngine) {
 	t.Helper()
 	r := NewRegistry()
-	rp := NewRollup(r, RollupConfig{Interval: time.Hour, Windows: 64})
+	rp := NewRollup(r, RollupConfig{Interval: time.Hour})
 	objs := []Objective{
 		{
 			Spec:     mustSpec(t, "compress:p99<1ms:99"),

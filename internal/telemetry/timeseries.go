@@ -35,19 +35,10 @@ import (
 type RollupConfig struct {
 	// Interval is the window width (0 = 5s).
 	Interval time.Duration
-	// Windows is the ring capacity (0 = 720 — one hour at 5s).
-	Windows int
 }
 
-func (c RollupConfig) withDefaults() RollupConfig {
-	if c.Interval <= 0 {
-		c.Interval = 5 * time.Second
-	}
-	if c.Windows <= 0 {
-		c.Windows = 720
-	}
-	return c
-}
+// rollupWindows is the ring capacity: one hour at the default 5s.
+const rollupWindows = 720
 
 // Window is one closed rollup interval: deltas and rates between two
 // registry snapshots. All maps are written once at tick time and never
@@ -100,12 +91,14 @@ type Rollup struct {
 // caller with its own scheduler). A registry carries at most one rollup;
 // attaching a second replaces the first in the registry's exposition.
 func NewRollup(reg *Registry, cfg RollupConfig) *Rollup {
-	cfg = cfg.withDefaults()
+	if cfg.Interval <= 0 {
+		cfg.Interval = 5 * time.Second
+	}
 	rp := &Rollup{
 		reg:      reg,
 		interval: cfg.Interval,
 		prev:     reg.rawSnapshot(time.Now()),
-		ring:     make([]Window, cfg.Windows),
+		ring:     make([]Window, rollupWindows),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}

@@ -81,36 +81,37 @@ func TestRollupWindowedHistQuantiles(t *testing.T) {
 func TestRollupRingWrapAndWindows(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("n")
-	rp := NewRollup(r, RollupConfig{Interval: time.Hour, Windows: 4})
-	for i := 0; i < 10; i++ {
+	rp := NewRollup(r, RollupConfig{Interval: time.Hour})
+	const ticks = rollupWindows + 3
+	for i := 0; i < ticks; i++ {
 		c.Add(1)
 		rp.Tick()
 	}
-	if got := rp.Len(); got != 4 {
-		t.Fatalf("Len = %d, want ring capacity 4", got)
+	if got := rp.Len(); got != rollupWindows {
+		t.Fatalf("Len = %d, want ring capacity %d", got, rollupWindows)
 	}
 	ws := rp.Windows(0)
-	if len(ws) != 4 {
-		t.Fatalf("Windows(0) = %d windows, want 4", len(ws))
+	if len(ws) != rollupWindows {
+		t.Fatalf("Windows(0) = %d windows, want %d", len(ws), rollupWindows)
 	}
-	// Oldest-first, newest last, consecutive seqs ending at 10.
+	// Oldest-first, newest last, consecutive seqs ending at ticks.
 	for i, w := range ws {
-		if want := uint64(7 + i); w.Seq != want {
+		if want := uint64(ticks - rollupWindows + 1 + i); w.Seq != want {
 			t.Fatalf("window %d seq = %d, want %d", i, w.Seq, want)
 		}
 	}
 	last, ok := rp.Latest()
-	if !ok || last.Seq != 10 {
-		t.Fatalf("Latest = %+v/%v, want seq 10", last.Seq, ok)
+	if !ok || last.Seq != ticks {
+		t.Fatalf("Latest = %+v/%v, want seq %d", last.Seq, ok, ticks)
 	}
-	if got := rp.Windows(2); len(got) != 2 || got[1].Seq != 10 {
-		t.Fatalf("Windows(2) = %v, want the 2 newest ending at seq 10", got)
+	if got := rp.Windows(2); len(got) != 2 || got[1].Seq != ticks {
+		t.Fatalf("Windows(2) = %v, want the 2 newest ending at seq %d", got, ticks)
 	}
 }
 
 func TestRollupStartStopAndOnTick(t *testing.T) {
 	r := NewRegistry()
-	rp := NewRollup(r, RollupConfig{Interval: time.Millisecond, Windows: 16})
+	rp := NewRollup(r, RollupConfig{Interval: time.Millisecond})
 	var mu sync.Mutex
 	ticks := 0
 	rp.OnTick(func(Window) {
@@ -162,7 +163,7 @@ func TestRollupTickCarriesRuntimeGauges(t *testing.T) {
 func TestTimeseriesHandler(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("n")
-	rp := NewRollup(r, RollupConfig{Interval: time.Hour, Windows: 8})
+	rp := NewRollup(r, RollupConfig{Interval: time.Hour})
 	c.Add(3)
 	rp.Tick()
 	rp.Tick()
@@ -183,7 +184,7 @@ func TestTimeseriesHandler(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)
 	}
-	if view.RingCapacity != 8 || view.IntervalSeconds != 3600 {
+	if view.RingCapacity != rollupWindows || view.IntervalSeconds != 3600 {
 		t.Fatalf("view meta = %+v", view)
 	}
 	if len(view.Windows) != 1 || view.Windows[0].Seq != 2 {

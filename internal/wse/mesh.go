@@ -5,6 +5,18 @@ import (
 	"slices"
 )
 
+// Fabric timing and clock of the CS-2.
+const (
+	// LinkLatency is the fixed per-hop cycle cost before a message's
+	// wavelets stream across a link.
+	LinkLatency = 1
+	// RampLatency is the fixed cost of moving a message between local
+	// memory and the fabric; it is why C₂ > C₁ in §4.3.
+	RampLatency = 4
+	// ClockHz converts cycles to seconds (850 MHz, §5.1.1).
+	ClockHz = 850e6
+)
+
 // Config describes a simulated wafer.
 type Config struct {
 	// Rows and Cols give the mesh geometry. The full CS-2 exposes
@@ -12,20 +24,12 @@ type Config struct {
 	Rows, Cols int
 	// MemPerPE is the local memory budget in bytes (default 48 KB).
 	MemPerPE int
-	// LinkLatency is the fixed per-hop cycle cost before a message's
-	// wavelets stream across a link (default 1).
-	LinkLatency int64
-	// RampLatency is the fixed cost of moving a message between local
-	// memory and the fabric (default 4); it is why C₂ > C₁ in §4.3.
-	RampLatency int64
 	// MsgOverhead is the per-message processor cost of receiving and
 	// re-issuing a fabric transfer (task activation + DSD setup, §2.1's
 	// data-triggering mechanism). It is charged on every Forward in
 	// addition to the wavelet streaming time. Default 0; the CereSZ
 	// mapping sets its own calibrated value.
 	MsgOverhead int64
-	// ClockHz converts cycles to seconds (default 850 MHz, §5.1.1).
-	ClockHz float64
 	// MaxEvents aborts a runaway simulation (default 500M events).
 	MaxEvents int64
 	// Workers bounds the host worker pool for row-sharded simulation:
@@ -45,15 +49,6 @@ func (c Config) WithDefaults() Config {
 	if c.MemPerPE == 0 {
 		c.MemPerPE = 48 * 1024
 	}
-	if c.LinkLatency == 0 {
-		c.LinkLatency = 1
-	}
-	if c.RampLatency == 0 {
-		c.RampLatency = 4
-	}
-	if c.ClockHz == 0 {
-		c.ClockHz = 850e6
-	}
 	if c.MaxEvents == 0 {
 		c.MaxEvents = 500_000_000
 	}
@@ -70,8 +65,6 @@ type Mesh struct {
 	// first SetRoute (~18 MB for the full wafer, nil for meshes that
 	// route nothing).
 	routes []int8
-	// routeColorMask has bit c set when any PE routes color c.
-	routeColorMask uint32
 	// glue[r] marks rows r and r+1 inseparable for sharding because a
 	// North/South route crosses their boundary (programs contribute
 	// their own glue at partition time; see shard.go).
@@ -87,7 +80,6 @@ type Mesh struct {
 
 	processed int64
 	emissions []Emission
-	emitTo    func(Emission)
 	spans     *SpanLog
 
 	// linkFree[pe][dir] is the cycle at which PE pe's outgoing link
@@ -102,8 +94,6 @@ type Mesh struct {
 	// last Run (one entry for the sequential engine). Deterministic: it
 	// depends only on the partition, never on worker scheduling.
 	shardEvents []int64
-	// feedEvents counts events the column-feed pre-pass processed.
-	feedEvents int64
 	// poolPeak is the peak number of concurrently running workers seen in
 	// the last Run — a host-side occupancy measure, NOT deterministic
 	// across runs; it feeds telemetry only.
@@ -181,7 +171,6 @@ func (m *Mesh) SetRoute(row, col int, color Color, out Dir) {
 		}
 	}
 	m.routes[int(pe.idx)*NumColors+int(color)] = int8(out)
-	m.routeColorMask |= 1 << uint(color)
 	switch out {
 	case North:
 		m.glue[row-1] = true
@@ -216,13 +205,6 @@ func (m *Mesh) Inject(row, col int, msg Message, at int64) {
 	m.pending = append(m.pending, evKey{at: at, seq: m.injectSeq, src: hostSrc, slot: m.pre.put(&msg, pe.idx)})
 	m.injectSeq++
 }
-
-// OnEmit registers a callback invoked for every emission, in emission
-// order, in addition to the Emissions log. Under a sharded run the
-// callbacks for message-handler emissions fire after the shards finish
-// (in the merged deterministic order) rather than while the simulation
-// advances.
-func (m *Mesh) OnEmit(f func(Emission)) { m.emitTo = f }
 
 // Emissions returns everything programs handed off the wafer, in emission
 // order.
@@ -277,7 +259,7 @@ func (m *Mesh) Run() (int64, error) {
 		return m.runSharded(plan, pending, slab)
 	}
 	m.shards, m.workers, m.poolPeak = 1, 1, 1
-	seq := &engine{m: m, exactLimit: m.cfg.MaxEvents}
+	seq := &engine{m: m}
 	seq.reserve(len(pending), len(m.pes))
 	for _, k := range pending {
 		seq.preload(k, slab)
@@ -307,14 +289,14 @@ func (m *Mesh) Elapsed() int64 {
 	return last
 }
 
-// Seconds converts cycles to seconds at the configured clock.
+// Seconds converts cycles to seconds at the CS-2 clock.
 func (m *Mesh) Seconds(cycles int64) float64 {
-	return float64(cycles) / m.cfg.ClockHz
+	return float64(cycles) / ClockHz
 }
 
 // engine runs one discrete-event loop over a subset of the mesh: the
-// whole mesh (the sequential reference), the column-feed pre-pass, or
-// one row shard on a worker goroutine. Engines share the mesh's PE and
+// whole mesh (the sequential reference) or one row shard on a worker
+// goroutine. Engines share the mesh's PE and
 // link state but only ever touch disjoint parts of it (see shard.go).
 type engine struct {
 	m    *Mesh
@@ -323,18 +305,13 @@ type engine struct {
 	ctx  Context // pooled; reset per handler instead of allocated per dispatch
 
 	processed int64
-	// exactLimit is the sequential MaxEvents guard (checked per event);
-	// sharded workers instead draw prepaid chunks from shared.
-	exactLimit int64
-	shared     *eventBudget
-	quota      int64
+	// shared is the sharded workers' MaxEvents budget, drawn in prepaid
+	// chunks; nil for the sequential engine, which checks MaxEvents per
+	// event.
+	shared *eventBudget
+	quota  int64
 
-	// feedPhase diverts non-feed deliveries into deferred instead of
-	// simulating them — the column-distribution pre-pass.
-	feedPhase bool
-	deferred  []evKey
-
-	// restricted enforces a worker shard's PE-index bounds and seals.
+	// restricted enforces a worker shard's PE-index bounds.
 	restricted   bool
 	idxLo, idxHi int32
 
@@ -382,7 +359,7 @@ func (e *engine) run() error {
 		k := e.q.pop()
 		e.processed++
 		if e.shared == nil {
-			if e.processed > e.exactLimit {
+			if e.processed > m.cfg.MaxEvents {
 				return fmt.Errorf("wse: exceeded %d events; likely livelock", m.cfg.MaxEvents)
 			}
 		} else if err := e.drawQuota(); err != nil {
@@ -408,9 +385,6 @@ func (e *engine) run() error {
 			// no processor involvement (only link serialization).
 			e.routeForward(pe, k.slot, Dir(d), k.at)
 			continue
-		}
-		if e.restricted && pe.sealed {
-			panic(fmt.Sprintf("wse: delivery on color %d to column-feed PE %v after its pre-pass; its ShardProfile.FeedColors does not cover all of its ingress", sm.msg.Color, pe.coord))
 		}
 		sm.msg.arrivedAt = k.at
 		if m.spans != nil && sm.msg.Span != 0 && k.src == hostSrc {
@@ -445,21 +419,13 @@ func (e *engine) dequeue(pe *PE) int32 {
 	return slot
 }
 
-// push schedules an event, diverting it when the engine's phase demands:
-// the feed pre-pass defers non-feed deliveries to the shards, and worker
-// shards refuse deliveries that leave their rows (a broken RowLocal
-// promise).
+// push schedules an event. Worker shards refuse deliveries that leave
+// their rows (a broken RowLocal promise).
 func (e *engine) push(k evKey) {
-	if k.slot >= 0 && (e.restricted || e.feedPhase) {
-		sm := &e.slab.msgs[k.slot]
-		if e.restricted && (sm.pe < e.idxLo || sm.pe >= e.idxHi) {
-			dst := &e.m.pes[sm.pe]
+	if k.slot >= 0 && e.restricted {
+		if pe := e.slab.msgs[k.slot].pe; pe < e.idxLo || pe >= e.idxHi {
 			panic(fmt.Sprintf("wse: shard-profile violation: send into row %d from a shard covering rows [%d,%d); the sender's ShardProfile claims RowLocal",
-				dst.coord.Row, int(e.idxLo)/e.m.cfg.Cols, int(e.idxHi)/e.m.cfg.Cols))
-		}
-		if e.feedPhase && !e.m.isFeed(sm.pe, sm.msg.Color) {
-			e.deferred = append(e.deferred, k)
-			return
+				e.m.pes[pe].coord.Row, int(e.idxLo)/e.m.cfg.Cols, int(e.idxHi)/e.m.cfg.Cols))
 		}
 	}
 	e.q.push(k)
@@ -477,7 +443,7 @@ func (e *engine) routeForward(pe *PE, slot int32, out Dir, t int64) {
 	sm := &e.slab.msgs[slot]
 	free := &m.linkFree[pe.idx][out]
 	depart := max(t, *free)
-	arrive := depart + m.cfg.LinkLatency + int64(sm.msg.Wavelets)
+	arrive := depart + LinkLatency + int64(sm.msg.Wavelets)
 	*free = arrive
 	// sentAt stays: the router never takes ownership of the data.
 	sm.msg.From = out.Opposite()
@@ -509,11 +475,6 @@ func (e *engine) dispatch(pe *PE, t int64) {
 		// but silently losing data in a simulation hides mapping bugs, so
 		// the harness fails loudly instead.
 		panic(fmt.Sprintf("wse: message delivered to programless PE %v", pe.coord))
-	}
-	if e.feedPhase {
-		// The pre-pass owns this PE's whole timeline from here on; any
-		// worker-phase delivery to it is a profile violation.
-		pe.sealed = true
 	}
 	slot := e.dequeue(pe)
 	sm := &e.slab.msgs[slot]
@@ -571,7 +532,7 @@ func (e *engine) finishHandler(pe *PE, t int64) int64 {
 		sm := &e.slab.msgs[s.slot]
 		free := &m.linkFree[pe.idx][s.dir]
 		depart := max(end, *free)
-		arrive := depart + m.cfg.LinkLatency + int64(sm.msg.Wavelets)
+		arrive := depart + LinkLatency + int64(sm.msg.Wavelets)
 		*free = arrive
 		sm.msg.sentAt = end // the producer lets go when its handler completes
 		e.push(evKey{at: arrive, seq: pe.pushSeq, src: pe.idx, slot: s.slot})
@@ -587,9 +548,6 @@ func (e *engine) finishHandler(pe *PE, t int64) int64 {
 			continue
 		}
 		m.emissions = append(m.emissions, em)
-		if m.emitTo != nil {
-			m.emitTo(em)
-		}
 	}
 	return end
 }

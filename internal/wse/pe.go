@@ -41,12 +41,6 @@ type PE struct {
 	// increasing per-origin sequence — one third of the (at, src, seq)
 	// event-ordering key (see queue.go).
 	pushSeq int64
-	// feedMask marks colors the program declared as column-feed ingress
-	// (ShardProfile.FeedColors), rebuilt at partition time.
-	feedMask uint32
-	// sealed marks a PE whose entire timeline ran in the column-feed
-	// pre-pass; a later delivery to it is a shard-profile violation.
-	sealed bool
 
 	memUsed int
 	stats   Stats
@@ -57,9 +51,6 @@ func (p *PE) Coord() Coord { return p.coord }
 
 // Stats returns a copy of the PE's cycle accounting.
 func (p *PE) Stats() Stats { return p.stats }
-
-// MemUsed returns the currently allocated local memory in bytes.
-func (p *PE) MemUsed() int { return p.memUsed }
 
 // Context is the API a Program uses during one OnMessage (or Init)
 // invocation. All effects are accounted against the PE's processor time:
@@ -169,7 +160,7 @@ func (c *Context) queueSend(d Dir, msg *Message, forward bool) {
 		c.pe.stats.RelayCycles += w
 		c.pe.stats.Forwarded++
 	} else {
-		w += c.pe.mesh.cfg.RampLatency
+		w += RampLatency
 		c.pe.stats.SendCycles += w
 	}
 	c.cost += w

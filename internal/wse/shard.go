@@ -24,18 +24,9 @@ import (
 // simulable shards.
 type ShardProfile struct {
 	// RowLocal promises the program only sends East or West from its
-	// message handlers, except while handling FeedColors traffic (which
-	// runs in the sequential pre-pass and may flow South). The promise
-	// is enforced: a North/South send from a sharded worker panics.
+	// message handlers. The promise is enforced: a North/South send from
+	// a sharded worker panics.
 	RowLocal bool
-	// FeedColors lists colors on which the program receives traffic fed
-	// in from another row — the single-ingress column distribution of
-	// §4.3, where blocks enter at one corner PE and are forwarded South
-	// down column 0. Deliveries on these colors are resolved by a
-	// deterministic sequential pre-pass before the shards run. The
-	// pre-pass must cover the receiving PE's entire timeline, so PEs it
-	// dispatches are sealed: any later delivery to them panics.
-	FeedColors []Color
 }
 
 // ShardAware is optionally implemented by Programs to unlock row
@@ -55,7 +46,6 @@ type shardSpan struct {
 type runPlan struct {
 	sequential bool
 	spans      []shardSpan
-	feed       bool // some program declared FeedColors
 	workers    int
 }
 
@@ -75,24 +65,13 @@ func (m *Mesh) partition() runPlan {
 
 	glue := make([]bool, rows) // glue[r]: rows r and r+1 inseparable
 	copy(glue, m.glue)
-	var feedUnion uint32
 	for i := range m.pes {
 		pe := &m.pes[i]
-		pe.feedMask = 0
-		pe.sealed = false
 		if pe.program == nil {
 			continue
 		}
-		if sa, ok := pe.program.(ShardAware); ok {
-			if prof := sa.ShardProfile(); prof.RowLocal {
-				for _, c := range prof.FeedColors {
-					if c.Valid() {
-						pe.feedMask |= 1 << uint(c)
-					}
-				}
-				feedUnion |= pe.feedMask
-				continue
-			}
+		if sa, ok := pe.program.(ShardAware); ok && sa.ShardProfile().RowLocal {
+			continue
 		}
 		r := pe.coord.Row
 		if r > 0 {
@@ -102,13 +81,6 @@ func (m *Mesh) partition() runPlan {
 			glue[r] = true
 		}
 	}
-	if feedUnion&m.routeColorMask != 0 {
-		// A feed color is also statically routed somewhere, so the
-		// pre-pass could occupy links that row traffic shares. Nothing in
-		// the CereSZ mapping does this; keep such runs sequential.
-		return runPlan{sequential: true}
-	}
-
 	var spans []shardSpan
 	lo := 0
 	for r := 0; r < rows; r++ {
@@ -120,7 +92,7 @@ func (m *Mesh) partition() runPlan {
 	if len(spans) == 1 {
 		return runPlan{sequential: true}
 	}
-	return runPlan{spans: spans, feed: feedUnion != 0, workers: workers}
+	return runPlan{spans: spans, workers: workers}
 }
 
 // eventBudget is the sharded engines' shared MaxEvents allowance.
@@ -133,46 +105,13 @@ type eventBudget struct {
 
 const budgetChunk = 4096
 
-// runSharded executes the worker-pool path: optional column-feed
-// pre-pass, then one engine per shard, then a deterministic merge of the
-// shards' emissions by event key. pending indexes slab.
+// runSharded executes the worker-pool path: one engine per shard, then a
+// deterministic merge of the shards' emissions by event key. pending
+// indexes slab.
 func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, error) {
-	var preEmis []tagged[Emission]
-	var preSpans []tagged[SpanEvent]
-	var used int64
-
-	if plan.feed {
-		// Column-distribution pre-pass: simulate only the feed-colored
-		// traffic (and everything the feeder PEs do in response),
-		// deferring every other delivery it generates to the shards. The
-		// pre-pass runs before any worker starts, so the link and PE
-		// state it writes is visible to — and never raced by — the
-		// shards; feeder PEs are sealed when it finishes. It adopts the
-		// pre-run slab, so the deliveries it defers and those it never
-		// touches still index one slab.
-		pre := &engine{m: m, exactLimit: m.cfg.MaxEvents, feedPhase: true, collect: true, slab: *slab}
-		var rest []evKey
-		for _, k := range pending {
-			if sm := &slab.msgs[k.slot]; m.isFeed(sm.pe, sm.msg.Color) {
-				pre.q.keys = append(pre.q.keys, k)
-			} else {
-				rest = append(rest, k)
-			}
-		}
-		pre.q.heapify()
-		if err := pre.run(); err != nil {
-			return 0, err
-		}
-		used = pre.processed
-		preEmis, preSpans = pre.emis, pre.spanEvs
-		pending = append(rest, pre.deferred...)
-		slab = &pre.slab
-	}
-	m.feedEvents = used
-
-	// Bin the pending deliveries (host injections, Init-phase sends, feed
-	// deferrals) to the shard owning their destination row: count them
-	// first, so each engine's heap and slab are sized once.
+	// Bin the pending deliveries (host injections, Init-phase sends) to
+	// the shard owning their destination row: count them first, so each
+	// engine's heap and slab are sized once.
 	cols := m.cfg.Cols
 	shardOf := make([]int32, m.cfg.Rows)
 	for i, sp := range plan.spans {
@@ -186,7 +125,7 @@ func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, 
 		counts[bin(k)]++
 	}
 	budget := &eventBudget{}
-	budget.remaining.Store(m.cfg.MaxEvents - used)
+	budget.remaining.Store(m.cfg.MaxEvents)
 	engines := make([]engine, len(plan.spans))
 	for i, sp := range plan.spans {
 		e := &engines[i]
@@ -257,18 +196,19 @@ func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, 
 		}
 	}
 
-	m.processed = used
 	m.shardEvents = make([]int64, len(engines))
-	emis := append(make([][]tagged[Emission], 0, len(engines)+1), preEmis)
-	spans := append(make([][]tagged[SpanEvent], 0, len(engines)+1), preSpans)
-	nEmis, nSpans := len(preEmis), len(preSpans)
+	emis := make([][]tagged[Emission], 0, len(engines))
+	spans := make([][]tagged[SpanEvent], 0, len(engines))
+	var processed int64
+	var nEmis, nSpans int
 	for i := range engines {
 		e := &engines[i]
-		m.processed += e.processed
+		processed += e.processed
 		m.shardEvents[i] = e.processed
 		emis, spans = append(emis, e.emis), append(spans, e.spanEvs)
 		nEmis, nSpans = nEmis+len(e.emis), nSpans+len(e.spanEvs)
 	}
+	m.processed = processed
 	// Merge emissions into the order the sequential engine would have
 	// produced: its emission log order is the processing order of the
 	// dispatches that emitted, i.e. the (at, src, seq) order of their
@@ -276,12 +216,7 @@ func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, 
 	// k-way merge rebuilds it, and multiple emissions from one handler
 	// keep their in-handler order.
 	m.emissions = slices.Grow(m.emissions, nEmis)
-	mergeTagged(emis, func(em *Emission) {
-		m.emissions = append(m.emissions, *em)
-		if m.emitTo != nil {
-			m.emitTo(*em)
-		}
-	})
+	mergeTagged(emis, func(em *Emission) { m.emissions = append(m.emissions, *em) })
 	// The span log merges by the same key, for the same reason: the
 	// sequential engine appends span records while processing events in
 	// global (at, src, seq) order, one cause event runs entirely inside
@@ -292,12 +227,6 @@ func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, 
 		mergeTagged(spans, func(ev *SpanEvent) { m.spans.events = append(m.spans.events, *ev) })
 	}
 	return m.Elapsed(), nil
-}
-
-// isFeed reports whether a delivery of color c to PE pe belongs to the
-// column-feed pre-pass.
-func (m *Mesh) isFeed(pe int32, c Color) bool {
-	return m.pes[pe].feedMask&(1<<uint(c)) != 0
 }
 
 // Shards reports how many row shards the last Run simulated (1 when the
@@ -313,11 +242,6 @@ func (m *Mesh) Workers() int { return m.workers }
 // balanced the row shards were; they are deterministic — a function of
 // the partition, not of worker scheduling.
 func (m *Mesh) ShardEvents() []int64 { return m.shardEvents }
-
-// FeedEvents reports how many events the column-feed pre-pass processed
-// in the last Run (0 when no program declared FeedColors or the run was
-// sequential).
-func (m *Mesh) FeedEvents() int64 { return m.feedEvents }
 
 // PoolPeak reports the peak number of concurrently busy pool workers in
 // the last Run (1 for sequential runs). Unlike every other Mesh output

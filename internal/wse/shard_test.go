@@ -134,69 +134,6 @@ func TestShardProfileViolationPanics(t *testing.T) {
 	m.Run()
 }
 
-// feedColor is the column-distribution color the pre-pass tests use.
-const feedColor = Color(5)
-
-// columnFeeder mimics the mapping's single-ingress head PE: feed-colored
-// messages carry a destination row; off-row traffic is forwarded South,
-// on-row traffic is processed and handed East on color 6.
-type columnFeeder struct{}
-
-func (*columnFeeder) Init(*Context) {}
-func (*columnFeeder) OnMessage(ctx *Context, msg Message) {
-	row, _ := msg.Payload.(int)
-	if msg.Color == feedColor && row != ctx.Coord().Row {
-		ctx.Forward(South, msg)
-		return
-	}
-	ctx.Spend(30)
-	ctx.Send(East, Message{Color: 6, Payload: msg.Payload, Wavelets: msg.Wavelets})
-}
-func (*columnFeeder) ShardProfile() ShardProfile {
-	return ShardProfile{RowLocal: true, FeedColors: []Color{feedColor}}
-}
-
-// buildFeedMesh builds a rows×3 mesh: column 0 runs columnFeeder, the rest
-// of each row runs rowEcho, and all traffic enters at PE (0,0).
-func buildFeedMesh(t *testing.T, rows, blocks, workers int) *Mesh {
-	t.Helper()
-	m, err := NewMesh(Config{Rows: rows, Cols: 3, Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < rows; r++ {
-		m.SetProgram(r, 0, &columnFeeder{})
-		for c := 1; c < 3; c++ {
-			m.SetProgram(r, c, &rowEcho{echoProgram{cost: 20}})
-		}
-	}
-	for b := 0; b < blocks; b++ {
-		m.Inject(0, 0, Message{Color: feedColor, Payload: b % rows, Wavelets: 4}, int64(6*b))
-	}
-	return m
-}
-
-func TestColumnFeedPrePassMatchesSequential(t *testing.T) {
-	ref := snapshot(t, buildFeedMesh(t, 4, 24, 1))
-	for _, workers := range []int{2, 4} {
-		m := buildFeedMesh(t, 4, 24, workers)
-		got := snapshot(t, m)
-		if m.Shards() != 4 {
-			t.Fatalf("workers=%d: %d shards, want 4", workers, m.Shards())
-		}
-		if got.elapsed != ref.elapsed || got.processed != ref.processed {
-			t.Fatalf("workers=%d: elapsed/processed %d/%d, want %d/%d",
-				workers, got.elapsed, got.processed, ref.elapsed, ref.processed)
-		}
-		if !reflect.DeepEqual(got.emissions, ref.emissions) {
-			t.Fatalf("workers=%d: emission log diverges from sequential", workers)
-		}
-		if !reflect.DeepEqual(got.stats, ref.stats) {
-			t.Fatalf("workers=%d: per-PE stats diverge from sequential", workers)
-		}
-	}
-}
-
 func TestInjectCarriesOffWaferSrc(t *testing.T) {
 	m, err := NewMesh(Config{Rows: 1, Cols: 2})
 	if err != nil {

@@ -25,8 +25,8 @@ const (
 	// SpanRoute is a router pass-through hop (SetRoute, no processor).
 	SpanRoute
 	// SpanDispatch is a program handler invocation for the span: a relay
-	// hop, a column-feed hand-off, or a stage-group execution, as named
-	// by the program via Context.LabelSpan.
+	// hop or a stage-group execution, as named by the program via
+	// Context.LabelSpan.
 	SpanDispatch
 	// SpanEject is the wafer egress (Context.Emit).
 	SpanEject

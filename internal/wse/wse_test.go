@@ -30,8 +30,8 @@ func TestMeshGeometry(t *testing.T) {
 	if m.Config().MemPerPE != 48*1024 {
 		t.Fatalf("default memory %d, want 48KiB", m.Config().MemPerPE)
 	}
-	if m.Config().ClockHz != 850e6 {
-		t.Fatalf("default clock %g, want 850MHz", m.Config().ClockHz)
+	if got := m.Seconds(850e6); got != 1 {
+		t.Fatalf("850M cycles take %gs, want 1s at 850MHz", got)
 	}
 	if _, err := NewMesh(Config{Rows: 0, Cols: 5}); err == nil {
 		t.Fatal("accepted zero rows")
@@ -87,7 +87,7 @@ func TestSingleHopTiming(t *testing.T) {
 }
 
 func TestSendChargesRampLatency(t *testing.T) {
-	m, _ := NewMesh(Config{Rows: 1, Cols: 2, RampLatency: 4})
+	m, _ := NewMesh(Config{Rows: 1, Cols: 2})
 	sent := false
 	m.SetProgram(0, 0, ProgramFunc(func(ctx *Context, msg Message) {
 		ctx.Send(East, msg)
