@@ -15,9 +15,6 @@
 //	-scale small|medium|full   dataset scale (default small)
 //	-seed N                    generator seed (default 7)
 //	-maxfields N               fields per dataset (0 = all)
-//	-simworkers N              simulator worker pool: 0 = one per CPU,
-//	                           1 = sequential reference engine (results
-//	                           are identical; only wall time changes)
 //	-json                      emit one JSON object per experiment instead
 //	                           of formatted tables
 //	-debug-addr host:port      serve net/http/pprof, expvar, the live
@@ -42,12 +39,11 @@ func main() {
 	scale := flag.String("scale", "small", "dataset scale: small, medium or full")
 	seed := flag.Int64("seed", 7, "dataset generator seed")
 	maxFields := flag.Int("maxfields", 0, "limit fields per dataset (0 = all)")
-	simWorkers := flag.Int("simworkers", 0, "simulator workers: 0 = one per CPU, 1 = sequential reference engine")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON results (one object per experiment)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof/expvar/telemetry on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	cfg := experiments.Config{Seed: *seed, MaxFieldsPerDataset: *maxFields, SimWorkers: *simWorkers}
+	cfg := experiments.Config{Seed: *seed, MaxFieldsPerDataset: *maxFields}
 	switch *scale {
 	case "small":
 		cfg.Scale = datasets.Small

@@ -258,7 +258,7 @@ func ZeroBlockAblation(cfg Config) (*ZeroBlockAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := mapping.NewPlan(chain, mapping.PlanConfig{Mesh: cfg.mesh(PaperMesh), PipelineLen: 1})
+	plan, err := mapping.NewPlan(chain, mapping.PlanConfig{Mesh: PaperMesh, PipelineLen: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +314,7 @@ func Tuner(cfg Config) (*TunerResult, error) {
 		VerbatimBlocks:   stats.VerbatimBlocks,
 		AvgInputWavelets: 32,
 	}
-	mesh := cfg.mesh(wse.Config{Rows: 64, Cols: 64})
+	mesh := wse.Config{Rows: 64, Cols: 64}
 
 	chain, err := stages.NewCompressChain(stages.Config{Eps: eps, EstWidth: 8})
 	if err != nil {

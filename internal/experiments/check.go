@@ -108,8 +108,8 @@ func Check(cfg Config) (*CheckResult, error) {
 		mesh wse.Config
 		pl   int
 	}{
-		{cfg.mesh(wse.Config{Rows: 1, Cols: 4}), 1},
-		{cfg.mesh(wse.Config{Rows: 2, Cols: 6}), 3},
+		{wse.Config{Rows: 1, Cols: 4}, 1},
+		{wse.Config{Rows: 2, Cols: 6}, 3},
 	} {
 		chain, err := stages.NewCompressChain(stages.Config{Eps: eps, EstWidth: 8})
 		if err != nil {
@@ -131,7 +131,7 @@ func Check(cfg Config) (*CheckResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	dplan, err := mapping.NewPlan(dchain, mapping.PlanConfig{Mesh: cfg.mesh(wse.Config{Rows: 2, Cols: 4}), PipelineLen: 2})
+	dplan, err := mapping.NewPlan(dchain, mapping.PlanConfig{Mesh: wse.Config{Rows: 2, Cols: 4}, PipelineLen: 2})
 	if err != nil {
 		return nil, err
 	}

@@ -35,17 +35,6 @@ type Config struct {
 	Seed int64
 	// MaxFieldsPerDataset truncates datasets for quick runs (0 = all).
 	MaxFieldsPerDataset int
-	// SimWorkers is passed to every simulated mesh as wse.Config.Workers:
-	// 0 = one simulator worker per CPU, 1 = the sequential reference
-	// engine, N > 1 = at most N workers. Results are identical either
-	// way; only host wall time changes.
-	SimWorkers int
-}
-
-// mesh applies the configured simulator worker count to a mesh config.
-func (c Config) mesh(m wse.Config) wse.Config {
-	m.Workers = c.SimWorkers
-	return m
 }
 
 // WithDefaults fills zero values.

@@ -61,7 +61,7 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 			return nil, err
 		}
 		plan, err := mapping.NewPlan(chain, mapping.PlanConfig{
-			Mesh:        cfg.mesh(wse.Config{Rows: 1, Cols: cols}),
+			Mesh:        wse.Config{Rows: 1, Cols: cols},
 			PipelineLen: 1,
 		})
 		if err != nil {
@@ -98,7 +98,7 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 			return nil, err
 		}
 		plan, err := mapping.NewPlan(chain, mapping.PlanConfig{
-			Mesh:        cfg.mesh(wse.Config{Rows: 1, Cols: 12}),
+			Mesh:        wse.Config{Rows: 1, Cols: 12},
 			PipelineLen: pl,
 		})
 		if err != nil {

@@ -74,7 +74,7 @@ func Fig13(cfg Config) (*Fig13Result, error) {
 					return nil, err
 				}
 				plan, err := mapping.NewPlan(chain, mapping.PlanConfig{
-					Mesh:        cfg.mesh(wse.Config{Rows: PaperMesh.Rows, Cols: PaperMesh.Cols}),
+					Mesh:        wse.Config{Rows: PaperMesh.Rows, Cols: PaperMesh.Cols},
 					PipelineLen: pl,
 				})
 				if err != nil {

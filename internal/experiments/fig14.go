@@ -52,7 +52,7 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 		}
 		perSize := map[int]float64{}
 		for _, sz := range sizes {
-			mesh := cfg.mesh(wse.Config{Rows: sz[0], Cols: sz[1]})
+			mesh := wse.Config{Rows: sz[0], Cols: sz[1]}
 			var totalBytes, totalSecs float64
 			for _, r := range runs {
 				chain, err := stages.NewCompressChain(stages.Config{Eps: r.eps, EstWidth: 8})

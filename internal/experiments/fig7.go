@@ -54,7 +54,7 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 			return nil, err
 		}
 		plan, err := mapping.NewPlan(chain, mapping.PlanConfig{
-			Mesh:        cfg.mesh(wse.Config{Rows: rows, Cols: 1}),
+			Mesh:        wse.Config{Rows: rows, Cols: 1},
 			PipelineLen: 1,
 		})
 		if err != nil {
@@ -87,7 +87,7 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 			return nil, err
 		}
 		plan, err := mapping.NewPlan(chain, mapping.PlanConfig{
-			Mesh:        cfg.mesh(wse.Config{Rows: rows, Cols: 1}),
+			Mesh:        wse.Config{Rows: rows, Cols: 1},
 			PipelineLen: 1,
 		})
 		if err != nil {

@@ -94,7 +94,7 @@ func Utilization(cfg Config) (*UtilizationResult, error) {
 				return nil, err
 			}
 			plan, err := mapping.NewPlan(chain, mapping.PlanConfig{
-				Mesh:           cfg.mesh(wse.Config{Rows: 2, Cols: 12}),
+				Mesh:           wse.Config{Rows: 2, Cols: 12},
 				PipelineLen:    pl,
 				ProcessorRelay: procRelay,
 			})

@@ -1,6 +1,7 @@
 package wse
 
 import (
+	"math/rand"
 	"os"
 	"strconv"
 	"testing"
@@ -70,4 +71,47 @@ func benchConfig(rows, cols int) Config {
 // ShardProfile.
 func benchProgram(cost int64) Program {
 	return &rowEcho{echoProgram{cost: cost}}
+}
+
+// BenchmarkEventQueueHold times one pop plus one push on the engine's
+// event queue and on the 4-ary heap alone, under the classic hold model
+// at a fixed depth: pop the minimum and push it back 33–93 cycles later
+// (a relay hop or a handler), or 1000–4000 cycles later for one in four
+// events (a block waiting its turn). 53 is the mean queue depth of the
+// 64×64 mapping run.
+func BenchmarkEventQueueHold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]int64, 4096)
+	for i := range delays {
+		if rng.Intn(4) == 0 {
+			delays[i] = 1000 + rng.Int63n(3001)
+		} else {
+			delays[i] = 33 + rng.Int63n(61)
+		}
+	}
+	type queue interface {
+		push(evKey)
+		pop() evKey
+	}
+	hold := func(b *testing.B, q queue, depth int) {
+		var seq int64
+		for i := 0; i < depth; i++ {
+			q.push(evKey{at: delays[i], seq: seq, src: int32(i), slot: int32(i)})
+			seq++
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := q.pop()
+			k.at += delays[i&(len(delays)-1)]
+			k.seq = seq
+			seq++
+			q.push(k)
+		}
+	}
+	for _, depth := range []int{16, 53, 200} {
+		b.Run(strconv.Itoa(depth), func(b *testing.B) {
+			b.Run("heap", func(b *testing.B) { hold(b, &eventHeap{keys: make([]evKey, 0, depth)}, depth) })
+			b.Run("calendar", func(b *testing.B) { hold(b, newCalQueue(depth), depth) })
+		})
+	}
 }

@@ -250,7 +250,7 @@ func (m *Mesh) Run() (int64, error) {
 		pe.program.Init(&ieng.ctx)
 		ieng.finishHandler(pe, 0)
 	}
-	pending := append(m.pending, ieng.q.keys...)
+	pending := append(m.pending, ieng.pending...)
 	slab := &ieng.slab
 	m.pending, m.pre = nil, msgSlab{}
 
@@ -260,11 +260,10 @@ func (m *Mesh) Run() (int64, error) {
 	}
 	m.shards, m.workers, m.poolPeak = 1, 1, 1
 	seq := &engine{m: m}
-	seq.reserve(len(pending), len(m.pes))
+	seq.q = newCalQueue(seq.reserve(len(pending), len(m.pes)))
 	for _, k := range pending {
 		seq.preload(k, slab)
 	}
-	seq.q.heapify()
 	err := seq.run()
 	m.processed = seq.processed
 	m.shardEvents = []int64{seq.processed}
@@ -300,9 +299,13 @@ func (m *Mesh) Seconds(cycles int64) float64 {
 // link state but only ever touch disjoint parts of it (see shard.go).
 type engine struct {
 	m    *Mesh
-	q    eventHeap
+	q    *calQueue // nil while the Init phase runs, before any event loop
 	slab msgSlab
 	ctx  Context // pooled; reset per handler instead of allocated per dispatch
+
+	// pending holds the deliveries the engine starts with, pushed into q
+	// when run starts — or, in the Init phase, every key pushed.
+	pending []evKey
 
 	processed int64
 	// shared is the sharded workers' MaxEvents budget, drawn in prepaid
@@ -324,17 +327,17 @@ type engine struct {
 	cause   evKey
 }
 
-// reserve sizes the engine's heap, slab and emission log once, for n
-// preloaded deliveries to a range of pes PEs, so the event loop does not
-// regrow them. Beyond the preloaded set a run keeps about one event per
-// PE in flight — a ready event, or a message on its way to the next
-// stage — and never more than the preloaded work feeds. The preloaded
-// deliveries are typically the blocks, and a block typically leaves the
-// wafer once. A program that keeps more in flight or emits more still
-// runs; its arrays regrow.
-func (e *engine) reserve(n, pes int) {
+// reserve sizes the engine's pending list, slab and emission log once,
+// for n preloaded deliveries to a range of pes PEs, so the event loop
+// does not regrow them, and returns the room its queue needs. Beyond the
+// preloaded set a run keeps about one event per PE in flight — a ready
+// event, or a message on its way to the next stage — and never more than
+// the preloaded work feeds. The preloaded deliveries are typically the
+// blocks, and a block typically leaves the wafer once. A program that
+// keeps more in flight or emits more still runs; its arrays regrow.
+func (e *engine) reserve(n, pes int) int {
 	room := n + min(n, pes) + 16
-	e.q.keys = make([]evKey, 0, room)
+	e.pending = make([]evKey, 0, n)
 	e.slab.msgs = make([]slabMsg, 0, room)
 	e.slab.free = make([]int32, 0, room)
 	if e.collect {
@@ -342,19 +345,24 @@ func (e *engine) reserve(n, pes int) {
 	} else {
 		e.m.emissions = slices.Grow(e.m.emissions, n)
 	}
+	return room
 }
 
 // preload copies a pending delivery from slab src into the engine's own
-// slab and queues its key; heapify once every preload is in.
+// slab and adds its key to the engine's pending list.
 func (e *engine) preload(k evKey, src *msgSlab) {
 	e.slab.msgs = append(e.slab.msgs, src.msgs[k.slot])
 	k.slot = int32(len(e.slab.msgs) - 1)
-	e.q.keys = append(e.q.keys, k)
+	e.pending = append(e.pending, k)
 }
 
-// run drains the engine's event queue.
+// run empties q, queues the pending deliveries and drains the queue.
 func (e *engine) run() error {
 	m := e.m
+	e.q.reset()
+	for _, k := range e.pending {
+		e.q.push(k)
+	}
 	for e.q.len() > 0 {
 		k := e.q.pop()
 		e.processed++
@@ -422,6 +430,11 @@ func (e *engine) dequeue(pe *PE) int32 {
 // push schedules an event. Worker shards refuse deliveries that leave
 // their rows (a broken RowLocal promise).
 func (e *engine) push(k evKey) {
+	if e.q == nil {
+		// The Init phase: Run bins these keys with the host injections.
+		e.pending = append(e.pending, k)
+		return
+	}
 	if k.slot >= 0 && e.restricted {
 		if pe := e.slab.msgs[k.slot].pe; pe < e.idxLo || pe >= e.idxHi {
 			panic(fmt.Sprintf("wse: shard-profile violation: send into row %d from a shard covering rows [%d,%d); the sender's ShardProfile claims RowLocal",

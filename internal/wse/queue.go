@@ -1,5 +1,10 @@
 package wse
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // Event-queue machinery for the discrete-event engine.
 //
 // Events are ordered by the key (at, src, seq): simulated cycle first,
@@ -12,9 +17,17 @@ package wse
 // sequential engine's results bit for bit (see DESIGN.md, "Simulator
 // engine").
 //
-// The heap holds only that key plus a slot: a 24-byte value with no
-// pointers, so sifting it is a plain three-word move with no GC write
-// barrier. A delivery's Message lives in the engine's msgSlab and never
+// The queue is a calendar queue (Brown, CACM 1988): a ring of one-cycle
+// buckets covering the calWindow cycles from the last popped cycle on,
+// with a bitmap of the non-empty buckets, so a pop finds the next event
+// with a few TrailingZeros64 instead of a sift through a heap. A key
+// further ahead than the window goes to a 4-ary min-heap, the overflow,
+// and every pop takes the smaller of the two heads.
+//
+// A queued item is only that key plus a slot: a 24-byte value with no
+// pointers, so moving it is a plain three-word copy with no GC write
+// barrier, and the buckets link their nodes by int32 index, not by
+// pointer. A delivery's Message lives in the engine's msgSlab and never
 // moves while the event is pending: the key's slot indexes it, the
 // destination PE's mailbox queues the same slot, a router pass-through
 // rewrites the slot in place and pushes it again, and the slot returns to
@@ -46,10 +59,173 @@ func readyKey(at int64, pe int32, seq int64) evKey {
 	return evKey{at: at, seq: seq, src: pe, slot: ^pe}
 }
 
-// eventHeap is a 4-ary min-heap of event keys. Unlike container/heap,
-// push and pop never box (heap.Push takes `any`, which allocates on every
-// call), and the 4-wide fan-out halves the tree depth, trading a few
-// extra comparisons per level for fewer cache-missing element moves.
+// calWindow is how many cycles past the last pop the calendar's ring
+// covers. A power of two, so a cycle's bucket is its low bits. On the
+// mapping's round trips 1 % (64×64) to 18 % (128×16, two-PE pipelines)
+// of pushes land past it and go to the overflow heap; a 16384-cycle
+// window measured no faster.
+const calWindow = 4096
+
+// calNode is one key in a bucket's list.
+type calNode struct {
+	key  evKey
+	next int32 // next node in the bucket, or in the free list; -1 ends either
+}
+
+// calQueue is the engine's event queue: a calendar of one-cycle buckets
+// over [base, base+calWindow), plus the overflow heap for keys at or
+// past the window's end. Every bucket holds keys of one cycle only, so
+// its list is kept sorted by (src, seq), and popping the ring's minimum
+// is taking the head of the first non-empty bucket at or after base's.
+//
+// base is the cycle of the last pop. An event loop never pushes a key
+// before the event it is processing, so every key still queued is at or
+// after base, and the ring's bucket index is unambiguous.
+type calQueue struct {
+	base  int64
+	n     int // keys in the ring
+	free  int32
+	nodes []calNode
+	over  eventHeap
+
+	// head[b] and tail[b] are bucket b's first and last node, and
+	// last[b] the node pushed into it most recently (-1 once popped),
+	// all valid while its bit in full is set.
+	head, tail, last [calWindow]int32
+	full             [calWindow / 64]uint64
+}
+
+// newCalQueue returns an empty queue whose node pool and overflow heap
+// hold room keys each before they grow.
+func newCalQueue(room int) *calQueue {
+	q := &calQueue{nodes: make([]calNode, 0, room), over: eventHeap{keys: make([]evKey, 0, room)}}
+	q.reset()
+	return q
+}
+
+// reset empties the queue and moves base back to cycle 0, keeping its
+// storage. A worker calls it before each shard it runs, also after a
+// shard that stopped early with keys still queued.
+func (q *calQueue) reset() {
+	q.base, q.n, q.free = 0, 0, -1
+	q.nodes = q.nodes[:0]
+	q.over.keys = q.over.keys[:0]
+	q.full = [calWindow / 64]uint64{}
+}
+
+func (q *calQueue) len() int { return q.n + q.over.len() }
+
+func (q *calQueue) push(k evKey) {
+	if uint64(k.at-q.base) >= calWindow {
+		if k.at < q.base {
+			panic(fmt.Sprintf("wse: event at cycle %d pushed after a pop at cycle %d", k.at, q.base))
+		}
+		q.over.push(k)
+		return
+	}
+	i := q.free
+	if i >= 0 {
+		q.free = q.nodes[i].next
+		q.nodes[i].key = k
+	} else {
+		i = int32(len(q.nodes))
+		q.nodes = append(q.nodes, calNode{key: k})
+	}
+	q.n++
+	b := int(k.at) & (calWindow - 1)
+	word, bit := b>>6, uint64(1)<<(b&63)
+	if q.full[word]&bit == 0 {
+		q.full[word] |= bit
+		q.nodes[i].next = -1
+		q.head[b], q.tail[b], q.last[b] = i, i, i
+		return
+	}
+	l := q.last[b]
+	q.last[b] = i
+	if t := q.tail[b]; !k.before(&q.nodes[t].key) {
+		q.nodes[i].next = -1
+		q.nodes[t].next = i
+		q.tail[b] = i
+		return
+	}
+	if h := q.head[b]; k.before(&q.nodes[h].key) {
+		q.nodes[i].next = h
+		q.head[b] = i
+		return
+	}
+	// A cycle's keys arrive as runs in (src, seq) order, one run per
+	// cycle of pushing PEs, so the walk starts at the previous push when
+	// the new key follows it.
+	p := q.head[b]
+	if l >= 0 && q.nodes[l].key.before(&k) {
+		p = l
+	}
+	for {
+		nx := q.nodes[p].next
+		if k.before(&q.nodes[nx].key) {
+			q.nodes[i].next = nx
+			q.nodes[p].next = i
+			return
+		}
+		p = nx
+	}
+}
+
+// pop removes and returns the smallest key; the queue must not be empty.
+func (q *calQueue) pop() evKey {
+	if q.n == 0 {
+		k := q.over.pop()
+		q.base = k.at
+		return k
+	}
+	b := q.first()
+	h := q.head[b]
+	nd := &q.nodes[h]
+	if q.over.len() > 0 && q.over.keys[0].before(&nd.key) {
+		k := q.over.pop()
+		q.base = k.at
+		return k
+	}
+	k := nd.key
+	if h == q.tail[b] {
+		q.full[b>>6] &^= 1 << (b & 63)
+	} else {
+		q.head[b] = nd.next
+	}
+	if h == q.last[b] {
+		q.last[b] = -1
+	}
+	nd.next = q.free
+	q.free = h
+	q.n--
+	q.base = k.at
+	return k
+}
+
+// first returns the first non-empty bucket at or after base's, in ring
+// order; the ring must not be empty.
+func (q *calQueue) first() int {
+	b := int(q.base) & (calWindow - 1)
+	word := b >> 6
+	if x := q.full[word] >> (b & 63); x != 0 {
+		return b + bits.TrailingZeros64(x)
+	}
+	// The last step comes back to base's own word, whose bits below
+	// base's are the cycles that wrapped round the ring.
+	for i := 1; i <= len(q.full); i++ {
+		w := (word + i) & (len(q.full) - 1)
+		if x := q.full[w]; x != 0 {
+			return w<<6 + bits.TrailingZeros64(x)
+		}
+	}
+	panic("wse: calendar ring counted keys it does not hold")
+}
+
+// eventHeap is a 4-ary min-heap of event keys, the calendar queue's
+// overflow. Unlike container/heap, push and pop never box (heap.Push
+// takes `any`, which allocates on every call), and the 4-wide fan-out
+// halves the tree depth, trading a few extra comparisons per level for
+// fewer cache-missing element moves.
 type eventHeap struct {
 	keys []evKey
 }
@@ -102,16 +278,6 @@ func (h *eventHeap) siftDown(k evKey, i, n int) {
 		i = m
 	}
 	keys[i] = k
-}
-
-// heapify establishes the heap property over the whole slice in O(n) —
-// used when an engine's initial event set is bulk-loaded (injections and
-// Init-phase sends binned to a shard) rather than pushed one by one.
-func (h *eventHeap) heapify() {
-	n := len(h.keys)
-	for i := (n - 2) >> 2; i >= 0; i-- {
-		h.siftDown(h.keys[i], i, n)
-	}
 }
 
 // slabMsg is one pending delivery: the message, its destination PE and,

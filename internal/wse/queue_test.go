@@ -2,6 +2,7 @@ package wse
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -74,6 +75,111 @@ func TestEventHeapSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestCalendarQueueMatchesHeap drives the calendar queue and a plain
+// eventHeap through one seeded random interleaving of pushes and pops:
+// same-cycle ties across origins and sequence numbers, keys at the last
+// cycle of the ring's window, at the first past it and far beyond, idle
+// gaps that carry base round the ring, and several runs on one reset
+// queue, one of them reset with keys still queued. Every pop must return
+// exactly the heap's key.
+func TestCalendarQueueMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	q := newCalQueue(16) // a small pool, so nodes and overflow regrow too
+	var ref eventHeap
+	seqs := make([]int64, 7) // per-origin push counters; origin -1 is the host
+	var slot int32
+	var now int64 // cycle of the last pop
+	push := func(at int64) {
+		src := int32(rng.Intn(len(seqs)))
+		k := evKey{at: at, seq: seqs[src], src: src - 1, slot: slot}
+		seqs[src]++
+		slot++
+		q.push(k)
+		ref.push(k)
+	}
+	pop := func() {
+		want := ref.pop()
+		if got := q.pop(); got != want {
+			t.Fatalf("calendar popped %+v, heap %+v", got, want)
+		}
+		now = want.at
+	}
+	pops := 0
+	for run := 0; run < 4; run++ {
+		q.reset()
+		ref.keys = ref.keys[:0]
+		now = 0
+		for step := 0; step < 30_000; step++ {
+			switch r := rng.Intn(32); {
+			case r < 10:
+				push(now + rng.Int63n(3)) // same-cycle ties
+			case r < 13:
+				push(now + rng.Int63n(calWindow))
+			case r == 13:
+				push(now + calWindow - 1)
+			case r == 14:
+				push(now + calWindow)
+			case r == 15:
+				push(now + calWindow + rng.Int63n(50*calWindow))
+			case r == 16 && rng.Intn(8) == 0:
+				// An idle gap: drain, then resume past the window, so
+				// the next keys land in buckets base has wrapped over.
+				for ref.len() > 0 {
+					pop()
+					pops++
+				}
+				gap := calWindow/2 + rng.Int63n(5*calWindow)
+				for i := rng.Intn(4); i >= 0; i-- {
+					push(now + gap + rng.Int63n(40))
+				}
+			default:
+				if ref.len() > 0 {
+					pop()
+					pops++
+				}
+			}
+			if q.len() != ref.len() {
+				t.Fatalf("calendar holds %d keys, heap %d", q.len(), ref.len())
+			}
+		}
+		if run == 2 {
+			continue // reset with keys still queued, as after a failed shard
+		}
+		for ref.len() > 0 {
+			pop()
+			pops++
+		}
+	}
+	if pops < 50_000 {
+		t.Fatalf("only %d pops compared", pops)
+	}
+}
+
+func TestCalendarQueueSteadyStateAllocs(t *testing.T) {
+	q := newCalQueue(256)
+	allocs := testing.AllocsPerRun(100, func() {
+		base := q.base
+		for i := 0; i < 256; i++ {
+			at := base + int64((i*37)%97)
+			if i%8 == 0 {
+				at += 2 * calWindow // the overflow heap
+			}
+			q.push(evKey{at: at, seq: int64(i % 5), src: int32(i % 7), slot: int32(i)})
+		}
+		prev := evKey{at: -1, src: math.MinInt32}
+		for q.len() > 0 {
+			k := q.pop()
+			if k.before(&prev) {
+				t.Fatal("calendar popped keys out of order")
+			}
+			prev = k
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("calendar queue allocated %v times per run at steady state, want 0", allocs)
+	}
+}
+
 func TestReadyKeyTagsThePE(t *testing.T) {
 	for _, pe := range []int32{0, 1, 4_000_000} {
 		k := readyKey(7, pe, 3)
@@ -99,9 +205,10 @@ func TestMergeTaggedKeepsKeyAndRunOrder(t *testing.T) {
 	}
 }
 
-// TestMeshRunAllocsIndependentOfBlocks pins that Run sizes its heaps,
-// slabs and logs once, up front: on the BenchmarkMeshRun shape it must
-// allocate the same number of times for 256 and for 1024 blocks per row.
+// TestMeshRunAllocsIndependentOfBlocks pins that Run sizes its event
+// queues, slabs and logs once, up front: on the BenchmarkMeshRun shape it
+// must allocate the same number of times for 256 and for 1024 blocks per
+// row.
 // The sequential engine's count must match exactly. The sharded engine's
 // worker goroutines add a runtime allocation or two that depend on the
 // scheduler (goroutine descriptors, wait-queue entries), so it gets a

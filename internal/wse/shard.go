@@ -111,7 +111,7 @@ const budgetChunk = 4096
 func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, error) {
 	// Bin the pending deliveries (host injections, Init-phase sends) to
 	// the shard owning their destination row: count them first, so each
-	// engine's heap and slab are sized once.
+	// engine's pending list and slab are sized once.
 	cols := m.cfg.Cols
 	shardOf := make([]int32, m.cfg.Rows)
 	for i, sp := range plan.spans {
@@ -127,11 +127,12 @@ func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, 
 	budget := &eventBudget{}
 	budget.remaining.Store(m.cfg.MaxEvents)
 	engines := make([]engine, len(plan.spans))
+	room := 0 // the largest shard's, which sizes every worker's queue
 	for i, sp := range plan.spans {
 		e := &engines[i]
 		*e = engine{m: m, shared: budget, restricted: true, collect: true,
 			idxLo: int32(sp.lo * cols), idxHi: int32(sp.hi * cols)}
-		e.reserve(counts[i], (sp.hi-sp.lo)*cols)
+		room = max(room, e.reserve(counts[i], (sp.hi-sp.lo)*cols))
 	}
 	for _, k := range pending {
 		engines[bin(k)].preload(k, slab)
@@ -151,6 +152,8 @@ func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One queue per worker, reused by every shard it drains.
+			q := newCalQueue(room)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(engines) {
@@ -174,7 +177,7 @@ func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, 
 						}
 					}()
 					e := &engines[i]
-					e.q.heapify()
+					e.q = q
 					errs[i] = e.run()
 				}()
 				running.Add(-1)
