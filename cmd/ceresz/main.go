@@ -39,7 +39,7 @@ func main() {
 	bundle := flag.Bool("bundle", false, "compress a directory of field files into one bundle")
 	unbundle := flag.Bool("unbundle", false, "extract a bundle into a directory of raw field files")
 	workers := flag.Int("hostworkers", 0, "host-codec worker shards: 0 or 1 = sequential, N > 1 = pooled block-parallel, negative = all cores (output bytes identical either way)")
-	stats := flag.Bool("stats", false, "print internal telemetry (stage timings, worker occupancy) after the run")
+	stats := flag.Bool("stats", false, "print internal telemetry (call durations, block counts, worker occupancy) after the run")
 	flag.Parse()
 
 	if *stats {

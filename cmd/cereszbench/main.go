@@ -17,8 +17,7 @@
 //	-maxfields N               fields per dataset (0 = all)
 //	-json                      emit one JSON object per experiment instead
 //	                           of formatted tables
-//	-debug-addr host:port      serve net/http/pprof, expvar, the live
-//	                           telemetry snapshot and Prometheus text
+//	-debug-addr host:port      serve net/http/pprof and Prometheus text
 //	                           metrics (/debug/metrics) while running
 package main
 
@@ -40,7 +39,7 @@ func main() {
 	seed := flag.Int64("seed", 7, "dataset generator seed")
 	maxFields := flag.Int("maxfields", 0, "limit fields per dataset (0 = all)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON results (one object per experiment)")
-	debugAddr := flag.String("debug-addr", "", "serve pprof/expvar/telemetry on this address (e.g. localhost:6060)")
+	debugAddr := flag.String("debug-addr", "", "serve pprof and /debug/metrics on this address (e.g. localhost:6060)")
 	flag.Parse()
 
 	cfg := experiments.Config{Seed: *seed, MaxFieldsPerDataset: *maxFields}
@@ -57,7 +56,7 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		telemetry.ServeDebug(*debugAddr, telemetry.Default, "ceresz", os.Stderr)
+		telemetry.ServeDebug(*debugAddr, telemetry.Default, os.Stderr)
 	}
 
 	args := flag.Args()

@@ -12,8 +12,7 @@
 //	GET  /healthz/live   liveness: 200 while the process is up
 //	GET  /healthz/ready  readiness: 503 before the listener accepts and
 //	                     while draining, 200 otherwise
-//	GET  /debug/metrics  Prometheus text metrics (also /debug/pprof/*,
-//	                     /debug/vars, /debug/telemetry)
+//	GET  /debug/metrics  Prometheus text metrics (also /debug/pprof/*)
 //	GET  /debug/timeseries  windowed rollups: per-interval rates, deltas
 //	                        and quantiles over the recent ring
 //	GET  /debug/slo      SLO evaluation: compliance, error budget, 5m/1h

@@ -19,8 +19,7 @@
 //	                        200 with degraded detail otherwise
 //	GET  /debug/ring        routing table: per-backend state, weight,
 //	                        hash-space share, probe history
-//	GET  /debug/metrics     Prometheus text metrics (also /debug/pprof/*,
-//	                        /debug/vars, /debug/telemetry)
+//	GET  /debug/metrics     Prometheus text metrics (also /debug/pprof/*)
 //	GET  /debug/timeseries  windowed rollups over the proxy registry
 //	GET  /debug/slo         proxy-tier SLO burn rates (-slo)
 //

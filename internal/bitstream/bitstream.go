@@ -39,9 +39,6 @@ func (w *Writer) Reset() {
 // Len returns the number of whole bytes needed to hold the written bits.
 func (w *Writer) Len() int { return int((w.nbit + 7) / 8) }
 
-// BitLen returns the number of bits written so far.
-func (w *Writer) BitLen() uint64 { return w.nbit }
-
 // WriteBit appends a single bit (the low bit of b).
 func (w *Writer) WriteBit(b uint32) {
 	idx := int(w.nbit >> 3)
@@ -71,13 +68,6 @@ func (w *Writer) WriteBits64(v uint64, n uint) {
 	}
 	for i := uint(0); i < n; i++ {
 		w.WriteBit(uint32(v>>i) & 1)
-	}
-}
-
-// Align pads with zero bits to the next byte boundary.
-func (w *Writer) Align() {
-	for w.nbit&7 != 0 {
-		w.WriteBit(0)
 	}
 }
 
@@ -149,9 +139,4 @@ func (r *Reader) ReadBits64(n uint) (uint64, error) {
 		v |= uint64(b) << i
 	}
 	return v, nil
-}
-
-// Align advances the cursor to the next byte boundary.
-func (r *Reader) Align() {
-	r.pos = (r.pos + 7) &^ 7
 }

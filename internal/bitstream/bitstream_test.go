@@ -12,8 +12,8 @@ func TestWriteReadBit(t *testing.T) {
 	for _, b := range pattern {
 		w.WriteBit(b)
 	}
-	if got, want := w.BitLen(), uint64(len(pattern)); got != want {
-		t.Fatalf("BitLen = %d, want %d", got, want)
+	if got, want := w.nbit, uint64(len(pattern)); got != want {
+		t.Fatalf("bits written = %d, want %d", got, want)
 	}
 	if got, want := w.Len(), 2; got != want {
 		t.Fatalf("Len = %d, want %d", got, want)
@@ -80,24 +80,6 @@ func TestWriteBits64RoundTrip(t *testing.T) {
 	}
 }
 
-func TestAlign(t *testing.T) {
-	w := NewWriter(0)
-	w.WriteBits(0b101, 3)
-	w.Align()
-	if w.BitLen() != 8 {
-		t.Fatalf("BitLen after Align = %d, want 8", w.BitLen())
-	}
-	w.WriteBits(0xAB, 8)
-	r := NewReader(w.Bytes())
-	if v, _ := r.ReadBits(3); v != 0b101 {
-		t.Fatalf("prefix = %#b", v)
-	}
-	r.Align()
-	if v, _ := r.ReadBits(8); v != 0xAB {
-		t.Fatalf("aligned byte = %#x, want 0xAB", v)
-	}
-}
-
 func TestReaderOutOfBits(t *testing.T) {
 	r := NewReader([]byte{0xFF})
 	if _, err := r.ReadBits(8); err != nil {
@@ -115,8 +97,8 @@ func TestReset(t *testing.T) {
 	w := NewWriter(0)
 	w.WriteBits(0xFFFF, 16)
 	w.Reset()
-	if w.Len() != 0 || w.BitLen() != 0 {
-		t.Fatalf("Reset did not clear: len=%d bits=%d", w.Len(), w.BitLen())
+	if w.Len() != 0 || w.nbit != 0 {
+		t.Fatalf("Reset did not clear: len=%d bits=%d", w.Len(), w.nbit)
 	}
 	w.WriteBits(0x3, 2)
 	if got := w.Bytes(); len(got) != 1 || got[0] != 0x3 {

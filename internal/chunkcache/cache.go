@@ -343,15 +343,6 @@ func (c *Cache) Bytes() int64 { return c.bytes.Load() }
 // Len reports the resident entry count across all shards.
 func (c *Cache) Len() int { return int(c.entries.Load()) }
 
-// CapBytes reports the configured total byte budget.
-func (c *Cache) CapBytes() int64 {
-	var total int64
-	for i := range c.shards {
-		total += c.shards[i].capBytes
-	}
-	return total
-}
-
 // takeEntry pops the free list or allocates. Called under s.mu.
 func (s *shard) takeEntry() *entry {
 	if e := s.free; e != nil {

@@ -345,7 +345,11 @@ func TestConcurrentStorm(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got, max := c.Bytes(), c.CapBytes()+int64(valSize+entryOverhead)*nShards; got > max {
+	var budget int64
+	for i := range c.shards {
+		budget += c.shards[i].capBytes
+	}
+	if got, max := c.Bytes(), budget+int64(valSize+entryOverhead)*nShards; got > max {
 		t.Errorf("Bytes = %d, exceeds budget slack %d", got, max)
 	}
 	var total int64

@@ -15,7 +15,7 @@
 // whole sequential stream or one shard of a parallel pass is one
 // encodeRun or decodeRun call, which keeps a one-byte-per-block width
 // table and comes back only for a block it does not handle (verbatim, the
-// trailing partial block, a sample for stage timing). On amd64 CPUs with
+// trailing partial block). On amd64 CPUs with
 // AVX2 the two run functions are assembly (kernels_amd64.s, chosen once
 // from CPUID); everywhere else they are Go loops over the Go block
 // kernels, which are also the oracle the assembly is tested against, and
@@ -23,9 +23,8 @@
 // (scanWidths) reads every header and sizes every block before any output
 // exists, and the run decoders trust only its table. float32 and float64
 // share all of it but the kernels. The unfused stage-by-stage pipeline is
-// retained (encodeRef) both as the differential-testing reference and as
-// the body run for telemetry-sampled blocks, because the per-stage timing
-// split it produces models the WSE sub-stage pipeline.
+// retained (encodeRef) as the differential-testing reference: its loops
+// are the WSE sub-stage decomposition the fused kernel collapses.
 //
 // The compressed stream is self-describing:
 //
@@ -52,7 +51,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"time"
 
 	"ceresz/internal/flenc"
 	"ceresz/internal/hostpool"
@@ -63,9 +61,8 @@ import (
 )
 
 // Telemetry instruments for the host path (telemetry.Default, disabled
-// unless a CLI opts in). Per-block cost when disabled is one predictable
-// branch; per-stage timings are sampled (one block in stageSampleEvery)
-// so the enabled path stays well under the 5% overhead budget.
+// unless a CLI opts in). They are per call, not per block, so the enabled
+// path stays well under the 5% overhead budget.
 var (
 	telCompress           = telemetry.T("core.compress")
 	telDecompress         = telemetry.T("core.decompress")
@@ -78,16 +75,7 @@ var (
 	telDecompressBytesIn  = telemetry.C("core.decompress.bytes_in")
 	telDecompressBytesOut = telemetry.C("core.decompress.bytes_out")
 	telWorkers            = telemetry.G("core.workers.active")
-	telStageQuantNs       = telemetry.C("core.stage.quantize_ns")
-	telStageLorenzoNs     = telemetry.C("core.stage.lorenzo_ns")
-	telStageEncodeNs      = telemetry.C("core.stage.encode_ns")
-	telStageSampled       = telemetry.C("core.stage.sampled_blocks")
 )
-
-// stageSampleEvery is the per-stage timing sample period (a power of two):
-// one block in 1024 runs the stage-by-stage reference pipeline under four
-// clock reads, every other block runs the fused kernel behind one branch.
-const stageSampleEvery = 1024
 
 // Magic identifies a CereSZ stream.
 var Magic = [4]byte{'C', 'S', 'Z', '1'}
@@ -447,11 +435,6 @@ type blockEncoder[F rawfloat.Float] struct {
 	scaled  []float64
 	codes   []int32
 	scratch *flenc.Block
-
-	sample                       bool // telemetry enabled when created
-	n                            int  // blocks encoded so far
-	quantNs, lorenzoNs, encodeNs int64
-	sampled                      int64
 }
 
 // encoderPools and decoderPools hold one pool per element type, indexed
@@ -473,23 +456,10 @@ func getEncoder[F rawfloat.Float](L, headerBytes int, q quant.Quantizer) *blockE
 	e.reserve = blockReserve(L, headerBytes, rawfloat.Size[F]())
 	e.q = q
 	e.zeroT = zeroThreshold[F](&q)
-	e.sample = telemetry.Enabled()
-	e.n = 0
-	e.quantNs, e.lorenzoNs, e.encodeNs, e.sampled = 0, 0, 0, 0
 	return e
 }
 
-// putEncoder flushes the encoder's sampled stage timings — one batch of
-// atomic adds per worker, not per block — and recycles it.
-func putEncoder[F rawfloat.Float](e *blockEncoder[F]) {
-	if e.sampled != 0 {
-		telStageQuantNs.Add(e.quantNs)
-		telStageLorenzoNs.Add(e.lorenzoNs)
-		telStageEncodeNs.Add(e.encodeNs)
-		telStageSampled.Add(e.sampled)
-	}
-	encoderPools[elemOf[F]()].Put(e)
-}
+func putEncoder[F rawfloat.Float](e *blockEncoder[F]) { encoderPools[elemOf[F]()].Put(e) }
 
 // encodeBlocks appends the encoding of src — whole blocks, then at most one
 // partial block, which is zero-padded to L — to dst, and records block b's
@@ -507,38 +477,21 @@ func (e *blockEncoder[F]) encodeBlocks(dst []byte, src []F, widths []byte) []byt
 // encodeFull is encodeBlocks for len(widths) whole blocks. It hands
 // encodeRun as long a run as it can and the room dst has, and takes a block
 // itself only where the run stops: out of room (dst is grown and the run
-// resumed), at a block to store verbatim, or at a block sampled for
-// per-stage timing.
+// resumed) or at a block to store verbatim.
 func (e *blockEncoder[F]) encodeFull(dst []byte, src []F, widths []byte) []byte {
 	L := e.L
 	for b := 0; b < len(widths); {
 		if cap(dst)-len(dst) < e.reserve {
 			dst = slices.Grow(dst, e.reserve)
 		}
-		stop := len(widths)
-		if e.sample {
-			// One block in stageSampleEvery runs the stage-by-stage
-			// reference pipeline (byte-identical output) under four clock
-			// reads; the run is cut short of the next one.
-			untilSample := -e.n & (stageSampleEvery - 1)
-			if untilSample == 0 {
-				dst, widths[b] = e.encodeRef(dst, src[b*L:(b+1)*L])
-				b++
-				e.n++
-				continue
-			}
-			stop = min(stop, b+untilSample)
-		}
-		done, used := e.encodeRun(dst[len(dst):cap(dst)], src[b*L:stop*L], widths[b:stop])
+		done, used := e.encodeRun(dst[len(dst):cap(dst)], src[b*L:], widths[b:])
 		dst = dst[:len(dst)+used]
 		b += done
-		e.n += done
-		if b < stop && cap(dst)-len(dst) >= e.reserve {
+		if b < len(widths) && cap(dst)-len(dst) >= e.reserve {
 			// Not for want of room: the block is one the kernels cannot code.
 			dst = appendVerbatim(dst, src[b*L:(b+1)*L], e.hdr)
 			widths[b] = widthVerbatim
 			b++
-			e.n++
 		}
 	}
 	return dst
@@ -627,12 +580,9 @@ func (e *blockEncoder[F]) fusedForward(src []F) (w uint, ok bool) {
 // strictness sweep, lorenzo.Forward and flenc.EncodeBlockRef as separate
 // loops, exactly the sub-stage decomposition the WSE mapping schedules. It
 // appends one block of L elements to dst and returns its width-table entry.
-// Its output is byte-identical to the fused path (differential fuzz
-// asserts this), which is why telemetry-sampled blocks can run it without
-// perturbing the stream: the per-stage timing split it records keeps
-// modeling the pipeline stages that the fused kernel collapses.
+// Its output is byte-identical to the fused path (the differential fuzz
+// and fast-path tests assert this against it).
 func (e *blockEncoder[F]) encodeRef(dst []byte, src []F) ([]byte, byte) {
-	t0 := time.Now()
 	// Stage ①: pre-quantization (Mul then Round, paper Table 2).
 	switch src := any(src).(type) {
 	case []float32:
@@ -657,17 +607,10 @@ func (e *blockEncoder[F]) encodeRef(dst []byte, src []F) ([]byte, byte) {
 			return appendVerbatim(dst, src, e.hdr), widthVerbatim
 		}
 	}
-	t1 := time.Now()
 	// Stage ②: 1D Lorenzo prediction (first-order difference).
 	lorenzo.Forward(e.codes, e.codes)
-	t2 := time.Now()
 	// Stage ③: fixed-length encoding.
 	dst, w := flenc.EncodeBlockRef(dst, e.codes, e.hdr, e.scratch)
-	t3 := time.Now()
-	e.quantNs += t1.Sub(t0).Nanoseconds()
-	e.lorenzoNs += t2.Sub(t1).Nanoseconds()
-	e.encodeNs += t3.Sub(t2).Nanoseconds()
-	e.sampled++
 	return dst, byte(w)
 }
 

@@ -11,14 +11,13 @@ import (
 	"ceresz/internal/flenc"
 	"ceresz/internal/quant"
 	"ceresz/internal/rawfloat"
-	"ceresz/internal/telemetry"
 )
 
 // The run kernels are tested against the block path: the same blocks
 // encoded and decoded one at a time through the retained reference
 // pipeline (compressRef, decompressRef). What a run adds to a block — the
 // running offset, the width table, the room, the returns to Go at a
-// verbatim, sampled or partial block — is what these tests are about; the
+// verbatim or partial block — is what these tests are about; the
 // per-element arithmetic has its own (vector_test.go, fastpath_test.go).
 // Everything runs on every kernel set the build has (eachKernelSet).
 
@@ -262,48 +261,6 @@ func checkLongRun[F float32 | float64](t *testing.T, data []F, eps float64, opts
 	if !sameBits(out, ref) {
 		t.Fatalf("n=%d L=%d hdr=%d workers=%d: run and block path decode differently", len(data), opts.BlockLen, opts.HeaderBytes, opts.Workers)
 	}
-}
-
-// TestRunStopsAtSampledBlocks turns telemetry on, so that one block in
-// stageSampleEvery leaves the run for the stage-by-stage pipeline, and
-// requires the same bytes and the expected number of samples: one per
-// started stageSampleEvery blocks of every shard.
-func TestRunStopsAtSampledBlocks(t *testing.T) {
-	eachKernelSet(t, func(t *testing.T) {
-		const L = 8
-		data := make([]float32, (2*stageSampleEvery+100)*L-3)
-		for i := range data {
-			data[i] = float32(math.Sin(float64(i) / 40))
-		}
-		for _, workers := range []int{1, 3} {
-			opts := Options{BlockLen: L, Workers: workers}
-			want, err := compressRef(data, 1e-3, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			telemetry.Enable()
-			defer telemetry.Disable()
-			before := telStageSampled.Value()
-			var stats Stats
-			got, err := compressEps(nil, data, 1e-3, opts.withDefaults(), &stats)
-			sampled := telStageSampled.Value() - before
-			telemetry.Disable()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("workers=%d: sampled blocks change the stream", workers)
-			}
-			wantSampled := int64(0)
-			for k, shards := 0, min(opts.withDefaults().Workers, stats.Blocks); k < shards; k++ {
-				blocks := (k+1)*stats.Blocks/shards - k*stats.Blocks/shards
-				wantSampled += int64((blocks + stageSampleEvery - 1) / stageSampleEvery)
-			}
-			if sampled != wantSampled {
-				t.Fatalf("workers=%d: %d blocks sampled, want %d", workers, sampled, wantSampled)
-			}
-		}
-	})
 }
 
 // TestVectorKernelsStayInBounds pins the extents the run functions are

@@ -272,9 +272,8 @@ func EncodeBlock(dst []byte, codes []int32, headerBytes int, scratch *Block) ([]
 // EncodeBlockRef is the retained scalar reference implementation of
 // EncodeBlock: separate Sign/Max/GetLength passes and a per-plane shuffle,
 // exactly the sub-stage decomposition the WSE pipeline executes.
-// Differential tests assert its output is byte-identical to EncodeBlock's;
-// the core compressor runs it on telemetry-sampled blocks so the per-stage
-// timing split keeps modeling the pipeline stages.
+// Differential tests assert its output is byte-identical to EncodeBlock's,
+// and the core compressor's stage-by-stage reference pipeline runs it.
 func EncodeBlockRef(dst []byte, codes []int32, headerBytes int, scratch *Block) ([]byte, uint) {
 	abs := scratch.Abs[:len(codes)]
 	signs := scratch.Signs[:len(codes)/8]

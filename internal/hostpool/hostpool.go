@@ -31,8 +31,8 @@ import (
 )
 
 // Telemetry instruments (Default registry, disabled unless a CLI opts
-// in). The atomics below are always maintained, so Peak/LastImbalance
-// work even when the registry is off.
+// in). A run that starts with the registry off is untimed and touches
+// none of them, nor the occupancy atomics below.
 var (
 	telPeak      = telemetry.G("host.pool_peak_workers")
 	telImbalance = telemetry.G("host.shard_imbalance_pct")
@@ -45,9 +45,8 @@ var (
 	runq chan *run
 	size int
 
-	active        atomic.Int64 // goroutines currently executing shards (workers + callers)
-	peak          atomic.Int64 // high-water mark of active
-	lastImbalance atomic.Int64 // (max-min)/max shard wall time of the last timed run, in percent
+	active atomic.Int64 // goroutines executing shards of timed runs (workers + callers)
+	peak   atomic.Int64 // high-water mark of active
 )
 
 // run is one parallel call's descriptor: pool workers and the caller claim
@@ -58,7 +57,7 @@ type run struct {
 	shards int
 	next   atomic.Int64
 	wg     sync.WaitGroup
-	timed  bool // record per-shard wall times for the imbalance gauge
+	timed  bool // record occupancy and per-shard wall times
 	minNs  atomic.Int64
 	maxNs  atomic.Int64
 }
@@ -80,9 +79,9 @@ func worker() {
 	}
 }
 
-// work claims shards until the run's cursor is exhausted. The first claim
-// registers this goroutine as active (a worker that arrives after every
-// shard is claimed touches nothing).
+// work claims shards until the run's cursor is exhausted. On a timed run
+// the first claim registers this goroutine as active (a worker that
+// arrives after every shard is claimed touches nothing).
 func (r *run) work() {
 	counted := false
 	for {
@@ -90,18 +89,18 @@ func (r *run) work() {
 		if k >= r.shards {
 			break
 		}
-		if !counted {
-			counted = true
-			a := active.Add(1)
-			for {
-				p := peak.Load()
-				if a <= p || peak.CompareAndSwap(p, a) {
-					break
-				}
-			}
-		}
 		lo, hi := k*r.n/r.shards, (k+1)*r.n/r.shards
 		if r.timed {
+			if !counted {
+				counted = true
+				a := active.Add(1)
+				for {
+					p := peak.Load()
+					if a <= p || peak.CompareAndSwap(p, a) {
+						break
+					}
+				}
+			}
 			t0 := time.Now()
 			r.fn(k, lo, hi)
 			d := time.Since(t0).Nanoseconds()
@@ -135,15 +134,6 @@ func Size() int {
 	}
 	return size
 }
-
-// Peak reports the high-water mark of concurrently active shard executors
-// (pool workers plus participating callers) since process start.
-func Peak() int { return int(peak.Load()) }
-
-// LastImbalance reports the shard wall-time imbalance of the most recent
-// telemetry-timed parallel call as (max−min)/max in percent. 0 means
-// perfectly balanced (or no timed run yet).
-func LastImbalance() int { return int(lastImbalance.Load()) }
 
 // Run partitions [0, n) into shards contiguous ranges and executes
 // fn(shard, lo, hi) once per shard, returning when all have finished.
@@ -186,9 +176,7 @@ func Run(shards, n int, fn func(shard, lo, hi int)) {
 		telShards.Add(int64(shards))
 		telPeak.Set(peak.Load())
 		if mx := r.maxNs.Load(); mx > 0 {
-			imb := 100 * (mx - r.minNs.Load()) / mx
-			lastImbalance.Store(imb)
-			telImbalance.Set(imb)
+			telImbalance.Set(100 * (mx - r.minNs.Load()) / mx)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"ceresz/internal/telemetry"
 )
 
 // TestRunCoversRangeOnce checks every index in [0, n) is visited exactly
@@ -123,9 +125,12 @@ func TestSequentialRunsInline(t *testing.T) {
 	}
 }
 
-// TestPeakTracksOccupancy: after a parallel run, the high-water mark is at
-// least 1 (the participating caller) and never exceeds pool size + callers.
+// TestPeakTracksOccupancy: after a parallel run with telemetry on, the
+// high-water gauge is at least 1 (the participating caller) and never
+// exceeds pool size + callers, and the imbalance gauge is a percentage.
 func TestPeakTracksOccupancy(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
 	Run(4, 1000, func(_, lo, hi int) {
 		s := 0
 		for i := lo; i < hi; i++ {
@@ -133,14 +138,15 @@ func TestPeakTracksOccupancy(t *testing.T) {
 		}
 		_ = s
 	})
-	p := Peak()
+	g := telemetry.Default.Snapshot().Gauges
+	p := g["host.pool_peak_workers"]
 	if p < 1 {
-		t.Fatalf("Peak() = %d after a parallel run, want >= 1", p)
+		t.Fatalf("host.pool_peak_workers = %d after a parallel run, want >= 1", p)
 	}
-	if max := Size() + 64; p > max {
-		t.Fatalf("Peak() = %d, exceeds plausible bound %d", p, max)
+	if max := int64(Size() + 64); p > max {
+		t.Fatalf("host.pool_peak_workers = %d, exceeds plausible bound %d", p, max)
 	}
-	if im := LastImbalance(); im < 0 || im > 100 {
-		t.Fatalf("LastImbalance() = %d, want within [0,100]", im)
+	if im := g["host.shard_imbalance_pct"]; im < 0 || im > 100 {
+		t.Fatalf("host.shard_imbalance_pct = %d, want within [0,100]", im)
 	}
 }

@@ -227,19 +227,6 @@ func (cb *Codebook) Len() int { return len(cb.lengths) }
 // MaxLen returns the longest code length in bits.
 func (cb *Codebook) MaxLen() uint8 { return cb.maxLen }
 
-// CodeLen returns the code length of sym (0 if absent).
-func (cb *Codebook) CodeLen(sym uint32) uint8 { return cb.lengths[sym] }
-
-// EncodedBits returns the exact payload size in bits for the given
-// frequency table under this codebook.
-func (cb *Codebook) EncodedBits(freqs map[uint32]int64) int64 {
-	var bits int64
-	for s, f := range freqs {
-		bits += f * int64(cb.lengths[s])
-	}
-	return bits
-}
-
 // Encode appends sym's code (MSB-first) to w. Unknown symbols error.
 func (cb *Codebook) Encode(w *bitstream.Writer, sym uint32) error {
 	l, ok := cb.lengths[sym]

@@ -25,8 +25,8 @@ func TestSingleSymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cb.Len() != 1 || cb.CodeLen(42) != 1 {
-		t.Fatalf("single-symbol codebook: len=%d codelen=%d", cb.Len(), cb.CodeLen(42))
+	if cb.Len() != 1 || cb.lengths[42] != 1 {
+		t.Fatalf("single-symbol codebook: len=%d codelen=%d", cb.Len(), cb.lengths[42])
 	}
 	w := bitstream.NewWriter(4)
 	for i := 0; i < 10; i++ {
@@ -51,16 +51,16 @@ func TestSkewedFrequenciesGiveShortCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cb.CodeLen(0) > cb.CodeLen(3) {
-		t.Fatalf("frequent symbol got longer code: %d vs %d", cb.CodeLen(0), cb.CodeLen(3))
+	if cb.lengths[0] > cb.lengths[3] {
+		t.Fatalf("frequent symbol got longer code: %d vs %d", cb.lengths[0], cb.lengths[3])
 	}
-	if cb.CodeLen(0) != 1 {
-		t.Fatalf("dominant symbol code length %d, want 1", cb.CodeLen(0))
+	if cb.lengths[0] != 1 {
+		t.Fatalf("dominant symbol code length %d, want 1", cb.lengths[0])
 	}
 	// Kraft equality for a full binary tree.
 	var kraft float64
 	for s := uint32(0); s < 4; s++ {
-		kraft += 1 / float64(int64(1)<<cb.CodeLen(s))
+		kraft += 1 / float64(int64(1)<<cb.lengths[s])
 	}
 	if kraft != 1 {
 		t.Fatalf("Kraft sum = %g, want 1", kraft)
@@ -153,15 +153,6 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
-func TestEncodedBits(t *testing.T) {
-	freqs := map[uint32]int64{0: 3, 1: 1}
-	cb, _ := Build(freqs)
-	want := 3*int64(cb.CodeLen(0)) + 1*int64(cb.CodeLen(1))
-	if got := cb.EncodedBits(freqs); got != want {
-		t.Fatalf("EncodedBits = %d, want %d", got, want)
-	}
-}
-
 // Property: arbitrary symbol sequences round-trip, including through the
 // serialized-lengths rebuild path.
 func TestQuickRoundTrip(t *testing.T) {
@@ -202,7 +193,7 @@ func TestDeterministicCodebook(t *testing.T) {
 	a, _ := Build(freqs)
 	b, _ := Build(freqs)
 	for s := range freqs {
-		if a.CodeLen(s) != b.CodeLen(s) {
+		if a.lengths[s] != b.lengths[s] {
 			t.Fatalf("nondeterministic code length for %d", s)
 		}
 	}

@@ -361,7 +361,7 @@ func (p *Plan) newResult(m *wse.Mesh, cycles, inputBytes int64, meta core.Meta, 
 // bench server exposes them at /debug/metrics across runs.
 func (p *Plan) runTelemetry(m *wse.Mesh, cycles int64, wall time.Duration, att wse.Attribution) telemetry.Snapshot {
 	reg := telemetry.NewRegistry()
-	reg.Timer("sim.run_wall").Observe(wall)
+	reg.Histogram("sim.run_wall").Observe(wall.Nanoseconds())
 	reg.Counter("sim.events").Add(m.Processed())
 	reg.Counter("sim.cycles").Add(cycles)
 	reg.Gauge("sim.shards").Set(int64(m.Shards()))
@@ -423,8 +423,8 @@ func (p *Plan) runTelemetry(m *wse.Mesh, cycles int64, wall time.Duration, att w
 // mirrorToDefault replays a run's private snapshot onto the process-wide
 // Default registry — a no-op unless a CLI enabled it — so a long-running
 // process (cereszbench -debug-addr) exposes simulator readings at
-// /debug/metrics and /debug/telemetry across runs. Counters accumulate;
-// gauges keep the latest run's level.
+// /debug/metrics across runs. Counters accumulate; gauges keep the latest
+// run's level.
 func mirrorToDefault(s telemetry.Snapshot) {
 	if !telemetry.Enabled() {
 		return
@@ -437,11 +437,6 @@ func mirrorToDefault(s telemetry.Snapshot) {
 			continue // snapshot artifact of the source gauge, not a gauge itself
 		}
 		telemetry.G(name).Set(v)
-	}
-	for name, t := range s.Timers {
-		if t.Count > 0 {
-			telemetry.T(name).Observe(time.Duration(t.SumNs))
-		}
 	}
 }
 

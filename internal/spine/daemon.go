@@ -20,7 +20,7 @@ import (
 // share, one mux over the tier and telemetry.DebugMux, and the listen →
 // ready → signal → drain → shutdown sequence.
 type Daemon struct {
-	// Name prefixes log lines and names the expvar registry: "cereszd".
+	// Name prefixes log lines: "cereszd".
 	Name string
 	// Prefix is the tier's instrument prefix the -slo specs bind to.
 	Prefix string
@@ -86,7 +86,7 @@ func (d *Daemon) Run() error {
 	h := d.Tier.Handler()
 	mux := http.NewServeMux()
 	mux.Handle("/", h)
-	mux.Handle("/debug/", telemetry.DebugMux(d.Registry, d.Name))
+	mux.Handle("/debug/", telemetry.DebugMux(d.Registry))
 	// Exact paths outrank the /debug/ prefix, so the tier's views stay
 	// reachable beside the shared telemetry pages.
 	for _, p := range slices.Concat(fleetViews, d.DebugPaths) {

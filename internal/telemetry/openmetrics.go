@@ -16,8 +16,8 @@ import (
 //
 //	counter → counter        ceresz_sim_events
 //	gauge   → two gauges     ceresz_sim_workers, ceresz_sim_workers_max
-//	timer   → summary        _count/_sum in seconds, plus _min/_max gauges
 //	hist    → summary        quantile="0.5|0.95|0.99" labels, _count/_sum
+//	                         (a duration's values are nanoseconds)
 //
 // Instrument names sanitize to the metric charset (dots → underscores)
 // under a "ceresz_" namespace. Every family carries a `# HELP` line —
@@ -116,20 +116,6 @@ func (s Snapshot) WriteOpenMetrics(w io.Writer) (int64, error) {
 				mn, mn, mn, mn, max); err != nil {
 				return total, err
 			}
-		}
-	}
-	for _, name := range sortedKeys(s.Timers) {
-		t := s.Timers[name]
-		mn := metricName(name) + "_seconds"
-		if err := emit("# HELP %s %s\n# TYPE %s summary\n%s_count %d\n%s_sum %g\n",
-			mn, s.helpFor(name, "timer"), mn, mn, t.Count, mn, float64(t.SumNs)/1e9); err != nil {
-			return total, err
-		}
-		if err := emit("# HELP %s_min Shortest observation of %s since process start.\n# TYPE %s_min gauge\n%s_min %g\n"+
-			"# HELP %s_max Longest observation of %s since process start.\n# TYPE %s_max gauge\n%s_max %g\n",
-			mn, mn, mn, mn, float64(t.MinNs)/1e9,
-			mn, mn, mn, mn, float64(t.MaxNs)/1e9); err != nil {
-			return total, err
 		}
 	}
 	for _, name := range sortedKeys(s.Hists) {

@@ -186,7 +186,7 @@ func fullRegistry(t *testing.T) (*Registry, *Rollup) {
 	r.Counter("server.compress.requests").Add(7)
 	r.Counter("undocumented.counter").Add(1) // exercises the fallback HELP
 	r.Gauge("server.queue_depth").Set(3)
-	r.Timer("core.compress").Observe(1500 * time.Microsecond)
+	r.Histogram("core.compress").Observe((1500 * time.Microsecond).Nanoseconds())
 	r.Histogram("server.compress.latency_us").Observe(250)
 	rp := NewRollup(r, RollupConfig{Interval: time.Hour})
 	NewSLOEngine(rp, []Objective{{

@@ -1,6 +1,7 @@
 // Package telemetry is the repo-wide instrumentation substrate: a
-// near-zero-overhead registry of counters, gauges, timers and histograms
-// plus a span API, shared by the host compressor (internal/core), the
+// near-zero-overhead registry of three instrument kinds — counters, gauges
+// and histograms — plus a span API that times a section into a histogram
+// in nanoseconds, shared by the host compressor (internal/core), the
 // framed/bundled container layers, the mapping planner and the WSE
 // simulator. It is the machine-readable counterpart of the paper's
 // cycle-level accounting (§5.1.1 "hardware cycle counters at each PE"):
@@ -15,7 +16,7 @@
 //   - an enabled registry must be safe for concurrent writers (the host
 //     compressor runs one goroutine per core) and cost only an atomic
 //     add per event;
-//   - snapshots are plain maps, so they serialize to JSON/expvar without
+//   - snapshots are plain maps, so they serialize to JSON without
 //     adapters.
 //
 // The package-level Default registry starts disabled; CLIs opt in with
@@ -42,7 +43,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timers   map[string]*Timer
 	hists    map[string]*Histogram
 	help     map[string]string
 
@@ -59,7 +59,6 @@ func NewRegistry() *Registry {
 	r := &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
-		timers:   map[string]*Timer{},
 		hists:    map[string]*Histogram{},
 		help:     map[string]string{},
 	}
@@ -115,21 +114,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Timer returns (registering if needed) the named duration recorder.
-func (r *Registry) Timer(name string) *Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{r: r}
-		t.minNs.Store(math.MaxInt64)
-		r.timers[name] = t
-	}
-	return t
-}
-
 // Histogram returns (registering if needed) the named value histogram
-// (power-of-two buckets; bucket i counts values with bit length i).
+// (power-of-two buckets; bucket i counts values with bit length i). A
+// duration is a histogram of nanoseconds.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -158,8 +145,10 @@ func C(name string) *Counter { return Default.Counter(name) }
 // G is shorthand for Default.Gauge.
 func G(name string) *Gauge { return Default.Gauge(name) }
 
-// T is shorthand for Default.Timer.
-func T(name string) *Timer { return Default.Timer(name) }
+// T is shorthand for Default.Histogram, named for its use as a duration:
+//
+//	defer telemetry.T("core.compress").Start().End()
+func T(name string) *Histogram { return Default.Histogram(name) }
 
 // H is shorthand for Default.Histogram.
 func H(name string) *Histogram { return Default.Histogram(name) }
@@ -237,75 +226,6 @@ func updateMax(m *atomic.Int64, v int64) {
 	}
 }
 
-// Timer accumulates durations. Record either with Observe or with the
-// span form:
-//
-//	defer reg.Timer("core.compress").Start().End()
-type Timer struct {
-	r     *Registry
-	count atomic.Int64
-	sumNs atomic.Int64
-	minNs atomic.Int64
-	maxNs atomic.Int64
-}
-
-// Span is an in-flight timed section. The zero Span (from a disabled
-// registry) is a safe no-op.
-type Span struct {
-	t  *Timer
-	t0 time.Time
-}
-
-// Start opens a span; it returns the zero Span when disabled, making the
-// whole Start/End pair one branch plus one atomic load.
-func (t *Timer) Start() Span {
-	if t == nil || !t.r.on.Load() {
-		return Span{}
-	}
-	return Span{t: t, t0: time.Now()}
-}
-
-// End closes the span, recording its wall-clock duration.
-func (s Span) End() {
-	if s.t == nil {
-		return
-	}
-	s.t.Observe(time.Since(s.t0))
-}
-
-// Observe records one duration when the registry is enabled.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil || !t.r.on.Load() {
-		return
-	}
-	ns := d.Nanoseconds()
-	t.count.Add(1)
-	t.sumNs.Add(ns)
-	updateMax(&t.maxNs, ns)
-	for {
-		cur := t.minNs.Load()
-		if ns >= cur || t.minNs.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
-}
-
-// TimerStats is a timer's aggregate at snapshot time.
-type TimerStats struct {
-	Count int64 `json:"count"`
-	SumNs int64 `json:"sum_ns"`
-	MinNs int64 `json:"min_ns"`
-	MaxNs int64 `json:"max_ns"`
-}
-
-// Mean returns the mean duration, or 0 with no observations.
-func (s TimerStats) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNs / s.Count)
-}
-
 // histBuckets is the bucket count: values are classified by bit length,
 // so bucket i holds values in [2^(i-1), 2^i).
 const histBuckets = 64
@@ -330,6 +250,29 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bitLen64(v)].Add(1)
+}
+
+// Span is an in-flight timed section. The zero Span (from a disabled
+// registry) is a safe no-op.
+type Span struct {
+	h  *Histogram
+	t0 time.Time
+}
+
+// Start opens a span; it returns the zero Span when disabled, making the
+// whole Start/End pair one branch plus one atomic load.
+func (h *Histogram) Start() Span {
+	if h == nil || !h.r.on.Load() {
+		return Span{}
+	}
+	return Span{h: h, t0: time.Now()}
+}
+
+// End closes the span, observing its wall-clock duration in nanoseconds.
+func (s Span) End() {
+	if s.h != nil {
+		s.h.Observe(time.Since(s.t0).Nanoseconds())
+	}
 }
 
 func bitLen64(v int64) int {
@@ -396,123 +339,107 @@ func histQuantile(counts *[histBuckets]int64, total int64, q float64) int64 {
 	return hi
 }
 
-// Snapshot is a point-in-time copy of every instrument, ready for JSON,
-// expvar, or diffing across runs.
+// Snapshot is a point-in-time copy of every instrument, ready for JSON
+// or diffing across runs.
 type Snapshot struct {
-	Counters map[string]int64      `json:"counters,omitempty"`
-	Gauges   map[string]int64      `json:"gauges,omitempty"`
-	Timers   map[string]TimerStats `json:"timers,omitempty"`
-	Hists    map[string]HistStats  `json:"histograms,omitempty"`
+	Counters map[string]int64     `json:"counters,omitempty"`
+	Gauges   map[string]int64     `json:"gauges,omitempty"`
+	Hists    map[string]HistStats `json:"histograms,omitempty"`
 	// Help carries the Describe'd instrument documentation, keyed by the
 	// original instrument name (not the sanitized metric name).
 	Help map[string]string `json:"-"`
 }
 
 // Snapshot captures the registry's current state. Counters that never
-// fired are included at zero, so diffs line up across runs.
+// fired are included at zero, so diffs line up across runs; each gauge
+// carries a "<name>.max" high-water entry.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	raw := r.rawSnapshot(time.Now())
 	s := Snapshot{
-		Counters: make(map[string]int64, len(r.counters)),
-		Gauges:   make(map[string]int64, len(r.gauges)),
-		Timers:   make(map[string]TimerStats, len(r.timers)),
-		Hists:    make(map[string]HistStats, len(r.hists)),
-		Help:     make(map[string]string, len(r.help)),
+		Counters: raw.counters,
+		Gauges:   raw.gauges,
+		Hists:    make(map[string]HistStats, len(raw.hists)),
+		Help:     raw.help,
 	}
-	for name, h := range r.help {
-		s.Help[name] = h
+	for name, m := range raw.gaugeMax {
+		s.Gauges[name+".max"] = m
 	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-		s.Gauges[name+".max"] = g.Max()
-	}
-	for name, t := range r.timers {
-		ts := TimerStats{
-			Count: t.count.Load(),
-			SumNs: t.sumNs.Load(),
-			MinNs: t.minNs.Load(),
-			MaxNs: t.maxNs.Load(),
-		}
-		if ts.Count == 0 {
-			ts.MinNs = 0
-		}
-		s.Timers[name] = ts
-	}
-	for name, h := range r.hists {
-		hs := HistStats{Count: h.count.Load(), Sum: h.sum.Load()}
-		var counts [histBuckets]int64
-		for i := range h.buckets {
-			n := h.buckets[i].Load()
-			counts[i] = n
-			if n > 0 {
-				if hs.Buckets == nil {
-					hs.Buckets = map[int64]int64{}
-				}
-				_, upper := bucketBounds(i)
-				hs.Buckets[upper] = n
-			}
-		}
-		if hs.Count > 0 {
-			hs.P50 = histQuantile(&counts, hs.Count, 0.50)
-			hs.P95 = histQuantile(&counts, hs.Count, 0.95)
-			hs.P99 = histQuantile(&counts, hs.Count, 0.99)
-		}
-		s.Hists[name] = hs
+	for name, h := range raw.hists {
+		s.Hists[name] = h.stats()
 	}
 	return s
 }
 
 // histRaw is one histogram's raw state — the bucket-resolution form the
-// rollup layer diffs between ticks (Snapshot's bucket map collapses empty
-// buckets, which is right for JSON but awkward for deltas).
+// rollup layer diffs between ticks and stats summarises.
 type histRaw struct {
 	count   int64
 	sum     int64
 	buckets [histBuckets]int64
 }
 
-// rawState is a point-in-time copy of every instrument at full resolution.
-// The rollup ticker keeps the previous state and diffs against the next.
+// stats summarises the bucket counts: every non-empty bucket keyed by its
+// inclusive upper bound, and the interpolated p50/p95/p99. It serves both
+// the cumulative Snapshot and the per-window deltas of the rollup.
+func (h *histRaw) stats() HistStats {
+	hs := HistStats{Count: h.count, Sum: h.sum}
+	for i, n := range h.buckets {
+		if n > 0 {
+			if hs.Buckets == nil {
+				hs.Buckets = map[int64]int64{}
+			}
+			_, upper := bucketBounds(i)
+			hs.Buckets[upper] = n
+		}
+	}
+	if hs.Count > 0 {
+		hs.P50 = histQuantile(&h.buckets, hs.Count, 0.50)
+		hs.P95 = histQuantile(&h.buckets, hs.Count, 0.95)
+		hs.P99 = histQuantile(&h.buckets, hs.Count, 0.99)
+	}
+	return hs
+}
+
+// rawState is a point-in-time copy of every instrument at full resolution:
+// Snapshot summarises one, and the rollup ticker keeps the previous one and
+// diffs against the next.
 type rawState struct {
 	at       time.Time
 	counters map[string]int64
 	gauges   map[string]int64
-	timers   map[string]TimerStats
+	gaugeMax map[string]int64
 	hists    map[string]histRaw
+	help     map[string]string
 }
 
-// rawSnapshot captures the registry at bucket resolution for windowing.
+// rawSnapshot captures the registry at bucket resolution.
 func (r *Registry) rawSnapshot(now time.Time) rawState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := rawState{
 		at:       now,
 		counters: make(map[string]int64, len(r.counters)),
-		gauges:   make(map[string]int64, len(r.gauges)),
-		timers:   make(map[string]TimerStats, len(r.timers)),
+		gauges:   make(map[string]int64, 2*len(r.gauges)),
+		gaugeMax: make(map[string]int64, len(r.gauges)),
 		hists:    make(map[string]histRaw, len(r.hists)),
+		help:     make(map[string]string, len(r.help)),
 	}
 	for name, c := range r.counters {
 		s.counters[name] = c.Value()
 	}
 	for name, g := range r.gauges {
 		s.gauges[name] = g.Value()
-	}
-	for name, t := range r.timers {
-		s.timers[name] = TimerStats{Count: t.count.Load(), SumNs: t.sumNs.Load()}
+		s.gaugeMax[name] = g.Max()
 	}
 	for name, h := range r.hists {
-		var hr histRaw
-		hr.count = h.count.Load()
-		hr.sum = h.sum.Load()
+		hr := histRaw{count: h.count.Load(), sum: h.sum.Load()}
 		for i := range h.buckets {
 			hr.buckets[i] = h.buckets[i].Load()
 		}
 		s.hists[name] = hr
+	}
+	for name, h := range r.help {
+		s.help[name] = h
 	}
 	return s
 }
@@ -533,14 +460,6 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 	}
 	for _, name := range sortedKeys(s.Gauges) {
 		if err := emit("gauge   %-40s %d\n", name, s.Gauges[name]); err != nil {
-			return total, err
-		}
-	}
-	for _, name := range sortedKeys(s.Timers) {
-		t := s.Timers[name]
-		if err := emit("timer   %-40s n=%d total=%v mean=%v min=%v max=%v\n",
-			name, t.Count, time.Duration(t.SumNs), t.Mean(),
-			time.Duration(t.MinNs), time.Duration(t.MaxNs)); err != nil {
 			return total, err
 		}
 	}

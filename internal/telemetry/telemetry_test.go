@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -39,17 +40,15 @@ func TestDisabledRegistryRecordsNothing(t *testing.T) {
 	r.SetEnabled(false)
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	tm := r.Timer("t")
 	h := r.Histogram("h")
 	c.Add(1)
 	g.Add(1)
-	sp := tm.Start()
+	sp := h.Start()
 	time.Sleep(time.Millisecond)
 	sp.End()
-	tm.Observe(time.Second)
 	h.Observe(42)
 	s := r.Snapshot()
-	if s.Counters["c"] != 0 || s.Gauges["g"] != 0 || s.Timers["t"].Count != 0 || s.Hists["h"].Count != 0 {
+	if s.Counters["c"] != 0 || s.Gauges["g"] != 0 || s.Hists["h"].Count != 0 {
 		t.Fatalf("disabled registry recorded: %+v", s)
 	}
 	// Re-enabling makes previously handed-out instruments live again.
@@ -63,47 +62,56 @@ func TestDisabledRegistryRecordsNothing(t *testing.T) {
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
 	var g *Gauge
-	var tm *Timer
 	var h *Histogram
 	c.Add(1)
 	g.Set(1)
 	g.Add(1)
-	tm.Observe(time.Second)
-	tm.Start().End()
+	h.Start().End()
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 {
 		t.Fatal("nil instruments not inert")
 	}
 }
 
-func TestTimerStats(t *testing.T) {
-	r := NewRegistry()
-	tm := r.Timer("t")
-	tm.Observe(10 * time.Millisecond)
-	tm.Observe(30 * time.Millisecond)
-	s := r.Snapshot().Timers["t"]
-	if s.Count != 2 || s.SumNs != int64(40*time.Millisecond) {
-		t.Fatalf("timer stats %+v", s)
+// TestDurationHistogram pins the duration form of a histogram: a
+// T(name).Start().End() span lands in Snapshot().Hists as one observation
+// in nanoseconds and renders as an OpenMetrics summary.
+func TestDurationHistogram(t *testing.T) {
+	Enable()
+	defer Disable()
+	sp := T("test.duration").Start()
+	time.Sleep(2 * time.Millisecond)
+	sp.End()
+	s := Default.Snapshot()
+	hs := s.Hists["test.duration"]
+	if hs.Count != 1 || hs.Sum < int64(2*time.Millisecond) || hs.Sum > int64(time.Minute) {
+		t.Fatalf("duration histogram %+v, want one observation of >= 2ms in ns", hs)
 	}
-	if s.MinNs != int64(10*time.Millisecond) || s.MaxNs != int64(30*time.Millisecond) {
-		t.Fatalf("timer min/max %+v", s)
+	if hs.P50 < int64(time.Millisecond) {
+		t.Fatalf("p50 = %dns, want inside the >= 2ms bucket", hs.P50)
 	}
-	if s.Mean() != 20*time.Millisecond {
-		t.Fatalf("mean %v", s.Mean())
+	var sb strings.Builder
+	if _, err := s.WriteOpenMetrics(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if empty := r.Timer("empty"); empty != nil {
-		if st := r.Snapshot().Timers["empty"]; st.MinNs != 0 || st.Count != 0 {
-			t.Fatalf("empty timer stats %+v", st)
+	for _, want := range []string{
+		"# TYPE ceresz_test_duration summary",
+		"ceresz_test_duration_count 1",
+		fmt.Sprintf("ceresz_test_duration_sum %d", hs.Sum),
+		`ceresz_test_duration{quantile="0.99"}`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, sb.String())
 		}
 	}
 }
 
 func TestSpanMeasuresElapsed(t *testing.T) {
 	r := NewRegistry()
-	sp := r.Timer("t").Start()
+	sp := r.Histogram("t").Start()
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
-	if s := r.Snapshot().Timers["t"]; s.Count != 1 || s.SumNs < int64(time.Millisecond) {
+	if s := r.Snapshot().Hists["t"]; s.Count != 1 || s.Sum < int64(time.Millisecond) {
 		t.Fatalf("span recorded %+v", s)
 	}
 }
@@ -129,7 +137,7 @@ func TestSnapshotJSONAndString(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.calls").Add(2)
 	r.Gauge("a.workers").Add(1)
-	r.Timer("a.dur").Observe(time.Millisecond)
+	r.Histogram("a.dur").Observe(time.Millisecond.Nanoseconds())
 	r.Histogram("a.bytes").Observe(100)
 	s := r.Snapshot()
 	b, err := json.Marshal(s)
@@ -160,41 +168,22 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("c")
 			g := r.Gauge("g")
-			tm := r.Timer("t")
+			h := r.Histogram("h")
 			for i := 0; i < 1000; i++ {
 				c.Add(1)
 				g.Add(1)
 				g.Add(-1)
-				tm.Observe(time.Duration(i))
+				h.Start().End()
 			}
 		}()
 	}
 	wg.Wait()
 	s := r.Snapshot()
-	if s.Counters["c"] != 8000 || s.Timers["t"].Count != 8000 {
+	if s.Counters["c"] != 8000 || s.Hists["h"].Count != 8000 {
 		t.Fatalf("lost events: %+v", s)
 	}
 	if s.Gauges["g"] != 0 {
 		t.Fatalf("gauge drifted to %d", s.Gauges["g"])
-	}
-}
-
-func TestHandlerServesSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("hits").Add(3)
-	srv := httptest.NewServer(r.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var s Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Counters["hits"] != 3 {
-		t.Fatalf("handler snapshot %+v", s)
 	}
 }
 
@@ -241,21 +230,21 @@ func BenchmarkCounterEnabled(b *testing.B) {
 func BenchmarkSpanDisabled(b *testing.B) {
 	r := NewRegistry()
 	r.SetEnabled(false)
-	tm := r.Timer("t")
+	h := r.Histogram("t")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tm.Start().End()
+		h.Start().End()
 	}
 }
 
 // BenchmarkSpanEnabled measures a live Start/End pair (two clock reads plus
-// four atomics).
+// three atomics).
 func BenchmarkSpanEnabled(b *testing.B) {
 	r := NewRegistry()
-	tm := r.Timer("t")
+	h := r.Histogram("t")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tm.Start().End()
+		h.Start().End()
 	}
 }
 
@@ -325,7 +314,7 @@ func TestMetricsHandlerServesOpenMetrics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sim.events").Add(42)
 	r.Gauge("sim.workers").Set(4)
-	r.Timer("sim.run_wall").Observe(1500 * time.Millisecond)
+	r.Histogram("sim.run_wall").Observe((1500 * time.Millisecond).Nanoseconds())
 	r.Histogram("stream.chunk_compressed_bytes").Observe(4096)
 	srv := httptest.NewServer(r.MetricsHandler())
 	defer srv.Close()
@@ -348,9 +337,9 @@ func TestMetricsHandlerServesOpenMetrics(t *testing.T) {
 		"# TYPE ceresz_sim_workers gauge",
 		"ceresz_sim_workers 4",
 		"ceresz_sim_workers_max 4",
-		"# TYPE ceresz_sim_run_wall_seconds summary",
-		"ceresz_sim_run_wall_seconds_count 1",
-		"ceresz_sim_run_wall_seconds_sum 1.5",
+		"# TYPE ceresz_sim_run_wall summary",
+		"ceresz_sim_run_wall_count 1",
+		"ceresz_sim_run_wall_sum 1500000000",
 		"# TYPE ceresz_stream_chunk_compressed_bytes summary",
 		`ceresz_stream_chunk_compressed_bytes{quantile="0.99"}`,
 		"ceresz_stream_chunk_compressed_bytes_count 1",

@@ -21,9 +21,9 @@ import (
 //
 //   - the hot path is untouched — instruments stay the same atomics, the
 //     ticker reads them (rawSnapshot) at the interval and diffs off-path;
-//   - each Window carries counter deltas and rates, gauge levels, timer
-//     deltas, and per-window histogram quantiles computed from bucket
-//     deltas (what was p99 *in the last 5 seconds*, not since boot);
+//   - each Window carries counter deltas and rates, gauge levels, and
+//     per-window histogram quantiles computed from bucket deltas (what
+//     was p99 *in the last 5 seconds*, not since boot);
 //   - the ring is the substrate for the SLO engine (slo.go) and the
 //     flight recorder (flight.go), and is served raw at /debug/timeseries.
 //
@@ -55,9 +55,6 @@ type Window struct {
 	Rates    map[string]float64 `json:"rates,omitempty"`
 	// Gauges holds instantaneous gauge levels at window end.
 	Gauges map[string]int64 `json:"gauges,omitempty"`
-	// Timers holds per-window Count/Sum deltas (Min/Max are lifetime
-	// properties and stay zero here).
-	Timers map[string]TimerStats `json:"timers,omitempty"`
 	// Hists holds per-window histogram aggregates: count/sum deltas,
 	// bucket deltas, and quantiles interpolated from those deltas — the
 	// windowed p50/p95/p99.
@@ -196,37 +193,15 @@ func diffWindow(prev, cur rawState) Window {
 		w.Counters[name] = d
 		w.Rates[name] = float64(d) / secs
 	}
-	w.Gauges = make(map[string]int64, len(cur.gauges))
-	for name, v := range cur.gauges {
-		w.Gauges[name] = v
-	}
-	w.Timers = make(map[string]TimerStats, len(cur.timers))
-	for name, t := range cur.timers {
-		p := prev.timers[name]
-		w.Timers[name] = TimerStats{Count: t.Count - p.Count, SumNs: t.SumNs - p.SumNs}
-	}
+	w.Gauges = cur.gauges // captured fresh per tick and never mutated
 	w.Hists = make(map[string]HistStats, len(cur.hists))
 	for name, h := range cur.hists {
 		p := prev.hists[name]
-		hs := HistStats{Count: h.count - p.count, Sum: h.sum - p.sum}
-		var counts [histBuckets]int64
+		d := histRaw{count: h.count - p.count, sum: h.sum - p.sum}
 		for i := range h.buckets {
-			d := h.buckets[i] - p.buckets[i]
-			counts[i] = d
-			if d > 0 {
-				if hs.Buckets == nil {
-					hs.Buckets = map[int64]int64{}
-				}
-				_, upper := bucketBounds(i)
-				hs.Buckets[upper] = d
-			}
+			d.buckets[i] = h.buckets[i] - p.buckets[i]
 		}
-		if hs.Count > 0 {
-			hs.P50 = histQuantile(&counts, hs.Count, 0.50)
-			hs.P95 = histQuantile(&counts, hs.Count, 0.95)
-			hs.P99 = histQuantile(&counts, hs.Count, 0.99)
-		}
-		w.Hists[name] = hs
+		w.Hists[name] = d.stats()
 	}
 	return w
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -39,6 +40,26 @@ func TestRollupWindowDeltasAndRates(t *testing.T) {
 	}
 	if w2.Seq != 2 {
 		t.Fatalf("seq = %d, want 2", w2.Seq)
+	}
+}
+
+// TestSnapshotAndWindowShareSummary pins the one bucket summariser: the
+// same observations, made after the rollup's baseline, give identical
+// HistStats from the cumulative Snapshot and from the first window.
+func TestSnapshotAndWindowShareSummary(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("ep.latency_us")
+	rp := NewRollup(r, RollupConfig{Interval: time.Hour})
+	for _, v := range []int64{0, 1, 3, 90, 250, 250, 4096, 1 << 20} {
+		h.Observe(v)
+	}
+	w := rp.Tick()
+	got, want := w.Hists["ep.latency_us"], r.Snapshot().Hists["ep.latency_us"]
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("window %+v, snapshot %+v", got, want)
+	}
+	if want.Count != 8 || len(want.Buckets) != 7 {
+		t.Fatalf("summary %+v, want 8 observations over 7 buckets", want)
 	}
 }
 

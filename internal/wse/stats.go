@@ -3,7 +3,6 @@ package wse
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // MeshStats aggregates per-PE accounting over a finished run — the
@@ -81,27 +80,4 @@ func (m *Mesh) WriteUtilization(w io.Writer, row int) {
 		fmt.Fprintf(w, "%5d %12d %12d %12d %7.1f%% %8d\n",
 			c, st.ComputeCycles, st.RelayCycles, st.SendCycles, busyPct, st.Handled)
 	}
-}
-
-// TopBusiest returns the n busiest PEs in descending busy order.
-func (m *Mesh) TopBusiest(n int) []*PE {
-	pes := make([]*PE, len(m.pes))
-	for i := range m.pes {
-		pes[i] = &m.pes[i]
-	}
-	sort.Slice(pes, func(i, j int) bool {
-		bi, bj := pes[i].stats.BusyCycles(), pes[j].stats.BusyCycles()
-		if bi != bj {
-			return bi > bj
-		}
-		ci, cj := pes[i].coord, pes[j].coord
-		if ci.Row != cj.Row {
-			return ci.Row < cj.Row
-		}
-		return ci.Col < cj.Col
-	})
-	if n > len(pes) {
-		n = len(pes)
-	}
-	return pes[:n]
 }

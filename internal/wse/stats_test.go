@@ -132,64 +132,3 @@ func TestWriteUtilizationIdleMesh(t *testing.T) {
 		t.Fatalf("idle utilization table:\n%s", out)
 	}
 }
-
-func TestTopBusiestTieBreak(t *testing.T) {
-	// Equal busy cycles everywhere: ties break by row, then column.
-	m, _ := NewMesh(Config{Rows: 2, Cols: 2})
-	for r := 0; r < 2; r++ {
-		for c := 0; c < 2; c++ {
-			m.SetProgram(r, c, ProgramFunc(func(ctx *Context, msg Message) {
-				ctx.Spend(100)
-			}))
-			m.Inject(r, c, Message{Color: 0, Wavelets: 4}, 0)
-		}
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	top := m.TopBusiest(4)
-	want := []Coord{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	for i, pe := range top {
-		if pe.Coord() != want[i] {
-			t.Fatalf("tie-break order %d: got %v, want %v", i, pe.Coord(), want[i])
-		}
-	}
-}
-
-func TestTopBusiestIdleAndZero(t *testing.T) {
-	m, _ := NewMesh(Config{Rows: 1, Cols: 3})
-	if got := m.TopBusiest(0); len(got) != 0 {
-		t.Fatalf("TopBusiest(0) returned %d PEs", len(got))
-	}
-	// Idle mesh: the request is clamped and every PE reports zero busy.
-	top := m.TopBusiest(5)
-	if len(top) != 3 {
-		t.Fatalf("TopBusiest clamped to %d, want 3", len(top))
-	}
-	for _, pe := range top {
-		if pe.Stats().BusyCycles() != 0 {
-			t.Fatalf("idle PE %v reports busy cycles", pe.Coord())
-		}
-	}
-}
-
-func TestTopBusiest(t *testing.T) {
-	m, _ := NewMesh(Config{Rows: 1, Cols: 3})
-	for c := 0; c < 3; c++ {
-		m.SetProgram(0, c, &echoProgram{cost: int64(100 * (3 - c))})
-	}
-	m.Inject(0, 0, Message{Color: 0, Wavelets: 2}, 0)
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	top := m.TopBusiest(2)
-	if len(top) != 2 {
-		t.Fatalf("top %d", len(top))
-	}
-	if top[0].Stats().BusyCycles() < top[1].Stats().BusyCycles() {
-		t.Fatal("TopBusiest not sorted")
-	}
-	if got := m.TopBusiest(100); len(got) != 3 {
-		t.Fatalf("TopBusiest clamped to %d", len(got))
-	}
-}

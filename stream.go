@@ -12,7 +12,7 @@ import (
 )
 
 // Framed-stream instruments (Default registry; active after
-// EnableTelemetry). One timer observation and a few counter adds per
+// EnableTelemetry). One duration observation and a few counter adds per
 // chunk, so the cost is independent of chunk size.
 var (
 	telStreamWrite     = telemetry.T("stream.write_chunk")

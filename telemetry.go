@@ -3,8 +3,8 @@ package ceresz
 import "ceresz/internal/telemetry"
 
 // Telemetry is a point-in-time snapshot of the instrumentation registry:
-// named counters, gauges (with ".max" high-water entries), timers and
-// power-of-two histograms. It marshals directly to JSON and renders as
+// named counters, gauges (with ".max" high-water entries) and power-of-two
+// histograms; a duration is a histogram of nanoseconds. It marshals directly to JSON and renders as
 // sorted text via String.
 //
 // Two registries exist. Simulated runs each carry a private one, returned
@@ -14,15 +14,12 @@ import "ceresz/internal/telemetry"
 // instrument until EnableTelemetry is called.
 type Telemetry = telemetry.Snapshot
 
-// TimerStats is a timer's aggregate inside a Telemetry snapshot.
-type TimerStats = telemetry.TimerStats
-
 // HistStats is a histogram's aggregate inside a Telemetry snapshot.
 type HistStats = telemetry.HistStats
 
 // EnableTelemetry turns on the process-wide host-path registry. The host
-// compressor then records per-stage timings (sampled), block and byte
-// counters, and worker occupancy, at well under 5% overhead.
+// compressor then records call durations, block and byte counters, and
+// worker occupancy, at well under 5% overhead.
 func EnableTelemetry() { telemetry.Enable() }
 
 // DisableTelemetry turns the host-path registry back off.

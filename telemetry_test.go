@@ -36,8 +36,8 @@ func TestTelemetryConcurrentCompress(t *testing.T) {
 	if snap.Counters["core.compress.blocks"] == 0 {
 		t.Fatalf("no blocks counted:\n%s", snap)
 	}
-	if snap.Timers["core.compress"].Count < 4 {
-		t.Fatalf("compress timer count %d, want >= 4", snap.Timers["core.compress"].Count)
+	if snap.Hists["core.compress"].Count < 4 {
+		t.Fatalf("compress duration count %d, want >= 4", snap.Hists["core.compress"].Count)
 	}
 	// On one processor Workers: 4 runs sequentially and no shard reports in.
 	if runtime.GOMAXPROCS(0) > 1 && snap.Gauges["core.workers.active.max"] < 1 {
@@ -61,8 +61,8 @@ func TestSimResultTelemetry(t *testing.T) {
 	if snap.Counters["sim.events"] == 0 || snap.Gauges["sim.active_pes"] == 0 {
 		t.Fatalf("simulation telemetry empty:\n%s", snap)
 	}
-	if snap.Timers["sim.run_wall"].Count != 1 {
-		t.Fatalf("run wall timer observed %d times", snap.Timers["sim.run_wall"].Count)
+	if snap.Hists["sim.run_wall"].Count != 1 {
+		t.Fatalf("run wall duration observed %d times", snap.Hists["sim.run_wall"].Count)
 	}
 	if snap.Counters["plan.group00.est_cycles"] == 0 ||
 		snap.Counters["plan.group00.compute_cycles"] == 0 {
