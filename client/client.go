@@ -161,17 +161,18 @@ func retryable(code int) bool {
 }
 
 // backoff computes the delay before attempt (0-based), honoring a
-// Retry-After header when the server sent one.
+// Retry-After header when the server sent one. MaxBackoff caps the hint
+// too: a server's hint must not park a call longer than its caller allows.
 func (c *Client) backoff(attempt int, retryAfter string) time.Duration {
 	if retryAfter != "" {
 		if secs, err := strconv.Atoi(retryAfter); err == nil && secs >= 0 {
+			if secs > int(c.cfg.MaxBackoff/time.Second) { // compared before the product can overflow
+				return c.cfg.MaxBackoff
+			}
 			return time.Duration(secs) * time.Second
 		}
 		if t, err := http.ParseTime(retryAfter); err == nil {
-			if d := time.Until(t); d > 0 {
-				return d
-			}
-			return 0
+			return min(max(time.Until(t), 0), c.cfg.MaxBackoff)
 		}
 	}
 	d := c.cfg.BaseBackoff << attempt

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -294,6 +295,36 @@ func TestRetryResendsIdenticalBody(t *testing.T) {
 		if !bytes.Equal(b, want) {
 			t.Fatalf("attempt %d sent %d bytes that differ from the %d-byte wire image", i, len(b), len(want))
 		}
+	}
+}
+
+// TestRetryAfterCappedByMaxBackoff: a server's Retry-After hint waits no
+// longer than MaxBackoff. An hour-long hint on a 429 with MaxBackoff 5ms
+// must let the one retry go out, and the call return, within a second.
+func TestRetryAfterCappedByMaxBackoff(t *testing.T) {
+	var attempts atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts.Add(1)
+		w.Header().Set("Retry-After", "3600")
+		http.Error(w, "saturated", http.StatusTooManyRequests)
+	}))
+	defer ts.Close()
+
+	c := New(Config{BaseURL: ts.URL, MaxRetries: 1, MaxBackoff: 5 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := c.Compress(ctx, wave(64), ABS(1e-3))
+	elapsed := time.Since(start)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
+		t.Fatalf("err = %v, want the retried 429", err)
+	}
+	if n := attempts.Load(); n != 2 {
+		t.Fatalf("server saw %d attempts, want 2", n)
+	}
+	if elapsed >= time.Second {
+		t.Fatalf("call took %v: the Retry-After hint was not capped at MaxBackoff", elapsed)
 	}
 }
 

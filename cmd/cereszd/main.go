@@ -31,13 +31,13 @@
 //	-queue N               admission queue beyond executing workers
 //	                       (0 = 2x workers, negative = none)
 //	-chunk N               default elements per compressed frame
-//	-block N               CereSZ block length (0 = 32, the paper's)
 //	-max-body BYTES        request body cap
 //	-max-chunk-elems N     per-chunk / per-frame / per-field element cap
 //	-retry-after DUR       hint sent with 429/503 responses
 //	-cache-bytes BYTES     content-addressed chunk-cache budget: repeated
-//	                       chunks are served from memory instead of
-//	                       re-running the codec (0 = caching off)
+//	                       decompress frames are served from memory
+//	                       instead of re-running the codec (0 = caching
+//	                       off)
 //	-trace-sample N        trace 1-in-N requests into the span rings and
 //	                       /debug/trace (0 = tracing off; IDs, RED metrics
 //	                       and Server-Timing trailers stay on regardless)
@@ -83,7 +83,6 @@ func main() {
 	workers := flag.Int("workers", 0, "codec pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth beyond workers (0 = 2x workers, negative = none)")
 	chunk := flag.Int("chunk", 0, "default elements per compressed frame (0 = 64Ki)")
-	block := flag.Int("block", 0, "CereSZ block length (0 = 32)")
 	maxBody := flag.Int64("max-body", 0, "request body byte cap (0 = 1GiB)")
 	maxChunkElems := flag.Int("max-chunk-elems", 0, "chunk/frame/field element cap (0 = 4Mi)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "content-addressed chunk-cache memory budget in bytes (0 = caching off)")
@@ -116,7 +115,6 @@ func main() {
 		ChunkElems:    *chunk,
 		RetryAfter:    d.RetryAfter,
 		CacheBytes:    *cacheBytes,
-		BlockLen:      *block,
 		Registry:      d.Registry,
 		TraceEvery:    *traceSample,
 		AccessLog:     logW,

@@ -2,17 +2,19 @@
 // compression service: a consistent-hash shard router with health-checked
 // failover (internal/cluster).
 //
-// Routing is keyed on the same digests the backends' content-addressed
-// chunk cache uses (internal/chunkcache's lane-parallel SHA-256 tree over
-// codec parameters and chunk bytes), so identical chunks always land on
-// the node whose cache already holds them — cluster-wide repeat traffic
-// stays warm instead of spreading cold copies across every backend.
+// Decompress requests route by the digest the backends' content-addressed
+// chunk cache keys decoded frames with (internal/chunkcache's lane-parallel
+// SHA-256 tree over the first frame's payload), so a repeated frame always
+// lands on the node whose cache already holds it — cluster-wide repeat
+// traffic stays warm instead of spreading cold copies across every
+// backend. Compress and bundle requests, which no backend caches, go to a
+// random point of the health-weighted ring without being read.
 //
 // Endpoints (the /v1/* surface is the backends', relayed):
 //
-//	POST /v1/compress       routed by the first chunk's cache digest
+//	POST /v1/compress       routed to a random ring point
 //	POST /v1/decompress     routed by the first CSZF frame's cache digest
-//	POST /v1/bundle         routed by a prefix digest (no cache affinity)
+//	POST /v1/bundle         routed to a random ring point
 //	GET  /healthz           readiness (alias of /healthz/ready)
 //	GET  /healthz/live      liveness: 200 while the process is up
 //	GET  /healthz/ready     503 starting/draining/no routable backends;
@@ -47,11 +49,9 @@
 //	-health-interval DUR  readiness poll interval (0 = 1s)
 //	-fail-after N         consecutive failures before ejection (0 = 3)
 //	-replay-bytes BYTES   request-body failover buffer (0 = 4MiB)
-//	-chunk N              backends' -chunk, for routing-digest agreement
-//	-block N              backends' -block, for routing-digest agreement
 //	-retry-after DUR      hint for proxy-origin 429/503 (0 = 1s)
-//	-random-route         route uniformly at random instead of by digest
-//	                      (affinity-off baseline for benchmarks)
+//	-random-route         route decompress at random too instead of by
+//	                      digest (the affinity-off baseline)
 //	-rollup-interval DUR  windowed time-series interval (default 5s; zero
 //	                      or negative = rollups off, unless -slo needs
 //	                      them: then 5s)
@@ -78,9 +78,7 @@ func main() {
 	healthInterval := flag.Duration("health-interval", 0, "readiness poll interval (0 = 1s)")
 	failAfter := flag.Int("fail-after", 0, "consecutive failures before a backend is ejected (0 = 3)")
 	replayBytes := flag.Int("replay-bytes", 0, "request-body failover buffer in bytes (0 = 4MiB)")
-	chunk := flag.Int("chunk", 0, "backends' -chunk, for routing-digest agreement (0 = 64Ki)")
-	block := flag.Int("block", 0, "backends' -block, for routing-digest agreement")
-	randomRoute := flag.Bool("random-route", false, "route uniformly at random instead of by digest (baseline)")
+	randomRoute := flag.Bool("random-route", false, "route decompress at random too instead of by digest (baseline)")
 	d.Parse()
 
 	var urls []string
@@ -102,8 +100,6 @@ func main() {
 			FailAfter: *failAfter,
 		},
 		ReplayBytes: *replayBytes,
-		ChunkElems:  *chunk,
-		BlockLen:    *block,
 		RetryAfter:  d.RetryAfter,
 		RandomRoute: *randomRoute,
 		Registry:    d.Registry,

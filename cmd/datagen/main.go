@@ -4,9 +4,11 @@
 //
 // Usage:
 //
-//	datagen [-scale small|medium|full] [-seed N] [-out DIR] [dataset...]
+//	datagen [-scale small|medium|full] [-out DIR] [dataset...]
 //
-// With no dataset arguments, all six are generated.
+// With no dataset arguments, all six are generated. The generators run
+// with seed 7, cereszbench's default, so the files hold the fields its
+// experiments compress.
 package main
 
 import (
@@ -20,9 +22,11 @@ import (
 	"ceresz/internal/sdrbench"
 )
 
+// seed is cereszbench's default generator seed.
+const seed = 7
+
 func main() {
 	scale := flag.String("scale", "small", "dataset scale: small, medium or full")
-	seed := flag.Int64("seed", 7, "generator seed")
 	out := flag.String("out", "data", "output directory")
 	flag.Parse()
 
@@ -56,7 +60,7 @@ func main() {
 		}
 		for i := range ds.Fields {
 			f := &ds.Fields[i]
-			data := f.Data(*seed)
+			data := f.Data(seed)
 			// SDRBench naming convention: name_[slowest.._fastest].f32, so
 			// the dims travel with the file.
 			path := filepath.Join(dir, fmt.Sprintf("%s_%s.f32", f.Name, dimsSuffix(f)))

@@ -1,12 +1,17 @@
 // Package chunkcache is a sharded, bounded-memory, content-addressed
-// cache for codec results, keyed by a SHA-256 tree hash over the codec
-// input and the parameters that shape the output (hasher.go gives the
-// definition). It exists because CereSZ streams are
-// block-independent by construction (the paper's row-parallel premise):
-// one chunk's compressed frame depends only on that chunk's bytes and the
-// codec options, so identical chunks recompressed across timesteps — the
-// dominant pattern in scientific serving traffic — can be answered from
-// memory instead of the codec.
+// cache for decoded frames, keyed by a SHA-256 tree hash over a frame's
+// compressed payload and the requested element type (hasher.go gives the
+// definition). It exists because CereSZ streams are block-independent by
+// construction (the paper's row-parallel premise): a frame decodes from
+// its own bytes alone, so a frame seen before can be answered from memory
+// instead of the codec.
+//
+// It keys decompress only, because decompress keys are small. A key is one
+// more full pass over its input. A decompress key covers the compressed
+// payload, about 7× smaller than the floats it decodes to, so it is cheap
+// next to the decode. A compress key would cover the raw chunk, and keying
+// a raw chunk (2.6 GB/s measured) ran slower than compressing it (3.0
+// GB/s), so compress never consults the cache.
 //
 // Design constraints, in the order they shaped the code:
 //
@@ -52,12 +57,9 @@ type Key [32]byte
 
 // Meta rides along with a cached value.
 type Meta struct {
-	// Eps is the resolved absolute error bound the value was produced
-	// under (compress direction; informational elsewhere).
-	Eps float64
-	// SavedBytes is the codec input volume a hit avoids re-processing —
-	// raw bytes on the compress direction, compressed payload bytes on
-	// the decompress direction. Summed into the bytes-saved counter.
+	// SavedBytes is the codec input volume a hit avoids re-processing: the
+	// compressed payload bytes of a decoded frame. Summed into the
+	// bytes-saved counter.
 	SavedBytes int64
 }
 

@@ -42,7 +42,7 @@ func TestMissCompleteHit(t *testing.T) {
 		t.Fatalf("first Get outcome = %v, want Miss", h.Outcome())
 	}
 	want := val(1, 128)
-	h.Complete(want, Meta{Eps: 0.5, SavedBytes: 4096})
+	h.Complete(want, Meta{SavedBytes: 4096})
 
 	h2, err := c.Get(k)
 	if err != nil {
@@ -54,7 +54,7 @@ func TestMissCompleteHit(t *testing.T) {
 	if !bytes.Equal(h2.Bytes(), want) {
 		t.Fatalf("hit bytes differ from completed value")
 	}
-	if m := h2.Meta(); m.Eps != 0.5 || m.SavedBytes != 4096 {
+	if m := h2.Meta(); m.SavedBytes != 4096 {
 		t.Fatalf("hit meta = %+v", m)
 	}
 	h2.Release()

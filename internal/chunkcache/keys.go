@@ -6,40 +6,36 @@ import (
 )
 
 // Canonical key layouts. The serving tier (internal/server) addresses
-// cache entries with these preambles, and the cluster tier
-// (internal/cluster) routes requests by the same digests — consistent
-// hashing over the identical key family concentrates identical chunks on
-// the node whose cache already holds them, so cluster-wide repeat traffic
-// turns into warm single-node hits. Keeping the layout here, next to the
-// Key type, is what makes "routing and cache keys agree" a property of
-// the code rather than a convention between two packages.
+// decoded frames with the decompress preamble, and the cluster tier
+// (internal/cluster) routes decompress requests by the same digest, so a
+// repeated frame lands on the node whose cache already holds it. Keeping
+// the layout here, next to the Key type, is what makes "routing and cache
+// keys agree" a property of the code rather than a convention between two
+// packages.
 const (
 	// KeyVersion guards against silently reusing entries (or routing
 	// affinity assumptions) across key-schema changes. Version 2 is the
 	// sixteen-lane tree of hasher.go with the block length canonicalised;
 	// version 1 was one SHA-256 over preamble ‖ data.
 	KeyVersion = 2
-	// NSCompress namespaces raw-chunk → CSZF-frame entries.
+	// NSCompress namespaces raw-chunk keys (AppendCompressPreamble).
 	NSCompress = 1
 	// NSDecompress namespaces CSZF-frame-payload → raw-bytes entries.
 	NSDecompress = 2
 
 	// defaultBlockLen is the block length the codec uses when a request
-	// names none (core.DefaultBlockLen; internal/server's tests hold the two
-	// together).
+	// names none (core.DefaultBlockLen).
 	defaultBlockLen = 32
 )
 
 // AppendCompressPreamble appends the compress-direction key preamble:
-// every parameter that shapes the frame bytes. elem is the wire element
-// tag (0 = f32, 1 = f64); abs selects the absolute-bound mode; eps is the
-// bound value (ε for ABS, λ for REL — a REL bound is keyed by λ, since
-// its resolution to an ε is a deterministic function of the chunk bytes
-// the digest already pins down); blockLen is the CereSZ block length, 0
-// meaning the codec default and keyed as that default, so that the two
-// spellings of one frame share one entry and one ring position. Worker
-// count is deliberately absent — the host codec is byte-identical at every
-// parallelism level.
+// every parameter that shapes a frame's bytes. No tier keys compress
+// traffic — keying a raw chunk costs more than compressing it — so this
+// layout only defines the raw-chunk key whose rate the benchmark measures
+// against the codec's. elem is the wire element tag (0 = f32, 1 = f64);
+// abs selects the absolute-bound mode; eps is the bound value (ε for ABS,
+// λ for REL); blockLen is the CereSZ block length, 0 meaning the codec
+// default and keyed as that default.
 func AppendCompressPreamble(pre []byte, elem byte, abs bool, eps float64, blockLen int) []byte {
 	mode := byte(0)
 	if abs {

@@ -1,12 +1,15 @@
 // Package keytest holds a handful of HTTP requests together with the cache
 // key each must produce, committed as known answers. Three tests read it:
-// internal/chunkcache derives the keys from the key definition on every
-// kernel set, internal/server serves the requests and looks the keys up in
-// its cache, internal/cluster asks the proxy's routing function for them.
-// While all three pass, the backend's cache key and the proxy's routing
-// digest for one request are the same 32 bytes, and a change to the key
-// definition cannot land in one tier without the others. Only tests import
-// this package; it imports nothing of the module, so any of them can.
+// internal/chunkcache derives every key from the key definition on every
+// kernel set; internal/server serves the decompress requests and looks
+// their keys up in its cache; internal/cluster asks the proxy's routing
+// function for the same keys. While all three pass, the backend's cache key
+// and the proxy's routing digest for one decompress request are the same
+// 32 bytes, and a change to the key definition cannot land in one tier
+// without the others. The compress rows pin the raw-chunk key layout that
+// no tier keys traffic with but whose rate the benchmark measures. Only
+// tests import this package; it imports nothing of the module, so any of
+// them can.
 package keytest
 
 import (
@@ -16,9 +19,9 @@ import (
 	"math"
 )
 
-// Request is one POST and the key of the first thing in it a tier keys: the
-// first chunk of a compress body, the first frame payload of a decompress
-// body, or — for what the proxy cannot parse — the whole body.
+// Request is one POST and the key of the first thing in it the key layout
+// covers: the first chunk of a compress body, or the first frame payload of
+// a decompress body.
 type Request struct {
 	Name  string
 	Path  string // "/v1/compress", "/v1/decompress", "/v1/bundle"
@@ -44,8 +47,8 @@ var frame32 []byte
 //go:embed frame64.cszf
 var frame64 []byte
 
-// Requests returns the known answers. Both tiers are configured with their
-// defaults: 64 Ki elements per chunk, the codec's block length.
+// Requests returns the known answers. A compress row's first chunk is cut
+// at cereszd's default of 64 Ki elements unless its query says otherwise.
 func Requests() []Request {
 	f32 := floats32(80_000, 1) // 320 000 B: one full 256 KiB chunk and a partial one
 	f64 := floats64(2_500, 2)  // chunk=1000: 8000-byte chunks, seven blocks per lane and an 832-byte tail
@@ -84,24 +87,6 @@ func Requests() []Request {
 			Preamble: []byte{2, 2, 1},
 			Data:     frame64[8:],
 			Key:      key("9bf8f32dcf7428cb3d5064191f6dff530f1caf2bcd38a2e0a1c344c74d9d40e6"),
-		},
-		// The proxy's private namespace 0, for requests it routes without
-		// cache affinity: a bundle, and a compress request the backend will
-		// refuse (no eps). The third preamble byte is the proxy's endpoint
-		// number.
-		{
-			Name: "fallback/bundle", Path: "/v1/bundle", Query: "eps=0.001",
-			Body:     f64,
-			Preamble: []byte{2, 0, 2},
-			Data:     f64,
-			Key:      key("1fd0831183e5e9c136971d1970bc03bb8d78fff1633df50331079847220cb619"),
-		},
-		{
-			Name: "fallback/unparsable-compress", Path: "/v1/compress", Query: "mode=abs",
-			Body:     f32[:3000],
-			Preamble: []byte{2, 0, 0},
-			Data:     f32[:3000],
-			Key:      key("d575fb8b9face04f5b51901ca76b9611644fc08fb5e78188253b473dd97de232"),
 		},
 	}
 }

@@ -73,9 +73,6 @@ type HealthConfig struct {
 	// FailAfter is the consecutive-failure count that declares a backend
 	// dead (0 = 3).
 	FailAfter int
-	// Client issues the probes (nil = a fresh http.Client; the proxy
-	// passes its own transport so probes share connection pools).
-	Client *http.Client
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
@@ -84,9 +81,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 3
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	return c
 }
@@ -107,6 +101,7 @@ type backendHealth struct {
 // Stop halts the pollers (idempotent).
 type Checker struct {
 	cfg      HealthConfig
+	client   *http.Client // issues the probes
 	backends []*backendHealth
 	// onChange runs after any state transition (under no locks); the
 	// proxy rebuilds its ring here.
@@ -119,13 +114,14 @@ type Checker struct {
 	probes  atomic.Int64 // total probes issued, for tests and /debug/ring
 }
 
-// newChecker builds a checker over urls. Backends start Healthy so a
-// proxy serves immediately; the first probe round corrects any that are
-// not (callers wanting strict start-up gating can probe once before
-// serving).
-func newChecker(urls []string, cfg HealthConfig, onChange func()) *Checker {
+// newChecker builds a checker over urls that probes through client.
+// Backends start Healthy so a proxy serves immediately; the first probe
+// round corrects any that are not (callers wanting strict start-up gating
+// can probe once before serving).
+func newChecker(urls []string, cfg HealthConfig, client *http.Client, onChange func()) *Checker {
 	c := &Checker{
 		cfg:      cfg.withDefaults(),
+		client:   client,
 		onChange: onChange,
 		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
@@ -242,7 +238,7 @@ func (c *Checker) probe(i int) {
 		c.fail(i, err)
 		return
 	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		c.fail(i, err)
 		return

@@ -78,7 +78,7 @@ func TestCheckerProbeTransitions(t *testing.T) {
 	defer ts.Close()
 
 	rec := newChangeRecorder()
-	c := newChecker([]string{ts.URL}, HealthConfig{Interval: 10 * time.Millisecond, FailAfter: 2}, rec.fire)
+	c := newChecker([]string{ts.URL}, HealthConfig{Interval: 10 * time.Millisecond, FailAfter: 2}, http.DefaultClient, rec.fire)
 	c.Start()
 	defer c.Stop()
 
@@ -111,7 +111,7 @@ func TestCheckerDeadAfterConsecutiveFailures(t *testing.T) {
 	ts := httptest.NewServer(stub)
 
 	rec := newChangeRecorder()
-	c := newChecker([]string{ts.URL}, HealthConfig{Interval: 10 * time.Millisecond, FailAfter: 2}, rec.fire)
+	c := newChecker([]string{ts.URL}, HealthConfig{Interval: 10 * time.Millisecond, FailAfter: 2}, http.DefaultClient, rec.fire)
 	c.Start()
 	defer c.Stop()
 	waitFor(t, "healthy", func() bool { return c.probes.Load() >= 1 && c.State(0) == StateHealthy })
@@ -129,7 +129,7 @@ func TestCheckerTrafficPathReports(t *testing.T) {
 	// No poll loop at all: the traffic path alone must be able to kill
 	// and revive a backend.
 	rec := newChangeRecorder()
-	c := newChecker([]string{"http://127.0.0.1:1"}, HealthConfig{FailAfter: 3}, rec.fire)
+	c := newChecker([]string{"http://127.0.0.1:1"}, HealthConfig{FailAfter: 3}, http.DefaultClient, rec.fire)
 
 	err := errors.New("connection refused")
 	c.ReportFailure(0, err)
@@ -157,7 +157,7 @@ func TestCheckerTrafficPathReports(t *testing.T) {
 
 func TestCheckerSuccessDoesNotUpgradeUnready(t *testing.T) {
 	rec := newChangeRecorder()
-	c := newChecker([]string{"http://127.0.0.1:1"}, HealthConfig{FailAfter: 1}, rec.fire)
+	c := newChecker([]string{"http://127.0.0.1:1"}, HealthConfig{FailAfter: 1}, http.DefaultClient, rec.fire)
 	c.setState(0, StateUnready)
 	// A draining backend still answers in-flight requests; success must
 	// not override its own "stop routing to me" declaration.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,23 +60,17 @@ type Config struct {
 	// buffer and failover is refused once unbuffered bytes have been
 	// forwarded (0 = 4 MiB).
 	ReplayBytes int
-	// ChunkElems is the compress-side routing chunk when the request
-	// does not pass ?chunk= — must match the backends' -chunk for
-	// digest/cache-key agreement (0 = 64 Ki).
+	// ChunkElems is ignored: compress requests route without being read.
+	// It stays until its last caller, the benchmark harness, stops
+	// setting it.
 	ChunkElems int
-	// BlockLen mirrors the backends' -block flag into the routing digest
-	// (0 = the codec default, matching cereszd's own default).
-	BlockLen int
 	// RetryAfter is the hint sent with proxy-origin 429/503 (0 = 1s).
 	// Backend-origin 429s pass through with the backend's own hint.
 	RetryAfter time.Duration
-	// RandomRoute replaces digest routing with per-request random owner
-	// selection — the affinity-off baseline for benchmarks; failover
+	// RandomRoute routes decompress requests to a random point of the
+	// ring too, instead of by digest — the affinity-off baseline; failover
 	// semantics are unchanged.
 	RandomRoute bool
-	// Transport issues backend requests (nil = a pooled clone of
-	// http.DefaultTransport sized to Workers).
-	Transport http.RoundTripper
 	// Registry receives the proxy's instruments (nil = telemetry.Default).
 	Registry *telemetry.Registry
 	// RollupInterval / Objectives are the spine's fleet-health layer, as
@@ -94,20 +89,8 @@ func (c Config) withDefaults() Config {
 	if c.ReplayBytes <= 0 {
 		c.ReplayBytes = 4 << 20
 	}
-	if c.ChunkElems <= 0 {
-		c.ChunkElems = 64 << 10
-	}
 	if c.Registry == nil {
 		c.Registry = telemetry.Default
-	}
-	if c.Transport == nil {
-		t := http.DefaultTransport.(*http.Transport).Clone()
-		t.MaxIdleConnsPerHost = c.Workers
-		if t.MaxIdleConns < c.Workers {
-			t.MaxIdleConns = c.Workers
-		}
-		t.IdleConnTimeout = 90 * time.Second
-		c.Transport = t
 	}
 	return c
 }
@@ -133,7 +116,10 @@ type Proxy struct {
 	cfg      Config
 	backends []*backend
 	checker  *Checker
-	ring     atomic.Pointer[Ring]
+	// transport relays to the backends and carries the health probes: a
+	// pooled clone of http.DefaultTransport sized to Config.Workers.
+	transport *http.Transport
+	ring      atomic.Pointer[Ring]
 	// generation counts ring rebuilds; /debug/ring reports it so tests
 	// and operators see churn.
 	generation atomic.Int64
@@ -164,8 +150,13 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, errors.New("cluster: no backends configured")
 	}
 	reg := cfg.Registry
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = cfg.Workers
+	t.MaxIdleConns = max(t.MaxIdleConns, cfg.Workers)
+	t.IdleConnTimeout = 90 * time.Second
 	p := &Proxy{
 		cfg:          cfg,
+		transport:    t,
 		sem:          make(chan struct{}, cfg.Workers),
 		ringRebuilds: reg.Counter("proxy.ring_rebuilds"),
 		failover:     reg.Counter("proxy.failover"),
@@ -209,15 +200,11 @@ func New(cfg Config) (*Proxy, error) {
 		}
 		p.backends = append(p.backends, b)
 	}
-	hc := cfg.Health
-	if hc.Client == nil {
-		hc.Client = &http.Client{Transport: cfg.Transport}
-	}
 	urls := make([]string, len(p.backends))
 	for i, b := range p.backends {
 		urls[i] = b.name
 	}
-	p.checker = newChecker(urls, hc, p.rebuild)
+	p.checker = newChecker(urls, cfg.Health, &http.Client{Transport: t}, p.rebuild)
 	p.hashers.New = func() any { return chunkcache.NewHasher() }
 	p.bufs.New = func() any {
 		b := make([]byte, 0, cfg.ReplayBytes+1)
@@ -324,8 +311,8 @@ func endpointOf(path string) int {
 	return slices.Index(spine.Endpoints[:], name)
 }
 
-// serveProxy is the shard router: bounded admission, digest routing,
-// streaming forward with bounded failover.
+// serveProxy is the shard router: bounded admission, decompress digest
+// routing, streaming forward with bounded failover.
 func (p *Proxy) serveProxy(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	ep := endpointOf(r.URL.Path)
@@ -431,7 +418,7 @@ func namedByConnection(conn []string, k string) bool {
 	return false
 }
 
-// forward buffers the routing prefix, resolves the ring owner(s) and
+// forward buffers the replay prefix, resolves the ring owner(s) and
 // relays the request, failing over once when the body is replayable.
 // The status relayed (or originated) is left in w.Status.
 func (p *Proxy) forward(w *spine.Writer, r *http.Request, ep int) {
@@ -444,14 +431,13 @@ func (p *Proxy) forward(w *spine.Writer, r *http.Request, ep int) {
 	}
 	w.Streaming = !fullyBuffered
 
-	key := p.routeKey(ep, r.URL.Query(), prefix)
-	ring := p.ring.Load()
-	var owners []int
-	if p.cfg.RandomRoute {
-		owners = randomOwners(ring, 1+failoverRetries)
-	} else {
-		owners = ring.Owners(key, 1+failoverRetries)
+	key, ok := p.routeKey(ep, r.URL.Query(), prefix)
+	if !ok {
+		// An unkeyed request lands on a random point of the weighted ring,
+		// so a degraded backend's quarter weight sheds its share here too.
+		binary.BigEndian.PutUint64(key[:8], rand.Uint64())
 	}
+	owners := p.ring.Load().Owners(key, 1+failoverRetries)
 	if len(owners) == 0 {
 		spine.Refuse(w, http.StatusServiceUnavailable, p.cfg.RetryAfter, "proxy: no routable backends")
 		return
@@ -510,7 +496,7 @@ func (p *Proxy) attempt(w *spine.Writer, r *http.Request, ep, bi int, prefix []b
 		req.ContentLength = r.ContentLength // -1 streams chunked
 	}
 
-	resp, err := p.cfg.Transport.RoundTrip(req)
+	resp, err := p.transport.RoundTrip(req)
 	if err != nil {
 		*lastErr = err
 		b.failures.Add(1)
@@ -590,57 +576,29 @@ func readPrefix(r io.Reader, buf []byte) (prefix []byte, fullyBuffered bool, err
 	}
 }
 
-// routeKey derives the routing digest for one request. Compress and
-// decompress requests hash their first chunk under the exact
-// internal/chunkcache key layout and key definition (Hasher.Key) the
-// backends address entries with, so a chunk's route and its cache key
-// agree and repeats land on the node already holding them. Unparsable
-// requests (the backend will 400 them) and bundles hash the raw prefix
-// under a proxy-private namespace — still deterministic, just without
-// cache affinity.
-func (p *Proxy) routeKey(ep int, q url.Values, prefix []byte) chunkcache.Key {
+// routeKey derives the ring key of a decompress request: its first
+// frame's payload under the exact internal/chunkcache key layout and key
+// definition (Hasher.Key) the backends address decoded frames with, so a
+// frame's route and its cache key agree and repeats land on the node
+// already holding them. ok is false for everything else — compress and
+// bundle requests, a decompress request whose elem or first frame the
+// proxy cannot read, and every request under RandomRoute — which forward
+// places at a random point of the ring: no backend caches compress
+// output, and keying a raw chunk would cost more than the backend spends
+// compressing it.
+func (p *Proxy) routeKey(ep int, q url.Values, prefix []byte) (key chunkcache.Key, ok bool) {
+	if ep != spine.Decompress || p.cfg.RandomRoute {
+		return key, false
+	}
+	elem, err := spine.ParseElem(q.Get("elem"))
+	if err != nil {
+		return key, false
+	}
+	payload, ok := cszf.FirstPayload(prefix)
+	if !ok {
+		return key, false
+	}
 	h := p.hashers.Get().(*chunkcache.Hasher)
 	defer p.hashers.Put(h)
-	switch ep {
-	case spine.Compress:
-		if cp, err := spine.ParseCompress(q, p.cfg.ChunkElems, p.cfg.BlockLen); err == nil {
-			// The first chunk, or all of a shorter prefix; compared in
-			// elements, since a chunk's byte count can overflow.
-			chunk := prefix
-			if size := cp.Elem.Size(); cp.ChunkElems <= len(prefix)/size {
-				chunk = prefix[:cp.ChunkElems*size]
-			}
-			return h.Key(cp.AppendPreamble(h.Preamble()), chunk)
-		}
-	case spine.Decompress:
-		if elem, err := spine.ParseElem(q.Get("elem")); err == nil {
-			if payload, ok := cszf.FirstPayload(prefix); ok {
-				return h.Key(chunkcache.AppendDecompressPreamble(h.Preamble(), elem == spine.F64), payload)
-			}
-		}
-	}
-	// Fallback namespace 0: never used by the cache, so a fallback digest
-	// can't collide with an affinity digest for different bytes.
-	pre := append(h.Preamble(), chunkcache.KeyVersion, 0, byte(ep))
-	return h.Key(pre, prefix)
-}
-
-// randomOwners picks up to n distinct ring members uniformly — the
-// affinity-off baseline (RandomRoute).
-func randomOwners(r *Ring, n int) []int {
-	members := r.Members()
-	if len(members) == 0 {
-		return nil
-	}
-	if n > len(members) {
-		n = len(members)
-	}
-	out := make([]int, len(members))
-	copy(out, members)
-	// Partial Fisher-Yates over the member list.
-	for i := 0; i < n; i++ {
-		j := i + rand.IntN(len(out)-i)
-		out[i], out[j] = out[j], out[i]
-	}
-	return out[:n]
+	return h.Key(chunkcache.AppendDecompressPreamble(h.Preamble(), elem == spine.F64), payload), true
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"ceresz"
 	"ceresz/internal/chunkcache"
 	"ceresz/internal/chunkcache/keytest"
 	"ceresz/internal/cszf"
@@ -80,11 +81,36 @@ func rawF32Body(n int, seed float32) []byte {
 	return out
 }
 
+// framedBody is the CSZF stream a backend answers compressQuery with for
+// rawF32Body(n, seed).
+func framedBody(t *testing.T, n int, seed float32) []byte {
+	t.Helper()
+	raw := rawF32Body(n, seed)
+	vals := make([]float32, n)
+	for i := range vals {
+		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	var buf bytes.Buffer
+	sw := ceresz.NewStreamWriter(&buf, ceresz.ABS(0.001), ceresz.Options{})
+	for at := 0; at < n; at += 16384 {
+		if _, err := sw.WriteChunk(vals[at:min(at+16384, n)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
 const compressQuery = "/v1/compress?mode=abs&eps=0.001&elem=f32&chunk=16384"
 
 func postCompress(t *testing.T, base string, body []byte, hdr map[string]string) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, base+compressQuery, bytes.NewReader(body))
+	return postTo(t, base+compressQuery, body, hdr)
+}
+
+// postTo POSTs body to url with the extra headers hdr.
+func postTo(t *testing.T, url string, body []byte, hdr map[string]string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +125,18 @@ func postCompress(t *testing.T, base string, body []byte, hdr map[string]string)
 	return resp
 }
 
-// Digest affinity: the same chunk must route to the same backend every
+// readAll drains and closes resp's body, failing unless the status is 200.
+func readAll(t *testing.T, resp *http.Response) []byte {
+	t.Helper()
+	out, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, read error %v: %s", resp.StatusCode, err, out)
+	}
+	return out
+}
+
+// Digest affinity: the same frame must route to the same backend every
 // time — that is what turns cluster-wide repeats into single-node warm
 // cache hits.
 func TestProxyDigestAffinity(t *testing.T) {
@@ -107,15 +144,10 @@ func TestProxyDigestAffinity(t *testing.T) {
 	tsB, cbB := newRealBackend(t)
 	_, pts, _ := newTestProxy(t, Config{Backends: []string{tsA.URL, tsB.URL}})
 
-	body := rawF32Body(32<<10, 1)
+	framed := framedBody(t, 32<<10, 1)
 	const rounds = 8
-	for i := 0; i < rounds; i++ {
-		resp := postCompress(t, pts.URL, body, nil)
-		out, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("round %d: status %d: %s", i, resp.StatusCode, out)
-		}
+	for range rounds {
+		readAll(t, postTo(t, pts.URL+"/v1/decompress", framed, nil))
 	}
 	a, b := cbA.hits.Load(), cbB.hits.Load()
 	if a+b != rounds {
@@ -123,6 +155,85 @@ func TestProxyDigestAffinity(t *testing.T) {
 	}
 	if a != 0 && b != 0 {
 		t.Fatalf("identical payload split across backends (%d/%d) — digest affinity broken", a, b)
+	}
+}
+
+// Compress and bundle requests carry no routing key: the proxy reads
+// neither body, and sends every one to a random point of the ring, so
+// identical requests spread across the backends while decompress repeats
+// stay with their digest's owner.
+func TestProxyRoutesUnkeyedRequestsAtRandom(t *testing.T) {
+	tsA, cbA := newRealBackend(t)
+	tsB, cbB := newRealBackend(t)
+	p, pts, _ := newTestProxy(t, Config{Backends: []string{tsA.URL, tsB.URL}})
+
+	raw := rawF32Body(4<<10, 4)
+	bundle, err := cszf.AppendManifest(nil, []cszf.FieldSpec{{Name: "f", Dims: [3]int{4 << 10}, Eps: 0.001}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle = append(bundle, raw...)
+	framed := framedBody(t, 4<<10, 4)
+	for _, tc := range []struct {
+		ep     int
+		path   string
+		body   []byte
+		keyed  bool
+		owners int
+	}{
+		{spine.Compress, compressQuery, raw, false, 2},
+		{spine.Bundle, "/v1/bundle", bundle, false, 2},
+		{spine.Decompress, "/v1/decompress", framed, true, 1},
+	} {
+		if _, keyed := p.routeKey(tc.ep, url.Values{}, tc.body); keyed != tc.keyed {
+			t.Errorf("%s: routeKey keyed %v, want %v", tc.path, keyed, tc.keyed)
+		}
+		a0, b0 := cbA.hits.Load(), cbB.hits.Load()
+		// 24 requests all land on one of two backends with probability
+		// near 2^-23 when routed at random over two near-equal ring arcs.
+		for range 24 {
+			readAll(t, postTo(t, pts.URL+tc.path, tc.body, nil))
+		}
+		owners := 0
+		for _, d := range []int64{cbA.hits.Load() - a0, cbB.hits.Load() - b0} {
+			if d > 0 {
+				owners++
+			}
+		}
+		if owners != tc.owners {
+			t.Errorf("%s: 24 identical requests reached %d backends, want %d", tc.path, owners, tc.owners)
+		}
+	}
+}
+
+// Unkeyed requests start at a random point of the weighted ring, so a
+// degraded backend's quarter weight sheds its share of compress traffic,
+// not only of decompress traffic: it receives about its arc's share, well
+// under the even split a pick among members would give it.
+func TestProxyUnkeyedRoutingHonoursDegradedWeight(t *testing.T) {
+	tsA, cbA := newRealBackend(t)
+	tsB, cbB := newRealBackend(t)
+	p, pts, _ := newTestProxy(t, Config{Backends: []string{tsA.URL, tsB.URL}})
+	p.checker.setState(1, StateDegraded)
+	p.rebuild()
+	arc := p.Ring().Shares()[1]
+	if arc <= 0 || arc >= 0.4 {
+		t.Fatalf("degraded backend owns %.3f of the ring, want a reduced but non-zero share", arc)
+	}
+
+	const n = 200
+	raw := rawF32Body(1<<10, 6)
+	for range n {
+		readAll(t, postCompress(t, pts.URL, raw, nil))
+	}
+	a, b := cbA.hits.Load(), cbB.hits.Load()
+	if a+b != n {
+		t.Fatalf("backends saw %d+%d requests, want %d", a, b, n)
+	}
+	// Midway between the arc's share and the even split 1/2: each side is
+	// several standard deviations of a 200-request binomial away.
+	if got, limit := float64(b)/n, (arc+0.5)/2; got >= limit {
+		t.Fatalf("degraded backend took %.3f of compress requests (arc %.3f), want under %.3f", got, arc, limit)
 	}
 }
 
@@ -192,13 +303,8 @@ func TestProxyFailoverOnDeadBackend(t *testing.T) {
 	tsB, cbB := newRealBackend(t)
 	_, pts, reg := newTestProxy(t, Config{Backends: []string{tsA.URL, tsB.URL}})
 
-	body := rawF32Body(32<<10, 2)
-	resp := postCompress(t, pts.URL, body, nil)
-	want, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm request failed: %d", resp.StatusCode)
-	}
+	framed := framedBody(t, 32<<10, 2)
+	want := readAll(t, postTo(t, pts.URL+"/v1/decompress", framed, nil))
 
 	// Kill whichever backend owns this digest.
 	if cbA.hits.Load() > 0 {
@@ -208,14 +314,14 @@ func TestProxyFailoverOnDeadBackend(t *testing.T) {
 	}
 	beforeTotal := cbA.hits.Load() + cbB.hits.Load()
 
-	resp = postCompress(t, pts.URL, body, nil)
+	resp := postTo(t, pts.URL+"/v1/decompress", framed, nil)
 	got, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after owner death: status %d, want 200 (transparent failover): %s", resp.StatusCode, got)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("failover answer differs from the original compressed stream")
+		t.Fatal("failover answer differs from the original decompressed floats")
 	}
 	if cbA.hits.Load()+cbB.hits.Load() != beforeTotal+1 {
 		t.Fatal("surviving backend did not receive exactly one forwarded request")
@@ -223,7 +329,7 @@ func TestProxyFailoverOnDeadBackend(t *testing.T) {
 	if got := reg.Counter("proxy.failover").Value(); got != 1 {
 		t.Fatalf("proxy.failover = %d, want 1", got)
 	}
-	if got := reg.Counter("proxy.compress.status_5xx").Value(); got != 0 {
+	if got := reg.Counter("proxy.decompress.status_5xx").Value(); got != 0 {
 		t.Fatalf("client-visible 5xx count = %d, want 0", got)
 	}
 }
@@ -255,17 +361,17 @@ func TestProxyPartialForwardRefusesRetry(t *testing.T) {
 		ReplayBytes: 64 << 10,
 	})
 
-	// Find a payload the killer owns. Routing is deterministic, so
-	// ownership is computed through the proxy's own ring rather than by
-	// probing with live requests.
-	q, err := url.ParseQuery(strings.SplitN(compressQuery, "?", 2)[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Find a decompress body the killer owns: a first frame the route is
+	// keyed by, then 4 MiB more. Routing is deterministic, so ownership is
+	// computed through the proxy's own ring rather than by probing with
+	// live requests.
 	var body []byte
 	for seed := float32(0); ; seed++ {
-		body = rawF32Body(1<<20, seed) // 4 MiB
-		key := p.routeKey(spine.Compress, q, body[:64<<10])
+		body = append(framedBody(t, 1024, seed), make([]byte, 4<<20)...)
+		key, ok := p.routeKey(spine.Decompress, url.Values{}, body[:64<<10])
+		if !ok {
+			t.Fatal("decompress request not keyed by its first frame")
+		}
 		if p.Ring().Owner(key) == 0 {
 			break
 		}
@@ -274,7 +380,7 @@ func TestProxyPartialForwardRefusesRetry(t *testing.T) {
 		}
 	}
 
-	resp := postCompress(t, pts.URL, body, nil)
+	resp := postTo(t, pts.URL+"/v1/decompress", body, nil)
 	msg, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadGateway {
@@ -688,44 +794,24 @@ func TestParseObjectivesBindsProxyInstruments(t *testing.T) {
 }
 
 // TestRouteKeysAreTheCommittedKeys is the proxy's third of the cross-tier
-// pin (package keytest): routeKey, given each committed request's query and
-// body as serveProxy would hand them over, returns exactly the committed
-// Key — the 32 bytes internal/server's test finds the request's first chunk
-// cached under. It runs on the AVX-512 and the purego build alike (CI lists
-// this package under both), so the pin holds on both kernel sets.
+// pin (package keytest): routeKey, given each committed decompress
+// request's query and body as serveProxy would hand them over, returns
+// exactly the committed Key — the 32 bytes internal/server's test finds the
+// request's first frame cached under. It runs on the AVX-512 and the purego
+// build alike (CI lists this package under both), so the pin holds on both
+// kernel sets.
 func TestRouteKeysAreTheCommittedKeys(t *testing.T) {
 	p, _, _ := newTestProxy(t, Config{Backends: []string{"http://a.invalid", "http://b.invalid"}})
 	for _, r := range keytest.Requests() {
+		if r.Path != "/v1/decompress" {
+			continue // compress is never keyed: its rows pin chunkcache's own layout
+		}
 		q, err := url.ParseQuery(r.Query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.routeKey(endpointOf(r.Path), q, r.Body); got != chunkcache.Key(r.Key) {
-			t.Errorf("%s: routeKey %x, committed key %x", r.Name, got, r.Key)
-		}
-	}
-}
-
-// TestRouteKeyDefaultBlockLenHasOneSpelling: the default block length,
-// left out or written out, in the request or in the proxy's own -block
-// mirror, is one frame on the backends and must be one ring position.
-func TestRouteKeyDefaultBlockLenHasOneSpelling(t *testing.T) {
-	body := rawF32Body(64<<10, 3)
-	backends := []string{"http://a.invalid", "http://b.invalid", "http://c.invalid"}
-	var keys []chunkcache.Key
-	for _, cfgBlock := range []int{0, 32} {
-		p, _, _ := newTestProxy(t, Config{Backends: backends, BlockLen: cfgBlock})
-		for _, query := range []string{"eps=0.001", "eps=0.001&block=32"} {
-			q, _ := url.ParseQuery(query)
-			k := p.routeKey(spine.Compress, q, body)
-			if len(keys) > 0 && (k != keys[0] || p.Ring().Owner(k) != p.Ring().Owner(keys[0])) {
-				t.Errorf("proxy BlockLen %d, %q: key %x, want the first spelling's %x and its owner", cfgBlock, query, k, keys[0])
-			}
-			keys = append(keys, k)
-		}
-		q, _ := url.ParseQuery("eps=0.001&block=64")
-		if p.routeKey(spine.Compress, q, body) == keys[0] {
-			t.Error("block=64 routes as the default block length")
+		if got, ok := p.routeKey(endpointOf(r.Path), q, r.Body); !ok || got != chunkcache.Key(r.Key) {
+			t.Errorf("%s: routeKey %x (keyed %v), committed key %x", r.Name, got, ok, r.Key)
 		}
 	}
 }

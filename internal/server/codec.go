@@ -26,9 +26,9 @@ type codec struct {
 	f32 []float32
 	f64 []float64
 	// raw is the wire image of the chunk in f32/f64 (package rawfloat): the
-	// bytes readChunk took off the request body and the compress-side cache
-	// key hashes, or the bytes a decompress handler is about to write. On a
-	// little-endian host it is the floats' own memory, not a second copy.
+	// bytes readChunk took off the request body, or the bytes a decompress
+	// handler is about to write. On a little-endian host it is the floats'
+	// own memory, not a second copy.
 	raw   []byte
 	frame []byte // CSZF frame under construction: 8-byte header + payload
 	stats ceresz.Stats
@@ -38,8 +38,9 @@ type codec struct {
 	// tr is the span of the request holding this codec, never nil: newCodec
 	// gives it an idle span of its own until admit hands it a request's.
 	tr *reqSpan
-	// hasher derives chunk-cache keys; per-codec so key derivation needs
-	// no locking and reuses one Hasher's state (zero allocations per key).
+	// hasher derives the chunk-cache keys of decompress frames; per-codec
+	// so key derivation needs no locking and reuses one Hasher's state
+	// (zero allocations per key).
 	hasher *chunkcache.Hasher
 }
 

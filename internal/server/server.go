@@ -76,11 +76,10 @@ type Config struct {
 	// CacheBytes is the content-addressed chunk cache's memory budget
 	// (value buffers plus per-entry overhead, and one spare buffer per
 	// shard beyond it). It also sizes the admission table, one slot per
-	// 4 KiB. 0 disables caching entirely —
-	// every chunk runs the codec, exactly the pre-cache behavior.
+	// 4 KiB. The cache serves decompress frames only; compress always
+	// runs the codec. 0 disables caching entirely — every frame is
+	// decoded, exactly the pre-cache behavior.
 	CacheBytes int64
-	// BlockLen overrides the CereSZ block length (0 = 32, the paper's).
-	BlockLen int
 	// Registry receives the server's instruments (nil = telemetry.Default).
 	Registry *telemetry.Registry
 	// TraceEvery samples 1-in-N requests into the span rings and the
@@ -168,8 +167,8 @@ type Server struct {
 	codecs chan *codec   // worker pool: free codec state
 	sem    chan struct{} // admission: executing + queued requests
 	tr     *tracer       // request spans, rings, access log
-	// cache memoizes per-chunk codec results (nil when Config.CacheBytes
-	// is 0 — the handlers then run the exact pre-cache code path).
+	// cache memoizes decoded frames (nil when Config.CacheBytes is 0 —
+	// decompress then runs the exact pre-cache code path).
 	cache *chunkcache.Cache
 	// gauges mirror state for /debug/metrics; functional state never
 	// lives in telemetry (a disabled registry makes gauges no-ops).
@@ -413,7 +412,7 @@ func writeError(w http.ResponseWriter, err error, reqID string) {
 // parseCompressParams reads a compress request's query before any body
 // byte is read, and holds its chunk to this server's limit.
 func (s *Server) parseCompressParams(r *http.Request) (spine.CompressParams, error) {
-	p, err := spine.ParseCompress(r.URL.Query(), s.cfg.ChunkElems, s.cfg.BlockLen)
+	p, err := spine.ParseCompress(r.URL.Query(), s.cfg.ChunkElems)
 	if err != nil {
 		return p, badRequest{err}
 	}
@@ -426,39 +425,23 @@ func (s *Server) parseCompressParams(r *http.Request) (spine.CompressParams, err
 // handleCompress streams CSZF frames for a raw little-endian float body:
 // each ?chunk= elements become one independently decodable frame, so the
 // client can pipe the response straight into a StreamReader (or to disk
-// next to StreamWriter output).
+// next to StreamWriter output). Every chunk runs the codec: keying a raw
+// chunk for the cache would cost more than compressing it.
 func (s *Server) handleCompress(c *codec, w http.ResponseWriter, r *http.Request) error {
 	p, err := s.parseCompressParams(r)
 	if err != nil {
 		return err
 	}
 	return s.stream(c, w, r, s.mCompress, "application/x-ceresz-frames", func(first bool) ([]byte, chunkcache.Handle, error) {
-		n, err := c.readChunk(&c.body, p)
-		if err != nil {
+		if _, err := c.readChunk(&c.body, p); err != nil {
 			return nil, chunkcache.Handle{}, err
 		}
-		frame, eps, h, err := s.cachedCompress(c, p, n)
-		if err == nil && first {
-			w.Header().Set("X-Ceresz-Eps", strconv.FormatFloat(eps, 'g', -1, 64))
-		}
-		return frame, h, err
-	})
-}
-
-// cachedCompress produces the CSZF frame of the n-byte chunk readChunk
-// left in the codec, through the cache. eps is the chunk's resolved error
-// bound, from live stats on a computed frame and from the entry's metadata
-// on a hit, so the X-Ceresz-Eps header is right even when the first chunk
-// never runs the codec. The key's preamble holds every parameter that
-// shapes the frame bytes; Workers is not one of them, because the host
-// codec is byte-identical at every worker count, so one entry serves all
-// parallelism levels.
-func (s *Server) cachedCompress(c *codec, p spine.CompressParams, n int) ([]byte, float64, chunkcache.Handle, error) {
-	frame, meta, h, err := s.cacheThrough(c, p.AppendPreamble(c.hasher.Preamble()), c.raw, func() ([]byte, chunkcache.Meta, error) {
 		frame, err := c.compress(p)
-		return frame, chunkcache.Meta{Eps: c.stats.Eps, SavedBytes: int64(n)}, err
+		if err == nil && first {
+			w.Header().Set("X-Ceresz-Eps", strconv.FormatFloat(c.stats.Eps, 'g', -1, 64))
+		}
+		return frame, chunkcache.Handle{}, err
 	})
-	return frame, meta.Eps, h, err
 }
 
 // handleDecompress inverts handleCompress: a CSZF framed body becomes raw
@@ -486,11 +469,7 @@ func (s *Server) nextDecoded(c *codec, elem spine.Elem) ([]byte, chunkcache.Hand
 		return nil, chunkcache.Handle{}, err // io.EOF included
 	}
 	pre := chunkcache.AppendDecompressPreamble(c.hasher.Preamble(), elem == spine.F64)
-	out, _, h, err := s.cacheThrough(c, pre, payload, func() ([]byte, chunkcache.Meta, error) {
-		out, err := c.decode(payload, elem)
-		return out, chunkcache.Meta{SavedBytes: int64(len(payload))}, err
-	})
-	return out, h, err
+	return s.cacheThrough(c, pre, payload, func() ([]byte, error) { return c.decode(payload, elem) })
 }
 
 // stream runs a streaming endpoint: next produces the response chunk by
@@ -539,16 +518,16 @@ func (s *Server) stream(c *codec, w http.ResponseWriter, r *http.Request, m *end
 	return nil
 }
 
-// cacheThrough produces one chunk's response bytes through the cache. A
-// chunk the cache has not seen before is only recorded (Admit) and
-// computed uncached, without paying for its key. A chunk seen before gets
+// cacheThrough produces one frame's response bytes through the cache. A
+// frame the cache has not seen before is only recorded (Admit) and
+// computed uncached, without paying for its key. A frame seen before gets
 // the value under the key of pre and data when one is resident (or being
 // computed by another request, whose result it waits for), else what
 // compute returns, published under that key. The handle pins cached bytes
 // until the caller Releases it, after writing them. Without a cache — or
-// when the computation this chunk waited for was aborted, a failure of
+// when the computation this frame waited for was aborted, a failure of
 // that request's input — it computes uncached. An error is never cached.
-func (s *Server) cacheThrough(c *codec, pre, data []byte, compute func() ([]byte, chunkcache.Meta, error)) ([]byte, chunkcache.Meta, chunkcache.Handle, error) {
+func (s *Server) cacheThrough(c *codec, pre, data []byte, compute func() ([]byte, error)) ([]byte, chunkcache.Handle, error) {
 	if s.cache == nil {
 		return uncached(compute)
 	}
@@ -565,22 +544,22 @@ func (s *Server) cacheThrough(c *codec, pre, data []byte, compute func() ([]byte
 	}
 	if h.Outcome() != chunkcache.Miss {
 		c.tr.cacheHits.Add(1)
-		return h.Bytes(), h.Meta(), h, nil
+		return h.Bytes(), h, nil
 	}
 	c.tr.cacheMisses.Add(1)
-	out, meta, err := compute()
+	out, err := compute()
 	if err != nil {
 		h.Abort()
-		return nil, meta, chunkcache.Handle{}, err
+		return nil, chunkcache.Handle{}, err
 	}
-	h.Complete(out, meta)
-	return out, meta, h, nil
+	h.Complete(out, chunkcache.Meta{SavedBytes: int64(len(data))})
+	return out, h, nil
 }
 
 // uncached runs compute with no cache entry behind its result.
-func uncached(compute func() ([]byte, chunkcache.Meta, error)) ([]byte, chunkcache.Meta, chunkcache.Handle, error) {
-	out, meta, err := compute()
-	return out, meta, chunkcache.Handle{}, err
+func uncached(compute func() ([]byte, error)) ([]byte, chunkcache.Handle, error) {
+	out, err := compute()
+	return out, chunkcache.Handle{}, err
 }
 
 // countingReader counts the bytes a streaming endpoint consumed and
@@ -651,8 +630,7 @@ func (s *Server) handleBundle(c *codec, w http.ResponseWriter, r *http.Request) 
 		c.tr.observe(stageRead, tr)
 		c.tr.bytesIn.Add(int64(n))
 		tc := time.Now()
-		opts := ceresz.Options{BlockLen: s.cfg.BlockLen}
-		if err := ec.addField(c, bw, spec.Name, dims, bound(abs, spec.Eps), opts); err != nil {
+		if err := ec.addField(c, bw, spec.Name, dims, bound(abs, spec.Eps), ceresz.Options{}); err != nil {
 			return badRequest{err}
 		}
 		c.tr.observe(stageCodec, tc)

@@ -6,12 +6,9 @@ import (
 	"math"
 	"net/url"
 	"strconv"
-
-	"ceresz/internal/chunkcache"
 )
 
-// Elem is a wire element type. Its values are chunkcache's preamble tags and
-// ceresz.Elem's.
+// Elem is a wire element type. Its values are ceresz.Elem's.
 type Elem byte
 
 // The wire element types.
@@ -77,14 +74,11 @@ type CompressParams struct {
 }
 
 // ParseCompress reads a /v1/compress query: eps (required), mode, elem,
-// chunk and block; chunkElems and blockLen stand in for an absent chunk and
-// block. It is the grammar's one reader: cereszd resolves its codec from
-// the result and keys its chunk cache with AppendPreamble, and cereszproxy
-// routes by the same preamble, so the two tiers cannot differ on what a
-// request means. A tier's own limits (cereszd's largest chunk) stay the
-// tier's to check.
-func ParseCompress(q url.Values, chunkElems, blockLen int) (CompressParams, error) {
-	p := CompressParams{ChunkElems: chunkElems, BlockLen: blockLen}
+// chunk and block; chunkElems stands in for an absent chunk, and an absent
+// block leaves the codec's default. It is the grammar's one reader;
+// cereszd's own limits (its largest chunk) stay cereszd's to check.
+func ParseCompress(q url.Values, chunkElems int) (CompressParams, error) {
+	p := CompressParams{ChunkElems: chunkElems}
 	epsStr := q.Get("eps")
 	if epsStr == "" {
 		return p, errors.New("missing required parameter eps")
@@ -119,10 +113,4 @@ func ParseCompress(q url.Values, chunkElems, blockLen int) (CompressParams, erro
 		p.BlockLen = n
 	}
 	return p, nil
-}
-
-// AppendPreamble appends the chunk-cache key preamble of the frames p
-// produces (chunkcache.AppendCompressPreamble).
-func (p CompressParams) AppendPreamble(pre []byte) []byte {
-	return chunkcache.AppendCompressPreamble(pre, byte(p.Elem), p.Abs, p.Eps, p.BlockLen)
 }

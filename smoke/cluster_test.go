@@ -24,7 +24,7 @@ func shares(before, after []map[string]float64) []share {
 	for i := range before {
 		d := func(name string) float64 { return after[i][name] - before[i][name] }
 		out[i] = share{
-			requests: d("ceresz_server_compress_requests"),
+			requests: d("ceresz_server_compress_requests") + d("ceresz_server_decompress_requests"),
 			hits:     d("ceresz_cache_hits") + d("ceresz_cache_coalesced"),
 			misses:   d("ceresz_cache_misses"),
 		}
@@ -59,9 +59,10 @@ func servers(run []share, field func(share) float64) int {
 }
 
 // TestClusterSmoke drives three cereszd backends behind a cereszproxy:
-// byte identity through the router, digest affinity against a random-route
-// baseline, failover with and without requests in flight, ring ejection,
-// tenant ids in the backends' logs, and a clean drain of every survivor.
+// byte identity through the router, decompress digest affinity against a
+// random-route baseline, compress spread, failover with and without
+// requests in flight, ring ejection, tenant ids in the backends' logs, and
+// a clean drain of every survivor.
 //
 // The router probes backends once a minute, so a backend killed at rest
 // stays on the ring until traffic finds it dead: the first request it owns
@@ -87,8 +88,8 @@ func TestClusterSmoke(t *testing.T) {
 	}
 
 	// The cluster-wide cache hit path serves identical bytes: every pass's
-	// requests route to the same backends, so the summed counters step
-	// through the three cache paths as one backend's would.
+	// decompress requests route to the same backends, so the summed
+	// counters step through the three cache paths as one backend's would.
 	smokePasses(t, c, func() map[string]float64 {
 		sum := map[string]float64{}
 		for _, m := range scrape() {
@@ -99,10 +100,12 @@ func TestClusterSmoke(t *testing.T) {
 		return sum
 	})
 
-	// Warm traffic under digest affinity: every repeat routes to the one
-	// backend that owns the shared payload's digest.
+	// Warm traffic under digest affinity: every client decompresses one
+	// shared framed payload, and every repeat routes to the one backend
+	// that owns its first frame's digest.
+	framed := shared(t, c, 256<<10, eps)
 	before := scrape()
-	load(t, c, 256<<10, 12, eps, 0.9, nil)
+	warmDecompress(t, c, framed, 12)
 	affinity := shares(before, scrape())
 	var served float64
 	for _, s := range affinity {
@@ -115,20 +118,22 @@ func TestClusterSmoke(t *testing.T) {
 		t.Errorf("affinity traffic hit the cache on %d backends, want the one owner: %+v", n, affinity)
 	}
 
-	// All-unique traffic, one fresh first-chunk digest per request, must
-	// reach every backend.
+	// Compress routes to a random ring point, so all-unique compress traffic
+	// must reach every backend.
 	before = scrape()
-	load(t, c, 64<<10, 8, 0.004, 0, nil)
+	load(t, c, 64<<10, 8, 0.004, nil)
 	if spread := shares(before, scrape()); servers(spread, func(s share) float64 { return s.requests }) != len(urls) {
 		t.Errorf("unique-payload traffic did not reach every backend: %+v", spread)
 	}
 
-	// The same warm traffic through a -random-route proxy, under another
-	// bound so it addresses a cold key space, spreads the repeats: digest
-	// affinity must beat it on hit rate.
+	// The same warm traffic through a -random-route proxy, on a payload
+	// compressed under another bound so it addresses a cold key space,
+	// spreads the repeats: digest affinity must beat it on hit rate.
 	rproxy := start(t, "cereszproxy", "-backends", strings.Join(urls, ","), "-random-route")
+	rc := newClient(rproxy.URL, "ci")
+	framed = shared(t, rc, 256<<10, 0.002)
 	before = scrape()
-	load(t, newClient(rproxy.URL, "ci"), 256<<10, 12, 0.002, 0.9, nil)
+	warmDecompress(t, rc, framed, 12)
 	random := shares(before, scrape())
 	rproxy.drain(t)
 	aff, rnd := hitRate(t, affinity), hitRate(t, random)
@@ -141,7 +146,7 @@ func TestClusterSmoke(t *testing.T) {
 	}
 
 	// Failover at rest: with nothing in flight, kill a backend, then send
-	// unique payloads until one it owned has failed over.
+	// unique payloads until one routed to it has failed over.
 	backends[2].kill()
 	failovers := func() float64 { return metrics(t, proxy.URL)["ceresz_proxy_failover"] }
 	data := synthData[float32](chunk, 3)
@@ -161,7 +166,7 @@ func TestClusterSmoke(t *testing.T) {
 	// Failover under load: kill a second backend with requests in flight.
 	// Every call still succeeds through the client's retries, and the only
 	// 5xx the proxy counts are the relays the kill cut mid-response.
-	load(t, c, 256<<10, 16, eps, 0.5, backends[1].kill)
+	load(t, c, 256<<10, 16, eps, backends[1].kill)
 	m := metrics(t, proxy.URL)
 	if m["ceresz_proxy_compress_status_5xx"] != m["ceresz_proxy_midstream_aborts"] {
 		t.Errorf("compress status_5xx %v, midstream aborts %v", m["ceresz_proxy_compress_status_5xx"], m["ceresz_proxy_midstream_aborts"])

@@ -41,8 +41,8 @@ func TestServeSmoke(t *testing.T) {
 	c := newClient(d.URL, "")
 
 	smokePasses(t, c, func() map[string]float64 { return metrics(t, d.URL) })
-	load(t, c, 256<<10, 8, eps, 0, nil)   // cold
-	load(t, c, 256<<10, 8, eps, 0.9, nil) // warm
+	load(t, c, 256<<10, 8, eps, nil)                    // cold
+	warmDecompress(t, c, shared(t, c, 256<<10, eps), 8) // warm
 
 	// RED coverage for every /v1/* endpoint: rate, errors, duration.
 	m := metrics(t, d.URL)
@@ -54,8 +54,9 @@ func TestServeSmoke(t *testing.T) {
 			}
 		}
 	}
-	// The traffic moved the serving counters; the repeats were answered
-	// from the chunk cache and the never-seen chunks were kept out of it.
+	// The traffic moved the serving counters; the repeated frames were
+	// answered from the chunk cache and first sightings were kept out of
+	// it.
 	for _, key := range []string{"ceresz_server_compress_requests", "ceresz_server_compress_chunks",
 		"ceresz_server_compress_latency_us_count", "ceresz_server_decompress_requests",
 		"ceresz_server_bundle_requests", "ceresz_cache_hits", "ceresz_cache_first_sightings",

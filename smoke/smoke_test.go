@@ -351,16 +351,12 @@ func stampUnique(data []float32) {
 	}
 }
 
-// load sends clients×requests compress calls of elems float32 elements
-// through c and fails the test if any call fails after the client's
-// retries. A repeat share of each client's calls, evenly interleaved,
-// resends one payload shared by all clients (warm traffic a caching backend
-// answers from memory); the rest carry never-seen chunks. midway, when
-// non-nil, runs once after half the calls have completed, with the others
-// still in flight.
-func load(t *testing.T, c *client.Client, elems, requests int, bound, repeat float64, midway func()) {
+// fanOut has each of clients goroutines w make requests calls of call(w)
+// and fails the test if any call fails after the client's retries. midway,
+// when non-nil, runs once after half the calls have completed, with the
+// others still in flight.
+func fanOut(t *testing.T, requests int, midway func(), call func(w int) error) {
 	t.Helper()
-	shared := synthData[float32](elems, 1)
 	var completed atomic.Int64
 	half := int64(clients * requests / 2)
 	errs := make([]error, clients)
@@ -369,14 +365,8 @@ func load(t *testing.T, c *client.Client, elems, requests int, bound, repeat flo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mine := synthData[float32](elems, int64(w))
 			for i := range requests {
-				data := shared
-				if int(float64(i+1)*repeat) == int(float64(i)*repeat) {
-					stampUnique(mine)
-					data = mine
-				}
-				if _, err := c.Compress(context.Background(), data, client.ABS(bound)); err != nil {
+				if err := call(w); err != nil {
 					errs[w] = fmt.Errorf("client %d request %d: %w", w, i, err)
 					return
 				}
@@ -390,4 +380,41 @@ func load(t *testing.T, c *client.Client, elems, requests int, bound, repeat flo
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// load sends clients×requests compress calls of elems never-seen float32
+// elements through c (see fanOut for midway).
+func load(t *testing.T, c *client.Client, elems, requests int, bound float64, midway func()) {
+	t.Helper()
+	mine := make([][]float32, clients)
+	for w := range mine {
+		mine[w] = synthData[float32](elems, int64(w))
+	}
+	fanOut(t, requests, midway, func(w int) error {
+		stampUnique(mine[w])
+		_, err := c.Compress(context.Background(), mine[w], client.ABS(bound))
+		return err
+	})
+}
+
+// shared is the framed stream of elems shared float32 elements under
+// bound, compressed through c: the payload warmDecompress repeats.
+func shared(t *testing.T, c *client.Client, elems int, bound float64) []byte {
+	t.Helper()
+	framed, err := c.Compress(context.Background(), synthData[float32](elems, 1), client.ABS(bound))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return framed
+}
+
+// warmDecompress has every client decompress framed requests times: warm
+// traffic, which a caching backend answers from memory once it has seen
+// each frame twice.
+func warmDecompress(t *testing.T, c *client.Client, framed []byte, requests int) {
+	t.Helper()
+	fanOut(t, requests, nil, func(int) error {
+		_, err := c.Decompress(context.Background(), framed)
+		return err
+	})
 }
