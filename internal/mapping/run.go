@@ -78,13 +78,13 @@ func (pp *peProgram) OnMessage(ctx *wse.Context, msg wse.Message) {
 		if !pp.isHead {
 			// Interior PEs relay raw traffic toward farther pipelines.
 			ctx.LabelSpan("relay")
-			ctx.Forward(wse.East, msg)
+			ctx.Forward(wse.East)
 			return
 		}
 		if pp.relayLeft > 0 {
 			pp.relayLeft--
 			ctx.LabelSpan("relay")
-			ctx.Forward(wse.East, msg)
+			ctx.Forward(wse.East)
 			return
 		}
 		pp.relayLeft = pp.relayInit

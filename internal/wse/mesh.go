@@ -1,9 +1,6 @@
 package wse
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Fabric timing and clock of the CS-2.
 const (
@@ -72,7 +69,7 @@ type Mesh struct {
 
 	// pending collects work scheduled before the event loops start: host
 	// injections, then everything the Init phase sends, as keys into the
-	// pre-run slab pre. Run hands them to the engines that simulate their
+	// pre-run slab pre. Run hands them to the shards that hold their
 	// destination rows.
 	pending   []evKey
 	pre       msgSlab
@@ -90,7 +87,7 @@ type Mesh struct {
 
 	shards  int
 	workers int
-	// shardEvents is the per-shard-engine processed-event count of the
+	// shardEvents is the per-shard processed-event count of the
 	// last Run (one entry for the sequential engine). Deterministic: it
 	// depends only on the partition, never on worker scheduling.
 	shardEvents []int64
@@ -195,6 +192,9 @@ func (m *Mesh) routeOf(pe int32, color Color) int8 {
 // OffWafer source sentinel, so programs can distinguish host ingress from
 // fabric traffic.
 func (m *Mesh) Inject(row, col int, msg Message, at int64) {
+	if m.ran {
+		panic("wse: Inject after Run")
+	}
 	if at < 0 {
 		panic("wse: Inject at negative time")
 	}
@@ -233,8 +233,11 @@ func (m *Mesh) neighbor(c Coord, d Dir) (Coord, bool) {
 // Run executes the simulation until no events remain. It returns the
 // number of cycles at which the last PE finished (the paper's runtime
 // measurement: "the clock cycles needed for the last PE to finish
-// processing its data", §4.1).
+// processing its data", §4.1). A mesh runs once: a second Run panics.
 func (m *Mesh) Run() (int64, error) {
+	if m.ran {
+		panic("wse: Run after Run")
+	}
 	m.ran = true
 
 	// Init programs at cycle 0, before any partitioning — Init sends may
@@ -259,11 +262,9 @@ func (m *Mesh) Run() (int64, error) {
 		return m.runSharded(plan, pending, slab)
 	}
 	m.shards, m.workers, m.poolPeak = 1, 1, 1
-	seq := &engine{m: m}
-	seq.q = newCalQueue(seq.reserve(len(pending), len(m.pes)))
-	for _, k := range pending {
-		seq.preload(k, slab)
-	}
+	seq := newWorker(m, roomFor(len(pending), len(m.pes)))
+	m.emissions = make([]Emission, 0, len(pending))
+	seq.load(pending, slab)
 	err := seq.run()
 	m.processed = seq.processed
 	m.shardEvents = []int64{seq.processed}
@@ -293,18 +294,18 @@ func (m *Mesh) Seconds(cycles int64) float64 {
 	return float64(cycles) / ClockHz
 }
 
-// engine runs one discrete-event loop over a subset of the mesh: the
-// whole mesh (the sequential reference) or one row shard on a worker
-// goroutine. Engines share the mesh's PE and
-// link state but only ever touch disjoint parts of it (see shard.go).
+// engine runs discrete-event loops over a subset of the mesh: the whole
+// mesh (the sequential reference), or one row shard after another on a
+// worker goroutine. Engines share the mesh's PE and link state but only
+// ever touch disjoint parts of it (see shard.go).
 type engine struct {
 	m    *Mesh
 	q    *calQueue // nil while the Init phase runs, before any event loop
 	slab msgSlab
 	ctx  Context // pooled; reset per handler instead of allocated per dispatch
 
-	// pending holds the deliveries the engine starts with, pushed into q
-	// when run starts — or, in the Init phase, every key pushed.
+	// pending collects every key the Init phase pushes; Run bins them
+	// with the host injections.
 	pending []evKey
 
 	processed int64
@@ -320,49 +321,61 @@ type engine struct {
 
 	// collect tags emissions and span events with their cause event's
 	// key for the deterministic post-run merge, instead of appending
-	// them to the mesh logs as they happen.
+	// them to the mesh logs as they happen. A worker copies them out to
+	// each shard it runs and empties them for the next.
 	collect bool
 	emis    []tagged[Emission]
 	spanEvs []tagged[SpanEvent]
 	cause   evKey
 }
 
-// reserve sizes the engine's pending list, slab and emission log once,
-// for n preloaded deliveries to a range of pes PEs, so the event loop
-// does not regrow them, and returns the room its queue needs. Beyond the
-// preloaded set a run keeps about one event per PE in flight — a ready
-// event, or a message on its way to the next stage — and never more than
-// the preloaded work feeds. The preloaded deliveries are typically the
-// blocks, and a block typically leaves the wafer once. A program that
-// keeps more in flight or emits more still runs; its arrays regrow.
-func (e *engine) reserve(n, pes int) int {
-	room := n + min(n, pes) + 16
-	e.pending = make([]evKey, 0, n)
-	e.slab.msgs = make([]slabMsg, 0, room)
-	e.slab.free = make([]int32, 0, room)
-	if e.collect {
-		e.emis = make([]tagged[Emission], 0, n)
-	} else {
-		e.m.emissions = slices.Grow(e.m.emissions, n)
-	}
-	return room
+// worker is an engine together with its event queue, in one allocation.
+// Each goroutine of the sharded pool owns one and runs every shard it
+// takes on it, reusing its slab, queue, Context and tagged logs; the
+// sequential engine is one too. The queue's calendar makes the
+// allocation larger than a page, so it gets pages of its own: no other
+// worker's engine shares a cache line with the fields this one writes
+// on every event, which would move that line between the cores on every
+// event (DESIGN.md §5d).
+type worker struct {
+	engine
+	cal calQueue
 }
 
-// preload copies a pending delivery from slab src into the engine's own
-// slab and adds its key to the engine's pending list.
-func (e *engine) preload(k evKey, src *msgSlab) {
-	e.slab.msgs = append(e.slab.msgs, src.msgs[k.slot])
-	k.slot = int32(len(e.slab.msgs) - 1)
-	e.pending = append(e.pending, k)
+// newWorker returns a worker whose queue and slab hold room keys and
+// messages before they grow.
+func newWorker(m *Mesh, room int) *worker {
+	w := &worker{engine: engine{m: m}}
+	w.cal.init(room)
+	w.q = &w.cal
+	w.slab.msgs = make([]slabMsg, 0, room)
+	w.slab.free = make([]int32, 0, room)
+	return w
 }
 
-// run empties q, queues the pending deliveries and drains the queue.
-func (e *engine) run() error {
-	m := e.m
+// roomFor is the queue and slab room of a run that starts with n
+// preloaded deliveries to a range of pes PEs. Beyond the preloaded set a
+// run keeps about one event per PE in flight — a ready event, or a
+// message on its way to the next stage — and never more than the
+// preloaded work feeds. A program that keeps more in flight still runs;
+// the arrays regrow.
+func roomFor(n, pes int) int { return n + min(n, pes) + 16 }
+
+// load empties the engine's queue and slab, copies the deliveries that
+// keys address in src into the slab and queues them.
+func (e *engine) load(keys []evKey, src *msgSlab) {
 	e.q.reset()
-	for _, k := range e.pending {
+	e.slab.msgs, e.slab.free = e.slab.msgs[:0], e.slab.free[:0]
+	for _, k := range keys {
+		e.slab.msgs = append(e.slab.msgs, src.msgs[k.slot])
+		k.slot = int32(len(e.slab.msgs) - 1)
 		e.q.push(k)
 	}
+}
+
+// run drains the queue.
+func (e *engine) run() error {
+	m := e.m
 	for e.q.len() > 0 {
 		k := e.q.pop()
 		e.processed++
@@ -491,6 +504,9 @@ func (e *engine) dispatch(pe *PE, t int64) {
 	}
 	slot := e.dequeue(pe)
 	sm := &e.slab.msgs[slot]
+	// The producer's hand-off, which a Forward re-stamps when the handler
+	// ends; the dispatch span records it as delivered.
+	sentAt := sm.msg.sentAt
 	// Attribute the processor-idle gap before this dispatch: up to the
 	// producer's hand-off the PE was starved by upstream (queue-wait);
 	// from hand-off to delivery the data was on the fabric (fabric-stall).
@@ -499,7 +515,7 @@ func (e *engine) dispatch(pe *PE, t int64) {
 	// delivery can precede LastActive).
 	if gap := t - pe.stats.LastActive; gap > 0 {
 		idleStart := t - gap
-		sent := sm.msg.sentAt
+		sent := sentAt
 		if sent < idleStart {
 			sent = idleStart
 		}
@@ -512,19 +528,22 @@ func (e *engine) dispatch(pe *PE, t int64) {
 	pe.stats.MailboxWaitCycles += t - sm.msg.arrivedAt
 	pe.running = true
 	e.ctx.reset(pe, t, &e.slab)
-	e.ctx.span = sm.msg.Span
+	e.ctx.span, e.ctx.held = sm.msg.Span, slot
 	pe.program.OnMessage(&e.ctx, sm.msg)
 	pe.stats.Handled++
 	end := e.finishHandler(pe, t)
-	// The slot is still the handler's message (it is released below), but
-	// the handler's sends may have grown the slab under sm.
+	// The slot still holds the handler's message, relayed or not (its
+	// Span, Wavelets and arrival survive a Forward), but the handler's
+	// sends may have grown the slab under sm.
 	msg := &e.slab.msgs[slot].msg
 	if e.m.spans != nil && msg.Span != 0 {
 		e.recordSpan(SpanEvent{Span: msg.Span, Kind: SpanDispatch, PE: pe.coord,
-			At: t, End: end, Sent: msg.sentAt, Arrived: msg.arrivedAt,
+			At: t, End: end, Sent: sentAt, Arrived: msg.arrivedAt,
 			Label: e.ctx.spanLabel, Wavelets: msg.Wavelets})
 	}
-	e.slab.release(slot)
+	if e.ctx.held >= 0 {
+		e.slab.release(slot) // not relayed: the message ends here
+	}
 	e.push(readyKey(end, pe.idx, pe.pushSeq))
 	pe.pushSeq++
 }

@@ -5,7 +5,10 @@ import "fmt"
 // Program is the code installed on a PE. OnMessage is invoked once per
 // delivered message, when the PE's processor is free — messages queue in
 // arrival order while the processor is busy, which is how the simulator
-// realizes the paper's serial relay-plus-compute accounting.
+// realizes the paper's serial relay-plus-compute accounting. A handler
+// gets its own copy of the message. It passes the delivered message on
+// with Context.Forward (a relay: the message itself moves on, at most
+// once) and produces new ones with Context.Send.
 type Program interface {
 	// Init runs at cycle 0, before any message is delivered.
 	Init(ctx *Context)
@@ -68,6 +71,9 @@ type Context struct {
 	// handler's work in the span log.
 	span      int64
 	spanLabel string
+	// held is the handled message's slab slot, which Forward moves onto
+	// the fabric; -1 during Init and once the message is forwarded.
+	held int32
 
 	sends []pendingSend
 	emits []any
@@ -89,6 +95,7 @@ func (c *Context) reset(pe *PE, start int64, slab *msgSlab) {
 	c.cost = 0
 	c.span = 0
 	c.spanLabel = ""
+	c.held = -1
 	c.sends = c.sends[:0]
 	c.emits = c.emits[:0]
 }
@@ -125,22 +132,52 @@ func (c *Context) Spend(cycles int64) {
 // Send transmits a message from local memory toward the neighbor in
 // direction d. It charges RampLatency + Wavelets cycles (moving the data
 // from memory through the RAMP onto the fabric — the C₂ cost of §4.3).
-// Sending off the mesh edge is an error; use Emit for wafer egress.
+// Sending off the mesh edge is an error; use Emit for wafer egress. A
+// handler may Send any number of messages; one that does not carry a
+// span id inherits the handled message's.
 func (c *Context) Send(d Dir, msg Message) {
-	c.queueSend(d, &msg, false)
+	dst := c.link(d, &msg)
+	w := int64(msg.Wavelets) + RampLatency
+	c.pe.stats.SendCycles += w
+	c.cost += w
+	msg.From = d.Opposite()
+	msg.Src = c.pe.coord
+	if msg.Span == 0 {
+		msg.Span = c.span // the block's id follows it across hand-offs
+	}
+	c.sends = append(c.sends, pendingSend{dir: d, slot: c.slab.put(&msg, dst)})
 }
 
-// Forward relays a message that just arrived on the fabric to the neighbor
-// in direction d without a round trip through local memory. It charges
-// Wavelets cycles (the C₁ cost of §4.3 — the relay term of Formula (2)).
-func (c *Context) Forward(d Dir, msg Message) {
-	c.queueSend(d, &msg, true)
+// Forward relays the handled message, as it arrived on the fabric, to the
+// neighbor in direction d without a round trip through local memory. It
+// charges Wavelets + Config.MsgOverhead cycles (the C₁ cost of §4.3 — the
+// relay term of Formula (2)). The message keeps its Payload, Span and
+// Wavelets, whatever the handler did to its own copy, and leaves with
+// this PE as its Src: like a router pass-through, the relay moves the
+// message's own slab slot instead of storing a copy. A handler relays its
+// message at most once, so a second Forward panics, as does one from
+// Init, which handles no message; fan-out uses Send.
+func (c *Context) Forward(d Dir) {
+	slot := c.held
+	if slot < 0 {
+		panic(fmt.Sprintf("wse: Forward on %v with no message to relay (a second Forward, or Init); fan out with Send", c.pe.coord))
+	}
+	sm := &c.slab.msgs[slot]
+	dst := c.link(d, &sm.msg)
+	c.held = -1
+	w := int64(sm.msg.Wavelets) + c.pe.mesh.cfg.MsgOverhead
+	c.pe.stats.RelayCycles += w
+	c.pe.stats.Forwarded++
+	c.cost += w
+	sm.msg.From = d.Opposite()
+	sm.msg.Src = c.pe.coord
+	sm.pe = dst
+	c.sends = append(c.sends, pendingSend{dir: d, slot: slot})
 }
 
-// queueSend charges the send to the PE and stores msg in the engine's
-// slab, addressed to the neighbor; the engine schedules it when the
-// handler finishes.
-func (c *Context) queueSend(d Dir, msg *Message, forward bool) {
+// link checks that msg may leave toward d and returns the linear index of
+// the neighbor it goes to.
+func (c *Context) link(d Dir, msg *Message) int32 {
 	if d == Ramp {
 		panic("wse: cannot send toward Ramp; that is the local processor")
 	}
@@ -154,23 +191,7 @@ func (c *Context) queueSend(d Dir, msg *Message, forward bool) {
 	if !ok {
 		panic(fmt.Sprintf("wse: send from %v toward %v leaves the mesh; use Emit", c.pe.coord, d))
 	}
-	w := int64(msg.Wavelets)
-	if forward {
-		w += c.pe.mesh.cfg.MsgOverhead
-		c.pe.stats.RelayCycles += w
-		c.pe.stats.Forwarded++
-	} else {
-		w += RampLatency
-		c.pe.stats.SendCycles += w
-	}
-	c.cost += w
-	msg.From = d.Opposite()
-	msg.Src = c.pe.coord
-	if msg.Span == 0 {
-		msg.Span = c.span // the block's id follows it across hand-offs
-	}
-	slot := c.slab.put(msg, int32(dst.Row*c.pe.mesh.cfg.Cols+dst.Col))
-	c.sends = append(c.sends, pendingSend{dir: d, slot: slot})
+	return int32(dst.Row*c.pe.mesh.cfg.Cols + dst.Col)
 }
 
 // Emit hands a payload off the wafer (the simulator's stand-in for the

@@ -95,16 +95,16 @@ type calQueue struct {
 	full             [calWindow / 64]uint64
 }
 
-// newCalQueue returns an empty queue whose node pool and overflow heap
-// hold room keys each before they grow.
-func newCalQueue(room int) *calQueue {
-	q := &calQueue{nodes: make([]calNode, 0, room), over: eventHeap{keys: make([]evKey, 0, room)}}
+// init sizes an empty queue's node pool and overflow heap for room keys
+// each.
+func (q *calQueue) init(room int) {
+	q.nodes = make([]calNode, 0, room)
+	q.over.keys = make([]evKey, 0, room)
 	q.reset()
-	return q
 }
 
 // reset empties the queue and moves base back to cycle 0, keeping its
-// storage. A worker calls it before each shard it runs, also after a
+// storage. An engine calls it before each shard it loads, also after a
 // shard that stopped early with keys still queued.
 func (q *calQueue) reset() {
 	q.base, q.n, q.free = 0, 0, -1

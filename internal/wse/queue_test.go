@@ -9,6 +9,14 @@ import (
 	"testing"
 )
 
+// newCalQueue returns an empty queue whose node pool and overflow heap
+// hold room keys each before they grow.
+func newCalQueue(room int) *calQueue {
+	q := new(calQueue)
+	q.init(room)
+	return q
+}
+
 // pointerFree reports whether values of t hold no pointers, so the
 // garbage collector never scans them and moving them needs no write
 // barrier.

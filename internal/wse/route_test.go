@@ -7,7 +7,7 @@ func TestRoutePassThrough(t *testing.T) {
 	// only PE 3 has a program for it.
 	m, _ := NewMesh(Config{Rows: 1, Cols: 4})
 	m.SetProgram(0, 0, ProgramFunc(func(ctx *Context, msg Message) {
-		ctx.Forward(East, msg)
+		ctx.Forward(East)
 	}))
 	m.SetRoute(0, 1, 5, East)
 	m.SetRoute(0, 2, 5, East)
@@ -56,7 +56,7 @@ func TestRouteOnlyMatchingColor(t *testing.T) {
 	var direct int
 	m.SetProgram(0, 1, ProgramFunc(func(ctx *Context, msg Message) {
 		direct++
-		ctx.Forward(East, msg)
+		ctx.Forward(East)
 	}))
 	var arrived []Color
 	m.SetProgram(0, 2, ProgramFunc(func(ctx *Context, msg Message) {
@@ -124,7 +124,7 @@ func TestRoutedLinkSerializesWithSends(t *testing.T) {
 	m, _ := NewMesh(Config{Rows: 1, Cols: 2})
 	m.SetRoute(0, 0, 7, East)
 	m.SetProgram(0, 0, ProgramFunc(func(ctx *Context, msg Message) {
-		ctx.Forward(East, msg) // color 0, program relay
+		ctx.Forward(East) // color 0, program relay
 	}))
 	var arrivals []int64
 	m.SetProgram(0, 1, ProgramFunc(func(ctx *Context, msg Message) {

@@ -37,15 +37,22 @@ type ShardAware interface {
 	ShardProfile() ShardProfile
 }
 
-// shardSpan is one shard: the contiguous row range [lo, hi).
-type shardSpan struct {
+// shard is one shard: the contiguous row range [lo, hi), the pending
+// deliveries binned to it, and what simulating it produced. The worker
+// that runs the shard writes the outputs once, when it finishes.
+type shard struct {
 	lo, hi int
+	keys   []evKey // into the pre-run slab
+
+	processed int64
+	emis      []tagged[Emission]
+	spanEvs   []tagged[SpanEvent]
 }
 
 // runPlan is the partitioner's verdict for one Run.
 type runPlan struct {
 	sequential bool
-	spans      []shardSpan
+	shards     []shard
 	workers    int
 }
 
@@ -81,21 +88,21 @@ func (m *Mesh) partition() runPlan {
 			glue[r] = true
 		}
 	}
-	var spans []shardSpan
+	var shards []shard
 	lo := 0
 	for r := 0; r < rows; r++ {
 		if r == rows-1 || !glue[r] {
-			spans = append(spans, shardSpan{lo: lo, hi: r + 1})
+			shards = append(shards, shard{lo: lo, hi: r + 1})
 			lo = r + 1
 		}
 	}
-	if len(spans) == 1 {
+	if len(shards) == 1 {
 		return runPlan{sequential: true}
 	}
-	return runPlan{spans: spans, workers: workers}
+	return runPlan{shards: shards, workers: workers}
 }
 
-// eventBudget is the sharded engines' shared MaxEvents allowance.
+// eventBudget is the sharded workers' shared MaxEvents allowance.
 // Workers draw prepaid chunks from it, so the livelock guard stays cheap
 // (one atomic per few thousand events) at the cost of triggering up to
 // one chunk per worker late.
@@ -105,58 +112,59 @@ type eventBudget struct {
 
 const budgetChunk = 4096
 
-// runSharded executes the worker-pool path: one engine per shard, then a
-// deterministic merge of the shards' emissions by event key. pending
-// indexes slab.
+// runSharded executes the worker-pool path: each pool goroutine runs
+// shards on its own engine until none is left, then the shards'
+// emissions are merged deterministically by event key. pending indexes
+// slab.
 func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, error) {
+	shards := plan.shards
 	// Bin the pending deliveries (host injections, Init-phase sends) to
-	// the shard owning their destination row: count them first, so each
-	// engine's pending list and slab are sized once.
+	// the shard owning their destination row, in pending order: count
+	// them first, so each shard's list is sized once.
 	cols := m.cfg.Cols
 	shardOf := make([]int32, m.cfg.Rows)
-	for i, sp := range plan.spans {
-		for r := sp.lo; r < sp.hi; r++ {
+	for i, sh := range shards {
+		for r := sh.lo; r < sh.hi; r++ {
 			shardOf[r] = int32(i)
 		}
 	}
 	bin := func(k evKey) int32 { return shardOf[int(slab.msgs[k.slot].pe)/cols] }
-	counts := make([]int, len(plan.spans))
+	n := make([]int, len(shards))
 	for _, k := range pending {
-		counts[bin(k)]++
+		n[bin(k)]++
 	}
-	budget := &eventBudget{}
-	budget.remaining.Store(m.cfg.MaxEvents)
-	engines := make([]engine, len(plan.spans))
-	room := 0 // the largest shard's, which sizes every worker's queue
-	for i, sp := range plan.spans {
-		e := &engines[i]
-		*e = engine{m: m, shared: budget, restricted: true, collect: true,
-			idxLo: int32(sp.lo * cols), idxHi: int32(sp.hi * cols)}
-		room = max(room, e.reserve(counts[i], (sp.hi-sp.lo)*cols))
+	room, most := 0, 0 // the largest shard's, which size every worker
+	for i := range shards {
+		sh := &shards[i]
+		room = max(room, roomFor(n[i], (sh.hi-sh.lo)*cols))
+		most = max(most, n[i])
+		sh.keys = make([]evKey, 0, n[i])
 	}
 	for _, k := range pending {
-		engines[bin(k)].preload(k, slab)
+		sh := &shards[bin(k)]
+		sh.keys = append(sh.keys, k)
 	}
 
-	workers := plan.workers
-	if workers > len(engines) {
-		workers = len(engines)
-	}
-	m.shards, m.workers = len(engines), workers
+	budget := &eventBudget{}
+	budget.remaining.Store(m.cfg.MaxEvents)
+	workers := min(plan.workers, len(shards))
+	m.shards, m.workers = len(shards), workers
 
 	var next, running, peak atomic.Int32
 	var wg sync.WaitGroup
-	panics := make([]any, len(engines))
-	errs := make([]error, len(engines))
+	panics := make([]any, len(shards))
+	errs := make([]error, len(shards))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One queue per worker, reused by every shard it drains.
-			q := newCalQueue(room)
+			wk := newWorker(m, room)
+			e := &wk.engine
+			e.shared, e.restricted, e.collect = budget, true, true
+			e.emis = make([]tagged[Emission], 0, most)
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(engines) {
+				if i >= len(shards) {
 					return
 				}
 				// Pool-occupancy high-water mark: how many workers were
@@ -176,9 +184,7 @@ func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, 
 							panics[i] = r
 						}
 					}()
-					e := &engines[i]
-					e.q = q
-					errs[i] = e.run()
+					errs[i] = e.runShard(&shards[i], slab)
 				}()
 				running.Add(-1)
 			}
@@ -199,37 +205,54 @@ func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, 
 		}
 	}
 
-	m.shardEvents = make([]int64, len(engines))
-	emis := make([][]tagged[Emission], 0, len(engines))
-	spans := make([][]tagged[SpanEvent], 0, len(engines))
+	m.shardEvents = make([]int64, len(shards))
+	emis := make([][]tagged[Emission], len(shards))
+	spans := make([][]tagged[SpanEvent], len(shards))
 	var processed int64
 	var nEmis, nSpans int
-	for i := range engines {
-		e := &engines[i]
-		processed += e.processed
-		m.shardEvents[i] = e.processed
-		emis, spans = append(emis, e.emis), append(spans, e.spanEvs)
-		nEmis, nSpans = nEmis+len(e.emis), nSpans+len(e.spanEvs)
+	for i := range shards {
+		sh := &shards[i]
+		processed += sh.processed
+		m.shardEvents[i] = sh.processed
+		emis[i], spans[i] = sh.emis, sh.spanEvs
+		nEmis, nSpans = nEmis+len(sh.emis), nSpans+len(sh.spanEvs)
 	}
 	m.processed = processed
 	// Merge emissions into the order the sequential engine would have
 	// produced: its emission log order is the processing order of the
 	// dispatches that emitted, i.e. the (at, src, seq) order of their
-	// cause events. Each engine's log is already in that order, so a
+	// cause events. Each shard's log is already in that order, so a
 	// k-way merge rebuilds it, and multiple emissions from one handler
 	// keep their in-handler order.
-	m.emissions = slices.Grow(m.emissions, nEmis)
+	m.emissions = make([]Emission, 0, nEmis)
 	mergeTagged(emis, func(em *Emission) { m.emissions = append(m.emissions, *em) })
 	// The span log merges by the same key, for the same reason: the
 	// sequential engine appends span records while processing events in
 	// global (at, src, seq) order, one cause event runs entirely inside
-	// one engine, and the merge keeps per-cause append order — so the
+	// one shard, and the merge keeps per-cause append order — so the
 	// merged log is bit-identical to the sequential one.
 	if m.spans != nil {
 		m.spans.events = slices.Grow(m.spans.events, nSpans)
 		mergeTagged(spans, func(ev *SpanEvent) { m.spans.events = append(m.spans.events, *ev) })
 	}
 	return m.Elapsed(), nil
+}
+
+// runShard simulates sh on the engine and records its outputs: the
+// processed count and copies of the tagged logs, which the engine then
+// empties for its next shard. Copies, not stretches of one log the
+// worker keeps growing: that log's regrowth made a few large allocations
+// per run and cost wse-sim about 2 MiB of peak RSS.
+func (e *engine) runShard(sh *shard, src *msgSlab) error {
+	cols := e.m.cfg.Cols
+	e.idxLo, e.idxHi = int32(sh.lo*cols), int32(sh.hi*cols)
+	e.processed = 0
+	e.emis, e.spanEvs = e.emis[:0], e.spanEvs[:0]
+	e.load(sh.keys, src)
+	err := e.run()
+	sh.processed = e.processed
+	sh.emis, sh.spanEvs = slices.Clone(e.emis), slices.Clone(e.spanEvs)
+	return err
 }
 
 // Shards reports how many row shards the last Run simulated (1 when the
@@ -240,7 +263,7 @@ func (m *Mesh) Shards() int { return m.shards }
 // sequential reference engine ran).
 func (m *Mesh) Workers() int { return m.workers }
 
-// ShardEvents returns the per-shard-engine processed-event counts of the
+// ShardEvents returns the per-shard processed-event counts of the
 // last Run (a single entry for a sequential run). The counts measure how
 // balanced the row shards were; they are deterministic — a function of
 // the partition, not of worker scheduling.

@@ -106,7 +106,7 @@ type southLiar struct{}
 func (*southLiar) Init(*Context) {}
 func (*southLiar) OnMessage(ctx *Context, msg Message) {
 	if ctx.Coord().Row == 0 {
-		ctx.Forward(South, msg)
+		ctx.Forward(South)
 	}
 }
 func (*southLiar) ShardProfile() ShardProfile { return ShardProfile{RowLocal: true} }
@@ -143,7 +143,7 @@ func TestInjectCarriesOffWaferSrc(t *testing.T) {
 	rec := ProgramFunc(func(ctx *Context, msg Message) {
 		srcs = append(srcs, msg.Src)
 		if ctx.Coord().Col == 0 {
-			ctx.Forward(East, msg)
+			ctx.Forward(East)
 		}
 	})
 	m.SetProgram(0, 0, rec)
@@ -160,5 +160,121 @@ func TestInjectCarriesOffWaferSrc(t *testing.T) {
 	}
 	if want := (Coord{Row: 0, Col: 0}); srcs[1] != want {
 		t.Fatalf("fabric message Src = %v, want sender %v", srcs[1], want)
+	}
+}
+
+// mixedRow is a RowLocal program whose traffic depends on its row's kind,
+// not on its coordinates, so a row behaves the same on a 1-row mesh:
+//   - kind 0 relays every message east to the row's last PE, which
+//     emits; its head also sends one untracked message from Init;
+//   - kind 1 emits on every PE and sends a grown copy east;
+//   - kind 2 relays on even columns and emits and sends on odd ones.
+type mixedRow struct {
+	kind int
+}
+
+func (p *mixedRow) Init(ctx *Context) {
+	if p.kind == 0 && ctx.Coord().Col == 0 {
+		ctx.Send(East, Message{Color: 1, Payload: "init", Wavelets: 3})
+	}
+}
+
+func (p *mixedRow) OnMessage(ctx *Context, msg Message) {
+	col := ctx.Coord().Col
+	last := col == ctx.Cols()-1
+	relay := p.kind == 0 || (p.kind == 2 && col%2 == 0)
+	if relay && !last {
+		ctx.LabelSpan("relay")
+		ctx.Spend(int64(20 + col))
+		ctx.Forward(East)
+		return
+	}
+	ctx.LabelSpan("stage")
+	ctx.Spend(int64(15 + 3*col))
+	ctx.Emit(msg.Payload, 2)
+	if p.kind != 0 && !last {
+		msg.Wavelets++
+		ctx.Send(East, msg)
+	}
+}
+
+func (*mixedRow) ShardProfile() ShardProfile { return ShardProfile{RowLocal: true} }
+
+// buildMixedMesh wires rows with mixedRow programs of kind r%3 and
+// 1+(7r)%13 blocks per row (one in five untracked), spans attached.
+// rowOff shifts the row used for kind and blocks, so a 1-row mesh can
+// replay any row of the 64-row one.
+func buildMixedMesh(t *testing.T, rows, rowOff, workers int) *Mesh {
+	t.Helper()
+	const cols = 6
+	m, err := NewMesh(Config{Rows: rows, Cols: cols, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AttachSpans()
+	for r := 0; r < rows; r++ {
+		row := r + rowOff
+		for c := 0; c < cols; c++ {
+			m.SetProgram(r, c, &mixedRow{kind: row % 3})
+		}
+		for b := 0; b < 1+(7*row)%13; b++ {
+			var span int64
+			if b%5 != 4 {
+				span = int64(100*row + b + 1)
+			}
+			m.Inject(r, 0, Message{Color: 0, Payload: [2]int{row, b}, Wavelets: 2 + b%4, Span: span}, int64(3*b+row%4))
+		}
+	}
+	return m
+}
+
+// TestWorkerEngineReusedAcrossShards runs 64 unequal row shards on two
+// workers, each of which runs one engine shard after shard, and checks
+// everything observable against the sequential engine. Each shard's
+// event count must equal its row run alone on a fresh mesh.
+func TestWorkerEngineReusedAcrossShards(t *testing.T) {
+	const rows = 64
+	run := func(m *Mesh) int64 {
+		t.Helper()
+		elapsed, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return elapsed
+	}
+	seq := buildMixedMesh(t, rows, 0, 1)
+	seqElapsed := run(seq)
+	got := buildMixedMesh(t, rows, 0, 2)
+	if elapsed := run(got); elapsed != seqElapsed {
+		t.Fatalf("elapsed %d cycles, want the sequential %d", elapsed, seqElapsed)
+	}
+	if got.Shards() != rows || got.Workers() != 2 {
+		t.Fatalf("ran %d shards on %d workers, want %d on 2", got.Shards(), got.Workers(), rows)
+	}
+	if !reflect.DeepEqual(got.Emissions(), seq.Emissions()) {
+		t.Fatal("emission log diverges from sequential")
+	}
+	if len(seq.spans.Events()) == 0 {
+		t.Fatal("no span events recorded")
+	}
+	if !reflect.DeepEqual(got.spans.Events(), seq.spans.Events()) {
+		t.Fatal("span log diverges from sequential")
+	}
+	if !reflect.DeepEqual(got.Attribution(), seq.Attribution()) {
+		t.Fatal("attribution diverges from sequential")
+	}
+	want := make([]int64, rows)
+	var total int64
+	for r := range want {
+		alone := buildMixedMesh(t, 1, r, 1)
+		run(alone)
+		want[r] = alone.Processed()
+		total += want[r]
+	}
+	if !reflect.DeepEqual(got.ShardEvents(), want) {
+		t.Fatalf("shard events %v, want each row's own count %v", got.ShardEvents(), want)
+	}
+	if se := seq.ShardEvents(); len(se) != 1 || se[0] != total || got.Processed() != total {
+		t.Fatalf("sequential shard events %v and sharded total %d, want [%d] and %d", se, got.Processed(), total, total)
 	}
 }

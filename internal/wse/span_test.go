@@ -44,7 +44,7 @@ func TestTracer(t *testing.T) {
 	sl := m.AttachSpans()
 	m.SetProgram(0, 0, ProgramFunc(func(ctx *Context, msg Message) {
 		ctx.Spend(10)
-		ctx.Forward(East, msg)
+		ctx.Forward(East)
 	}))
 	m.SetProgram(0, 1, ProgramFunc(func(ctx *Context, msg Message) {
 		ctx.Emit(msg.Payload, msg.Wavelets)

@@ -1,6 +1,8 @@
 package wse
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -19,7 +21,7 @@ func (p *echoProgram) OnMessage(ctx *Context, msg Message) {
 		ctx.Emit(msg.Payload, msg.Wavelets)
 		return
 	}
-	ctx.Forward(East, msg)
+	ctx.Forward(East)
 }
 
 func TestMeshGeometry(t *testing.T) {
@@ -154,7 +156,7 @@ func TestLinkSerialization(t *testing.T) {
 	m.SetProgram(0, 0, ProgramFunc(func(ctx *Context, msg Message) {
 		// Zero compute: both sends queue in the same handler batch when
 		// both messages are delivered at t=0 (handled sequentially).
-		ctx.Forward(East, msg)
+		ctx.Forward(East)
 	}))
 	var arrivals []int64
 	m.SetProgram(0, 1, ProgramFunc(func(ctx *Context, msg Message) {
@@ -323,7 +325,7 @@ func TestLivelockGuard(t *testing.T) {
 	m, _ := NewMesh(Config{Rows: 1, Cols: 2, MaxEvents: 1000})
 	bounce := func(d Dir) Program {
 		return ProgramFunc(func(ctx *Context, msg Message) {
-			ctx.Forward(d, msg)
+			ctx.Forward(d)
 		})
 	}
 	m.SetProgram(0, 0, bounce(East))
@@ -331,5 +333,132 @@ func TestLivelockGuard(t *testing.T) {
 	m.Inject(0, 0, Message{Color: 0, Wavelets: 1}, 0)
 	if _, err := m.Run(); err == nil {
 		t.Fatal("livelock not detected")
+	}
+}
+
+// TestForwardRelaysTheHandledMessage pins Forward's semantics on a 1×3
+// relay line: the relayed message is the one delivered — its Payload,
+// Span and Wavelets survive whatever the handler did to its own copy —
+// with this PE as its new From/Src side, and each dispatch span records
+// the handled message's own Sent and Arrived even though the relay
+// rewrote the message in place.
+func TestForwardRelaysTheHandledMessage(t *testing.T) {
+	m, _ := NewMesh(Config{Rows: 1, Cols: 3})
+	sl := m.AttachSpans()
+	type seen struct {
+		payload  any
+		span     int64
+		wavelets int
+		from     Dir
+		src      Coord
+	}
+	var got [3][]seen
+	for c := 0; c < 3; c++ {
+		m.SetProgram(0, c, ProgramFunc(func(ctx *Context, msg Message) {
+			got[c] = append(got[c], seen{msg.Payload, msg.Span, msg.Wavelets, msg.From, msg.Src})
+			if c == 2 {
+				ctx.Emit(msg.Payload, 1)
+				return
+			}
+			ctx.Spend(10)
+			msg.Payload, msg.Span, msg.Wavelets = "mutated", 99, 50
+			ctx.Forward(East)
+		}))
+	}
+	m.Inject(0, 0, Message{Color: 0, Payload: "a", Wavelets: 4, Span: 1}, 5)
+	m.Inject(0, 0, Message{Color: 0, Payload: "b", Wavelets: 4, Span: 2}, 6)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for c := 1; c < 3; c++ {
+		want := []seen{
+			{"a", 1, 4, West, Coord{0, c - 1}},
+			{"b", 2, 4, West, Coord{0, c - 1}},
+		}
+		if !reflect.DeepEqual(got[c], want) {
+			t.Fatalf("PE(0,%d) received %+v, want %+v", c, got[c], want)
+		}
+	}
+	if f := m.PE(0, 0).Stats().Forwarded; f != 2 {
+		t.Fatalf("PE(0,0) forwarded %d messages, want 2", f)
+	}
+	// Block b: injected at 6, it waits in PE(0,0)'s mailbox behind a
+	// (dispatched 5, 10 spend + 4 relay → 19), runs 19–33, crosses the
+	// link (1 + 4) behind a's, arrives at PE(0,1) at 38 and dispatches
+	// there at once, when a's handler (24–38) ends.
+	dispatches := map[Coord]SpanEvent{}
+	for _, ev := range sl.Events() {
+		if ev.Span == 2 && ev.Kind == SpanDispatch {
+			dispatches[ev.PE] = ev
+		}
+	}
+	want := map[Coord]SpanEvent{
+		{0, 0}: {Span: 2, Kind: SpanDispatch, PE: Coord{0, 0}, At: 19, End: 33, Sent: 6, Arrived: 6, Wavelets: 4},
+		{0, 1}: {Span: 2, Kind: SpanDispatch, PE: Coord{0, 1}, At: 38, End: 52, Sent: 33, Arrived: 38, Wavelets: 4},
+		{0, 2}: {Span: 2, Kind: SpanDispatch, PE: Coord{0, 2}, At: 57, End: 58, Sent: 52, Arrived: 57, Wavelets: 4},
+	}
+	if !reflect.DeepEqual(dispatches, want) {
+		t.Fatalf("block b's dispatch spans %+v, want %+v", dispatches, want)
+	}
+}
+
+func TestForwardPanicsWithoutAMessageToRelay(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    Program
+	}{
+		{"second Forward", ProgramFunc(func(ctx *Context, msg Message) {
+			ctx.Forward(East)
+			ctx.Forward(East)
+		})},
+		{"Forward in Init", initForward{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, _ := NewMesh(Config{Rows: 1, Cols: 2})
+			m.SetProgram(0, 0, tc.p)
+			m.SetProgram(0, 1, ProgramFunc(func(*Context, Message) {}))
+			m.Inject(0, 0, Message{Color: 0, Wavelets: 1}, 0)
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "no message to relay") {
+					t.Fatalf("recovered %v, want the Forward panic", r)
+				}
+			}()
+			_, _ = m.Run()
+		})
+	}
+}
+
+// initForward relays from Init, where no message is being handled.
+type initForward struct{}
+
+func (initForward) Init(ctx *Context)           { ctx.Forward(East) }
+func (initForward) OnMessage(*Context, Message) {}
+
+// TestRunOnce checks that a mesh simulates once: Run and Inject after Run
+// panic and leave the first run's results as they were.
+func TestRunOnce(t *testing.T) {
+	m, _ := NewMesh(Config{Rows: 1, Cols: 2})
+	for c := 0; c < 2; c++ {
+		m.SetProgram(0, c, &echoProgram{cost: 5})
+	}
+	m.Inject(0, 0, Message{Color: 0, Payload: "x", Wavelets: 2}, 0)
+	elapsed, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), name+" after Run") {
+				t.Fatalf("%s after Run: recovered %v, want a panic", name, r)
+			}
+		}()
+		f()
+	}
+	mustPanic("Run", func() { _, _ = m.Run() })
+	mustPanic("Inject", func() { m.Inject(0, 0, Message{Color: 0, Wavelets: 1}, 0) })
+	if m.Elapsed() != elapsed || len(m.Emissions()) != 1 || m.PE(0, 1).Stats().Handled != 1 {
+		t.Fatalf("after the refused calls: elapsed %d (was %d), %d emissions, PE(0,1) handled %d; want the first run's",
+			m.Elapsed(), elapsed, len(m.Emissions()), m.PE(0, 1).Stats().Handled)
 	}
 }
