@@ -175,7 +175,7 @@ func run(o simOpts) error {
 	}
 	if o.attribFile != "" {
 		if err := writeJSON(o.attribFile, map[string]any{
-			"attribution": res.Attribution,
+			"attribution": res.Attribution(),
 			"critpath":    rep,
 		}); err != nil {
 			return err

@@ -123,10 +123,10 @@ type Options struct {
 }
 
 // Analyze builds the report for one finished run. It needs only what
-// Result already carries: Attribution always, Spans when the plan set
-// RecordSpans (the critical-path fields stay empty without them).
+// Result already carries: the mesh's attribution always, Spans when the
+// plan set RecordSpans (the critical-path fields stay empty without them).
 func Analyze(plan *mapping.Plan, res *mapping.Result, opts Options) Report {
-	att := res.Attribution
+	att := res.Attribution()
 	pl := plan.Cfg.PipelineLen
 	names := plan.Chain.StageNames()
 	rep := Report{Elapsed: att.Elapsed}
@@ -219,7 +219,7 @@ func modelChecks(plan *mapping.Plan, res *mapping.Result, opts Options) (RelayCh
 	}
 
 	var rc RelayCheck
-	rc.Forwards = res.Attribution.Totals.Forwarded
+	rc.Forwards = res.Mesh.AttributionTotals().Totals.Forwarded
 	relayCycles := res.Mesh.Summary().TotalRelay
 	rc.ModelPerHop = float64(cfg.MsgOverhead) + avgW
 	if rc.Forwards > 0 {

@@ -77,7 +77,7 @@ func TestBottleneckAgreesWithMeshStats(t *testing.T) {
 // timeline buckets partition [0, Elapsed] exactly.
 func TestBucketSumsEqualElapsed(t *testing.T) {
 	_, res := runPlan(t, 4, 8, 4)
-	att := res.Attribution
+	att := res.Attribution()
 	if att.Elapsed != res.Cycles {
 		t.Fatalf("attribution elapsed %d != run cycles %d", att.Elapsed, res.Cycles)
 	}

@@ -30,7 +30,7 @@ type SimOccupancy struct {
 
 // simOccupancy derives the diffable aggregate from a finished run.
 func simOccupancy(r *mapping.Result) SimOccupancy {
-	att := r.Attribution
+	att := r.Mesh.AttributionTotals()
 	t := att.Totals
 	occ := 0.0
 	if att.ActivePEs > 0 && att.Elapsed > 0 {

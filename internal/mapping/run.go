@@ -25,21 +25,82 @@ const (
 // position, so the emitted stream can be reassembled in order.
 type flowBlock struct {
 	id  int
-	raw []float32          // compression input (nil for decompression)
-	enc []byte             // decompression input (nil for compression)
-	st  *stages.BlockState // loaded when a head PE captures the block
+	raw []float32 // compression input (nil for decompression)
+	enc []byte    // decompression input (nil for compression)
+	// st is the block's state while the block is on the wafer: the head
+	// PE takes it from its row's free list on capture, and the tail PE
+	// copies the result out and returns it before emitting the block.
+	st *stages.BlockState
 }
 
-// newFlowBlocks returns a run's n blocks, each with its block state from
-// one per-run arena (stages.NewBlockStates), so that capturing a block
-// allocates nothing.
-func newFlowBlocks(n, L int) []flowBlock {
+// newFlowBlocks returns a run's n blocks, numbered 0..n-1. They carry no
+// block state: a run holds states only for the blocks in flight (see
+// rowState).
+func newFlowBlocks(n int) []flowBlock {
 	blocks := make([]flowBlock, n)
-	states := stages.NewBlockStates(L, n)
 	for b := range blocks {
-		blocks[b] = flowBlock{id: b, st: &states[b]}
+		blocks[b].id = b
 	}
 	return blocks
+}
+
+// rowState is one mesh row's share of a run: the block states not
+// holding a block and, for compression, the row's encoded blocks in
+// emission order with where each one lies. Rows are the sharded engine's
+// unit, so only one worker ever touches a row's state, and it needs no
+// lock.
+type rowState struct {
+	free []*stages.BlockState
+	made int
+	log  []byte
+	// ext[k] locates the row's k-th block, block id k·rows + row (see
+	// feed), in log.
+	ext []extent
+}
+
+// take returns a free block state of length L, doubling the row's states
+// when none is free. A PipelineLen-1 row returns each state in the
+// handler that took it, so it allocates one state per run.
+func (r *rowState) take(L int) *stages.BlockState {
+	if len(r.free) == 0 {
+		n := max(1, r.made)
+		batch := stages.NewBlockStates(L, n)
+		for i := range batch {
+			r.free = append(r.free, &batch[i])
+		}
+		r.made += n
+	}
+	st := r.free[len(r.free)-1]
+	r.free = r.free[:len(r.free)-1]
+	return st
+}
+
+// give returns a state whose block has left the wafer.
+func (r *rowState) give(st *stages.BlockState) { r.free = append(r.free, st) }
+
+// extent locates one encoded block in its row's log.
+type extent struct{ off, n int }
+
+// runOutput is where one run's tail PEs leave their blocks' results
+// before returning the states: compression appends to the row logs,
+// decompression copies straight into the reconstructed field.
+type runOutput struct {
+	dir  stages.Direction
+	L    int
+	rows []rowState
+	data []float32 // decompression: the reconstructed field
+}
+
+// keep copies a finished block's result out of its state.
+func (o *runOutput) keep(row *rowState, fb *flowBlock) {
+	st := fb.st
+	if o.dir == stages.Compress {
+		row.ext[fb.id/len(o.rows)] = extent{off: len(row.log), n: len(st.Encoded)}
+		row.log = append(row.log, st.Encoded...)
+		return
+	}
+	// The field's last block may be partial: copy clips the padding.
+	copy(o.data[fb.id*o.L:], st.Raw)
 }
 
 // peProgram is the per-PE code: relay raw blocks for pipelines to the
@@ -47,6 +108,8 @@ func newFlowBlocks(n, L int) []flowBlock {
 // the assigned stage group on pipeline traffic (paper Fig. 9b).
 type peProgram struct {
 	plan   *Plan
+	row    *rowState
+	out    *runOutput
 	isHead bool
 	isTail bool
 	group  Group
@@ -89,7 +152,8 @@ func (pp *peProgram) OnMessage(ctx *wse.Context, msg wse.Message) {
 		}
 		pp.relayLeft = pp.relayInit
 		fb := msg.Payload.(*flowBlock)
-		if pp.plan.Chain.Dir == stages.Compress {
+		fb.st = pp.row.take(pp.out.L)
+		if pp.out.dir == stages.Compress {
 			fb.st.ResetForCompress(fb.raw)
 		} else {
 			fb.st.ResetForDecompress(fb.enc)
@@ -117,7 +181,11 @@ func (pp *peProgram) process(ctx *wse.Context, fb *flowBlock) {
 		chain.Stages[i].Run(fb.st)
 	}
 	if pp.isTail {
-		ctx.Emit(fb, fb.st.Wavelets())
+		w := fb.st.Wavelets()
+		pp.out.keep(pp.row, fb)
+		pp.row.give(fb.st)
+		fb.st = nil
+		ctx.Emit(fb, w)
 		return
 	}
 	ctx.Send(wse.East, wse.Message{
@@ -149,24 +217,50 @@ type Result struct {
 	// cost of the simulation itself. Each run gets its own registry, so
 	// concurrent simulations never mix.
 	Telemetry telemetry.Snapshot
-	// Attribution is the per-PE timeline decomposition (compute,
-	// relay-forward, queue-wait, fabric-stall, idle) of the run; every
-	// PE's buckets sum to Cycles exactly, and the whole structure is
-	// bit-identical across Mesh.Workers settings.
-	Attribution wse.Attribution
 	// Spans holds every block's assembled lifecycle when
 	// PlanConfig.RecordSpans is set (nil otherwise).
 	Spans []wse.BlockSpan
 	// SpanLog is the raw span log behind Spans, for Perfetto export
 	// (nil unless RecordSpans).
 	SpanLog *wse.SpanLog
+
+	// blockStates counts the block states the run allocated.
+	blockStates int
 }
 
-// install wires the plan's programs onto rows [0, rows) of the mesh.
-// Unless ProcessorRelay is set, interior pipeline PEs get a static router
-// route for the raw-block color, so crossing traffic never touches their
-// processor.
-func (p *Plan) install(m *wse.Mesh, rows int) {
+// Attribution is the per-PE timeline decomposition (compute,
+// relay-forward, queue-wait, fabric-stall, idle) of the run; every PE's
+// buckets sum to Cycles exactly, and the whole structure is bit-identical
+// across Mesh.Workers settings. It is built on each call.
+func (r *Result) Attribution() wse.Attribution { return r.Mesh.Attribution() }
+
+// newRun builds a mesh for a run of nBlocks blocks and wires the plan
+// onto it. The run uses the mesh's first min(Rows, nBlocks) rows (all of
+// them when there are no blocks).
+func (p *Plan) newRun(nBlocks int) (*wse.Mesh, *runOutput, *wse.SpanLog, error) {
+	m, err := wse.NewMesh(p.Cfg.Mesh)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var spanLog *wse.SpanLog
+	if p.Cfg.RecordSpans {
+		spanLog = m.AttachSpans()
+	}
+	rows := p.Cfg.Mesh.Rows
+	if rows > nBlocks && nBlocks > 0 {
+		rows = nBlocks
+	}
+	out := &runOutput{dir: p.Chain.Dir, L: p.Chain.Cfg.BlockLen, rows: make([]rowState, rows)}
+	p.install(m, out)
+	return m, out, spanLog, nil
+}
+
+// install wires the plan's programs onto the mesh's first len(out.rows)
+// rows. Unless ProcessorRelay is set, interior pipeline PEs get a static
+// router route for the raw-block color, so crossing traffic never touches
+// their processor.
+func (p *Plan) install(m *wse.Mesh, out *runOutput) {
+	rows := len(out.rows)
 	pl := p.Cfg.PipelineLen
 	progs := make([]peProgram, 0, rows*p.Pipelines*pl) // never regrows: SetProgram keeps pointers
 	for r := 0; r < rows; r++ {
@@ -179,6 +273,8 @@ func (p *Plan) install(m *wse.Mesh, rows int) {
 				}
 				progs = append(progs, peProgram{
 					plan:      p,
+					row:       &out.rows[r],
+					out:       out,
 					isHead:    pos == 0,
 					isTail:    pos == pl-1,
 					group:     p.Groups[pos],
@@ -194,6 +290,7 @@ func (p *Plan) install(m *wse.Mesh, rows int) {
 // generated fast enough" assumption of §4.4: row r's west-edge PE gets
 // blocks r, r+rows, r+2·rows, … (§4.3).
 func feed(m *wse.Mesh, blocks []flowBlock, rows int, wavelets func(*flowBlock) int) {
+	m.ReserveInjections(len(blocks))
 	for r := 0; r < rows; r++ {
 		t := int64(0)
 		for b := r; b < len(blocks); b += rows {
@@ -214,21 +311,18 @@ func (p *Plan) Compress(data []float32) (*Result, error) {
 	}
 	L := p.Chain.Cfg.BlockLen
 	nBlocks := (len(data) + L - 1) / L
-	m, err := wse.NewMesh(p.Cfg.Mesh)
+	m, out, spanLog, err := p.newRun(nBlocks)
 	if err != nil {
 		return nil, err
 	}
-	var spanLog *wse.SpanLog
-	if p.Cfg.RecordSpans {
-		spanLog = m.AttachSpans()
+	rows := len(out.rows)
+	ext := make([]extent, nBlocks)
+	for r := range out.rows {
+		n := (nBlocks - r + rows - 1) / rows
+		out.rows[r].ext, ext = ext[:n:n], ext[n:]
 	}
-	rows := p.Cfg.Mesh.Rows
-	if rows > nBlocks && nBlocks > 0 {
-		rows = nBlocks
-	}
-	p.install(m, rows)
 
-	blocks := newFlowBlocks(nBlocks, L)
+	blocks := newFlowBlocks(nBlocks)
 	for b := range blocks {
 		blocks[b].raw = data[b*L : min((b+1)*L, len(data))]
 	}
@@ -247,20 +341,21 @@ func (p *Plan) Compress(data []float32) (*Result, error) {
 		Elements:    len(data),
 		Eps:         p.Chain.Cfg.Eps,
 	}
-	encoded, err := collectBlocks(m, nBlocks)
-	if err != nil {
+	if err := checkEmissions(m, nBlocks); err != nil {
 		return nil, err
 	}
 	size := core.StreamHeaderSize
-	for _, fb := range encoded {
-		size += len(fb.st.Encoded)
+	for i := range out.rows {
+		size += len(out.rows[i].log)
 	}
-	out := core.AppendStreamHeader(make([]byte, 0, size), meta)
-	for _, fb := range encoded {
-		out = append(out, fb.st.Encoded...)
+	stream := core.AppendStreamHeader(make([]byte, 0, size), meta)
+	for id := 0; id < nBlocks; id++ {
+		row := &out.rows[id%rows]
+		e := row.ext[id/rows]
+		stream = append(stream, row.log[e.off:e.off+e.n]...)
 	}
-	res := p.newResult(m, cycles, int64(4*len(data)), meta, wall, spanLog)
-	res.Bytes = out
+	res := p.newResult(m, cycles, int64(4*len(data)), meta, wall, spanLog, out)
+	res.Bytes = stream
 	return res, nil
 }
 
@@ -286,25 +381,17 @@ func (p *Plan) Decompress(comp []byte) (*Result, error) {
 	body := comp[core.StreamHeaderSize:]
 	nBlocks := meta.Blocks()
 
-	m, err := wse.NewMesh(p.Cfg.Mesh)
+	m, out, spanLog, err := p.newRun(nBlocks)
 	if err != nil {
 		return nil, err
 	}
-	var spanLog *wse.SpanLog
-	if p.Cfg.RecordSpans {
-		spanLog = m.AttachSpans()
-	}
-	rows := p.Cfg.Mesh.Rows
-	if rows > nBlocks && nBlocks > 0 {
-		rows = nBlocks
-	}
-	p.install(m, rows)
+	out.data = make([]float32, meta.Elements)
 
-	blocks := newFlowBlocks(nBlocks, meta.BlockLen)
+	blocks := newFlowBlocks(nBlocks)
 	for b := range blocks {
 		blocks[b].enc = body[offsets[b]:offsets[b+1]]
 	}
-	feed(m, blocks, rows, func(fb *flowBlock) int { return (len(fb.enc) + 3) / 4 })
+	feed(m, blocks, len(out.rows), func(fb *flowBlock) int { return (len(fb.enc) + 3) / 4 })
 
 	runStart := time.Now()
 	cycles, err := m.Run()
@@ -312,26 +399,15 @@ func (p *Plan) Decompress(comp []byte) (*Result, error) {
 		return nil, err
 	}
 	wall := time.Since(runStart)
-	decoded, err := collectBlocks(m, nBlocks)
-	if err != nil {
+	if err := checkEmissions(m, nBlocks); err != nil {
 		return nil, err
 	}
-	L := meta.BlockLen
-	out := make([]float32, meta.Elements)
-	for _, fb := range decoded {
-		lo := fb.id * L
-		hi := lo + L
-		if hi > len(out) {
-			hi = len(out)
-		}
-		copy(out[lo:hi], fb.st.Raw)
-	}
-	res := p.newResult(m, cycles, int64(4*meta.Elements), meta, wall, spanLog)
-	res.Data = out
+	res := p.newResult(m, cycles, int64(4*meta.Elements), meta, wall, spanLog, out)
+	res.Data = out.data
 	return res, nil
 }
 
-func (p *Plan) newResult(m *wse.Mesh, cycles, inputBytes int64, meta core.Meta, wall time.Duration, spanLog *wse.SpanLog) *Result {
+func (p *Plan) newResult(m *wse.Mesh, cycles, inputBytes int64, meta core.Meta, wall time.Duration, spanLog *wse.SpanLog, out *runOutput) *Result {
 	secs := m.Seconds(cycles)
 	tput := 0.0
 	if secs > 0 {
@@ -343,13 +419,15 @@ func (p *Plan) newResult(m *wse.Mesh, cycles, inputBytes int64, meta core.Meta, 
 		ThroughputGBps: tput,
 		Mesh:           m,
 		Meta:           meta,
-		Attribution:    m.Attribution(),
 		SpanLog:        spanLog,
 	}
 	if spanLog != nil {
 		res.Spans = spanLog.BlockSpans()
 	}
-	res.Telemetry = p.runTelemetry(m, cycles, wall, res.Attribution)
+	for i := range out.rows {
+		res.blockStates += out.rows[i].made
+	}
+	res.Telemetry = p.runTelemetry(m, cycles, wall)
 	return res
 }
 
@@ -359,7 +437,7 @@ func (p *Plan) newResult(m *wse.Mesh, cycles, inputBytes int64, meta core.Meta, 
 // host wall time the simulation itself took. The same values also land on
 // the Default registry (no-op unless a CLI enabled it), so a long-running
 // bench server exposes them at /debug/metrics across runs.
-func (p *Plan) runTelemetry(m *wse.Mesh, cycles int64, wall time.Duration, att wse.Attribution) telemetry.Snapshot {
+func (p *Plan) runTelemetry(m *wse.Mesh, cycles int64, wall time.Duration) telemetry.Snapshot {
 	reg := telemetry.NewRegistry()
 	reg.Histogram("sim.run_wall").Observe(wall.Nanoseconds())
 	reg.Counter("sim.events").Add(m.Processed())
@@ -367,14 +445,15 @@ func (p *Plan) runTelemetry(m *wse.Mesh, cycles int64, wall time.Duration, att w
 	reg.Gauge("sim.shards").Set(int64(m.Shards()))
 	reg.Gauge("sim.workers").Set(int64(m.Workers()))
 	s := m.Summary()
+	att := m.AttributionTotals().Totals
 	reg.Counter("sim.cycles.compute").Add(s.TotalCompute)
 	reg.Counter("sim.cycles.relay").Add(s.TotalRelay)
 	reg.Counter("sim.cycles.send").Add(s.TotalSend)
-	reg.Counter("sim.cycles.queue_wait").Add(att.Totals.QueueWait)
-	reg.Counter("sim.cycles.fabric_stall").Add(att.Totals.FabricStall)
-	reg.Counter("sim.cycles.idle").Add(att.Totals.Idle)
-	reg.Counter("sim.cycles.mailbox_wait").Add(att.Totals.MailboxWait)
-	reg.Counter("sim.forwards").Add(att.Totals.Forwarded)
+	reg.Counter("sim.cycles.queue_wait").Add(att.QueueWait)
+	reg.Counter("sim.cycles.fabric_stall").Add(att.FabricStall)
+	reg.Counter("sim.cycles.idle").Add(att.Idle)
+	reg.Counter("sim.cycles.mailbox_wait").Add(att.MailboxWait)
+	reg.Counter("sim.forwards").Add(att.Forwarded)
 	reg.Gauge("sim.active_pes").Set(int64(s.ActivePEs))
 	reg.Gauge("sim.mem_peak_bytes").Set(int64(s.MemPeak))
 	reg.Gauge("sim.mean_utilization_pct").Set(int64(100 * s.MeanUtilization))
@@ -440,27 +519,26 @@ func mirrorToDefault(s telemetry.Snapshot) {
 	}
 }
 
-// collectBlocks gathers the emitted flow blocks and orders them by id.
-func collectBlocks(m *wse.Mesh, nBlocks int) ([]*flowBlock, error) {
+// checkEmissions verifies that every block id in [0, nBlocks) left the
+// wafer exactly once.
+func checkEmissions(m *wse.Mesh, nBlocks int) error {
 	ems := m.Emissions()
 	if len(ems) != nBlocks {
-		return nil, fmt.Errorf("mapping: %d blocks emitted, want %d", len(ems), nBlocks)
+		return fmt.Errorf("mapping: %d blocks emitted, want %d", len(ems), nBlocks)
 	}
-	// Block ids are dense 0..nBlocks-1, so the emissions sort by direct
-	// placement: out[id] is the slot, and a filled slot is a duplicate.
-	out := make([]*flowBlock, nBlocks)
+	seen := make([]bool, nBlocks)
 	for _, e := range ems {
 		fb, ok := e.Payload.(*flowBlock)
 		if !ok {
-			return nil, fmt.Errorf("mapping: unexpected emission payload %T", e.Payload)
+			return fmt.Errorf("mapping: unexpected emission payload %T", e.Payload)
 		}
 		if fb.id < 0 || fb.id >= nBlocks {
-			return nil, fmt.Errorf("mapping: emitted block id %d outside [0,%d)", fb.id, nBlocks)
+			return fmt.Errorf("mapping: emitted block id %d outside [0,%d)", fb.id, nBlocks)
 		}
-		if out[fb.id] != nil {
-			return nil, fmt.Errorf("mapping: block %d emitted twice", fb.id)
+		if seen[fb.id] {
+			return fmt.Errorf("mapping: block %d emitted twice", fb.id)
 		}
-		out[fb.id] = fb
+		seen[fb.id] = true
 	}
-	return out, nil
+	return nil
 }

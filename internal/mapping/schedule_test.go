@@ -153,7 +153,7 @@ func scheduleDigest(t *testing.T, res *Result) string {
 		put(int64(e.From.Row), int64(e.From.Col), e.At, int64(fb.id))
 	}
 
-	att := res.Attribution
+	att := res.Attribution()
 	put(att.Elapsed, int64(att.ActivePEs), int64(att.MeshPEs), int64(len(att.PEs)))
 	putAtt := func(pa wse.PEAttribution) {
 		put(int64(pa.PE.Row), int64(pa.PE.Col), pa.Compute, pa.RelayForward, pa.QueueWait,

@@ -151,7 +151,7 @@ func TestAttributionAndSpansDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				att := res.Attribution
+				att := res.Attribution()
 
 				// Invariant on every run: buckets tile [0, Elapsed].
 				for _, pa := range att.PEs {

@@ -191,11 +191,14 @@ const (
 // NewBlockState allocates the scratch for a block of length L.
 func NewBlockState(L int) *BlockState { return &NewBlockStates(L, 1)[0] }
 
-// NewBlockStates allocates n block states of length L from one backing
-// array per field — eight allocations for the lot instead of seven per
-// state. Each state's slices are capped at its own share, so appending
-// past it reallocates rather than overwriting the next state, and
-// Encoded has room for the largest block either direction can hold.
+// NewBlockStates allocates a batch of n block states of length L from one
+// backing array per field — eight allocations for the batch instead of
+// seven per state. Each state's slices are capped at its own share, so
+// appending past it reallocates rather than overwriting the next state,
+// and Encoded has room for the largest block either direction can hold.
+// A state may serve block after block: ResetForCompress and
+// ResetForDecompress clear everything a later sub-stage reads before
+// writing it.
 func NewBlockStates(L, n int) []BlockState {
 	pb := flenc.PlaneBytes(L)
 	planes := flenc.MaxWidth * pb

@@ -26,15 +26,15 @@ var runtimeSampleNames = []string{
 
 // RuntimeStats is one reading of the process's runtime health.
 type RuntimeStats struct {
-	GoVersion    string `json:"go_version"`
-	Goroutines   int64  `json:"goroutines"`
-	HeapBytes    int64  `json:"heap_bytes"`
-	TotalBytes   int64  `json:"total_bytes"`
-	GCCycles     int64  `json:"gc_cycles"`
-	GCPauseP50Ns int64  `json:"gc_pause_p50_ns"`
-	GCPauseP99Ns int64  `json:"gc_pause_p99_ns"`
-	SchedLatP50Ns int64 `json:"sched_latency_p50_ns"`
-	SchedLatP99Ns int64 `json:"sched_latency_p99_ns"`
+	GoVersion     string `json:"go_version"`
+	Goroutines    int64  `json:"goroutines"`
+	HeapBytes     int64  `json:"heap_bytes"`
+	TotalBytes    int64  `json:"total_bytes"`
+	GCCycles      int64  `json:"gc_cycles"`
+	GCPauseP50Ns  int64  `json:"gc_pause_p50_ns"`
+	GCPauseP99Ns  int64  `json:"gc_pause_p99_ns"`
+	SchedLatP50Ns int64  `json:"sched_latency_p50_ns"`
+	SchedLatP99Ns int64  `json:"sched_latency_p99_ns"`
 }
 
 // ReadRuntimeStats samples the runtime. The pause and scheduler-latency
@@ -105,11 +105,11 @@ func float64HistQuantileNs(h *metrics.Float64Histogram, q float64) int64 {
 // Runtime gauge names under the registry's namespace; Describe'd once in
 // UpdateRuntimeGauges so the exposition carries HELP text for them.
 var runtimeGaugeHelp = map[string]string{
-	"runtime.goroutines":          "Live goroutine count (/sched/goroutines).",
-	"runtime.heap_bytes":          "Bytes of live heap objects (/memory/classes/heap/objects).",
-	"runtime.total_bytes":         "Total bytes of memory mapped by the Go runtime (/memory/classes/total).",
-	"runtime.gc_cycles":           "Completed GC cycles since process start (/gc/cycles/total).",
-	"runtime.gc_pause_p99_ns":     "p99 stop-the-world GC pause, process lifetime (/gc/pauses).",
+	"runtime.goroutines":           "Live goroutine count (/sched/goroutines).",
+	"runtime.heap_bytes":           "Bytes of live heap objects (/memory/classes/heap/objects).",
+	"runtime.total_bytes":          "Total bytes of memory mapped by the Go runtime (/memory/classes/total).",
+	"runtime.gc_cycles":            "Completed GC cycles since process start (/gc/cycles/total).",
+	"runtime.gc_pause_p99_ns":      "p99 stop-the-world GC pause, process lifetime (/gc/pauses).",
 	"runtime.sched_latency_p99_ns": "p99 goroutine scheduling latency, process lifetime (/sched/latencies).",
 }
 

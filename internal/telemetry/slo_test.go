@@ -29,20 +29,20 @@ func TestParseSLOSpec(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"",                        // empty
-		"compress",                // no sli/target
-		"compress:p99<25ms",       // no target
-		":p99<25ms:99.9",          // empty subject
-		"compress:p99:99.9",       // latency sli without threshold
-		"compress:p<25ms:99.9",    // empty quantile
-		"compress:pXX<25ms:99.9",  // non-numeric quantile
-		"compress:p99<0s:99.9",    // non-positive threshold
-		"compress:p99<zzz:99.9",   // unparsable duration
-		"compress:latency:99.9",   // unknown sli
-		"compress:err:0",          // target floor
-		"compress:err:100",        // target ceiling
-		"compress:err:nope",       // non-numeric target
-		"compress:p99<25ms:99:9",  // too many fields
+		"",                       // empty
+		"compress",               // no sli/target
+		"compress:p99<25ms",      // no target
+		":p99<25ms:99.9",         // empty subject
+		"compress:p99:99.9",      // latency sli without threshold
+		"compress:p<25ms:99.9",   // empty quantile
+		"compress:pXX<25ms:99.9", // non-numeric quantile
+		"compress:p99<0s:99.9",   // non-positive threshold
+		"compress:p99<zzz:99.9",  // unparsable duration
+		"compress:latency:99.9",  // unknown sli
+		"compress:err:0",         // target floor
+		"compress:err:100",       // target ceiling
+		"compress:err:nope",      // non-numeric target
+		"compress:p99<25ms:99:9", // too many fields
 	} {
 		if _, err := ParseSLOSpec(bad); err == nil {
 			t.Errorf("ParseSLOSpec(%q) accepted, want error", bad)

@@ -63,45 +63,72 @@ type Attribution struct {
 // did any work (dispatched, routed, or accumulated wait) are listed —
 // an untouched PE is trivially all-Idle.
 func (m *Mesh) Attribution() Attribution {
-	elapsed := m.Elapsed()
-	att := Attribution{Elapsed: elapsed, MeshPEs: len(m.pes)}
 	active := 0
 	for i := range m.pes {
 		if m.pes[i].stats.active() {
 			active++
 		}
 	}
-	att.PEs = make([]PEAttribution, 0, active)
+	return m.attribution(make([]PEAttribution, 0, active))
+}
+
+// AttributionTotals is Attribution without the per-PE list (PEs is nil):
+// the run-wide sums, built without allocating.
+func (m *Mesh) AttributionTotals() Attribution { return m.attribution(nil) }
+
+// attribution sums the active PEs' decompositions, appending each to pes
+// when pes is non-nil.
+func (m *Mesh) attribution(pes []PEAttribution) Attribution {
+	elapsed := m.Elapsed()
+	att := Attribution{Elapsed: elapsed, MeshPEs: len(m.pes)}
 	for i := range m.pes {
-		s := &m.pes[i].stats
-		if !s.active() {
+		pa, ok := m.pes[i].attribution(elapsed)
+		if !ok {
 			continue
 		}
-		pa := PEAttribution{
-			PE:           m.pes[i].coord,
-			Compute:      s.ComputeCycles,
-			RelayForward: s.RelayCycles + s.SendCycles,
-			QueueWait:    s.QueueWaitCycles,
-			FabricStall:  s.FabricStallCycles,
-			MailboxWait:  s.MailboxWaitCycles,
-			Handled:      s.Handled,
-			Forwarded:    s.Forwarded,
-			Routed:       s.Routed,
+		att.ActivePEs++
+		att.Totals.add(&pa)
+		if pes != nil {
+			pes = append(pes, pa)
 		}
-		pa.Idle = elapsed - pa.Busy() - pa.QueueWait - pa.FabricStall
-		att.PEs = append(att.PEs, pa)
-		att.Totals.Compute += pa.Compute
-		att.Totals.RelayForward += pa.RelayForward
-		att.Totals.QueueWait += pa.QueueWait
-		att.Totals.FabricStall += pa.FabricStall
-		att.Totals.Idle += pa.Idle
-		att.Totals.MailboxWait += pa.MailboxWait
-		att.Totals.Handled += pa.Handled
-		att.Totals.Forwarded += pa.Forwarded
-		att.Totals.Routed += pa.Routed
 	}
-	att.ActivePEs = len(att.PEs)
+	att.PEs = pes
 	return att
+}
+
+// attribution is the PE's timeline decomposition over [0, elapsed], and
+// whether the PE is active (an inactive PE is all-Idle and unlisted).
+func (p *PE) attribution(elapsed int64) (PEAttribution, bool) {
+	s := &p.stats
+	if !s.active() {
+		return PEAttribution{}, false
+	}
+	pa := PEAttribution{
+		PE:           p.coord,
+		Compute:      s.ComputeCycles,
+		RelayForward: s.RelayCycles + s.SendCycles,
+		QueueWait:    s.QueueWaitCycles,
+		FabricStall:  s.FabricStallCycles,
+		MailboxWait:  s.MailboxWaitCycles,
+		Handled:      s.Handled,
+		Forwarded:    s.Forwarded,
+		Routed:       s.Routed,
+	}
+	pa.Idle = elapsed - pa.Busy() - pa.QueueWait - pa.FabricStall
+	return pa, true
+}
+
+// add sums pa's buckets into a (the PE coordinate stays zero).
+func (a *PEAttribution) add(pa *PEAttribution) {
+	a.Compute += pa.Compute
+	a.RelayForward += pa.RelayForward
+	a.QueueWait += pa.QueueWait
+	a.FabricStall += pa.FabricStall
+	a.Idle += pa.Idle
+	a.MailboxWait += pa.MailboxWait
+	a.Handled += pa.Handled
+	a.Forwarded += pa.Forwarded
+	a.Routed += pa.Routed
 }
 
 // active reports whether a PE did any work or accumulated any wait — the

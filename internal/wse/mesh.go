@@ -1,6 +1,9 @@
 package wse
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Fabric timing and clock of the CS-2.
 const (
@@ -204,6 +207,17 @@ func (m *Mesh) Inject(row, col int, msg Message, at int64) {
 	pe := m.PE(row, col)
 	m.pending = append(m.pending, evKey{at: at, seq: m.injectSeq, src: hostSrc, slot: m.pre.put(&msg, pe.idx)})
 	m.injectSeq++
+}
+
+// ReserveInjections makes room for n more Inject calls, so that a caller
+// who knows its injection count sizes the pre-run queue and slab once
+// instead of letting them grow by doubling. Must be called before Run.
+func (m *Mesh) ReserveInjections(n int) {
+	if m.ran {
+		panic("wse: ReserveInjections after Run")
+	}
+	m.pending = slices.Grow(m.pending, n)
+	m.pre.msgs = slices.Grow(m.pre.msgs, n)
 }
 
 // Emissions returns everything programs handed off the wafer, in emission

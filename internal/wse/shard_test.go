@@ -263,6 +263,14 @@ func TestWorkerEngineReusedAcrossShards(t *testing.T) {
 	if !reflect.DeepEqual(got.Attribution(), seq.Attribution()) {
 		t.Fatal("attribution diverges from sequential")
 	}
+	att := got.Attribution()
+	att.PEs = nil
+	if tot := got.AttributionTotals(); !reflect.DeepEqual(tot, att) {
+		t.Fatalf("AttributionTotals = %+v, want Attribution without its PE list %+v", tot, att)
+	}
+	if n := testing.AllocsPerRun(10, func() { got.AttributionTotals() }); n != 0 {
+		t.Fatalf("AttributionTotals allocates %v times", n)
+	}
 	want := make([]int64, rows)
 	var total int64
 	for r := range want {
