@@ -45,17 +45,25 @@ func newFlowBlocks(n int) []flowBlock {
 }
 
 // rowState is one mesh row's share of a run: the block states not
-// holding a block and, for compression, the row's encoded blocks in
-// emission order with where each one lies. Rows are the sharded engine's
-// unit, so only one worker ever touches a row's state, and it needs no
-// lock.
+// holding a block, the tally of blocks its tail PEs kept and, for
+// compression, the row's encoded blocks in emission order with where each
+// one lies. Rows are the sharded engine's unit, so only one worker ever
+// touches a row's state, and it needs no lock.
 type rowState struct {
 	free []*stages.BlockState
 	made int
 	log  []byte
 	// ext[k] locates the row's k-th block, block id k·rows + row (see
-	// feed), in log.
+	// rowFeed), in log.
 	ext []extent
+
+	// r is the row, and n how many blocks it carries. seen marks the
+	// blocks its tail PEs kept (bit k for its k-th block), kept counts
+	// them, and bad is the first block keep refused.
+	r, n int
+	seen []uint64
+	kept int
+	bad  error
 }
 
 // take returns a free block state of length L, doubling the row's states
@@ -91,16 +99,58 @@ type runOutput struct {
 	data []float32 // decompression: the reconstructed field
 }
 
-// keep copies a finished block's result out of its state.
+// keep copies a finished block's result out of its state, after checking
+// that the block belongs to the row and is not already out: with every
+// row's count at its n after the run (see check), every block left the
+// wafer exactly once.
 func (o *runOutput) keep(row *rowState, fb *flowBlock) {
+	rows := len(o.rows)
+	k := fb.id / rows
+	if fb.id < 0 || fb.id%rows != row.r || k >= row.n {
+		row.refuse(fmt.Errorf("mapping: row %d emitted block %d, not one of its %d", row.r, fb.id, row.n))
+		return
+	}
+	if row.seen == nil {
+		row.seen = make([]uint64, (row.n+63)/64)
+	}
+	w, bit := k/64, uint64(1)<<(k%64)
+	if row.seen[w]&bit != 0 {
+		row.refuse(fmt.Errorf("mapping: block %d emitted twice", fb.id))
+		return
+	}
+	row.seen[w] |= bit
+	row.kept++
 	st := fb.st
 	if o.dir == stages.Compress {
-		row.ext[fb.id/len(o.rows)] = extent{off: len(row.log), n: len(st.Encoded)}
+		row.ext[k] = extent{off: len(row.log), n: len(st.Encoded)}
 		row.log = append(row.log, st.Encoded...)
 		return
 	}
 	// The field's last block may be partial: copy clips the padding.
 	copy(o.data[fb.id*o.L:], st.Raw)
+}
+
+// refuse records the row's first refused block.
+func (r *rowState) refuse(err error) {
+	if r.bad == nil {
+		r.bad = err
+	}
+}
+
+// check verifies that every block of the run left the wafer exactly once,
+// from the rows' tallies.
+func (o *runOutput) check(nBlocks int) error {
+	kept := 0
+	for i := range o.rows {
+		if err := o.rows[i].bad; err != nil {
+			return err
+		}
+		kept += o.rows[i].kept
+	}
+	if kept != nBlocks {
+		return fmt.Errorf("mapping: %d blocks emitted, want %d", kept, nBlocks)
+	}
+	return nil
 }
 
 // peProgram is the per-PE code: relay raw blocks for pipelines to the
@@ -251,6 +301,9 @@ func (p *Plan) newRun(nBlocks int) (*wse.Mesh, *runOutput, *wse.SpanLog, error) 
 		rows = nBlocks
 	}
 	out := &runOutput{dir: p.Chain.Dir, L: p.Chain.Cfg.BlockLen, rows: make([]rowState, rows)}
+	for r := range out.rows {
+		out.rows[r].r, out.rows[r].n = r, rowBlocks(nBlocks, rows, r)
+	}
 	p.install(m, out)
 	return m, out, spanLog, nil
 }
@@ -286,22 +339,31 @@ func (p *Plan) install(m *wse.Mesh, out *runOutput) {
 	}
 }
 
-// feed streams every block onto the wafer at link rate, the "data
+// rowFeed streams a run's blocks onto the wafer at link rate, the "data
 // generated fast enough" assumption of §4.4: row r's west-edge PE gets
-// blocks r, r+rows, r+2·rows, … (§4.3).
-func feed(m *wse.Mesh, blocks []flowBlock, rows int, wavelets func(*flowBlock) int) {
-	m.ReserveInjections(len(blocks))
-	for r := 0; r < rows; r++ {
-		t := int64(0)
-		for b := r; b < len(blocks); b += rows {
-			fb := &blocks[b]
-			w := wavelets(fb)
-			m.Inject(r, 0, wse.Message{Color: colorRaw, Payload: fb, Wavelets: w,
-				Span: int64(fb.id) + 1}, t)
-			t += int64(w) + wse.LinkLatency
-		}
+// blocks r, r+rows, r+2·rows, … (§4.3). It is the mesh's feed, so each
+// row is fed on the worker that simulates it; FeedRow only reads blocks.
+type rowFeed struct {
+	blocks   []flowBlock
+	rows     int
+	wavelets func(*flowBlock) int
+}
+
+func (f *rowFeed) RowLen(r int) int { return rowBlocks(len(f.blocks), f.rows, r) }
+
+func (f *rowFeed) FeedRow(r int, in *wse.Injector) {
+	t := int64(0)
+	for b := r; b < len(f.blocks); b += f.rows {
+		fb := &f.blocks[b]
+		w := f.wavelets(fb)
+		in.Inject(0, wse.Message{Color: colorRaw, Payload: fb, Wavelets: w, Span: int64(fb.id) + 1}, t)
+		t += int64(w) + wse.LinkLatency
 	}
 }
+
+// rowBlocks is how many of n blocks row r of a rows-row run carries:
+// ids r, r+rows, … below n (none for a row past the run's rows).
+func rowBlocks(n, rows, r int) int { return max(0, (n-r+rows-1)/rows) }
 
 // Compress runs the plan on data and returns the compressed stream, which
 // is byte-identical to internal/core's for the same parameters.
@@ -318,7 +380,7 @@ func (p *Plan) Compress(data []float32) (*Result, error) {
 	rows := len(out.rows)
 	ext := make([]extent, nBlocks)
 	for r := range out.rows {
-		n := (nBlocks - r + rows - 1) / rows
+		n := out.rows[r].n
 		out.rows[r].ext, ext = ext[:n:n], ext[n:]
 	}
 
@@ -326,7 +388,7 @@ func (p *Plan) Compress(data []float32) (*Result, error) {
 	for b := range blocks {
 		blocks[b].raw = data[b*L : min((b+1)*L, len(data))]
 	}
-	feed(m, blocks, rows, func(*flowBlock) int { return L })
+	m.SetFeed(&rowFeed{blocks: blocks, rows: rows, wavelets: func(*flowBlock) int { return L }})
 
 	runStart := time.Now()
 	cycles, err := m.Run()
@@ -341,7 +403,7 @@ func (p *Plan) Compress(data []float32) (*Result, error) {
 		Elements:    len(data),
 		Eps:         p.Chain.Cfg.Eps,
 	}
-	if err := checkEmissions(m, nBlocks); err != nil {
+	if err := out.check(nBlocks); err != nil {
 		return nil, err
 	}
 	size := core.StreamHeaderSize
@@ -391,7 +453,7 @@ func (p *Plan) Decompress(comp []byte) (*Result, error) {
 	for b := range blocks {
 		blocks[b].enc = body[offsets[b]:offsets[b+1]]
 	}
-	feed(m, blocks, len(out.rows), func(fb *flowBlock) int { return (len(fb.enc) + 3) / 4 })
+	m.SetFeed(&rowFeed{blocks: blocks, rows: len(out.rows), wavelets: func(fb *flowBlock) int { return (len(fb.enc) + 3) / 4 }})
 
 	runStart := time.Now()
 	cycles, err := m.Run()
@@ -399,7 +461,7 @@ func (p *Plan) Decompress(comp []byte) (*Result, error) {
 		return nil, err
 	}
 	wall := time.Since(runStart)
-	if err := checkEmissions(m, nBlocks); err != nil {
+	if err := out.check(nBlocks); err != nil {
 		return nil, err
 	}
 	res := p.newResult(m, cycles, int64(4*meta.Elements), meta, wall, spanLog, out)
@@ -444,8 +506,11 @@ func (p *Plan) runTelemetry(m *wse.Mesh, cycles int64, wall time.Duration) telem
 	reg.Counter("sim.cycles").Add(cycles)
 	reg.Gauge("sim.shards").Set(int64(m.Shards()))
 	reg.Gauge("sim.workers").Set(int64(m.Workers()))
-	s := m.Summary()
-	att := m.AttributionTotals().Totals
+	// Column c holds pipeline position c mod PipelineLen, so one walk
+	// that sums compute per column also recovers each stage group's load.
+	cols := make([]int64, m.Config().Cols)
+	s, tot := m.Totals(cols)
+	att := tot.Totals
 	reg.Counter("sim.cycles.compute").Add(s.TotalCompute)
 	reg.Counter("sim.cycles.relay").Add(s.TotalRelay)
 	reg.Counter("sim.cycles.send").Add(s.TotalSend)
@@ -482,13 +547,10 @@ func (p *Plan) runTelemetry(m *wse.Mesh, cycles int64, wall time.Duration) telem
 		}
 	}
 	// Per-stage-group load: Algorithm 1's estimate next to what the mesh
-	// actually measured. Column c holds pipeline position c mod PipelineLen,
-	// so summing per-PE compute per position recovers the group split.
+	// actually measured.
 	perPos := make([]int64, p.Cfg.PipelineLen)
-	for r := 0; r < m.Config().Rows; r++ {
-		for c := 0; c < m.Config().Cols; c++ {
-			perPos[c%p.Cfg.PipelineLen] += m.PE(r, c).Stats().ComputeCycles
-		}
+	for c, v := range cols {
+		perPos[c%p.Cfg.PipelineLen] += v
 	}
 	for pos, g := range p.Groups {
 		reg.Counter(fmt.Sprintf("plan.group%02d.est_cycles", pos)).Add(GroupCost(p.EstCosts, g))
@@ -517,28 +579,4 @@ func mirrorToDefault(s telemetry.Snapshot) {
 		}
 		telemetry.G(name).Set(v)
 	}
-}
-
-// checkEmissions verifies that every block id in [0, nBlocks) left the
-// wafer exactly once.
-func checkEmissions(m *wse.Mesh, nBlocks int) error {
-	ems := m.Emissions()
-	if len(ems) != nBlocks {
-		return fmt.Errorf("mapping: %d blocks emitted, want %d", len(ems), nBlocks)
-	}
-	seen := make([]bool, nBlocks)
-	for _, e := range ems {
-		fb, ok := e.Payload.(*flowBlock)
-		if !ok {
-			return fmt.Errorf("mapping: unexpected emission payload %T", e.Payload)
-		}
-		if fb.id < 0 || fb.id >= nBlocks {
-			return fmt.Errorf("mapping: emitted block id %d outside [0,%d)", fb.id, nBlocks)
-		}
-		if seen[fb.id] {
-			return fmt.Errorf("mapping: block %d emitted twice", fb.id)
-		}
-		seen[fb.id] = true
-	}
-	return nil
 }

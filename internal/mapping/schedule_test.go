@@ -4,13 +4,18 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"ceresz/internal/datasets"
 	"ceresz/internal/quant"
 	"ceresz/internal/stages"
+	"ceresz/internal/telemetry"
 	"ceresz/internal/wse"
 )
 
@@ -185,4 +190,104 @@ func putInt(h hash.Hash, v int64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(v))
 	h.Write(b[:])
+}
+
+// telemetryGroupCompute are the committed plan.groupNN.compute_cycles of
+// every scheduleCases run, group by group.
+var telemetryGroupCompute = map[string][]int64{
+	"64x8/compress":              {13015542},
+	"64x8/decompress":            {9900185},
+	"64x64/compress":             {13015542},
+	"64x64/decompress":           {9900185},
+	"128x16/compress":            {9068750, 3946792},
+	"128x16/decompress":          {5424240, 4475945},
+	"processor-relay/compress":   {9068750, 3946792},
+	"processor-relay/decompress": {5424240, 4475945},
+	"sequential/compress":        {4431875, 4636875, 3663504, 283288},
+	"sequential/decompress":      {4152480, 1312080, 4435625, 0},
+}
+
+// telemetryDigests are the committed SHA-256 digests of every
+// deterministic counter and gauge of those runs' telemetry.
+var telemetryDigests = map[string]string{
+	"64x8/compress":              "e9612c3ad8346dd131a833de0d82c5ead1fabca2d381e814ab2c08b16ae47f80",
+	"64x8/decompress":            "73af15176ffb342b7b1ba471fcf417ad8c0622fb56f76e3b6e0b99abf7fe9588",
+	"64x64/compress":             "0533bb523ace5dafa90d773a22bf99496359728ae636529d85af092629ed52a9",
+	"64x64/decompress":           "58dda2e336945534f069c6a66d7e400b337b76e80f5d843aa6068cf70aeb8e9b",
+	"128x16/compress":            "71e3584f0bf8d8ad9dcf56c7b0c3481914b896a3c6f998790c95bf267233f87e",
+	"128x16/decompress":          "2bc232f6f6c0ef40a748500d5de70dda82ebf94eadcf411f8a25d863e5dcb9b8",
+	"processor-relay/compress":   "9c57e6b8fdd2b885f6d1c29de267d49f9a3553307a836efebf840d80b03e39d3",
+	"processor-relay/decompress": "83390257d05f6b23e7a11decfcc07ebaf9157595504b83b4a5c173ee34c3abb1",
+	"sequential/compress":        "e4fa7d82c9513726e064a91b9cd6da3f0d0367a1e0bff9ef6ab83c5cc68b4004",
+	"sequential/decompress":      "a44e7c7b897aa9475bb82f710d8c0dcf6fccea420f0e264fa831fe9036e4c4f3",
+}
+
+// TestRunTelemetryKnownAnswers pins a run's telemetry across commits: the
+// per-group compute cycles, which must also sum to sim.cycles.compute, and
+// a digest of every counter and gauge that does not depend on the host
+// (all but sim.run_wall and sim.pool_peak_workers).
+func TestRunTelemetryKnownAnswers(t *testing.T) {
+	data := nyxField(t, 20000)
+	for _, tc := range scheduleCases {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, dp := roundTripPlans(t, data, 1e-3, tc.cfg)
+			cres, err := cp.Compress(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dres, err := dp.Decompress(cres.Bytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				dir string
+				res *Result
+			}{{"compress", cres}, {"decompress", dres}} {
+				key := tc.name + "/" + c.dir
+				snap := c.res.Telemetry
+				var groups []int64
+				var sum int64
+				for pos := 0; pos < tc.cfg.PipelineLen; pos++ {
+					v, ok := snap.Counters[fmt.Sprintf("plan.group%02d.compute_cycles", pos)]
+					if !ok {
+						t.Fatalf("%s: no plan.group%02d.compute_cycles", key, pos)
+					}
+					groups = append(groups, v)
+					sum += v
+				}
+				if total := snap.Counters["sim.cycles.compute"]; sum != total {
+					t.Errorf("%s: group compute cycles %v sum to %d, sim.cycles.compute is %d", key, groups, sum, total)
+				}
+				if want := telemetryGroupCompute[key]; !reflect.DeepEqual(groups, want) {
+					t.Errorf("%s: group compute cycles %v, committed %v", key, groups, want)
+				}
+				if got, want := telemetryDigest(snap), telemetryDigests[key]; got != want {
+					t.Errorf("%s: telemetry digest %s, committed %s\n%s", key, got, want, snap)
+				}
+			}
+		})
+	}
+}
+
+// telemetryDigest hashes a snapshot's host-independent counters and
+// gauges, by name.
+func telemetryDigest(s telemetry.Snapshot) string {
+	h := sha256.New()
+	put := func(kind string, vals map[string]int64) {
+		names := make([]string, 0, len(vals))
+		for name := range vals {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if strings.HasPrefix(name, "sim.pool_peak_workers") {
+				continue
+			}
+			h.Write([]byte(kind + name))
+			putInt(h, vals[name])
+		}
+	}
+	put("counter ", s.Counters)
+	put("gauge ", s.Gauges)
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ceresz/internal/core"
+	"ceresz/internal/stages"
 	"ceresz/internal/wse"
 )
 
@@ -149,6 +151,51 @@ func TestPipelineLen1StatesPerRow(t *testing.T) {
 			if n := res.blockStates; n < 1 || n > cfg.Mesh.Rows {
 				t.Errorf("%d blocks: %s made %d block states, want 1 to %d", nBlocks, dir, n, cfg.Mesh.Rows)
 			}
+		}
+	}
+}
+
+// TestKeepChecksEveryBlockOnce drives the tail PE's exactly-once check
+// directly: a block kept on a row it does not belong to, a block kept
+// twice, and a block never kept must each fail the run's check, and the
+// whole set kept once must pass it.
+func TestKeepChecksEveryBlockOnce(t *testing.T) {
+	const L, nBlocks, rows = 4, 7, 3
+	newOut := func() *runOutput {
+		o := &runOutput{dir: stages.Decompress, L: L, rows: make([]rowState, rows), data: make([]float32, nBlocks*L)}
+		for r := range o.rows {
+			o.rows[r].r, o.rows[r].n = r, (nBlocks-r+rows-1)/rows
+		}
+		return o
+	}
+	st := &stages.NewBlockStates(L, 1)[0]
+	keep := func(o *runOutput, row, id int) {
+		o.keep(&o.rows[row], &flowBlock{id: id, st: st})
+	}
+	all := func(o *runOutput) {
+		for id := 0; id < nBlocks; id++ {
+			keep(o, id%rows, id)
+		}
+	}
+	o := newOut()
+	all(o)
+	if err := o.check(nBlocks); err != nil {
+		t.Fatalf("every block kept once: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(o *runOutput)
+		want string
+	}{
+		{"missing", func(o *runOutput) { keep(o, 0, 0) }, "1 blocks emitted, want 7"},
+		{"twice", func(o *runOutput) { all(o); keep(o, 1, 4) }, "block 4 emitted twice"},
+		{"wrong row", func(o *runOutput) { keep(o, 1, 3) }, "row 1 emitted block 3"},
+		{"past the row's blocks", func(o *runOutput) { keep(o, 1, 7) }, "row 1 emitted block 7"},
+	} {
+		o := newOut()
+		tc.run(o)
+		if err := o.check(nBlocks); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: check = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }

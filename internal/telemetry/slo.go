@@ -60,8 +60,9 @@ func ParseSLOSpec(raw string) (SLOSpec, error) {
 		if lt < 2 {
 			return spec, fmt.Errorf("slo %q: latency sli must be p<q><<duration>, e.g. p99<25ms", raw)
 		}
-		if _, err := strconv.ParseFloat(sli[1:lt], 64); err != nil {
-			return spec, fmt.Errorf("slo %q: bad quantile %q", raw, sli[1:lt])
+		// NaN fails both comparisons, so the test is written to reject it.
+		if q, err := strconv.ParseFloat(sli[1:lt], 64); err != nil || !(q > 0 && q <= 100) {
+			return spec, fmt.Errorf("slo %q: quantile must be a percentile in (0,100], got %q", raw, sli[1:lt])
 		}
 		d, err := time.ParseDuration(sli[lt+1:])
 		if err != nil || d <= 0 {
@@ -72,11 +73,14 @@ func ParseSLOSpec(raw string) (SLOSpec, error) {
 	default:
 		return spec, fmt.Errorf("slo %q: sli must be p<q><<duration> or err, got %q", raw, sli)
 	}
-	target, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil || target <= 0 || target >= 100 {
+	// The fraction is checked, not the percentage: a subnormal percentage
+	// divides to 0, and NaN fails both comparisons.
+	pct, err := strconv.ParseFloat(parts[2], 64)
+	target := pct / 100
+	if err != nil || !(target > 0 && target < 1) {
 		return spec, fmt.Errorf("slo %q: target must be a percentage in (0,100), got %q", raw, parts[2])
 	}
-	spec.Target = target / 100
+	spec.Target = target
 	return spec, nil
 }
 

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -43,11 +45,51 @@ func TestParseSLOSpec(t *testing.T) {
 		"compress:err:100",       // target ceiling
 		"compress:err:nope",      // non-numeric target
 		"compress:p99<25ms:99:9", // too many fields
+		"x:err:NaN",              // NaN target
+		"x:err:-Inf",             // infinite target
+		"x:err:1e-400",           // target that divides to 0
+		"x:pNaN<1s:99",           // NaN quantile
+		"x:p-3<1s:99",            // negative quantile
+		"x:pInf<1s:99",           // infinite quantile
+		"x:p250<1s:99",           // quantile past 100
+		"x:p0<1s:99",             // zero quantile
 	} {
 		if _, err := ParseSLOSpec(bad); err == nil {
 			t.Errorf("ParseSLOSpec(%q) accepted, want error", bad)
 		}
 	}
+}
+
+// FuzzParseSLOSpec holds every spec ParseSLOSpec accepts to the ranges
+// the SLO evaluation relies on: a target fraction in (0,1), a finite
+// percentile in (0,100], and a positive threshold exactly for latency
+// SLIs.
+func FuzzParseSLOSpec(f *testing.F) {
+	for _, seed := range []string{
+		"compress:p99<25ms:99.9", "decompress:err:99.99", "x:err:NaN", "x:pNaN<1s:99",
+		"x:p-3<1s:99", "x:pInf<1s:99", "x:p250<1s:99", "x:p100<1ns:1e-300", "x:p0x1p-2<1h:50",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		spec, err := ParseSLOSpec(raw)
+		if err != nil {
+			return
+		}
+		if !(spec.Target > 0 && spec.Target < 1) {
+			t.Fatalf("%q: target %v outside (0,1)", raw, spec.Target)
+		}
+		latency := spec.SLI != "err"
+		if latency {
+			q, err := strconv.ParseFloat(strings.TrimPrefix(spec.SLI, "p"), 64)
+			if err != nil || math.IsInf(q, 0) || !(q > 0 && q <= 100) {
+				t.Fatalf("%q: quantile %q not a finite percentile in (0,100]", raw, spec.SLI)
+			}
+		}
+		if (spec.Threshold > 0) != latency {
+			t.Fatalf("%q: threshold %v for SLI %q", raw, spec.Threshold, spec.SLI)
+		}
+	})
 }
 
 func TestParseSLOSpecs(t *testing.T) {

@@ -69,18 +69,8 @@ func (m *Mesh) Attribution() Attribution {
 			active++
 		}
 	}
-	return m.attribution(make([]PEAttribution, 0, active))
-}
-
-// AttributionTotals is Attribution without the per-PE list (PEs is nil):
-// the run-wide sums, built without allocating.
-func (m *Mesh) AttributionTotals() Attribution { return m.attribution(nil) }
-
-// attribution sums the active PEs' decompositions, appending each to pes
-// when pes is non-nil.
-func (m *Mesh) attribution(pes []PEAttribution) Attribution {
 	elapsed := m.Elapsed()
-	att := Attribution{Elapsed: elapsed, MeshPEs: len(m.pes)}
+	att := Attribution{Elapsed: elapsed, MeshPEs: len(m.pes), PEs: make([]PEAttribution, 0, active)}
 	for i := range m.pes {
 		pa, ok := m.pes[i].attribution(elapsed)
 		if !ok {
@@ -88,11 +78,15 @@ func (m *Mesh) attribution(pes []PEAttribution) Attribution {
 		}
 		att.ActivePEs++
 		att.Totals.add(&pa)
-		if pes != nil {
-			pes = append(pes, pa)
-		}
+		att.PEs = append(att.PEs, pa)
 	}
-	att.PEs = pes
+	return att
+}
+
+// AttributionTotals is Attribution without the per-PE list (PEs is nil):
+// the run-wide sums, built without allocating.
+func (m *Mesh) AttributionTotals() Attribution {
+	_, att := m.Totals(nil)
 	return att
 }
 

@@ -1,6 +1,7 @@
 package wse
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -70,16 +71,17 @@ type Mesh struct {
 	// their own glue at partition time; see shard.go).
 	glue []bool
 
-	// pending collects work scheduled before the event loops start: host
-	// injections, then everything the Init phase sends, as keys into the
-	// pre-run slab pre. Run hands them to the shards that hold their
-	// destination rows.
-	pending   []evKey
-	pre       msgSlab
-	injectSeq int64
+	// feed loads the host injections, one row at a time, into the
+	// engine that simulates the row (see Feeder).
+	feed Feeder
 
 	processed int64
+	// emissions is the emission log in emission order: Init's, then the
+	// sequential engine's as they happen. A sharded run leaves its
+	// shards' tagged logs in shardEmis instead, and Emissions merges them
+	// onto the log on its first call.
 	emissions []Emission
+	shardEmis [][]tagged[Emission]
 	spans     *SpanLog
 
 	// linkFree[pe][dir] is the cycle at which PE pe's outgoing link
@@ -105,7 +107,8 @@ type Mesh struct {
 const routeNone = int8(-1)
 
 // hostSrc is the event-ordering origin for host injections; it sorts
-// before every PE index.
+// before every PE index. Their seq orders them by row, then by injection
+// order within the row (see Injector.Inject).
 const hostSrc = int32(-1)
 
 // NewMesh builds a mesh of idle PEs.
@@ -188,41 +191,127 @@ func (m *Mesh) routeOf(pe int32, color Color) int8 {
 	return m.routes[int(pe)*NumColors+int(color)]
 }
 
-// Inject schedules an external message delivery to a PE at the given cycle
-// — the simulator's stand-in for data flowing onto the wafer from the host
-// (the paper assumes "the input data is generated on the first PE of each
-// row", §4.3). The message arrives from direction West carrying the
-// OffWafer source sentinel, so programs can distinguish host ingress from
-// fabric traffic.
-func (m *Mesh) Inject(row, col int, msg Message, at int64) {
+// Feeder is a mesh's host feed: the simulator's stand-in for data
+// flowing onto the wafer from the host (the paper assumes "the input data
+// is generated on the first PE of each row", §4.3). Run calls FeedRow once
+// for every row of the mesh, before the row's first event, on the worker
+// that simulates the row; the sequential engine calls it for every row, in
+// row order. Calls for different rows may run at the same time, so FeedRow
+// must write nothing that another row's call reads.
+type Feeder interface {
+	// RowLen is how many messages FeedRow injects into row. Run reads it
+	// for every row before any event loop starts, to size each engine
+	// once; a feed that injects more still runs, its engine's arrays
+	// regrow.
+	RowLen(row int) int
+	// FeedRow injects row's messages through in, which is valid only for
+	// the call.
+	FeedRow(row int, in *Injector)
+}
+
+// SetFeed installs the mesh's host feed. A mesh has one feed. Must be
+// called before Run.
+func (m *Mesh) SetFeed(f Feeder) {
 	if m.ran {
-		panic("wse: Inject after Run")
+		panic("wse: SetFeed after Run")
+	}
+	if m.feed != nil {
+		panic("wse: the mesh already has a feed")
+	}
+	m.feed = f
+}
+
+// Injector is a feed's handle on the engine that simulates one row: it
+// stores each injected message straight into that engine's slab and
+// queue.
+type Injector struct {
+	e   *engine
+	row int
+	n   int64 // the row's injections so far
+}
+
+// Inject schedules an external message delivery to the row's PE in
+// column col at cycle at. The message arrives from direction West
+// carrying the OffWafer source sentinel, so programs can distinguish host
+// ingress from fabric traffic. Host messages order before every fabric
+// event of their cycle, and among themselves by (row, injection order
+// within the row).
+func (in *Injector) Inject(col int, msg Message, at int64) {
+	e := in.e
+	cols := e.m.cfg.Cols
+	if col < 0 || col >= cols {
+		panic(fmt.Sprintf("wse: Inject into column %d of a %d-column mesh", col, cols))
 	}
 	if at < 0 {
 		panic("wse: Inject at negative time")
 	}
+	if in.n == 1<<32 {
+		panic(fmt.Sprintf("wse: more than 2^32 injections into row %d", in.row))
+	}
 	msg.From = West
 	msg.Src = OffWafer
 	msg.sentAt = at // the host "let go" at the scheduled delivery time
-	pe := m.PE(row, col)
-	m.pending = append(m.pending, evKey{at: at, seq: m.injectSeq, src: hostSrc, slot: m.pre.put(&msg, pe.idx)})
-	m.injectSeq++
+	slot := e.slab.put(&msg, int32(in.row*cols+col))
+	e.q.push(evKey{at: at, seq: int64(in.row)<<32 | in.n, src: hostSrc, slot: slot})
+	in.n++
 }
 
-// ReserveInjections makes room for n more Inject calls, so that a caller
-// who knows its injection count sizes the pre-run queue and slab once
-// instead of letting them grow by doubling. Must be called before Run.
-func (m *Mesh) ReserveInjections(n int) {
+// Inject schedules one host message, as Injector.Inject does, through a
+// feed that replays each row's Inject calls in call order — a
+// convenience for tests and small programs, which installs that feed on
+// the first call. A mesh fed by SetFeed takes no Inject. Must be called
+// before Run.
+func (m *Mesh) Inject(row, col int, msg Message, at int64) {
 	if m.ran {
-		panic("wse: ReserveInjections after Run")
+		panic("wse: Inject after Run")
 	}
-	m.pending = slices.Grow(m.pending, n)
-	m.pre.msgs = slices.Grow(m.pre.msgs, n)
+	m.PE(row, col) // bounds check
+	f, ok := m.feed.(*injectFeed)
+	if !ok {
+		f = &injectFeed{rows: make([][]injection, m.cfg.Rows)}
+		m.SetFeed(f)
+	}
+	f.rows[row] = append(f.rows[row], injection{col: col, msg: msg, at: at})
+}
+
+// injectFeed is the feed behind Mesh.Inject: every row's calls, in call
+// order.
+type injectFeed struct{ rows [][]injection }
+
+type injection struct {
+	col int
+	msg Message
+	at  int64
+}
+
+func (f *injectFeed) RowLen(row int) int { return len(f.rows[row]) }
+
+func (f *injectFeed) FeedRow(row int, in *Injector) {
+	for i := range f.rows[row] {
+		j := &f.rows[row][i]
+		in.Inject(j.col, j.msg, j.at)
+	}
 }
 
 // Emissions returns everything programs handed off the wafer, in emission
-// order.
-func (m *Mesh) Emissions() []Emission { return m.emissions }
+// order. After a sharded run the first call merges the shards' logs into
+// the order the sequential engine produces: its emission order is the
+// processing order of the dispatches that emitted, the (at, src, seq)
+// order of their cause events. Each shard's log is already in that
+// order, so a k-way merge rebuilds it, and emissions of one handler keep
+// their in-handler order. A run that never asks does not merge.
+func (m *Mesh) Emissions() []Emission {
+	if m.shardEmis != nil {
+		n := 0
+		for _, l := range m.shardEmis {
+			n += len(l)
+		}
+		m.emissions = slices.Grow(m.emissions, n)
+		mergeTagged(m.shardEmis, func(em *Emission) { m.emissions = append(m.emissions, *em) })
+		m.shardEmis = nil
+	}
+	return m.emissions
+}
 
 // neighbor returns the coordinate adjacent to c in direction d, if any.
 func (m *Mesh) neighbor(c Coord, d Dir) (Coord, bool) {
@@ -254,10 +343,39 @@ func (m *Mesh) Run() (int64, error) {
 	}
 	m.ran = true
 
-	// Init programs at cycle 0, before any partitioning — Init sends may
-	// legitimately cross rows and are simply binned to the destination
-	// shard along with the host injections, whose slab they share.
-	ieng := &engine{m: m, slab: m.pre}
+	sends := m.runInit()
+	plan := m.partition()
+	if !plan.sequential {
+		return m.runSharded(plan, sends)
+	}
+	m.shards, m.workers, m.poolPeak = 1, 1, 1
+	all := shard{lo: 0, hi: m.cfg.Rows, init: sends.keys}
+	n := m.deliveries(&all)
+	seq := newWorker(m, roomFor(n, len(m.pes)))
+	m.emissions = slices.Grow(m.emissions, n)
+	seq.load(&all, &sends.slab)
+	err := seq.run()
+	m.processed = seq.processed
+	m.shardEvents = []int64{seq.processed}
+	if err != nil {
+		return 0, err
+	}
+	return m.Elapsed(), nil
+}
+
+// initSends is what the Init phase sends: its keys, ordered by
+// destination PE, into its own slab.
+type initSends struct {
+	keys []evKey
+	slab msgSlab
+}
+
+// runInit runs every program's Init at cycle 0, before any partitioning:
+// Init sends may legitimately cross rows, so they are kept apart for each
+// engine to take the ones into its rows. Init's emissions open the
+// emission log.
+func (m *Mesh) runInit() *initSends {
+	ieng := &engine{m: m}
 	for i := range m.pes {
 		pe := &m.pes[i]
 		if pe.program == nil {
@@ -267,25 +385,31 @@ func (m *Mesh) Run() (int64, error) {
 		pe.program.Init(&ieng.ctx)
 		ieng.finishHandler(pe, 0)
 	}
-	pending := append(m.pending, ieng.pending...)
-	slab := &ieng.slab
-	m.pending, m.pre = nil, msgSlab{}
+	s := &initSends{keys: ieng.pending, slab: ieng.slab}
+	slices.SortFunc(s.keys, func(a, b evKey) int {
+		return cmp.Compare(s.slab.msgs[a.slot].pe, s.slab.msgs[b.slot].pe)
+	})
+	return s
+}
 
-	plan := m.partition()
-	if !plan.sequential {
-		return m.runSharded(plan, pending, slab)
+// within returns the Init sends into the PEs [lo, hi).
+func (s *initSends) within(lo, hi int32) []evKey {
+	dst := func(k evKey, pe int32) int { return cmp.Compare(s.slab.msgs[k.slot].pe, pe) }
+	a, _ := slices.BinarySearchFunc(s.keys, lo, dst)
+	b, _ := slices.BinarySearchFunc(s.keys, hi, dst)
+	return s.keys[a:b]
+}
+
+// deliveries is how many deliveries sh starts with: its Init sends and
+// its rows' host injections.
+func (m *Mesh) deliveries(sh *shard) int {
+	n := len(sh.init)
+	if m.feed != nil {
+		for r := sh.lo; r < sh.hi; r++ {
+			n += m.feed.RowLen(r)
+		}
 	}
-	m.shards, m.workers, m.poolPeak = 1, 1, 1
-	seq := newWorker(m, roomFor(len(pending), len(m.pes)))
-	m.emissions = make([]Emission, 0, len(pending))
-	seq.load(pending, slab)
-	err := seq.run()
-	m.processed = seq.processed
-	m.shardEvents = []int64{seq.processed}
-	if err != nil {
-		return 0, err
-	}
-	return m.Elapsed(), nil
+	return n
 }
 
 // Processed returns the number of simulator events handled so far — a
@@ -318,9 +442,10 @@ type engine struct {
 	slab msgSlab
 	ctx  Context // pooled; reset per handler instead of allocated per dispatch
 
-	// pending collects every key the Init phase pushes; Run bins them
-	// with the host injections.
+	// pending collects every key the Init phase pushes (see runInit).
 	pending []evKey
+	// inj is the feed's handle on this engine.
+	inj Injector
 
 	processed int64
 	// shared is the sharded workers' MaxEvents budget, drawn in prepaid
@@ -375,15 +500,23 @@ func newWorker(m *Mesh, room int) *worker {
 // the arrays regrow.
 func roomFor(n, pes int) int { return n + min(n, pes) + 16 }
 
-// load empties the engine's queue and slab, copies the deliveries that
-// keys address in src into the slab and queues them.
-func (e *engine) load(keys []evKey, src *msgSlab) {
+// load empties the engine's queue and slab, then queues sh's starting
+// deliveries: copies of its Init sends, and its rows' host injections,
+// which the feed stores in place.
+func (e *engine) load(sh *shard, initSlab *msgSlab) {
 	e.q.reset()
 	e.slab.msgs, e.slab.free = e.slab.msgs[:0], e.slab.free[:0]
-	for _, k := range keys {
-		e.slab.msgs = append(e.slab.msgs, src.msgs[k.slot])
+	for _, k := range sh.init {
+		e.slab.msgs = append(e.slab.msgs, initSlab.msgs[k.slot])
 		k.slot = int32(len(e.slab.msgs) - 1)
 		e.q.push(k)
+	}
+	if f := e.m.feed; f != nil {
+		e.inj.e = e
+		for r := sh.lo; r < sh.hi; r++ {
+			e.inj.row, e.inj.n = r, 0
+			f.FeedRow(r, &e.inj)
+		}
 	}
 }
 
@@ -458,7 +591,7 @@ func (e *engine) dequeue(pe *PE) int32 {
 // their rows (a broken RowLocal promise).
 func (e *engine) push(k evKey) {
 	if e.q == nil {
-		// The Init phase: Run bins these keys with the host injections.
+		// The Init phase: runInit keeps these keys for the engines.
 		e.pending = append(e.pending, k)
 		return
 	}

@@ -11,11 +11,13 @@ import (
 // then the origin PE's linear index (host injections use origin -1, which
 // orders them before any fabric event in the same cycle), then the
 // origin's own push counter. Each origin stamps its pushes with a
-// strictly increasing seq, so the key is a total order computed from
-// per-PE behavior alone — it does not depend on how the run is
-// partitioned, which is what lets the row-sharded engine reproduce the
-// sequential engine's results bit for bit (see DESIGN.md, "Simulator
-// engine").
+// strictly increasing seq; a host injection's seq is its row in the high
+// 32 bits and its index among the row's injections in the low 32, so host
+// keys order by (at, row, index within row). The key is a total order
+// computed from per-PE and per-row behavior alone — it does not depend on
+// how the run is partitioned, which is what lets the row-sharded engine
+// reproduce the sequential engine's results bit for bit (see DESIGN.md,
+// "Simulator engine").
 //
 // The queue is a calendar queue (Brown, CACM 1988): a ring of one-cycle
 // buckets covering the calWindow cycles from the last popped cycle on,
@@ -38,7 +40,7 @@ import (
 // evKey is one scheduled event.
 type evKey struct {
 	at   int64
-	seq  int64 // origin's push counter
+	seq  int64 // origin's push counter; row<<32 | index for host injections
 	src  int32 // origin PE linear index; hostSrc for host injections
 	slot int32 // ≥ 0: msgSlab slot of a delivery; < 0: ^pe of a ready event
 }

@@ -37,12 +37,12 @@ type ShardAware interface {
 	ShardProfile() ShardProfile
 }
 
-// shard is one shard: the contiguous row range [lo, hi), the pending
-// deliveries binned to it, and what simulating it produced. The worker
-// that runs the shard writes the outputs once, when it finishes.
+// shard is one shard: the contiguous row range [lo, hi), the Init sends
+// into it, and what simulating it produced. The worker that runs the
+// shard writes the outputs once, when it finishes.
 type shard struct {
 	lo, hi int
-	keys   []evKey // into the pre-run slab
+	init   []evKey // into the Init phase's slab
 
 	processed int64
 	emis      []tagged[Emission]
@@ -113,36 +113,19 @@ type eventBudget struct {
 const budgetChunk = 4096
 
 // runSharded executes the worker-pool path: each pool goroutine runs
-// shards on its own engine until none is left, then the shards'
-// emissions are merged deterministically by event key. pending indexes
-// slab.
-func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, error) {
+// shards on its own engine until none is left, each shard's rows fed on
+// that engine; then the shards' span logs are merged deterministically by
+// event key, and their emission logs are left for Emissions to merge.
+func (m *Mesh) runSharded(plan runPlan, sends *initSends) (int64, error) {
 	shards := plan.shards
-	// Bin the pending deliveries (host injections, Init-phase sends) to
-	// the shard owning their destination row, in pending order: count
-	// them first, so each shard's list is sized once.
 	cols := m.cfg.Cols
-	shardOf := make([]int32, m.cfg.Rows)
-	for i, sh := range shards {
-		for r := sh.lo; r < sh.hi; r++ {
-			shardOf[r] = int32(i)
-		}
-	}
-	bin := func(k evKey) int32 { return shardOf[int(slab.msgs[k.slot].pe)/cols] }
-	n := make([]int, len(shards))
-	for _, k := range pending {
-		n[bin(k)]++
-	}
 	room, most := 0, 0 // the largest shard's, which size every worker
 	for i := range shards {
 		sh := &shards[i]
-		room = max(room, roomFor(n[i], (sh.hi-sh.lo)*cols))
-		most = max(most, n[i])
-		sh.keys = make([]evKey, 0, n[i])
-	}
-	for _, k := range pending {
-		sh := &shards[bin(k)]
-		sh.keys = append(sh.keys, k)
+		sh.init = sends.within(int32(sh.lo*cols), int32(sh.hi*cols))
+		n := m.deliveries(sh)
+		room = max(room, roomFor(n, (sh.hi-sh.lo)*cols))
+		most = max(most, n)
 	}
 
 	budget := &eventBudget{}
@@ -184,7 +167,7 @@ func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, 
 							panics[i] = r
 						}
 					}()
-					errs[i] = e.runShard(&shards[i], slab)
+					errs[i] = e.runShard(&shards[i], &sends.slab)
 				}()
 				running.Add(-1)
 			}
@@ -206,29 +189,21 @@ func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, 
 	}
 
 	m.shardEvents = make([]int64, len(shards))
-	emis := make([][]tagged[Emission], len(shards))
+	m.shardEmis = make([][]tagged[Emission], len(shards))
 	spans := make([][]tagged[SpanEvent], len(shards))
 	var processed int64
-	var nEmis, nSpans int
+	var nSpans int
 	for i := range shards {
 		sh := &shards[i]
 		processed += sh.processed
 		m.shardEvents[i] = sh.processed
-		emis[i], spans[i] = sh.emis, sh.spanEvs
-		nEmis, nSpans = nEmis+len(sh.emis), nSpans+len(sh.spanEvs)
+		m.shardEmis[i], spans[i] = sh.emis, sh.spanEvs
+		nSpans += len(sh.spanEvs)
 	}
 	m.processed = processed
-	// Merge emissions into the order the sequential engine would have
-	// produced: its emission log order is the processing order of the
-	// dispatches that emitted, i.e. the (at, src, seq) order of their
-	// cause events. Each shard's log is already in that order, so a
-	// k-way merge rebuilds it, and multiple emissions from one handler
-	// keep their in-handler order.
-	m.emissions = make([]Emission, 0, nEmis)
-	mergeTagged(emis, func(em *Emission) { m.emissions = append(m.emissions, *em) })
-	// The span log merges by the same key, for the same reason: the
-	// sequential engine appends span records while processing events in
-	// global (at, src, seq) order, one cause event runs entirely inside
+	// The span log merges by its records' cause keys, as Emissions does:
+	// the sequential engine appends span records while processing events
+	// in global (at, src, seq) order, one cause event runs entirely inside
 	// one shard, and the merge keeps per-cause append order — so the
 	// merged log is bit-identical to the sequential one.
 	if m.spans != nil {
@@ -243,12 +218,12 @@ func (m *Mesh) runSharded(plan runPlan, pending []evKey, slab *msgSlab) (int64, 
 // empties for its next shard. Copies, not stretches of one log the
 // worker keeps growing: that log's regrowth made a few large allocations
 // per run and cost wse-sim about 2 MiB of peak RSS.
-func (e *engine) runShard(sh *shard, src *msgSlab) error {
+func (e *engine) runShard(sh *shard, initSlab *msgSlab) error {
 	cols := e.m.cfg.Cols
 	e.idxLo, e.idxHi = int32(sh.lo*cols), int32(sh.hi*cols)
 	e.processed = 0
 	e.emis, e.spanEvs = e.emis[:0], e.spanEvs[:0]
-	e.load(sh.keys, src)
+	e.load(sh, initSlab)
 	err := e.run()
 	sh.processed = e.processed
 	sh.emis, sh.spanEvs = slices.Clone(e.emis), slices.Clone(e.spanEvs)

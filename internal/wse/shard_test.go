@@ -3,7 +3,9 @@ package wse
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -284,5 +286,149 @@ func TestWorkerEngineReusedAcrossShards(t *testing.T) {
 	}
 	if se := seq.ShardEvents(); len(se) != 1 || se[0] != total || got.Processed() != total {
 		t.Fatalf("sequential shard events %v and sharded total %d, want [%d] and %d", se, got.Processed(), total, total)
+	}
+}
+
+// tieFeed feeds every row of a mesh two messages a cycle, on the same
+// cycles in every row, so host keys tie on their cycle across rows and
+// within one; calls counts each row's FeedRow calls.
+type tieFeed struct {
+	calls []atomic.Int32
+}
+
+func (f *tieFeed) RowLen(row int) int { return 1 + (5*row)%7 }
+
+func (f *tieFeed) FeedRow(row int, in *Injector) {
+	f.calls[row].Add(1)
+	for b := 0; b < f.RowLen(row); b++ {
+		var span int64
+		if b%4 != 3 {
+			span = int64(100*row + b + 1)
+		}
+		in.Inject(0, Message{Color: 0, Payload: [2]int{row, b}, Wavelets: 2 + b%3, Span: span}, int64(6*(b/2)))
+	}
+}
+
+// initSouth is a mixedRow whose head also sends a tracked message into
+// the row below from Init, which RowLocal allows, and whose head on row 1
+// emits from Init.
+type initSouth struct{ mixedRow }
+
+func (p *initSouth) Init(ctx *Context) {
+	p.mixedRow.Init(ctx)
+	c := ctx.Coord()
+	if c.Col != 0 {
+		return
+	}
+	if c.Row < ctx.Rows()-1 {
+		ctx.Send(South, Message{Color: 1, Payload: "south", Wavelets: 2, Span: int64(-1 - c.Row)})
+	}
+	if c.Row == 1 {
+		ctx.Emit("init", 1)
+	}
+}
+
+// buildTieMesh wires rows of initSouth programs fed by a tieFeed, spans
+// attached.
+func buildTieMesh(t *testing.T, rows, workers int) (*Mesh, *tieFeed) {
+	t.Helper()
+	const cols = 5
+	m, err := NewMesh(Config{Rows: rows, Cols: cols, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AttachSpans()
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			m.SetProgram(r, c, &initSouth{mixedRow{kind: r % 3}})
+		}
+	}
+	f := &tieFeed{calls: make([]atomic.Int32, rows)}
+	m.SetFeed(f)
+	return m, f
+}
+
+// TestRowFeedMatchesSequential feeds same-cycle injections on every row,
+// plus Init sends across rows, and checks the sharded engine against the
+// sequential one: cycles, events, emission order, attribution and span
+// log must be identical, and each row must be fed exactly once.
+func TestRowFeedMatchesSequential(t *testing.T) {
+	const rows = 12
+	seq, seqFeed := buildTieMesh(t, rows, 1)
+	seqElapsed, err := seq.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3} {
+		m, f := buildTieMesh(t, rows, workers)
+		elapsed, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Shards() != rows {
+			t.Fatalf("workers=%d: %d shards, want %d", workers, m.Shards(), rows)
+		}
+		if elapsed != seqElapsed || m.Processed() != seq.Processed() {
+			t.Fatalf("workers=%d: elapsed/processed %d/%d, want %d/%d",
+				workers, elapsed, m.Processed(), seqElapsed, seq.Processed())
+		}
+		if !reflect.DeepEqual(m.Emissions(), seq.Emissions()) {
+			t.Fatalf("workers=%d: emission log diverges from sequential", workers)
+		}
+		if !reflect.DeepEqual(m.Attribution(), seq.Attribution()) {
+			t.Fatalf("workers=%d: attribution diverges from sequential", workers)
+		}
+		if !reflect.DeepEqual(m.spans.Events(), seq.spans.Events()) {
+			t.Fatalf("workers=%d: span log diverges from sequential", workers)
+		}
+		for r := range f.calls {
+			if n, sn := f.calls[r].Load(), seqFeed.calls[r].Load(); n != 1 || sn != 1 {
+				t.Fatalf("workers=%d: row %d fed %d times (sequential %d), want once", workers, r, n, sn)
+			}
+		}
+	}
+	ems := seq.Emissions()
+	if len(ems) == 0 || ems[0].Payload != "init" {
+		t.Fatalf("emission log does not open with Init's emission: %v", ems[:min(len(ems), 1)])
+	}
+	var south int
+	for _, ev := range seq.spans.Events() {
+		if ev.Span < 0 && ev.Kind == SpanDispatch && ev.PE == (Coord{Row: int(-ev.Span), Col: 0}) {
+			south++
+		}
+	}
+	if south != rows-1 {
+		t.Fatalf("%d Init sends dispatched across rows, want %d", south, rows-1)
+	}
+}
+
+// TestEmissionsMergedOnDemand checks that a sharded run leaves its
+// emission log unmerged until Emissions is called, that the lazy merge
+// equals merging at the end of the run, and that a second call returns
+// the same log.
+func TestEmissionsMergedOnDemand(t *testing.T) {
+	m := buildMixedMesh(t, 16, 0, 2)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.shardEmis == nil {
+		t.Fatal("the run merged its emissions before anyone asked")
+	}
+	var eager []Emission
+	mergeTagged(slices.Clone(m.shardEmis), func(em *Emission) { eager = append(eager, *em) })
+	got := m.Emissions()
+	if len(got) == 0 || !reflect.DeepEqual(got, eager) {
+		t.Fatalf("lazy merge gave %d emissions, eager %d, or they differ", len(got), len(eager))
+	}
+	again := m.Emissions()
+	if len(again) != len(got) || &again[0] != &got[0] {
+		t.Fatal("a second Emissions call did not return the first call's log")
+	}
+	seq := buildMixedMesh(t, 16, 0, 1)
+	if _, err := seq.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, seq.Emissions()) {
+		t.Fatal("merged log diverges from sequential")
 	}
 }

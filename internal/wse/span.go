@@ -20,7 +20,7 @@ type SpanKind uint8
 
 // Span event kinds, in lifecycle order.
 const (
-	// SpanInject is the host delivery onto the wafer (Mesh.Inject).
+	// SpanInject is the host delivery onto the wafer (Injector.Inject).
 	SpanInject SpanKind = iota
 	// SpanRoute is a router pass-through hop (SetRoute, no processor).
 	SpanRoute

@@ -27,11 +27,28 @@ type MeshStats struct {
 
 // Summary computes aggregate statistics for the run so far.
 func (m *Mesh) Summary() MeshStats {
-	s := MeshStats{Elapsed: m.Elapsed()}
+	s, _ := m.Totals(nil)
+	return s
+}
+
+// Totals is Summary and AttributionTotals from one walk over the mesh.
+// When colCompute is not nil (one entry per column), the walk also adds
+// each PE's compute cycles to its column's entry.
+func (m *Mesh) Totals(colCompute []int64) (MeshStats, Attribution) {
+	elapsed := m.Elapsed()
+	s := MeshStats{Elapsed: elapsed}
+	att := Attribution{Elapsed: elapsed, MeshPEs: len(m.pes)}
 	var busySum float64
 	for i := range m.pes {
 		pe := &m.pes[i]
-		st := pe.stats
+		st := &pe.stats
+		if colCompute != nil {
+			colCompute[pe.coord.Col] += st.ComputeCycles
+		}
+		if pa, ok := pe.attribution(elapsed); ok {
+			att.ActivePEs++
+			att.Totals.add(&pa)
+		}
 		busy := st.BusyCycles()
 		if busy == 0 && st.Handled == 0 {
 			continue
@@ -47,14 +64,14 @@ func (m *Mesh) Summary() MeshStats {
 		if st.MemPeak > s.MemPeak {
 			s.MemPeak = st.MemPeak
 		}
-		if s.Elapsed > 0 {
-			busySum += float64(busy) / float64(s.Elapsed)
+		if elapsed > 0 {
+			busySum += float64(busy) / float64(elapsed)
 		}
 	}
 	if s.ActivePEs > 0 {
 		s.MeanUtilization = busySum / float64(s.ActivePEs)
 	}
-	return s
+	return s, att
 }
 
 // RowProfile returns the busy cycles of every PE in a row, west to east —

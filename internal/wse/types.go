@@ -100,7 +100,7 @@ type Message struct {
 	// Wavelets is the message size in 32-bit words (≥ 1).
 	Wavelets int
 	// From is the direction the message arrived from, filled in on
-	// delivery. Host-injected messages (Mesh.Inject) arrive from West,
+	// delivery. Host-injected messages (Injector.Inject) arrive from West,
 	// the wafer edge the host feeds.
 	From Dir
 	// Src is the coordinate of the sending PE; host-injected messages
@@ -126,7 +126,7 @@ type Message struct {
 }
 
 // OffWafer is the sentinel source coordinate stamped on host-injected
-// messages (Mesh.Inject). No PE owns it, so a program can distinguish
+// messages (Injector.Inject). No PE owns it, so a program can distinguish
 // host ingress from fabric traffic by comparing Message.Src against it.
 var OffWafer = Coord{Row: -1, Col: -1}
 

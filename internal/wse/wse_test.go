@@ -457,6 +457,7 @@ func TestRunOnce(t *testing.T) {
 	}
 	mustPanic("Run", func() { _, _ = m.Run() })
 	mustPanic("Inject", func() { m.Inject(0, 0, Message{Color: 0, Wavelets: 1}, 0) })
+	mustPanic("SetFeed", func() { m.SetFeed(&injectFeed{}) })
 	if m.Elapsed() != elapsed || len(m.Emissions()) != 1 || m.PE(0, 1).Stats().Handled != 1 {
 		t.Fatalf("after the refused calls: elapsed %d (was %d), %d emissions, PE(0,1) handled %d; want the first run's",
 			m.Elapsed(), elapsed, len(m.Emissions()), m.PE(0, 1).Stats().Handled)
