@@ -155,7 +155,9 @@ func (o *runOutput) check(nBlocks int) error {
 
 // peProgram is the per-PE code: relay raw blocks for pipelines to the
 // east, capture every (pipelinesEast+1)-th raw block if a head, and run
-// the assigned stage group on pipeline traffic (paper Fig. 9b).
+// the assigned stage group on pipeline traffic (paper Fig. 9b). The
+// relays run on the PE's relay task, so OnMessage sees only the blocks
+// the PE works on.
 type peProgram struct {
 	plan   *Plan
 	row    *rowState
@@ -164,15 +166,24 @@ type peProgram struct {
 	isTail bool
 	group  Group
 
-	relayInit int // blocks to relay between two captures
-	relayLeft int
+	// relayInit counts the pipelines east of this one: the blocks a head
+	// relays between two captures. Raw traffic crosses the PE unless it
+	// is 0.
+	relayInit int
 }
 
-// Init implements wse.Program: reserve this PE's static working set — its
-// share of the block state plus a relay buffer when raw traffic passes
-// through — against the 48 KB budget.
+// Init implements wse.Program: arm the PE's relay task, and reserve its
+// static working set — its share of the block state plus a relay buffer
+// when raw traffic passes through — against the 48 KB budget.
 func (pp *peProgram) Init(ctx *wse.Context) {
-	pp.relayLeft = pp.relayInit
+	switch {
+	case pp.isHead:
+		ctx.Relay(colorRaw, wse.East, pp.relayInit)
+	case pp.relayInit > 0 && pp.plan.Cfg.ProcessorRelay:
+		// Raw traffic crosses this interior PE, and no router route
+		// takes it (see install): the processor relays every block.
+		ctx.Relay(colorRaw, wse.East, -1)
+	}
 	L := pp.plan.Chain.Cfg.BlockLen
 	bytes := stateBytes(L) / pp.plan.Cfg.PipelineLen
 	if pp.relayInit > 0 || !pp.isHead {
@@ -184,23 +195,13 @@ func (pp *peProgram) Init(ctx *wse.Context) {
 	}
 }
 
-// OnMessage implements wse.Program.
+// OnMessage implements wse.Program. A raw block reaches it only at a head
+// whose relay task has run out: the head captures the block and re-arms
+// the task for the next relayInit blocks.
 func (pp *peProgram) OnMessage(ctx *wse.Context, msg wse.Message) {
-	switch msg.Color {
-	case colorRaw:
-		if !pp.isHead {
-			// Interior PEs relay raw traffic toward farther pipelines.
-			ctx.LabelSpan("relay")
-			ctx.Forward(wse.East)
-			return
-		}
-		if pp.relayLeft > 0 {
-			pp.relayLeft--
-			ctx.LabelSpan("relay")
-			ctx.Forward(wse.East)
-			return
-		}
-		pp.relayLeft = pp.relayInit
+	switch {
+	case msg.Color == colorRaw && pp.isHead:
+		ctx.Relay(colorRaw, wse.East, pp.relayInit)
 		fb := msg.Payload.(*flowBlock)
 		fb.st = pp.row.take(pp.out.L)
 		if pp.out.dir == stages.Compress {
@@ -209,7 +210,7 @@ func (pp *peProgram) OnMessage(ctx *wse.Context, msg wse.Message) {
 			fb.st.ResetForDecompress(fb.enc)
 		}
 		pp.process(ctx, fb)
-	case colorStage:
+	case msg.Color == colorStage:
 		pp.process(ctx, msg.Payload.(*flowBlock))
 	default:
 		panic(fmt.Sprintf("mapping: unexpected color %d at %v", msg.Color, ctx.Coord()))

@@ -27,9 +27,10 @@ type Config struct {
 	MemPerPE int
 	// MsgOverhead is the per-message processor cost of receiving and
 	// re-issuing a fabric transfer (task activation + DSD setup, §2.1's
-	// data-triggering mechanism). It is charged on every Forward in
-	// addition to the wavelet streaming time. Default 0; the CereSZ
-	// mapping sets its own calibrated value.
+	// data-triggering mechanism). It is charged on every processor relay
+	// (Context.Forward or the relay task) in addition to the wavelet
+	// streaming time. Default 0; the CereSZ mapping sets its own
+	// calibrated value.
 	MsgOverhead int64
 	// MaxEvents aborts a runaway simulation (default 500M events).
 	MaxEvents int64
@@ -460,8 +461,9 @@ type engine struct {
 
 	// collect tags emissions and span events with their cause event's
 	// key for the deterministic post-run merge, instead of appending
-	// them to the mesh logs as they happen. A worker copies them out to
-	// each shard it runs and empties them for the next.
+	// them to the mesh logs as they happen. A worker appends each shard's
+	// emissions to the shard's stretch of the run's log, and copies its
+	// span events out and empties them for the next shard.
 	collect bool
 	emis    []tagged[Emission]
 	spanEvs []tagged[SpanEvent]
@@ -641,7 +643,9 @@ func (e *engine) recordSpan(ev SpanEvent) {
 	e.m.spans.events = append(e.m.spans.events, ev)
 }
 
-// dispatch pops the next queued message on pe and runs its handler at time t.
+// dispatch pops the next queued message on pe and runs its handler at
+// time t: the PE's relay task when it is armed for the message's color,
+// the program otherwise.
 func (e *engine) dispatch(pe *PE, t int64) {
 	if pe.program == nil {
 		// No route and no program: a real fabric would drop the wavelets,
@@ -651,7 +655,7 @@ func (e *engine) dispatch(pe *PE, t int64) {
 	}
 	slot := e.dequeue(pe)
 	sm := &e.slab.msgs[slot]
-	// The producer's hand-off, which a Forward re-stamps when the handler
+	// The producer's hand-off, which a relay re-stamps when the handler
 	// ends; the dispatch span records it as delivered.
 	sentAt := sm.msg.sentAt
 	// Attribute the processor-idle gap before this dispatch: up to the
@@ -674,25 +678,48 @@ func (e *engine) dispatch(pe *PE, t int64) {
 	}
 	pe.stats.MailboxWaitCycles += t - sm.msg.arrivedAt
 	pe.running = true
-	e.ctx.reset(pe, t, &e.slab)
-	e.ctx.span, e.ctx.held = sm.msg.Span, slot
-	pe.program.OnMessage(&e.ctx, sm.msg)
+	var end int64
+	label, kept := "relay", int32(-1)
+	if pe.relayLeft != 0 && sm.msg.Color == pe.relayColor {
+		end = e.relayTask(pe, slot, t)
+	} else {
+		e.ctx.reset(pe, t, &e.slab)
+		e.ctx.span, e.ctx.held = sm.msg.Span, slot
+		pe.program.OnMessage(&e.ctx, sm.msg)
+		end = e.finishHandler(pe, t)
+		label, kept = e.ctx.spanLabel, e.ctx.held
+	}
 	pe.stats.Handled++
-	end := e.finishHandler(pe, t)
-	// The slot still holds the handler's message, relayed or not (its
-	// Span, Wavelets and arrival survive a Forward), but the handler's
-	// sends may have grown the slab under sm.
+	// The slot still holds the handled message, relayed or not (its Span,
+	// Wavelets and arrival survive a relay), but a handler's sends may
+	// have grown the slab under sm.
 	msg := &e.slab.msgs[slot].msg
 	if e.m.spans != nil && msg.Span != 0 {
 		e.recordSpan(SpanEvent{Span: msg.Span, Kind: SpanDispatch, PE: pe.coord,
 			At: t, End: end, Sent: sentAt, Arrived: msg.arrivedAt,
-			Label: e.ctx.spanLabel, Wavelets: msg.Wavelets})
+			Label: label, Wavelets: msg.Wavelets})
 	}
-	if e.ctx.held >= 0 {
-		e.slab.release(slot) // not relayed: the message ends here
+	if kept >= 0 {
+		e.slab.release(kept) // not relayed: the message ends here
 	}
 	e.push(readyKey(end, pe.idx, pe.pushSeq))
 	pe.pushSeq++
+}
+
+// relayTask runs pe's armed relay task on the delivered message in slot
+// at time t, with the effects of a handler that only forwards it (see
+// Context.Relay), and returns the handler's end time.
+func (e *engine) relayTask(pe *PE, slot int32, t int64) int64 {
+	if pe.relayLeft > 0 {
+		pe.relayLeft--
+	}
+	sm := &e.slab.msgs[slot]
+	onWire(&sm.msg)
+	d := Dir(pe.relayDir)
+	end := t + pe.relay(sm, d, pe.out(d))
+	pe.stats.LastActive = max(pe.stats.LastActive, end)
+	e.launch(pe, d, slot, end)
+	return end
 }
 
 // finishHandler applies a completed handler's effects: schedules its
@@ -702,20 +729,9 @@ func (e *engine) finishHandler(pe *PE, t int64) int64 {
 	m := e.m
 	ctx := &e.ctx
 	end := t + ctx.cost
-	if end > pe.stats.LastActive {
-		pe.stats.LastActive = end
-	}
+	pe.stats.LastActive = max(pe.stats.LastActive, end)
 	for _, s := range ctx.sends {
-		// The message occupies the outgoing link for its wavelet count;
-		// back-to-back messages on one link serialize.
-		sm := &e.slab.msgs[s.slot]
-		free := &m.linkFree[pe.idx][s.dir]
-		depart := max(end, *free)
-		arrive := depart + LinkLatency + int64(sm.msg.Wavelets)
-		*free = arrive
-		sm.msg.sentAt = end // the producer lets go when its handler completes
-		e.push(evKey{at: arrive, seq: pe.pushSeq, src: pe.idx, slot: s.slot})
-		pe.pushSeq++
+		e.launch(pe, s.dir, s.slot, end)
 	}
 	for _, p := range ctx.emits {
 		em := Emission{From: pe.coord, At: end, Payload: p}
@@ -729,4 +745,19 @@ func (e *engine) finishHandler(pe *PE, t int64) int64 {
 		m.emissions = append(m.emissions, em)
 	}
 	return end
+}
+
+// launch puts the message in slot on pe's outgoing link toward d when its
+// producer lets go, at the end of the handler that sent or relayed it,
+// and schedules its delivery. The message occupies the link for its
+// wavelet count, so back-to-back messages on one link serialize.
+func (e *engine) launch(pe *PE, d Dir, slot int32, end int64) {
+	sm := &e.slab.msgs[slot]
+	free := &e.m.linkFree[pe.idx][d]
+	depart := max(end, *free)
+	arrive := depart + LinkLatency + int64(sm.msg.Wavelets)
+	*free = arrive
+	sm.msg.sentAt = end
+	e.push(evKey{at: arrive, seq: pe.pushSeq, src: pe.idx, slot: slot})
+	pe.pushSeq++
 }

@@ -1,6 +1,9 @@
 package wse
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Program is the code installed on a PE. OnMessage is invoked once per
 // delivered message, when the PE's processor is free — messages queue in
@@ -8,7 +11,9 @@ import "fmt"
 // realizes the paper's serial relay-plus-compute accounting. A handler
 // gets its own copy of the message. It passes the delivered message on
 // with Context.Forward (a relay: the message itself moves on, at most
-// once) and produces new ones with Context.Send.
+// once) and produces new ones with Context.Send. A delivery that the PE's
+// relay task takes (Context.Relay) is relayed by the engine and never
+// reaches OnMessage.
 type Program interface {
 	// Init runs at cycle 0, before any message is delivered.
 	Init(ctx *Context)
@@ -28,9 +33,9 @@ func (f ProgramFunc) OnMessage(ctx *Context, msg Message) { f(ctx, msg) }
 // PE is one processing element.
 type PE struct {
 	coord   Coord
-	idx     int32 // linear index row*Cols+col
 	mesh    *Mesh
 	program Program
+	idx     int32 // linear index row*Cols+col
 
 	// The mailbox is a FIFO of slab slots threaded through the engine's
 	// msgSlab (slabMsg.next): qhead is the oldest queued message, qtail
@@ -39,6 +44,14 @@ type PE struct {
 	qhead, qtail int32
 	qcount       int32
 	running      bool
+
+	// The relay task (Context.Relay): relayLeft more deliveries of
+	// relayColor, or all of them while it is negative, are relayed toward
+	// relayDir; 0 means disarmed. The fields fill the padding after
+	// running, so the task adds nothing to a PE's size.
+	relayColor Color
+	relayDir   uint8
+	relayLeft  int32
 
 	// pushSeq stamps this PE's outgoing events with a strictly
 	// increasing per-origin sequence — one third of the (at, src, seq)
@@ -101,9 +114,10 @@ func (c *Context) reset(pe *PE, start int64, slab *msgSlab) {
 }
 
 // LabelSpan names the work this handler performs for span tracing (e.g.
-// "relay" or a stage-group name). It is recorded on the dispatch span
-// event when the handled message carries a span id, and is otherwise a
-// no-op; programs may call it unconditionally.
+// a stage-group name; the relay task's dispatches carry "relay"). It is
+// recorded on the dispatch span event when the handled message carries a
+// span id, and is otherwise a no-op; programs may call it
+// unconditionally.
 func (c *Context) LabelSpan(label string) { c.spanLabel = label }
 
 // Now returns the cycle at which the current handler began.
@@ -156,7 +170,10 @@ func (c *Context) Send(d Dir, msg Message) {
 // this PE as its Src: like a router pass-through, the relay moves the
 // message's own slab slot instead of storing a copy. A handler relays its
 // message at most once, so a second Forward panics, as does one from
-// Init, which handles no message; fan-out uses Send.
+// Init, which handles no message; fan-out uses Send. Forward is for a
+// handler that decides a message's fate when it sees it; a PE that relays
+// a color's traffic without looking at it arms its relay task instead
+// (Relay), which has the same effects without calling the program.
 func (c *Context) Forward(d Dir) {
 	slot := c.held
 	if slot < 0 {
@@ -165,33 +182,84 @@ func (c *Context) Forward(d Dir) {
 	sm := &c.slab.msgs[slot]
 	dst := c.link(d, &sm.msg)
 	c.held = -1
-	w := int64(sm.msg.Wavelets) + c.pe.mesh.cfg.MsgOverhead
-	c.pe.stats.RelayCycles += w
-	c.pe.stats.Forwarded++
-	c.cost += w
-	sm.msg.From = d.Opposite()
-	sm.msg.Src = c.pe.coord
-	sm.pe = dst
+	c.cost += c.pe.relay(sm, d, dst)
 	c.sends = append(c.sends, pendingSend{dir: d, slot: slot})
+}
+
+// Relay arms the PE's relay task, the paper's relay (Fig. 4, Fig. 9): a
+// task bound to a color that runs when that color's data arrives. The
+// PE's next n deliveries of color are relayed toward d by the engine
+// itself, without calling the program; n < 0 relays every one of them,
+// and n == 0 disarms the task. Arming again replaces the color, the
+// direction and the count, so a handler may re-arm the task after it
+// took a delivery itself.
+//
+// A relayed message is the next one in the mailbox, as for any dispatch,
+// and its relay has exactly the effects of a handler that only calls
+// LabelSpan("relay") and Forward(d): the same charge, link occupancy,
+// events and dispatch span. Arming panics where Forward would at send
+// time — an invalid color, Ramp, or a neighbor off the mesh — and each
+// relayed message still gets Forward's checks of its color and wavelets.
+func (c *Context) Relay(color Color, d Dir, n int) {
+	pe := c.pe
+	if n == 0 {
+		pe.relayLeft = 0
+		return
+	}
+	if !color.Valid() {
+		panic(fmt.Sprintf("wse: Relay on invalid color %d (the fabric has %d)", color, NumColors))
+	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("wse: Relay of %d deliveries; arm it for every one with n < 0", n))
+	}
+	pe.out(d)
+	pe.relayColor, pe.relayDir, pe.relayLeft = color, uint8(d), int32(max(n, -1))
+}
+
+// relay readdresses the message in sm to leave this PE toward d, bound
+// for its neighbor dst, and charges the hop: Wavelets +
+// Config.MsgOverhead cycles of relay time. It returns the charge. Forward
+// and the relay task both relay through it.
+func (pe *PE) relay(sm *slabMsg, d Dir, dst int32) int64 {
+	w := int64(sm.msg.Wavelets) + pe.mesh.cfg.MsgOverhead
+	pe.stats.RelayCycles += w
+	pe.stats.Forwarded++
+	sm.msg.From = d.Opposite()
+	sm.msg.Src = pe.coord
+	sm.pe = dst
+	return w
 }
 
 // link checks that msg may leave toward d and returns the linear index of
 // the neighbor it goes to.
 func (c *Context) link(d Dir, msg *Message) int32 {
+	dst := c.pe.out(d)
+	onWire(msg)
+	return dst
+}
+
+// out returns the linear index of the PE's neighbor in direction d. It
+// panics toward Ramp and off the mesh edge.
+func (pe *PE) out(d Dir) int32 {
 	if d == Ramp {
 		panic("wse: cannot send toward Ramp; that is the local processor")
 	}
+	dst, ok := pe.mesh.neighbor(pe.coord, d)
+	if !ok {
+		panic(fmt.Sprintf("wse: send from %v toward %v leaves the mesh; use Emit", pe.coord, d))
+	}
+	return int32(dst.Row*pe.mesh.cfg.Cols + dst.Col)
+}
+
+// onWire panics unless msg can cross a link: a valid color and at least
+// one wavelet.
+func onWire(msg *Message) {
 	if !msg.Color.Valid() {
 		panic(fmt.Sprintf("wse: invalid color %d (the fabric has %d)", msg.Color, NumColors))
 	}
 	if msg.Wavelets < 1 {
 		panic(fmt.Sprintf("wse: message with %d wavelets", msg.Wavelets))
 	}
-	dst, ok := c.pe.mesh.neighbor(c.pe.coord, d)
-	if !ok {
-		panic(fmt.Sprintf("wse: send from %v toward %v leaves the mesh; use Emit", c.pe.coord, d))
-	}
-	return int32(dst.Row*c.pe.mesh.cfg.Cols + dst.Col)
 }
 
 // Emit hands a payload off the wafer (the simulator's stand-in for the

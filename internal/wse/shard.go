@@ -2,6 +2,7 @@ package wse
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -45,7 +46,7 @@ type shard struct {
 	init   []evKey // into the Init phase's slab
 
 	processed int64
-	emis      []tagged[Emission]
+	emis      []tagged[Emission] // in the shard's stretch of the run's log
 	spanEvs   []tagged[SpanEvent]
 }
 
@@ -104,13 +105,25 @@ func (m *Mesh) partition() runPlan {
 
 // eventBudget is the sharded workers' shared MaxEvents allowance.
 // Workers draw prepaid chunks from it, so the livelock guard stays cheap
-// (one atomic per few thousand events) at the cost of triggering up to
-// one chunk per worker late.
+// (one atomic per few thousand events). A worker may hold most of a chunk
+// it never spends, so the allowance starts one chunk per worker above
+// MaxEvents: a draw then fails only once more than MaxEvents events were
+// processed, and a run that stays within MaxEvents never fails, on any
+// worker count. The guard triggers up to about one chunk per worker late.
 type eventBudget struct {
 	remaining atomic.Int64
 }
 
 const budgetChunk = 4096
+
+// newEventBudget returns the allowance of a run of at most maxEvents
+// events on the given number of workers.
+func newEventBudget(maxEvents int64, workers int) *eventBudget {
+	slack := int64(workers) * budgetChunk
+	b := &eventBudget{}
+	b.remaining.Store(min(maxEvents, math.MaxInt64-slack) + slack)
+	return b
+}
 
 // runSharded executes the worker-pool path: each pool goroutine runs
 // shards on its own engine until none is left, each shard's rows fed on
@@ -119,18 +132,28 @@ const budgetChunk = 4096
 func (m *Mesh) runSharded(plan runPlan, sends *initSends) (int64, error) {
 	shards := plan.shards
 	cols := m.cfg.Cols
-	room, most := 0, 0 // the largest shard's, which size every worker
+	// The largest shard's room sizes every worker; all counts every
+	// shard's starting deliveries, n[i] shard i's.
+	room, all := 0, 0
+	n := make([]int, len(shards))
 	for i := range shards {
 		sh := &shards[i]
 		sh.init = sends.within(int32(sh.lo*cols), int32(sh.hi*cols))
-		n := m.deliveries(sh)
-		room = max(room, roomFor(n, (sh.hi-sh.lo)*cols))
-		most = max(most, n)
+		n[i] = m.deliveries(sh)
+		room = max(room, roomFor(n[i], (sh.hi-sh.lo)*cols))
+		all += n[i]
+	}
+	// Each shard emits into its own stretch of one run-wide log, as long
+	// as its deliveries: in a run like mapping's, where every delivery
+	// leaves the wafer once, that log is the run's one emission
+	// allocation. A shard that emits more moves its stretch elsewhere.
+	log := make([]tagged[Emission], all)
+	for i := range shards {
+		shards[i].emis, log = log[:0:n[i]], log[n[i]:]
 	}
 
-	budget := &eventBudget{}
-	budget.remaining.Store(m.cfg.MaxEvents)
 	workers := min(plan.workers, len(shards))
+	budget := newEventBudget(m.cfg.MaxEvents, workers)
 	m.shards, m.workers = len(shards), workers
 
 	var next, running, peak atomic.Int32
@@ -144,7 +167,6 @@ func (m *Mesh) runSharded(plan runPlan, sends *initSends) (int64, error) {
 			wk := newWorker(m, room)
 			e := &wk.engine
 			e.shared, e.restricted, e.collect = budget, true, true
-			e.emis = make([]tagged[Emission], 0, most)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(shards) {
@@ -214,19 +236,18 @@ func (m *Mesh) runSharded(plan runPlan, sends *initSends) (int64, error) {
 }
 
 // runShard simulates sh on the engine and records its outputs: the
-// processed count and copies of the tagged logs, which the engine then
-// empties for its next shard. Copies, not stretches of one log the
-// worker keeps growing: that log's regrowth made a few large allocations
-// per run and cost wse-sim about 2 MiB of peak RSS.
+// processed count, its emissions, which the engine appends to the shard's
+// own stretch of the run's log, and a copy of its tagged span events,
+// which the engine then empties for its next shard.
 func (e *engine) runShard(sh *shard, initSlab *msgSlab) error {
 	cols := e.m.cfg.Cols
 	e.idxLo, e.idxHi = int32(sh.lo*cols), int32(sh.hi*cols)
 	e.processed = 0
-	e.emis, e.spanEvs = e.emis[:0], e.spanEvs[:0]
+	e.emis, e.spanEvs = sh.emis, e.spanEvs[:0]
 	e.load(sh, initSlab)
 	err := e.run()
 	sh.processed = e.processed
-	sh.emis, sh.spanEvs = slices.Clone(e.emis), slices.Clone(e.spanEvs)
+	sh.emis, sh.spanEvs = e.emis, slices.Clone(e.spanEvs)
 	return err
 }
 

@@ -432,3 +432,76 @@ func TestEmissionsMergedOnDemand(t *testing.T) {
 		t.Fatal("merged log diverges from sequential")
 	}
 }
+
+// rowBounce relays every message back toward the other PE of a 2-column
+// row, forever: a livelock that stays inside its row.
+type rowBounce struct{}
+
+func (rowBounce) Init(*Context) {}
+func (rowBounce) OnMessage(ctx *Context, msg Message) {
+	ctx.Forward([2]Dir{East, West}[ctx.Coord().Col])
+}
+func (rowBounce) ShardProfile() ShardProfile { return ShardProfile{RowLocal: true} }
+
+// TestMaxEventsOnAnyWorkerCount checks the sharded engine's event budget:
+// a run whose events stay within MaxEvents succeeds on every worker
+// count, also when each worker draws more than one chunk, and a livelock
+// on row shards still fails.
+func TestMaxEventsOnAnyWorkerCount(t *testing.T) {
+	echo := func(rows, cols, blocks int, maxEvents int64, workers int) (*Mesh, error) {
+		m, err := NewMesh(Config{Rows: rows, Cols: cols, Workers: workers, MaxEvents: maxEvents})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				m.SetProgram(r, c, &rowEcho{echoProgram{cost: 50}})
+			}
+			for b := 0; b < blocks; b++ {
+				m.Inject(r, 0, Message{Color: 1, Wavelets: 4}, int64(5*b))
+			}
+		}
+		_, err = m.Run()
+		return m, err
+	}
+	for _, tc := range []struct {
+		rows, cols, blocks int
+		maxEvents          int64
+	}{
+		{2, 4, 1, 100},
+		{8, 6, 200, 0}, // 0: exactly the run's own event count
+	} {
+		seq, err := echo(tc.rows, tc.cols, tc.blocks, 1_000_000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := tc.maxEvents
+		if limit == 0 {
+			limit = seq.Processed()
+		}
+		for _, workers := range []int{1, 2, 3} {
+			m, err := echo(tc.rows, tc.cols, tc.blocks, limit, workers)
+			if err != nil {
+				t.Fatalf("%dx%d mesh, %d blocks a row, MaxEvents %d, workers=%d: %v (the run has %d events)",
+					tc.rows, tc.cols, tc.blocks, limit, workers, err, seq.Processed())
+			}
+			if m.Processed() != seq.Processed() {
+				t.Fatalf("workers=%d: %d events, want %d", workers, m.Processed(), seq.Processed())
+			}
+		}
+	}
+	m, err := NewMesh(Config{Rows: 2, Cols: 2, Workers: 2, MaxEvents: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		m.SetProgram(r, 0, rowBounce{})
+		m.SetProgram(r, 1, rowBounce{})
+		m.Inject(r, 0, Message{Color: 0, Wavelets: 1}, 0)
+	}
+	if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "livelock") {
+		t.Fatalf("a livelock on two row shards returned %v, want the livelock error", err)
+	} else if m.Shards() != 2 {
+		t.Fatalf("the livelock ran on %d shards, want 2", m.Shards())
+	}
+}

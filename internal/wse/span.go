@@ -24,9 +24,9 @@ const (
 	SpanInject SpanKind = iota
 	// SpanRoute is a router pass-through hop (SetRoute, no processor).
 	SpanRoute
-	// SpanDispatch is a program handler invocation for the span: a relay
-	// hop or a stage-group execution, as named by the program via
-	// Context.LabelSpan.
+	// SpanDispatch is a processor dispatch for the span: a program handler
+	// invocation, named by the program via Context.LabelSpan, or a hop of
+	// the PE's relay task (Context.Relay), named "relay".
 	SpanDispatch
 	// SpanEject is the wafer egress (Context.Emit).
 	SpanEject
@@ -69,7 +69,8 @@ type SpanEvent struct {
 	// Arrived is the message's mailbox wait.
 	Arrived int64 `json:"arrived,omitempty"`
 	// Label is the program's name for the handler's work (dispatch
-	// events; Context.LabelSpan), e.g. "relay" or "group02".
+	// events; Context.LabelSpan), e.g. "group02". A relay-task dispatch
+	// (Context.Relay) carries "relay".
 	Label string `json:"label,omitempty"`
 	// Wavelets is the triggering message's fabric size.
 	Wavelets int `json:"wavelets,omitempty"`

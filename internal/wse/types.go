@@ -166,9 +166,10 @@ type Stats struct {
 	MailboxWaitCycles int64
 	// Handled counts dispatched messages.
 	Handled int64
-	// Forwarded counts Context.Forward calls (processor relay hops), the
-	// divisor that turns RelayCycles into a measured per-hop relay cost
-	// for the Formula (2) cross-check.
+	// Forwarded counts processor relay hops, Context.Forward calls and
+	// relay-task relays (Context.Relay) alike: the divisor that turns
+	// RelayCycles into a measured per-hop relay cost for the Formula (2)
+	// cross-check.
 	Forwarded int64
 	// Routed counts messages the fabric router forwarded without the
 	// processor (SetRoute pass-through).
