@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"ceresz/internal/quant"
 	"ceresz/internal/rawfloat"
 )
 
@@ -76,15 +75,8 @@ func Compress64Into(dst []byte, data []float64, opts Options, stats *Stats) ([]b
 
 // Compress64WithEps is Compress64 with a pre-resolved absolute bound.
 func Compress64WithEps(dst []byte, data []float64, eps float64, opts Options) ([]byte, *Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return dst, nil, err
-	}
-	if !(eps > 0) {
-		return dst, nil, quant.ErrNonPositiveBound
-	}
 	stats := new(Stats)
-	dst, err := compressEps(dst, data, eps, opts, stats)
+	dst, err := compressWithEps(dst, data, eps, opts, stats)
 	if err != nil {
 		return dst, nil, err
 	}

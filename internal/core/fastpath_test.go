@@ -54,11 +54,10 @@ func boundaryValues[F float32 | float64](t F, eps float64, nextUp func(F) F, sma
 // checkBoundaryBlocks builds blocks of length L from a background value
 // with one boundary value in every lane position in turn, and the same
 // shapes cut short so that encode pads them, and requires encode to agree
-// with encodeRef on bytes and on the width entry.
-func checkBoundaryBlocks[F float32 | float64](t *testing.T, enc *blockEncoder[F], L int, eps float64, backgrounds, vals []F) {
+// with the stage chain on bytes and on the width entry.
+func checkBoundaryBlocks[F float32 | float64](t *testing.T, enc *blockEncoder[F], ref *blockRef[F], L int, eps float64, backgrounds, vals []F) {
 	t.Helper()
 	block := make([]F, L)
-	padded := make([]F, L)
 	var got, want []byte
 	for _, bg := range backgrounds {
 		for _, v := range vals {
@@ -71,13 +70,11 @@ func checkBoundaryBlocks[F float32 | float64](t *testing.T, enc *blockEncoder[F]
 						block[i] = bg
 					}
 					block[lane] = v
-					clear(padded)
-					copy(padded, block[:n])
 					var gw, ww byte
 					got, gw = encodeOne(enc, got[:0], block[:n])
-					want, ww = enc.encodeRef(want[:0], padded)
+					want, ww = ref.encode(want[:0], block[:n])
 					if !bytes.Equal(got, want) || gw != ww {
-						t.Fatalf("eps=%g L=%d n=%d background=%g lane %d = %g:\n encode    %x width %d\n encodeRef %x width %d",
+						t.Fatalf("eps=%g L=%d n=%d background=%g lane %d = %g:\n encode %x width %d\n chain  %x width %d",
 							eps, L, n, bg, lane, v, got, gw, want, ww)
 					}
 				}
@@ -86,11 +83,11 @@ func checkBoundaryBlocks[F float32 | float64](t *testing.T, enc *blockEncoder[F]
 	}
 }
 
-// checkThreshold pins what zeroThreshold promises against the reference
-// pipeline alone: a block of ±t is a zero block, a block holding the next
-// value beyond t on both sides is not, and when the threshold is switched
-// off not even an all-zero block is.
-func checkThreshold[F float32 | float64](t *testing.T, enc *blockEncoder[F], L int, eps float64, thr F, nextUp func(F) F) {
+// checkThreshold pins what zeroThreshold promises against the stage chain
+// alone: a block of ±t is a zero block, a block holding the next value
+// beyond t on both sides is not, and when the threshold is switched off
+// not even an all-zero block is.
+func checkThreshold[F float32 | float64](t *testing.T, ref *blockRef[F], L int, eps float64, thr F, nextUp func(F) F) {
 	t.Helper()
 	refZero := func(a, b F) bool {
 		src := make([]F, L)
@@ -100,7 +97,7 @@ func checkThreshold[F float32 | float64](t *testing.T, enc *blockEncoder[F], L i
 				src[i] = b
 			}
 		}
-		_, w := enc.encodeRef(nil, src)
+		_, w := ref.encode(nil, src)
 		return w == 0
 	}
 	if thr < 0 {
@@ -126,14 +123,14 @@ func TestZeroPrescanBoundary32(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, L := range []int{8, 32} {
-			enc := getEncoder[float32](L, flenc.HeaderU32, q)
-			checkThreshold(t, enc, L, eps, enc.zeroT, nextUp)
+			enc, ref := getEncoder[float32](L, flenc.HeaderU32, q), newBlockRef[float32](L, flenc.HeaderU32, eps)
+			checkThreshold(t, ref, L, eps, enc.zeroT, nextUp)
 			vals := boundaryValues(enc.zeroT, eps, nextUp, math.SmallestNonzeroFloat32, math.Float32frombits(0x007fffff), rng)
 			bgs := []float32{0}
 			if enc.zeroT > 0 {
 				bgs = append(bgs, enc.zeroT, -enc.zeroT)
 			}
-			checkBoundaryBlocks(t, enc, L, eps, bgs, vals)
+			checkBoundaryBlocks(t, enc, ref, L, eps, bgs, vals)
 		}
 	}
 }
@@ -147,14 +144,14 @@ func TestZeroPrescanBoundary64(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, L := range []int{8, 32} {
-			enc := getEncoder[float64](L, flenc.HeaderU32, q)
-			checkThreshold(t, enc, L, eps, enc.zeroT, nextUp)
+			enc, ref := getEncoder[float64](L, flenc.HeaderU32, q), newBlockRef[float64](L, flenc.HeaderU32, eps)
+			checkThreshold(t, ref, L, eps, enc.zeroT, nextUp)
 			vals := boundaryValues(enc.zeroT, eps, nextUp, math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff), rng)
 			bgs := []float64{0}
 			if enc.zeroT > 0 {
 				bgs = append(bgs, enc.zeroT, -enc.zeroT)
 			}
-			checkBoundaryBlocks(t, enc, L, eps, bgs, vals)
+			checkBoundaryBlocks(t, enc, ref, L, eps, bgs, vals)
 		}
 	}
 }
@@ -172,8 +169,8 @@ func TestZeroPrescanRandomBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc32 := getEncoder[float32](L, flenc.HeaderU32, q)
-		enc64 := getEncoder[float64](L, flenc.HeaderU8, q)
+		enc32, ref32 := getEncoder[float32](L, flenc.HeaderU32, q), newBlockRef[float32](L, flenc.HeaderU32, eps)
+		enc64, ref64 := getEncoder[float64](L, flenc.HeaderU8, q), newBlockRef[float64](L, flenc.HeaderU8, eps)
 		scale := eps * []float64{0.5, 1, 1.02, 3}[iter%4]
 		b32 := make([]float32, L)
 		b64 := make([]float64, L)
@@ -182,9 +179,9 @@ func TestZeroPrescanRandomBlocks(t *testing.T) {
 			b32[i] = float32(b64[i])
 		}
 		got, gw := encodeOne(enc32, nil, b32)
-		want, ww := enc32.encodeRef(nil, b32)
+		want, ww := ref32.encode(nil, b32)
 		if !bytes.Equal(got, want) || gw != ww {
-			t.Fatalf("float32 eps=%g scale=%g: encode %x width %d, encodeRef %x width %d", eps, scale, got, gw, want, ww)
+			t.Fatalf("float32 eps=%g scale=%g: encode %x width %d, chain %x width %d", eps, scale, got, gw, want, ww)
 		}
 		if gw == 0 {
 			zero++
@@ -192,9 +189,9 @@ func TestZeroPrescanRandomBlocks(t *testing.T) {
 			other++
 		}
 		got, gw = encodeOne(enc64, nil, b64)
-		want, ww = enc64.encodeRef(nil, b64)
+		want, ww = ref64.encode(nil, b64)
 		if !bytes.Equal(got, want) || gw != ww {
-			t.Fatalf("float64 eps=%g scale=%g: encode %x width %d, encodeRef %x width %d", eps, scale, got, gw, want, ww)
+			t.Fatalf("float64 eps=%g scale=%g: encode %x width %d, chain %x width %d", eps, scale, got, gw, want, ww)
 		}
 	}
 	if zero < 500 || other < 500 {

@@ -91,7 +91,7 @@ func runFields(ds *datasets.Dataset, rel float64, cfg Config, headerBytes int) (
 func projectThroughput(runs []fieldRun, mesh wse.Config, dir stages.Direction) (float64, error) {
 	var totalBytes, totalSecs float64
 	for _, r := range runs {
-		var chain *stages.Chain
+		var chain *stages.Chain[float32]
 		var err error
 		cfg := stages.Config{Eps: r.eps, EstWidth: 8, HeaderBytes: r.hdr}
 		if dir == stages.Compress {

@@ -64,7 +64,7 @@ func Fig13(cfg Config) (*Fig13Result, error) {
 		for _, dir := range []stages.Direction{stages.Compress, stages.Decompress} {
 			var first, last float64
 			for _, pl := range []int{1, 2, 3, 4, 6, 8} {
-				var chain *stages.Chain
+				var chain *stages.Chain[float32]
 				if dir == stages.Compress {
 					chain, err = stages.NewCompressChain(stages.Config{Eps: eps, EstWidth: int(w)})
 				} else {

@@ -68,22 +68,6 @@ func BenchmarkUnshuffle(b *testing.B) {
 	}
 }
 
-func BenchmarkUnshuffleScalar(b *testing.B) {
-	const L = 32
-	for _, w := range benchWidths {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			abs := benchAbs(L, w)
-			planes := make([]byte, int(w)*PlaneBytes(L))
-			Shuffle(planes, abs, w)
-			out := make([]uint32, L)
-			b.SetBytes(int64(4 * L))
-			for i := 0; i < b.N; i++ {
-				UnshuffleScalar(out, planes, w)
-			}
-		})
-	}
-}
-
 func benchCodes(L int) []int32 {
 	rng := rand.New(rand.NewSource(7))
 	codes := make([]int32, L)

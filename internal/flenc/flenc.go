@@ -22,10 +22,9 @@
 // in swar.go (SplitSignsWidth, Shuffle/Unshuffle via 8×8 bit-matrix
 // transposes), internal/core splits and merges signs branch-free inside
 // its own fused loops, and a block the core can tell is all zero reaches
-// this package only as AppendEncoded with width 0. The scalar composites
-// are retained as the reference implementation for differential testing
-// (EncodeBlockRef/DecodeBlockRef; MergeSigns is what the core's merge is
-// checked against).
+// this package only as AppendEncoded with width 0. The sub-steps are the
+// reference: the stage chain (internal/stages) composes them into the
+// codec every kernel is tested against.
 package flenc
 
 import (
@@ -172,7 +171,9 @@ func VerbatimSize(blockLen, headerBytes int) int {
 	return headerBytes + 4*blockLen
 }
 
-func putHeader(dst []byte, headerBytes int, v uint32) []byte {
+// AppendHeader appends a block header holding v: a width, ZeroMarker or
+// VerbatimU32, which a 1-byte header stores as VerbatimU8.
+func AppendHeader(dst []byte, headerBytes int, v uint32) []byte {
 	switch headerBytes {
 	case HeaderU32:
 		var h [4]byte
@@ -230,14 +231,6 @@ func NewBlock(blockLen int) *Block {
 	}
 }
 
-// Reset re-zeroes the scratch buffers. The encode/decode kernels overwrite
-// every slot they read, so Reset is not required between blocks; it exists
-// for callers that hand scratch to code expecting cleared buffers.
-func (b *Block) Reset() {
-	clear(b.Abs)
-	clear(b.Signs)
-}
-
 // AppendEncoded appends the wire form of a block whose sign-split state is
 // already in abs/signs (as produced by SplitSignsWidth): header, packed
 // signs, then w bit planes shuffled directly into dst's tail — no staging
@@ -245,9 +238,9 @@ func (b *Block) Reset() {
 // zero-block header.
 func AppendEncoded(dst []byte, abs []uint32, signs []byte, w uint, headerBytes int) []byte {
 	if w == 0 {
-		return putHeader(dst, headerBytes, ZeroMarker)
+		return AppendHeader(dst, headerBytes, ZeroMarker)
 	}
-	dst = putHeader(dst, headerBytes, uint32(w))
+	dst = AppendHeader(dst, headerBytes, uint32(w))
 	dst = append(dst, signs...)
 	need := int(w) * PlaneBytes(len(abs))
 	dst = slices.Grow(dst, need)
@@ -267,29 +260,6 @@ func EncodeBlock(dst []byte, codes []int32, headerBytes int, scratch *Block) ([]
 	signs := scratch.Signs[:len(codes)/8]
 	w := SplitSignsWidth(abs, signs, codes)
 	return AppendEncoded(dst, abs, signs, w, headerBytes), w
-}
-
-// EncodeBlockRef is the retained scalar reference implementation of
-// EncodeBlock: separate Sign/Max/GetLength passes and a per-plane shuffle,
-// exactly the sub-stage decomposition the WSE pipeline executes.
-// Differential tests assert its output is byte-identical to EncodeBlock's,
-// and the core compressor's stage-by-stage reference pipeline runs it.
-func EncodeBlockRef(dst []byte, codes []int32, headerBytes int, scratch *Block) ([]byte, uint) {
-	abs := scratch.Abs[:len(codes)]
-	signs := scratch.Signs[:len(codes)/8]
-	SplitSigns(abs, signs, codes)
-	w := Width(MaxAbs(abs))
-	if w == 0 {
-		return putHeader(dst, headerBytes, ZeroMarker), 0
-	}
-	dst = putHeader(dst, headerBytes, uint32(w))
-	dst = append(dst, signs...)
-	need := int(w) * PlaneBytes(len(abs))
-	dst = slices.Grow(dst, need)
-	n := len(dst)
-	dst = dst[: n+need : cap(dst)]
-	ShuffleScalar(dst[n:], abs, w)
-	return dst, w
 }
 
 // decodeBody validates a non-zero, non-verbatim block body and returns its
@@ -333,24 +303,6 @@ func DecodeBlock(codes []int32, src []byte, headerBytes int, scratch *Block) (n 
 	}
 	abs := scratch.Abs[:len(codes)]
 	Unshuffle(abs, planes, w)
-	MergeSigns(codes, abs, signs)
-	return n, nil
-}
-
-// DecodeBlockRef is the retained scalar reference implementation of
-// DecodeBlock (per-plane unshuffle), paired with EncodeBlockRef for
-// differential testing.
-func DecodeBlockRef(codes []int32, src []byte, headerBytes int, scratch *Block) (n int, err error) {
-	signs, planes, w, n, err := decodeBody(src, len(codes), headerBytes)
-	if err != nil {
-		return 0, err
-	}
-	if w == 0 {
-		clear(codes)
-		return n, nil
-	}
-	abs := scratch.Abs[:len(codes)]
-	UnshuffleScalar(abs, planes, w)
 	MergeSigns(codes, abs, signs)
 	return n, nil
 }

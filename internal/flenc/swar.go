@@ -142,15 +142,3 @@ func ShuffleScalar(dst []byte, abs []uint32, width uint) {
 		ShufflePlane(dst[int(k)*pb:int(k+1)*pb], abs, k)
 	}
 }
-
-// UnshuffleScalar is the retained scalar reference for Unshuffle.
-func UnshuffleScalar(abs []uint32, src []byte, width uint) {
-	pb := PlaneBytes(len(abs))
-	if len(src) != int(width)*pb {
-		panic("flenc: UnshuffleScalar buffer size mismatch")
-	}
-	clear(abs)
-	for k := uint(0); k < width; k++ {
-		UnshufflePlane(abs, src[int(k)*pb:int(k+1)*pb], k)
-	}
-}

@@ -24,7 +24,7 @@ func smoothField(n int, seed int64) []float32 {
 	return data
 }
 
-func compressChain(t *testing.T, eps float64, estWidth int) *stages.Chain {
+func compressChain(t *testing.T, eps float64, estWidth int) *stages.Chain[float32] {
 	t.Helper()
 	c, err := stages.NewCompressChain(stages.Config{BlockLen: 32, Eps: eps, EstWidth: estWidth})
 	if err != nil {
@@ -33,7 +33,7 @@ func compressChain(t *testing.T, eps float64, estWidth int) *stages.Chain {
 	return c
 }
 
-func decompressChain(t *testing.T, eps float64, estWidth int) *stages.Chain {
+func decompressChain(t *testing.T, eps float64, estWidth int) *stages.Chain[float32] {
 	t.Helper()
 	c, err := stages.NewDecompressChain(stages.Config{BlockLen: 32, Eps: eps, EstWidth: estWidth})
 	if err != nil {

@@ -163,7 +163,7 @@ func (p *Plan) Project(w Workload) (Projection, error) {
 
 // verbatimCosts returns per-stage costs for a verbatim block.
 func (p *Plan) verbatimCosts() []int64 {
-	st := stages.NewBlockState(p.Chain.Cfg.BlockLen)
+	st := stages.NewBlockState[float32](p.Chain.Cfg.BlockLen)
 	st.Verbatim = true
 	out := make([]int64, len(p.Chain.Stages))
 	for i := range p.Chain.Stages {

@@ -46,7 +46,7 @@ type PlanConfig struct {
 
 // Plan is a validated mapping of a stage chain onto a mesh.
 type Plan struct {
-	Chain  *stages.Chain
+	Chain  *stages.Chain[float32]
 	Cfg    PlanConfig
 	Groups []Group
 	// EstCosts are the planning-time sub-stage costs fed to Algorithm 1.
@@ -60,7 +60,7 @@ type Plan struct {
 
 // NewPlan distributes the chain's sub-stages over PipelineLen PEs with
 // Algorithm 1 and validates geometry and per-PE memory.
-func NewPlan(chain *stages.Chain, cfg PlanConfig) (*Plan, error) {
+func NewPlan(chain *stages.Chain[float32], cfg PlanConfig) (*Plan, error) {
 	defer telPlanBuild.Start().End()
 	if chain == nil {
 		return nil, fmt.Errorf("mapping: nil chain")

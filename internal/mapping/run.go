@@ -30,7 +30,7 @@ type flowBlock struct {
 	// st is the block's state while the block is on the wafer: the head
 	// PE takes it from its row's free list on capture, and the tail PE
 	// copies the result out and returns it before emitting the block.
-	st *stages.BlockState
+	st *stages.BlockState[float32]
 }
 
 // newFlowBlocks returns a run's n blocks, numbered 0..n-1. They carry no
@@ -50,7 +50,7 @@ func newFlowBlocks(n int) []flowBlock {
 // one lies. Rows are the sharded engine's unit, so only one worker ever
 // touches a row's state, and it needs no lock.
 type rowState struct {
-	free []*stages.BlockState
+	free []*stages.BlockState[float32]
 	made int
 	log  []byte
 	// ext[k] locates the row's k-th block, block id k·rows + row (see
@@ -69,10 +69,10 @@ type rowState struct {
 // take returns a free block state of length L, doubling the row's states
 // when none is free. A PipelineLen-1 row returns each state in the
 // handler that took it, so it allocates one state per run.
-func (r *rowState) take(L int) *stages.BlockState {
+func (r *rowState) take(L int) *stages.BlockState[float32] {
 	if len(r.free) == 0 {
 		n := max(1, r.made)
-		batch := stages.NewBlockStates(L, n)
+		batch := stages.NewBlockStates[float32](L, n)
 		for i := range batch {
 			r.free = append(r.free, &batch[i])
 		}
@@ -84,7 +84,7 @@ func (r *rowState) take(L int) *stages.BlockState {
 }
 
 // give returns a state whose block has left the wafer.
-func (r *rowState) give(st *stages.BlockState) { r.free = append(r.free, st) }
+func (r *rowState) give(st *stages.BlockState[float32]) { r.free = append(r.free, st) }
 
 // extent locates one encoded block in its row's log.
 type extent struct{ off, n int }

@@ -168,7 +168,7 @@ func TestKeepChecksEveryBlockOnce(t *testing.T) {
 		}
 		return o
 	}
-	st := &stages.NewBlockStates(L, 1)[0]
+	st := &stages.NewBlockStates[float32](L, 1)[0]
 	keep := func(o *runOutput, row, id int) {
 		o.keep(&o.rows[row], &flowBlock{id: id, st: st})
 	}

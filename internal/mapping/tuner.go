@@ -34,7 +34,7 @@ type TuningPoint struct {
 // the best feasible choice with the full candidate table. This automates
 // the paper's "the optimal configuration can be easily obtained by tuning"
 // (§4.4).
-func SelectPipelineLength(chain *stages.Chain, mesh wse.Config, w Workload, cons TunerConstraints) (int, []TuningPoint, error) {
+func SelectPipelineLength(chain *stages.Chain[float32], mesh wse.Config, w Workload, cons TunerConstraints) (int, []TuningPoint, error) {
 	if chain == nil {
 		return 0, nil, fmt.Errorf("mapping: nil chain")
 	}

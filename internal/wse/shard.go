@@ -204,25 +204,26 @@ func (m *Mesh) runSharded(plan runPlan, sends *initSends) (int64, error) {
 			panic(p)
 		}
 	}
+	// The counts stand also for a failed run, as the sequential engine's do.
+	m.shardEvents = make([]int64, len(shards))
+	m.processed = 0
+	for i := range shards {
+		m.shardEvents[i] = shards[i].processed
+		m.processed += shards[i].processed
+	}
 	for _, err := range errs {
 		if err != nil {
 			return 0, err
 		}
 	}
 
-	m.shardEvents = make([]int64, len(shards))
 	m.shardEmis = make([][]tagged[Emission], len(shards))
 	spans := make([][]tagged[SpanEvent], len(shards))
-	var processed int64
 	var nSpans int
 	for i := range shards {
-		sh := &shards[i]
-		processed += sh.processed
-		m.shardEvents[i] = sh.processed
-		m.shardEmis[i], spans[i] = sh.emis, sh.spanEvs
-		nSpans += len(sh.spanEvs)
+		m.shardEmis[i], spans[i] = shards[i].emis, shards[i].spanEvs
+		nSpans += len(shards[i].spanEvs)
 	}
-	m.processed = processed
 	// The span log merges by its records' cause keys, as Emissions does:
 	// the sequential engine appends span records while processing events
 	// in global (at, src, seq) order, one cause event runs entirely inside

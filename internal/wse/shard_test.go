@@ -505,3 +505,39 @@ func TestMaxEventsOnAnyWorkerCount(t *testing.T) {
 		t.Fatalf("the livelock ran on %d shards, want 2", m.Shards())
 	}
 }
+
+// TestFailedRunKeepsCounts holds a run that fails on MaxEvents to the
+// counts the sequential engine reports for it: a two-row ping-pong
+// livelocks on any worker count, and afterwards Processed exceeds
+// MaxEvents and ShardEvents has one entry per shard, summing to it.
+func TestFailedRunKeepsCounts(t *testing.T) {
+	const maxEvents = 1000
+	for _, workers := range []int{1, 2} {
+		m, err := NewMesh(Config{Rows: 2, Cols: 2, Workers: workers, MaxEvents: maxEvents})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 2; r++ {
+			m.SetProgram(r, 0, rowBounce{})
+			m.SetProgram(r, 1, rowBounce{})
+			m.Inject(r, 0, Message{Color: 0, Wavelets: 1}, 0)
+		}
+		if _, err := m.Run(); err == nil {
+			t.Fatalf("workers=%d: the ping-pong did not fail", workers)
+		}
+		if m.Processed() <= maxEvents {
+			t.Fatalf("workers=%d: %d events processed, want more than MaxEvents %d", workers, m.Processed(), maxEvents)
+		}
+		ev := m.ShardEvents()
+		if len(ev) != m.Shards() {
+			t.Fatalf("workers=%d: %d ShardEvents entries for %d shards", workers, len(ev), m.Shards())
+		}
+		var sum int64
+		for _, n := range ev {
+			sum += n
+		}
+		if sum != m.Processed() {
+			t.Fatalf("workers=%d: ShardEvents %v sum to %d, Processed is %d", workers, ev, sum, m.Processed())
+		}
+	}
+}
