@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ceresz/internal/chunkcache/keytest"
+	"ceresz/internal/kerneltest"
 	"ceresz/internal/telemetry"
 )
 
@@ -55,7 +56,7 @@ func randomBytes(seed int64, n int) []byte {
 // super-blocks and a block beyond: no lanes, the lane length stepping from
 // 64 to 256, every tail length at each.
 func TestLaneHashEveryLength(t *testing.T) {
-	eachKernelSet(t, func(t *testing.T) {
+	kerneltest.Each(t, kernelSets, func(t *testing.T) {
 		h := NewHasher()
 		buf := randomBytes(1, 4*1024+65)
 		for n := 0; n <= len(buf); n++ {
@@ -67,7 +68,7 @@ func TestLaneHashEveryLength(t *testing.T) {
 // TestLaneHashRandomLengths covers long lanes, and data starting at every
 // offset within a cache line: the kernel's loads are unaligned ones.
 func TestLaneHashRandomLengths(t *testing.T) {
-	eachKernelSet(t, func(t *testing.T) {
+	kerneltest.Each(t, kernelSets, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(2))
 		h := NewHasher()
 		buf := randomBytes(3, 4<<20+64)
@@ -97,7 +98,7 @@ func TestLaneHashRandomLengths(t *testing.T) {
 // are committed because the implementations agreeing with each other and
 // with refKey says nothing about a change made to all three.
 func TestHasherKeyStability(t *testing.T) {
-	eachKernelSet(t, func(t *testing.T) {
+	kerneltest.Each(t, kernelSets, func(t *testing.T) {
 		reused := NewHasher()
 		for _, r := range keytest.Requests() {
 			want := Key(r.Key)
@@ -145,7 +146,7 @@ func TestPreambleLayout(t *testing.T) {
 // TestTreeKeepsInputsApart tries the confusions a tree could introduce and
 // a single chain could not: each must still change the Key.
 func TestTreeKeepsInputsApart(t *testing.T) {
-	eachKernelSet(t, func(t *testing.T) {
+	kerneltest.Each(t, kernelSets, func(t *testing.T) {
 		h := NewHasher()
 		const laneLen, tail = 3 * 64, 100
 		data := randomBytes(4, lanes*laneLen+tail)
@@ -195,7 +196,7 @@ func TestHasherKeyAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is unreliable under -race")
 	}
-	eachKernelSet(t, func(t *testing.T) {
+	kerneltest.Each(t, kernelSets, func(t *testing.T) {
 		h := NewHasher()
 		data := randomBytes(6, 36<<10+123)
 		var sink Key
@@ -226,7 +227,7 @@ func FuzzLaneHash(f *testing.F) {
 				data[i] = seed[i%len(seed)] + byte(i/len(seed))
 			}
 		}
-		eachKernelSet(t, func(t *testing.T) {
+		kerneltest.Each(t, kernelSets, func(t *testing.T) {
 			h := NewHasher()
 			checkKey(t, h, pre, data)
 			checkKey(t, h, pre, seed)

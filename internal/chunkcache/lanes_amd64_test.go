@@ -3,25 +3,13 @@
 package chunkcache
 
 import (
-	"testing"
-
 	"ceresz/internal/cpufeat"
+	"ceresz/internal/kerneltest"
 )
 
-// eachKernelSet runs f once per lane-hash implementation the host can
-// execute: the crypto/sha256 one always, the AVX-512 kernel where the CPU
-// has it. Not for parallel subtests: it flips the package's dispatch flag.
-func eachKernelSet(t *testing.T, f func(t *testing.T)) {
-	on := func(vector bool) func(*testing.T) {
-		return func(t *testing.T) {
-			was := useAVX512
-			useAVX512 = vector
-			defer func() { useAVX512 = was }()
-			f(t)
-		}
-	}
-	t.Run("portable", on(false))
-	if cpufeat.AVX512 {
-		t.Run("avx512", on(true))
-	}
+// kernelSets are the lane-hash implementations: the crypto/sha256 one
+// always, the AVX-512 kernel where the CPU has it.
+var kernelSets = []kerneltest.Set{
+	{Name: "portable", Have: true, Flags: []*bool{&useAVX512}, On: []bool{false}},
+	{Name: "avx512", Have: cpufeat.AVX512, Flags: []*bool{&useAVX512}, On: []bool{true}},
 }

@@ -2,9 +2,7 @@
 
 package chunkcache
 
-import "testing"
+import "ceresz/internal/kerneltest"
 
-// eachKernelSet runs f on the one lane-hash implementation this build has.
-func eachKernelSet(t *testing.T, f func(t *testing.T)) {
-	t.Run("portable", f)
-}
+// kernelSets is the one lane-hash implementation this build has.
+var kernelSets = []kerneltest.Set{{Name: "portable", Have: true}}

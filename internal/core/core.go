@@ -19,7 +19,8 @@
 // table and comes back only for a block it does not handle (verbatim, the
 // trailing partial block). On amd64 CPUs with
 // AVX2 the two run functions are assembly (kernels_amd64.s, chosen once
-// from CPUID); everywhere else they are Go loops over the Go block
+// from CPUID; decodeRun at sixteen lanes where the CPU has AVX-512);
+// everywhere else they are Go loops over the Go block
 // kernels, which are also the oracle the assembly is tested against, and
 // the bytes are the same. Decoding validates first: one Go scan
 // (scanWidths) reads every header and sizes every block before any output

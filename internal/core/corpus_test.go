@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ceresz/internal/formattest"
+	"ceresz/internal/kerneltest"
 	"ceresz/internal/quant"
 	"ceresz/internal/rawfloat"
 )
@@ -23,7 +24,7 @@ func TestFormatCorpus(t *testing.T) {
 			}
 		}
 	}
-	eachKernelSet(t, func(t *testing.T) { check(t, false) })
+	kerneltest.Each(t, kernelSets, func(t *testing.T) { check(t, false) })
 	t.Run("chain", func(t *testing.T) { check(t, true) })
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ceresz/internal/kerneltest"
 	"ceresz/internal/quant"
 )
 
@@ -83,7 +84,7 @@ func TestBoundOnFloat32Sample(t *testing.T) {
 				}
 			}
 		}
-		eachKernelSet(t, func(t *testing.T) {
+		kerneltest.Each(t, kernelSets, func(t *testing.T) {
 			comp, _, err := CompressWithEps(nil, data, eps, Options{BlockLen: L, Workers: 1})
 			if err != nil {
 				t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ceresz/internal/flenc"
+	"ceresz/internal/kerneltest"
 	"ceresz/internal/quant"
 )
 
@@ -74,7 +75,7 @@ func FuzzDecompress64(f *testing.F) {
 // kernels: across random data, block lengths, header widths and partial
 // trailing blocks, the fused SWAR compressor must emit bytes identical to
 // the stage chain's, and the fused decoder must reproduce the chain's
-// decode bit for bit.
+// decode bit for bit, on every kernel set.
 func FuzzHostKernels(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 1, 2, 3, 4}, uint8(0), false, uint8(3))
 	f.Add(make([]byte, 400), uint8(3), true, uint8(2))
@@ -84,49 +85,53 @@ func FuzzHostKernels(f *testing.F) {
 	f.Add(prescanSeed32(1e-3, 150), uint8(3), false, uint8(3))
 	f.Add(prescanSeed32(1, 61), uint8(0), true, uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, blockSel uint8, szpHeader bool, epsExp uint8) {
-		n := len(raw) / 4
-		data := make([]float32, n)
-		for i := 0; i < n; i++ {
-			bits := uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 | uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24
-			data[i] = math.Float32frombits(bits)
-		}
-		opts := Options{
-			BlockLen: 8 * (1 + int(blockSel)%12),
-			Workers:  1,
-		}
-		if szpHeader {
-			opts.HeaderBytes = flenc.HeaderU8
-		} else {
-			opts.HeaderBytes = flenc.HeaderU32
-		}
-		eps := math.Pow(10, -float64(epsExp%7))
-		comp, _, err := CompressWithEps(nil, data, eps, opts)
-		if err != nil {
-			t.Fatalf("compress: %v", err)
-		}
-		ref, err := compressRef(data, eps, opts)
-		if err != nil {
-			t.Fatalf("compressRef: %v", err)
-		}
-		if !bytes.Equal(comp, ref) {
-			t.Fatalf("fused stream differs from the chain (n=%d L=%d hdr=%d eps=%g)\n got %x\nwant %x",
-				n, opts.BlockLen, opts.HeaderBytes, eps, comp, ref)
-		}
-		out, _, err := Decompress(nil, comp, 1)
-		if err != nil {
-			t.Fatalf("decompress: %v", err)
-		}
-		refOut, err := decompressRef[float32](comp)
-		if err != nil {
-			t.Fatalf("decompressRef: %v", err)
-		}
-		for i := range out {
-			if math.Float32bits(out[i]) != math.Float32bits(refOut[i]) {
-				t.Fatalf("fused decode differs from reference at %d: %x vs %x",
-					i, math.Float32bits(out[i]), math.Float32bits(refOut[i]))
-			}
-		}
+		kerneltest.Each(t, kernelSets, func(t *testing.T) { checkHostKernels32(t, raw, blockSel, szpHeader, epsExp) })
 	})
+}
+
+func checkHostKernels32(t *testing.T, raw []byte, blockSel uint8, szpHeader bool, epsExp uint8) {
+	n := len(raw) / 4
+	data := make([]float32, n)
+	for i := 0; i < n; i++ {
+		bits := uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 | uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24
+		data[i] = math.Float32frombits(bits)
+	}
+	opts := Options{
+		BlockLen: 8 * (1 + int(blockSel)%12),
+		Workers:  1,
+	}
+	if szpHeader {
+		opts.HeaderBytes = flenc.HeaderU8
+	} else {
+		opts.HeaderBytes = flenc.HeaderU32
+	}
+	eps := math.Pow(10, -float64(epsExp%7))
+	comp, _, err := CompressWithEps(nil, data, eps, opts)
+	if err != nil {
+		t.Fatalf("compress: %v", err)
+	}
+	ref, err := compressRef(data, eps, opts)
+	if err != nil {
+		t.Fatalf("compressRef: %v", err)
+	}
+	if !bytes.Equal(comp, ref) {
+		t.Fatalf("fused stream differs from the chain (n=%d L=%d hdr=%d eps=%g)\n got %x\nwant %x",
+			n, opts.BlockLen, opts.HeaderBytes, eps, comp, ref)
+	}
+	out, _, err := Decompress(nil, comp, 1)
+	if err != nil {
+		t.Fatalf("decompress: %v", err)
+	}
+	refOut, err := decompressRef[float32](comp)
+	if err != nil {
+		t.Fatalf("decompressRef: %v", err)
+	}
+	for i := range out {
+		if math.Float32bits(out[i]) != math.Float32bits(refOut[i]) {
+			t.Fatalf("fused decode differs from reference at %d: %x vs %x",
+				i, math.Float32bits(out[i]), math.Float32bits(refOut[i]))
+		}
+	}
 }
 
 // FuzzHostKernels64 is the float64 differential twin.
@@ -136,37 +141,41 @@ func FuzzHostKernels64(f *testing.F) {
 	f.Add(prescanSeed64(1e-6, 150), uint8(3))
 	f.Add(prescanSeed64(1e-6, 61), uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, blockSel uint8) {
-		n := len(raw) / 8
-		data := make([]float64, n)
-		for i := 0; i < n; i++ {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
-		opts := Options{BlockLen: 8 * (1 + int(blockSel)%12), Workers: 1}.withDefaults()
-		const eps = 1e-6
-		comp, _, err := Compress64WithEps(nil, data, eps, opts)
-		if err != nil {
-			t.Fatalf("compress64: %v", err)
-		}
-		L := opts.BlockLen
-		ref, err := compressRef(data, eps, opts)
-		if err != nil {
-			t.Fatalf("reference compress64: %v", err)
-		}
-		if !bytes.Equal(comp, ref) {
-			t.Fatalf("fused float64 stream differs from the chain (n=%d L=%d)", n, L)
-		}
-		out, _, err := Decompress64(nil, comp, 1)
-		if err != nil {
-			t.Fatalf("decompress64: %v", err)
-		}
-		refOut, err := decompressRef[float64](comp)
-		if err != nil {
-			t.Fatalf("decompressRef: %v", err)
-		}
-		if len(out) != n || !sameBits(out, refOut) {
-			t.Fatalf("fused float64 decode differs from reference (n=%d L=%d)", n, L)
-		}
+		kerneltest.Each(t, kernelSets, func(t *testing.T) { checkHostKernels64(t, raw, blockSel) })
 	})
+}
+
+func checkHostKernels64(t *testing.T, raw []byte, blockSel uint8) {
+	n := len(raw) / 8
+	data := make([]float64, n)
+	for i := 0; i < n; i++ {
+		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	opts := Options{BlockLen: 8 * (1 + int(blockSel)%12), Workers: 1}.withDefaults()
+	const eps = 1e-6
+	comp, _, err := Compress64WithEps(nil, data, eps, opts)
+	if err != nil {
+		t.Fatalf("compress64: %v", err)
+	}
+	L := opts.BlockLen
+	ref, err := compressRef(data, eps, opts)
+	if err != nil {
+		t.Fatalf("reference compress64: %v", err)
+	}
+	if !bytes.Equal(comp, ref) {
+		t.Fatalf("fused float64 stream differs from the chain (n=%d L=%d)", n, L)
+	}
+	out, _, err := Decompress64(nil, comp, 1)
+	if err != nil {
+		t.Fatalf("decompress64: %v", err)
+	}
+	refOut, err := decompressRef[float64](comp)
+	if err != nil {
+		t.Fatalf("decompressRef: %v", err)
+	}
+	if len(out) != n || !sameBits(out, refOut) {
+		t.Fatalf("fused float64 decode differs from reference (n=%d L=%d)", n, L)
+	}
 }
 
 // FuzzParallelHostCodec is the differential target for the block-parallel

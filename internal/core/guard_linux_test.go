@@ -4,44 +4,20 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime/debug"
-	"syscall"
 	"testing"
 
 	"ceresz/internal/flenc"
+	"ceresz/internal/kerneltest"
 )
 
 // A Go bounds check cannot see what an assembly kernel reads. These tests
 // put the compressed stream flush against pages that fault on any access,
 // so a read one byte outside comp — by the scan, by a run decoder, on
-// either kernel set — ends the test instead of going unnoticed.
-
-// guardedCopies returns two copies of b in freshly mapped memory: one that
-// ends where an inaccessible page begins, one that begins where an
-// inaccessible page ends. release unmaps them.
-func guardedCopies(t *testing.T, b []byte) (atEnd, atStart []byte, release func()) {
-	t.Helper()
-	page := syscall.Getpagesize()
-	size := 2 * max(1, (len(b)+page-1)/page) * page // a half for each copy
-	mem, err := syscall.Mmap(-1, 0, page+size+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
-	if err != nil {
-		t.Skipf("mmap: %v", err)
-	}
-	release = func() { _ = syscall.Munmap(mem) } // test memory: nothing to do about a failed unmap
-	for _, guard := range [][]byte{mem[:page], mem[page+size:]} {
-		if err := syscall.Mprotect(guard, syscall.PROT_NONE); err != nil {
-			release()
-			t.Skipf("mprotect: %v", err)
-		}
-	}
-	atStart = mem[page : page+len(b) : page+len(b)]
-	atEnd = mem[page+size-len(b) : page+size : page+size]
-	copy(atStart, b)
-	copy(atEnd, b)
-	return atEnd, atStart, release
-}
+// any kernel set — ends the test instead of going unnoticed.
 
 // decodeGuarded decodes comp from both guarded positions at several worker
 // counts, turning a fault into a test failure. It reports whether the
@@ -54,7 +30,7 @@ func decodeGuarded[F float32 | float64](t *testing.T, what string, comp []byte) 
 			t.Fatalf("%s: decoding touched memory outside comp: %v", what, r)
 		}
 	}()
-	atEnd, atStart, release := guardedCopies(t, comp)
+	atEnd, atStart, release := kerneltest.GuardedCopies(t, comp)
 	defer release()
 	for _, c := range [][]byte{atEnd, atStart} {
 		for _, workers := range []int{1, 3} {
@@ -103,7 +79,7 @@ func hostileCorpus[F float32 | float64](t *testing.T) [][]byte {
 // testHostileStreamsStayInsideComp decodes every truncation of every
 // corpus stream and a bit flip at every byte of it, on every kernel set.
 func testHostileStreamsStayInsideComp[F float32 | float64](t *testing.T) {
-	eachKernelSet(t, func(t *testing.T) {
+	kerneltest.Each(t, kernelSets, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(43))
 		var decoded, refused int
 		for i, comp := range hostileCorpus[F](t) {
@@ -133,3 +109,44 @@ func testHostileStreamsStayInsideComp[F float32 | float64](t *testing.T) {
 
 func TestHostileStreamsStayInsideComp32(t *testing.T) { testHostileStreamsStayInsideComp[float32](t) }
 func TestHostileStreamsStayInsideComp64(t *testing.T) { testHostileStreamsStayInsideComp[float64](t) }
+
+// TestWideLastBlockStaysInsideComp ends a stream with a block of width
+// 9–16 or 32 — two layers of planes, or all of them — flush against an
+// inaccessible page, whole and cut short, for both element types, both
+// header sizes and block lengths 8, 32 and 40 (whose fifth group lies
+// outside whole sixteen-lane halves), on every kernel set: a decoder that
+// reads a plane past the block's top one faults.
+func TestWideLastBlockStaysInsideComp(t *testing.T) {
+	kerneltest.Each(t, kernelSets, func(t *testing.T) {
+		testWideLastBlock[float32](t)
+		testWideLastBlock[float64](t)
+	})
+}
+
+func testWideLastBlock[F float32 | float64](t *testing.T) {
+	widths := []byte{9, 10, 11, 12, 13, 14, 15, 16, flenc.MaxWidth}
+	for _, L := range []int{8, 32, 40} {
+		for _, hdr := range []int{flenc.HeaderU32, flenc.HeaderU8} {
+			for _, w := range widths {
+				var data []F
+				for _, kind := range []byte{3, 0, w} {
+					data = append(data, runBlock[F](L, kind)...)
+				}
+				for _, cut := range []int{0, 3} {
+					in := data[:len(data)-cut]
+					var stats Stats
+					comp, err := compressEps(nil, in, runEps, Options{BlockLen: L, HeaderBytes: hdr, Workers: 1}, &stats)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if stats.WidthHistogram[w] != 1 {
+						t.Fatalf("L=%d hdr=%d: the last block is not of width %d: %v", L, hdr, w, stats.WidthHistogram)
+					}
+					if !decodeGuarded[F](t, fmt.Sprintf("%T L=%d hdr=%d width %d cut %d", in[0], L, hdr, w, cut), comp) {
+						t.Fatalf("L=%d hdr=%d width %d: the stream does not decode", L, hdr, w)
+					}
+				}
+			}
+		}
+	}
+}

@@ -9,6 +9,10 @@ import "ceresz/internal/cpufeat"
 // side.
 var useAVX2 = cpufeat.AVX2
 
+// useAVX512 selects, where useAVX2 holds, the sixteen-lane decode run
+// kernels over the AVX2 ones. It is set once, from the CPU, like useAVX2.
+var useAVX512 = cpufeat.AVX512
+
 //go:noescape
 func encodeRunF32AVX2(dst *byte, src *float32, abs *uint32, widths *byte, n, groups, hdr, limit int, recip, twoE, eps float64, zeroT float32) (done, used int)
 
@@ -20,6 +24,12 @@ func decodeRunF32AVX2(out *float32, body, widths *byte, n, groups, hdr int, twoE
 
 //go:noescape
 func decodeRunF64AVX2(out *float64, body, widths *byte, n, groups, hdr int, twoE float64) (done, used int)
+
+//go:noescape
+func decodeRunF32AVX512(out *float32, body, widths *byte, n, groups, hdr int, twoE float64) (done, used int)
+
+//go:noescape
+func decodeRunF64AVX512(out *float64, body, widths *byte, n, groups, hdr int, twoE float64) (done, used int)
 
 // encodeRun encodes the blocks of src one after another into room,
 // recording their widths, until all are done, fewer than e.reserve bytes of
@@ -57,8 +67,14 @@ func (d *blockDecoder[F]) decodeRun(out []F, body, widths []byte, hdr int, twoE 
 	}
 	switch out := any(out[:len(widths)*d.L]).(type) {
 	case []float32:
+		if useAVX512 {
+			return decodeRunF32AVX512(&out[0], &body[0], &widths[0], len(widths), d.L/8, hdr, twoE)
+		}
 		return decodeRunF32AVX2(&out[0], &body[0], &widths[0], len(widths), d.L/8, hdr, twoE)
 	case []float64:
+		if useAVX512 {
+			return decodeRunF64AVX512(&out[0], &body[0], &widths[0], len(widths), d.L/8, hdr, twoE)
+		}
 		return decodeRunF64AVX2(&out[0], &body[0], &widths[0], len(widths), d.L/8, hdr, twoE)
 	}
 	panic("unreachable")

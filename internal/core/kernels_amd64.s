@@ -718,3 +718,360 @@ TEXT ·decodeRunF64AVX2(SB), NOSPLIT, $24-72
 	SUBQ body+8(FP), AX
 	MOVQ AX, used+64(FP)
 	RET
+
+// The AVX-512 inverse kernels: the same reverse pass at sixteen dword lanes,
+// two groups to a ZMM register, using AVX512F and AVX512BW at 512 bits only.
+// Register plan, across the run: DI = where the next group is written, AX
+// = where the next block starts in the body, CX = groups = bytes per
+// plane, R8 = the width table's cursor, R14 = the clamp table in the
+// frame; Z15 = 2ε, Z16..Z23 = 1<<k in every byte for k = 0..7, Z14 = 1 and
+// Z13 = 15 and Z24 = 7 in every dword, Z8 = 0, K5 = dwords 8..15; in the
+// frame, wend is the width table's end and hdrb the header size. Within a
+// block: SI = signs, R10 = plane 0, R11 = w, BX = index of the group (or
+// of a quad's first group) being decoded, Z12 = the running code, the last
+// decoded lane in every lane. Z0..Z15 hold what VEX stores name through
+// their low halves.
+
+DATA one<>+0(SB)/4, $1
+GLOBL one<>(SB), RODATA|NOPTR, $4
+DATA fifteen<>+0(SB)/4, $15
+GLOBL fifteen<>(SB), RODATA|NOPTR, $4
+DATA lowBits<>+0(SB)/4, $0x01010101
+GLOBL lowBits<>(SB), RODATA|NOPTR, $4
+
+// clamp is the clamp table before the prologue widens and scales it, 16
+// bytes a row: row r, for a layer whose planes 0..r exist, holds min(k, r)
+// in byte k, which times groups is the body offset of plane k (plane r
+// standing in for those above it), and in byte 8 the mask of bits 0..r.
+DATA clamp<>+0(SB)/8, $0x0000000000000000
+DATA clamp<>+8(SB)/1, $0x01
+DATA clamp<>+16(SB)/8, $0x0101010101010100
+DATA clamp<>+24(SB)/1, $0x03
+DATA clamp<>+32(SB)/8, $0x0202020202020100
+DATA clamp<>+40(SB)/1, $0x07
+DATA clamp<>+48(SB)/8, $0x0303030303020100
+DATA clamp<>+56(SB)/1, $0x0f
+DATA clamp<>+64(SB)/8, $0x0404040403020100
+DATA clamp<>+72(SB)/1, $0x1f
+DATA clamp<>+80(SB)/8, $0x0505050403020100
+DATA clamp<>+88(SB)/1, $0x3f
+DATA clamp<>+96(SB)/8, $0x0606050403020100
+DATA clamp<>+104(SB)/1, $0x7f
+DATA clamp<>+112(SB)/8, $0x0706050403020100
+DATA clamp<>+120(SB)/1, $0xff
+GLOBL clamp<>(SB), RODATA|NOPTR, $128
+
+// CLAMPROW writes one row of the clamp table to the frame as dwords, 64
+// bytes a row: Z9 holds groups in dwords 0..7, which scales the offsets,
+// and 0x01010101 in the rest, which copies the mask to every byte.
+#define CLAMPROW(src, dst) \
+	VPMOVZXBD clamp<>+src(SB), Z10; \
+	VPMULLD Z9, Z10, Z10; \
+	VMOVDQU32 Z10, dst(R14)
+
+// PLANE512 adds plane k of a layer into the layer's byte of the 32
+// magnitudes of a quad, in bytes 0..31 of Z6: R12 is the layer's plane 0
+// at the quad's first group, R13 the clamp row. The plane's four bytes are
+// an opmask, bit i for magnitude i, and the bytes it selects take bit k,
+// Wk.
+#define PLANE512(k, Wk) \
+	MOVL (4*k)(R13), R9; \
+	KMOVD (R12)(R9*1), K1; \
+	VPADDB Wk, Z6, K1, Z6
+
+// LAYER512 builds a layer — eight planes, one byte of every magnitude —
+// without a branch, which is what a width that changes from block to
+// block costs least as. In a block's top layer, whose planes at and above
+// w do not exist, the clamp row re-reads plane w−1 in their place; the
+// caller masks off the bits they set. No byte outside the block is read.
+#define LAYER512 \
+	VPXORD Z6, Z6, Z6; \
+	PLANE512(0, Z16); \
+	PLANE512(1, Z17); \
+	PLANE512(2, Z18); \
+	PLANE512(3, Z19); \
+	PLANE512(4, Z20); \
+	PLANE512(5, Z21); \
+	PLANE512(6, Z22); \
+	PLANE512(7, Z23)
+
+// NARROWQUAD512 decodes the four groups BX..BX+3 of a block of width 8 or
+// less into codes relative to the block's running code, in Z0 (groups BX,
+// BX+1) and Z1 (BX+2, BX+3). A magnitude is one byte, and a group's
+// deltas sum to at most 8·255 in size, so the sign merge (VPSUBW from zero
+// under the sign bits) and the prefix sum within each group (three in-lane
+// steps of VPSLLDQ and an add, a group to each 128-bit lane) are exact in
+// int16 words. Widened to dwords, the second group of each register adds
+// the first's last sum, lane 7, broadcast into lanes 8..15.
+#define NARROWQUAD512 \
+	LEAQ -1(R11), R9; \
+	SHLQ $6, R9; \
+	LEAQ (R14)(R9*1), R13; \
+	LEAQ (R10)(BX*1), R12; \
+	LAYER512; \
+	VPANDD.BCST 32(R13), Z6, Z6; \
+	VPMOVZXBW Y6, Z0; \
+	KMOVD (SI)(BX*1), K3; \
+	VPSUBW Z0, Z8, K3, Z0; \
+	VPSLLDQ $2, Z0, Z2; \
+	VPADDW Z2, Z0, Z0; \
+	VPSLLDQ $4, Z0, Z2; \
+	VPADDW Z2, Z0, Z0; \
+	VPSLLDQ $8, Z0, Z2; \
+	VPADDW Z2, Z0, Z0; \
+	VEXTRACTI64X4 $1, Z0, Y1; \
+	VPMOVSXWD Y0, Z0; \
+	VPMOVSXWD Y1, Z1; \
+	VPERMD.Z Z0, Z24, K5, Z2; \
+	VPADDD Z2, Z0, Z0; \
+	VPERMD.Z Z1, Z24, K5, Z3; \
+	VPADDD Z3, Z1, Z1
+
+// QUADPLANES512 rebuilds the magnitudes of the four groups BX..BX+3 of a
+// block wider than 8 in Z0 and Z1, a layer at a time from the top layer
+// down, shifting what is done up by a byte between layers.
+#define QUADPLANES512 \
+	LEAQ -1(R11), R9; \
+	MOVQ R9, DX; \
+	SHRQ $3, DX; \
+	ANDQ $7, R9; \
+	SHLQ $6, R9; \
+	LEAQ (R14)(R9*1), R13; \
+	MOVQ DX, R9; \
+	IMULQ CX, R9; \
+	LEAQ (R10)(R9*8), R12; \
+	ADDQ BX, R12; \
+	LAYER512; \
+	VPANDD.BCST 32(R13), Z6, Z6; \
+	VEXTRACTI32X4 $1, Z6, X7; \
+	VPMOVZXBD X6, Z0; \
+	VPMOVZXBD X7, Z1; \
+	LEAQ (7*64)(R14), R13; \
+qlayer: \
+	MOVQ CX, R9; \
+	SHLQ $3, R9; \
+	SUBQ R9, R12; \
+	LAYER512; \
+	VEXTRACTI32X4 $1, Z6, X7; \
+	VPSLLD $8, Z0, Z0; \
+	VPSLLD $8, Z1, Z1; \
+	VPMOVZXBD X6, Z2; \
+	VPMOVZXBD X7, Z3; \
+	VPORD Z2, Z0, Z0; \
+	VPORD Z3, Z1, Z1; \
+	DECQ DX; \
+	JNZ qlayer
+
+// GROUPPLANES512 rebuilds the magnitudes of group BX alone in lanes 0–7 of
+// Z0, for the groups a quad does not cover; lanes 8–15 stay 0. It walks
+// the w planes from plane 0 up, the plane's bit doubling in Z11; AX + BX
+// is where plane w would begin. A plane's byte goes through a general
+// register, because the one-byte opmask load is AVX512DQ.
+#define GROUPPLANES512 \
+	VPXORD Z0, Z0, Z0; \
+	VMOVDQA32 Z14, Z11; \
+	LEAQ (R10)(BX*1), R12; \
+	LEAQ (AX)(BX*1), R13; \
+gplane: \
+	MOVBLZX (R12), R9; \
+	KMOVW R9, K1; \
+	VPORD Z11, Z0, K1, Z0; \
+	VPADDD Z11, Z11, Z11; \
+	ADDQ CX, R12; \
+	CMPQ R12, R13; \
+	JB gplane
+
+// SCAN16 merges the signs in opmask KS into the magnitudes in U — a set
+// bit negates its lane, which is mergeSign — and turns the deltas into
+// their inclusive prefix sum across the sixteen lanes in four steps of
+// VALIGND, which shifts lanes up by 1, 2, 4 and 8 with zeros behind, and
+// an add. The sums wrap as int32, as the Go loop's do; the caller adds the
+// running code. Lanes with a zero magnitude and a clear sign bit add
+// nothing, so a lone group in lanes 0–7 leaves its last sum in lane 15 too.
+#define SCAN16(U, KS, T) \
+	VPSUBD U, Z8, KS, U; \
+	VALIGND $15, Z8, U, T; \
+	VPADDD T, U, U; \
+	VALIGND $14, Z8, U, T; \
+	VPADDD T, U, U; \
+	VALIGND $12, Z8, U, T; \
+	VPADDD T, U, U; \
+	VALIGND $8, Z8, U, T; \
+	VPADDD T, U, U
+
+// LOW32 and LOW64 dequantize the eight codes in YS — float64(code), then
+// times 2ε, as the Go loop does, each a separate rounding — and store them
+// at off(DI) as the element type: VCVTPD2PS rounds to float32 under the
+// default MXCSR exactly as Go's conversion does.
+#define LOW32(YS, off) \
+	VCVTDQ2PD YS, Z2; \
+	VMULPD Z15, Z2, Z2; \
+	VCVTPD2PS Z2, Y2; \
+	VMOVUPS Y2, off(DI)
+
+#define LOW64(YS, off) \
+	VCVTDQ2PD YS, Z2; \
+	VMULPD Z15, Z2, Z2; \
+	VMOVUPD Z2, off(DI)
+
+// ZERO2F32 and ZERO2F64 store two groups of zeros; ZERO32 and ZERO64
+// store one.
+#define ZERO2F32 \
+	VMOVUPS Z8, (DI)
+
+#define ZERO2F64 \
+	VMOVUPD Z8, (DI); \
+	VMOVUPD Z8, 64(DI)
+
+// INVERSE_RUN512 is INVERSE_RUN at sixteen lanes: PUT8 dequantizes and
+// stores eight codes, ZERO stores one group of zeros and ZERO2 two, size
+// is a group's bytes. The stops and the order of the work are
+// INVERSE_RUN's. A quad is two registers whose prefix sums are independent
+// until the running code is added: lane 15 of the first, broadcast, is
+// what the second adds.
+#define INVERSE_RUN512(PUT8, ZERO, ZERO2, size) \
+	VPXORD Z8, Z8, Z8; \
+	VPBROADCASTD fifteen<>(SB), Z13; \
+	VPBROADCASTD seven<>(SB), Z24; \
+	VPBROADCASTD one<>(SB), Z14; \
+	VPBROADCASTD lowBits<>(SB), Z16; \
+	VPADDD Z16, Z16, Z17; \
+	VPADDD Z17, Z17, Z18; \
+	VPADDD Z18, Z18, Z19; \
+	VPADDD Z19, Z19, Z20; \
+	VPADDD Z20, Z20, Z21; \
+	VPADDD Z21, Z21, Z22; \
+	VPADDD Z22, Z22, Z23; \
+	MOVL $0xFF00, R9; \
+	KMOVW R9, K5; \
+	VPBROADCASTD CX, Z9; \
+	VMOVDQA32 Z16, K5, Z9; \
+	CLAMPROW(0, 0); \
+	CLAMPROW(16, 64); \
+	CLAMPROW(32, 128); \
+	CLAMPROW(48, 192); \
+	CLAMPROW(64, 256); \
+	CLAMPROW(80, 320); \
+	CLAMPROW(96, 384); \
+	CLAMPROW(112, 448); \
+block: \
+	CMPQ R8, wend-8(SP); \
+	JAE stop; \
+	MOVBLZX (R8), R11; \
+	CMPQ R11, $32; \
+	JHI stop; \
+	INCQ R8; \
+	MOVQ hdrb-16(SP), SI; \
+	ADDQ AX, SI; \
+	TESTQ R11, R11; \
+	JZ zero; \
+	LEAQ (SI)(CX*1), R10; \
+	MOVQ R11, AX; \
+	IMULQ CX, AX; \
+	ADDQ R10, AX; \
+	VPXORD Z12, Z12, Z12; \
+	XORQ BX, BX; \
+quads: \
+	LEAQ 4(BX), R9; \
+	CMPQ R9, CX; \
+	JGT leftover; \
+	CMPQ R11, $8; \
+	JA wide; \
+	NARROWQUAD512; \
+	JMP carry; \
+wide: \
+	QUADPLANES512; \
+	KMOVW (SI)(BX*1), K3; \
+	KMOVW 2(SI)(BX*1), K4; \
+	SCAN16(Z0, K3, Z4); \
+	SCAN16(Z1, K4, Z5); \
+carry: \
+	VPADDD Z12, Z0, Z0; \
+	VPERMD Z0, Z13, Z12; \
+	VPADDD Z12, Z1, Z1; \
+	VPERMD Z1, Z13, Z12; \
+	VEXTRACTI64X4 $1, Z0, Y4; \
+	VEXTRACTI64X4 $1, Z1, Y5; \
+	PUT8(Y0, 0); \
+	PUT8(Y4, size); \
+	PUT8(Y1, 2*size); \
+	PUT8(Y5, 3*size); \
+	ADDQ $(4*size), DI; \
+	ADDQ $4, BX; \
+	JMP quads; \
+leftover: \
+	CMPQ BX, CX; \
+	JGE block; \
+	GROUPPLANES512; \
+	MOVBLZX (SI)(BX*1), R9; \
+	KMOVW R9, K3; \
+	SCAN16(Z0, K3, Z4); \
+	VPADDD Z12, Z0, Z0; \
+	VPERMD Z0, Z13, Z12; \
+	PUT8(Y0, 0); \
+	ADDQ $size, DI; \
+	INCQ BX; \
+	JMP leftover; \
+zero: \
+	MOVQ SI, AX; \
+	MOVQ CX, BX; \
+	SUBQ $2, BX; \
+	JLT zlast; \
+zfill: \
+	ZERO2; \
+	ADDQ $(2*size), DI; \
+	SUBQ $2, BX; \
+	JGE zfill; \
+zlast: \
+	CMPQ BX, $-1; \
+	JNE block; \
+	ZERO; \
+	ADDQ $size, DI; \
+	JMP block; \
+stop: \
+	VZEROUPPER
+
+// func decodeRunF32AVX512(out *float32, body, widths *byte, n, groups, hdr int, twoE float64) (done, used int)
+//
+// decodeRunF32AVX2 on the AVX-512 kernel: same arguments, same stops, same
+// bits.
+TEXT ·decodeRunF32AVX512(SB), NOSPLIT, $528-72
+	MOVQ out+0(FP), DI
+	MOVQ body+8(FP), AX
+	MOVQ widths+16(FP), R8
+	MOVQ n+24(FP), R9
+	ADDQ R8, R9
+	MOVQ R9, wend-8(SP)
+	MOVQ groups+32(FP), CX
+	MOVQ hdr+40(FP), R9
+	MOVQ R9, hdrb-16(SP)
+	LEAQ tab-528(SP), R14
+	VBROADCASTSD twoE+48(FP), Z15
+	INVERSE_RUN512(LOW32, ZERO32, ZERO2F32, 32)
+	SUBQ widths+16(FP), R8
+	MOVQ R8, done+56(FP)
+	SUBQ body+8(FP), AX
+	MOVQ AX, used+64(FP)
+	RET
+
+// func decodeRunF64AVX512(out *float64, body, widths *byte, n, groups, hdr int, twoE float64) (done, used int)
+//
+// decodeRunF32AVX512 for float64 elements.
+TEXT ·decodeRunF64AVX512(SB), NOSPLIT, $528-72
+	MOVQ out+0(FP), DI
+	MOVQ body+8(FP), AX
+	MOVQ widths+16(FP), R8
+	MOVQ n+24(FP), R9
+	ADDQ R8, R9
+	MOVQ R9, wend-8(SP)
+	MOVQ groups+32(FP), CX
+	MOVQ hdr+40(FP), R9
+	MOVQ R9, hdrb-16(SP)
+	LEAQ tab-528(SP), R14
+	VBROADCASTSD twoE+48(FP), Z15
+	INVERSE_RUN512(LOW64, ZERO64, ZERO2F64, 64)
+	SUBQ widths+16(FP), R8
+	MOVQ R8, done+56(FP)
+	SUBQ body+8(FP), AX
+	MOVQ AX, used+64(FP)
+	RET

@@ -2,10 +2,7 @@
 
 package core
 
-import "testing"
+import "ceresz/internal/kerneltest"
 
-// eachKernelSet runs f as a subtest on every kernel set this build has:
-// the Go kernels alone.
-func eachKernelSet(t *testing.T, f func(t *testing.T)) {
-	t.Run("go", f)
-}
+// kernelSets are the kernel sets of this build: the Go kernels alone.
+var kernelSets = []kerneltest.Set{{Name: "go", Have: true}}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ceresz/internal/flenc"
+	"ceresz/internal/kerneltest"
 	"ceresz/internal/quant"
 	"ceresz/internal/rawfloat"
 )
@@ -19,7 +20,7 @@ import (
 // running offset, the width table, the room, the returns to Go at a
 // verbatim or partial block — is what these tests are about; the
 // per-element arithmetic has its own (vector_test.go, fastpath_test.go).
-// Everything runs on every kernel set the build has (eachKernelSet).
+// Everything runs on every kernel set the build has (kernelSets).
 
 // runEps makes codes equal values: 2ε = 1.
 const runEps = 0.5
@@ -154,7 +155,7 @@ func checkRun[F float32 | float64](t *testing.T, L, hdr int, kinds []byte, tail 
 }
 
 func testRunKernels[F float32 | float64](t *testing.T) {
-	eachKernelSet(t, func(t *testing.T) {
+	kerneltest.Each(t, kernelSets, func(t *testing.T) {
 		// Every run of up to five blocks over a zero block, a narrow one,
 		// the widest and a verbatim one: a verbatim block first, in the
 		// middle, last, next to another; all-zero runs; zero and wide in
@@ -201,7 +202,7 @@ func TestRunKernelsMatchBlockPath64(t *testing.T) { testRunKernels[float64](t) }
 // random — smooth, noisy, inside the zero threshold, holding a NaN — at a
 // bound that leaves the widths to the data, against the block path.
 func TestRunKernelsLongRuns(t *testing.T) {
-	eachKernelSet(t, func(t *testing.T) {
+	kerneltest.Each(t, kernelSets, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
 		const eps = 1e-3
 		for iter := 0; iter < 40; iter++ {
@@ -270,7 +271,7 @@ func checkLongRun[F float32 | float64](t *testing.T, data []F, eps float64, opts
 // after either; the decoder writes exactly the elements of its blocks.
 // Everything sits between canaries, at every width.
 func TestVectorKernelsStayInBounds(t *testing.T) {
-	eachKernelSet(t, func(t *testing.T) {
+	kerneltest.Each(t, kernelSets, func(t *testing.T) {
 		testRunBounds[float32](t)
 		testRunBounds[float64](t)
 	})
@@ -390,8 +391,8 @@ func TestBlockReserveCoversEveryBlock(t *testing.T) {
 			}
 		}
 	}
-	if got := blockReserve(32, flenc.HeaderU32, 4); got != 136 || flenc.VerbatimSize(32, flenc.HeaderU32) != 132 {
-		t.Fatalf("float32 L=32: reserve %d, verbatim %d; want 136 and 132", got, flenc.VerbatimSize(32, flenc.HeaderU32))
+	if got, verbatim := blockReserve(32, flenc.HeaderU32, 4), wireSize(widthVerbatim, 32, flenc.HeaderU32, 4); got != 136 || verbatim != 132 {
+		t.Fatalf("float32 L=32: reserve %d, verbatim %d; want 136 and 132", got, verbatim)
 	}
 }
 
@@ -479,8 +480,8 @@ func testScanRejects[F float32 | float64](t *testing.T) {
 	}
 }
 
-func TestScanRejects32(t *testing.T) { testScanRejects[float32](t) }
-func TestScanRejects64(t *testing.T) { testScanRejects[float64](t) }
+func TestScanRejects32(t *testing.T) { kerneltest.Each(t, kernelSets, testScanRejects[float32]) }
+func TestScanRejects64(t *testing.T) { kerneltest.Each(t, kernelSets, testScanRejects[float64]) }
 
 // TestDecodeAmplification pins how much output a byte of input can ask
 // for. The smallest block is a bare zero header, so a stream of them is the
@@ -488,7 +489,9 @@ func TestScanRejects64(t *testing.T) { testScanRejects[float64](t) }
 // parameters is 32× on float32 (a 4-byte header for 32 elements, 128
 // bytes). A header that declares more than the body has headers for is
 // refused before anything is sized by it.
-func TestDecodeAmplification(t *testing.T) {
+func TestDecodeAmplification(t *testing.T) { kerneltest.Each(t, kernelSets, testDecodeAmplification) }
+
+func testDecodeAmplification(t *testing.T) {
 	const blocks = 1000
 	m := Meta{HeaderBytes: flenc.HeaderU32, BlockLen: DefaultBlockLen, Elements: blocks * DefaultBlockLen, Eps: 1}
 	comp := append(AppendStreamHeader(nil, m), make([]byte, blocks*flenc.HeaderU32)...)

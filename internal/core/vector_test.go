@@ -11,13 +11,36 @@ import (
 
 	"ceresz/internal/cpufeat"
 	"ceresz/internal/flenc"
+	"ceresz/internal/kerneltest"
 )
 
 // The assembly kernels are tested differentially: the same input goes
-// through the codec with the dispatch variable off (the Go kernels, the
-// oracle) and on, and stream bytes, Stats and decoded bits must be equal.
-// Equal bytes mean equal decisions — which blocks are zero, which verbatim,
-// every code, width and sign.
+// through the codec on the Go kernels (the oracle) and on every vector
+// kernel set the CPU has, and stream bytes, Stats and decoded bits must be
+// equal. Equal bytes mean equal decisions — which blocks are zero, which
+// verbatim, every code, width and sign. The avx2 and avx512 sets share the
+// AVX2 encoder; they differ in the decoder.
+
+// dispatch are the package's kernel dispatch flags.
+var dispatch = []*bool{&useAVX2, &useAVX512}
+
+// kernelSets are the kernel sets of this build, the Go kernels first.
+var kernelSets = []kerneltest.Set{
+	{Name: "go", Have: true, Flags: dispatch, On: []bool{false, false}},
+	{Name: "avx2", Have: cpufeat.AVX2, Flags: dispatch, On: []bool{true, false}},
+	{Name: "avx512", Have: cpufeat.AVX512, Flags: dispatch, On: []bool{true, true}},
+}
+
+// vectorSets are the sets besides the Go kernels that the CPU runs.
+func vectorSets() []kerneltest.Set {
+	var sets []kerneltest.Set
+	for _, s := range kernelSets[1:] {
+		if s.Have {
+			sets = append(sets, s)
+		}
+	}
+	return sets
+}
 
 func needAVX2(t testing.TB) {
 	t.Helper()
@@ -26,21 +49,10 @@ func needAVX2(t testing.TB) {
 	}
 }
 
-// onKernels runs f with the vector kernels switched on or off.
-func onKernels(vector bool, f func()) {
-	was := useAVX2
-	useAVX2 = vector
-	defer func() { useAVX2 = was }()
+// on runs f with the package switched onto s.
+func on(s kerneltest.Set, f func()) {
+	defer s.Use()()
 	f()
-}
-
-// eachKernelSet runs f as a subtest on the Go kernels and, where the CPU
-// has them, on the vector kernels.
-func eachKernelSet(t *testing.T, f func(t *testing.T)) {
-	t.Run("go", func(t *testing.T) { onKernels(false, func() { f(t) }) })
-	if cpufeat.AVX2 {
-		t.Run("avx2", func(t *testing.T) { onKernels(true, func() { f(t) }) })
-	}
 }
 
 // vecCodec is what the differential tests need of either element type.
@@ -66,54 +78,70 @@ var (
 	}
 )
 
-// check compresses data on both kernel sets and decodes the stream on
-// both, requiring equal bytes, Stats and output bits. dst is the empty
-// (possibly unaligned, possibly nil) slice the decoders append to. describe
-// names block b of the input for the failure message. It returns the Stats
-// both agreed on.
+// check compresses data on the Go kernels and on every vector set and
+// decodes the Go stream on each, requiring equal bytes, Stats and output
+// bits. dst is the empty (possibly unaligned, possibly nil) slice the
+// decoders append to. describe names block b of the input for the failure
+// message. It returns the Stats all sets agreed on.
 func (c vecCodec[F]) check(t *testing.T, data []F, eps float64, opts Options, dst []F, describe func(b int) string) Stats {
 	t.Helper()
-	var goComp, asmComp []byte
-	var goStats, asmStats *Stats
-	var goErr, asmErr error
-	onKernels(false, func() { goComp, goStats, goErr = c.compress(nil, data, eps, opts) })
-	onKernels(true, func() { asmComp, asmStats, asmErr = c.compress(nil, data, eps, opts) })
-	if goErr != nil || asmErr != nil {
-		t.Fatalf("%s eps=%g: compress errors: go %v, asm %v", c.name, eps, goErr, asmErr)
+	var goComp []byte
+	var goStats *Stats
+	var goOut []F
+	var goErr, decErr error
+	on(kernelSets[0], func() {
+		goComp, goStats, goErr = c.compress(nil, data, eps, opts)
+		if goErr == nil {
+			goOut, _, decErr = c.decompress(dst, goComp, 1)
+		}
+	})
+	if goErr != nil || decErr != nil {
+		t.Fatalf("%s eps=%g: Go kernels: compress %v, decompress %v", c.name, eps, goErr, decErr)
 	}
-	if !bytes.Equal(goComp, asmComp) || *goStats != *asmStats {
-		t.Fatalf("%s eps=%g L=%d hdr=%d n=%d: vector and Go kernels disagree%s\n go  %+v\n asm %+v",
-			c.name, eps, opts.BlockLen, opts.HeaderBytes, len(data),
-			c.firstDiff(data, eps, opts, describe), *goStats, *asmStats)
+	goOut = append([]F(nil), goOut...) // every decode may share dst
+	if len(goOut) != len(data) {
+		t.Fatalf("%s: Go kernels decoded %d elements of %d", c.name, len(goOut), len(data))
 	}
-	var goOut, asmOut []F
-	onKernels(false, func() { goOut, _, goErr = c.decompress(dst, goComp, 1) })
-	goOut = append([]F(nil), goOut...) // both decodes may share dst
-	onKernels(true, func() { asmOut, _, asmErr = c.decompress(dst, goComp, 1) })
-	if goErr != nil || asmErr != nil {
-		t.Fatalf("%s eps=%g: decompress errors: go %v, asm %v", c.name, eps, goErr, asmErr)
-	}
-	if len(goOut) != len(data) || len(asmOut) != len(data) {
-		t.Fatalf("%s: decoded %d and %d elements of %d", c.name, len(goOut), len(asmOut), len(data))
-	}
-	for i := range goOut {
-		if c.bits(goOut[i]) != c.bits(asmOut[i]) {
-			t.Fatalf("%s eps=%g L=%d: element %d (%s) decodes to %x on the Go kernel, %x on the vector kernel",
-				c.name, eps, opts.BlockLen, i, describe(i/opts.BlockLen), c.bits(goOut[i]), c.bits(asmOut[i]))
+	for _, set := range vectorSets() {
+		var asmComp []byte
+		var asmStats *Stats
+		var asmOut []F
+		var asmErr error
+		on(set, func() { asmComp, asmStats, asmErr = c.compress(nil, data, eps, opts) })
+		if asmErr != nil {
+			t.Fatalf("%s eps=%g: compress on %s: %v", c.name, eps, set.Name, asmErr)
+		}
+		if !bytes.Equal(goComp, asmComp) || *goStats != *asmStats {
+			t.Fatalf("%s eps=%g L=%d hdr=%d n=%d: %s and Go kernels disagree%s\n go  %+v\n %s %+v",
+				c.name, eps, opts.BlockLen, opts.HeaderBytes, len(data), set.Name,
+				c.firstDiff(set, data, eps, opts, describe), *goStats, set.Name, *asmStats)
+		}
+		on(set, func() { asmOut, _, asmErr = c.decompress(dst, goComp, 1) })
+		if asmErr != nil {
+			t.Fatalf("%s eps=%g: decompress on %s: %v", c.name, eps, set.Name, asmErr)
+		}
+		if len(asmOut) != len(data) {
+			t.Fatalf("%s: %s decoded %d elements of %d", c.name, set.Name, len(asmOut), len(data))
+		}
+		for i := range goOut {
+			if c.bits(goOut[i]) != c.bits(asmOut[i]) {
+				t.Fatalf("%s eps=%g L=%d: element %d (%s) decodes to %x on the Go kernel, %x on %s",
+					c.name, eps, opts.BlockLen, i, describe(i/opts.BlockLen), c.bits(goOut[i]), c.bits(asmOut[i]), set.Name)
+			}
 		}
 	}
 	return *goStats
 }
 
-// firstDiff re-encodes block by block to name the first block the two
-// kernel sets encode differently.
-func (c vecCodec[F]) firstDiff(data []F, eps float64, opts Options, describe func(b int) string) string {
+// firstDiff re-encodes block by block to name the first block the Go
+// kernels and set encode differently.
+func (c vecCodec[F]) firstDiff(set kerneltest.Set, data []F, eps float64, opts Options, describe func(b int) string) string {
 	L := opts.BlockLen
 	for b := 0; b*L < len(data); b++ {
 		block := data[b*L : min(b*L+L, len(data))]
 		var g, a []byte
-		onKernels(false, func() { g, _, _ = c.compress(nil, block, eps, opts) })
-		onKernels(true, func() { a, _, _ = c.compress(nil, block, eps, opts) })
+		on(kernelSets[0], func() { g, _, _ = c.compress(nil, block, eps, opts) })
+		on(set, func() { a, _, _ = c.compress(nil, block, eps, opts) })
 		if !bytes.Equal(g, a) {
 			return fmt.Sprintf("\n block %d (%s) = %v\n go  %x\n asm %x", b, describe(b), block, g[StreamHeaderSize:], a[StreamHeaderSize:])
 		}
@@ -293,7 +321,7 @@ var enumEps = []float64{math.Ldexp(1, -40), math.Ldexp(1.37, -20), math.Ldexp(1,
 // of every point where a code can change — k·2ε and (k+½)·2ε for small k
 // and for k at every power of two up to the int32 edge. Each value sits
 // alone in a block of zeros, its lane rotating, so the block's fate is the
-// element's: same code, or verbatim, on both kernel sets.
+// element's: same code, or verbatim, on every kernel set.
 func TestVectorKernelsEnumerate32(t *testing.T) {
 	needAVX2(t)
 	stride := uint64(1) << 12
@@ -422,7 +450,7 @@ func hostileBody(n, L, hdr, elemSize int, pick func() byte, fill func([]byte)) [
 }
 
 // compareHostile decodes the same picks and payload as a float32 and as a
-// float64 stream on both kernel sets, the last block cut short.
+// float64 stream on every kernel set, the last block cut short.
 func compareHostile(t *testing.T, n, L, hdr int, eps float64, pick func() byte, fill func([]byte)) {
 	t.Helper()
 	m := Meta{HeaderBytes: hdr, BlockLen: L, Elements: n*L - 5, Eps: eps}
@@ -434,7 +462,7 @@ func compareHostile(t *testing.T, n, L, hdr int, eps float64, pick func() byte, 
 	}
 }
 
-// TestVectorDecodeHostile feeds both decoders runs of hostileBody blocks:
+// TestVectorDecodeHostile feeds every decoder runs of hostileBody blocks:
 // every width in turn with random planes and signs, then long runs of
 // random kinds. The scan has already sized everything the kernel touches;
 // this checks the kernel's arithmetic on the values hostile input can
@@ -455,34 +483,35 @@ func TestVectorDecodeHostile(t *testing.T) {
 	}
 }
 
-// compareDecode decodes comp on both kernel sets: same error or same bits.
-// It reports whether comp decoded.
+// compareDecode decodes comp on the Go kernels and on every vector set:
+// same error or same bits. It reports whether comp decoded.
 func compareDecode[F float32 | float64](t *testing.T, c vecCodec[F], comp []byte) bool {
 	t.Helper()
-	var goOut, asmOut []F
-	var goErr, asmErr error
-	onKernels(false, func() { goOut, _, goErr = c.decompress(nil, comp, 1) })
-	onKernels(true, func() { asmOut, _, asmErr = c.decompress(nil, comp, 1) })
-	if (goErr == nil) != (asmErr == nil) {
-		t.Fatalf("%s: Go decoder: %v, vector decoder: %v", c.name, goErr, asmErr)
-	}
-	if goErr != nil {
-		return false
-	}
-	if len(goOut) != len(asmOut) {
-		t.Fatalf("%s: decoded %d and %d elements", c.name, len(goOut), len(asmOut))
-	}
-	for i := range goOut {
-		if c.bits(goOut[i]) != c.bits(asmOut[i]) {
-			t.Fatalf("%s: element %d decodes to %x on the Go kernel, %x on the vector kernel", c.name, i, c.bits(goOut[i]), c.bits(asmOut[i]))
+	var goOut []F
+	var goErr error
+	on(kernelSets[0], func() { goOut, _, goErr = c.decompress(nil, comp, 1) })
+	for _, set := range vectorSets() {
+		var asmOut []F
+		var asmErr error
+		on(set, func() { asmOut, _, asmErr = c.decompress(nil, comp, 1) })
+		if (goErr == nil) != (asmErr == nil) {
+			t.Fatalf("%s: Go decoder: %v, %s decoder: %v", c.name, goErr, set.Name, asmErr)
+		}
+		if len(goOut) != len(asmOut) {
+			t.Fatalf("%s: decoded %d elements on Go, %d on %s", c.name, len(goOut), len(asmOut), set.Name)
+		}
+		for i := range goOut {
+			if c.bits(goOut[i]) != c.bits(asmOut[i]) {
+				t.Fatalf("%s: element %d decodes to %x on the Go kernel, %x on %s", c.name, i, c.bits(goOut[i]), c.bits(asmOut[i]), set.Name)
+			}
 		}
 	}
-	return true
+	return goErr == nil
 }
 
 // FuzzVectorKernels runs arbitrary element bits, bounds across the whole
-// ε ladder, block lengths and header widths through both kernel sets, then
-// treats the same bytes as a hostile stream body for both decoders.
+// ε ladder, block lengths and header widths through every kernel set, then
+// treats the same bytes as a hostile stream body for every decoder.
 func FuzzVectorKernels(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 1, 2, 3, 4}, uint8(3), false, int8(-10), uint16(0))
 	f.Add(make([]byte, 400), uint8(0), true, int8(0), uint16(0x8000))

@@ -290,19 +290,6 @@ func sparse2D(rng *rand.Rand, d lorenzo.Dims, modes int, threshold, noise float6
 	return out
 }
 
-// sparse3D is sparse2D's 3D counterpart (cloud/rain mixing ratios).
-func sparse3D(rng *rand.Rand, d lorenzo.Dims, modes int, threshold, noise float64) []float32 {
-	base := smooth3D(rng, d, modes, 0)
-	out := make([]float32, len(base))
-	for i, v := range base {
-		u := float64(v) - threshold
-		if u > 0 {
-			out[i] = float32(u * u * (1 + noise*rng.NormFloat64()))
-		}
-	}
-	return out
-}
-
 // blobs3D builds a field of compact positive Gaussian blobs (rain cells,
 // cloud water) over an exactly-zero background; the blobs are localized in
 // all three dimensions, so most 32-element runs are entirely zero.

@@ -110,7 +110,7 @@ func BenchmarkEncodeBlock(b *testing.B) {
 	const L = 32
 	codes := benchCodes(L)
 	scratch := NewBlock(L)
-	dst := make([]byte, 0, VerbatimSize(L, HeaderU32))
+	dst := make([]byte, 0, EncodedSize(MaxWidth, L, HeaderU32))
 	b.SetBytes(int64(4 * L))
 	for i := 0; i < b.N; i++ {
 		dst, _ = EncodeBlock(dst[:0], codes, HeaderU32, scratch)

@@ -165,12 +165,6 @@ func EncodedSize(width uint, blockLen, headerBytes int) int {
 	return headerBytes + PlaneBytes(blockLen) + int(width)*PlaneBytes(blockLen)
 }
 
-// VerbatimSize returns the wire size of a verbatim block: header plus the
-// raw 4-byte elements.
-func VerbatimSize(blockLen, headerBytes int) int {
-	return headerBytes + 4*blockLen
-}
-
 // AppendHeader appends a block header holding v: a width, ZeroMarker or
 // VerbatimU32, which a 1-byte header stores as VerbatimU8.
 func AppendHeader(dst []byte, headerBytes int, v uint32) []byte {

