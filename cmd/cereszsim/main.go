@@ -71,7 +71,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 7, "data seed")
 	flag.StringVar(&o.traceFile, "trace", "", "write block spans as Chrome trace-event JSON (Perfetto flow arrows) to this file")
 	flag.StringVar(&o.heatmapFile, "heatmap", "", "write per-PE utilization CSV to this file")
-	flag.IntVar(&o.simWorkers, "simworkers", 0, "simulator workers: 0 = one per CPU, 1 = sequential reference engine")
+	flag.IntVar(&o.simWorkers, "simworkers", 0, "simulator workers, each simulating rows one after another: 0 = one per CPU (output identical for every count)")
 	flag.StringVar(&o.spansFile, "spans", "", "write per-block lifecycle spans as JSON to this file")
 	flag.BoolVar(&o.attrib, "attrib", false, "print per-PE stall attribution and the critical-path analysis")
 	flag.StringVar(&o.attribFile, "attribout", "", "write attribution + critical-path report as JSON to this file")

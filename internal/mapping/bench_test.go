@@ -13,9 +13,9 @@ import (
 // 1e-3 on each of the workload's three meshes, with the mapping's real
 // stage work, block states and relays. One op is one round trip.
 //
-// CERESZ_SIM_WORKERS selects the engine exactly as for the wse package's
-// BenchmarkMeshRun (1 = the sequential reference, 0/unset = auto, N = a
-// sharded pool of N), so cmd/benchdiff pairs the two engines' rows.
+// CERESZ_SIM_WORKERS sets the worker count exactly as for the wse
+// package's BenchmarkMeshRun (0/unset = one worker per CPU, N = a pool of
+// N), so cmd/benchdiff pairs one worker's rows with a pool's.
 func BenchmarkPlanRoundTrip(b *testing.B) {
 	data := nyxField(b, 0)
 	workers := 0

@@ -47,8 +47,8 @@ func newFlowBlocks(n int) []flowBlock {
 // rowState is one mesh row's share of a run: the block states not
 // holding a block, the tally of blocks its tail PEs kept and, for
 // compression, the row's encoded blocks in emission order with where each
-// one lies. Rows are the sharded engine's unit, so only one worker ever
-// touches a row's state, and it needs no lock.
+// one lies. Rows are the engine's unit, so only one worker ever touches
+// a row's state, and it needs no lock.
 type rowState struct {
 	free []*stages.BlockState[float32]
 	made int
@@ -215,13 +215,6 @@ func (pp *peProgram) OnMessage(ctx *wse.Context, msg wse.Message) {
 	default:
 		panic(fmt.Sprintf("mapping: unexpected color %d at %v", msg.Color, ctx.Coord()))
 	}
-}
-
-// ShardProfile implements wse.ShardAware: all of the mapping's traffic
-// is strictly east-bound (colorRaw relays, colorStage pipeline
-// hand-offs), so every row can simulate as its own shard.
-func (*peProgram) ShardProfile() wse.ShardProfile {
-	return wse.ShardProfile{RowLocal: true}
 }
 
 func (pp *peProgram) process(ctx *wse.Context, fb *flowBlock) {
@@ -526,10 +519,9 @@ func (p *Plan) runTelemetry(m *wse.Mesh, cycles int64, wall time.Duration) telem
 	if busy := s.TotalCompute + s.TotalRelay + s.TotalSend; busy > 0 {
 		reg.Gauge("sim.relay_share_pct").Set(100 * s.TotalRelay / busy)
 	}
-	// Worker-pool occupancy for the sharded engine. Pool peak is host-side
-	// (scheduler-dependent) like sim.run_wall; the shard event counts are
-	// deterministic, and their spread measures how balanced the row shards
-	// were.
+	// Worker-pool occupancy. Pool peak is host-side (scheduler-dependent)
+	// like sim.run_wall; the per-row event counts are deterministic, and
+	// their spread measures how balanced the rows were.
 	reg.Gauge("sim.pool_peak_workers").Set(int64(m.PoolPeak()))
 	if se := m.ShardEvents(); len(se) > 0 {
 		minE, maxE := se[0], se[0]

@@ -68,8 +68,9 @@ func roundTripPlans(tb testing.TB, data []float32, rel float64, cfg PlanConfig) 
 }
 
 // scheduleCases are the plan shapes the known-answer digests cover: the
-// three row-sharded meshes of the wse-sim workload, processor relay on
-// interior PEs, and the sequential reference engine.
+// three meshes of the wse-sim workload, processor relay on interior PEs,
+// and a four-PE pipeline on one worker, which simulates the rows in
+// sequence.
 var scheduleCases = []struct {
 	name string
 	cfg  PlanConfig
@@ -92,8 +93,8 @@ var scheduleDigests = map[string]string{
 	"128x16/decompress":          "734f0686490b56c664e7b62972977779f0d22a90b78e3dd67ef8602642f2f8e2",
 	"processor-relay/compress":   "2d8b3754e493c4c95536300dd9b31e44a1a31327245d987e713477c745bfa74f",
 	"processor-relay/decompress": "1895b3a3562106d8c77081e7a61e346d047ecf160e1a7afd5ff451c4575dfee1",
-	"sequential/compress":        "4547db1f9f8208faed2a848b56650da8bcefd0bc8eca61386e7c5b23aa11d4d2",
-	"sequential/decompress":      "9d8e1bd07fbfcee20d52d753827f2927740c50cf4260fcfe6fbdb5c970706853",
+	"sequential/compress":        "f5a1284c123ba8aaa66e0afa7655680272f9c4b5b5f882a2b87418f38ba95019",
+	"sequential/decompress":      "a652ebe85d642ecd668b47322836bf486b397358793bdcff3fb56477068bfafd",
 }
 
 // TestScheduleKnownAnswers pins the simulator's whole schedule across
@@ -218,8 +219,8 @@ var telemetryDigests = map[string]string{
 	"128x16/decompress":          "2bc232f6f6c0ef40a748500d5de70dda82ebf94eadcf411f8a25d863e5dcb9b8",
 	"processor-relay/compress":   "9c57e6b8fdd2b885f6d1c29de267d49f9a3553307a836efebf840d80b03e39d3",
 	"processor-relay/decompress": "83390257d05f6b23e7a11decfcc07ebaf9157595504b83b4a5c173ee34c3abb1",
-	"sequential/compress":        "e4fa7d82c9513726e064a91b9cd6da3f0d0367a1e0bff9ef6ab83c5cc68b4004",
-	"sequential/decompress":      "a44e7c7b897aa9475bb82f710d8c0dcf6fccea420f0e264fa831fe9036e4c4f3",
+	"sequential/compress":        "41039820c4b1940c89e925d7ec7cb60677dbccfbaeedbc25d13c93cd0f4efb8d",
+	"sequential/decompress":      "dc13cdb2b559fb4c88a1c42a2321e5511ad6dd560b81e3382e286d1741c8471a",
 }
 
 // TestRunTelemetryKnownAnswers pins a run's telemetry across commits: the

@@ -2,23 +2,16 @@ package mapping
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"ceresz/internal/wse"
 )
 
-// shardWorkerCounts is the worker matrix for the differential tests:
-// the sequential reference, the smallest sharded pool, and one worker
-// per CPU (forced to at least 2 so the sharded path always runs).
-func shardWorkerCounts() []int {
-	n := runtime.NumCPU()
-	if n < 2 {
-		n = 2
-	}
-	return []int{1, 2, n}
-}
+// shardWorkerCounts is the worker matrix of the worker-count invariance
+// tests: one worker, which simulates the rows in sequence, and two pools.
+var shardWorkerCounts = []int{1, 2, 4}
 
 // emissionKey flattens a mesh emission for comparison across runs.
 type emissionKey struct {
@@ -40,10 +33,41 @@ func emissionLog(t *testing.T, m *wse.Mesh) []emissionKey {
 	return out
 }
 
-// TestShardedRunsMatchSequential is the differential determinism check:
-// for every plan shape the sharded engine must reproduce the sequential
-// engine's cycle count, emission order and output bytes exactly, for any
-// worker count.
+// meshRun is what a run's mesh reports, beyond its emissions.
+type meshRun struct {
+	processed   int64
+	shards      int
+	shardEvents []int64
+	stats       []wse.Stats
+}
+
+func meshRunOf(m *wse.Mesh) meshRun {
+	cfg := m.Config()
+	r := meshRun{processed: m.Processed(), shards: m.Shards(), shardEvents: m.ShardEvents()}
+	for row := 0; row < cfg.Rows; row++ {
+		r.stats = append(r.stats, m.RowProfile(row)...)
+	}
+	return r
+}
+
+// diff names the first part of two mesh reports that differs, or
+// returns "".
+func (r meshRun) diff(o meshRun) string {
+	switch {
+	case r.processed != o.processed || r.shards != o.shards:
+		return fmt.Sprintf("processed/shards %d/%d vs %d/%d", r.processed, r.shards, o.processed, o.shards)
+	case !reflect.DeepEqual(r.shardEvents, o.shardEvents):
+		return "shard events"
+	case !reflect.DeepEqual(r.stats, o.stats):
+		return "per-PE stats"
+	}
+	return ""
+}
+
+// TestShardedRunsMatchSequential is the worker-count invariance check:
+// for every plan shape each worker count must reproduce one worker's
+// cycle count, event counts, per-PE stats, emission order and output
+// bytes exactly, with one shard per row.
 func TestShardedRunsMatchSequential(t *testing.T) {
 	data := smoothField(32*96, 11)
 	configs := []struct {
@@ -58,7 +82,8 @@ func TestShardedRunsMatchSequential(t *testing.T) {
 			var refBytes []byte
 			var refCycles, refDecCycles int64
 			var refEms, refDecEms []emissionKey
-			for i, workers := range shardWorkerCounts() {
+			var refRun, refDecRun meshRun
+			for i, workers := range shardWorkerCounts {
 				cfg := tc.cfg
 				cfg.Mesh.Workers = workers
 
@@ -83,48 +108,55 @@ func TestShardedRunsMatchSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 				dems := emissionLog(t, dres.Mesh)
+				run, decRun := meshRunOf(res.Mesh), meshRunOf(dres.Mesh)
+				if run.shards != tc.cfg.Mesh.Rows || len(run.shardEvents) != run.shards {
+					t.Fatalf("workers=%d: %d shards, %d event counts, want one per row of %d",
+						workers, run.shards, len(run.shardEvents), tc.cfg.Mesh.Rows)
+				}
 
 				if i == 0 {
-					refBytes, refCycles, refEms = res.Bytes, res.Cycles, ems
-					refDecCycles, refDecEms = dres.Cycles, dems
+					refBytes, refCycles, refEms, refRun = res.Bytes, res.Cycles, ems, run
+					refDecCycles, refDecEms, refDecRun = dres.Cycles, dems, decRun
 					continue
 				}
 				if res.Cycles != refCycles {
-					t.Errorf("workers=%d: compress cycles %d, sequential %d", workers, res.Cycles, refCycles)
+					t.Errorf("workers=%d: compress cycles %d, one worker %d", workers, res.Cycles, refCycles)
+				}
+				if d := run.diff(refRun); d != "" {
+					t.Errorf("workers=%d: compress %s differ from one worker's", workers, d)
 				}
 				if !bytes.Equal(res.Bytes, refBytes) {
-					t.Errorf("workers=%d: compressed stream differs from sequential", workers)
+					t.Errorf("workers=%d: compressed stream differs from one worker's", workers)
 				}
 				if len(ems) != len(refEms) {
-					t.Fatalf("workers=%d: %d emissions, sequential %d", workers, len(ems), len(refEms))
+					t.Fatalf("workers=%d: %d emissions, one worker %d", workers, len(ems), len(refEms))
 				}
 				for j := range ems {
 					if ems[j] != refEms[j] {
-						t.Fatalf("workers=%d: emission %d = %+v, sequential %+v", workers, j, ems[j], refEms[j])
+						t.Fatalf("workers=%d: emission %d = %+v, one worker %+v", workers, j, ems[j], refEms[j])
 					}
 				}
 				if dres.Cycles != refDecCycles {
-					t.Errorf("workers=%d: decompress cycles %d, sequential %d", workers, dres.Cycles, refDecCycles)
+					t.Errorf("workers=%d: decompress cycles %d, one worker %d", workers, dres.Cycles, refDecCycles)
+				}
+				if d := decRun.diff(refDecRun); d != "" {
+					t.Errorf("workers=%d: decompress %s differ from one worker's", workers, d)
 				}
 				for j := range dems {
 					if dems[j] != refDecEms[j] {
-						t.Fatalf("workers=%d: decompress emission %d = %+v, sequential %+v", workers, j, dems[j], refDecEms[j])
+						t.Fatalf("workers=%d: decompress emission %d = %+v, one worker %+v", workers, j, dems[j], refDecEms[j])
 					}
-				}
-				if workers > 1 && res.Mesh.Shards() < 2 {
-					t.Errorf("workers=%d: run used %d shards, expected row sharding", workers, res.Mesh.Shards())
 				}
 			}
 		})
 	}
 }
 
-// TestAttributionAndSpansDeterministic extends the differential check to
-// the observability outputs: per-PE cycle attribution, per-block
-// lifecycle spans and their Chrome trace export must be bit-identical
-// across worker counts, every PE's buckets must partition [0, Elapsed]
-// exactly on every run, and recording spans must not keep a multi-row
-// run off the sharded engine.
+// TestAttributionAndSpansDeterministic extends the worker-count
+// invariance check to the observability outputs: per-PE cycle
+// attribution, per-block lifecycle spans and their Chrome trace export
+// must be bit-identical across worker counts, and every PE's buckets must
+// partition [0, Elapsed] exactly on every run.
 func TestAttributionAndSpansDeterministic(t *testing.T) {
 	data := smoothField(32*96, 13)
 	configs := []struct {
@@ -138,7 +170,7 @@ func TestAttributionAndSpansDeterministic(t *testing.T) {
 			var refAtt wse.Attribution
 			var refSpans []wse.BlockSpan
 			var refTrace []byte
-			for i, workers := range shardWorkerCounts() {
+			for i, workers := range shardWorkerCounts {
 				cfg := tc.cfg
 				cfg.Mesh.Workers = workers
 
@@ -170,22 +202,19 @@ func TestAttributionAndSpansDeterministic(t *testing.T) {
 				if err := res.SpanLog.WriteChromeTrace(&trace, res.Mesh.Config()); err != nil {
 					t.Fatal(err)
 				}
-				if tc.name == "multi-row" && workers > 1 && res.Mesh.Shards() < 2 {
-					t.Errorf("workers=%d: traced run used %d shards, expected row sharding", workers, res.Mesh.Shards())
-				}
 
 				if i == 0 {
 					refAtt, refSpans, refTrace = att, res.Spans, trace.Bytes()
 					continue
 				}
 				if !bytes.Equal(trace.Bytes(), refTrace) {
-					t.Errorf("workers=%d: Chrome trace differs from sequential", workers)
+					t.Errorf("workers=%d: Chrome trace differs from one worker's", workers)
 				}
 				if !reflect.DeepEqual(att, refAtt) {
-					t.Errorf("workers=%d: attribution differs from sequential\n got %+v\nwant %+v", workers, att, refAtt)
+					t.Errorf("workers=%d: attribution differs from one worker's\n got %+v\nwant %+v", workers, att, refAtt)
 				}
 				if len(res.Spans) != len(refSpans) {
-					t.Fatalf("workers=%d: %d spans, sequential %d", workers, len(res.Spans), len(refSpans))
+					t.Fatalf("workers=%d: %d spans, one worker %d", workers, len(res.Spans), len(refSpans))
 				}
 				for j := range res.Spans {
 					if !reflect.DeepEqual(res.Spans[j], refSpans[j]) {
@@ -198,9 +227,8 @@ func TestAttributionAndSpansDeterministic(t *testing.T) {
 }
 
 // TestFullWaferCompletes simulates a compression plan on the full-wafer
-// 750×994 geometry (two blocks per row) and cross-checks the sharded
-// engine's cycle count against the sequential reference on a reduced-row
-// slice of the same shape.
+// 750×994 geometry (two blocks per row) and cross-checks a pool's cycle
+// count against one worker's on a reduced-row slice of the same shape.
 func TestFullWaferCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-wafer mesh is slow in -short mode")
@@ -223,21 +251,21 @@ func TestFullWaferCompletes(t *testing.T) {
 		return res
 	}
 
-	// Reduced-row cross-check: sharded cycles must equal sequential.
-	seq := run(16, 1)
-	shd := run(16, 4)
-	if shd.Mesh.Shards() != 16 {
-		t.Fatalf("reduced-rows run used %d shards, want 16", shd.Mesh.Shards())
+	// Reduced-row cross-check: a pool's cycles must equal one worker's.
+	one := run(16, 1)
+	pool := run(16, 4)
+	if pool.Mesh.Shards() != 16 {
+		t.Fatalf("reduced-rows run used %d shards, want 16", pool.Mesh.Shards())
 	}
-	if seq.Cycles != shd.Cycles {
-		t.Fatalf("reduced-rows cross-check: sharded %d cycles, sequential %d", shd.Cycles, seq.Cycles)
+	if one.Cycles != pool.Cycles {
+		t.Fatalf("reduced-rows cross-check: 4 workers %d cycles, one worker %d", pool.Cycles, one.Cycles)
 	}
-	if !bytes.Equal(seq.Bytes, shd.Bytes) {
+	if !bytes.Equal(one.Bytes, pool.Bytes) {
 		t.Fatal("reduced-rows cross-check: streams differ")
 	}
 
-	// Full wafer on the sharded engine (Workers: 4 rather than auto, so
-	// the row-sharded path runs even on single-CPU hosts).
+	// Full wafer on a pool of 4 (rather than auto, so the pool runs even
+	// on single-CPU hosts).
 	full := run(wse.FullWSE.Rows, 4)
 	if full.Cycles <= 0 {
 		t.Fatalf("full-wafer run reported %d cycles", full.Cycles)

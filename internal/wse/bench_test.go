@@ -53,10 +53,9 @@ func BenchmarkMeshRun(b *testing.B) {
 }
 
 // benchConfig builds the mesh config for the benchmark geometry. The
-// CERESZ_SIM_WORKERS environment variable selects the engine (1 = the
-// sequential reference, 0/unset = auto, N = a sharded pool of N), so
-// cmd/benchdiff can pair sequential and sharded runs of the same
-// benchmark names.
+// CERESZ_SIM_WORKERS environment variable sets Config.Workers (0/unset =
+// one worker per CPU, N = a pool of N), so cmd/benchdiff can pair one
+// worker's runs with a pool's under the same benchmark names.
 func benchConfig(rows, cols int) Config {
 	cfg := Config{Rows: rows, Cols: cols}
 	if s := os.Getenv("CERESZ_SIM_WORKERS"); s != "" {
@@ -67,10 +66,9 @@ func benchConfig(rows, cols int) Config {
 	return cfg
 }
 
-// benchProgram builds the per-PE relay program, row-sharded via its
-// ShardProfile.
+// benchProgram builds the per-PE relay program.
 func benchProgram(cost int64) Program {
-	return &rowEcho{echoProgram{cost: cost}}
+	return &echoProgram{cost: cost}
 }
 
 // BenchmarkEventQueueHold times one pop plus one push on the engine's

@@ -1,10 +1,6 @@
 package wse
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Fabric timing and clock of the CS-2.
 const (
@@ -34,12 +30,12 @@ type Config struct {
 	MsgOverhead int64
 	// MaxEvents aborts a runaway simulation (default 500M events).
 	MaxEvents int64
-	// Workers bounds the host worker pool for row-sharded simulation:
-	// 0 runs one worker per available CPU (GOMAXPROCS), 1 forces the
-	// sequential reference engine, N > 1 uses at most N workers.
-	// Sharding changes nothing observable — cycle counts, emission order
-	// and per-PE stats are identical to Workers: 1 (see DESIGN.md,
-	// "Simulator engine").
+	// Workers bounds the host worker pool that simulates the rows, each
+	// worker one row after another: 0 runs one worker per available CPU
+	// (GOMAXPROCS), and any other value at most that many, but at least
+	// one. The worker count changes nothing observable — cycle counts,
+	// emission order, the span log and per-PE stats are the same for
+	// every value (see DESIGN.md §5d).
 	Workers int
 }
 
@@ -67,35 +63,30 @@ type Mesh struct {
 	// first SetRoute (~18 MB for the full wafer, nil for meshes that
 	// route nothing).
 	routes []int8
-	// glue[r] marks rows r and r+1 inseparable for sharding because a
-	// North/South route crosses their boundary (programs contribute
-	// their own glue at partition time; see shard.go).
-	glue []bool
 
 	// feed loads the host injections, one row at a time, into the
 	// engine that simulates the row (see Feeder).
 	feed Feeder
 
 	processed int64
-	// emissions is the emission log in emission order: Init's, then the
-	// sequential engine's as they happen. A sharded run leaves its
-	// shards' tagged logs in shardEmis instead, and Emissions merges them
-	// onto the log on its first call.
+	// emissions is the emission log in emission order. A run leaves its
+	// rows' tagged logs in rowEmis, and Emissions merges them into the
+	// log on its first call.
 	emissions []Emission
-	shardEmis [][]tagged[Emission]
+	rowEmis   [][]tagged[Emission]
 	spans     *SpanLog
 
 	// linkFree[pe][dir] is the cycle at which PE pe's outgoing link
-	// toward dir becomes free; messages on one link serialize. A cell is
-	// only ever written while simulating its owning PE, so shards never
-	// race on it.
-	linkFree [][4]int64
+	// toward dir (East or West) becomes free; messages on one link
+	// serialize. A cell is only ever written while simulating its owning
+	// PE's row, so workers never race on it.
+	linkFree [][2]int64
 
 	shards  int
 	workers int
-	// shardEvents is the per-shard processed-event count of the
-	// last Run (one entry for the sequential engine). Deterministic: it
-	// depends only on the partition, never on worker scheduling.
+	// shardEvents is the per-row processed-event count of the last Run.
+	// Deterministic: it depends only on the row, never on worker
+	// scheduling.
 	shardEvents []int64
 	// poolPeak is the peak number of concurrently running workers seen in
 	// the last Run — a host-side occupancy measure, NOT deterministic
@@ -126,8 +117,7 @@ func NewMesh(cfg Config) (*Mesh, error) {
 	for i := range m.pes {
 		m.pes[i] = PE{coord: Coord{Row: i / cfg.Cols, Col: i % cfg.Cols}, idx: int32(i), mesh: m}
 	}
-	m.linkFree = make([][4]int64, cfg.Rows*cfg.Cols)
-	m.glue = make([]bool, cfg.Rows)
+	m.linkFree = make([][2]int64, cfg.Rows*cfg.Cols)
 	return m, nil
 }
 
@@ -175,12 +165,6 @@ func (m *Mesh) SetRoute(row, col int, color Color, out Dir) {
 		}
 	}
 	m.routes[int(pe.idx)*NumColors+int(color)] = int8(out)
-	switch out {
-	case North:
-		m.glue[row-1] = true
-	case South:
-		m.glue[row] = true
-	}
 }
 
 // routeOf returns the router pass-through direction for a color at a PE,
@@ -196,9 +180,8 @@ func (m *Mesh) routeOf(pe int32, color Color) int8 {
 // flowing onto the wafer from the host (the paper assumes "the input data
 // is generated on the first PE of each row", §4.3). Run calls FeedRow once
 // for every row of the mesh, before the row's first event, on the worker
-// that simulates the row; the sequential engine calls it for every row, in
-// row order. Calls for different rows may run at the same time, so FeedRow
-// must write nothing that another row's call reads.
+// that simulates the row. Calls for different rows may run at the same
+// time, so FeedRow must write nothing that another row's call reads.
 type Feeder interface {
 	// RowLen is how many messages FeedRow injects into row. Run reads it
 	// for every row before any event loop starts, to size each engine
@@ -295,21 +278,20 @@ func (f *injectFeed) FeedRow(row int, in *Injector) {
 }
 
 // Emissions returns everything programs handed off the wafer, in emission
-// order. After a sharded run the first call merges the shards' logs into
-// the order the sequential engine produces: its emission order is the
-// processing order of the dispatches that emitted, the (at, src, seq)
-// order of their cause events. Each shard's log is already in that
-// order, so a k-way merge rebuilds it, and emissions of one handler keep
-// their in-handler order. A run that never asks does not merge.
+// order: the (at, src, seq) order of the events whose handlers emitted,
+// with Init's emissions first, in PE order, and one handler's emissions
+// in the order it made them. The first call after a run merges the rows'
+// logs, each already in that order, into it; a run that never asks does
+// not merge.
 func (m *Mesh) Emissions() []Emission {
-	if m.shardEmis != nil {
+	if m.rowEmis != nil {
 		n := 0
-		for _, l := range m.shardEmis {
+		for _, l := range m.rowEmis {
 			n += len(l)
 		}
-		m.emissions = slices.Grow(m.emissions, n)
-		mergeTagged(m.shardEmis, func(em *Emission) { m.emissions = append(m.emissions, *em) })
-		m.shardEmis = nil
+		m.emissions = make([]Emission, 0, n)
+		mergeTagged(m.rowEmis, func(em *Emission) { m.emissions = append(m.emissions, *em) })
+		m.rowEmis = nil
 	}
 	return m.emissions
 }
@@ -317,10 +299,6 @@ func (m *Mesh) Emissions() []Emission {
 // neighbor returns the coordinate adjacent to c in direction d, if any.
 func (m *Mesh) neighbor(c Coord, d Dir) (Coord, bool) {
 	switch d {
-	case North:
-		c.Row--
-	case South:
-		c.Row++
 	case East:
 		c.Col++
 	case West:
@@ -328,10 +306,7 @@ func (m *Mesh) neighbor(c Coord, d Dir) (Coord, bool) {
 	default:
 		return c, false
 	}
-	if c.Row < 0 || c.Row >= m.cfg.Rows || c.Col < 0 || c.Col >= m.cfg.Cols {
-		return c, false
-	}
-	return c, true
+	return c, c.Col >= 0 && c.Col < m.cfg.Cols
 }
 
 // Run executes the simulation until no events remain. It returns the
@@ -343,74 +318,10 @@ func (m *Mesh) Run() (int64, error) {
 		panic("wse: Run after Run")
 	}
 	m.ran = true
-
-	sends := m.runInit()
-	plan := m.partition()
-	if !plan.sequential {
-		return m.runSharded(plan, sends)
-	}
-	m.shards, m.workers, m.poolPeak = 1, 1, 1
-	all := shard{lo: 0, hi: m.cfg.Rows, init: sends.keys}
-	n := m.deliveries(&all)
-	seq := newWorker(m, roomFor(n, len(m.pes)))
-	m.emissions = slices.Grow(m.emissions, n)
-	seq.load(&all, &sends.slab)
-	err := seq.run()
-	m.processed = seq.processed
-	m.shardEvents = []int64{seq.processed}
-	if err != nil {
+	if err := m.runRows(); err != nil {
 		return 0, err
 	}
 	return m.Elapsed(), nil
-}
-
-// initSends is what the Init phase sends: its keys, ordered by
-// destination PE, into its own slab.
-type initSends struct {
-	keys []evKey
-	slab msgSlab
-}
-
-// runInit runs every program's Init at cycle 0, before any partitioning:
-// Init sends may legitimately cross rows, so they are kept apart for each
-// engine to take the ones into its rows. Init's emissions open the
-// emission log.
-func (m *Mesh) runInit() *initSends {
-	ieng := &engine{m: m}
-	for i := range m.pes {
-		pe := &m.pes[i]
-		if pe.program == nil {
-			continue
-		}
-		ieng.ctx.reset(pe, 0, &ieng.slab)
-		pe.program.Init(&ieng.ctx)
-		ieng.finishHandler(pe, 0)
-	}
-	s := &initSends{keys: ieng.pending, slab: ieng.slab}
-	slices.SortFunc(s.keys, func(a, b evKey) int {
-		return cmp.Compare(s.slab.msgs[a.slot].pe, s.slab.msgs[b.slot].pe)
-	})
-	return s
-}
-
-// within returns the Init sends into the PEs [lo, hi).
-func (s *initSends) within(lo, hi int32) []evKey {
-	dst := func(k evKey, pe int32) int { return cmp.Compare(s.slab.msgs[k.slot].pe, pe) }
-	a, _ := slices.BinarySearchFunc(s.keys, lo, dst)
-	b, _ := slices.BinarySearchFunc(s.keys, hi, dst)
-	return s.keys[a:b]
-}
-
-// deliveries is how many deliveries sh starts with: its Init sends and
-// its rows' host injections.
-func (m *Mesh) deliveries(sh *shard) int {
-	n := len(sh.init)
-	if m.feed != nil {
-		for r := sh.lo; r < sh.hi; r++ {
-			n += m.feed.RowLen(r)
-		}
-	}
-	return n
 }
 
 // Processed returns the number of simulator events handled so far — a
@@ -433,92 +344,78 @@ func (m *Mesh) Seconds(cycles int64) float64 {
 	return float64(cycles) / ClockHz
 }
 
-// engine runs discrete-event loops over a subset of the mesh: the whole
-// mesh (the sequential reference), or one row shard after another on a
-// worker goroutine. Engines share the mesh's PE and link state but only
-// ever touch disjoint parts of it (see shard.go).
+// engine runs one row's discrete-event loop after another on a worker of
+// the run's pool (see rows.go). Engines share the mesh's PE and link state
+// but only ever touch the rows they simulate.
+//
+// The queue's calendar makes an engine larger than a page, so each gets
+// pages of its own: no other worker's engine shares a cache line with the
+// fields this one writes on every event, which would move that line
+// between the cores on every event (DESIGN.md §5d).
 type engine struct {
 	m    *Mesh
-	q    *calQueue // nil while the Init phase runs, before any event loop
 	slab msgSlab
 	ctx  Context // pooled; reset per handler instead of allocated per dispatch
-
-	// pending collects every key the Init phase pushes (see runInit).
-	pending []evKey
 	// inj is the feed's handle on this engine.
 	inj Injector
 
 	processed int64
-	// shared is the sharded workers' MaxEvents budget, drawn in prepaid
-	// chunks; nil for the sequential engine, which checks MaxEvents per
-	// event.
-	shared *eventBudget
+	// budget is the run's MaxEvents allowance, which the engine draws in
+	// prepaid chunks: quota is what is left of its chunk.
+	budget *eventBudget
 	quota  int64
 
-	// restricted enforces a worker shard's PE-index bounds.
-	restricted   bool
-	idxLo, idxHi int32
-
-	// collect tags emissions and span events with their cause event's
-	// key for the deterministic post-run merge, instead of appending
-	// them to the mesh logs as they happen. A worker appends each shard's
-	// emissions to the shard's stretch of the run's log, and copies its
-	// span events out and empties them for the next shard.
-	collect bool
+	// emis and spanEvs tag the row's emissions and span events with the
+	// key of the event that caused them, cause, for the deterministic
+	// post-run merge. The engine appends emissions to the row's stretch
+	// of the run's log, and copies its span events out and empties them
+	// for the next row.
 	emis    []tagged[Emission]
 	spanEvs []tagged[SpanEvent]
 	cause   evKey
+
+	q calQueue
 }
 
-// worker is an engine together with its event queue, in one allocation.
-// Each goroutine of the sharded pool owns one and runs every shard it
-// takes on it, reusing its slab, queue, Context and tagged logs; the
-// sequential engine is one too. The queue's calendar makes the
-// allocation larger than a page, so it gets pages of its own: no other
-// worker's engine shares a cache line with the fields this one writes
-// on every event, which would move that line between the cores on every
-// event (DESIGN.md §5d).
-type worker struct {
-	engine
-	cal calQueue
+// newEngine returns an engine whose queue and slab hold room keys and
+// messages before they grow, and which draws its events from budget.
+func newEngine(m *Mesh, room int, budget *eventBudget) *engine {
+	e := &engine{m: m, budget: budget}
+	e.q.init(room)
+	e.slab.msgs = make([]slabMsg, 0, room)
+	e.slab.free = make([]int32, 0, room)
+	return e
 }
 
-// newWorker returns a worker whose queue and slab hold room keys and
-// messages before they grow.
-func newWorker(m *Mesh, room int) *worker {
-	w := &worker{engine: engine{m: m}}
-	w.cal.init(room)
-	w.q = &w.cal
-	w.slab.msgs = make([]slabMsg, 0, room)
-	w.slab.free = make([]int32, 0, room)
-	return w
-}
+// roomFor is the queue and slab room of a row that starts with n host
+// deliveries to its cols PEs. Beyond the preloaded set a row keeps about
+// one event per PE in flight — a ready event, or a message on its way to
+// the next stage — and never more than the preloaded work feeds. A
+// program that keeps more in flight still runs; the arrays regrow.
+func roomFor(n, cols int) int { return n + min(n, cols) + 16 }
 
-// roomFor is the queue and slab room of a run that starts with n
-// preloaded deliveries to a range of pes PEs. Beyond the preloaded set a
-// run keeps about one event per PE in flight — a ready event, or a
-// message on its way to the next stage — and never more than the
-// preloaded work feeds. A program that keeps more in flight still runs;
-// the arrays regrow.
-func roomFor(n, pes int) int { return n + min(n, pes) + 16 }
-
-// load empties the engine's queue and slab, then queues sh's starting
-// deliveries: copies of its Init sends, and its rows' host injections,
-// which the feed stores in place.
-func (e *engine) load(sh *shard, initSlab *msgSlab) {
+// load empties the engine, then starts row r on it: runs the row's
+// programs' Init at cycle 0 and queues what they send, then has the feed
+// store the row's host injections in place.
+func (e *engine) load(r int) {
+	m := e.m
 	e.q.reset()
 	e.slab.msgs, e.slab.free = e.slab.msgs[:0], e.slab.free[:0]
-	for _, k := range sh.init {
-		e.slab.msgs = append(e.slab.msgs, initSlab.msgs[k.slot])
-		k.slot = int32(len(e.slab.msgs) - 1)
-		e.q.push(k)
-	}
-	if f := e.m.feed; f != nil {
-		e.inj.e = e
-		for r := sh.lo; r < sh.hi; r++ {
-			e.inj.row, e.inj.n = r, 0
-			f.FeedRow(r, &e.inj)
+	cols := m.cfg.Cols
+	for i := r * cols; i < (r+1)*cols; i++ {
+		pe := &m.pes[i]
+		if pe.program == nil {
+			continue
 		}
+		// Init's by-products order before every event's, by PE.
+		e.cause = evKey{at: -1, src: pe.idx}
+		e.ctx.reset(pe, 0, &e.slab)
+		pe.program.Init(&e.ctx)
+		e.finishHandler(pe, 0)
+	}
+	if f := m.feed; f != nil {
+		e.inj = Injector{e: e, row: r}
+		f.FeedRow(r, &e.inj)
 	}
 }
 
@@ -528,16 +425,12 @@ func (e *engine) run() error {
 	for e.q.len() > 0 {
 		k := e.q.pop()
 		e.processed++
-		if e.shared == nil {
-			if e.processed > m.cfg.MaxEvents {
-				return fmt.Errorf("wse: exceeded %d events; likely livelock", m.cfg.MaxEvents)
-			}
-		} else if err := e.drawQuota(); err != nil {
+		if err := e.drawQuota(); err != nil {
 			return err
 		}
 		// Every by-product of processing this event (emissions, span
-		// records) is attributed to its ordering key, so sharded runs can
-		// merge them back into the sequential processing order.
+		// records) is attributed to its ordering key, so the run can
+		// merge its rows' by-products into one order.
 		e.cause = k
 		if k.slot < 0 {
 			// Ready: the PE's processor came free.
@@ -589,23 +482,6 @@ func (e *engine) dequeue(pe *PE) int32 {
 	return slot
 }
 
-// push schedules an event. Worker shards refuse deliveries that leave
-// their rows (a broken RowLocal promise).
-func (e *engine) push(k evKey) {
-	if e.q == nil {
-		// The Init phase: runInit keeps these keys for the engines.
-		e.pending = append(e.pending, k)
-		return
-	}
-	if k.slot >= 0 && e.restricted {
-		if pe := e.slab.msgs[k.slot].pe; pe < e.idxLo || pe >= e.idxHi {
-			panic(fmt.Sprintf("wse: shard-profile violation: send into row %d from a shard covering rows [%d,%d); the sender's ShardProfile claims RowLocal",
-				e.m.pes[pe].coord.Row, int(e.idxLo)/e.m.cfg.Cols, int(e.idxHi)/e.m.cfg.Cols))
-		}
-	}
-	e.q.push(k)
-}
-
 // routeForward re-emits the routed message in slot toward out at time t,
 // paying only link occupancy (the router moves wavelets in hardware). The
 // message keeps its slot: only its arrival side and destination change.
@@ -629,18 +505,14 @@ func (e *engine) routeForward(pe *PE, slot int32, out Dir, t int64) {
 		e.recordSpan(SpanEvent{Span: sm.msg.Span, Kind: SpanRoute, PE: pe.coord,
 			At: t, End: arrive, Sent: sm.msg.sentAt, Wavelets: sm.msg.Wavelets})
 	}
-	e.push(evKey{at: arrive, seq: pe.pushSeq, src: pe.idx, slot: slot})
+	e.q.push(evKey{at: arrive, seq: pe.pushSeq, src: pe.idx, slot: slot})
 	pe.pushSeq++
 }
 
-// recordSpan appends a span event to the run's log, or — in collect mode
-// — tags it with the cause event's ordering key for the post-run merge.
+// recordSpan tags a span event with the cause event's ordering key for
+// the post-run merge.
 func (e *engine) recordSpan(ev SpanEvent) {
-	if e.collect {
-		e.spanEvs = append(e.spanEvs, tagged[SpanEvent]{cause: e.cause, v: ev})
-		return
-	}
-	e.m.spans.events = append(e.m.spans.events, ev)
+	e.spanEvs = append(e.spanEvs, tagged[SpanEvent]{cause: e.cause, v: ev})
 }
 
 // dispatch pops the next queued message on pe and runs its handler at
@@ -702,7 +574,7 @@ func (e *engine) dispatch(pe *PE, t int64) {
 	if kept >= 0 {
 		e.slab.release(kept) // not relayed: the message ends here
 	}
-	e.push(readyKey(end, pe.idx, pe.pushSeq))
+	e.q.push(readyKey(end, pe.idx, pe.pushSeq))
 	pe.pushSeq++
 }
 
@@ -738,11 +610,7 @@ func (e *engine) finishHandler(pe *PE, t int64) int64 {
 		if m.spans != nil && ctx.span != 0 {
 			e.recordSpan(SpanEvent{Span: ctx.span, Kind: SpanEject, PE: pe.coord, At: end, End: end})
 		}
-		if e.collect {
-			e.emis = append(e.emis, tagged[Emission]{cause: e.cause, v: em})
-			continue
-		}
-		m.emissions = append(m.emissions, em)
+		e.emis = append(e.emis, tagged[Emission]{cause: e.cause, v: em})
 	}
 	return end
 }
@@ -758,6 +626,6 @@ func (e *engine) launch(pe *PE, d Dir, slot int32, end int64) {
 	arrive := depart + LinkLatency + int64(sm.msg.Wavelets)
 	*free = arrive
 	sm.msg.sentAt = end
-	e.push(evKey{at: arrive, seq: pe.pushSeq, src: pe.idx, slot: slot})
+	e.q.push(evKey{at: arrive, seq: pe.pushSeq, src: pe.idx, slot: slot})
 	pe.pushSeq++
 }

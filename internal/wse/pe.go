@@ -126,11 +126,6 @@ func (c *Context) Now() int64 { return c.start }
 // Coord returns the executing PE's coordinate.
 func (c *Context) Coord() Coord { return c.pe.coord }
 
-// Mesh geometry helpers.
-
-// Rows returns the mesh height.
-func (c *Context) Rows() int { return c.pe.mesh.cfg.Rows }
-
 // Cols returns the mesh width.
 func (c *Context) Cols() int { return c.pe.mesh.cfg.Cols }
 

@@ -15,9 +15,8 @@ import (
 // 32 bits and its index among the row's injections in the low 32, so host
 // keys order by (at, row, index within row). The key is a total order
 // computed from per-PE and per-row behavior alone — it does not depend on
-// how the run is partitioned, which is what lets the row-sharded engine
-// reproduce the sequential engine's results bit for bit (see DESIGN.md,
-// "Simulator engine").
+// which worker simulates a row or when, which is what makes a run's
+// results bit-identical on every worker count (see DESIGN.md §5d).
 //
 // The queue is a calendar queue (Brown, CACM 1988): a ring of one-cycle
 // buckets covering the calWindow cycles from the last popped cycle on,
@@ -106,8 +105,8 @@ func (q *calQueue) init(room int) {
 }
 
 // reset empties the queue and moves base back to cycle 0, keeping its
-// storage. An engine calls it before each shard it loads, also after a
-// shard that stopped early with keys still queued.
+// storage. An engine calls it before each row it loads, also after a row
+// that stopped early with keys still queued.
 func (q *calQueue) reset() {
 	q.base, q.n, q.free = 0, 0, -1
 	q.nodes = q.nodes[:0]
@@ -318,8 +317,8 @@ func (s *msgSlab) put(msg *Message, pe int32) int32 {
 func (s *msgSlab) release(slot int32) { s.free = append(s.free, slot) }
 
 // tagged is an emission or span event annotated with the ordering key of
-// the event whose dispatch produced it, for the sharded engine's
-// deterministic post-run merge.
+// the event whose dispatch produced it, for the deterministic post-run
+// merge of the rows' logs.
 type tagged[T any] struct {
 	cause evKey
 	v     T
@@ -329,8 +328,7 @@ type tagged[T any] struct {
 // the cause keys. Each run must already be in that order — an engine
 // tags by-products in the order it processes events — and no cause key
 // may appear in two runs (every event is processed by exactly one
-// engine), so elements of one cause keep their append order: the result
-// is the order the sequential engine would have produced them in.
+// engine), so elements of one cause keep their append order.
 func mergeTagged[T any](runs [][]tagged[T], f func(*T)) {
 	// h is a binary min-heap of run indices, keyed by each run's head.
 	h := make([]int, 0, len(runs))

@@ -217,11 +217,11 @@ func TestMergeTaggedKeepsKeyAndRunOrder(t *testing.T) {
 // queues, slabs and logs once, up front: on the BenchmarkMeshRun shape it
 // must allocate the same number of times for 256 and for 1024 blocks per
 // row.
-// The sequential engine's count must match exactly. The sharded engine's
-// worker goroutines add a runtime allocation or two that depend on the
-// scheduler (goroutine descriptors, wait-queue entries), so it gets a
-// margin well under its 64 shards: an array that regrew in every shard
-// would still fail.
+// One worker runs on the calling goroutine, so its count must match
+// exactly. A pool's other goroutines add a runtime allocation or two
+// that depend on the scheduler (goroutine descriptors, wait-queue
+// entries), so it gets a margin well under its 64 rows: an array that
+// regrew in every row would still fail.
 func TestMeshRunAllocsIndependentOfBlocks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 65 536-block meshes")

@@ -121,8 +121,6 @@ func (p *relayRow) OnMessage(ctx *Context, msg Message) {
 	}
 }
 
-func (*relayRow) ShardProfile() ShardProfile { return ShardProfile{RowLocal: true} }
-
 // relayMsgOverhead is the relay fixture's per-message relay charge.
 const relayMsgOverhead = 3
 
@@ -164,33 +162,22 @@ func buildRelayMesh(t *testing.T, task bool, workers int) (*Mesh, []*relayRow) {
 
 // TestRelayTaskMatchesForward runs the relay fixture twice, relaying on
 // the relay task and through a Forward handler, and requires everything
-// observable to be identical, on the sequential engine and on two
-// workers: cycles, events, shard event counts, emissions, the span log,
-// attribution and every PE's stats. Each relay-task dispatch span must
+// observable to be identical, on one worker and on two: cycles, events,
+// shard event counts, emissions, the span log, attribution and every PE's
+// stats. Each relay-task dispatch span must
 // also cover exactly the hop's charge, Wavelets + MsgOverhead. The keys
 // one relay queues must be Forward's too, with the same push sequence
 // numbers, which no output shows: a relay's two keys never tie.
 func TestRelayTaskMatchesForward(t *testing.T) {
 	type outcome struct {
-		elapsed, processed int64
-		shardEvents        []int64
-		emissions          []Emission
-		spans              []SpanEvent
-		attribution        Attribution
-		stats              []Stats
-		forwards           int64 // Forward calls of the programs
-		relayed            int64 // Stats.Forwarded summed
+		runSnapshot
+		forwards int64 // Forward calls of the programs
+		relayed  int64 // Stats.Forwarded summed
 	}
 	run := func(task bool, workers int) outcome {
 		m, progs := buildRelayMesh(t, task, workers)
-		elapsed, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := outcome{elapsed: elapsed, processed: m.Processed(), shardEvents: m.ShardEvents(),
-			emissions: m.Emissions(), spans: m.spans.Events(), attribution: m.Attribution()}
+		o := outcome{runSnapshot: snapshot(t, m)}
 		for i := range m.pes {
-			o.stats = append(o.stats, m.pes[i].Stats())
 			o.relayed += m.pes[i].stats.Forwarded
 			o.forwards += int64(progs[i].forwards)
 		}
@@ -204,23 +191,8 @@ func TestRelayTaskMatchesForward(t *testing.T) {
 		if got.forwards >= got.relayed {
 			t.Fatalf("workers=%d: the task build called Forward %d times for %d relays; the task relayed nothing", workers, got.forwards, got.relayed)
 		}
-		if got.elapsed != ref.elapsed || got.processed != ref.processed || !reflect.DeepEqual(got.shardEvents, ref.shardEvents) {
-			t.Fatalf("workers=%d: elapsed/processed/shard events %d/%d/%v, want %d/%d/%v", workers,
-				got.elapsed, got.processed, got.shardEvents, ref.elapsed, ref.processed, ref.shardEvents)
-		}
-		if !reflect.DeepEqual(got.emissions, ref.emissions) {
-			t.Fatalf("workers=%d: emission log diverges from the Forward reference", workers)
-		}
-		if !reflect.DeepEqual(got.spans, ref.spans) {
-			t.Fatalf("workers=%d: span log diverges from the Forward reference", workers)
-		}
-		if !reflect.DeepEqual(got.attribution, ref.attribution) {
-			t.Fatalf("workers=%d: attribution diverges from the Forward reference", workers)
-		}
-		for i := range ref.stats {
-			if got.stats[i] != ref.stats[i] {
-				t.Fatalf("workers=%d: PE %d stats %+v, want %+v", workers, i, got.stats[i], ref.stats[i])
-			}
+		if d := firstDiff(got.runSnapshot, ref.runSnapshot); d != "" {
+			t.Fatalf("workers=%d: %s differs from the Forward reference", workers, d)
 		}
 		relays, keeps := 0, 0
 		for _, ev := range got.spans {
@@ -257,16 +229,15 @@ func oneRelayKeys(t *testing.T, task bool) []evKey {
 	m.SetProgram(0, 0, &armOnInit{relayer: &relayer{task: task}, color: 0, dir: East, n: 1})
 	m.SetProgram(0, 1, ProgramFunc(func(*Context, Message) {}))
 	m.Inject(0, 0, Message{Color: 0, Wavelets: 5}, 7)
-	sends := m.runInit()
-	w := newWorker(m, 8)
-	w.load(&shard{lo: 0, hi: 1, init: sends.keys}, &sends.slab)
-	k := w.q.pop()
+	e := newEngine(m, 8, newEventBudget(m.cfg.MaxEvents, 1))
+	e.load(0)
+	k := e.q.pop()
 	pe := &m.pes[0]
-	w.enqueue(pe, k.slot)
-	w.dispatch(pe, k.at)
+	e.enqueue(pe, k.slot)
+	e.dispatch(pe, k.at)
 	var keys []evKey
-	for w.q.len() > 0 {
-		keys = append(keys, w.q.pop())
+	for e.q.len() > 0 {
+		keys = append(keys, e.q.pop())
 	}
 	return keys
 }
@@ -284,16 +255,14 @@ func (p *armOnInit) Init(ctx *Context) { p.arm(ctx, p.color, p.dir, p.n) }
 
 func (p *armOnInit) OnMessage(ctx *Context, msg Message) { p.relayed(ctx, msg) }
 
-func (*armOnInit) ShardProfile() ShardProfile { return ShardProfile{RowLocal: true} }
-
 // TestRelayTaskPanics checks that arming the relay task fails where a
-// Forward would at send time, and that the task's relays keep Forward's
-// per-message checks and the shard boundary.
+// Forward would at send time, off either end of the row too, and that
+// the task's relays keep Forward's per-message checks. The task is armed
+// on the PE in column col of a 1×2 mesh.
 func TestRelayTaskPanics(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		rows     int
-		workers  int
+		col      int
 		color    Color
 		dir      Dir
 		n        int
@@ -301,30 +270,28 @@ func TestRelayTaskPanics(t *testing.T) {
 		wavelets int
 		want     string
 	}{
-		{"arm toward the mesh edge", 1, 1, 0, North, 1, true, 1, "leaves the mesh"},
-		{"arm toward Ramp", 1, 1, 0, Ramp, -1, true, 1, "toward Ramp"},
-		{"arm an invalid color", 1, 1, NumColors, East, 1, true, 1, "invalid color"},
-		{"arm past the count's range", 1, 1, 0, East, math.MaxInt, true, 1, "arm it for every one"},
-		{"task relays a 0-wavelet injection", 1, 1, 0, East, -1, true, 0, "0 wavelets"},
-		{"Forward relays a 0-wavelet injection", 1, 1, 0, East, -1, false, 0, "0 wavelets"},
-		{"task relays South out of a sharded row", 2, 2, 0, South, -1, true, 1, "shard-profile violation"},
+		{"arm toward the mesh edge", 0, 0, West, 1, true, 1, "leaves the mesh"},
+		{"arm toward Ramp", 0, 0, Ramp, -1, true, 1, "toward Ramp"},
+		{"arm an invalid color", 0, NumColors, East, 1, true, 1, "invalid color"},
+		{"arm past the count's range", 0, 0, East, math.MaxInt, true, 1, "arm it for every one"},
+		{"task relays a 0-wavelet injection", 0, 0, East, -1, true, 0, "0 wavelets"},
+		{"Forward relays a 0-wavelet injection", 0, 0, East, -1, false, 0, "0 wavelets"},
+		{"arm East off the row's end", 1, 0, East, -1, true, 1, "leaves the mesh"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.n > 0 && tc.n-1 == math.MaxInt32 {
 				t.Skip("on a 32-bit host every count fits")
 			}
-			m, err := NewMesh(Config{Rows: tc.rows, Cols: 2, Workers: tc.workers})
+			m, err := NewMesh(Config{Rows: 1, Cols: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for r := 0; r < tc.rows; r++ {
-				for c := 0; c < 2; c++ {
-					p := &armOnInit{relayer: &relayer{task: tc.task}}
-					if r == 0 && c == 0 {
-						p.color, p.dir, p.n = tc.color, tc.dir, tc.n
-					}
-					m.SetProgram(r, c, p)
+			for c := 0; c < 2; c++ {
+				p := &armOnInit{relayer: &relayer{task: tc.task}}
+				if c == tc.col {
+					p.color, p.dir, p.n = tc.color, tc.dir, tc.n
 				}
+				m.SetProgram(0, c, p)
 			}
 			m.Inject(0, 0, Message{Color: 0, Wavelets: tc.wavelets}, 0)
 			defer func() {

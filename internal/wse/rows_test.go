@@ -9,16 +9,8 @@ import (
 	"testing"
 )
 
-// rowEcho is echoProgram with a RowLocal shard profile, so meshes running
-// it partition into one shard per row.
-type rowEcho struct {
-	echoProgram
-}
-
-func (*rowEcho) ShardProfile() ShardProfile { return ShardProfile{RowLocal: true} }
-
-// buildEchoMesh wires a rows×cols mesh of rowEcho PEs with blocksPerRow
-// staggered injections per row head.
+// buildEchoMesh wires a rows×cols mesh of echoProgram PEs with
+// blocksPerRow staggered injections per row head.
 func buildEchoMesh(t *testing.T, rows, cols, blocksPerRow, workers int) *Mesh {
 	t.Helper()
 	m, err := NewMesh(Config{Rows: rows, Cols: cols, Workers: workers})
@@ -27,7 +19,7 @@ func buildEchoMesh(t *testing.T, rows, cols, blocksPerRow, workers int) *Mesh {
 	}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			m.SetProgram(r, c, &rowEcho{echoProgram{cost: 50}})
+			m.SetProgram(r, c, &echoProgram{cost: 50})
 		}
 	}
 	for r := 0; r < rows; r++ {
@@ -40,10 +32,12 @@ func buildEchoMesh(t *testing.T, rows, cols, blocksPerRow, workers int) *Mesh {
 
 // runSnapshot captures everything observable about a finished run.
 type runSnapshot struct {
-	elapsed   int64
-	processed int64
-	emissions []Emission
-	stats     []Stats
+	elapsed, processed int64
+	shardEvents        []int64
+	emissions          []Emission
+	spans              []SpanEvent
+	attribution        Attribution
+	stats              []Stats
 }
 
 func snapshot(t *testing.T, m *Mesh) runSnapshot {
@@ -52,88 +46,70 @@ func snapshot(t *testing.T, m *Mesh) runSnapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := runSnapshot{elapsed: elapsed, processed: m.Processed(), emissions: m.Emissions()}
-	cfg := m.Config()
-	for r := 0; r < cfg.Rows; r++ {
-		for c := 0; c < cfg.Cols; c++ {
-			s.stats = append(s.stats, m.PE(r, c).Stats())
-		}
+	s := runSnapshot{elapsed: elapsed, processed: m.Processed(), shardEvents: m.ShardEvents(),
+		emissions: m.Emissions(), attribution: m.Attribution()}
+	if m.spans != nil {
+		s.spans = m.spans.Events()
+	}
+	for i := range m.pes {
+		s.stats = append(s.stats, m.pes[i].Stats())
 	}
 	return s
 }
 
-func TestShardedMatchesSequential(t *testing.T) {
-	ref := snapshot(t, buildEchoMesh(t, 8, 6, 32, 1))
-	for _, workers := range []int{2, 3, 8} {
-		m := buildEchoMesh(t, 8, 6, 32, workers)
+// firstDiff names the first part of two snapshots that differs, or
+// returns "".
+func firstDiff(a, b runSnapshot) string {
+	switch {
+	case a.elapsed != b.elapsed || a.processed != b.processed:
+		return fmt.Sprintf("elapsed/processed %d/%d vs %d/%d", a.elapsed, a.processed, b.elapsed, b.processed)
+	case !reflect.DeepEqual(a.shardEvents, b.shardEvents):
+		return fmt.Sprintf("shard events %v vs %v", a.shardEvents, b.shardEvents)
+	case !reflect.DeepEqual(a.emissions, b.emissions):
+		return "emission log"
+	case !reflect.DeepEqual(a.spans, b.spans):
+		return "span log"
+	case !reflect.DeepEqual(a.attribution, b.attribution):
+		return "attribution"
+	case !reflect.DeepEqual(a.stats, b.stats):
+		return "per-PE stats"
+	}
+	return ""
+}
+
+// workerCounts are the pool sizes the worker-count invariance tests run.
+var workerCounts = []int{1, 2, 4}
+
+// sameOnEveryWorkerCount builds and runs a mesh on each of workerCounts
+// and requires one shard per row, min(workers, rows) workers, and
+// everything observable equal to the one-worker run's, which it returns.
+func sameOnEveryWorkerCount(t *testing.T, build func(workers int) *Mesh) runSnapshot {
+	t.Helper()
+	var ref runSnapshot
+	for i, workers := range workerCounts {
+		m := build(workers)
 		got := snapshot(t, m)
-		if m.Shards() != 8 {
-			t.Fatalf("workers=%d: %d shards, want 8", workers, m.Shards())
+		rows := m.Config().Rows
+		if m.Shards() != rows || len(got.shardEvents) != rows || m.Workers() != min(workers, rows) {
+			t.Fatalf("workers=%d: %d shards (%d event counts) on %d workers, want %d on %d",
+				workers, m.Shards(), len(got.shardEvents), m.Workers(), rows, min(workers, rows))
 		}
-		if got.elapsed != ref.elapsed || got.processed != ref.processed {
-			t.Fatalf("workers=%d: elapsed/processed %d/%d, want %d/%d",
-				workers, got.elapsed, got.processed, ref.elapsed, ref.processed)
+		if i == 0 {
+			ref = got
+			continue
 		}
-		if !reflect.DeepEqual(got.emissions, ref.emissions) {
-			t.Fatalf("workers=%d: emission log diverges from sequential", workers)
-		}
-		if !reflect.DeepEqual(got.stats, ref.stats) {
-			t.Fatalf("workers=%d: per-PE stats diverge from sequential", workers)
+		if d := firstDiff(got, ref); d != "" {
+			t.Fatalf("workers=%d: %s differs from one worker's", workers, d)
 		}
 	}
+	return ref
 }
 
-func TestUnprofiledProgramsFallBackToOneShard(t *testing.T) {
-	m, err := NewMesh(Config{Rows: 4, Cols: 2, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 2; c++ {
-			m.SetProgram(r, c, &echoProgram{cost: 10}) // no ShardProfile
-		}
-	}
-	m.Inject(0, 0, Message{Color: 0, Payload: 1, Wavelets: 1}, 0)
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Shards() != 1 || m.Workers() != 1 {
-		t.Fatalf("got %d shards / %d workers, want the sequential fallback", m.Shards(), m.Workers())
-	}
-}
-
-// southLiar claims RowLocal but sends South from a handler.
-type southLiar struct{}
-
-func (*southLiar) Init(*Context) {}
-func (*southLiar) OnMessage(ctx *Context, msg Message) {
-	if ctx.Coord().Row == 0 {
-		ctx.Forward(South)
-	}
-}
-func (*southLiar) ShardProfile() ShardProfile { return ShardProfile{RowLocal: true} }
-
-func TestShardProfileViolationPanics(t *testing.T) {
-	m, err := NewMesh(Config{Rows: 2, Cols: 2, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 2; r++ {
-		for c := 0; c < 2; c++ {
-			m.SetProgram(r, c, &southLiar{})
-		}
-	}
-	m.Inject(0, 0, Message{Color: 0, Payload: 1, Wavelets: 1}, 0)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Run did not panic on a RowLocal violation")
-		}
-		if !strings.Contains(fmt.Sprint(r), "shard-profile violation") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	m.Run()
+// TestShardedMatchesSequential checks that an echo mesh gives the same
+// run on every worker count as on one worker, which simulates its rows in
+// sequence.
+func TestShardedMatchesSequential(t *testing.T) {
+	sameOnEveryWorkerCount(t, func(workers int) *Mesh { return buildEchoMesh(t, 8, 6, 32, workers) })
 }
 
 func TestInjectCarriesOffWaferSrc(t *testing.T) {
@@ -165,7 +141,7 @@ func TestInjectCarriesOffWaferSrc(t *testing.T) {
 	}
 }
 
-// mixedRow is a RowLocal program whose traffic depends on its row's kind,
+// mixedRow is a program whose traffic depends on its row's kind,
 // not on its coordinates, so a row behaves the same on a 1-row mesh:
 //   - kind 0 relays every message east to the row's last PE, which
 //     emits; its head also sends one untracked message from Init;
@@ -200,8 +176,6 @@ func (p *mixedRow) OnMessage(ctx *Context, msg Message) {
 	}
 }
 
-func (*mixedRow) ShardProfile() ShardProfile { return ShardProfile{RowLocal: true} }
-
 // buildMixedMesh wires rows with mixedRow programs of kind r%3 and
 // 1+(7r)%13 blocks per row (one in five untracked), spans attached.
 // rowOff shifts the row used for kind and blocks, so a 1-row mesh can
@@ -230,40 +204,22 @@ func buildMixedMesh(t *testing.T, rows, rowOff, workers int) *Mesh {
 	return m
 }
 
-// TestWorkerEngineReusedAcrossShards runs 64 unequal row shards on two
-// workers, each of which runs one engine shard after shard, and checks
-// everything observable against the sequential engine. Each shard's
-// event count must equal its row run alone on a fresh mesh.
+// TestWorkerEngineReusedAcrossShards runs 64 unequal rows, on one
+// worker's single engine row after row and on pools, and requires the
+// same run from every worker count. Each row's event count must equal
+// that row's run alone on a fresh mesh.
 func TestWorkerEngineReusedAcrossShards(t *testing.T) {
 	const rows = 64
-	run := func(m *Mesh) int64 {
-		t.Helper()
-		elapsed, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
+	var got *Mesh
+	ref := sameOnEveryWorkerCount(t, func(workers int) *Mesh {
+		m := buildMixedMesh(t, rows, 0, workers)
+		if workers == 1 {
+			got = m
 		}
-		return elapsed
-	}
-	seq := buildMixedMesh(t, rows, 0, 1)
-	seqElapsed := run(seq)
-	got := buildMixedMesh(t, rows, 0, 2)
-	if elapsed := run(got); elapsed != seqElapsed {
-		t.Fatalf("elapsed %d cycles, want the sequential %d", elapsed, seqElapsed)
-	}
-	if got.Shards() != rows || got.Workers() != 2 {
-		t.Fatalf("ran %d shards on %d workers, want %d on 2", got.Shards(), got.Workers(), rows)
-	}
-	if !reflect.DeepEqual(got.Emissions(), seq.Emissions()) {
-		t.Fatal("emission log diverges from sequential")
-	}
-	if len(seq.spans.Events()) == 0 {
+		return m
+	})
+	if len(ref.spans) == 0 {
 		t.Fatal("no span events recorded")
-	}
-	if !reflect.DeepEqual(got.spans.Events(), seq.spans.Events()) {
-		t.Fatal("span log diverges from sequential")
-	}
-	if !reflect.DeepEqual(got.Attribution(), seq.Attribution()) {
-		t.Fatal("attribution diverges from sequential")
 	}
 	att := got.Attribution()
 	att.PEs = nil
@@ -277,15 +233,14 @@ func TestWorkerEngineReusedAcrossShards(t *testing.T) {
 	var total int64
 	for r := range want {
 		alone := buildMixedMesh(t, 1, r, 1)
-		run(alone)
+		if _, err := alone.Run(); err != nil {
+			t.Fatal(err)
+		}
 		want[r] = alone.Processed()
 		total += want[r]
 	}
-	if !reflect.DeepEqual(got.ShardEvents(), want) {
-		t.Fatalf("shard events %v, want each row's own count %v", got.ShardEvents(), want)
-	}
-	if se := seq.ShardEvents(); len(se) != 1 || se[0] != total || got.Processed() != total {
-		t.Fatalf("sequential shard events %v and sharded total %d, want [%d] and %d", se, got.Processed(), total, total)
+	if !reflect.DeepEqual(ref.shardEvents, want) || ref.processed != total {
+		t.Fatalf("shard events %v (total %d), want each row's own count %v (total %d)", ref.shardEvents, ref.processed, want, total)
 	}
 }
 
@@ -309,26 +264,23 @@ func (f *tieFeed) FeedRow(row int, in *Injector) {
 	}
 }
 
-// initSouth is a mixedRow whose head also sends a tracked message into
-// the row below from Init, which RowLocal allows, and whose head on row 1
-// emits from Init.
-type initSouth struct{ mixedRow }
+// initEast is a mixedRow whose head also sends a tracked message east
+// from Init, and whose head on row 1 emits from Init.
+type initEast struct{ mixedRow }
 
-func (p *initSouth) Init(ctx *Context) {
+func (p *initEast) Init(ctx *Context) {
 	p.mixedRow.Init(ctx)
 	c := ctx.Coord()
 	if c.Col != 0 {
 		return
 	}
-	if c.Row < ctx.Rows()-1 {
-		ctx.Send(South, Message{Color: 1, Payload: "south", Wavelets: 2, Span: int64(-1 - c.Row)})
-	}
+	ctx.Send(East, Message{Color: 1, Payload: "east", Wavelets: 2, Span: int64(-1 - c.Row)})
 	if c.Row == 1 {
 		ctx.Emit("init", 1)
 	}
 }
 
-// buildTieMesh wires rows of initSouth programs fed by a tieFeed, spans
+// buildTieMesh wires rows of initEast programs fed by a tieFeed, spans
 // attached.
 func buildTieMesh(t *testing.T, rows, workers int) (*Mesh, *tieFeed) {
 	t.Helper()
@@ -340,7 +292,7 @@ func buildTieMesh(t *testing.T, rows, workers int) (*Mesh, *tieFeed) {
 	m.AttachSpans()
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			m.SetProgram(r, c, &initSouth{mixedRow{kind: r % 3}})
+			m.SetProgram(r, c, &initEast{mixedRow{kind: r % 3}})
 		}
 	}
 	f := &tieFeed{calls: make([]atomic.Int32, rows)}
@@ -349,73 +301,52 @@ func buildTieMesh(t *testing.T, rows, workers int) (*Mesh, *tieFeed) {
 }
 
 // TestRowFeedMatchesSequential feeds same-cycle injections on every row,
-// plus Init sends across rows, and checks the sharded engine against the
-// sequential one: cycles, events, emission order, attribution and span
-// log must be identical, and each row must be fed exactly once.
+// plus Init sends, and requires the same run on every worker count as on
+// one worker: cycles, events, emission order, attribution and span log.
+// Each row must be fed exactly once, Init's emission must open the
+// emission log, and every row's Init send must be dispatched.
 func TestRowFeedMatchesSequential(t *testing.T) {
 	const rows = 12
-	seq, seqFeed := buildTieMesh(t, rows, 1)
-	seqElapsed, err := seq.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3} {
+	var feeds []*tieFeed
+	ref := sameOnEveryWorkerCount(t, func(workers int) *Mesh {
 		m, f := buildTieMesh(t, rows, workers)
-		elapsed, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Shards() != rows {
-			t.Fatalf("workers=%d: %d shards, want %d", workers, m.Shards(), rows)
-		}
-		if elapsed != seqElapsed || m.Processed() != seq.Processed() {
-			t.Fatalf("workers=%d: elapsed/processed %d/%d, want %d/%d",
-				workers, elapsed, m.Processed(), seqElapsed, seq.Processed())
-		}
-		if !reflect.DeepEqual(m.Emissions(), seq.Emissions()) {
-			t.Fatalf("workers=%d: emission log diverges from sequential", workers)
-		}
-		if !reflect.DeepEqual(m.Attribution(), seq.Attribution()) {
-			t.Fatalf("workers=%d: attribution diverges from sequential", workers)
-		}
-		if !reflect.DeepEqual(m.spans.Events(), seq.spans.Events()) {
-			t.Fatalf("workers=%d: span log diverges from sequential", workers)
-		}
+		feeds = append(feeds, f)
+		return m
+	})
+	for i, f := range feeds {
 		for r := range f.calls {
-			if n, sn := f.calls[r].Load(), seqFeed.calls[r].Load(); n != 1 || sn != 1 {
-				t.Fatalf("workers=%d: row %d fed %d times (sequential %d), want once", workers, r, n, sn)
+			if n := f.calls[r].Load(); n != 1 {
+				t.Fatalf("workers=%d: row %d fed %d times, want once", workerCounts[i], r, n)
 			}
 		}
 	}
-	ems := seq.Emissions()
-	if len(ems) == 0 || ems[0].Payload != "init" {
+	if ems := ref.emissions; len(ems) == 0 || ems[0].Payload != "init" {
 		t.Fatalf("emission log does not open with Init's emission: %v", ems[:min(len(ems), 1)])
 	}
-	var south int
-	for _, ev := range seq.spans.Events() {
-		if ev.Span < 0 && ev.Kind == SpanDispatch && ev.PE == (Coord{Row: int(-ev.Span), Col: 0}) {
-			south++
+	var sent int
+	for _, ev := range ref.spans {
+		if ev.Span < 0 && ev.Kind == SpanDispatch && ev.PE == (Coord{Row: int(-1 - ev.Span), Col: 1}) {
+			sent++
 		}
 	}
-	if south != rows-1 {
-		t.Fatalf("%d Init sends dispatched across rows, want %d", south, rows-1)
+	if sent != rows {
+		t.Fatalf("%d Init sends dispatched, want %d", sent, rows)
 	}
 }
 
-// TestEmissionsMergedOnDemand checks that a sharded run leaves its
-// emission log unmerged until Emissions is called, that the lazy merge
-// equals merging at the end of the run, and that a second call returns
-// the same log.
+// TestEmissionsMergedOnDemand checks that a run leaves its emission log
+// unmerged until Emissions is called, that the lazy merge equals merging
+// at the end of the run, and that a second call returns the same log.
 func TestEmissionsMergedOnDemand(t *testing.T) {
 	m := buildMixedMesh(t, 16, 0, 2)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.shardEmis == nil {
+	if m.rowEmis == nil {
 		t.Fatal("the run merged its emissions before anyone asked")
 	}
 	var eager []Emission
-	mergeTagged(slices.Clone(m.shardEmis), func(em *Emission) { eager = append(eager, *em) })
+	mergeTagged(slices.Clone(m.rowEmis), func(em *Emission) { eager = append(eager, *em) })
 	got := m.Emissions()
 	if len(got) == 0 || !reflect.DeepEqual(got, eager) {
 		t.Fatalf("lazy merge gave %d emissions, eager %d, or they differ", len(got), len(eager))
@@ -429,7 +360,7 @@ func TestEmissionsMergedOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, seq.Emissions()) {
-		t.Fatal("merged log diverges from sequential")
+		t.Fatal("merged log diverges from one worker's")
 	}
 }
 
@@ -441,9 +372,8 @@ func (rowBounce) Init(*Context) {}
 func (rowBounce) OnMessage(ctx *Context, msg Message) {
 	ctx.Forward([2]Dir{East, West}[ctx.Coord().Col])
 }
-func (rowBounce) ShardProfile() ShardProfile { return ShardProfile{RowLocal: true} }
 
-// TestMaxEventsOnAnyWorkerCount checks the sharded engine's event budget:
+// TestMaxEventsOnAnyWorkerCount checks the run's event budget:
 // a run whose events stay within MaxEvents succeeds on every worker
 // count, also when each worker draws more than one chunk, and a livelock
 // on row shards still fails.
@@ -455,7 +385,7 @@ func TestMaxEventsOnAnyWorkerCount(t *testing.T) {
 		}
 		for r := 0; r < rows; r++ {
 			for c := 0; c < cols; c++ {
-				m.SetProgram(r, c, &rowEcho{echoProgram{cost: 50}})
+				m.SetProgram(r, c, &echoProgram{cost: 50})
 			}
 			for b := 0; b < blocks; b++ {
 				m.Inject(r, 0, Message{Color: 1, Wavelets: 4}, int64(5*b))
@@ -500,19 +430,20 @@ func TestMaxEventsOnAnyWorkerCount(t *testing.T) {
 		m.Inject(r, 0, Message{Color: 0, Wavelets: 1}, 0)
 	}
 	if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "livelock") {
-		t.Fatalf("a livelock on two row shards returned %v, want the livelock error", err)
+		t.Fatalf("a livelock on two rows returned %v, want the livelock error", err)
 	} else if m.Shards() != 2 {
 		t.Fatalf("the livelock ran on %d shards, want 2", m.Shards())
 	}
 }
 
-// TestFailedRunKeepsCounts holds a run that fails on MaxEvents to the
-// counts the sequential engine reports for it: a two-row ping-pong
-// livelocks on any worker count, and afterwards Processed exceeds
-// MaxEvents and ShardEvents has one entry per shard, summing to it.
+// TestFailedRunKeepsCounts holds a run that fails on MaxEvents to its
+// counts: a two-row ping-pong livelocks on every worker count, and
+// afterwards Processed exceeds MaxEvents and ShardEvents has one entry
+// per row, summing to it. How far past MaxEvents the run got depends on
+// the worker count, which holds that many prepaid chunks of the budget.
 func TestFailedRunKeepsCounts(t *testing.T) {
 	const maxEvents = 1000
-	for _, workers := range []int{1, 2} {
+	for _, workers := range workerCounts {
 		m, err := NewMesh(Config{Rows: 2, Cols: 2, Workers: workers, MaxEvents: maxEvents})
 		if err != nil {
 			t.Fatal(err)
@@ -529,8 +460,8 @@ func TestFailedRunKeepsCounts(t *testing.T) {
 			t.Fatalf("workers=%d: %d events processed, want more than MaxEvents %d", workers, m.Processed(), maxEvents)
 		}
 		ev := m.ShardEvents()
-		if len(ev) != m.Shards() {
-			t.Fatalf("workers=%d: %d ShardEvents entries for %d shards", workers, len(ev), m.Shards())
+		if len(ev) != 2 || m.Shards() != 2 {
+			t.Fatalf("workers=%d: %d ShardEvents entries for %d shards, want one per row", workers, len(ev), m.Shards())
 		}
 		var sum int64
 		for _, n := range ev {

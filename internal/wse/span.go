@@ -10,10 +10,9 @@ import (
 // A span follows one unit of work (a CereSZ block) across the wafer:
 // host injection, every router hop, every handler that touched it, and
 // the final wafer egress. Span events are keyed to their cause event's
-// deterministic (at, src, seq) ordering key, so sharded runs merge them
-// into exactly the sequence the sequential engine would have produced.
-// Attaching a span log never changes how a run is partitioned, and its
-// output is bit-identical for any Config.Workers.
+// deterministic (at, src, seq) ordering key, and a run merges its rows'
+// events in that order, so the log is bit-identical for any
+// Config.Workers.
 
 // SpanKind classifies one span event.
 type SpanKind uint8
@@ -84,9 +83,9 @@ type SpanLog struct {
 
 // AttachSpans installs a span log. Must be called before Run. Only
 // messages carrying a non-zero Message.Span are recorded, so the caller
-// chooses which traffic to follow. Span recording is shard-neutral: it
-// neither changes the partition nor the simulated schedule, and the
-// recorded sequence is bit-identical across worker counts.
+// chooses which traffic to follow. Span recording does not change the
+// simulated schedule, and the recorded sequence is bit-identical across
+// worker counts.
 func (m *Mesh) AttachSpans() *SpanLog {
 	if m.ran {
 		panic("wse: AttachSpans after Run")
@@ -95,8 +94,8 @@ func (m *Mesh) AttachSpans() *SpanLog {
 	return m.spans
 }
 
-// Events returns every recorded span event in the sequential engine's
-// processing order.
+// Events returns every recorded span event in the (at, src, seq) order of
+// the events that caused them.
 func (sl *SpanLog) Events() []SpanEvent { return sl.events }
 
 // BlockSpan is one block's assembled lifecycle: its events in timeline

@@ -1,10 +1,10 @@
 // Package wse simulates the Cerebras CS-2 wafer-scale engine at the level
 // the paper reasons about (§2.1): a 2D mesh of processing elements, each
 // with a private local memory (48 KB), its own program counter, and a
-// fabric router that exchanges 32-bit wavelets with the four neighbors in
-// one clock cycle. Programs are event-driven — a task runs only when its
-// input data has arrived — mirroring the CSL data-triggering mechanism
-// (paper Fig. 4).
+// fabric router that exchanges 32-bit wavelets with its East and West
+// neighbors in one clock cycle. Programs are event-driven — a task runs
+// only when its input data has arrived — mirroring the CSL
+// data-triggering mechanism (paper Fig. 4).
 //
 // The simulator is deliberately faithful to the constraints that shaped
 // CereSZ's design rather than to the PE micro-architecture:
@@ -26,27 +26,25 @@ package wse
 
 import "fmt"
 
-// Dir is one of the five cardinal dataflow directions of a PE (§2.1):
-// the four mesh neighbors plus the RAMP link to the local processor.
+// Dir is a dataflow direction of a PE: East and West, its fabric links
+// along its row, and Ramp, the link to its own processor. The CS-2 router
+// also links each PE to the rows above and below (§2.1), but CereSZ's
+// data-parallel mapping never uses those links (§4.1), so the simulator
+// leaves them out: every message stays in its row, and rows are the
+// engine's unit (see rows.go).
 type Dir int
 
 // Directions.
 const (
-	North Dir = iota
-	East
-	South
+	East Dir = iota
 	West
 	Ramp
 )
 
 func (d Dir) String() string {
 	switch d {
-	case North:
-		return "north"
 	case East:
 		return "east"
-	case South:
-		return "south"
 	case West:
 		return "west"
 	case Ramp:
@@ -59,10 +57,6 @@ func (d Dir) String() string {
 // Opposite returns the direction a message sent toward d arrives from.
 func (d Dir) Opposite() Dir {
 	switch d {
-	case North:
-		return South
-	case South:
-		return North
 	case East:
 		return West
 	case West:
